@@ -43,22 +43,16 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log/slog"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/obs"
 	"repro/internal/router"
-	"repro/internal/serve"
 	"repro/internal/trace"
 )
 
@@ -88,12 +82,8 @@ func main() {
 		drainWait    = flag.Duration("drain-wait", 0, "after SIGTERM, keep serving this long with /readyz at 503 before draining")
 		quiet        = flag.Bool("quiet", false, "suppress per-request access-log lines (failures and slow queries still log)")
 		maxBody      = flag.Int64("max-body-bytes", 1<<20, "request body cap on POST endpoints; oversized bodies get 413 (negative disables)")
-
-		sloOn     = flag.Bool("slo", false, "track rolling-window router SLOs and serve GET /debug/slo on -debug-addr")
-		sloWindow = flag.Duration("slo-window", serve.DefaultSLOWindow, "rolling SLO evaluation window")
-		sloAvail  = flag.Float64("slo-availability", serve.DefaultSLOAvailability, "availability objective (fraction of requests without a server error)")
-		sloLat    = flag.String("slo-latency", "", `per-endpoint p99 latency objectives, e.g. "default=100ms,similar=50ms"`)
 	)
+	sloFlags := api.BindSLOFlags(flag.CommandLine, "track rolling-window router SLOs and serve GET /debug/slo on -debug-addr")
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	traceFlags := trace.BindFlags(flag.CommandLine)
 	flag.Parse()
@@ -110,7 +100,11 @@ func main() {
 		}
 	}
 
-	cfg := router.Config{
+	sloCfg, err := sloFlags.Config()
+	if err != nil {
+		fatal(err)
+	}
+	rt, err := router.New(router.Config{
 		Shards:             shardList,
 		Timeout:            *reqTO,
 		MergeReserve:       *mergeReserve,
@@ -125,69 +119,25 @@ func main() {
 		Logger:             logger,
 		Quiet:              *quiet,
 		MaxBodyBytes:       *maxBody,
-	}
-	if *sloOn {
-		objectives, err := serve.ParseLatencyObjectives(*sloLat)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.SLO = &serve.SLOConfig{
-			Window:       *sloWindow,
-			Availability: *sloAvail,
-			Latency:      objectives,
-		}
-	}
-	rt, err := router.New(cfg)
+		SLO:                sloCfg,
+	})
 	if err != nil {
 		fatal(err)
 	}
 	defer rt.Close()
 	logger.Info("router built", "shards", len(shardList))
 
-	if obsFlags.DebugAddr != "" {
-		routes := append(trace.Routes(trace.Default()), rt.Routes()...)
-		dbg, err := obs.StartDebug(obsFlags.DebugAddr, obs.Default(), routes...)
-		if err != nil {
-			fatal(err)
-		}
-		defer dbg.Close()
-		fmt.Printf("debug on %s\n", dbg.Addr())
-		logger.Info("debug server listening", "addr", dbg.Addr())
-	}
-
-	ln, err := net.Listen("tcp", *addr)
+	err = api.Run(api.RunConfig{
+		Addr:        *addr,
+		Handler:     rt.Handler(),
+		DebugAddr:   obsFlags.DebugAddr,
+		DebugRoutes: append(trace.Routes(trace.Default()), rt.Routes()...),
+		SetReady:    rt.SetReady,
+		DrainWait:   *drainWait,
+		Grace:       *grace,
+		Logger:      logger,
+	})
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("serving on %s\n", ln.Addr())
-	logger.Info("listening", "addr", ln.Addr().String())
-
-	httpSrv := &http.Server{
-		Handler:           rt.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       120 * time.Second,
-		MaxHeaderBytes:    1 << 20,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		<-ctx.Done()
-		rt.SetReady(false)
-		logger.Info("shutting down", "drain_wait", drainWait.String(), "grace", grace.String())
-		if *drainWait > 0 {
-			time.Sleep(*drainWait)
-		}
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), *grace)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			logger.Error("shutdown: " + err.Error())
-		}
-	}()
-	if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fatal(err)
-	}
-	<-done
-	logger.Info("drained and stopped")
 }

@@ -79,17 +79,15 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/ann"
+	"repro/internal/api"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -261,16 +259,13 @@ func main() {
 		shadowRecent = flag.Int("shadow-recent", shadow.DefaultRecent, "sampled queries kept for the /admin/reload canary replay")
 		reloadGuard  = flag.Float64("reload-guard", 0, "refuse /admin/reload with 409 when the canary's mean result-set Jaccard falls below this (0 = report-only; requires -shadow-sample)")
 
-		sloOn     = flag.Bool("slo", false, "track rolling-window SLOs per endpoint and serve GET /debug/slo on -debug-addr")
-		sloWindow = flag.Duration("slo-window", serve.DefaultSLOWindow, "rolling SLO evaluation window")
-		sloAvail  = flag.Float64("slo-availability", serve.DefaultSLOAvailability, "availability objective (fraction of requests without a server error)")
-		sloLat    = flag.String("slo-latency", "", `per-endpoint p99 latency objectives, e.g. "default=100ms,similar=50ms"`)
 		sloRecall = flag.Float64("slo-recall", 0, "observed-recall SLO objective evaluated from the shadow sampler (0 disables; requires -slo and -shadow-sample)")
 
 		runtimeMetrics  = flag.Bool("runtime-metrics", false, "sample Go runtime health (go_* gauges, GC pauses) into /metrics")
 		runtimeInterval = flag.Duration("runtime-interval", 10*time.Second, "runtime sampler interval (each sample briefly stops the world)")
 	)
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for parallel index scans (deterministic at any value)")
+	sloFlags := api.BindSLOFlags(flag.CommandLine, "track rolling-window SLOs per endpoint and serve GET /debug/slo on -debug-addr")
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	traceFlags := trace.BindFlags(flag.CommandLine)
 	chaosFlags := chaos.BindFlags(flag.CommandLine)
@@ -332,17 +327,11 @@ func main() {
 			fatal(errors.New("-slo-recall requires -shadow-sample (the objective is evaluated from shadow samples)"))
 		}
 	}
-	if *sloOn {
-		objectives, err := serve.ParseLatencyObjectives(*sloLat)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.SLO = &serve.SLOConfig{
-			Window:       *sloWindow,
-			Availability: *sloAvail,
-			Latency:      objectives,
-			Recall:       *sloRecall,
-		}
+	if cfg.SLO, err = sloFlags.Config(); err != nil {
+		fatal(err)
+	}
+	if cfg.SLO != nil {
+		cfg.SLO.Recall = *sloRecall
 	} else if *sloRecall > 0 {
 		fatal(errors.New("-slo-recall requires -slo"))
 	}
@@ -360,58 +349,19 @@ func main() {
 		handler = chaos.Middleware(cc, handler)
 	}
 
-	// The debug listener starts after the server is built so /debug/slo can
-	// mount alongside /debug/traces on the same mux.
-	if obsFlags.DebugAddr != "" {
-		routes := append(trace.Routes(trace.Default()), srv.SLORoutes()...)
-		routes = append(routes, srv.ShadowRoutes()...) // /debug/recall, also on the main mux
-		dbg, err := obs.StartDebug(obsFlags.DebugAddr, obs.Default(), routes...)
-		if err != nil {
-			fatal(err)
-		}
-		defer dbg.Close()
-		// Announce on stdout so scripts and tests can scrape the bound port.
-		fmt.Printf("debug on %s\n", dbg.Addr())
-		logger.Info("debug server listening", "addr", dbg.Addr())
-	}
-
-	ln, err := net.Listen("tcp", *addr)
+	// The debug listener starts after the server is built so /debug/slo and
+	// /debug/recall (also on the main mux) can mount beside /debug/traces.
+	err = api.Run(api.RunConfig{
+		Addr:        *addr,
+		Handler:     handler,
+		DebugAddr:   obsFlags.DebugAddr,
+		DebugRoutes: slices.Concat(trace.Routes(trace.Default()), srv.SLORoutes(), srv.ShadowRoutes()),
+		SetReady:    srv.SetReady,
+		DrainWait:   *drainWait,
+		Grace:       *grace,
+		Logger:      logger,
+	})
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("serving on %s\n", ln.Addr())
-	logger.Info("listening", "addr", ln.Addr().String())
-
-	// Hardened listener settings: slow-header and idle connections cannot pin
-	// resources forever, and oversized headers are rejected at the HTTP layer.
-	httpSrv := &http.Server{
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       120 * time.Second,
-		MaxHeaderBytes:    1 << 20,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		<-ctx.Done()
-		// Flip /readyz first so routers and load balancers stop sending new
-		// work, keep answering for -drain-wait, then drain connections.
-		srv.SetReady(false)
-		logger.Info("shutting down", "drain_wait", drainWait.String(), "grace", grace.String())
-		if *drainWait > 0 {
-			time.Sleep(*drainWait)
-		}
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), *grace)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			logger.Error("shutdown: " + err.Error())
-		}
-	}()
-	if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fatal(err)
-	}
-	<-done
-	logger.Info("drained and stopped")
 }

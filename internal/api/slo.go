@@ -1,4 +1,4 @@
-package serve
+package api
 
 import (
 	"encoding/json"
@@ -113,11 +113,10 @@ type sloEndpoint struct {
 }
 
 // SLOTracker owns per-endpoint rolling SLO state and the shared rotation
-// ticker. It is the reusable half of the serving SLO layer: internal/serve
-// feeds it from the request shell, and a scatter-gather router (or any other
-// front end) can construct its own under a different metric prefix and mount
-// its /debug/slo route on the shared debug listener. A nil *SLOTracker is
-// inert: Record, Close and Routes are no-ops.
+// ticker. Shell.Endpoint feeds it; ibserve and ibrouter each construct their
+// own under a distinct metric prefix and mount its /debug/slo route on the
+// debug listener. A nil *SLOTracker is inert: Record, Close, Routes and
+// Health are no-ops.
 type SLOTracker struct {
 	cfg      SLOConfig
 	started  time.Time
@@ -329,12 +328,21 @@ func (s *SLOTracker) Status() SLOStatus {
 	return out
 }
 
-// sloHealthJSON is the one-line SLO summary folded into /healthz when SLO
+// SLOHealth is the one-line SLO summary folded into /healthz when SLO
 // tracking is on; omitted entirely (json omitempty on a nil pointer) when
 // off, so the disabled-path /healthz body is byte-identical.
-type sloHealthJSON struct {
+type SLOHealth struct {
 	OK      bool     `json:"ok"`
 	Burning []string `json:"burning,omitempty"`
+}
+
+// Health returns the /healthz summary, or nil on a nil tracker.
+func (s *SLOTracker) Health() *SLOHealth {
+	if s == nil {
+		return nil
+	}
+	st := s.Status()
+	return &SLOHealth{OK: st.OK, Burning: st.Burning}
 }
 
 // handleSLO serves GET /debug/slo: the JSON evaluation by default, or an
@@ -396,31 +404,4 @@ func (s *SLOTracker) Routes() []obs.Route {
 		return nil
 	}
 	return []obs.Route{{Pattern: "GET /debug/slo", Handler: http.HandlerFunc(s.handleSLO)}}
-}
-
-// SLORoutes returns the /debug/slo route for the -debug-addr mux, or nothing
-// when SLO tracking is off — the debug listener's route set is unchanged on
-// the disabled path.
-func (s *Server) SLORoutes() []obs.Route { return s.slo.Routes() }
-
-// ShadowRoutes returns the /debug/recall route for the -debug-addr mux, or
-// nothing when shadow sampling is off (same disabled-path contract as
-// SLORoutes). The same route is also mounted on the serving mux so routers
-// and load generators can scrape it without knowing the debug address.
-func (s *Server) ShadowRoutes() []obs.Route { return s.shadow.Routes() }
-
-// Close releases the server's background resources: the shadow sampler (its
-// worker drains, releasing any generation references queued samples hold),
-// the SLO rotation ticker, and the live generation's reference (so an
-// mmap-backed model is unmapped once in-flight requests drain). Stop routing
-// traffic here before Close; straggler requests that arrive anyway answer 503
-// (current() refuses the dead generation) rather than touch unmapped memory.
-// Safe to call more than once: the current-generation release is guarded so a
-// double Close cannot double-unmap.
-func (s *Server) Close() {
-	s.shadow.Close()
-	s.slo.Close()
-	if s.closed.CompareAndSwap(false, true) {
-		s.cur.Load().release()
-	}
 }

@@ -401,42 +401,3 @@ func TestRunCancellation(t *testing.T) {
 		t.Fatalf("cancelled run measured %d requests", rep.Total.Requests)
 	}
 }
-
-// TestQuantileNearestRank pins quantileMS to ceil-based nearest-rank: the
-// smallest sample with at least q of the distribution at or below it. The
-// old floor indexing under-reported tails — p999 of 500 samples read index
-// 498 instead of the worst sample at 499.
-func TestQuantileNearestRank(t *testing.T) {
-	ms := func(n int) []time.Duration {
-		s := make([]time.Duration, n)
-		for i := range s {
-			s[i] = time.Duration(i+1) * time.Millisecond
-		}
-		return s
-	}
-	cases := []struct {
-		name string
-		n    int
-		q    float64
-		want float64 // milliseconds, == 1-based nearest rank
-	}{
-		{"empty", 0, 0.5, 0},
-		{"single", 1, 0.999, 1},
-		{"p50 even count takes upper median", 10, 0.50, 5},
-		{"p90 of 10", 10, 0.90, 9},
-		{"p99 of 10 is the max", 10, 0.99, 10},
-		{"p99 of 100", 100, 0.99, 99},
-		{"p999 of 100 is the max", 100, 0.999, 100},
-		{"p99 of 500", 500, 0.99, 495},
-		{"p999 of 500 reads rank 500, not 499", 500, 0.999, 500},
-		{"p999 of 1000", 1000, 0.999, 999},
-		{"q=1 is the max", 7, 1.0, 7},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := quantileMS(ms(tc.n), tc.q); got != tc.want {
-				t.Fatalf("quantileMS(n=%d, q=%g) = %g ms, want %g", tc.n, tc.q, got, tc.want)
-			}
-		})
-	}
-}

@@ -3,11 +3,11 @@ package load
 import (
 	"encoding/json"
 	"io"
-	"math"
 	"sort"
 	"time"
 
 	"repro/internal/snapshot"
+	"repro/internal/stats"
 )
 
 // EndpointStats is the client-observed result for one endpoint (or the
@@ -69,25 +69,6 @@ type Report struct {
 	Recall *RecallStats `json:"ann_observed_recall,omitempty"`
 }
 
-// quantileMS returns the q-quantile of sorted latencies in milliseconds by
-// ceil-based nearest-rank: the smallest sample such that at least q of the
-// measured distribution is ≤ it. Floor indexing here under-reported tails —
-// p999 over 500 samples floor-indexed to sample 498 of 500, silently
-// discarding the worst observed latency.
-func quantileMS(sorted []time.Duration, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return float64(sorted[i]) / float64(time.Millisecond)
-}
-
 func buildStats(samples []sample, measured time.Duration, withTrace bool) EndpointStats {
 	st := EndpointStats{Requests: len(samples)}
 	if len(samples) == 0 {
@@ -120,10 +101,13 @@ func buildStats(samples []sample, measured time.Duration, withTrace bool) Endpoi
 		st.QPS = float64(len(samples)) / sec
 	}
 	st.MeanMS = float64(sum) / float64(len(samples)) / float64(time.Millisecond)
-	st.P50MS = quantileMS(lats, 0.50)
-	st.P90MS = quantileMS(lats, 0.90)
-	st.P99MS = quantileMS(lats, 0.99)
-	st.P999MS = quantileMS(lats, 0.999)
+	quantileMS := func(q float64) float64 {
+		return float64(stats.NearestRank(lats, q)) / float64(time.Millisecond)
+	}
+	st.P50MS = quantileMS(0.50)
+	st.P90MS = quantileMS(0.90)
+	st.P99MS = quantileMS(0.99)
+	st.P999MS = quantileMS(0.999)
 	st.MaxMS = float64(lats[len(lats)-1]) / float64(time.Millisecond)
 	if withTrace {
 		st.SlowestTraceID = slowest.traceID

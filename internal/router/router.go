@@ -30,34 +30,16 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/serve"
 	"repro/internal/trace"
 )
 
 var partialTotal = obs.Default().Counter("router_partial_responses_total",
 	"queries answered with partial results because at least one shard was missing")
-
-type endpointMetrics struct {
-	requests *obs.Counter
-	errors   *obs.Counter
-	latency  *obs.Histogram
-}
-
-func newEndpointMetrics(name string) endpointMetrics {
-	return endpointMetrics{
-		requests: obs.Default().Counter("router_"+name+"_requests_total",
-			name+" queries answered by the router (including partial answers)"),
-		errors: obs.Default().Counter("router_"+name+"_errors_total",
-			name+" queries the router failed (bad arguments, every shard missing, or deadline)"),
-		latency: obs.Default().Histogram("router_"+name+"_latency_seconds",
-			"end-to-end latency of answered "+name+" queries", obs.DefBuckets),
-	}
-}
 
 // Config parameterizes a Router. Zero values select the documented defaults.
 type Config struct {
@@ -101,7 +83,7 @@ type Config struct {
 	Tracer *trace.Tracer
 	// SLO, when non-nil, tracks rolling router SLOs under the router_ metric
 	// prefix, with /debug/slo served from Routes().
-	SLO *serve.SLOConfig
+	SLO *api.SLOConfig
 	// MaxBodyBytes caps request bodies on the POST endpoints; an oversized
 	// body gets 413. Default 1 MiB (matching ibserve); negative disables the
 	// cap.
@@ -162,17 +144,12 @@ type Router struct {
 	shards  []*shard
 	client  *http.Client
 	mux     *http.ServeMux
-	slo     *serve.SLOTracker
-	ready   atomic.Bool
+	slo     *api.SLOTracker
+	shell   api.Shell // request pipeline of the query endpoints + /readyz state
 	started time.Time
 
 	probeCancel context.CancelFunc
 	probeDone   chan struct{}
-
-	mSimilar    endpointMetrics
-	mRecommend  endpointMetrics
-	mWhitespace endpointMetrics
-	mInfer      endpointMetrics
 }
 
 // New builds a Router over the configured shard URLs.
@@ -181,15 +158,7 @@ func New(cfg Config) (*Router, error) {
 		return nil, errors.New("router: no shards configured")
 	}
 	cfg = cfg.withDefaults()
-	rt := &Router{
-		cfg:         cfg,
-		client:      &http.Client{},
-		started:     time.Now(),
-		mSimilar:    newEndpointMetrics("similar"),
-		mRecommend:  newEndpointMetrics("recommend"),
-		mWhitespace: newEndpointMetrics("whitespace"),
-		mInfer:      newEndpointMetrics("infer"),
-	}
+	rt := &Router{cfg: cfg, client: &http.Client{}, started: time.Now()}
 	for i, base := range cfg.Shards {
 		base = strings.TrimRight(base, "/")
 		if !strings.Contains(base, "://") {
@@ -205,16 +174,24 @@ func New(cfg Config) (*Router, error) {
 		rt.shards = append(rt.shards, sh)
 	}
 	if cfg.SLO != nil {
-		rt.slo = serve.NewSLOTracker(*cfg.SLO, "router", []string{"similar", "recommend", "whitespace", "infer"})
+		rt.slo = api.NewSLOTracker(*cfg.SLO, "router", []string{"similar", "recommend", "whitespace", "infer"})
 	}
-	rt.ready.Store(true)
+	rt.shell = api.Shell{
+		Prefix:       "router",
+		Timeout:      cfg.Timeout,
+		MaxBodyBytes: cfg.MaxBodyBytes,
+		Logger:       cfg.Logger,
+		Tracer:       cfg.Tracer,
+		Quiet:        cfg.Quiet,
+		SLO:          rt.slo,
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", rt.handleHealth)
-	mux.HandleFunc("GET /readyz", rt.handleReady)
-	mux.HandleFunc("GET /v1/similar/{id}", rt.shell("similar", &rt.mSimilar, rt.handleSimilar))
-	mux.HandleFunc("GET /v1/recommend/{id}", rt.shell("recommend", &rt.mRecommend, rt.handleRecommend))
-	mux.HandleFunc("POST /v1/whitespace", rt.shell("whitespace", &rt.mWhitespace, rt.handleWhitespace))
-	mux.HandleFunc("POST /v1/infer", rt.shell("infer", &rt.mInfer, rt.handleInfer))
+	mux.HandleFunc("GET /readyz", rt.shell.HandleReady)
+	mux.HandleFunc("GET /v1/similar/{id}", rt.shell.Endpoint("similar", rt.handleSimilar))
+	mux.HandleFunc("GET /v1/recommend/{id}", rt.shell.Endpoint("recommend", rt.handleRecommend))
+	mux.HandleFunc("POST /v1/whitespace", rt.shell.Endpoint("whitespace", rt.handleWhitespace))
+	mux.HandleFunc("POST /v1/infer", rt.shell.Endpoint("infer", rt.handleInfer))
 	rt.mux = mux
 	if cfg.ProbeInterval > 0 {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -239,7 +216,7 @@ func (rt *Router) Routes() []obs.Route {
 }
 
 // SetReady flips /readyz, mirroring the shard-side drain protocol.
-func (rt *Router) SetReady(ok bool) { rt.ready.Store(ok) }
+func (rt *Router) SetReady(ok bool) { rt.shell.SetReady(ok) }
 
 // Close stops the probe loop and the SLO ticker.
 func (rt *Router) Close() {
@@ -277,74 +254,6 @@ func (rt *Router) probeLoop(ctx context.Context) {
 	}
 }
 
-// JSON response mirrors. These repeat the serve package's field order
-// exactly and append the degradation fields at the end with omitempty, so a
-// fully healthy fan-out marshals byte-identical to an unsharded ibserve.
-
-type matchJSON struct {
-	CompanyID  int     `json:"company_id"`
-	Name       string  `json:"name"`
-	Similarity float64 `json:"similarity"`
-}
-
-type similarResponse struct {
-	CompanyID     int         `json:"company_id"`
-	Name          string      `json:"name"`
-	K             int         `json:"k"`
-	Matches       []matchJSON `json:"matches"`
-	Partial       bool        `json:"partial,omitempty"`
-	MissingShards []int       `json:"missing_shards,omitempty"`
-}
-
-type recommendationJSON struct {
-	Category int     `json:"category"`
-	Name     string  `json:"name"`
-	Strength float64 `json:"strength"`
-	Owners   int     `json:"owners"`
-}
-
-type recommendResponse struct {
-	CompanyID       int                  `json:"company_id"`
-	Name            string               `json:"name"`
-	Peers           int                  `json:"peers"`
-	Recommendations []recommendationJSON `json:"recommendations"`
-	Partial         bool                 `json:"partial,omitempty"`
-	MissingShards   []int                `json:"missing_shards,omitempty"`
-}
-
-type prospectJSON struct {
-	CompanyID     int     `json:"company_id"`
-	Name          string  `json:"name"`
-	NearestClient int     `json:"nearest_client"`
-	Similarity    float64 `json:"similarity"`
-}
-
-type whitespaceResponse struct {
-	K             int            `json:"k"`
-	Prospects     []prospectJSON `json:"prospects"`
-	Partial       bool           `json:"partial,omitempty"`
-	MissingShards []int          `json:"missing_shards,omitempty"`
-}
-
-type inferResponse struct {
-	Theta         []float64   `json:"theta"`
-	K             int         `json:"k"`
-	Matches       []matchJSON `json:"matches"`
-	Partial       bool        `json:"partial,omitempty"`
-	MissingShards []int       `json:"missing_shards,omitempty"`
-}
-
-type internalMatch struct {
-	CompanyID  int     `json:"company_id"`
-	Similarity float64 `json:"similarity"`
-}
-
-type internalRecommendRequest struct {
-	CompanyID int             `json:"company_id"`
-	Peers     int             `json:"peers"`
-	Matches   []internalMatch `json:"matches"`
-}
-
 type shardHealthJSON struct {
 	Index   int    `json:"index"`
 	Addr    string `json:"addr"`
@@ -357,12 +266,7 @@ type healthResponse struct {
 	Shards    []shardHealthJSON `json:"shards"`
 	UptimeSec float64           `json:"uptime_seconds"`
 	Tracing   bool              `json:"tracing"`
-	SLO       *sloHealthJSON    `json:"slo,omitempty"`
-}
-
-type sloHealthJSON struct {
-	OK      bool     `json:"ok"`
-	Burning []string `json:"burning,omitempty"`
+	SLO       *api.SLOHealth    `json:"slo,omitempty"`
 }
 
 var breakerNames = [...]string{"closed", "half-open", "open"}
@@ -372,6 +276,7 @@ func (rt *Router) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		Status:    "ok",
 		UptimeSec: time.Since(rt.started).Seconds(),
 		Tracing:   rt.cfg.Tracer.Enabled(),
+		SLO:       rt.slo.Health(),
 	}
 	for _, sh := range rt.shards {
 		resp.Shards = append(resp.Shards, shardHealthJSON{
@@ -381,181 +286,8 @@ func (rt *Router) handleHealth(w http.ResponseWriter, _ *http.Request) {
 			Breaker: breakerNames[sh.br.State()],
 		})
 	}
-	if rt.slo != nil {
-		st := rt.slo.Status()
-		resp.SLO = &sloHealthJSON{OK: st.OK, Burning: st.Burning}
-	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(resp)
-}
-
-func (rt *Router) handleReady(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if !rt.ready.Load() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_, _ = w.Write([]byte("{\"status\":\"draining\"}\n"))
-		return
-	}
-	_, _ = w.Write([]byte("{\"status\":\"ready\"}\n"))
-}
-
-// routerResponse is a shell handler's outcome: a fully rendered body (with
-// trailing newline), its status, and the degradation markers.
-type routerResponse struct {
-	status  int // 0 means 200
-	body    []byte
-	partial bool
-	missing []int
-}
-
-type apiError struct {
-	status int
-	err    error
-}
-
-func (e *apiError) Error() string { return e.err.Error() }
-func (e *apiError) Unwrap() error { return e.err }
-
-func badRequest(format string, args ...any) error {
-	return &apiError{status: http.StatusBadRequest, err: fmt.Errorf(format, args...)}
-}
-
-// bodyError classifies a request-body read failure: a MaxBytesReader trip is
-// the client sending too much (413, naming the cap), anything else a plain
-// bad request.
-func bodyError(err error) error {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		return &apiError{status: http.StatusRequestEntityTooLarge,
-			err: fmt.Errorf("router: request body exceeds %d bytes", mbe.Limit)}
-	}
-	return badRequest("router: reading request body: %v", err)
-}
-
-func statusFor(err error) int {
-	var ae *apiError
-	if errors.As(err, &ae) {
-		return ae.status
-	}
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		return http.StatusGatewayTimeout
-	}
-	return http.StatusBadRequest
-}
-
-type shellHandler func(ctx context.Context, r *http.Request) (routerResponse, error)
-
-// shell wraps a fan-out handler with the router's request pipeline: deadline
-// budget, trace join/propagation, disjoint served/error accounting, partial
-// marking (X-Partial header + counter) and the access log line.
-func (rt *Router) shell(name string, m *endpointMetrics, h shellHandler) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		ctx := r.Context()
-		var sp *trace.Span
-		if tp, ok := trace.ParseTraceparent(r.Header.Get("traceparent")); ok {
-			ctx, sp = rt.cfg.Tracer.StartRemote(ctx, tp, "router."+name)
-		} else {
-			ctx, sp = rt.cfg.Tracer.Start(ctx, "router."+name)
-		}
-		if sp.Active() {
-			sp.Attr("method", r.Method)
-			sp.Attr("path", r.URL.Path)
-			w.Header().Set("traceparent", trace.FormatTraceparent(sp.TraceID(), sp.SpanID()))
-		}
-		status := http.StatusOK
-		defer func() {
-			sp.AttrInt("status", int64(status))
-			sp.End()
-			rt.slo.Record(name, status, time.Since(start))
-			rt.logRequest(r, name, status, time.Since(start), sp)
-		}()
-
-		ctx, cancel := context.WithTimeout(ctx, rt.requestTimeout(r))
-		defer cancel()
-
-		if r.Body != nil && rt.cfg.MaxBodyBytes > 0 {
-			r.Body = http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
-		}
-		resp, err := h(ctx, r)
-		if err != nil {
-			m.errors.Inc()
-			status = statusFor(err)
-			sp.Error(err)
-			rt.writeError(w, r, status, err)
-			return
-		}
-		if resp.status == 0 {
-			resp.status = http.StatusOK
-		}
-		status = resp.status
-		if status >= 400 {
-			// A shard's client-error verdict (bad id, bad filter) passed
-			// through verbatim; it is the client's error, the router's too.
-			m.errors.Inc()
-		} else {
-			m.requests.Inc()
-			// A traced request leaves its trace ID as a bucket exemplar, the
-			// same contract as the serve-side latency series: a p99 bucket on
-			// the dashboard links straight to a span tree in /debug/traces.
-			if sp.Active() {
-				m.latency.ObserveExemplar(time.Since(start).Seconds(), sp.TraceID().String())
-			} else {
-				m.latency.Observe(time.Since(start).Seconds())
-			}
-		}
-		if resp.partial {
-			partialTotal.Inc()
-			w.Header().Set("X-Partial", "true")
-			sp.Attr("partial", fmt.Sprintf("%v", resp.missing))
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if status != http.StatusOK {
-			w.WriteHeader(status)
-		}
-		_, _ = w.Write(resp.body)
-	}
-}
-
-func (rt *Router) requestTimeout(r *http.Request) time.Duration {
-	d := rt.cfg.Timeout
-	if v := r.URL.Query().Get("timeout_ms"); v != "" {
-		if ms, err := strconv.ParseFloat(v, 64); err == nil && ms > 0 {
-			if t := time.Duration(ms * float64(time.Millisecond)); t < d {
-				d = t
-			}
-		}
-	}
-	return d
-}
-
-func (rt *Router) logRequest(r *http.Request, name string, status int, dur time.Duration, sp *trace.Span) {
-	attrs := []any{
-		"endpoint", name,
-		"method", r.Method,
-		"path", r.URL.Path,
-		"status", status,
-		"dur_ms", float64(dur.Microseconds()) / 1e3,
-	}
-	if sp.Active() {
-		attrs = append(attrs, "trace", sp.TraceID().String())
-	}
-	switch {
-	case status >= 400:
-		rt.cfg.Logger.Warn("request", attrs...)
-	case !rt.cfg.Quiet:
-		rt.cfg.Logger.Info("request", attrs...)
-	}
-	if slow := rt.cfg.Tracer.SlowThreshold(); slow > 0 && dur >= slow {
-		rt.cfg.Logger.Warn("slow query", attrs...)
-	}
-}
-
-func (rt *Router) writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
-	rt.cfg.Logger.Debug("request failed", "path", r.URL.Path, "status", status, "err", err.Error())
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
 // shardContext carves the shard deadline out of the request budget, keeping
@@ -588,51 +320,57 @@ func (rt *Router) hedgeDelay(ctx context.Context, sh *shard) time.Duration {
 	return d
 }
 
-// traceHeader builds the headers propagated to every shard call: the W3C
-// traceparent of the active span, so shard-side span trees join the router's
-// distributed trace.
-func traceHeader(sp *trace.Span, contentType string) http.Header {
+// shardHeader builds the headers of a shard call: the W3C traceparent of the
+// request's span, so shard-side span trees join the router's distributed
+// trace, and the content type when the call carries a body.
+func shardHeader(ctx context.Context, body []byte) http.Header {
 	h := http.Header{}
-	if contentType != "" {
-		h.Set("Content-Type", contentType)
+	if body != nil {
+		h.Set("Content-Type", "application/json")
 	}
-	if sp.Active() {
+	if sp := trace.FromContext(ctx); sp.Active() {
 		h.Set("traceparent", trace.FormatTraceparent(sp.TraceID(), sp.SpanID()))
 	}
 	return h
 }
 
-// fanout sends one identical request to every admissible shard and gathers
-// the results in shard order. Skipped shards (open breaker, not ready) are
-// marked without a network call; answered shards feed their breaker.
-func (rt *Router) fanout(ctx context.Context, method, pathAndQuery string, body []byte, header http.Header) []shardResult {
+// callShard is one breaker-guarded shard call: skipped without a network
+// round trip while the breaker is open, otherwise a hedged call whose outcome
+// (transport error or 5xx = failure) feeds the breaker.
+func (rt *Router) callShard(ctx context.Context, sh *shard, method, pathAndQuery string, body []byte, header http.Header) shardResult {
+	ok, probe := sh.br.Allow(time.Now())
+	if !ok {
+		return shardResult{shard: sh.index, skipped: true}
+	}
+	res := sh.call(ctx, rt.client, method, sh.base+pathAndQuery, body, header, rt.hedgeDelay(ctx, sh))
+	if res.err != nil || res.status >= 500 {
+		sh.mFailures.Inc()
+		sh.br.Failure(time.Now(), probe)
+	} else {
+		sh.br.Success(probe)
+	}
+	return res
+}
+
+// fanout sends one identical request to every ready shard and gathers the
+// results in shard order; not-ready shards are marked skipped, like ones with
+// an open breaker.
+func (rt *Router) fanout(ctx context.Context, method, pathAndQuery string, body []byte) []shardResult {
 	sctx, cancel := rt.shardContext(ctx)
 	defer cancel()
+	header := shardHeader(ctx, body)
 	results := make([]shardResult, len(rt.shards))
 	var wg sync.WaitGroup
-	now := time.Now()
 	for i, sh := range rt.shards {
 		if !sh.ready.Load() {
 			results[i] = shardResult{shard: i, skipped: true}
 			continue
 		}
-		ok, probe := sh.br.Allow(now)
-		if !ok {
-			results[i] = shardResult{shard: i, skipped: true}
-			continue
-		}
 		wg.Add(1)
-		go func(i int, sh *shard, probe bool) {
+		go func(i int, sh *shard) {
 			defer wg.Done()
-			res := sh.call(sctx, rt.client, method, sh.base+pathAndQuery, body, header, rt.hedgeDelay(sctx, sh))
-			if res.err != nil || res.status >= 500 {
-				sh.mFailures.Inc()
-				sh.br.Failure(time.Now(), probe)
-			} else {
-				sh.br.Success(probe)
-			}
-			results[i] = res
-		}(i, sh, probe)
+			results[i] = rt.callShard(sctx, sh, method, pathAndQuery, body, header)
+		}(i, sh)
 	}
 	wg.Wait()
 	return results
@@ -658,151 +396,121 @@ func classify(results []shardResult) (oks []shardResult, clientErr *shardResult,
 	return oks, clientErr, missing
 }
 
-// scatter runs the shared fan-out prologue for the single-phase endpoints:
-// replay the request on every shard, pass a client error through verbatim,
-// fail 502 when no shard answered, otherwise hand the 2xx bodies and the
-// missing-shard list to merge (which stamps the degradation fields on the
-// merged value itself so they marshal inside the response body).
-func (rt *Router) scatter(ctx context.Context, r *http.Request, sp *trace.Span, body []byte,
-	merge func(oks []shardResult, missing []int) (any, error)) (routerResponse, error) {
-	contentType := ""
-	if body != nil {
-		contentType = "application/json"
-	}
-	results := rt.fanout(ctx, r.Method, r.URL.RequestURI(), body, traceHeader(sp, contentType))
-	oks, clientErr, missing := classify(results)
+// gather is the fan-out every endpoint starts with: send the request to all
+// shards, pass a shard's client-error verdict through verbatim (it means the
+// request is bad, not the cluster), fail 502 when no shard answered, and
+// otherwise let answer build the response from the 2xx bodies — it gets the
+// degradation fields, already filled in, to marshal at the end of its body.
+// A short fan-out is logged and counted once the answer stands.
+func (rt *Router) gather(ctx context.Context, r *http.Request, method, pathAndQuery string, body []byte,
+	answer func(oks []shardResult, deg api.Degraded) (api.Response, error)) (api.Response, error) {
+	oks, clientErr, missing := classify(rt.fanout(ctx, method, pathAndQuery, body))
 	if clientErr != nil {
-		return routerResponse{status: clientErr.status, body: clientErr.body}, nil
+		return api.Response{Status: clientErr.status, Body: clientErr.body}, nil
 	}
 	if len(oks) == 0 {
-		return routerResponse{}, &apiError{status: http.StatusBadGateway,
-			err: fmt.Errorf("router: all %d shards unavailable (missing %v)", len(rt.shards), missing)}
+		if err := ctx.Err(); err != nil {
+			// The request's own budget ran out, not the cluster: 504, as on
+			// ibserve, rather than blaming the shards.
+			return api.Response{}, fmt.Errorf("router: deadline expired before any shard answered: %w", err)
+		}
+		return api.Response{}, &api.Error{Status: http.StatusBadGateway,
+			Err: fmt.Errorf("router: all %d shards unavailable (missing %v)", len(rt.shards), missing)}
 	}
-	if len(missing) > 0 {
+	resp, err := answer(oks, api.Degraded{Partial: len(missing) > 0, MissingShards: missing})
+	if err == nil && len(resp.Missing) > 0 {
 		rt.cfg.Logger.Warn("partial fan-out", "path", r.URL.Path, "missing", missing)
+		partialTotal.Inc()
 	}
-	value, err := merge(oks, missing)
-	if err != nil {
-		return routerResponse{}, err
-	}
+	return resp, err
+}
+
+// render marshals a merged answer into the shell's response shape.
+func render(value any, deg api.Degraded) (api.Response, error) {
 	out, err := json.Marshal(value)
 	if err != nil {
-		return routerResponse{}, &apiError{status: http.StatusInternalServerError, err: err}
+		return api.Response{}, &api.Error{Status: http.StatusInternalServerError, Err: err}
 	}
-	return routerResponse{body: append(out, '\n'), partial: len(missing) > 0, missing: missing}, nil
+	return api.Response{Body: append(out, '\n'), Missing: deg.MissingShards}, nil
 }
 
-func matchBetterJSON(a, b matchJSON) bool {
-	return core.MatchBetter(
-		core.Match{CompanyID: a.CompanyID, Similarity: a.Similarity},
-		core.Match{CompanyID: b.CompanyID, Similarity: b.Similarity})
+func unparseable(shard int, err error) error {
+	return &api.Error{Status: http.StatusBadGateway,
+		Err: fmt.Errorf("router: shard %d sent an unparseable body: %w", shard, err)}
 }
 
-func prospectBetterJSON(a, b prospectJSON) bool {
-	return core.ProspectBetter(
-		core.WhitespaceProspect{CompanyID: a.CompanyID, NearestClient: a.NearestClient, Similarity: a.Similarity},
-		core.WhitespaceProspect{CompanyID: b.CompanyID, NearestClient: b.NearestClient, Similarity: b.Similarity})
-}
-
-func decodeShard[T any](r shardResult) (T, error) {
-	var v T
-	if err := json.Unmarshal(r.body, &v); err != nil {
-		return v, &apiError{status: http.StatusBadGateway,
-			err: fmt.Errorf("router: shard %d sent an unparseable body: %w", r.shard, err)}
+// mergeTopK decodes every shard's answer as an R and merges their result
+// lists under better — the exact comparator the shard scans used, so the
+// merged top k is the unsharded top k. The echoed fields (ids, names, theta)
+// are identical on every shard and come from the first; k is the largest any
+// shard echoed. fields names R's k, result list and degradation tail.
+func mergeTopK[R, E any](oks []shardResult, deg api.Degraded, better func(a, b E) bool,
+	fields func(*R) (k *int, list *[]E, deg *api.Degraded)) (R, error) {
+	var merged R
+	perShard := make([][]E, len(oks))
+	for i, res := range oks {
+		var v R
+		if err := json.Unmarshal(res.body, &v); err != nil {
+			return merged, unparseable(res.shard, err)
+		}
+		k, list, _ := fields(&v)
+		perShard[i] = *list
+		if i == 0 {
+			merged = v
+		} else if mk, _, _ := fields(&merged); *k > *mk {
+			*mk = *k
+		}
 	}
-	return v, nil
+	k, list, tail := fields(&merged)
+	if *list = core.MergeTopK(perShard, *k, better); *list == nil {
+		*list = []E{}
+	}
+	*tail = deg
+	return merged, nil
 }
 
-func (rt *Router) handleSimilar(ctx context.Context, r *http.Request) (routerResponse, error) {
-	sp := trace.FromContext(ctx)
-	return rt.scatter(ctx, r, sp, nil, func(oks []shardResult, missing []int) (any, error) {
-		perShard := make([][]matchJSON, len(oks))
-		var merged similarResponse
-		for i, res := range oks {
-			v, err := decodeShard[similarResponse](res)
+// scatter is the single-phase endpoint: replay the request, body included, on
+// every shard and answer with the merged top k.
+func scatter[R, E any](ctx context.Context, rt *Router, r *http.Request, better func(a, b E) bool,
+	fields func(*R) (*int, *[]E, *api.Degraded)) (api.Response, error) {
+	var body []byte
+	if r.Method == http.MethodPost {
+		var err error
+		if body, err = io.ReadAll(r.Body); err != nil {
+			return api.Response{}, api.BodyError(err,
+				"router: request body exceeds %d bytes", "router: reading request body: %v")
+		}
+	}
+	return rt.gather(ctx, r, r.Method, r.URL.RequestURI(), body,
+		func(oks []shardResult, deg api.Degraded) (api.Response, error) {
+			merged, err := mergeTopK(oks, deg, better, fields)
 			if err != nil {
-				return nil, err
+				return api.Response{}, err
 			}
-			if i == 0 {
-				merged = v
-			}
-			if v.K > merged.K {
-				merged.K = v.K
-			}
-			perShard[i] = v.Matches
-		}
-		merged.Matches = core.MergeTopK(perShard, merged.K, matchBetterJSON)
-		if merged.Matches == nil {
-			merged.Matches = []matchJSON{}
-		}
-		merged.Partial = len(missing) > 0
-		merged.MissingShards = missing
-		return merged, nil
-	})
+			return render(merged, deg)
+		})
 }
 
-func (rt *Router) handleWhitespace(ctx context.Context, r *http.Request) (routerResponse, error) {
-	sp := trace.FromContext(ctx)
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		return routerResponse{}, bodyError(err)
-	}
-	return rt.scatter(ctx, r, sp, body, func(oks []shardResult, missing []int) (any, error) {
-		perShard := make([][]prospectJSON, len(oks))
-		var merged whitespaceResponse
-		for i, res := range oks {
-			v, err := decodeShard[whitespaceResponse](res)
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 {
-				merged = v
-			}
-			if v.K > merged.K {
-				merged.K = v.K
-			}
-			perShard[i] = v.Prospects
-		}
-		merged.Prospects = core.MergeTopK(perShard, merged.K, prospectBetterJSON)
-		if merged.Prospects == nil {
-			merged.Prospects = []prospectJSON{}
-		}
-		merged.Partial = len(missing) > 0
-		merged.MissingShards = missing
-		return merged, nil
-	})
+func similarFields(v *api.SimilarResponse) (*int, *[]api.Match, *api.Degraded) {
+	return &v.K, &v.Matches, &v.Degraded
 }
 
-func (rt *Router) handleInfer(ctx context.Context, r *http.Request) (routerResponse, error) {
-	sp := trace.FromContext(ctx)
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		return routerResponse{}, bodyError(err)
-	}
-	return rt.scatter(ctx, r, sp, body, func(oks []shardResult, missing []int) (any, error) {
-		perShard := make([][]matchJSON, len(oks))
-		var merged inferResponse
-		for i, res := range oks {
-			v, err := decodeShard[inferResponse](res)
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 {
-				merged = v // theta is identical on every shard (full model)
-			}
-			if v.K > merged.K {
-				merged.K = v.K
-			}
-			perShard[i] = v.Matches
-		}
-		merged.Matches = core.MergeTopK(perShard, merged.K, matchBetterJSON)
-		if merged.Matches == nil {
-			merged.Matches = []matchJSON{}
-		}
-		merged.Partial = len(missing) > 0
-		merged.MissingShards = missing
-		return merged, nil
-	})
+func (rt *Router) handleSimilar(ctx context.Context, r *http.Request) (api.Response, error) {
+	return scatter(ctx, rt, r, api.MatchBetter, similarFields)
+}
+
+func (rt *Router) handleWhitespace(ctx context.Context, r *http.Request) (api.Response, error) {
+	return scatter(ctx, rt, r, api.ProspectBetter,
+		func(v *api.WhitespaceResponse) (*int, *[]api.Prospect, *api.Degraded) {
+			return &v.K, &v.Prospects, &v.Degraded
+		})
+}
+
+func (rt *Router) handleInfer(ctx context.Context, r *http.Request) (api.Response, error) {
+	return scatter(ctx, rt, r, api.MatchBetter,
+		func(v *api.InferResponse) (*int, *[]api.Match, *api.Degraded) {
+			return &v.K, &v.Matches, &v.Degraded
+		})
 }
 
 // handleRecommend is the two-phase sharded recommendation: recommendation
@@ -811,106 +519,65 @@ func (rt *Router) handleInfer(ctx context.Context, r *http.Request) (routerRespo
 // merges the global peer list; phase 2 posts it to one healthy shard's
 // /internal/recommend (every shard holds the full representations) which
 // scores exactly the peers an unsharded server would have used.
-func (rt *Router) handleRecommend(ctx context.Context, r *http.Request) (routerResponse, error) {
-	sp := trace.FromContext(ctx)
+func (rt *Router) handleRecommend(ctx context.Context, r *http.Request) (api.Response, error) {
 	id := r.PathValue("id")
 	if _, err := strconv.Atoi(id); err != nil {
-		return routerResponse{}, badRequest("router: company id %q is not an integer", id)
+		return api.Response{}, api.BadRequest("router: company id %q is not an integer", id)
 	}
 	q := r.URL.Query()
 	peers := rt.cfg.DefaultPeers
 	if v := q.Get("peers"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil {
-			return routerResponse{}, badRequest("router: parameter peers=%q is not an integer", v)
+			return api.Response{}, api.BadRequest("router: parameter peers=%q is not an integer", v)
 		}
 		if n != 0 { // an explicit 0 means "default", as on the shards
 			peers = n
 		}
 	}
 	// Phase 1: global top-peers peer set under the request's filters.
-	phase1 := q
-	phase1.Del("peers")
-	phase1.Del("timeout_ms")
-	phase1.Set("k", strconv.Itoa(peers))
-	path := "/v1/similar/" + id + "?" + phase1.Encode()
-	results := rt.fanout(ctx, http.MethodGet, path, nil, traceHeader(sp, ""))
-	oks, clientErr, missing := classify(results)
-	if clientErr != nil {
-		return routerResponse{status: clientErr.status, body: clientErr.body}, nil
-	}
-	if len(oks) == 0 {
-		return routerResponse{}, &apiError{status: http.StatusBadGateway,
-			err: fmt.Errorf("router: all %d shards unavailable (missing %v)", len(rt.shards), missing)}
-	}
-	perShard := make([][]matchJSON, len(oks))
-	var base similarResponse
-	for i, res := range oks {
-		v, err := decodeShard[similarResponse](res)
-		if err != nil {
-			return routerResponse{}, err
-		}
-		if i == 0 {
-			base = v
-		}
-		perShard[i] = v.Matches
-	}
-	mergedPeers := core.MergeTopK(perShard, peers, matchBetterJSON)
-
-	// Phase 2: one healthy shard scores the merged peers.
-	req := internalRecommendRequest{CompanyID: base.CompanyID, Peers: peers,
-		Matches: make([]internalMatch, len(mergedPeers))}
-	for i, m := range mergedPeers {
-		req.Matches[i] = internalMatch{CompanyID: m.CompanyID, Similarity: m.Similarity}
-	}
-	raw, err := json.Marshal(req)
-	if err != nil {
-		return routerResponse{}, &apiError{status: http.StatusInternalServerError, err: err}
-	}
-	sctx, cancel := rt.shardContext(ctx)
-	defer cancel()
-	header := traceHeader(sp, "application/json")
-	var scored shardResult
-	scoredOK := false
-	for _, res := range oks {
-		sh := rt.shards[res.shard]
-		ok, probe := sh.br.Allow(time.Now())
-		if !ok {
-			continue
-		}
-		scored = sh.call(sctx, rt.client, http.MethodPost, sh.base+"/internal/recommend", raw, header,
-			rt.hedgeDelay(sctx, sh))
-		if scored.err != nil || scored.status >= 500 {
-			sh.mFailures.Inc()
-			sh.br.Failure(time.Now(), probe)
-			continue
-		}
-		sh.br.Success(probe)
-		scoredOK = true
-		break
-	}
-	if !scoredOK {
-		return routerResponse{}, &apiError{status: http.StatusBadGateway,
-			err: errors.New("router: no shard could score the merged peer set")}
-	}
-	if scored.status >= 400 {
-		return routerResponse{status: scored.status, body: scored.body}, nil
-	}
-	merged, err := decodeShard[recommendResponse](scored)
-	if err != nil {
-		return routerResponse{}, err
-	}
-	if merged.Recommendations == nil {
-		merged.Recommendations = []recommendationJSON{}
-	}
-	merged.Partial = len(missing) > 0
-	merged.MissingShards = missing
-	if merged.Partial {
-		rt.cfg.Logger.Warn("partial fan-out", "path", r.URL.Path, "missing", missing)
-	}
-	out, err := json.Marshal(merged)
-	if err != nil {
-		return routerResponse{}, &apiError{status: http.StatusInternalServerError, err: err}
-	}
-	return routerResponse{body: append(out, '\n'), partial: merged.Partial, missing: missing}, nil
+	q.Del("peers")
+	q.Del("timeout_ms")
+	q.Set("k", strconv.Itoa(peers))
+	return rt.gather(ctx, r, http.MethodGet, "/v1/similar/"+id+"?"+q.Encode(), nil,
+		func(oks []shardResult, deg api.Degraded) (api.Response, error) {
+			sim, err := mergeTopK(oks, deg, api.MatchBetter, similarFields)
+			if err != nil {
+				return api.Response{}, err
+			}
+			// Phase 2: the first healthy shard that answers scores the merged
+			// peers, on a deadline carved from what phase 1 left.
+			req := api.InternalRecommendRequest{CompanyID: sim.CompanyID, Peers: peers,
+				Matches: make([]api.PeerMatch, len(sim.Matches))}
+			for i, m := range sim.Matches {
+				req.Matches[i] = api.PeerMatch{CompanyID: m.CompanyID, Similarity: m.Similarity}
+			}
+			raw, err := json.Marshal(req)
+			if err != nil {
+				return api.Response{}, &api.Error{Status: http.StatusInternalServerError, Err: err}
+			}
+			sctx, cancel := rt.shardContext(ctx)
+			defer cancel()
+			header := shardHeader(ctx, raw)
+			for _, res := range oks {
+				scored := rt.callShard(sctx, rt.shards[res.shard], http.MethodPost, "/internal/recommend", raw, header)
+				if scored.failed() {
+					continue
+				}
+				if scored.status >= 400 {
+					return api.Response{Status: scored.status, Body: scored.body}, nil
+				}
+				var rec api.RecommendResponse
+				if err := json.Unmarshal(scored.body, &rec); err != nil {
+					return api.Response{}, unparseable(scored.shard, err)
+				}
+				if rec.Recommendations == nil {
+					rec.Recommendations = []api.Recommendation{}
+				}
+				rec.Degraded = deg
+				return render(rec, deg)
+			}
+			return api.Response{}, &api.Error{Status: http.StatusBadGateway,
+				Err: errors.New("router: no shard could score the merged peer set")}
+		})
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/stats"
 )
 
 // latWindow is a small ring of recent successful shard latencies; its
@@ -48,18 +49,8 @@ func (w *latWindow) Quantile(q float64) time.Duration {
 	tmp := make([]time.Duration, n)
 	copy(tmp, w.buf[:n])
 	w.mu.Unlock()
-	if n == 0 {
-		return 0
-	}
 	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-	idx := int(q * float64(n-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return tmp[idx]
+	return stats.NearestRank(tmp, q)
 }
 
 // shard is the router's view of one backend: its base URL, breaker,

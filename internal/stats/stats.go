@@ -93,6 +93,30 @@ func Quantile(xs []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
+// NearestRank returns the q-quantile of already-sorted raw samples by ceil
+// nearest rank: the smallest sample such that at least a fraction q of the
+// samples is <= it (rank ceil(q*n), clamped to [1, n]); the zero value for an
+// empty slice. It never interpolates, so the answer is always an observed
+// sample — what latency percentiles want — and floor indexing's silent
+// under-reporting of tails (p999 over 500 samples reading sample 498) cannot
+// happen. Quantile above is the interpolating definition for the paper's
+// boxplots.
+func NearestRank[T any](sorted []T, q float64) T {
+	n := len(sorted)
+	if n == 0 {
+		var zero T
+		return zero
+	}
+	i := int(math.Ceil(q*float64(n))) - 1
+	if i < 0 {
+		i = 0
+	}
+	if i >= n {
+		i = n - 1
+	}
+	return sorted[i]
+}
+
 // Boxplot summarizes a sample the way a box-and-whisker plot does
 // (used to reproduce the paper's Figure 5, the BPMF score boxplot).
 type Boxplot struct {

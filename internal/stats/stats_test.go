@@ -303,3 +303,48 @@ func TestBinomialTailFarTailUnderflow(t *testing.T) {
 		t.Fatalf("far-tail query took %v; underflow early-exit broken", elapsed)
 	}
 }
+
+// TestNearestRank pins the one raw-sample quantile to ceil nearest rank: the
+// smallest sample with at least q of the distribution at or below it. The two
+// historical cases are the floor-indexing bugs it replaced: ibload's p999 over
+// 500 samples read sample 498 instead of the worst one, and the router's
+// hedge-delay window read rank 115 of 128 for q=0.9.
+func TestNearestRank(t *testing.T) {
+	ranks := func(n int) []int {
+		s := make([]int, n)
+		for i := range s {
+			s[i] = i + 1
+		}
+		return s
+	}
+	cases := []struct {
+		name string
+		n    int
+		q    float64
+		want int // == 1-based nearest rank
+	}{
+		{"empty", 0, 0.5, 0},
+		{"single", 1, 0.999, 1},
+		{"p50 even count takes the lower median", 10, 0.50, 5},
+		{"p90 of 10", 10, 0.90, 9},
+		{"p99 of 10 is the max", 10, 0.99, 10},
+		{"p99 of 100", 100, 0.99, 99},
+		{"p999 of 100 is the max", 100, 0.999, 100},
+		{"p99 of 500", 500, 0.99, 495},
+		{"p999 of 500 reads rank 500, not 498", 500, 0.999, 500},
+		{"p999 of 1000", 1000, 0.999, 999},
+		{"p90 of the 128-sample hedge window reads rank 116, not 115", 128, 0.9, 116},
+		{"q=1 is the max", 7, 1.0, 7},
+		{"q=0 clamps to the min", 7, 0, 1},
+		{"q<0 clamps to the min", 7, -0.5, 1},
+		{"q>1 clamps to the max", 7, 1.5, 7},
+	}
+	for _, tc := range cases {
+		if got := NearestRank(ranks(tc.n), tc.q); got != tc.want {
+			t.Errorf("%s: NearestRank(n=%d, q=%g) = %d, want %d", tc.name, tc.n, tc.q, got, tc.want)
+		}
+	}
+	if got := NearestRank([]time.Duration{time.Millisecond, time.Second}, 0.5); got != time.Millisecond {
+		t.Errorf("NearestRank over durations = %v, want 1ms", got)
+	}
+}
