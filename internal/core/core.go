@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -138,12 +139,22 @@ type Match struct {
 // candidate scans visit only the owned partition, and a scatter-gather
 // merge of every partition's answers under the package's total orders
 // reproduces the unpartitioned answer byte for byte.
+//
+// Everything a scan needs per candidate that does not depend on the query is
+// computed once, at build time: the row norms and filter columns (NewIndex)
+// and the owned-id list (SetPartition). Corpus and Reps must not change after
+// NewIndex. Copying the struct shares the columns, which is how the shadow
+// re-execution gets a pruner-free twin of the serving index.
 type Index struct {
 	Corpus *corpus.Corpus
 	Reps   *mat.Matrix
 	Metric Metric
 
-	part, parts int // candidate-scan partition; parts <= 1 scans everything
+	part, parts int     // candidate-scan partition; parts <= 1 scans everything
+	owned       []int64 // ascending owned ids when parts > 1; nil = every id
+
+	norms []float64     // norms[i] = ‖Reps.Row(i)‖, summed in Scorer.Score's order
+	cols  filterColumns // the Filter-tested attributes of Corpus.Companies
 
 	pruner Pruner // nil = exact full scan (the default escape hatch)
 }
@@ -198,17 +209,26 @@ func PartitionOf(id, parts int) int {
 }
 
 // SetPartition restricts the index's candidate scans to partition part of
-// parts (per PartitionOf). Call once at build time, before serving; parts of
-// 0 or 1 restores the full scan.
+// parts (per PartitionOf), hashing every id once to materialise the ascending
+// owned-id list the scans walk. Call once at build time, before serving;
+// parts of 0 or 1 restores the full scan.
 func (ix *Index) SetPartition(part, parts int) error {
 	if parts <= 1 {
-		ix.part, ix.parts = 0, 0
+		ix.part, ix.parts, ix.owned = 0, 0, nil
 		return nil
 	}
 	if part < 0 || part >= parts {
 		return fmt.Errorf("core: partition %d outside [0,%d)", part, parts)
 	}
-	ix.part, ix.parts = part, parts
+	n := ix.Corpus.N()
+	// The hash is near-uniform: an eighth of slack spares the regrow.
+	owned := make([]int64, 0, n/parts+n/(8*parts)+1)
+	for i := 0; i < n; i++ {
+		if PartitionOf(i, parts) == part {
+			owned = append(owned, int64(i))
+		}
+	}
+	ix.part, ix.parts, ix.owned = part, parts, owned
 	return nil
 }
 
@@ -221,7 +241,9 @@ func (ix *Index) Partition() (part, parts int) {
 	return ix.part, ix.parts
 }
 
-// owns reports whether company i is a scan candidate on this index.
+// owns reports whether company i is a scan candidate on this index. Range
+// scans walk the owned list instead; only pruned scans, whose cells hold ids
+// of every partition, ask per candidate.
 func (ix *Index) owns(i int) bool {
 	return ix.parts <= 1 || PartitionOf(i, ix.parts) == ix.part
 }
@@ -231,16 +253,11 @@ func (ix *Index) OwnedCompanies() int {
 	if ix.parts <= 1 {
 		return ix.Corpus.N()
 	}
-	var n int
-	for i := 0; i < ix.Corpus.N(); i++ {
-		if ix.owns(i) {
-			n++
-		}
-	}
-	return n
+	return len(ix.owned)
 }
 
-// NewIndex validates shapes and builds an index.
+// NewIndex validates shapes and builds an index, including its scan columns
+// (one pass over the companies and one over the representation rows).
 func NewIndex(c *corpus.Corpus, reps *mat.Matrix, metric Metric) (*Index, error) {
 	if reps.Rows != c.N() {
 		return nil, fmt.Errorf("core: %d representation rows for %d companies", reps.Rows, c.N())
@@ -249,7 +266,11 @@ func NewIndex(c *corpus.Corpus, reps *mat.Matrix, metric Metric) (*Index, error)
 		return nil, fmt.Errorf("core: empty representations")
 	}
 	indexCompanies.Set(float64(c.N()))
-	return &Index{Corpus: c, Reps: reps, Metric: metric}, nil
+	norms := make([]float64, reps.Rows)
+	for i := range norms {
+		norms[i] = mat.Norm2(reps.Row(i))
+	}
+	return &Index{Corpus: c, Reps: reps, Metric: metric, norms: norms, cols: newFilterColumns(c.Companies)}, nil
 }
 
 // similarity computes the similarity between two representation vectors.
@@ -364,9 +385,21 @@ func (h *topkHeap[T]) push(c T) {
 
 // sorted drains the heap into best-first order.
 func (h *topkHeap[T]) sorted() []T {
-	out := h.m
-	sort.Slice(out, func(a, b int) bool { return h.better(out[a], out[b]) })
-	return out
+	sortBest(h.m, h.better)
+	return h.m
+}
+
+// sortBest sorts s best-first under the total order better.
+func sortBest[T any](s []T, better func(a, b T) bool) {
+	slices.SortFunc(s, func(a, b T) int {
+		switch {
+		case better(a, b):
+			return -1
+		case better(b, a):
+			return 1
+		}
+		return 0
+	})
 }
 
 // MergeTopK combines per-shard bounded-heap selections into the global
@@ -384,7 +417,7 @@ func MergeTopK[T any](shards [][]T, k int, better func(a, b T) bool) []T {
 	for _, s := range shards {
 		merged = append(merged, s...)
 	}
-	sort.Slice(merged, func(a, b int) bool { return better(merged[a], merged[b]) })
+	sortBest(merged, better)
 	if len(merged) > k {
 		merged = merged[:k]
 	}
@@ -397,84 +430,24 @@ func (ix *Index) topKByVector(ctx context.Context, query []float64, k int, f Fil
 		return nil, fmt.Errorf("core: k must be positive, got %d", k)
 	}
 	start := time.Now()
-	n := ix.Corpus.N()
 	// The scan span parents the per-shard spans par.ForEachShard records, so
 	// a traced request decomposes into its shard fan-out.
 	ctx, sp := trace.Start(ctx, "core.topk")
 	sp.AttrInt("k", int64(k))
-	sp.AttrInt("candidates", int64(n))
-	sc := NewScorer(ix.Metric, query)
-	type shardOut struct {
-		matches            []Match
-		admitted, rejected uint64
-	}
-	var out []shardOut
-	var err error
-	if ix.pruner != nil {
-		cells := ix.pruner.Candidates([][]float64{query})
-		var pool int64
-		for _, cell := range cells {
-			pool += int64(len(cell))
-		}
-		sp.Attr("mode", "ann")
-		sp.AttrInt("cells_probed", int64(len(cells)))
-		sp.AttrInt("pool", pool)
-		annTopkQueries.Inc()
-		annTopkCandidates.Add(uint64(pool))
-		annCellsProbed.Add(uint64(len(cells)))
-		out = make([]shardOut, len(cells))
-		err = par.ForEach(ctx, len(cells), func(ci int) error {
-			h := newTopkHeap(k, MatchBetter)
-			var admitted, rejected uint64
-			for _, id := range cells[ci] {
-				i := int(id)
-				if i == exclude || !ix.owns(i) {
-					continue
-				}
-				if !f.Admits(&ix.Corpus.Companies[i]) {
-					rejected++
-					continue
-				}
-				admitted++
-				h.push(Match{CompanyID: i, Similarity: sc.Score(ix.Reps.Row(i))})
-			}
-			out[ci] = shardOut{matches: h.sorted(), admitted: admitted, rejected: rejected}
-			return nil
-		})
-	} else {
-		out = make([]shardOut, par.NumShards(n))
-		err = par.ForEachShard(ctx, n, func(s, lo, hi int) error {
-			h := newTopkHeap(k, MatchBetter)
-			var admitted, rejected uint64
-			for i := lo; i < hi; i++ {
-				if i == exclude || !ix.owns(i) {
-					continue
-				}
-				if !f.Admits(&ix.Corpus.Companies[i]) {
-					rejected++
-					continue
-				}
-				admitted++
-				h.push(Match{CompanyID: i, Similarity: sc.Score(ix.Reps.Row(i))})
-			}
-			out[s] = shardOut{matches: h.sorted(), admitted: admitted, rejected: rejected}
-			return nil
-		})
-	}
+	sp.AttrInt("candidates", int64(ix.Corpus.N()))
+	// exclude is -1 for a free query vector: an id no candidate has.
+	q := ix.newScan(k, f, [][]float64{query}, []int{exclude})
+	best, admitted, rejected, err := q.run(ctx, sp, annTopkQueries, annTopkCandidates)
 	if err != nil {
 		topkErrors.Inc()
 		sp.Error(err)
 		sp.End()
 		return nil, err
 	}
-	var admitted, rejected uint64
-	perShard := make([][]Match, len(out))
-	for s := range out {
-		perShard[s] = out[s].matches
-		admitted += out[s].admitted
-		rejected += out[s].rejected
+	matches := make([]Match, len(best))
+	for r, b := range best {
+		matches[r] = Match{CompanyID: b.CompanyID, Similarity: b.Similarity}
 	}
-	matches := MergeTopK(perShard, k, MatchBetter)
 	sp.AttrInt("admitted", int64(admitted))
 	sp.AttrInt("filtered", int64(rejected))
 	sp.End()
@@ -483,6 +456,176 @@ func (ix *Index) topKByVector(ctx context.Context, query []float64, k int, f Fil
 	topkFiltered.Add(rejected)
 	topkLatency.Observe(time.Since(start).Seconds())
 	return matches, nil
+}
+
+// scan is one candidate scan bound to its query: every top-k and white-space
+// query, exact or pruned, partitioned or not, runs through scan.visit. A
+// top-k is the one-vector case of a white-space scan — MatchBetter and
+// ProspectBetter are the same order — so candidates are WhitespaceProspects
+// throughout and TopK drops NearestClient from the k survivors.
+type scan struct {
+	ix     *Index
+	k      int
+	vecs   [][]float64 // query vectors: the query row, or one row per client
+	qnorms []float64   // ‖vecs[c]‖ under cosine, unused (zero) under Euclidean
+	// ids[c] is the company vecs[c] belongs to: reported as NearestClient,
+	// and never a candidate itself (skip is the set of them).
+	ids      []int
+	skip     idSet
+	filtered bool         // false for the zero Filter, which admits every company
+	filter   columnFilter // bound only when filtered
+}
+
+func (ix *Index) newScan(k int, f Filter, vecs [][]float64, ids []int) *scan {
+	q := &scan{
+		ix: ix, k: k, vecs: vecs, ids: ids,
+		qnorms:   make([]float64, len(vecs)),
+		skip:     newIDSet(ids, ix.Corpus.N()),
+		filtered: f != Filter{},
+	}
+	if q.filtered {
+		q.filter = ix.cols.bind(f)
+	}
+	if ix.Metric != Euclidean {
+		for c, v := range vecs {
+			q.qnorms[c] = mat.Norm2(v)
+		}
+	}
+	return q
+}
+
+// cosineSimilarity and euclideanSimilarity are Scorer.Score with the norms
+// supplied: the similarity of query vector qv (norm qn) and candidate row
+// (norm rn), bit for bit. The cosine one inlines into the candidate loop.
+func cosineSimilarity(qv, row []float64, qn, rn float64) float64 {
+	var dot float64
+	for j, v := range qv[:len(row)] {
+		dot += v * row[j]
+	}
+	if qn == 0 || rn == 0 {
+		return 0
+	}
+	return dot / (qn * rn)
+}
+
+func euclideanSimilarity(qv, row []float64) float64 {
+	return 1 / (1 + math.Sqrt(mat.SqDist(qv, row)))
+}
+
+// scanOut is one shard's (or cell's) selection and filter tallies.
+type scanOut struct {
+	best               []WhitespaceProspect
+	admitted, rejected uint64
+}
+
+// run fans the scan out — over the pruner's cells when one is installed, over
+// shards of the owned positions otherwise — and merges the per-shard
+// selections. annQueries and annCandidates are the calling endpoint's pruned-
+// scan counters.
+func (q *scan) run(ctx context.Context, sp *trace.Span, annQueries, annCandidates *obs.Counter) (best []WhitespaceProspect, admitted, rejected uint64, err error) {
+	ix := q.ix
+	var out []scanOut
+	if ix.pruner != nil {
+		cells := ix.pruner.Candidates(q.vecs)
+		var pool int64
+		for _, cell := range cells {
+			pool += int64(len(cell))
+		}
+		sp.Attr("mode", "ann")
+		sp.AttrInt("cells_probed", int64(len(cells)))
+		sp.AttrInt("pool", pool)
+		annQueries.Inc()
+		annCandidates.Add(uint64(pool))
+		annCellsProbed.Add(uint64(len(cells)))
+		out = make([]scanOut, len(cells))
+		err = par.ForEach(ctx, len(cells), func(ci int) error {
+			out[ci] = q.visit(cells[ci], 0, len(cells[ci]), ix.parts > 1)
+			return nil
+		})
+	} else {
+		n := ix.OwnedCompanies()
+		out = make([]scanOut, par.NumShards(n))
+		err = par.ForEachShard(ctx, n, func(s, lo, hi int) error {
+			out[s] = q.visit(ix.owned, lo, hi, false)
+			return nil
+		})
+	}
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	perShard := make([][]WhitespaceProspect, len(out))
+	for s := range out {
+		perShard[s] = out[s].best
+		admitted += out[s].admitted
+		rejected += out[s].rejected
+	}
+	return MergeTopK(perShard, q.k, ProspectBetter), admitted, rejected, nil
+}
+
+// visit is the candidate loop. It offers candidates ids[lo:hi] — or the ids
+// lo..hi-1 themselves when ids is nil (an unpartitioned range) — to a bounded
+// heap and returns the selection. foreign says ids may name companies of
+// other partitions (a pruner's cell on a partitioned index), which are
+// dropped; owned-list ranges need no such test.
+//
+// Two things here must stay bit-compatible with the reference path
+// (Index.similarity over Filter.Admits survivors, fully sorted): the cosine
+// score is dot / (qnorm * norms[i]) with norms[i] the very value Scorer.Score
+// recomputes per call, and a candidate is dropped before the heap only when
+// its similarity is strictly below the worst retained one — under
+// ProspectBetter such a candidate can never displace it, while a tie is
+// decided by id and so still goes through push.
+func (q *scan) visit(ids []int64, lo, hi int, foreign bool) scanOut {
+	ix := q.ix
+	d := ix.Reps.Cols
+	data, norms := ix.Reps.Data, ix.norms
+	cosine := ix.Metric != Euclidean
+	// Locals keep the loop's operands in registers across the push call.
+	k, vecs, qnorms, qids, filtered := q.k, q.vecs, q.qnorms, q.ids, q.filtered
+	h := newTopkHeap(k, ProspectBetter)
+	h.m = make([]WhitespaceProspect, 0, min(k, hi-lo))
+	floor := math.Inf(-1) // similarity of the worst retained candidate once h is full
+	var o scanOut
+	for pos := lo; pos < hi; pos++ {
+		i := pos
+		if ids != nil {
+			i = int(ids[pos])
+			if foreign && !ix.owns(i) {
+				continue
+			}
+		}
+		if q.skip.has(i) {
+			continue
+		}
+		if filtered && !q.filter.admits(i) {
+			o.rejected++
+			continue
+		}
+		o.admitted++
+		row, rn := data[i*d:(i+1)*d], norms[i]
+		// The nearest query vector wins, the first one on ties.
+		sim, nearest := math.Inf(-1), -1
+		for c, qv := range vecs {
+			var s float64
+			if cosine {
+				s = cosineSimilarity(qv, row, qnorms[c], rn)
+			} else {
+				s = euclideanSimilarity(qv, row)
+			}
+			if s > sim {
+				sim, nearest = s, qids[c]
+			}
+		}
+		if sim < floor {
+			continue
+		}
+		h.push(WhitespaceProspect{CompanyID: i, NearestClient: nearest, Similarity: sim})
+		if len(h.m) == k {
+			floor = h.m[0].Similarity
+		}
+	}
+	o.best = h.sorted()
+	return o
 }
 
 // ProductRecommendation is one gap-based recommendation: a category the
@@ -644,14 +787,12 @@ func (ix *Index) WhitespaceContext(ctx context.Context, clientIDs []int, k int, 
 		wsErrors.Inc()
 		return nil, fmt.Errorf("core: empty client set")
 	}
-	isClient := make(map[int]bool, len(clientIDs))
 	clientRows := make([][]float64, len(clientIDs))
 	for ci, id := range clientIDs {
 		if id < 0 || id >= ix.Corpus.N() {
 			wsErrors.Inc()
 			return nil, fmt.Errorf("core: client id %d outside [0,%d)", id, ix.Corpus.N())
 		}
-		isClient[id] = true
 		clientRows[ci] = ix.Reps.Row(id)
 	}
 	start := time.Now()
@@ -660,70 +801,16 @@ func (ix *Index) WhitespaceContext(ctx context.Context, clientIDs []int, k int, 
 	sp.AttrInt("clients", int64(len(clientIDs)))
 	sp.AttrInt("k", int64(k))
 	sp.AttrInt("candidates", int64(n))
-	// One kernel per client hoists the client norms out of the O(n·clients)
-	// hot loop; scorers are read-only and shared across scan goroutines.
-	scorers := make([]*Scorer, len(clientRows))
-	for ci, crow := range clientRows {
-		scorers[ci] = NewScorer(ix.Metric, crow)
-	}
-	score := func(h *topkHeap[WhitespaceProspect], i int) {
-		rowI := ix.Reps.Row(i)
-		best := WhitespaceProspect{CompanyID: i, NearestClient: -1, Similarity: math.Inf(-1)}
-		for ci := range scorers {
-			if sim := scorers[ci].Score(rowI); sim > best.Similarity {
-				best.Similarity, best.NearestClient = sim, clientIDs[ci]
-			}
-		}
-		h.push(best)
-	}
-	var shards [][]WhitespaceProspect
-	var err error
-	if ix.pruner != nil {
-		cells := ix.pruner.Candidates(clientRows)
-		var pool int64
-		for _, cell := range cells {
-			pool += int64(len(cell))
-		}
-		sp.Attr("mode", "ann")
-		sp.AttrInt("cells_probed", int64(len(cells)))
-		sp.AttrInt("pool", pool)
-		annWhitespaceQueries.Inc()
-		annWhitespaceCandidates.Add(uint64(pool))
-		annCellsProbed.Add(uint64(len(cells)))
-		shards = make([][]WhitespaceProspect, len(cells))
-		err = par.ForEach(ctx, len(cells), func(ci int) error {
-			h := newTopkHeap(k, ProspectBetter)
-			for _, id := range cells[ci] {
-				i := int(id)
-				if !ix.owns(i) || isClient[i] || !f.Admits(&ix.Corpus.Companies[i]) {
-					continue
-				}
-				score(h, i)
-			}
-			shards[ci] = h.sorted()
-			return nil
-		})
-	} else {
-		shards = make([][]WhitespaceProspect, par.NumShards(n))
-		err = par.ForEachShard(ctx, n, func(s, lo, hi int) error {
-			h := newTopkHeap(k, ProspectBetter)
-			for i := lo; i < hi; i++ {
-				if !ix.owns(i) || isClient[i] || !f.Admits(&ix.Corpus.Companies[i]) {
-					continue
-				}
-				score(h, i)
-			}
-			shards[s] = h.sorted()
-			return nil
-		})
-	}
+	// Per prospect the scan keeps the best-scoring client, the first one on
+	// ties, and clients themselves are never prospects.
+	q := ix.newScan(k, f, clientRows, clientIDs)
+	out, _, _, err := q.run(ctx, sp, annWhitespaceQueries, annWhitespaceCandidates)
 	if err != nil {
 		wsErrors.Inc()
 		sp.Error(err)
 		sp.End()
 		return nil, err
 	}
-	out := MergeTopK(shards, k, ProspectBetter)
 	sp.End()
 	wsRequests.Inc()
 	wsLatency.Observe(time.Since(start).Seconds())

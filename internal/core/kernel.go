@@ -37,7 +37,7 @@ func NewScorer(metric Metric, query []float64) *Scorer {
 // Score returns similarity(query, row) under the bound metric.
 func (s *Scorer) Score(row []float64) float64 {
 	if s.metric == Euclidean {
-		return 1 / (1 + math.Sqrt(mat.SqDist(s.query, row)))
+		return euclideanSimilarity(s.query, row)
 	}
 	var dot, rr float64
 	for i, v := range s.query {

@@ -567,11 +567,10 @@ type reloadResponse struct {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	// Hold a reference like the query paths do: the partition block's
-	// OwnedCompanies walk (and any future index read here) must not race a
-	// reload releasing the generation's mmap. A bare s.cur.Load() could
-	// observe a generation whose last reference — and mapping — is being
-	// dropped concurrently.
+	// Hold a reference like the query paths do: the index reads here must
+	// not race a reload releasing the generation's mmap. A bare s.cur.Load()
+	// could observe a generation whose last reference — and mapping — is
+	// being dropped concurrently.
 	st := s.current()
 	if st == nil { // Server.Close ran; the last generation is gone
 		api.WriteError(w, r, s.cfg.Logger, errClosed.Status, errClosed)
