@@ -1,7 +1,9 @@
 package corpus
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -31,31 +33,57 @@ const (
 // Sscanf round trip it rejects trailing garbage ("2013-05xyz") and
 // implausible years ("0001-05").
 func ParseMonth(s string) (Month, error) {
-	if len(s) != 7 || s[4] != '-' {
+	m, fault := parseMonth(s)
+	switch fault {
+	case monthMalformed:
 		return 0, fmt.Errorf("bad month %q: want YYYY-MM", s)
+	case monthYearRange:
+		return 0, fmt.Errorf("month %q: year outside %d..%d", s, MinParseYear, MaxParseYear)
+	case monthOutOfYear:
+		return 0, fmt.Errorf("month %q outside 01..12", s)
+	}
+	return m, nil
+}
+
+// monthFault says which of ParseMonth's rules a string broke.
+type monthFault int
+
+const (
+	monthOK monthFault = iota
+	monthMalformed
+	monthYearRange
+	monthOutOfYear
+)
+
+// parseMonth holds ParseMonth's rules without building the error, so s does
+// not escape and the JSONL fast path can pass it a []byte conversion without
+// allocating.
+func parseMonth(s string) (Month, monthFault) {
+	if len(s) != 7 || s[4] != '-' {
+		return 0, monthMalformed
 	}
 	var y, mo int
 	for i := 0; i < 4; i++ {
 		d := s[i]
 		if d < '0' || d > '9' {
-			return 0, fmt.Errorf("bad month %q: want YYYY-MM", s)
+			return 0, monthMalformed
 		}
 		y = y*10 + int(d-'0')
 	}
 	for i := 5; i < 7; i++ {
 		d := s[i]
 		if d < '0' || d > '9' {
-			return 0, fmt.Errorf("bad month %q: want YYYY-MM", s)
+			return 0, monthMalformed
 		}
 		mo = mo*10 + int(d-'0')
 	}
 	if y < MinParseYear || y > MaxParseYear {
-		return 0, fmt.Errorf("month %q: year outside %d..%d", s, MinParseYear, MaxParseYear)
+		return 0, monthYearRange
 	}
 	if mo < 1 || mo > 12 {
-		return 0, fmt.Errorf("month %q outside 01..12", s)
+		return 0, monthOutOfYear
 	}
-	return MonthOf(y, mo), nil
+	return MonthOf(y, mo), monthOK
 }
 
 // Year returns the calendar year of m (floor division, so months before
@@ -114,12 +142,8 @@ type Company struct {
 // SortAcquisitions orders the install base by first-seen month, breaking
 // ties by category id so sequences are deterministic (the paper's A^S).
 func (c *Company) SortAcquisitions() {
-	sort.Slice(c.Acquisitions, func(i, j int) bool {
-		a, b := c.Acquisitions[i], c.Acquisitions[j]
-		if a.First != b.First {
-			return a.First < b.First
-		}
-		return a.Category < b.Category
+	slices.SortFunc(c.Acquisitions, func(a, b Acquisition) int {
+		return cmp.Or(cmp.Compare(a.First, b.First), cmp.Compare(a.Category, b.Category))
 	})
 }
 

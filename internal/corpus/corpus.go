@@ -118,14 +118,18 @@ func (c *Corpus) Sequences() [][]int {
 }
 
 // Sets returns every company's category set A (unordered, as a sorted
-// id slice — category ids ascending).
+// id slice — category ids ascending). The sets are windows onto one backing
+// array, each capped at its own length so an append to one cannot reach the
+// next.
 func (c *Corpus) Sets() [][]int {
 	out := make([][]int, c.N())
+	flat := make([]int, 0, c.TotalAcquisitions())
 	for i := range c.Companies {
-		set := make([]int, 0, len(c.Companies[i].Acquisitions))
+		start := len(flat)
 		for _, a := range c.Companies[i].Acquisitions {
-			set = append(set, a.Category)
+			flat = append(flat, a.Category)
 		}
+		set := flat[start:len(flat):len(flat)]
 		// Acquisitions are time-sorted; re-sort by category id.
 		for j := 1; j < len(set); j++ {
 			for k := j; k > 0 && set[k] < set[k-1]; k-- {

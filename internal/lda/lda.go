@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/mat"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
@@ -458,47 +459,84 @@ func (s *sampler) run(ctx context.Context, startSweep int) (*Model, error) {
 // mean (uniform).
 func (m *Model) InferTheta(doc []int, g *rng.RNG) []float64 {
 	theta := make([]float64, m.K)
+	m.foldIn(theta, doc, g, newFoldScratch(m.K))
+	return theta
+}
+
+// foldScratch is the per-document working memory of foldIn, reusable across
+// documents so a batch does not allocate per document.
+type foldScratch struct {
+	assign               []int     // per token: current topic
+	phi                  []float64 // per token: its Phi column, K values
+	ndk, probs, thetaAcc []float64 // per topic
+}
+
+func newFoldScratch(k int) *foldScratch {
+	buf := make([]float64, 3*k)
+	return &foldScratch{ndk: buf[:k:k], probs: buf[k : 2*k : 2*k], thetaAcc: buf[2*k:]}
+}
+
+// foldIn writes doc's topic mixture into theta (length K). The generator is
+// consumed in a fixed pattern — one Intn(K) per token, then one Float64
+// (inside Categorical) per token per iteration — which Representations'
+// pre-pass replays to find where each block's stream starts.
+func (m *Model) foldIn(theta []float64, doc []int, g *rng.RNG, sc *foldScratch) {
 	if len(doc) == 0 {
 		for z := range theta {
 			theta[z] = 1 / float64(m.K)
 		}
-		return theta
+		return
 	}
-	assign := make([]int, len(doc))
-	ndk := make([]float64, m.K)
+	k, alpha := m.K, m.Alpha
+	if len(sc.assign) < len(doc) {
+		sc.assign = make([]int, len(doc))
+		sc.phi = make([]float64, len(doc)*k)
+	}
+	assign, phi := sc.assign[:len(doc)], sc.phi[:len(doc)*k]
+	ndk, probs, thetaAcc := sc.ndk, sc.probs, sc.thetaAcc
+	for z := range ndk {
+		ndk[z], thetaAcc[z] = 0, 0
+	}
 	for i, w := range doc {
-		if w < 0 || w >= m.V {
-			panic(fmt.Sprintf("lda: token %d outside vocabulary [0,%d)", w, m.V))
-		}
-		assign[i] = g.Intn(m.K)
+		m.checkToken(w)
+		assign[i] = g.Intn(k)
 		ndk[assign[i]]++
+		// Gather token i's Phi column once; the sweeps below read it
+		// InferIters times.
+		for z := 0; z < k; z++ {
+			phi[i*k+z] = m.Phi.Data[z*m.V+w]
+		}
 	}
-	probs := make([]float64, m.K)
 	burn := m.InferIters / 2
-	thetaAcc := make([]float64, m.K)
 	samples := 0
 	for it := 0; it < m.InferIters; it++ {
-		for i, w := range doc {
+		for i := range doc {
 			ndk[assign[i]]--
-			for z := 0; z < m.K; z++ {
-				probs[z] = (ndk[z] + m.Alpha) * m.Phi.Data[z*m.V+w]
+			col := phi[i*k : i*k+k]
+			for z := range probs {
+				probs[z] = (ndk[z] + alpha) * col[z]
 			}
 			assign[i] = g.Categorical(probs)
 			ndk[assign[i]]++
 		}
 		if it >= burn {
-			denom := float64(len(doc)) + m.Alpha*float64(m.K)
-			for z := 0; z < m.K; z++ {
-				thetaAcc[z] += (ndk[z] + m.Alpha) / denom
+			denom := float64(len(doc)) + alpha*float64(k)
+			for z := range thetaAcc {
+				thetaAcc[z] += (ndk[z] + alpha) / denom
 			}
 			samples++
 		}
 	}
-	for z := 0; z < m.K; z++ {
+	for z := range theta {
 		theta[z] = thetaAcc[z] / float64(samples)
 	}
 	mat.Normalize(theta)
-	return theta
+}
+
+func (m *Model) checkToken(w int) {
+	if w < 0 || w >= m.V {
+		panic(fmt.Sprintf("lda: token %d outside vocabulary [0,%d)", w, m.V))
+	}
 }
 
 // WordProb returns P(w | theta) = Σ_z theta_z Phi_zw.
@@ -557,14 +595,49 @@ func (m *Model) Perplexity(docs [][]int, g *rng.RNG) float64 {
 	return math.Exp(-logSum / float64(n))
 }
 
+// repBlock is the number of documents one Representations task folds in. It
+// is a constant, not a function of the worker count, so the block-start
+// generator states — and with them every output bit — do not depend on how
+// many workers run the blocks.
+const repBlock = 512
+
 // Representations infers the company feature matrix B (N x K): row d is the
 // topic mixture of document d. This is the representation used for company
 // similarity search and clustering.
+//
+// The result and g's final state are those of the sequential loop
+// `for d { InferTheta(docs[d], g) }` at any worker count: a sequential
+// pre-pass advances g across each block of repBlock documents the way foldIn
+// would (real Intn draws, whose rejection sampling makes the draw count
+// data-dependent when K is not a power of two, then SkipFloat64 for the
+// Categorical draws) and records the state at each block start; the blocks
+// then fold in concurrently, each from its own recorded state.
 func (m *Model) Representations(docs [][]int, g *rng.RNG) *mat.Matrix {
 	out := mat.New(len(docs), m.K)
-	for d, doc := range docs {
-		copy(out.Row(d), m.InferTheta(doc, g))
+	starts := make([][4]uint64, (len(docs)+repBlock-1)/repBlock)
+	for b := range starts {
+		starts[b] = g.State()
+		lo := b * repBlock
+		for _, doc := range docs[lo:min(lo+repBlock, len(docs))] {
+			for _, w := range doc {
+				m.checkToken(w) // panic on the caller's goroutine, not a worker's
+				g.Intn(m.K)
+			}
+			g.SkipFloat64(len(doc) * m.InferIters)
+		}
 	}
+	_ = par.ForEach(context.Background(), len(starts), func(b int) error {
+		bg, err := rng.FromState(starts[b])
+		if err != nil {
+			panic(err) // State never returns the all-zero state FromState rejects
+		}
+		sc := newFoldScratch(m.K)
+		lo := b * repBlock
+		for d, doc := range docs[lo:min(lo+repBlock, len(docs))] {
+			m.foldIn(out.Row(lo+d), doc, bg, sc)
+		}
+		return nil
+	})
 	return out
 }
 

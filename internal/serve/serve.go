@@ -161,10 +161,15 @@ func (c Config) withDefaults() Config {
 // munmap of the mapping the matrices alias. Close runs only after the last
 // in-flight request against the generation finishes (see state.release);
 // leave it nil for heap-resident generations.
+//
+// BuildLog is key/value pairs the loader wants on the log line that
+// announces the generation ("model reloaded"); ibserve puts the durations of
+// its build stages there so a slow reload says where it went.
 type Loaded struct {
-	Index *core.Index
-	Model *lda.Model
-	Close func() error
+	Index    *core.Index
+	Model    *lda.Model
+	Close    func() error
+	BuildLog []any
 }
 
 // Loader rebuilds the serving state from the backing store; /admin/reload
@@ -940,8 +945,8 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if model != nil {
 		resp.Topics = model.K
 	}
-	s.cfg.Logger.Info("model reloaded", "companies", resp.Companies, "dim", resp.Dim,
-		"invalidated", resp.Invalidated, "gen", next.gen)
+	s.cfg.Logger.Info("model reloaded", append([]any{"companies", resp.Companies, "dim", resp.Dim,
+		"invalidated", resp.Invalidated, "gen", next.gen}, loaded.BuildLog...)...)
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(resp)
 }

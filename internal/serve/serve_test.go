@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -312,12 +313,13 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestCacheHitsAndReloadInvalidation(t *testing.T) {
-	s, ix, m := newTestServer(t, Config{CacheSize: 16})
+	var logged bytes.Buffer
+	s, ix, m := newTestServer(t, Config{CacheSize: 16, Logger: slog.New(slog.NewTextHandler(&logged, nil))})
 	// Install a loader that rebuilds a fresh state over the same data.
 	reloaded := 0
 	s.load = func(context.Context) (Loaded, error) {
 		reloaded++
-		return Loaded{Index: ix, Model: m}, nil
+		return Loaded{Index: ix, Model: m, BuildLog: []any{"corpus_load_ms", 12.5}}, nil
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -352,6 +354,9 @@ func TestCacheHitsAndReloadInvalidation(t *testing.T) {
 	}
 	if got := counterValue("serve_reloads_total"); got != reloads0+1 {
 		t.Fatalf("serve_reloads_total %d, want %d", got, reloads0+1)
+	}
+	if line := logged.String(); !strings.Contains(line, `msg="model reloaded"`) || !strings.Contains(line, "corpus_load_ms=12.5") {
+		t.Fatalf("reload log line lacks the loader's BuildLog pairs: %q", line)
 	}
 	var third api.SimilarResponse
 	getJSON(t, ts, "/v1/similar/7?k=3", &third)
