@@ -14,10 +14,10 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/eval"
 	"repro/internal/lda"
-	"repro/internal/lstm"
 	"repro/internal/ngram"
 	"repro/internal/obs"
 	"repro/internal/rng"
+	"repro/internal/rnn"
 	"repro/internal/trace"
 )
 
@@ -295,7 +295,7 @@ func BenchmarkLSTMTrainingStep(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := lstm.Train(lstm.Config{V: 38, Layers: 1, Hidden: 100, Epochs: 1, Dropout: 0.5}, seqs, nil, g); err != nil {
+		if _, _, err := rnn.Train(rnn.Config{V: 38, Layers: 1, Hidden: 100, Epochs: 1, Dropout: 0.5}, seqs, nil, g); err != nil {
 			b.Fatal(err)
 		}
 	}

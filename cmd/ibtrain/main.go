@@ -47,18 +47,18 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"strings"
 	"syscall"
 
 	"repro/internal/bpmf"
 	"repro/internal/chh"
 	"repro/internal/corpus"
-	"repro/internal/gru"
 	"repro/internal/lda"
-	"repro/internal/lstm"
 	"repro/internal/ngram"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/rng"
+	"repro/internal/rnn"
 	"repro/internal/sgns"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
@@ -123,11 +123,11 @@ func checkTrainErr(err error, ckptPath string) {
 
 // checkpointFamilies maps snapshot kinds to the -model value they resume.
 var checkpointFamilies = map[string]string{
-	lda.KindCheckpoint:  "lda",
-	lstm.KindCheckpoint: "lstm",
-	gru.KindCheckpoint:  "gru",
-	sgns.KindCheckpoint: "sgns",
-	bpmf.KindCheckpoint: "bpmf",
+	lda.KindCheckpoint:        "lda",
+	rnn.LSTM.KindCheckpoint(): "lstm",
+	rnn.GRU.KindCheckpoint():  "gru",
+	sgns.KindCheckpoint:       "sgns",
+	bpmf.KindCheckpoint:       "bpmf",
 }
 
 func main() {
@@ -269,46 +269,29 @@ func main() {
 		default:
 			fatal(fmt.Errorf("-snapshot-format %q: want v1 or v2", *snapFmt))
 		}
-	case "lstm":
-		cfg := lstm.Config{
-			V: c.M(), Layers: *layers, Hidden: *hidden,
-			Dropout: *dropout, Epochs: *epochs, Progress: progress,
-			Checkpoint: ckptHook[*lstm.Checkpoint](*ckptPath), CheckpointEvery: *ckptEvery,
+	case "lstm", "gru":
+		cell := rnn.LSTM
+		if *model == "gru" {
+			cell = rnn.GRU
 		}
-		var m *lstm.Model
-		var stats lstm.TrainStats
+		cfg := rnn.Config{
+			Cell: cell, V: c.M(), Layers: *layers, Hidden: *hidden,
+			Dropout: *dropout, Epochs: *epochs, Progress: progress,
+			Checkpoint: ckptHook[*rnn.Checkpoint](*ckptPath), CheckpointEvery: *ckptEvery,
+		}
+		var m *rnn.Model
+		var stats rnn.TrainStats
 		if *resume != "" {
-			ck := loadCkpt(*resume, lstm.LoadCheckpoint)
-			m, stats, err = lstm.Resume(ctx, ck, split.Train.Sequences(), split.Valid.Sequences(), cfg)
+			ck := loadCkpt(*resume, rnn.LoadCheckpoint)
+			m, stats, err = rnn.Resume(ctx, ck, split.Train.Sequences(), split.Valid.Sequences(), cfg)
 		} else {
-			m, stats, err = lstm.TrainContext(ctx, cfg, split.Train.Sequences(), split.Valid.Sequences(), g)
+			m, stats, err = rnn.TrainContext(ctx, cfg, split.Train.Sequences(), split.Valid.Sequences(), g)
 		}
 		checkTrainErr(err, *ckptPath)
 		for e, p := range stats.ValidPerpl {
 			fmt.Printf("epoch %2d: train NLL %.3f, valid perplexity %.2f\n", e+1, stats.TrainLoss[e], p)
 		}
-		fmt.Printf("LSTM %dx%d test perplexity: %.2f (parameters: %d)\n",
-			m.Layers, m.Hidden, m.Perplexity(split.Test.Sequences()), m.ParameterCount())
-		writeModel(*out, m)
-	case "gru":
-		cfg := gru.Config{
-			V: c.M(), Layers: *layers, Hidden: *hidden,
-			Dropout: *dropout, Epochs: *epochs, Progress: progress,
-			Checkpoint: ckptHook[*gru.Checkpoint](*ckptPath), CheckpointEvery: *ckptEvery,
-		}
-		var m *gru.Model
-		var stats gru.TrainStats
-		if *resume != "" {
-			ck := loadCkpt(*resume, gru.LoadCheckpoint)
-			m, stats, err = gru.Resume(ctx, ck, split.Train.Sequences(), split.Valid.Sequences(), cfg)
-		} else {
-			m, stats, err = gru.TrainContext(ctx, cfg, split.Train.Sequences(), split.Valid.Sequences(), g)
-		}
-		checkTrainErr(err, *ckptPath)
-		for e, p := range stats.ValidPerpl {
-			fmt.Printf("epoch %2d: train NLL %.3f, valid perplexity %.2f\n", e+1, stats.TrainLoss[e], p)
-		}
-		fmt.Printf("GRU %dx%d test perplexity: %.2f (parameters: %d)\n",
+		fmt.Printf("%s %dx%d test perplexity: %.2f (parameters: %d)\n", strings.ToUpper(*model),
 			m.Layers, m.Hidden, m.Perplexity(split.Test.Sequences()), m.ParameterCount())
 		writeModel(*out, m)
 	case "sgns":

@@ -17,9 +17,9 @@ import (
 	"repro/internal/chh"
 	"repro/internal/corpus"
 	"repro/internal/lda"
-	"repro/internal/lstm"
 	"repro/internal/ngram"
 	"repro/internal/rng"
+	"repro/internal/rnn"
 )
 
 func main() {
@@ -50,7 +50,7 @@ func main() {
 
 	// LSTM (1 layer x 40 nodes keeps the example fast; the full grid lives
 	// in cmd/ibeval -exp fig1).
-	lstmM, _, err := lstm.Train(lstm.Config{V: c.M(), Layers: 1, Hidden: 40, Dropout: 0.2, Epochs: 6},
+	lstmM, _, err := rnn.Train(rnn.Config{V: c.M(), Layers: 1, Hidden: 40, Dropout: 0.2, Epochs: 6},
 		trainSeqs, split.Valid.Sequences(), g)
 	if err != nil {
 		log.Fatal(err)

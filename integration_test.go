@@ -15,10 +15,10 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/datagen"
 	"repro/internal/lda"
-	"repro/internal/lstm"
 	"repro/internal/ngram"
 	"repro/internal/recommend"
 	"repro/internal/rng"
+	"repro/internal/rnn"
 )
 
 // TestPipelineSitesToRecommendations drives the entire data path: raw site
@@ -130,7 +130,7 @@ func TestAllModelFamiliesOnOneCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lstmM, _, err := lstm.Train(lstm.Config{V: 38, Layers: 1, Hidden: 16, Dropout: 0.5, Epochs: 4}, trainSeqs, nil, g)
+	lstmM, _, err := rnn.Train(rnn.Config{V: 38, Layers: 1, Hidden: 16, Dropout: 0.5, Epochs: 4}, trainSeqs, nil, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestModelPersistenceAcrossFamilies(t *testing.T) {
 	}
 
 	// lstm
-	lm, _, err := lstm.Train(lstm.Config{V: 38, Layers: 1, Hidden: 8, Epochs: 1}, seqs[:100], nil, g)
+	lm, _, err := rnn.Train(rnn.Config{V: 38, Layers: 1, Hidden: 8, Epochs: 1}, seqs[:100], nil, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestModelPersistenceAcrossFamilies(t *testing.T) {
 	if err := lm.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	lm2, err := lstm.Load(&buf)
+	lm2, err := rnn.Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,14 +9,10 @@
 // answer is byte-identical to the exact scan — the escape hatch, and the
 // recall baseline BENCH_ann.json measures against.
 //
-// Determinism. Training follows the internal/par contract: the k-means++
-// seeding consumes a single RNG stream sequentially before any fan-out, the
-// parallel phases (distance evaluation over fixed-size row blocks that do
-// not move with the worker count) perform only per-index pure writes, and
-// every floating-point reduction folds per-index values in index order on
-// one goroutine. An index built at workers=1 is gob-byte-identical to one
-// built at workers=4, pinned in tests alongside the 3-shard router-merge
-// equivalence.
+// Determinism. The cells come from one run of cluster.KMeans, which follows
+// the internal/par contract (that package's comment has the rules). An
+// index built at workers=1 is gob-byte-identical to one built at workers=4,
+// pinned in tests alongside the 3-shard router-merge equivalence.
 //
 // Persistence. Save writes an IBSNAP v2 container (centroids as a float64
 // section, the cell postings as CSR int64 sections, plus a fixed meta
@@ -32,6 +28,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/mat"
 	"repro/internal/obs"
@@ -124,11 +121,16 @@ func Build(reps *mat.Matrix, metric core.Metric, cfg BuildConfig) (*Index, error
 		return nil, fmt.Errorf("ann: %d cells outside [1,%d]", cfg.Cells, n)
 	}
 	start := time.Now()
-	centroids, assign, inertia, iters := train(reps, cfg.Cells, cfg.MaxIter, cfg.Tol, rng.New(cfg.Seed))
+	km, err := cluster.KMeans(reps, cluster.KMeansConfig{
+		K: cfg.Cells, MaxIter: cfg.MaxIter, Tol: cfg.Tol, Restarts: 1,
+	}, rng.New(cfg.Seed))
+	if err != nil {
+		return nil, err
+	}
 
 	// CSR postings: counting sort by cell keeps each cell's ids ascending.
 	counts := make([]int64, cfg.Cells)
-	for _, c := range assign {
+	for _, c := range km.Assignment {
 		counts[c]++
 	}
 	offsets := make([]int64, cfg.Cells+1)
@@ -138,7 +140,7 @@ func Build(reps *mat.Matrix, metric core.Metric, cfg BuildConfig) (*Index, error
 	ids := make([]int64, n)
 	next := make([]int64, cfg.Cells)
 	copy(next, offsets[:cfg.Cells])
-	for i, c := range assign {
+	for i, c := range km.Assignment {
 		ids[next[c]] = int64(i)
 		next[c]++
 	}
@@ -150,10 +152,10 @@ func Build(reps *mat.Matrix, metric core.Metric, cfg BuildConfig) (*Index, error
 		Seed:    cfg.Seed,
 		RepsCRC: Fingerprint(reps),
 		N:       n,
-		Inertia: inertia,
-		Iters:   iters,
+		Inertia: km.Inertia,
+		Iters:   km.Iterations,
 
-		Centroids: centroids,
+		Centroids: km.Centers,
 		Offsets:   offsets,
 		IDs:       ids,
 	}, nil

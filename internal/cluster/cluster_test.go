@@ -119,6 +119,46 @@ func TestKMeansSinglePointClusters(t *testing.T) {
 	}
 }
 
+// TestKMeansReseedsEmptyClustersAtDistinctPoints pins the one re-seeding
+// rule. Eight points on three locations and K=5: k-means++ runs out of
+// distinct locations, two centers start as duplicates and end the assignment
+// pass empty while every point sits on its center. Each empty cluster must
+// take the farthest point by that pass's distances — all tie at zero, so the
+// lowest index — and a point already taken is out of the running.
+func TestKMeansReseedsEmptyClustersAtDistinctPoints(t *testing.T) {
+	a, b, c := []float64{0, 0}, []float64{10, 0}, []float64{0, 10}
+	x := mat.New(8, 2)
+	for i, p := range [][]float64{a, b, c, c, c, a, b, b} {
+		copy(x.Row(i), p)
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		res, err := KMeans(x, KMeansConfig{K: 5, Restarts: 1}, rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Inertia != 0 {
+			t.Fatalf("seed %d: inertia = %v, want 0", seed, res.Inertia)
+		}
+		members := make([]int, 5)
+		for _, cl := range res.Assignment {
+			members[cl]++
+		}
+		var reseeded [][]float64
+		for cl, n := range members {
+			if n == 0 {
+				reseeded = append(reseeded, res.Centers.Row(cl))
+			}
+		}
+		if len(reseeded) != 2 {
+			t.Fatalf("seed %d: %d empty clusters, want 2 (members %v)", seed, len(reseeded), members)
+		}
+		if mat.SqDist(reseeded[0], x.Row(0)) != 0 || mat.SqDist(reseeded[1], x.Row(1)) != 0 {
+			t.Fatalf("seed %d: empty clusters re-seeded at %v and %v, want points 0 %v and 1 %v",
+				seed, reseeded[0], reseeded[1], x.Row(0), x.Row(1))
+		}
+	}
+}
+
 func TestSilhouetteSeparatedVsOverlapping(t *testing.T) {
 	g := rng.New(17)
 	// well-separated blobs: silhouette near 1

@@ -4,19 +4,34 @@
 // for a sweep of cluster counts and each clustering is scored by its
 // silhouette coefficient.
 //
-// This trainer is the sequential reference implementation. The ANN coarse
-// router (internal/ann) restructures the same Lloyd loop for worker-
-// count-invariant parallelism — fixed-size row blocks and index-order
-// float reductions — so serving indexes build on every core yet stay
-// gob-byte-identical; changes to the algorithm here should be mirrored
-// there deliberately, not silently diverged.
+// KMeans is the only k-means in the tree: the Figure-7 sweeps take the best
+// of several restarts, the ANN coarse router (internal/ann) builds its cells
+// from one run. A run uses every core and is still bit-identical at any
+// worker count, which is what keeps serving indexes gob-byte-identical:
+//
+//   - Randomness: the k-means++ seeding consumes one RNG stream strictly
+//     sequentially (first center, then one Categorical draw per remaining
+//     center). The parallel phases draw no randomness at all, so there is
+//     nothing scheduling can reorder.
+//   - Parallel phases (seeding distance updates, the assignment step) fan
+//     out over fixed-size row blocks — trainBlock rows, independent of
+//     par.Workers(), unlike par.NumShards — and perform only per-index pure
+//     writes into preallocated slices (d2[i], assign[i]).
+//   - Floating-point reductions (inertia, centroid sums) fold per-index
+//     values in index order on one goroutine, never per-shard partials.
+//
+// An empty cluster re-seeds at the point farthest from its assigned center
+// as the assignment pass measured it (lowest index on ties); the stolen
+// point is then excluded, so successive empty clusters take distinct points.
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"repro/internal/mat"
+	"repro/internal/par"
 	"repro/internal/rng"
 )
 
@@ -59,7 +74,7 @@ func KMeans(x *mat.Matrix, cfg KMeansConfig, g *rng.RNG) (*KMeansResult, error) 
 	}
 	var best *KMeansResult
 	for r := 0; r < cfg.Restarts; r++ {
-		res := kmeansOnce(x, cfg, g)
+		res := lloyd(x, cfg.K, cfg.MaxIter, cfg.Tol, g)
 		if best == nil || res.Inertia < best.Inertia {
 			best = res
 		}
@@ -67,31 +82,60 @@ func KMeans(x *mat.Matrix, cfg KMeansConfig, g *rng.RNG) (*KMeansResult, error) 
 	return best, nil
 }
 
-func kmeansOnce(x *mat.Matrix, cfg KMeansConfig, g *rng.RNG) *KMeansResult {
-	n, k := x.Rows, cfg.K
-	centers := seedPlusPlus(x, k, g)
+// trainBlock is the fixed parallel work unit in rows. It must never depend
+// on the worker count: block boundaries are part of the deterministic
+// schedule (not of any float reduction, but of the d2/assign write pattern's
+// cache behavior) and keeping them fixed makes the parallel phases trivially
+// worker-count-invariant.
+const trainBlock = 512
+
+// forBlocks runs fn over [lo, hi) row blocks of trainBlock rows in parallel.
+// fn must only write per-index slots inside its block.
+func forBlocks(n int, fn func(lo, hi int)) {
+	blocks := (n + trainBlock - 1) / trainBlock
+	_ = par.ForEach(context.Background(), blocks, func(b int) error {
+		lo := b * trainBlock
+		hi := lo + trainBlock
+		if hi > n {
+			hi = n
+		}
+		fn(lo, hi)
+		return nil
+	})
+}
+
+// lloyd runs k-means++ seeding plus Lloyd iterations over the rows of x.
+// Distances are squared Euclidean.
+func lloyd(x *mat.Matrix, k, maxIter int, tol float64, g *rng.RNG) *KMeansResult {
+	n := x.Rows
+	centers := seed(x, k, g)
 	assign := make([]int, n)
+	d2 := make([]float64, n) // distance to the assigned center, per row
 	counts := make([]int, k)
-	prevInertia := math.Inf(1)
+	prev := math.Inf(1)
 	var inertia float64
 	iters := 0
-	for it := 0; it < cfg.MaxIter; it++ {
+	for it := 0; it < maxIter; it++ {
 		iters = it + 1
-		// assignment step
-		inertia = 0
-		for i := 0; i < n; i++ {
-			row := x.Row(i)
-			bestD := math.Inf(1)
-			bestC := 0
-			for c := 0; c < k; c++ {
-				if dist := mat.SqDist(row, centers.Row(c)); dist < bestD {
-					bestD, bestC = dist, c
+		// Assignment step: per-index pure writes, parallel over fixed blocks.
+		forBlocks(n, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				row := x.Row(i)
+				bestD, bestC := math.Inf(1), 0
+				for c := 0; c < k; c++ {
+					if dist := mat.SqDist(row, centers.Row(c)); dist < bestD {
+						bestD, bestC = dist, c
+					}
 				}
+				assign[i] = bestC
+				d2[i] = bestD
 			}
-			assign[i] = bestC
-			inertia += bestD
+		})
+		// Reductions fold in index order: inertia, then the centroid sums.
+		inertia = 0
+		for _, v := range d2 {
+			inertia += v
 		}
-		// update step
 		centers.Zero()
 		for c := range counts {
 			counts[c] = 0
@@ -102,36 +146,40 @@ func kmeansOnce(x *mat.Matrix, cfg KMeansConfig, g *rng.RNG) *KMeansResult {
 		}
 		for c := 0; c < k; c++ {
 			if counts[c] == 0 {
-				// re-seed an empty cluster at the point farthest from its center
 				far, farD := 0, -1.0
 				for i := 0; i < n; i++ {
-					if dd := mat.SqDist(x.Row(i), centers.Row(assign[i])); dd > farD {
-						far, farD = i, dd
+					if d2[i] > farD {
+						far, farD = i, d2[i]
 					}
 				}
 				copy(centers.Row(c), x.Row(far))
+				d2[far] = -1
 				continue
 			}
 			mat.ScaleVec(1/float64(counts[c]), centers.Row(c))
 		}
-		if prevInertia-inertia <= cfg.Tol*prevInertia {
+		if prev-inertia <= tol*prev {
 			break
 		}
-		prevInertia = inertia
+		prev = inertia
 	}
 	return &KMeansResult{Centers: centers, Assignment: assign, Inertia: inertia, Iterations: iters}
 }
 
-// seedPlusPlus picks k initial centers with the k-means++ D² weighting.
-func seedPlusPlus(x *mat.Matrix, k int, g *rng.RNG) *mat.Matrix {
+// seed picks k initial centers with the k-means++ D² weighting. The RNG is
+// consumed sequentially (Intn, then one Categorical per center); the
+// distance-table updates between draws are parallel per-index writes.
+func seed(x *mat.Matrix, k int, g *rng.RNG) *mat.Matrix {
 	n := x.Rows
 	centers := mat.New(k, x.Cols)
-	first := g.Intn(n)
-	copy(centers.Row(0), x.Row(first))
+	copy(centers.Row(0), x.Row(g.Intn(n)))
 	d2 := make([]float64, n)
-	for i := 0; i < n; i++ {
-		d2[i] = mat.SqDist(x.Row(i), centers.Row(0))
-	}
+	first := centers.Row(0)
+	forBlocks(n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			d2[i] = mat.SqDist(x.Row(i), first)
+		}
+	})
 	for c := 1; c < k; c++ {
 		var total float64
 		for _, v := range d2 {
@@ -144,11 +192,14 @@ func seedPlusPlus(x *mat.Matrix, k int, g *rng.RNG) *mat.Matrix {
 			pick = g.Categorical(d2)
 		}
 		copy(centers.Row(c), x.Row(pick))
-		for i := 0; i < n; i++ {
-			if dd := mat.SqDist(x.Row(i), centers.Row(c)); dd < d2[i] {
-				d2[i] = dd
+		cr := centers.Row(c)
+		forBlocks(n, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				if dd := mat.SqDist(x.Row(i), cr); dd < d2[i] {
+					d2[i] = dd
+				}
 			}
-		}
+		})
 	}
 	return centers
 }

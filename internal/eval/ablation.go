@@ -7,10 +7,9 @@ import (
 
 	"repro/internal/chh"
 	"repro/internal/corpus"
-	"repro/internal/gru"
 	"repro/internal/lda"
-	"repro/internal/lstm"
 	"repro/internal/recommend"
+	"repro/internal/rnn"
 	"repro/internal/stats"
 )
 
@@ -39,15 +38,15 @@ func RunGRUAblation(ctx *Context) (*GRUAblationResult, error) {
 	testSeqs := nonEmpty(ctx.Split.Test.Sequences())
 	res := &GRUAblationResult{}
 	for _, hidden := range ctx.Scale.LSTMHiddenGrid {
-		lm, _, err := lstm.Train(lstm.Config{
+		lm, _, err := rnn.Train(rnn.Config{
 			V: ctx.Corpus.M(), Layers: 1, Hidden: hidden,
 			Dropout: ctx.Scale.LSTMDropout, Epochs: ctx.Scale.LSTMEpochs,
 		}, trainSeqs, nil, ctx.RNG.Split())
 		if err != nil {
 			return nil, fmt.Errorf("eval: LSTM h=%d: %w", hidden, err)
 		}
-		gm, _, err := gru.Train(gru.Config{
-			V: ctx.Corpus.M(), Layers: 1, Hidden: hidden,
+		gm, _, err := rnn.Train(rnn.Config{
+			Cell: rnn.GRU, V: ctx.Corpus.M(), Layers: 1, Hidden: hidden,
 			Dropout: ctx.Scale.LSTMDropout, Epochs: ctx.Scale.LSTMEpochs,
 		}, trainSeqs, nil, ctx.RNG.Split())
 		if err != nil {

@@ -8,11 +8,11 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/lda"
-	"repro/internal/lstm"
 	"repro/internal/ngram"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/rng"
+	"repro/internal/rnn"
 )
 
 // evalRuns counts perplexity-driver executions; each driver also times
@@ -176,11 +176,11 @@ func RunFigure1(ctx *Context) (*Figure1Result, error) {
 		}
 	}
 	perpl, err := par.Map(context.Background(), len(cells), func(i int) (float64, error) {
-		cfg := lstm.Config{
+		cfg := rnn.Config{
 			V: ctx.Corpus.M(), Layers: cells[i].layers, Hidden: cells[i].hidden,
 			Dropout: ctx.Scale.LSTMDropout, Epochs: ctx.Scale.LSTMEpochs,
 		}
-		m, _, err := lstm.Train(cfg, trainSeqs, validSeqs, cells[i].stream)
+		m, _, err := rnn.Train(cfg, trainSeqs, validSeqs, cells[i].stream)
 		if err != nil {
 			return 0, fmt.Errorf("eval: LSTM %dx%d: %w", cells[i].layers, cells[i].hidden, err)
 		}

@@ -8,8 +8,8 @@ import (
 	"repro/internal/chh"
 	"repro/internal/corpus"
 	"repro/internal/lda"
-	"repro/internal/lstm"
 	"repro/internal/recommend"
+	"repro/internal/rnn"
 	"repro/internal/stats"
 )
 
@@ -62,7 +62,7 @@ func RunFigure34(ctx *Context) (*Figure34Result, error) {
 		if trainCap := ctx.Scale.LSTMTrainCap; trainCap > 0 && len(seqs) > trainCap {
 			seqs = seqs[:trainCap]
 		}
-		m, _, err := lstm.Train(lstm.Config{
+		m, _, err := rnn.Train(rnn.Config{
 			V: tc.M(), Layers: 1, Hidden: hidden,
 			Dropout: ctx.Scale.LSTMDropout, Epochs: ctx.Scale.LSTMEpochs,
 		}, seqs, nil, ctx.RNG.Split())

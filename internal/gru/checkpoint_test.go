@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/rnn"
 )
 
 // ckSeqs builds a small varied corpus for checkpoint tests.
@@ -21,7 +22,7 @@ func ckSeqs(n, v int, g *rng.RNG) [][]int {
 	return seqs
 }
 
-func modelBytes(t *testing.T, m *Model) []byte {
+func modelBytes(t *testing.T, m *rnn.Model) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
@@ -32,17 +33,17 @@ func modelBytes(t *testing.T, m *Model) []byte {
 
 func TestCheckpointHookDoesNotPerturbTraining(t *testing.T) {
 	seqs := ckSeqs(20, 5, rng.New(4))
-	cfg := Config{V: 5, Layers: 1, Hidden: 6, Epochs: 6, Dropout: 0.2}
+	cfg := rnn.Config{Cell: rnn.GRU, V: 5, Layers: 1, Hidden: 6, Epochs: 6, Dropout: 0.2}
 
-	plain, _, err := Train(cfg, seqs, nil, rng.New(42))
+	plain, _, err := rnn.Train(cfg, seqs, nil, rng.New(42))
 	if err != nil {
 		t.Fatal(err)
 	}
 	hooked := cfg
 	calls := 0
 	hooked.CheckpointEvery = 2
-	hooked.Checkpoint = func(*Checkpoint) error { calls++; return nil }
-	ckRun, _, err := Train(hooked, seqs, nil, rng.New(42))
+	hooked.Checkpoint = func(*rnn.Checkpoint) error { calls++; return nil }
+	ckRun, _, err := rnn.Train(hooked, seqs, nil, rng.New(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,23 +58,23 @@ func TestCheckpointHookDoesNotPerturbTraining(t *testing.T) {
 func TestResumeMatchesUninterruptedRun(t *testing.T) {
 	seqs := ckSeqs(25, 5, rng.New(7))
 	valid := ckSeqs(5, 5, rng.New(8))
-	cfg := Config{V: 5, Layers: 2, Hidden: 5, Epochs: 8, Dropout: 0.1}
+	cfg := rnn.Config{Cell: rnn.GRU, V: 5, Layers: 2, Hidden: 5, Epochs: 8, Dropout: 0.1}
 
-	straight, _, err := Train(cfg, seqs, valid, rng.New(99))
+	straight, _, err := rnn.Train(cfg, seqs, valid, rng.New(99))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	var mid *Checkpoint
+	var mid *rnn.Checkpoint
 	hooked := cfg
 	hooked.CheckpointEvery = 3
-	hooked.Checkpoint = func(ck *Checkpoint) error {
+	hooked.Checkpoint = func(ck *rnn.Checkpoint) error {
 		if mid == nil {
 			mid = ck
 		}
 		return nil
 	}
-	if _, _, err := Train(hooked, seqs, valid, rng.New(99)); err != nil {
+	if _, _, err := rnn.Train(hooked, seqs, valid, rng.New(99)); err != nil {
 		t.Fatal(err)
 	}
 	if mid == nil {
@@ -83,11 +84,11 @@ func TestResumeMatchesUninterruptedRun(t *testing.T) {
 	if err := mid.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadCheckpoint(&buf)
+	loaded, err := rnn.LoadCheckpoint(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, _, err := Resume(context.Background(), loaded, seqs, valid, Config{})
+	resumed, _, err := rnn.Resume(context.Background(), loaded, seqs, valid, rnn.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,13 +99,13 @@ func TestResumeMatchesUninterruptedRun(t *testing.T) {
 
 func TestCancellationWritesFinalCheckpoint(t *testing.T) {
 	seqs := ckSeqs(20, 4, rng.New(2))
-	cfg := Config{V: 4, Layers: 1, Hidden: 5, Epochs: 10}
+	cfg := rnn.Config{Cell: rnn.GRU, V: 4, Layers: 1, Hidden: 5, Epochs: 10}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	var last *Checkpoint
+	var last *rnn.Checkpoint
 	calls := 0
 	cfg.CheckpointEvery = 2
-	cfg.Checkpoint = func(ck *Checkpoint) error {
+	cfg.Checkpoint = func(ck *rnn.Checkpoint) error {
 		last = ck
 		calls++
 		if calls == 1 {
@@ -112,18 +113,18 @@ func TestCancellationWritesFinalCheckpoint(t *testing.T) {
 		}
 		return nil
 	}
-	_, _, err := TrainContext(ctx, cfg, seqs, nil, rng.New(1))
+	_, _, err := rnn.TrainContext(ctx, cfg, seqs, nil, rng.New(1))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	if calls < 2 {
 		t.Fatalf("cancellation must write a final checkpoint (calls = %d)", calls)
 	}
-	straight, _, err := Train(Config{V: 4, Layers: 1, Hidden: 5, Epochs: 10}, seqs, nil, rng.New(1))
+	straight, _, err := rnn.Train(rnn.Config{Cell: rnn.GRU, V: 4, Layers: 1, Hidden: 5, Epochs: 10}, seqs, nil, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, _, err := Resume(context.Background(), last, seqs, nil, Config{})
+	resumed, _, err := rnn.Resume(context.Background(), last, seqs, nil, rnn.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,19 +136,19 @@ func TestCancellationWritesFinalCheckpoint(t *testing.T) {
 func TestCheckpointHookErrorAbortsTraining(t *testing.T) {
 	seqs := ckSeqs(15, 4, rng.New(2))
 	boom := errors.New("disk full")
-	cfg := Config{V: 4, Layers: 1, Hidden: 4, Epochs: 6, CheckpointEvery: 2}
-	cfg.Checkpoint = func(*Checkpoint) error { return boom }
-	if _, _, err := Train(cfg, seqs, nil, rng.New(1)); !errors.Is(err, boom) {
+	cfg := rnn.Config{Cell: rnn.GRU, V: 4, Layers: 1, Hidden: 4, Epochs: 6, CheckpointEvery: 2}
+	cfg.Checkpoint = func(*rnn.Checkpoint) error { return boom }
+	if _, _, err := rnn.Train(cfg, seqs, nil, rng.New(1)); !errors.Is(err, boom) {
 		t.Fatalf("want hook error surfaced, got %v", err)
 	}
 }
 
 func TestLoadCheckpointRejectsCorruptState(t *testing.T) {
 	seqs := ckSeqs(15, 4, rng.New(2))
-	cfg := Config{V: 4, Layers: 1, Hidden: 4, Epochs: 6, CheckpointEvery: 2}
-	var mid *Checkpoint
-	cfg.Checkpoint = func(ck *Checkpoint) error { mid = ck; return nil }
-	if _, _, err := Train(cfg, seqs, nil, rng.New(1)); err != nil {
+	cfg := rnn.Config{Cell: rnn.GRU, V: 4, Layers: 1, Hidden: 4, Epochs: 6, CheckpointEvery: 2}
+	var mid *rnn.Checkpoint
+	cfg.Checkpoint = func(ck *rnn.Checkpoint) error { mid = ck; return nil }
+	if _, _, err := rnn.Train(cfg, seqs, nil, rng.New(1)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -157,7 +158,31 @@ func TestLoadCheckpointRejectsCorruptState(t *testing.T) {
 	if err := bad.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadCheckpoint(&buf); err == nil {
+	if _, err := rnn.LoadCheckpoint(&buf); err == nil {
 		t.Fatal("truncated embedding tensor accepted")
+	}
+
+	bad2 := *mid
+	bad2.Epoch = 99 // beyond the schedule
+	buf.Reset()
+	if err := bad2.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rnn.LoadCheckpoint(&buf); err == nil {
+		t.Fatal("out-of-schedule epoch accepted")
+	}
+}
+
+func TestResumeRejectsWrongCorpus(t *testing.T) {
+	seqs := ckSeqs(15, 4, rng.New(2))
+	cfg := rnn.Config{Cell: rnn.GRU, V: 4, Layers: 1, Hidden: 4, Epochs: 6, CheckpointEvery: 2}
+	var mid *rnn.Checkpoint
+	cfg.Checkpoint = func(ck *rnn.Checkpoint) error { mid = ck; return nil }
+	if _, _, err := rnn.Train(cfg, seqs, nil, rng.New(1)); err != nil {
+		t.Fatal(err)
+	}
+	bad := [][]int{{0, 9}} // token outside the checkpoint's vocabulary
+	if _, _, err := rnn.Resume(context.Background(), mid, bad, nil, rnn.Config{}); err == nil {
+		t.Fatal("resume with out-of-vocabulary corpus must fail")
 	}
 }

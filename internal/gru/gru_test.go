@@ -1,3 +1,7 @@
+// Package gru has no code: it is the black-box GRU suite of internal/rnn
+// (Cell: rnn.GRU). It stays at this import path because its test IDs are on
+// the PR gate's floor list, which admits only a few renames per PR; white-box
+// and both-cell tests live in internal/rnn (ROADMAP item 5 has the plan).
 package gru
 
 import (
@@ -7,70 +11,39 @@ import (
 
 	"repro/internal/mat"
 	"repro/internal/rng"
+	"repro/internal/rnn"
 )
 
+// untrained returns cfg's model as good as freshly initialised: one epoch
+// over one token at a step size that cannot move a weight.
+func untrained(t *testing.T, cfg rnn.Config, seed int64) *rnn.Model {
+	t.Helper()
+	cfg.Epochs, cfg.LearnRate = 1, 1e-300
+	m, _, err := rnn.Train(cfg, [][]int{{0}}, nil, rng.New(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestConfigValidation(t *testing.T) {
-	bad := []Config{
-		{V: 0, Layers: 1, Hidden: 4},
-		{V: 5, Layers: 0, Hidden: 4},
-		{V: 5, Layers: 4, Hidden: 4},
-		{V: 5, Layers: 1, Hidden: 0},
-		{V: 5, Layers: 1, Hidden: 4, Dropout: 1},
+	bad := []rnn.Config{
+		{Cell: rnn.GRU, V: 0, Layers: 1, Hidden: 4},
+		{Cell: rnn.GRU, V: 5, Layers: 0, Hidden: 4},
+		{Cell: rnn.GRU, V: 5, Layers: 4, Hidden: 4},
+		{Cell: rnn.GRU, V: 5, Layers: 1, Hidden: 0},
+		{Cell: rnn.GRU, V: 5, Layers: 1, Hidden: 4, Dropout: 1},
 	}
 	for i, cfg := range bad {
-		if _, _, err := Train(cfg, [][]int{{0, 1}}, nil, rng.New(1)); err == nil {
+		if _, _, err := rnn.Train(cfg, [][]int{{0, 1}}, nil, rng.New(1)); err == nil {
 			t.Fatalf("case %d: invalid config accepted", i)
 		}
 	}
-	if _, _, err := Train(Config{V: 3, Layers: 1, Hidden: 4}, [][]int{{9}}, nil, rng.New(1)); err == nil {
+	if _, _, err := rnn.Train(rnn.Config{Cell: rnn.GRU, V: 3, Layers: 1, Hidden: 4}, [][]int{{9}}, nil, rng.New(1)); err == nil {
 		t.Fatal("bad token accepted")
 	}
-	if _, _, err := Train(Config{V: 3, Layers: 1, Hidden: 4}, [][]int{{}}, nil, rng.New(1)); err == nil {
+	if _, _, err := rnn.Train(rnn.Config{Cell: rnn.GRU, V: 3, Layers: 1, Hidden: 4}, [][]int{{}}, nil, rng.New(1)); err == nil {
 		t.Fatal("empty corpus accepted")
-	}
-}
-
-// TestGradientCheck verifies the hand-written GRU backward pass against
-// centered finite differences.
-func TestGradientCheck(t *testing.T) {
-	cfg := Config{V: 4, Layers: 2, Hidden: 3, Epochs: 1, InitScale: 0.3}
-	cfg.fillDefaults()
-	g := rng.New(7)
-	m := newModel(cfg, g)
-	seq := []int{1, 3, 0, 2, 2}
-
-	gr := newGrads(m)
-	gr.zero()
-	m.bptt(seq, 0, gr, g)
-
-	lossOf := func() float64 {
-		gr2 := newGrads(m)
-		return m.bptt(seq, 0, gr2, g)
-	}
-	const eps = 1e-6
-	check := func(name string, params, grads []float64) {
-		for _, idx := range []int{0, len(params) / 2, len(params) - 1} {
-			orig := params[idx]
-			params[idx] = orig + eps
-			lp := lossOf()
-			params[idx] = orig - eps
-			lm := lossOf()
-			params[idx] = orig
-			numeric := (lp - lm) / (2 * eps)
-			analytic := grads[idx]
-			denom := math.Max(1e-4, math.Abs(numeric)+math.Abs(analytic))
-			if math.Abs(numeric-analytic)/denom > 2e-3 {
-				t.Fatalf("%s[%d]: analytic %v vs numeric %v", name, idx, analytic, numeric)
-			}
-		}
-	}
-	check("emb", m.Emb.Data, gr.emb)
-	check("wo", m.Wo.Data, gr.wo)
-	check("bo", m.Bo, gr.bo)
-	for l := 0; l < cfg.Layers; l++ {
-		check("wx", m.Cells[l].Wx.Data, gr.cells[l].wx)
-		check("wh", m.Cells[l].Wh.Data, gr.cells[l].wh)
-		check("b", m.Cells[l].B, gr.cells[l].b)
 	}
 }
 
@@ -79,7 +52,7 @@ func TestLearnsDeterministicSequence(t *testing.T) {
 	for i := range seqs {
 		seqs[i] = []int{0, 1, 2, 3}
 	}
-	m, stats, err := Train(Config{V: 4, Layers: 1, Hidden: 12, Epochs: 10, LearnRate: 1e-2}, seqs, nil, rng.New(3))
+	m, stats, err := rnn.Train(rnn.Config{Cell: rnn.GRU, V: 4, Layers: 1, Hidden: 12, Epochs: 10, LearnRate: 1e-2}, seqs, nil, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +69,7 @@ func TestLearnsDeterministicSequence(t *testing.T) {
 
 func TestNextDistIsDistribution(t *testing.T) {
 	seqs := [][]int{{0, 1, 2, 3, 4}, {4, 3, 2, 1, 0}}
-	m, _, err := Train(Config{V: 5, Layers: 2, Hidden: 6, Epochs: 2}, seqs, nil, rng.New(11))
+	m, _, err := rnn.Train(rnn.Config{Cell: rnn.GRU, V: 5, Layers: 2, Hidden: 6, Epochs: 2}, seqs, nil, rng.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +93,7 @@ func TestDropoutTrainingStable(t *testing.T) {
 	for i := range seqs {
 		seqs[i] = []int{0, 1, 2, 3}
 	}
-	m, _, err := Train(Config{V: 4, Layers: 2, Hidden: 8, Epochs: 4, Dropout: 0.4, LearnRate: 1e-2}, seqs, nil, rng.New(13))
+	m, _, err := rnn.Train(rnn.Config{Cell: rnn.GRU, V: 4, Layers: 2, Hidden: 8, Epochs: 4, Dropout: 0.4, LearnRate: 1e-2}, seqs, nil, rng.New(13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,9 +103,7 @@ func TestDropoutTrainingStable(t *testing.T) {
 }
 
 func TestParameterCountBelowLSTM(t *testing.T) {
-	cfg := Config{V: 38, Layers: 1, Hidden: 100, Epochs: 1}
-	cfg.fillDefaults()
-	m := newModel(cfg, rng.New(1))
+	m := untrained(t, rnn.Config{Cell: rnn.GRU, V: 38, Layers: 1, Hidden: 100}, 1)
 	// GRU recurrent block: 3/4 of the LSTM's 8H² ≈ 60000 + embeddings.
 	lstmCellParams := 8*100*100 + 4*100
 	gruCellParams := 6*100*100 + 3*100
@@ -148,11 +119,11 @@ func TestParameterCountBelowLSTM(t *testing.T) {
 
 func TestDeterministicTraining(t *testing.T) {
 	seqs := [][]int{{0, 1, 2}, {2, 1, 0}, {1, 2, 0}}
-	m1, _, err := Train(Config{V: 3, Layers: 1, Hidden: 4, Epochs: 2}, seqs, nil, rng.New(21))
+	m1, _, err := rnn.Train(rnn.Config{Cell: rnn.GRU, V: 3, Layers: 1, Hidden: 4, Epochs: 2}, seqs, nil, rng.New(21))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, _, err := Train(Config{V: 3, Layers: 1, Hidden: 4, Epochs: 2}, seqs, nil, rng.New(21))
+	m2, _, err := rnn.Train(rnn.Config{Cell: rnn.GRU, V: 3, Layers: 1, Hidden: 4, Epochs: 2}, seqs, nil, rng.New(21))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +134,7 @@ func TestDeterministicTraining(t *testing.T) {
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	seqs := [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}}
-	m, _, err := Train(Config{V: 4, Layers: 2, Hidden: 6, Epochs: 2}, seqs, nil, rng.New(23))
+	m, _, err := rnn.Train(rnn.Config{Cell: rnn.GRU, V: 4, Layers: 2, Hidden: 6, Epochs: 2}, seqs, nil, rng.New(23))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +142,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(&buf)
+	got, err := rnn.Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,19 +154,92 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Load(bytes.NewBufferString("junk")); err == nil {
+	if _, err := rnn.Load(bytes.NewBufferString("junk")); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
 
 func TestPerplexityEdgeCases(t *testing.T) {
-	cfg := Config{V: 3, Layers: 1, Hidden: 4, InitScale: 0.01, Epochs: 1}
-	cfg.fillDefaults()
-	m := newModel(cfg, rng.New(17))
+	m := untrained(t, rnn.Config{Cell: rnn.GRU, V: 3, Layers: 1, Hidden: 4, InitScale: 0.01}, 17)
 	if !math.IsInf(m.Perplexity(nil), 1) {
 		t.Fatal("no-token perplexity should be +Inf")
 	}
 	if p := m.Perplexity([][]int{{0, 1, 2}}); math.Abs(p-3) > 0.3 {
 		t.Fatalf("untrained perplexity = %v, want ~3", p)
 	}
+}
+
+func TestCapturesOrderUnlikeUnigram(t *testing.T) {
+	// Alternating 0,1,0,1 vs 1,0,1,0 — next token is fully determined by
+	// the previous one.
+	var seqs [][]int
+	for i := 0; i < 40; i++ {
+		seqs = append(seqs, []int{0, 1, 0, 1, 0, 1})
+		seqs = append(seqs, []int{1, 0, 1, 0, 1, 0})
+	}
+	m, _, err := rnn.Train(rnn.Config{Cell: rnn.GRU, V: 2, Layers: 1, Hidden: 8, Epochs: 8, LearnRate: 1e-2}, seqs, nil, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d0 := m.NextDist([]int{1, 0})
+	d1 := m.NextDist([]int{0, 1})
+	if d0[1] < 0.8 || d1[0] < 0.8 {
+		t.Fatalf("alternation not learned: P(1|..0)=%v P(0|..1)=%v", d0[1], d1[0])
+	}
+}
+
+func TestValidationCurveRecorded(t *testing.T) {
+	seqs := [][]int{{0, 1, 2}, {2, 1, 0}, {0, 2, 1}}
+	valid := [][]int{{0, 1, 2}}
+	_, stats, err := rnn.Train(rnn.Config{Cell: rnn.GRU, V: 3, Layers: 1, Hidden: 4, Epochs: 3}, seqs, valid, rng.New(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stats.ValidPerpl) != 3 {
+		t.Fatalf("valid curve length = %d, want 3", len(stats.ValidPerpl))
+	}
+	for _, p := range stats.ValidPerpl {
+		if p < 1 || math.IsNaN(p) {
+			t.Fatalf("invalid perplexity %v", p)
+		}
+	}
+}
+
+func TestEmbedAndProductEmbeddings(t *testing.T) {
+	seqs := [][]int{{0, 1, 2}, {2, 1, 0}}
+	m, _, err := rnn.Train(rnn.Config{Cell: rnn.GRU, V: 3, Layers: 1, Hidden: 5, Epochs: 2}, seqs, nil, rng.New(15))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := m.Embed([]int{0, 1})
+	if len(e) != 5 {
+		t.Fatalf("Embed length = %d", len(e))
+	}
+	// must be a copy, not a view into state
+	e[0] = 999
+	e2 := m.Embed([]int{0, 1})
+	if e2[0] == 999 {
+		t.Fatal("Embed returned shared storage")
+	}
+	pe := m.ProductEmbeddings()
+	if pe.Rows != 3 || pe.Cols != 5 {
+		t.Fatalf("ProductEmbeddings shape %dx%d", pe.Rows, pe.Cols)
+	}
+	// deterministic histories give deterministic embeddings
+	e3 := m.Embed([]int{0, 1})
+	for i := range e2 {
+		if e2[i] != e3[i] {
+			t.Fatal("Embed not deterministic")
+		}
+	}
+}
+
+func TestNextDistPanicsOnBadToken(t *testing.T) {
+	m := untrained(t, rnn.Config{Cell: rnn.GRU, V: 3, Layers: 1, Hidden: 4}, 25)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	m.NextDist([]int{5})
 }

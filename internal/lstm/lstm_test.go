@@ -1,3 +1,7 @@
+// Package lstm has no code: it is the black-box LSTM suite of internal/rnn
+// (the zero Cell). It stays at this import path because its test IDs are on
+// the PR gate's floor list, which admits only a few renames per PR; white-box
+// and both-cell tests live in internal/rnn (ROADMAP item 5 has the plan).
 package lstm
 
 import (
@@ -7,10 +11,23 @@ import (
 
 	"repro/internal/mat"
 	"repro/internal/rng"
+	"repro/internal/rnn"
 )
 
+// untrained returns cfg's model as good as freshly initialised: one epoch
+// over one token at a step size that cannot move a weight.
+func untrained(t *testing.T, cfg rnn.Config, seed int64) *rnn.Model {
+	t.Helper()
+	cfg.Epochs, cfg.LearnRate = 1, 1e-300
+	m, _, err := rnn.Train(cfg, [][]int{{0}}, nil, rng.New(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestConfigValidation(t *testing.T) {
-	bad := []Config{
+	bad := []rnn.Config{
 		{V: 0, Layers: 1, Hidden: 4},
 		{V: 5, Layers: 0, Hidden: 4},
 		{V: 5, Layers: 4, Hidden: 4},
@@ -20,63 +37,18 @@ func TestConfigValidation(t *testing.T) {
 		{V: 5, Layers: 1, Hidden: 4, Epochs: -2},
 	}
 	for i, cfg := range bad {
-		if _, _, err := Train(cfg, [][]int{{0, 1}}, nil, rng.New(1)); err == nil {
+		if _, _, err := rnn.Train(cfg, [][]int{{0, 1}}, nil, rng.New(1)); err == nil {
 			t.Fatalf("case %d: invalid config accepted", i)
 		}
 	}
-	if _, _, err := Train(Config{V: 3, Layers: 1, Hidden: 4}, [][]int{{0, 9}}, nil, rng.New(1)); err == nil {
+	if _, _, err := rnn.Train(rnn.Config{V: 3, Layers: 1, Hidden: 4}, [][]int{{0, 9}}, nil, rng.New(1)); err == nil {
 		t.Fatal("bad train token accepted")
 	}
-	if _, _, err := Train(Config{V: 3, Layers: 1, Hidden: 4}, [][]int{{0, 1}}, [][]int{{7}}, rng.New(1)); err == nil {
+	if _, _, err := rnn.Train(rnn.Config{V: 3, Layers: 1, Hidden: 4}, [][]int{{0, 1}}, [][]int{{7}}, rng.New(1)); err == nil {
 		t.Fatal("bad valid token accepted")
 	}
-	if _, _, err := Train(Config{V: 3, Layers: 1, Hidden: 4}, [][]int{{}}, nil, rng.New(1)); err == nil {
+	if _, _, err := rnn.Train(rnn.Config{V: 3, Layers: 1, Hidden: 4}, [][]int{{}}, nil, rng.New(1)); err == nil {
 		t.Fatal("empty corpus accepted")
-	}
-}
-
-// numericalGradCheck compares BPTT gradients against centered finite
-// differences on a tiny model. This is the strongest correctness check for
-// a hand-written backward pass.
-func TestGradientCheck(t *testing.T) {
-	cfg := Config{V: 4, Layers: 2, Hidden: 3, Epochs: 1, InitScale: 0.3}
-	cfg.fillDefaults()
-	g := rng.New(7)
-	m := newModel(cfg, g)
-	seq := []int{1, 3, 0, 2, 2}
-
-	gr := newGrads(m)
-	gr.zero()
-	m.bptt(seq, 0, gr, g)
-
-	lossOf := func() float64 {
-		gr2 := newGrads(m)
-		return m.bptt(seq, 0, gr2, g)
-	}
-	const eps = 1e-6
-	check := func(name string, params []float64, grads []float64) {
-		for _, idx := range []int{0, len(params) / 3, len(params) - 1} {
-			orig := params[idx]
-			params[idx] = orig + eps
-			lp := lossOf()
-			params[idx] = orig - eps
-			lm := lossOf()
-			params[idx] = orig
-			numeric := (lp - lm) / (2 * eps)
-			analytic := grads[idx]
-			denom := math.Max(1e-4, math.Abs(numeric)+math.Abs(analytic))
-			if math.Abs(numeric-analytic)/denom > 2e-3 {
-				t.Fatalf("%s[%d]: analytic %v vs numeric %v", name, idx, analytic, numeric)
-			}
-		}
-	}
-	check("emb", m.Emb.Data, gr.emb)
-	check("wo", m.Wo.Data, gr.wo)
-	check("bo", m.Bo, gr.bo)
-	for l := 0; l < cfg.Layers; l++ {
-		check("wx", m.Cells[l].Wx.Data, gr.cells[l].wx)
-		check("wh", m.Cells[l].Wh.Data, gr.cells[l].wh)
-		check("b", m.Cells[l].B, gr.cells[l].b)
 	}
 }
 
@@ -87,7 +59,7 @@ func TestLearnsDeterministicSequence(t *testing.T) {
 	for i := range seqs {
 		seqs[i] = []int{0, 1, 2, 3}
 	}
-	m, stats, err := Train(Config{V: 4, Layers: 1, Hidden: 12, Epochs: 10, LearnRate: 1e-2}, seqs, nil, rng.New(3))
+	m, stats, err := rnn.Train(rnn.Config{V: 4, Layers: 1, Hidden: 12, Epochs: 10, LearnRate: 1e-2}, seqs, nil, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +85,7 @@ func TestCapturesOrderUnlikeUnigram(t *testing.T) {
 		seqs = append(seqs, []int{0, 1, 0, 1, 0, 1})
 		seqs = append(seqs, []int{1, 0, 1, 0, 1, 0})
 	}
-	m, _, err := Train(Config{V: 2, Layers: 1, Hidden: 8, Epochs: 8, LearnRate: 1e-2}, seqs, nil, rng.New(5))
+	m, _, err := rnn.Train(rnn.Config{V: 2, Layers: 1, Hidden: 8, Epochs: 8, LearnRate: 1e-2}, seqs, nil, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +99,7 @@ func TestCapturesOrderUnlikeUnigram(t *testing.T) {
 func TestValidationCurveRecorded(t *testing.T) {
 	seqs := [][]int{{0, 1, 2}, {2, 1, 0}, {0, 2, 1}}
 	valid := [][]int{{0, 1, 2}}
-	_, stats, err := Train(Config{V: 3, Layers: 1, Hidden: 4, Epochs: 3}, seqs, valid, rng.New(9))
+	_, stats, err := rnn.Train(rnn.Config{V: 3, Layers: 1, Hidden: 4, Epochs: 3}, seqs, valid, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +115,7 @@ func TestValidationCurveRecorded(t *testing.T) {
 
 func TestNextDistIsDistribution(t *testing.T) {
 	seqs := [][]int{{0, 1, 2, 3, 4}, {4, 3, 2, 1, 0}}
-	m, _, err := Train(Config{V: 5, Layers: 2, Hidden: 6, Epochs: 2}, seqs, nil, rng.New(11))
+	m, _, err := rnn.Train(rnn.Config{V: 5, Layers: 2, Hidden: 6, Epochs: 2}, seqs, nil, rng.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +139,7 @@ func TestDropoutTrainingRuns(t *testing.T) {
 	for i := range seqs {
 		seqs[i] = []int{0, 1, 2, 3}
 	}
-	m, _, err := Train(Config{V: 4, Layers: 2, Hidden: 8, Epochs: 4, Dropout: 0.3, LearnRate: 1e-2}, seqs, nil, rng.New(13))
+	m, _, err := rnn.Train(rnn.Config{V: 4, Layers: 2, Hidden: 8, Epochs: 4, Dropout: 0.3, LearnRate: 1e-2}, seqs, nil, rng.New(13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +150,7 @@ func TestDropoutTrainingRuns(t *testing.T) {
 
 func TestEmbedAndProductEmbeddings(t *testing.T) {
 	seqs := [][]int{{0, 1, 2}, {2, 1, 0}}
-	m, _, err := Train(Config{V: 3, Layers: 1, Hidden: 5, Epochs: 2}, seqs, nil, rng.New(15))
+	m, _, err := rnn.Train(rnn.Config{V: 3, Layers: 1, Hidden: 5, Epochs: 2}, seqs, nil, rng.New(15))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +178,7 @@ func TestEmbedAndProductEmbeddings(t *testing.T) {
 }
 
 func TestPerplexityEdgeCases(t *testing.T) {
-	m := newModel(Config{V: 3, Layers: 1, Hidden: 4, InitScale: 0.01, Epochs: 1, LearnRate: 1, ClipNorm: 1}, rng.New(17))
+	m := untrained(t, rnn.Config{V: 3, Layers: 1, Hidden: 4, InitScale: 0.01}, 17)
 	if !math.IsInf(m.Perplexity(nil), 1) {
 		t.Fatal("no-token perplexity should be +Inf")
 	}
@@ -217,9 +189,7 @@ func TestPerplexityEdgeCases(t *testing.T) {
 }
 
 func TestParameterCountDominatedByCells(t *testing.T) {
-	cfg := Config{V: 38, Layers: 1, Hidden: 100, Epochs: 1}
-	cfg.fillDefaults()
-	m := newModel(cfg, rng.New(19))
+	m := untrained(t, rnn.Config{V: 38, Layers: 1, Hidden: 100}, 19)
 	// The paper's lower bound: nc*(4nc+no) = 100*(400+100) = 50000.
 	if m.ParameterCount() < 50000 {
 		t.Fatalf("ParameterCount = %d, want >= 50000", m.ParameterCount())
@@ -228,11 +198,11 @@ func TestParameterCountDominatedByCells(t *testing.T) {
 
 func TestDeterministicTraining(t *testing.T) {
 	seqs := [][]int{{0, 1, 2}, {2, 1, 0}, {1, 2, 0}}
-	m1, _, err := Train(Config{V: 3, Layers: 1, Hidden: 4, Epochs: 2}, seqs, nil, rng.New(21))
+	m1, _, err := rnn.Train(rnn.Config{V: 3, Layers: 1, Hidden: 4, Epochs: 2}, seqs, nil, rng.New(21))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, _, err := Train(Config{V: 3, Layers: 1, Hidden: 4, Epochs: 2}, seqs, nil, rng.New(21))
+	m2, _, err := rnn.Train(rnn.Config{V: 3, Layers: 1, Hidden: 4, Epochs: 2}, seqs, nil, rng.New(21))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +213,7 @@ func TestDeterministicTraining(t *testing.T) {
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	seqs := [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}}
-	m, _, err := Train(Config{V: 4, Layers: 2, Hidden: 6, Epochs: 2}, seqs, nil, rng.New(23))
+	m, _, err := rnn.Train(rnn.Config{V: 4, Layers: 2, Hidden: 6, Epochs: 2}, seqs, nil, rng.New(23))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +221,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(&buf)
+	got, err := rnn.Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,13 +234,13 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Load(bytes.NewBufferString("junk")); err == nil {
+	if _, err := rnn.Load(bytes.NewBufferString("junk")); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
 
 func TestNextDistPanicsOnBadToken(t *testing.T) {
-	m := newModel(Config{V: 3, Layers: 1, Hidden: 4, InitScale: 0.08, Epochs: 1, LearnRate: 1, ClipNorm: 5}, rng.New(25))
+	m := untrained(t, rnn.Config{V: 3, Layers: 1, Hidden: 4}, 25)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")

@@ -6,9 +6,9 @@ import (
 	"repro/internal/bpmf"
 	"repro/internal/chh"
 	"repro/internal/lda"
-	"repro/internal/lstm"
 	"repro/internal/ngram"
 	"repro/internal/rng"
+	"repro/internal/rnn"
 )
 
 // LDA adapts a trained LDA model: the company's topic mixture is inferred
@@ -29,7 +29,7 @@ func LDA(m *lda.Model, g *rng.RNG) Recommender {
 // LSTM adapts a trained LSTM language model: the next-product softmax after
 // consuming the time-ordered history. NextDist allocates fresh state per
 // call and only reads the trained weights, so it is concurrency-safe.
-func LSTM(m *lstm.Model) Recommender {
+func LSTM(m *rnn.Model) Recommender {
 	return &Static{
 		Label:      "LSTM",
 		Fn:         m.NextDist,

@@ -9,9 +9,9 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/datagen"
 	"repro/internal/lda"
-	"repro/internal/lstm"
 	"repro/internal/ngram"
 	"repro/internal/rng"
+	"repro/internal/rnn"
 	"repro/internal/stats"
 )
 
@@ -187,7 +187,7 @@ func TestAdaptersProduceValidScores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lstmM, _, err := lstm.Train(lstm.Config{V: c.M(), Layers: 1, Hidden: 8, Epochs: 1}, seqs, nil, rg)
+	lstmM, _, err := rnn.Train(rnn.Config{V: c.M(), Layers: 1, Hidden: 8, Epochs: 1}, seqs, nil, rg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,25 @@
-// Package lstm implements a recurrent language model with LSTM units from
-// scratch: token embeddings, 1-3 stacked LSTM layers with dropout on the
-// non-recurrent connections (Zaremba et al. 2014, the regularization the
-// paper uses), a softmax output layer, and full backpropagation through time
-// with Adam. It reproduces the paper's sequential model family: the grid of
-// {1,2,3} layers x {10,100,200,300} nodes evaluated in Figure 1.
+// Package rnn implements a recurrent language model from scratch: token
+// embeddings, 1-3 stacked recurrent layers with dropout on the non-recurrent
+// connections (Zaremba et al. 2014, the regularization the paper uses), a
+// softmax output layer, and full backpropagation through time with Adam or
+// the Zaremba SGD schedule. With LSTM cells it reproduces the paper's
+// sequential model family, the grid of {1,2,3} layers x {10,100,200,300}
+// nodes evaluated in Figure 1; with GRU cells (Cho et al. 2014) it is the
+// simpler alternative the paper's Section 3.4 discusses, citing Chung et al.
+// 2014 and Greff et al. 2016 that GRUs can win on some datasets but do not
+// beat LSTM in general (the GRU-vs-LSTM ablation in internal/eval).
+//
+// Everything that does not depend on the gate equations — embedding, dropout,
+// softmax, the time/layer skeleton of BPTT, the optimizers, the epoch loop,
+// checkpoints and model files — is written once. A cell kind contributes its
+// gate count, its forward step and its backward step (cells.go).
 //
 // The paper trained with TensorFlow; this is a dependency-free reimplementation
 // of the same architecture sized for a 38-category vocabulary.
-package lstm
+package rnn
 
 import (
+	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -21,17 +31,12 @@ import (
 	"repro/internal/snapshot"
 )
 
-// Snapshot container kinds for LSTM artifacts.
-const (
-	KindModel      = "lstm-model"
-	KindCheckpoint = "lstm-checkpoint"
-)
-
 // Config parameterizes model construction and training.
 type Config struct {
-	V      int // vocabulary size (38 product categories in the paper)
-	Layers int // 1..3 hidden LSTM layers
-	Hidden int // nodes per layer == product embedding size
+	Cell   Cell // gate equations of the hidden layers; the zero value is LSTM
+	V      int  // vocabulary size (38 product categories in the paper)
+	Layers int  // 1..3 hidden layers
+	Hidden int  // nodes per layer == product embedding size
 
 	Dropout   float64 // drop probability on non-recurrent connections
 	Epochs    int     // paper: 14
@@ -70,8 +75,10 @@ type Config struct {
 
 // ConfigState is the hookless, serializable part of Config that checkpoints
 // embed, so Resume continues under exactly the schedule the run started
-// with.
+// with. On load, Cell follows the file's snapshot kind: checkpoints written
+// before the field existed carry none.
 type ConfigState struct {
+	Cell                           Cell
 	V, Layers, Hidden              int
 	Dropout                        float64
 	Epochs                         int
@@ -83,7 +90,7 @@ type ConfigState struct {
 
 func (c *Config) state() ConfigState {
 	return ConfigState{
-		V: c.V, Layers: c.Layers, Hidden: c.Hidden,
+		Cell: c.Cell, V: c.V, Layers: c.Layers, Hidden: c.Hidden,
 		Dropout: c.Dropout, Epochs: c.Epochs,
 		LearnRate: c.LearnRate, ClipNorm: c.ClipNorm, InitScale: c.InitScale,
 		Optimizer: c.Optimizer, SGDLearnRate: c.SGDLearnRate,
@@ -93,7 +100,7 @@ func (c *Config) state() ConfigState {
 
 func (cs ConfigState) config() Config {
 	return Config{
-		V: cs.V, Layers: cs.Layers, Hidden: cs.Hidden,
+		Cell: cs.Cell, V: cs.V, Layers: cs.Layers, Hidden: cs.Hidden,
 		Dropout: cs.Dropout, Epochs: cs.Epochs,
 		LearnRate: cs.LearnRate, ClipNorm: cs.ClipNorm, InitScale: cs.InitScale,
 		Optimizer: cs.Optimizer, SGDLearnRate: cs.SGDLearnRate,
@@ -129,47 +136,51 @@ func (c *Config) fillDefaults() {
 }
 
 func (c *Config) validate() error {
+	if !c.Cell.valid() {
+		return fmt.Errorf("rnn: unknown Cell %d", int(c.Cell))
+	}
 	if c.V < 1 {
-		return fmt.Errorf("lstm: V must be positive, got %d", c.V)
+		return fmt.Errorf("rnn: V must be positive, got %d", c.V)
 	}
 	if c.Layers < 1 || c.Layers > 3 {
-		return fmt.Errorf("lstm: Layers must be 1..3, got %d", c.Layers)
+		return fmt.Errorf("rnn: Layers must be 1..3, got %d", c.Layers)
 	}
 	if c.Hidden < 1 {
-		return fmt.Errorf("lstm: Hidden must be positive, got %d", c.Hidden)
+		return fmt.Errorf("rnn: Hidden must be positive, got %d", c.Hidden)
 	}
 	if c.Dropout < 0 || c.Dropout >= 1 {
-		return fmt.Errorf("lstm: Dropout must be in [0,1), got %v", c.Dropout)
+		return fmt.Errorf("rnn: Dropout must be in [0,1), got %v", c.Dropout)
 	}
 	if c.Epochs < 1 {
-		return fmt.Errorf("lstm: Epochs must be positive, got %d", c.Epochs)
+		return fmt.Errorf("rnn: Epochs must be positive, got %d", c.Epochs)
 	}
 	if c.Optimizer != "adam" && c.Optimizer != "sgd" {
-		return fmt.Errorf("lstm: Optimizer must be \"adam\" or \"sgd\", got %q", c.Optimizer)
+		return fmt.Errorf("rnn: Optimizer must be \"adam\" or \"sgd\", got %q", c.Optimizer)
 	}
 	if c.SGDLearnRate < 0 || c.SGDDecay <= 0 || c.SGDDecay > 1 {
-		return fmt.Errorf("lstm: invalid SGD schedule (lr %v, decay %v)", c.SGDLearnRate, c.SGDDecay)
+		return fmt.Errorf("rnn: invalid SGD schedule (lr %v, decay %v)", c.SGDLearnRate, c.SGDDecay)
 	}
 	if c.CheckpointEvery < 0 {
-		return fmt.Errorf("lstm: CheckpointEvery must be >= 0, got %d", c.CheckpointEvery)
+		return fmt.Errorf("rnn: CheckpointEvery must be >= 0, got %d", c.CheckpointEvery)
 	}
 	return nil
 }
 
-// cell holds the parameters of one LSTM layer. Gate order in the stacked
-// 4H dimension is (input, forget, candidate, output).
-type cell struct {
-	Wx *mat.Matrix // 4H x H: input weights
-	Wh *mat.Matrix // 4H x H: recurrent weights
-	B  []float64   // 4H
+// layer holds the parameters of one hidden layer: the cell's gates stacked
+// along the rows, H rows per gate, in the order cells.go gives for the cell.
+type layer struct {
+	Wx *mat.Matrix // gates*H x H: input weights
+	Wh *mat.Matrix // gates*H x H: recurrent weights
+	B  []float64   // gates*H
 }
 
-// Model is a trained LSTM language model.
+// Model is a trained recurrent language model.
 type Model struct {
+	Cell              Cell
 	V, Layers, Hidden int
 
 	Emb   *mat.Matrix // (V+1) x H; row V is the begin-of-sequence token
-	Cells []cell      // Layers entries
+	Stack []layer     // Layers entries
 	Wo    *mat.Matrix // V x H output projection
 	Bo    []float64   // V output bias
 }
@@ -177,11 +188,13 @@ type Model struct {
 // bosToken is the embedding row index of the begin-of-sequence marker.
 func (m *Model) bosToken() int { return m.V }
 
-// newModel allocates parameters with uniform(-scale, +scale) init and
-// forget-gate bias +1 (standard practice for stable early training).
+// newModel allocates parameters with uniform(-scale, +scale) init and, for
+// the LSTM, forget-gate bias +1 (standard practice for stable early
+// training).
 func newModel(cfg Config, g *rng.RNG) *Model {
 	h := cfg.Hidden
-	m := &Model{V: cfg.V, Layers: cfg.Layers, Hidden: h}
+	rows := cells[cfg.Cell].gates * h
+	m := &Model{Cell: cfg.Cell, V: cfg.V, Layers: cfg.Layers, Hidden: h}
 	uniform := func(dst []float64) {
 		for i := range dst {
 			dst[i] = (2*g.Float64() - 1) * cfg.InitScale
@@ -190,13 +203,15 @@ func newModel(cfg Config, g *rng.RNG) *Model {
 	m.Emb = mat.New(cfg.V+1, h)
 	uniform(m.Emb.Data)
 	for l := 0; l < cfg.Layers; l++ {
-		c := cell{Wx: mat.New(4*h, h), Wh: mat.New(4*h, h), B: make([]float64, 4*h)}
-		uniform(c.Wx.Data)
-		uniform(c.Wh.Data)
-		for j := h; j < 2*h; j++ {
-			c.B[j] = 1 // forget gate bias
+		p := layer{Wx: mat.New(rows, h), Wh: mat.New(rows, h), B: make([]float64, rows)}
+		uniform(p.Wx.Data)
+		uniform(p.Wh.Data)
+		if cfg.Cell == LSTM {
+			for j := h; j < 2*h; j++ {
+				p.B[j] = 1 // forget gate bias
+			}
 		}
-		m.Cells = append(m.Cells, c)
+		m.Stack = append(m.Stack, p)
 	}
 	m.Wo = mat.New(cfg.V, h)
 	uniform(m.Wo.Data)
@@ -204,11 +219,10 @@ func newModel(cfg Config, g *rng.RNG) *Model {
 	return m
 }
 
-func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
-
 // State carries the recurrent activations between timesteps.
 type State struct {
-	H, C [][]float64 // per layer
+	H [][]float64 // per layer
+	C [][]float64 // per layer: the LSTM's memory cell; a GRU leaves it zero
 }
 
 // NewState returns the zero state.
@@ -221,62 +235,15 @@ func (m *Model) NewState() *State {
 	return s
 }
 
-// stepCache records the activations of one timestep of one layer, for BPTT.
-type stepCache struct {
-	x           []float64 // layer input (after dropout)
-	i, f, gc, o []float64 // gate activations
-	cPrev       []float64
-	c           []float64
-	tanhC       []float64
-	h           []float64
-}
-
-// step advances one LSTM layer by one timestep. When cache is non-nil the
-// activations are recorded for backprop.
-func (m *Model) step(l int, x, hPrev, cPrev []float64, cache *stepCache) (h, c []float64) {
-	hd := m.Hidden
-	cellP := &m.Cells[l]
-	pre := make([]float64, 4*hd)
-	mat.MulVecTo(pre, cellP.Wx, x)
-	tmp := make([]float64, 4*hd)
-	mat.MulVecTo(tmp, cellP.Wh, hPrev)
-	for j := range pre {
-		pre[j] += tmp[j] + cellP.B[j]
-	}
-	i := make([]float64, hd)
-	f := make([]float64, hd)
-	gc := make([]float64, hd)
-	o := make([]float64, hd)
-	c = make([]float64, hd)
-	h = make([]float64, hd)
-	tanhC := make([]float64, hd)
-	for j := 0; j < hd; j++ {
-		i[j] = sigmoid(pre[j])
-		f[j] = sigmoid(pre[hd+j])
-		gc[j] = math.Tanh(pre[2*hd+j])
-		o[j] = sigmoid(pre[3*hd+j])
-		c[j] = f[j]*cPrev[j] + i[j]*gc[j]
-		tanhC[j] = math.Tanh(c[j])
-		h[j] = o[j] * tanhC[j]
-	}
-	if cache != nil {
-		cache.x = append([]float64(nil), x...)
-		cache.i, cache.f, cache.gc, cache.o = i, f, gc, o
-		cache.cPrev = append([]float64(nil), cPrev...)
-		cache.c, cache.tanhC, cache.h = c, tanhC, h
-	}
-	return h, c
-}
-
 // Forward advances the full stack by one input token (embedding row index,
 // which may be bosToken) and returns the top-layer hidden state. The state
 // is updated in place. No dropout is applied (inference mode).
 func (m *Model) Forward(token int, s *State) []float64 {
+	step := cells[m.Cell].step
 	x := m.Emb.Row(token)
-	for l := 0; l < m.Layers; l++ {
-		h, c := m.step(l, x, s.H[l], s.C[l], nil)
-		s.H[l], s.C[l] = h, c
-		x = h
+	for l := range m.Stack {
+		s.H[l], s.C[l] = step(&m.Stack[l], x, s.H[l], s.C[l], nil)
+		x = s.H[l]
 	}
 	return x
 }
@@ -298,7 +265,7 @@ func (m *Model) NextDist(history []int) []float64 {
 	h := m.Forward(m.bosToken(), s)
 	for _, tok := range history {
 		if tok < 0 || tok >= m.V {
-			panic(fmt.Sprintf("lstm: token %d outside vocabulary [0,%d)", tok, m.V))
+			panic(fmt.Sprintf("rnn: token %d outside vocabulary [0,%d)", tok, m.V))
 		}
 		h = m.Forward(tok, s)
 	}
@@ -351,11 +318,13 @@ func (m *Model) Perplexity(seqs [][]int) float64 {
 	return math.Exp(-logSum / float64(n))
 }
 
-// ParameterCount returns the number of trainable parameters.
+// ParameterCount returns the number of trainable parameters (a GRU layer has
+// 3/4 of an LSTM layer's, the simplification the paper's Section 3.4
+// discusses).
 func (m *Model) ParameterCount() int {
 	n := len(m.Emb.Data) + len(m.Wo.Data) + len(m.Bo)
-	for _, c := range m.Cells {
-		n += len(c.Wx.Data) + len(c.Wh.Data) + len(c.B)
+	for _, p := range m.Stack {
+		n += len(p.Wx.Data) + len(p.Wh.Data) + len(p.B)
 	}
 	return n
 }
@@ -365,6 +334,8 @@ type gobCell struct {
 	B      []float64
 }
 
+// gobModel is the serialized form. It carries no cell kind: the snapshot
+// kind of the file it sits in does.
 type gobModel struct {
 	V, Layers, Hidden int
 	Emb               []float64
@@ -380,8 +351,8 @@ func (m *Model) gobView() gobModel {
 		V: m.V, Layers: m.Layers, Hidden: m.Hidden,
 		Emb: m.Emb.Data, Wo: m.Wo.Data, Bo: m.Bo,
 	}
-	for _, c := range m.Cells {
-		g.Cells = append(g.Cells, gobCell{Wx: c.Wx.Data, Wh: c.Wh.Data, B: c.B})
+	for _, p := range m.Stack {
+		g.Cells = append(g.Cells, gobCell{Wx: p.Wx.Data, Wh: p.Wh.Data, B: p.B})
 	}
 	return g
 }
@@ -401,51 +372,73 @@ func (m *Model) gobCopy() gobModel {
 	return g
 }
 
-// model validates tensor shapes and reassembles a Model.
-func (g *gobModel) model() (*Model, error) {
+// model validates tensor shapes against the cell's gate count and
+// reassembles a Model.
+func (g *gobModel) model(cell Cell) (*Model, error) {
 	if g.V < 1 || g.Hidden < 1 || g.Layers != len(g.Cells) {
-		return nil, fmt.Errorf("lstm: corrupt model header")
+		return nil, fmt.Errorf("rnn: corrupt model header")
 	}
 	h := g.Hidden
 	if len(g.Emb) != (g.V+1)*h || len(g.Wo) != g.V*h || len(g.Bo) != g.V {
-		return nil, fmt.Errorf("lstm: corrupt model tensors")
+		return nil, fmt.Errorf("rnn: corrupt model tensors")
 	}
 	m := &Model{
-		V: g.V, Layers: g.Layers, Hidden: h,
+		Cell: cell, V: g.V, Layers: g.Layers, Hidden: h,
 		Emb: mat.FromSlice(g.V+1, h, g.Emb),
 		Wo:  mat.FromSlice(g.V, h, g.Wo),
 		Bo:  g.Bo,
 	}
+	rows := cells[cell].gates * h
 	for _, c := range g.Cells {
-		if len(c.Wx) != 4*h*h || len(c.Wh) != 4*h*h || len(c.B) != 4*h {
-			return nil, fmt.Errorf("lstm: corrupt cell tensors")
+		if len(c.Wx) != rows*h || len(c.Wh) != rows*h || len(c.B) != rows {
+			return nil, fmt.Errorf("rnn: corrupt %s cell tensors", cell)
 		}
-		m.Cells = append(m.Cells, cell{
-			Wx: mat.FromSlice(4*h, h, c.Wx),
-			Wh: mat.FromSlice(4*h, h, c.Wh),
+		m.Stack = append(m.Stack, layer{
+			Wx: mat.FromSlice(rows, h, c.Wx),
+			Wh: mat.FromSlice(rows, h, c.Wh),
 			B:  c.B,
 		})
 	}
 	return m, nil
 }
 
+// readSnapshot verifies one container from r whose kind is kindOf some cell,
+// hands the payload to decode and returns that cell. Truncated, bit-flipped
+// and foreign-kind files fail the container's integrity checks before any
+// gob decoding runs.
+func readSnapshot(r io.Reader, kindOf func(Cell) string, decode func(io.Reader) error) (Cell, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return 0, err
+	}
+	kind, err := snapshot.ReadKind(bytes.NewReader(data))
+	if err != nil {
+		return 0, err
+	}
+	cell := LSTM
+	if kind == kindOf(GRU) {
+		cell = GRU
+	}
+	return cell, snapshot.Read(bytes.NewReader(data), kindOf(cell), decode)
+}
+
 // Save serializes the model into a checksummed snapshot container of kind
-// KindModel.
+// m.Cell.KindModel().
 func (m *Model) Save(w io.Writer) error {
-	return snapshot.Write(w, KindModel, func(w io.Writer) error {
+	return snapshot.Write(w, m.Cell.KindModel(), func(w io.Writer) error {
 		return gob.NewEncoder(w).Encode(m.gobView())
 	})
 }
 
-// Load deserializes a model written by Save. Truncated, bit-flipped and
-// wrong-kind files fail the container's integrity checks before any gob
-// decoding runs.
+// Load deserializes a model of either cell written by Save; the file's
+// snapshot kind says which.
 func Load(r io.Reader) (*Model, error) {
 	var g gobModel
-	if err := snapshot.Read(r, KindModel, func(r io.Reader) error {
+	cell, err := readSnapshot(r, Cell.KindModel, func(r io.Reader) error {
 		return gob.NewDecoder(r).Decode(&g)
-	}); err != nil {
-		return nil, fmt.Errorf("lstm: loading model: %w", err)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("rnn: loading model: %w", err)
 	}
-	return g.model()
+	return g.model(cell)
 }

@@ -1,4 +1,4 @@
-package lstm
+package rnn
 
 import (
 	"context"
@@ -10,13 +10,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/trace"
-)
-
-var (
-	trainEpochs = obs.Default().Counter("lstm_train_epochs_total",
-		"training epochs completed across all LSTM runs")
-	trainTokens = obs.Default().Counter("lstm_train_tokens_total",
-		"tokens processed by BPTT across all LSTM runs")
 )
 
 // TrainStats records the learning curve of one training run.
@@ -62,12 +55,35 @@ func (a *adam) update(param, grad []float64, lr float64, step int) {
 	}
 }
 
+// layerGrads mirrors one layer's parameter tensors.
+type layerGrads struct {
+	wx, wh, b []float64
+}
+
+// accum adds one timestep's gradient for gate rows lo..hi-1: the outer
+// products of dpre with the layer input x and with hvec (what Wh multiplied
+// in those rows) into wx and wh, and dpre itself into b.
+func (gw *layerGrads) accum(lo, hi int, dpre, x, hvec []float64) {
+	hd := len(x)
+	for j := lo; j < hi; j++ {
+		gj := dpre[j]
+		if gj == 0 {
+			continue
+		}
+		wxRow := gw.wx[j*hd : (j+1)*hd]
+		whRow := gw.wh[j*hd : (j+1)*hd]
+		for k := 0; k < hd; k++ {
+			wxRow[k] += gj * x[k]
+			whRow[k] += gj * hvec[k]
+		}
+		gw.b[j] += gj
+	}
+}
+
 // grads mirrors the model's parameter tensors.
 type grads struct {
-	emb   []float64
-	cells []struct {
-		wx, wh, b []float64
-	}
+	emb    []float64
+	stack  []layerGrads
 	wo, bo []float64
 }
 
@@ -77,66 +93,52 @@ func newGrads(m *Model) *grads {
 		wo:  make([]float64, len(m.Wo.Data)),
 		bo:  make([]float64, len(m.Bo)),
 	}
-	for range m.Cells {
-		g.cells = append(g.cells, struct{ wx, wh, b []float64 }{})
-	}
-	for l, c := range m.Cells {
-		g.cells[l].wx = make([]float64, len(c.Wx.Data))
-		g.cells[l].wh = make([]float64, len(c.Wh.Data))
-		g.cells[l].b = make([]float64, len(c.B))
+	for _, p := range m.Stack {
+		g.stack = append(g.stack, layerGrads{
+			wx: make([]float64, len(p.Wx.Data)),
+			wh: make([]float64, len(p.Wh.Data)),
+			b:  make([]float64, len(p.B)),
+		})
 	}
 	return g
 }
 
+func (g *grads) each(fn func(xs []float64)) {
+	fn(g.emb)
+	fn(g.wo)
+	fn(g.bo)
+	for l := range g.stack {
+		fn(g.stack[l].wx)
+		fn(g.stack[l].wh)
+		fn(g.stack[l].b)
+	}
+}
+
 func (g *grads) zero() {
-	zero := func(xs []float64) {
+	g.each(func(xs []float64) {
 		for i := range xs {
 			xs[i] = 0
 		}
-	}
-	zero(g.emb)
-	zero(g.wo)
-	zero(g.bo)
-	for l := range g.cells {
-		zero(g.cells[l].wx)
-		zero(g.cells[l].wh)
-		zero(g.cells[l].b)
-	}
+	})
 }
 
 // globalNorm returns the L2 norm over all gradient tensors.
 func (g *grads) globalNorm() float64 {
 	var s float64
-	add := func(xs []float64) {
+	g.each(func(xs []float64) {
 		for _, v := range xs {
 			s += v * v
 		}
-	}
-	add(g.emb)
-	add(g.wo)
-	add(g.bo)
-	for l := range g.cells {
-		add(g.cells[l].wx)
-		add(g.cells[l].wh)
-		add(g.cells[l].b)
-	}
+	})
 	return math.Sqrt(s)
 }
 
 func (g *grads) scale(f float64) {
-	sc := func(xs []float64) {
+	g.each(func(xs []float64) {
 		for i := range xs {
 			xs[i] *= f
 		}
-	}
-	sc(g.emb)
-	sc(g.wo)
-	sc(g.bo)
-	for l := range g.cells {
-		sc(g.cells[l].wx)
-		sc(g.cells[l].wh)
-		sc(g.cells[l].b)
-	}
+	})
 }
 
 // validateSeqs range-checks every token against the vocabulary and requires
@@ -146,18 +148,18 @@ func validateSeqs(v int, train, valid [][]int) error {
 	for si, seq := range train {
 		for _, tok := range seq {
 			if tok < 0 || tok >= v {
-				return fmt.Errorf("lstm: train sequence %d token %d outside [0,%d)", si, tok, v)
+				return fmt.Errorf("rnn: train sequence %d token %d outside [0,%d)", si, tok, v)
 			}
 		}
 		nTokens += len(seq)
 	}
 	if nTokens == 0 {
-		return fmt.Errorf("lstm: training corpus has no tokens")
+		return fmt.Errorf("rnn: training corpus has no tokens")
 	}
 	for si, seq := range valid {
 		for _, tok := range seq {
 			if tok < 0 || tok >= v {
-				return fmt.Errorf("lstm: valid sequence %d token %d outside [0,%d)", si, tok, v)
+				return fmt.Errorf("rnn: valid sequence %d token %d outside [0,%d)", si, tok, v)
 			}
 		}
 	}
@@ -174,19 +176,19 @@ func newOptimizer(m *Model) optimizer {
 		"wo":  newAdam(len(m.Wo.Data)),
 		"bo":  newAdam(len(m.Bo)),
 	}
-	for l, c := range m.Cells {
-		opt[fmt.Sprintf("wx%d", l)] = newAdam(len(c.Wx.Data))
-		opt[fmt.Sprintf("wh%d", l)] = newAdam(len(c.Wh.Data))
-		opt[fmt.Sprintf("b%d", l)] = newAdam(len(c.B))
+	for l, p := range m.Stack {
+		opt[fmt.Sprintf("wx%d", l)] = newAdam(len(p.Wx.Data))
+		opt[fmt.Sprintf("wh%d", l)] = newAdam(len(p.Wh.Data))
+		opt[fmt.Sprintf("b%d", l)] = newAdam(len(p.B))
 	}
 	return opt
 }
 
-// Train fits an LSTM language model on the training sequences. When valid is
-// non-empty, validation perplexity is recorded after each epoch (the paper
-// holds out 10% for parameter validation). Sequences are processed one at a
-// time (the corpus sequences are at most M=38 tokens long), with Adam
-// updates per sequence and global-norm gradient clipping.
+// Train fits a recurrent language model on the training sequences. When
+// valid is non-empty, validation perplexity is recorded after each epoch (the
+// paper holds out 10% for parameter validation). Sequences are processed one
+// at a time (the corpus sequences are at most M=38 tokens long), with one
+// optimizer update per sequence and global-norm gradient clipping.
 func Train(cfg Config, train, valid [][]int, g *rng.RNG) (*Model, TrainStats, error) {
 	return TrainContext(context.Background(), cfg, train, valid, g)
 }
@@ -209,9 +211,9 @@ func TrainContext(ctx context.Context, cfg Config, train, valid [][]int, g *rng.
 // Resume continues an interrupted run from a checkpoint. train and valid
 // must be the same sequences the original call received; hooks supplies
 // Progress/Checkpoint/CheckpointEvery for the continued run while the
-// training schedule comes from the checkpoint. A resumed run draws the same
-// random stream as the uninterrupted one, so the final model is
-// bit-identical.
+// cell and the training schedule come from the checkpoint. A resumed run
+// draws the same random stream as the uninterrupted one, so the final model
+// is bit-identical.
 func Resume(ctx context.Context, ck *Checkpoint, train, valid [][]int, hooks Config) (*Model, TrainStats, error) {
 	cfg := ck.Cfg.config()
 	cfg.Progress = hooks.Progress
@@ -219,7 +221,7 @@ func Resume(ctx context.Context, ck *Checkpoint, train, valid [][]int, hooks Con
 	cfg.CheckpointEvery = hooks.CheckpointEvery
 	cfg.fillDefaults()
 	if err := cfg.validate(); err != nil {
-		return nil, TrainStats{}, fmt.Errorf("lstm: checkpoint carries invalid config: %w", err)
+		return nil, TrainStats{}, fmt.Errorf("rnn: checkpoint carries invalid config: %w", err)
 	}
 	if err := ck.validate(); err != nil {
 		return nil, TrainStats{}, err
@@ -227,7 +229,7 @@ func Resume(ctx context.Context, ck *Checkpoint, train, valid [][]int, hooks Con
 	if err := validateSeqs(cfg.V, train, valid); err != nil {
 		return nil, TrainStats{}, err
 	}
-	model, err := ck.Params.model()
+	model, err := ck.Params.model(cfg.Cell)
 	if err != nil {
 		return nil, TrainStats{}, err
 	}
@@ -239,7 +241,7 @@ func Resume(ctx context.Context, ck *Checkpoint, train, valid [][]int, hooks Con
 	}
 	g, err := rng.FromState(ck.RNG)
 	if err != nil {
-		return nil, TrainStats{}, fmt.Errorf("lstm: checkpoint RNG state: %w", err)
+		return nil, TrainStats{}, fmt.Errorf("rnn: checkpoint RNG state: %w", err)
 	}
 	stats := TrainStats{
 		TrainLoss:  append([]float64(nil), ck.TrainLoss...),
@@ -251,8 +253,9 @@ func Resume(ctx context.Context, ck *Checkpoint, train, valid [][]int, hooks Con
 // trainLoop runs epochs startEpoch..Epochs-1 over the model in place.
 func trainLoop(ctx context.Context, cfg Config, model *Model, opt optimizer, startEpoch, startStep int, stats TrainStats, train, valid [][]int, g *rng.RNG) (*Model, TrainStats, error) {
 	gr := newGrads(model)
+	kind := &cells[cfg.Cell]
 
-	sp := obs.Start("lstm.train")
+	sp := obs.Start(kind.name + ".train")
 	// Each epoch (and each checkpoint write) becomes a child span when ctx
 	// carries an active trace; spans never touch model state or the RNG
 	// stream, so traced and untraced runs are bit-identical.
@@ -260,7 +263,7 @@ func trainLoop(ctx context.Context, cfg Config, model *Model, opt optimizer, sta
 	checkpoint := func(ck *Checkpoint) error {
 		var csp *trace.Span
 		if traced {
-			_, csp = trace.Start(ctx, "lstm.train.checkpoint")
+			_, csp = trace.Start(ctx, kind.name+".train.checkpoint")
 			csp.AttrInt("epoch", int64(ck.Epoch))
 		}
 		err := cfg.Checkpoint(ck)
@@ -271,22 +274,27 @@ func trainLoop(ctx context.Context, cfg Config, model *Model, opt optimizer, sta
 		return err
 	}
 	order := make([]int, len(train))
-	for i := range order {
-		order[i] = i
-	}
 	step := startStep
+	var sgdLR float64 // this epoch's SGD learning rate
+	update := func(name string, param, grad []float64) {
+		if cfg.Optimizer == "sgd" {
+			sgdStep(param, grad, sgdLR)
+		} else {
+			opt[name].update(param, grad, cfg.LearnRate, step)
+		}
+	}
 	for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
 		if err := ctx.Err(); err != nil {
 			if cfg.Checkpoint != nil {
 				if cerr := checkpoint(snapshotState(&cfg, model, opt, epoch, step, stats, g)); cerr != nil {
-					return nil, stats, fmt.Errorf("lstm: writing cancellation checkpoint: %w", cerr)
+					return nil, stats, fmt.Errorf("rnn: writing cancellation checkpoint: %w", cerr)
 				}
 			}
-			return nil, stats, fmt.Errorf("lstm: training interrupted after epoch %d/%d: %w", epoch, cfg.Epochs, err)
+			return nil, stats, fmt.Errorf("rnn: training interrupted after epoch %d/%d: %w", epoch, cfg.Epochs, err)
 		}
 		var epsp *trace.Span
 		if traced {
-			_, epsp = trace.Start(ctx, "lstm.train.epoch")
+			_, epsp = trace.Start(ctx, kind.name+".train.epoch")
 			epsp.AttrInt("epoch", int64(epoch))
 		}
 		var epochStart time.Time
@@ -295,7 +303,7 @@ func trainLoop(ctx context.Context, cfg Config, model *Model, opt optimizer, sta
 		}
 		// SGD follows the Zaremba schedule: constant lr, geometric decay
 		// after the warm period.
-		sgdLR := cfg.SGDLearnRate
+		sgdLR = cfg.SGDLearnRate
 		if over := epoch - cfg.SGDDecayAfter; over > 0 {
 			sgdLR *= math.Pow(cfg.SGDDecay, float64(over))
 		}
@@ -321,24 +329,13 @@ func trainLoop(ctx context.Context, cfg Config, model *Model, opt optimizer, sta
 				gr.scale(cfg.ClipNorm / norm)
 			}
 			step++
-			if cfg.Optimizer == "sgd" {
-				sgdStep(model.Emb.Data, gr.emb, sgdLR)
-				sgdStep(model.Wo.Data, gr.wo, sgdLR)
-				sgdStep(model.Bo, gr.bo, sgdLR)
-				for l := range model.Cells {
-					sgdStep(model.Cells[l].Wx.Data, gr.cells[l].wx, sgdLR)
-					sgdStep(model.Cells[l].Wh.Data, gr.cells[l].wh, sgdLR)
-					sgdStep(model.Cells[l].B, gr.cells[l].b, sgdLR)
-				}
-			} else {
-				opt["emb"].update(model.Emb.Data, gr.emb, cfg.LearnRate, step)
-				opt["wo"].update(model.Wo.Data, gr.wo, cfg.LearnRate, step)
-				opt["bo"].update(model.Bo, gr.bo, cfg.LearnRate, step)
-				for l := range model.Cells {
-					opt[fmt.Sprintf("wx%d", l)].update(model.Cells[l].Wx.Data, gr.cells[l].wx, cfg.LearnRate, step)
-					opt[fmt.Sprintf("wh%d", l)].update(model.Cells[l].Wh.Data, gr.cells[l].wh, cfg.LearnRate, step)
-					opt[fmt.Sprintf("b%d", l)].update(model.Cells[l].B, gr.cells[l].b, cfg.LearnRate, step)
-				}
+			update("emb", model.Emb.Data, gr.emb)
+			update("wo", model.Wo.Data, gr.wo)
+			update("bo", model.Bo, gr.bo)
+			for l, p := range model.Stack {
+				update(fmt.Sprintf("wx%d", l), p.Wx.Data, gr.stack[l].wx)
+				update(fmt.Sprintf("wh%d", l), p.Wh.Data, gr.stack[l].wh)
+				update(fmt.Sprintf("b%d", l), p.B, gr.stack[l].b)
 			}
 		}
 		if lossTokens > 0 {
@@ -347,8 +344,8 @@ func trainLoop(ctx context.Context, cfg Config, model *Model, opt optimizer, sta
 		if len(valid) > 0 {
 			stats.ValidPerpl = append(stats.ValidPerpl, model.Perplexity(valid))
 		}
-		trainEpochs.Inc()
-		trainTokens.Add(uint64(lossTokens))
+		kind.epochs.Inc()
+		kind.tokens.Add(uint64(lossTokens))
 		if cfg.Progress != nil {
 			elapsed := time.Since(epochStart).Seconds()
 			tps := math.Inf(1)
@@ -360,7 +357,7 @@ func trainLoop(ctx context.Context, cfg Config, model *Model, opt optimizer, sta
 				meanNLL = lossSum / float64(lossTokens)
 			}
 			cfg.Progress(obs.ProgressEvent{
-				Model: "lstm", Iteration: epoch + 1, Total: cfg.Epochs,
+				Model: kind.name, Iteration: epoch + 1, Total: cfg.Epochs,
 				Loss: meanNLL, TokensPerSec: tps,
 			})
 		}
@@ -368,7 +365,7 @@ func trainLoop(ctx context.Context, cfg Config, model *Model, opt optimizer, sta
 		if cfg.Checkpoint != nil && cfg.CheckpointEvery > 0 &&
 			(epoch+1)%cfg.CheckpointEvery == 0 && epoch+1 < cfg.Epochs {
 			if err := checkpoint(snapshotState(&cfg, model, opt, epoch+1, step, stats, g)); err != nil {
-				return nil, stats, fmt.Errorf("lstm: checkpoint hook at epoch %d: %w", epoch+1, err)
+				return nil, stats, fmt.Errorf("rnn: checkpoint hook at epoch %d: %w", epoch+1, err)
 			}
 		}
 	}
@@ -385,6 +382,7 @@ func (m *Model) bptt(seq []int, p float64, gr *grads, g *rng.RNG) float64 {
 	T := len(seq)
 	L := m.Layers
 	keep := 1 - p
+	kind := &cells[m.Cell]
 
 	// Per-timestep inputs: BOS then seq[:T-1].
 	inputs := make([]int, T)
@@ -423,12 +421,7 @@ func (m *Model) bptt(seq []int, p float64, gr *grads, g *rng.RNG) float64 {
 		return out
 	}
 
-	h := make([][]float64, L)
-	c := make([][]float64, L)
-	for l := 0; l < L; l++ {
-		h[l] = make([]float64, hd)
-		c[l] = make([]float64, hd)
-	}
+	s := m.NewState()
 	var loss float64
 	dlogitsAll := make([][]float64, T)
 	topH := make([][]float64, T) // dropped-out top hidden per timestep
@@ -437,8 +430,8 @@ func (m *Model) bptt(seq []int, p float64, gr *grads, g *rng.RNG) float64 {
 		for l := 0; l < L; l++ {
 			inMasks[l][t] = sampleMask()
 			xin := applyMask(x, inMasks[l][t])
-			h[l], c[l] = m.step(l, xin, h[l], c[l], &caches[l][t])
-			x = h[l]
+			s.H[l], s.C[l] = kind.step(&m.Stack[l], xin, s.H[l], s.C[l], &caches[l][t])
+			x = s.H[l]
 		}
 		topMasks[t] = sampleMask()
 		ht := applyMask(x, topMasks[t])
@@ -455,16 +448,12 @@ func (m *Model) bptt(seq []int, p float64, gr *grads, g *rng.RNG) float64 {
 		dlogitsAll[t] = dl
 	}
 
-	// Backward.
-	dhNext := make([][]float64, L)
-	dcNext := make([][]float64, L)
-	for l := 0; l < L; l++ {
-		dhNext[l] = make([]float64, hd)
-		dcNext[l] = make([]float64, hd)
-	}
-	woMat := m.Wo
-	dxBuf := make([]float64, hd)
-	dpre := make([]float64, 4*hd)
+	// Backward. The carry of layer l is the gradient its own next timestep
+	// sent back through the recurrent connection (and the LSTM's memory).
+	carry := m.NewState()
+	dpre := make([]float64, kind.gates*hd)
+	tmp := make([]float64, hd)
+	dh := make([]float64, hd)
 	for t := T - 1; t >= 0; t-- {
 		// output layer
 		dl := dlogitsAll[t]
@@ -477,57 +466,20 @@ func (m *Model) bptt(seq []int, p float64, gr *grads, g *rng.RNG) float64 {
 			gr.bo[j] += g0
 		}
 		// dh_top (through the output dropout mask)
-		dhTop := make([]float64, hd)
-		mat.MulVecTransTo(dhTop, woMat, dl)
+		dFromAbove := make([]float64, hd)
+		mat.MulVecTransTo(dFromAbove, m.Wo, dl)
 		if topMasks[t] != nil {
 			for k := 0; k < hd; k++ {
-				dhTop[k] *= topMasks[t][k]
+				dFromAbove[k] *= topMasks[t][k]
 			}
 		}
 		// propagate down the stack
-		dFromAbove := dhTop
 		for l := L - 1; l >= 0; l-- {
-			cc := &caches[l][t]
-			dh := make([]float64, hd)
 			for k := 0; k < hd; k++ {
-				dh[k] = dFromAbove[k] + dhNext[l][k]
+				dh[k] = dFromAbove[k] + carry.H[l][k]
 			}
-			dc := dcNext[l]
-			for k := 0; k < hd; k++ {
-				tc := cc.tanhC[k]
-				do := dh[k] * tc
-				dck := dc[k] + dh[k]*cc.o[k]*(1-tc*tc)
-				di := dck * cc.gc[k]
-				dg := dck * cc.i[k]
-				df := dck * cc.cPrev[k]
-				dcPrev := dck * cc.f[k]
-				dpre[k] = di * cc.i[k] * (1 - cc.i[k])
-				dpre[hd+k] = df * cc.f[k] * (1 - cc.f[k])
-				dpre[2*hd+k] = dg * (1 - cc.gc[k]*cc.gc[k])
-				dpre[3*hd+k] = do * cc.o[k] * (1 - cc.o[k])
-				dcNext[l][k] = dcPrev
-			}
-			// parameter grads
-			cw := &gr.cells[l]
-			hPrev := prevH(caches, l, t, hd)
-			for j := 0; j < 4*hd; j++ {
-				gj := dpre[j]
-				if gj == 0 {
-					continue
-				}
-				wxRow := cw.wx[j*hd : (j+1)*hd]
-				whRow := cw.wh[j*hd : (j+1)*hd]
-				for k := 0; k < hd; k++ {
-					wxRow[k] += gj * cc.x[k]
-					whRow[k] += gj * hPrev[k]
-				}
-				cw.b[j] += gj
-			}
-			// dx and dhPrev
-			mat.MulVecTransTo(dxBuf, m.Cells[l].Wx, dpre)
-			mat.MulVecTransTo(dhNext[l], m.Cells[l].Wh, dpre)
+			dx := kind.backward(&m.Stack[l], &gr.stack[l], &caches[l][t], dh, carry.H[l], carry.C[l], dpre, tmp)
 			// through the input dropout mask
-			dx := append([]float64(nil), dxBuf...)
 			if inMasks[l][t] != nil {
 				for k := 0; k < hd; k++ {
 					dx[k] *= inMasks[l][t][k]
@@ -542,12 +494,4 @@ func (m *Model) bptt(seq []int, p float64, gr *grads, g *rng.RNG) float64 {
 		}
 	}
 	return loss
-}
-
-// prevH returns layer l's hidden state at time t-1 (zeros at t=0).
-func prevH(caches [][]stepCache, l, t, hd int) []float64 {
-	if t == 0 {
-		return make([]float64, hd)
-	}
-	return caches[l][t-1].h
 }

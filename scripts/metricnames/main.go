@@ -28,10 +28,9 @@ import (
 	_ "repro/internal/bpmf"
 	_ "repro/internal/chaos"
 	_ "repro/internal/eval"
-	_ "repro/internal/gru"
 	_ "repro/internal/lda"
-	_ "repro/internal/lstm"
 	_ "repro/internal/par"
+	_ "repro/internal/rnn"
 	_ "repro/internal/sgns"
 	_ "repro/internal/snapshot"
 	_ "repro/internal/trace"
