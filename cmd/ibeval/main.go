@@ -72,6 +72,16 @@ func main() {
 	logger, stopDebug = obsFlags.Init("ibeval", trace.Routes(trace.Default())...)
 	defer stopDebug()
 
+	// Validate the experiment name before generating or loading the corpus,
+	// so a typo fails fast instead of after a potentially slow NewContext.
+	switch *exp {
+	case "all", "table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
+		"seqtest", "cocluster", "gru", "windows", "chhdepth", "embed", "topics":
+	default:
+		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
+		os.Exit(2)
+	}
+
 	// With -trace the whole evaluation run becomes one trace: a root span with
 	// one child per experiment, visible on -debug-addr /debug/traces.
 	tctx, root := trace.Default().Start(context.Background(), "ibeval.main")
@@ -266,16 +276,6 @@ func main() {
 		}
 		return r.Render(), nil
 	})
-
-	if *exp != "all" {
-		switch *exp {
-		case "table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-			"seqtest", "cocluster", "gru", "windows", "chhdepth", "embed", "topics":
-		default:
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-			os.Exit(2)
-		}
-	}
 
 	root.End()
 	if *metricsOut != "" {

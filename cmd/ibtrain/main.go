@@ -239,7 +239,7 @@ func main() {
 	case "lda":
 		var weights [][]float64
 		if *tfidf {
-			weights = tfidfWeights(split.Train)
+			weights = split.Train.TFIDFWeights()
 		}
 		cfg := lda.Config{
 			Topics: *topics, V: c.M(), Progress: progress,
@@ -379,34 +379,6 @@ func names(c *corpus.Corpus, cats []int) []string {
 	out := make([]string, len(cats))
 	for i, cat := range cats {
 		out[i] = c.Catalog.Name(cat)
-	}
-	return out
-}
-
-// tfidfWeights mirrors internal/eval's weighting: TF-IDF values rescaled so
-// each document's weights sum to its token count.
-func tfidfWeights(c *corpus.Corpus) [][]float64 {
-	tfidf := c.TFIDFMatrix()
-	sets := c.Sets()
-	out := make([][]float64, len(sets))
-	for d, doc := range sets {
-		w := make([]float64, len(doc))
-		var sum float64
-		for i, cat := range doc {
-			w[i] = tfidf.At(d, cat)
-			sum += w[i]
-		}
-		if sum > 0 {
-			scale := float64(len(doc)) / sum
-			for i := range w {
-				w[i] *= scale
-			}
-		} else {
-			for i := range w {
-				w[i] = 1
-			}
-		}
-		out[d] = w
 	}
 	return out
 }

@@ -5,6 +5,7 @@ package hiddenlayer
 // real corpus file.
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -122,5 +123,12 @@ func TestCommandLineTools(t *testing.T) {
 	out = runTool(t, ibeval, "-exp", "seqtest", "-scale", "quick", "-corpus", corpusPath)
 	if !strings.Contains(out, "Sequentiality test") {
 		t.Fatalf("ibeval output: %s", out)
+	}
+	// A mistyped -exp is rejected before the corpus is touched: the missing
+	// corpus file must not be what the run complains about.
+	bad, err := exec.Command(ibeval, "-exp", "fig33", "-corpus", filepath.Join(dir, "missing.jsonl")).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(bad), `unknown experiment "fig33"`) {
+		t.Fatalf("ibeval -exp fig33: err %v, want exit 2 naming the experiment\n%s", err, bad)
 	}
 }

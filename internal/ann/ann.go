@@ -7,7 +7,7 @@
 // which core re-ranks exactly through its bounded heaps and total orders.
 // With nprobe raised to the cell count the pool is the whole corpus and the
 // answer is byte-identical to the exact scan — the escape hatch, and the
-// recall baseline BENCH_ann.json measures against.
+// recall baseline the benchmark's recall_at_10 measures against.
 //
 // Determinism. The cells come from one run of cluster.KMeans, which follows
 // the internal/par contract (that package's comment has the rules). An

@@ -14,14 +14,13 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
 	"repro/internal/mat"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/snapshot"
-	"repro/internal/trace"
+	"repro/internal/train"
 )
 
 // Snapshot container kinds for BPMF artifacts.
@@ -133,9 +132,6 @@ func (c *Config) validate() error {
 	if c.ClipHi <= c.ClipLo {
 		return fmt.Errorf("bpmf: ClipHi must exceed ClipLo")
 	}
-	if c.CheckpointEvery < 0 {
-		return fmt.Errorf("bpmf: CheckpointEvery must be >= 0, got %d", c.CheckpointEvery)
-	}
 	return nil
 }
 
@@ -171,7 +167,8 @@ func Train(cfg Config, n, mItems int, ratings []Rating, g *rng.RNG) (*Model, err
 
 // TrainContext is Train with cooperative cancellation: ctx is checked at
 // every sweep boundary, and on cancellation a final checkpoint is handed to
-// cfg.Checkpoint (when set) before returning an error wrapping ctx.Err().
+// cfg.Checkpoint (when set) before returning an error wrapping the context's
+// error.
 func TrainContext(ctx context.Context, cfg Config, n, mItems int, ratings []Rating, g *rng.RNG) (*Model, error) {
 	cfg.fillDefaults()
 	if err := cfg.validate(); err != nil {
@@ -233,110 +230,67 @@ func Resume(ctx context.Context, ck *Checkpoint, ratings []Rating, hooks Config)
 // matrices and score accumulator in place.
 func trainLoop(ctx context.Context, cfg Config, ratings []Rating, byUser, byItem [][]Rating, u, v, scoreAcc *mat.Matrix, kept, startSweep int, g *rng.RNG) (*Model, error) {
 	n, mItems := u.Rows, v.Rows
-	sp := obs.Start("bpmf.train")
-	// Each sweep (and each checkpoint write) becomes a child span when ctx
-	// carries an active trace; spans never touch the factor matrices or the
-	// RNG stream, so traced and untraced runs are bit-identical.
-	traced := trace.FromContext(ctx) != nil
-	checkpoint := func(ck *Checkpoint) error {
-		var csp *trace.Span
-		if traced {
-			_, csp = trace.Start(ctx, "bpmf.train.checkpoint")
-			csp.AttrInt("sweep", int64(ck.Sweep))
+	rmse := func() float64 {
+		if len(ratings) == 0 {
+			return math.NaN()
 		}
-		err := cfg.Checkpoint(ck)
-		if err != nil {
-			csp.Error(err)
+		var sq float64
+		for _, r := range ratings {
+			diff := mat.Dot(u.Row(r.User), v.Row(r.Item)) - r.Value
+			sq += diff * diff
 		}
-		csp.End()
-		return err
+		return math.Sqrt(sq / float64(len(ratings)))
 	}
-	total := cfg.Burn + cfg.Samples
-	for sweep := startSweep; sweep < total; sweep++ {
-		if err := ctx.Err(); err != nil {
-			if cfg.Checkpoint != nil {
-				if cerr := checkpoint(snapshotState(&cfg, u, v, scoreAcc, kept, sweep, g)); cerr != nil {
-					return nil, fmt.Errorf("bpmf: writing cancellation checkpoint: %w", cerr)
-				}
+	err := train.Loop[*Checkpoint]{
+		Name: "bpmf", Prefix: "bpmf", Unit: "sweep",
+		Start: startSweep, Total: cfg.Burn + cfg.Samples,
+		Progress: cfg.Progress, Checkpoint: cfg.Checkpoint, Every: cfg.CheckpointEvery,
+		Snapshot: func(sweep int) *Checkpoint { return snapshotState(&cfg, u, v, scoreAcc, kept, sweep, g) },
+		Step: func(sweep int) (int, func() float64, error) {
+			muU, lamU, err := sampleHyper(u, cfg.Beta0, g)
+			if err != nil {
+				return 0, nil, fmt.Errorf("bpmf: sampling user hyperparameters: %w", err)
 			}
-			return nil, fmt.Errorf("bpmf: training interrupted after sweep %d/%d: %w", sweep, total, err)
-		}
-		var swsp *trace.Span
-		if traced {
-			_, swsp = trace.Start(ctx, "bpmf.train.sweep")
-			swsp.AttrInt("sweep", int64(sweep))
-		}
-		var sweepStart time.Time
-		if cfg.Progress != nil {
-			sweepStart = time.Now()
-		}
-		muU, lamU, err := sampleHyper(u, cfg.Beta0, g)
-		if err != nil {
-			return nil, fmt.Errorf("bpmf: sampling user hyperparameters: %w", err)
-		}
-		if err := sampleFactors(u, v, byUser, muU, lamU, cfg.Alpha, g); err != nil {
-			return nil, fmt.Errorf("bpmf: sampling user factors: %w", err)
-		}
-		muV, lamV, err := sampleHyper(v, cfg.Beta0, g)
-		if err != nil {
-			return nil, fmt.Errorf("bpmf: sampling item hyperparameters: %w", err)
-		}
-		if err := sampleFactors(v, u, byItemSwapped(byItem), muV, lamV, cfg.Alpha, g); err != nil {
-			return nil, fmt.Errorf("bpmf: sampling item factors: %w", err)
-		}
-		if sweep >= cfg.Burn {
-			// Score accumulation is RNG-free and each task touches only its
-			// own accumulator row with unchanged per-row arithmetic order, so
-			// the fan-out is bit-identical at any worker count.
-			_ = par.ForEach(context.Background(), n, func(i int) error {
-				urow := u.Row(i)
-				srow := scoreAcc.Row(i)
-				for j := 0; j < mItems; j++ {
-					p := mat.Dot(urow, v.Row(j))
-					if p < cfg.ClipLo {
-						p = cfg.ClipLo
+			if err := sampleFactors(u, v, byUser, muU, lamU, cfg.Alpha, g); err != nil {
+				return 0, nil, fmt.Errorf("bpmf: sampling user factors: %w", err)
+			}
+			muV, lamV, err := sampleHyper(v, cfg.Beta0, g)
+			if err != nil {
+				return 0, nil, fmt.Errorf("bpmf: sampling item hyperparameters: %w", err)
+			}
+			if err := sampleFactors(v, u, byItemSwapped(byItem), muV, lamV, cfg.Alpha, g); err != nil {
+				return 0, nil, fmt.Errorf("bpmf: sampling item factors: %w", err)
+			}
+			if sweep >= cfg.Burn {
+				// Score accumulation is RNG-free and each task touches only its
+				// own accumulator row with unchanged per-row arithmetic order, so
+				// the fan-out is bit-identical at any worker count.
+				_ = par.ForEach(context.Background(), n, func(i int) error {
+					urow := u.Row(i)
+					srow := scoreAcc.Row(i)
+					for j := 0; j < mItems; j++ {
+						p := mat.Dot(urow, v.Row(j))
+						if p < cfg.ClipLo {
+							p = cfg.ClipLo
+						}
+						if p > cfg.ClipHi {
+							p = cfg.ClipHi
+						}
+						srow[j] += p
 					}
-					if p > cfg.ClipHi {
-						p = cfg.ClipHi
-					}
-					srow[j] += p
-				}
-				return nil
-			})
-			kept++
-		}
-		trainSweeps.Inc()
-		trainRatings.Add(uint64(len(ratings)))
-		if cfg.Progress != nil {
-			var sq float64
-			for _, r := range ratings {
-				diff := mat.Dot(u.Row(r.User), v.Row(r.Item)) - r.Value
-				sq += diff * diff
+					return nil
+				})
+				kept++
 			}
-			rmse := math.NaN()
-			if len(ratings) > 0 {
-				rmse = math.Sqrt(sq / float64(len(ratings)))
-			}
-			elapsed := time.Since(sweepStart).Seconds()
-			tps := math.Inf(1)
-			if elapsed > 0 {
-				tps = float64(len(ratings)) / elapsed
-			}
-			cfg.Progress(obs.ProgressEvent{
-				Model: "bpmf", Iteration: sweep + 1, Total: total,
-				Loss: rmse, TokensPerSec: tps,
-			})
-		}
-		swsp.End()
-		if cfg.Checkpoint != nil && cfg.CheckpointEvery > 0 &&
-			(sweep+1)%cfg.CheckpointEvery == 0 && sweep+1 < total {
-			if err := checkpoint(snapshotState(&cfg, u, v, scoreAcc, kept, sweep+1, g)); err != nil {
-				return nil, fmt.Errorf("bpmf: checkpoint hook at sweep %d: %w", sweep+1, err)
-			}
-		}
+			trainSweeps.Inc()
+			trainRatings.Add(uint64(len(ratings)))
+			return len(ratings), rmse, nil
+		},
+	}.Run(ctx)
+	if err != nil {
+		return nil, err
 	}
 	scoreAcc.Scale(1 / float64(kept))
-	sp.End()
 	return &Model{N: n, M: mItems, Rank: cfg.Rank, Scores: scoreAcc}, nil
 }
 

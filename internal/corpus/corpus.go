@@ -107,6 +107,37 @@ func (c *Corpus) TFIDFMatrix() *mat.Matrix {
 	return out
 }
 
+// TFIDFWeights converts the TF-IDF matrix into per-token weights for
+// weighted LDA training, one per entry of Sets(), rescaled so each
+// document's weights sum to its token count (keeping the effective corpus
+// mass comparable to binary input, as gensim's tfidf-corpus treatment does).
+// A document whose TF-IDF row is all zero gets unit weights.
+func (c *Corpus) TFIDFWeights() [][]float64 {
+	tfidf := c.TFIDFMatrix()
+	sets := c.Sets()
+	out := make([][]float64, len(sets))
+	for d, doc := range sets {
+		w := make([]float64, len(doc))
+		var sum float64
+		for i, cat := range doc {
+			w[i] = tfidf.At(d, cat)
+			sum += w[i]
+		}
+		if sum > 0 {
+			scale := float64(len(doc)) / sum
+			for i := range w {
+				w[i] *= scale
+			}
+		} else {
+			for i := range w {
+				w[i] = 1
+			}
+		}
+		out[d] = w
+	}
+	return out
+}
+
 // Sequences returns every company's time-ordered category sequence A^S.
 // Companies with empty install bases yield empty sequences.
 func (c *Corpus) Sequences() [][]int {

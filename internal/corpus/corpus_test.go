@@ -298,6 +298,41 @@ func TestTFIDFMatrixRowsNormalized(t *testing.T) {
 	}
 }
 
+// TestTFIDFWeights: one weight per entry of Sets(), each document's weights
+// sum to its token count, and the rarer product weighs more. The empty
+// company — the only all-zero TF-IDF row the smoothed IDF (>= 1) allows —
+// gets no weights.
+func TestTFIDFWeights(t *testing.T) {
+	c := smallCorpus()
+	sets := c.Sets()
+	weights := c.TFIDFWeights()
+	if len(weights) != len(sets) {
+		t.Fatalf("%d weight rows for %d documents", len(weights), len(sets))
+	}
+	for d, w := range weights {
+		if len(w) != len(sets[d]) {
+			t.Fatalf("doc %d: %d weights for %d tokens", d, len(w), len(sets[d]))
+		}
+		var sum float64
+		for _, x := range w {
+			if x <= 0 {
+				t.Fatalf("doc %d: non-positive weight %v (lda.Train rejects it)", d, x)
+			}
+			sum += x
+		}
+		if math.Abs(sum-float64(len(w))) > 1e-9 {
+			t.Fatalf("doc %d: weights sum to %v, want %d", d, sum, len(w))
+		}
+	}
+	// Company A owns category 0 (df 1) and category 1 (df 3).
+	if weights[0][0] <= weights[0][1] {
+		t.Fatalf("rare product weight %v <= common product weight %v", weights[0][0], weights[0][1])
+	}
+	if weights[2][0] != 1 {
+		t.Fatalf("single-product company weight = %v, want 1", weights[2][0])
+	}
+}
+
 func mat2Norm(x []float64) float64 {
 	var s float64
 	for _, v := range x {

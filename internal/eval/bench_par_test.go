@@ -1,11 +1,7 @@
 package eval
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/par"
 )
@@ -29,59 +25,4 @@ func benchFigure1(b *testing.B, workers int) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// TestWriteParallelBench measures the Figure 1 grid wall-clock at workers=1
-// vs workers=4 and records the result as JSON. Gated behind
-// BENCH_PARALLEL_OUT so the regular test run stays fast; regenerate the
-// committed BENCH_parallel.json with
-//
-//	BENCH_PARALLEL_OUT=BENCH_parallel.json go test ./internal/eval/ -run TestWriteParallelBench
-func TestWriteParallelBench(t *testing.T) {
-	out := os.Getenv("BENCH_PARALLEL_OUT")
-	if out == "" {
-		t.Skip("set BENCH_PARALLEL_OUT to record the parallel benchmark")
-	}
-	measure := func(w int) float64 {
-		par.SetWorkers(w)
-		defer par.SetWorkers(0)
-		best := 0.0
-		for rep := 0; rep < 3; rep++ {
-			ctx, err := NewContext(Quick())
-			if err != nil {
-				t.Fatal(err)
-			}
-			start := time.Now()
-			if _, err := RunFigure1(ctx); err != nil {
-				t.Fatal(err)
-			}
-			if sec := time.Since(start).Seconds(); rep == 0 || sec < best {
-				best = sec
-			}
-		}
-		return best
-	}
-	w1 := measure(1)
-	w4 := measure(4)
-	report := map[string]any{
-		"benchmark":        "RunFigure1 LSTM grid, Quick() scale (400 companies, layers {1,2} x hidden {10,40})",
-		"cpu_cores":        runtime.NumCPU(),
-		"gomaxprocs":       runtime.GOMAXPROCS(0),
-		"workers1_seconds": w1,
-		"workers4_seconds": w4,
-		"speedup":          w1 / w4,
-		"note": "speedup is bounded by physical cores: with C cores the grid fan-out " +
-			"cannot exceed a factor of C regardless of worker count, and on a " +
-			"single-core host workers=4 matches workers=1 within noise. The " +
-			"determinism contract (pre-split RNG streams, index-order merges) " +
-			"keeps results gob-byte-identical at every worker count either way.",
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("workers=1 %.2fs, workers=4 %.2fs, speedup %.2fx on %d cores", w1, w4, w1/w4, runtime.NumCPU())
 }

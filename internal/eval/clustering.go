@@ -35,7 +35,7 @@ func RunFigure7(ctx *Context) (*Figure7Result, error) {
 	// LDA tolerates empty documents, so the doc and weight lists stay
 	// parallel without filtering.
 	trainDocs := ctx.Split.Train.Sets()
-	weights := tfidfWeights(ctx.Split.Train)
+	weights := ctx.Split.Train.TFIDFWeights()
 
 	type featureSpec struct {
 		name  string

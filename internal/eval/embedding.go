@@ -87,39 +87,11 @@ func RunEmbeddingComparison(ctx *Context) (*EmbeddingComparisonResult, error) {
 	const k = 5
 	for w := 0; w < ctx.Corpus.M(); w++ {
 		sg := sgnsModel.Neighbors(w, k)
-		ld := nearestByCosine(ldaEmb, w, k)
+		ld := mat.NearestByCosine(ldaEmb, w, k)
 		agree += jaccard(sg, ld)
 	}
 	res.NeighborAgreement = agree / float64(ctx.Corpus.M())
 	return res, nil
-}
-
-// nearestByCosine returns the k rows of emb most cosine-similar to row w.
-func nearestByCosine(emb *mat.Matrix, w, k int) []int {
-	type cand struct {
-		id  int
-		sim float64
-	}
-	var cands []cand
-	for o := 0; o < emb.Rows; o++ {
-		if o == w {
-			continue
-		}
-		cands = append(cands, cand{o, mat.CosineSim(emb.Row(w), emb.Row(o))})
-	}
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && cands[j].sim > cands[j-1].sim; j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
-		}
-	}
-	if k > len(cands) {
-		k = len(cands)
-	}
-	out := make([]int, k)
-	for i := range out {
-		out[i] = cands[i].id
-	}
-	return out
 }
 
 // Render formats the comparison.

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/corpus"
 	"repro/internal/lda"
 	"repro/internal/ngram"
 	"repro/internal/obs"
@@ -55,7 +54,7 @@ func RunFigure2(ctx *Context) (*Figure2Result, error) {
 	evalRuns.Inc()
 	trainDocs := ctx.Split.Train.Sets()
 	testDocs := ctx.Split.Test.Sets()
-	weights := tfidfWeights(ctx.Split.Train)
+	weights := ctx.Split.Train.TFIDFWeights()
 	grid := ctx.Scale.LDATopicGrid
 	// Pre-split the four per-k RNG streams (train-binary, perp-binary,
 	// train-tfidf, perp-tfidf) in sequential grid order, then fan the topic
@@ -101,36 +100,6 @@ func RunFigure2(ctx *Context) (*Figure2Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// tfidfWeights converts a corpus's TF-IDF matrix into per-token weights for
-// weighted LDA training, rescaled so each document's weights sum to its
-// token count (keeping the effective corpus mass comparable to binary
-// input, as gensim's tfidf-corpus treatment does).
-func tfidfWeights(c *corpus.Corpus) [][]float64 {
-	tfidf := c.TFIDFMatrix()
-	sets := c.Sets()
-	out := make([][]float64, len(sets))
-	for d, doc := range sets {
-		w := make([]float64, len(doc))
-		var sum float64
-		for i, cat := range doc {
-			w[i] = tfidf.At(d, cat)
-			sum += w[i]
-		}
-		if sum > 0 {
-			scale := float64(len(doc)) / sum
-			for i := range w {
-				w[i] *= scale
-			}
-		} else {
-			for i := range w {
-				w[i] = 1
-			}
-		}
-		out[d] = w
-	}
-	return out
 }
 
 // Figure1Result is the LSTM perplexity grid (paper Figure 1): test-set

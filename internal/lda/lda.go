@@ -13,14 +13,13 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
 	"repro/internal/mat"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/snapshot"
-	"repro/internal/trace"
+	"repro/internal/train"
 )
 
 // Snapshot container kinds for LDA artifacts.
@@ -138,9 +137,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("lda: invalid Gibbs schedule (burnin %d, iters %d, lag %d, infer %d)",
 			c.BurnIn, c.Iterations, c.SampleLag, c.InferIterations)
 	}
-	if c.CheckpointEvery < 0 {
-		return fmt.Errorf("lda: CheckpointEvery must be >= 0, got %d", c.CheckpointEvery)
-	}
 	return nil
 }
 
@@ -242,7 +238,8 @@ func Train(cfg Config, docs [][]int, weights [][]float64, g *rng.RNG) (*Model, e
 
 // TrainContext is Train with cooperative cancellation: ctx is checked at
 // every sweep boundary, and on cancellation a final checkpoint is handed to
-// cfg.Checkpoint (when set) before returning an error wrapping ctx.Err().
+// cfg.Checkpoint (when set) before returning an error wrapping the context's
+// error.
 func TrainContext(ctx context.Context, cfg Config, docs [][]int, weights [][]float64, g *rng.RNG) (*Model, error) {
 	cfg.fillDefaults()
 	if err := cfg.validate(); err != nil {
@@ -321,25 +318,6 @@ func (s *sampler) run(ctx context.Context, startSweep int) (*Model, error) {
 	phiAcc := s.phiAcc
 	g := s.g
 
-	sp := obs.Start("lda.train")
-	// Each sweep (and each checkpoint write) becomes a child span when the
-	// caller's ctx carries an active trace — ibtrain -trace turns a training
-	// run into one tree of per-sweep timings. Spans never touch the sampler
-	// state or its RNG stream, so traced and untraced runs are bit-identical.
-	traced := trace.FromContext(ctx) != nil
-	checkpoint := func(ck *Checkpoint) error {
-		var csp *trace.Span
-		if traced {
-			_, csp = trace.Start(ctx, "lda.train.checkpoint")
-			csp.AttrInt("sweep", int64(ck.Sweep))
-		}
-		err := cfg.Checkpoint(ck)
-		if err != nil {
-			csp.Error(err)
-		}
-		csp.End()
-		return err
-	}
 	// The progress hook's in-sample log-likelihood reads the current count
 	// matrices only — no random draws — so installing a hook never perturbs
 	// the sampler's stream. Both the per-document weight totals and the
@@ -367,72 +345,45 @@ func (s *sampler) run(ctx context.Context, startSweep int) (*Model, error) {
 	}
 
 	probs := make([]float64, k)
-	total := cfg.BurnIn + cfg.Iterations
-	for sweep := startSweep; sweep < total; sweep++ {
-		if err := ctx.Err(); err != nil {
-			if cfg.Checkpoint != nil {
-				if cerr := checkpoint(s.snapshotState(sweep)); cerr != nil {
-					return nil, fmt.Errorf("lda: writing cancellation checkpoint: %w", cerr)
+	err := train.Loop[*Checkpoint]{
+		Name: "lda", Prefix: "lda", Unit: "sweep",
+		Start: startSweep, Total: cfg.BurnIn + cfg.Iterations,
+		Progress: cfg.Progress, Checkpoint: cfg.Checkpoint, Every: cfg.CheckpointEvery,
+		Snapshot: s.snapshotState,
+		Step: func(sweep int) (int, func() float64, error) {
+			for i := range tokens {
+				t := &tokens[i]
+				// remove token from counts
+				nzw.Data[t.topic*v+t.word] -= t.weight
+				nz[t.topic] -= t.weight
+				ndz.Data[t.doc*k+t.topic] -= t.weight
+				// full conditional
+				drow := ndz.Row(t.doc)
+				for z := 0; z < k; z++ {
+					probs[z] = (drow[z] + alpha) * (nzw.Data[z*v+t.word] + beta) / (nz[z] + vbeta)
 				}
+				t.topic = g.Categorical(probs)
+				// add back
+				nzw.Data[t.topic*v+t.word] += t.weight
+				nz[t.topic] += t.weight
+				ndz.Data[t.doc*k+t.topic] += t.weight
 			}
-			return nil, fmt.Errorf("lda: training interrupted after sweep %d/%d: %w", sweep, total, err)
-		}
-		var swsp *trace.Span
-		if traced {
-			_, swsp = trace.Start(ctx, "lda.train.sweep")
-			swsp.AttrInt("sweep", int64(sweep))
-		}
-		var sweepStart time.Time
-		if cfg.Progress != nil {
-			sweepStart = time.Now()
-		}
-		for i := range tokens {
-			t := &tokens[i]
-			// remove token from counts
-			nzw.Data[t.topic*v+t.word] -= t.weight
-			nz[t.topic] -= t.weight
-			ndz.Data[t.doc*k+t.topic] -= t.weight
-			// full conditional
-			drow := ndz.Row(t.doc)
-			for z := 0; z < k; z++ {
-				probs[z] = (drow[z] + alpha) * (nzw.Data[z*v+t.word] + beta) / (nz[z] + vbeta)
-			}
-			t.topic = g.Categorical(probs)
-			// add back
-			nzw.Data[t.topic*v+t.word] += t.weight
-			nz[t.topic] += t.weight
-			ndz.Data[t.doc*k+t.topic] += t.weight
-		}
-		trainIterations.Inc()
-		trainTokens.Add(uint64(len(tokens)))
-		if cfg.Progress != nil {
-			elapsed := time.Since(sweepStart).Seconds()
-			tps := math.Inf(1)
-			if elapsed > 0 {
-				tps = float64(len(tokens)) / elapsed
-			}
-			cfg.Progress(obs.ProgressEvent{
-				Model: "lda", Iteration: sweep + 1, Total: total,
-				Loss:         logLik(),
-				TokensPerSec: tps,
-			})
-		}
-		if sweep >= cfg.BurnIn && (sweep-cfg.BurnIn)%cfg.SampleLag == 0 {
-			for z := 0; z < k; z++ {
-				denom := nz[z] + vbeta
-				for w := 0; w < v; w++ {
-					phiAcc.Data[z*v+w] += (nzw.Data[z*v+w] + beta) / denom
+			trainIterations.Inc()
+			trainTokens.Add(uint64(len(tokens)))
+			if sweep >= cfg.BurnIn && (sweep-cfg.BurnIn)%cfg.SampleLag == 0 {
+				for z := 0; z < k; z++ {
+					denom := nz[z] + vbeta
+					for w := 0; w < v; w++ {
+						phiAcc.Data[z*v+w] += (nzw.Data[z*v+w] + beta) / denom
+					}
 				}
+				s.samples++
 			}
-			s.samples++
-		}
-		swsp.End()
-		if cfg.Checkpoint != nil && cfg.CheckpointEvery > 0 &&
-			(sweep+1)%cfg.CheckpointEvery == 0 && sweep+1 < total {
-			if err := checkpoint(s.snapshotState(sweep + 1)); err != nil {
-				return nil, fmt.Errorf("lda: checkpoint hook after sweep %d: %w", sweep+1, err)
-			}
-		}
+			return len(tokens), logLik, nil
+		},
+	}.Run(ctx)
+	if err != nil {
+		return nil, err
 	}
 	if s.samples == 0 { // schedule too short to sample; use final state
 		for z := 0; z < k; z++ {
@@ -450,7 +401,6 @@ func (s *sampler) run(ctx context.Context, startSweep int) (*Model, error) {
 		mat.Normalize(out.Row(z))
 	}
 	trainRuns.Inc()
-	sp.End()
 	return &Model{K: k, V: v, Alpha: alpha, Beta: beta, Phi: out, InferIters: cfg.InferIterations}, nil
 }
 

@@ -359,3 +359,33 @@ func (m *Matrix) String() string {
 	}
 	return s + "]"
 }
+
+// NearestByCosine returns the k rows of m most cosine-similar to row w,
+// most similar first and excluding w itself; equal similarities keep row
+// order. Fewer than k other rows returns them all.
+func NearestByCosine(m *Matrix, w, k int) []int {
+	type cand struct {
+		id  int
+		sim float64
+	}
+	var cands []cand
+	for o := 0; o < m.Rows; o++ {
+		if o == w {
+			continue
+		}
+		cands = append(cands, cand{o, CosineSim(m.Row(w), m.Row(o))})
+	}
+	for i := 1; i < len(cands); i++ {
+		for j := i; j > 0 && cands[j].sim > cands[j-1].sim; j-- {
+			cands[j], cands[j-1] = cands[j-1], cands[j]
+		}
+	}
+	if k > len(cands) {
+		k = len(cands)
+	}
+	out := make([]int, k)
+	for i := range out {
+		out[i] = cands[i].id
+	}
+	return out
+}

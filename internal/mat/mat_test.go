@@ -326,3 +326,29 @@ func TestMulPanicsOnMismatch(t *testing.T) {
 	}()
 	Mul(New(2, 3), New(2, 3))
 }
+
+func TestNearestByCosine(t *testing.T) {
+	m := FromSlice(5, 2, []float64{
+		1, 0, // query
+		0, 1, // orthogonal
+		2, 0.1, // nearly parallel
+		1, 1, // 45 degrees
+		0, 0, // zero row: similarity 0, ties with row 1 and stays after it
+	})
+	got := NearestByCosine(m, 0, 10)
+	want := []int{2, 3, 1, 4}
+	if len(got) != len(want) {
+		t.Fatalf("got %v, want %v (every row but the query)", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("got %v, want %v", got, want)
+		}
+		if i > 0 && CosineSim(m.Row(0), m.Row(got[i])) > CosineSim(m.Row(0), m.Row(got[i-1])) {
+			t.Fatalf("neighbours %v not similarity-descending at %d", got, i)
+		}
+	}
+	if top := NearestByCosine(m, 0, 2); len(top) != 2 || top[0] != 2 || top[1] != 3 {
+		t.Fatalf("k=2: got %v, want [2 3]", top)
+	}
+}

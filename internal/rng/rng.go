@@ -231,16 +231,6 @@ func (g *RNG) DirichletTo(dst, alpha []float64) {
 	}
 }
 
-// SymmetricDirichlet samples a k-dimensional Dirichlet with concentration
-// alpha on every component.
-func (g *RNG) SymmetricDirichlet(k int, alpha float64) []float64 {
-	a := make([]float64, k)
-	for i := range a {
-		a[i] = alpha
-	}
-	return g.Dirichlet(a)
-}
-
 // Categorical samples an index with probability proportional to weights[i].
 // Weights must be non-negative with a positive sum.
 func (g *RNG) Categorical(weights []float64) int {

@@ -160,9 +160,6 @@ func (c *Config) validate() error {
 	if c.SGDLearnRate < 0 || c.SGDDecay <= 0 || c.SGDDecay > 1 {
 		return fmt.Errorf("rnn: invalid SGD schedule (lr %v, decay %v)", c.SGDLearnRate, c.SGDDecay)
 	}
-	if c.CheckpointEvery < 0 {
-		return fmt.Errorf("rnn: CheckpointEvery must be >= 0, got %d", c.CheckpointEvery)
-	}
 	return nil
 }
 

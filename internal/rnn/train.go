@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/mat"
-	"repro/internal/obs"
 	"repro/internal/rng"
-	"repro/internal/trace"
+	"repro/internal/train"
 )
 
 // TrainStats records the learning curve of one training run.
@@ -143,9 +141,9 @@ func (g *grads) scale(f float64) {
 
 // validateSeqs range-checks every token against the vocabulary and requires
 // a non-empty training corpus.
-func validateSeqs(v int, train, valid [][]int) error {
+func validateSeqs(v int, seqs, valid [][]int) error {
 	var nTokens int
-	for si, seq := range train {
+	for si, seq := range seqs {
 		for _, tok := range seq {
 			if tok < 0 || tok >= v {
 				return fmt.Errorf("rnn: train sequence %d token %d outside [0,%d)", si, tok, v)
@@ -184,37 +182,38 @@ func newOptimizer(m *Model) optimizer {
 	return opt
 }
 
-// Train fits a recurrent language model on the training sequences. When
+// Train fits a recurrent language model on the training sequences seqs. When
 // valid is non-empty, validation perplexity is recorded after each epoch (the
 // paper holds out 10% for parameter validation). Sequences are processed one
 // at a time (the corpus sequences are at most M=38 tokens long), with one
 // optimizer update per sequence and global-norm gradient clipping.
-func Train(cfg Config, train, valid [][]int, g *rng.RNG) (*Model, TrainStats, error) {
-	return TrainContext(context.Background(), cfg, train, valid, g)
+func Train(cfg Config, seqs, valid [][]int, g *rng.RNG) (*Model, TrainStats, error) {
+	return TrainContext(context.Background(), cfg, seqs, valid, g)
 }
 
 // TrainContext is Train with cooperative cancellation: ctx is checked at
 // every epoch boundary, and on cancellation a final checkpoint is handed to
-// cfg.Checkpoint (when set) before returning an error wrapping ctx.Err().
-func TrainContext(ctx context.Context, cfg Config, train, valid [][]int, g *rng.RNG) (*Model, TrainStats, error) {
+// cfg.Checkpoint (when set) before returning an error wrapping the context's
+// error.
+func TrainContext(ctx context.Context, cfg Config, seqs, valid [][]int, g *rng.RNG) (*Model, TrainStats, error) {
 	cfg.fillDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, TrainStats{}, err
 	}
-	if err := validateSeqs(cfg.V, train, valid); err != nil {
+	if err := validateSeqs(cfg.V, seqs, valid); err != nil {
 		return nil, TrainStats{}, err
 	}
 	model := newModel(cfg, g)
-	return trainLoop(ctx, cfg, model, newOptimizer(model), 0, 0, TrainStats{}, train, valid, g)
+	return trainLoop(ctx, cfg, model, newOptimizer(model), 0, 0, TrainStats{}, seqs, valid, g)
 }
 
-// Resume continues an interrupted run from a checkpoint. train and valid
+// Resume continues an interrupted run from a checkpoint. seqs and valid
 // must be the same sequences the original call received; hooks supplies
 // Progress/Checkpoint/CheckpointEvery for the continued run while the
 // cell and the training schedule come from the checkpoint. A resumed run
 // draws the same random stream as the uninterrupted one, so the final model
 // is bit-identical.
-func Resume(ctx context.Context, ck *Checkpoint, train, valid [][]int, hooks Config) (*Model, TrainStats, error) {
+func Resume(ctx context.Context, ck *Checkpoint, seqs, valid [][]int, hooks Config) (*Model, TrainStats, error) {
 	cfg := ck.Cfg.config()
 	cfg.Progress = hooks.Progress
 	cfg.Checkpoint = hooks.Checkpoint
@@ -226,7 +225,7 @@ func Resume(ctx context.Context, ck *Checkpoint, train, valid [][]int, hooks Con
 	if err := ck.validate(); err != nil {
 		return nil, TrainStats{}, err
 	}
-	if err := validateSeqs(cfg.V, train, valid); err != nil {
+	if err := validateSeqs(cfg.V, seqs, valid); err != nil {
 		return nil, TrainStats{}, err
 	}
 	model, err := ck.Params.model(cfg.Cell)
@@ -247,33 +246,15 @@ func Resume(ctx context.Context, ck *Checkpoint, train, valid [][]int, hooks Con
 		TrainLoss:  append([]float64(nil), ck.TrainLoss...),
 		ValidPerpl: append([]float64(nil), ck.ValidPerpl...),
 	}
-	return trainLoop(ctx, cfg, model, opt, ck.Epoch, ck.Step, stats, train, valid, g)
+	return trainLoop(ctx, cfg, model, opt, ck.Epoch, ck.Step, stats, seqs, valid, g)
 }
 
 // trainLoop runs epochs startEpoch..Epochs-1 over the model in place.
-func trainLoop(ctx context.Context, cfg Config, model *Model, opt optimizer, startEpoch, startStep int, stats TrainStats, train, valid [][]int, g *rng.RNG) (*Model, TrainStats, error) {
+func trainLoop(ctx context.Context, cfg Config, model *Model, opt optimizer, startEpoch, startStep int, stats TrainStats, seqs, valid [][]int, g *rng.RNG) (*Model, TrainStats, error) {
 	gr := newGrads(model)
 	kind := &cells[cfg.Cell]
 
-	sp := obs.Start(kind.name + ".train")
-	// Each epoch (and each checkpoint write) becomes a child span when ctx
-	// carries an active trace; spans never touch model state or the RNG
-	// stream, so traced and untraced runs are bit-identical.
-	traced := trace.FromContext(ctx) != nil
-	checkpoint := func(ck *Checkpoint) error {
-		var csp *trace.Span
-		if traced {
-			_, csp = trace.Start(ctx, kind.name+".train.checkpoint")
-			csp.AttrInt("epoch", int64(ck.Epoch))
-		}
-		err := cfg.Checkpoint(ck)
-		if err != nil {
-			csp.Error(err)
-		}
-		csp.End()
-		return err
-	}
-	order := make([]int, len(train))
+	order := make([]int, len(seqs))
 	step := startStep
 	var sgdLR float64 // this epoch's SGD learning rate
 	update := func(name string, param, grad []float64) {
@@ -283,93 +264,67 @@ func trainLoop(ctx context.Context, cfg Config, model *Model, opt optimizer, sta
 			opt[name].update(param, grad, cfg.LearnRate, step)
 		}
 	}
-	for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
-		if err := ctx.Err(); err != nil {
-			if cfg.Checkpoint != nil {
-				if cerr := checkpoint(snapshotState(&cfg, model, opt, epoch, step, stats, g)); cerr != nil {
-					return nil, stats, fmt.Errorf("rnn: writing cancellation checkpoint: %w", cerr)
+	err := train.Loop[*Checkpoint]{
+		Name: kind.name, Prefix: "rnn", Unit: "epoch",
+		Start: startEpoch, Total: cfg.Epochs,
+		Progress: cfg.Progress, Checkpoint: cfg.Checkpoint, Every: cfg.CheckpointEvery,
+		Snapshot: func(epoch int) *Checkpoint {
+			return snapshotState(&cfg, model, opt, epoch, step, stats, g)
+		},
+		Step: func(epoch int) (int, func() float64, error) {
+			// SGD follows the Zaremba schedule: constant lr, geometric decay
+			// after the warm period.
+			sgdLR = cfg.SGDLearnRate
+			if over := epoch - cfg.SGDDecayAfter; over > 0 {
+				sgdLR *= math.Pow(cfg.SGDDecay, float64(over))
+			}
+			// Reset to the identity before shuffling so the visit order is a pure
+			// function of the RNG state at the epoch boundary — required for
+			// checkpoint resume to replay the identical sequence order.
+			for i := range order {
+				order[i] = i
+			}
+			g.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+			var lossSum float64
+			var lossTokens int
+			for _, si := range order {
+				seq := seqs[si]
+				if len(seq) == 0 {
+					continue
 				}
-			}
-			return nil, stats, fmt.Errorf("rnn: training interrupted after epoch %d/%d: %w", epoch, cfg.Epochs, err)
-		}
-		var epsp *trace.Span
-		if traced {
-			_, epsp = trace.Start(ctx, kind.name+".train.epoch")
-			epsp.AttrInt("epoch", int64(epoch))
-		}
-		var epochStart time.Time
-		if cfg.Progress != nil {
-			epochStart = time.Now()
-		}
-		// SGD follows the Zaremba schedule: constant lr, geometric decay
-		// after the warm period.
-		sgdLR = cfg.SGDLearnRate
-		if over := epoch - cfg.SGDDecayAfter; over > 0 {
-			sgdLR *= math.Pow(cfg.SGDDecay, float64(over))
-		}
-		// Reset to the identity before shuffling so the visit order is a pure
-		// function of the RNG state at the epoch boundary — required for
-		// checkpoint resume to replay the identical sequence order.
-		for i := range order {
-			order[i] = i
-		}
-		g.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		var lossSum float64
-		var lossTokens int
-		for _, si := range order {
-			seq := train[si]
-			if len(seq) == 0 {
-				continue
-			}
-			gr.zero()
-			loss := model.bptt(seq, cfg.Dropout, gr, g)
-			lossSum += loss
-			lossTokens += len(seq)
-			if norm := gr.globalNorm(); norm > cfg.ClipNorm {
-				gr.scale(cfg.ClipNorm / norm)
-			}
-			step++
-			update("emb", model.Emb.Data, gr.emb)
-			update("wo", model.Wo.Data, gr.wo)
-			update("bo", model.Bo, gr.bo)
-			for l, p := range model.Stack {
-				update(fmt.Sprintf("wx%d", l), p.Wx.Data, gr.stack[l].wx)
-				update(fmt.Sprintf("wh%d", l), p.Wh.Data, gr.stack[l].wh)
-				update(fmt.Sprintf("b%d", l), p.B, gr.stack[l].b)
-			}
-		}
-		if lossTokens > 0 {
-			stats.TrainLoss = append(stats.TrainLoss, lossSum/float64(lossTokens))
-		}
-		if len(valid) > 0 {
-			stats.ValidPerpl = append(stats.ValidPerpl, model.Perplexity(valid))
-		}
-		kind.epochs.Inc()
-		kind.tokens.Add(uint64(lossTokens))
-		if cfg.Progress != nil {
-			elapsed := time.Since(epochStart).Seconds()
-			tps := math.Inf(1)
-			if elapsed > 0 {
-				tps = float64(lossTokens) / elapsed
+				gr.zero()
+				loss := model.bptt(seq, cfg.Dropout, gr, g)
+				lossSum += loss
+				lossTokens += len(seq)
+				if norm := gr.globalNorm(); norm > cfg.ClipNorm {
+					gr.scale(cfg.ClipNorm / norm)
+				}
+				step++
+				update("emb", model.Emb.Data, gr.emb)
+				update("wo", model.Wo.Data, gr.wo)
+				update("bo", model.Bo, gr.bo)
+				for l, p := range model.Stack {
+					update(fmt.Sprintf("wx%d", l), p.Wx.Data, gr.stack[l].wx)
+					update(fmt.Sprintf("wh%d", l), p.Wh.Data, gr.stack[l].wh)
+					update(fmt.Sprintf("b%d", l), p.B, gr.stack[l].b)
+				}
 			}
 			meanNLL := math.NaN()
 			if lossTokens > 0 {
 				meanNLL = lossSum / float64(lossTokens)
+				stats.TrainLoss = append(stats.TrainLoss, meanNLL)
 			}
-			cfg.Progress(obs.ProgressEvent{
-				Model: kind.name, Iteration: epoch + 1, Total: cfg.Epochs,
-				Loss: meanNLL, TokensPerSec: tps,
-			})
-		}
-		epsp.End()
-		if cfg.Checkpoint != nil && cfg.CheckpointEvery > 0 &&
-			(epoch+1)%cfg.CheckpointEvery == 0 && epoch+1 < cfg.Epochs {
-			if err := checkpoint(snapshotState(&cfg, model, opt, epoch+1, step, stats, g)); err != nil {
-				return nil, stats, fmt.Errorf("rnn: checkpoint hook at epoch %d: %w", epoch+1, err)
+			if len(valid) > 0 {
+				stats.ValidPerpl = append(stats.ValidPerpl, model.Perplexity(valid))
 			}
-		}
+			kind.epochs.Inc()
+			kind.tokens.Add(uint64(lossTokens))
+			return lossTokens, func() float64 { return meanNLL }, nil
+		},
+	}.Run(ctx)
+	if err != nil {
+		return nil, stats, err
 	}
-	sp.End()
 	return model, stats, nil
 }
 

@@ -15,13 +15,12 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
 	"repro/internal/mat"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/snapshot"
-	"repro/internal/trace"
+	"repro/internal/train"
 )
 
 // Snapshot container kinds for SGNS artifacts.
@@ -117,9 +116,6 @@ func (c *Config) validate() error {
 	if c.Epochs < 1 || c.Negatives < 1 || c.LearnRate <= 0 {
 		return fmt.Errorf("sgns: invalid schedule (epochs %d, neg %d, lr %v)", c.Epochs, c.Negatives, c.LearnRate)
 	}
-	if c.CheckpointEvery < 0 {
-		return fmt.Errorf("sgns: CheckpointEvery must be >= 0, got %d", c.CheckpointEvery)
-	}
 	return nil
 }
 
@@ -169,7 +165,8 @@ func Train(cfg Config, docs [][]int, g *rng.RNG) (*Model, error) {
 
 // TrainContext is Train with cooperative cancellation: ctx is checked at
 // every epoch boundary, and on cancellation a final checkpoint is handed to
-// cfg.Checkpoint (when set) before returning an error wrapping ctx.Err().
+// cfg.Checkpoint (when set) before returning an error wrapping the context's
+// error.
 func TrainContext(ctx context.Context, cfg Config, docs [][]int, g *rng.RNG) (*Model, error) {
 	cfg.fillDefaults()
 	if err := cfg.validate(); err != nil {
@@ -228,118 +225,74 @@ func Resume(ctx context.Context, ck *Checkpoint, docs [][]int, hooks Config) (*M
 
 // trainLoop runs epochs startEpoch..Epochs-1 over the model in place.
 func trainLoop(ctx context.Context, cfg Config, m *Model, pairs [][2]int, noise []float64, startEpoch, startStep int, g *rng.RNG) (*Model, error) {
-	sp := obs.Start("sgns.train")
-	// Each epoch (and each checkpoint write) becomes a child span when ctx
-	// carries an active trace; spans never touch model state or the RNG
-	// stream, so traced and untraced runs are bit-identical.
-	traced := trace.FromContext(ctx) != nil
-	checkpoint := func(ck *Checkpoint) error {
-		var csp *trace.Span
-		if traced {
-			_, csp = trace.Start(ctx, "sgns.train.checkpoint")
-			csp.AttrInt("epoch", int64(ck.Epoch))
-		}
-		err := cfg.Checkpoint(ck)
-		if err != nil {
-			csp.Error(err)
-		}
-		csp.End()
-		return err
-	}
 	total := cfg.Epochs * len(pairs)
 	step := startStep
 	order := make([]int, len(pairs))
 	gradIn := make([]float64, cfg.Dim)
 	track := cfg.Progress != nil
-	for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
-		if err := ctx.Err(); err != nil {
-			if cfg.Checkpoint != nil {
-				if cerr := checkpoint(snapshotState(&cfg, m, epoch, step, g)); cerr != nil {
-					return nil, fmt.Errorf("sgns: writing cancellation checkpoint: %w", cerr)
+	err := train.Loop[*Checkpoint]{
+		Name: "sgns", Prefix: "sgns", Unit: "epoch",
+		Start: startEpoch, Total: cfg.Epochs,
+		Progress: cfg.Progress, Checkpoint: cfg.Checkpoint, Every: cfg.CheckpointEvery,
+		Snapshot: func(epoch int) *Checkpoint { return snapshotState(&cfg, m, epoch, step, g) },
+		Step: func(int) (int, func() float64, error) {
+			var epochLoss float64
+			// Reset to the identity before shuffling so the visit order is a pure
+			// function of the RNG state at the epoch boundary — required for
+			// checkpoint resume to replay the identical pair order.
+			for i := range order {
+				order[i] = i
+			}
+			g.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+			for _, pi := range order {
+				lr := cfg.LearnRate * (1 - float64(step)/float64(total))
+				if lr < cfg.LearnRate*1e-4 {
+					lr = cfg.LearnRate * 1e-4
 				}
-			}
-			return nil, fmt.Errorf("sgns: training interrupted after epoch %d/%d: %w", epoch, cfg.Epochs, err)
-		}
-		var epsp *trace.Span
-		if traced {
-			_, epsp = trace.Start(ctx, "sgns.train.epoch")
-			epsp.AttrInt("epoch", int64(epoch))
-		}
-		var epochStart time.Time
-		var epochLoss float64
-		if track {
-			epochStart = time.Now()
-		}
-		// Reset to the identity before shuffling so the visit order is a pure
-		// function of the RNG state at the epoch boundary — required for
-		// checkpoint resume to replay the identical pair order.
-		for i := range order {
-			order[i] = i
-		}
-		g.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for _, pi := range order {
-			lr := cfg.LearnRate * (1 - float64(step)/float64(total))
-			if lr < cfg.LearnRate*1e-4 {
-				lr = cfg.LearnRate * 1e-4
-			}
-			step++
-			target, context := pairs[pi][0], pairs[pi][1]
-			in := m.In.Row(target)
-			for k := range gradIn {
-				gradIn[k] = 0
-			}
-			// positive update
-			out := m.Out.Row(context)
-			gpos := sigmoid(mat.Dot(in, out)) - 1 // label 1
-			if track {
-				epochLoss -= math.Log(math.Max(1+gpos, 1e-300)) // -log sigmoid(x)
-			}
-			for k := 0; k < cfg.Dim; k++ {
-				gradIn[k] += gpos * out[k]
-				out[k] -= lr * gpos * in[k]
-			}
-			// negative updates
-			for n := 0; n < cfg.Negatives; n++ {
-				neg := g.Categorical(noise)
-				if neg == context {
-					continue
+				step++
+				target, context := pairs[pi][0], pairs[pi][1]
+				in := m.In.Row(target)
+				for k := range gradIn {
+					gradIn[k] = 0
 				}
-				outN := m.Out.Row(neg)
-				gneg := sigmoid(mat.Dot(in, outN)) // label 0
+				// positive update
+				out := m.Out.Row(context)
+				gpos := sigmoid(mat.Dot(in, out)) - 1 // label 1
 				if track {
-					epochLoss -= math.Log(math.Max(1-gneg, 1e-300)) // -log sigmoid(-x)
+					epochLoss -= math.Log(math.Max(1+gpos, 1e-300)) // -log sigmoid(x)
 				}
 				for k := 0; k < cfg.Dim; k++ {
-					gradIn[k] += gneg * outN[k]
-					outN[k] -= lr * gneg * in[k]
+					gradIn[k] += gpos * out[k]
+					out[k] -= lr * gpos * in[k]
+				}
+				// negative updates
+				for n := 0; n < cfg.Negatives; n++ {
+					neg := g.Categorical(noise)
+					if neg == context {
+						continue
+					}
+					outN := m.Out.Row(neg)
+					gneg := sigmoid(mat.Dot(in, outN)) // label 0
+					if track {
+						epochLoss -= math.Log(math.Max(1-gneg, 1e-300)) // -log sigmoid(-x)
+					}
+					for k := 0; k < cfg.Dim; k++ {
+						gradIn[k] += gneg * outN[k]
+						outN[k] -= lr * gneg * in[k]
+					}
+				}
+				for k := 0; k < cfg.Dim; k++ {
+					in[k] -= lr * gradIn[k]
 				}
 			}
-			for k := 0; k < cfg.Dim; k++ {
-				in[k] -= lr * gradIn[k]
-			}
-		}
-		trainEpochs.Inc()
-		trainPairs.Add(uint64(len(pairs)))
-		if track {
-			elapsed := time.Since(epochStart).Seconds()
-			pps := math.Inf(1)
-			if elapsed > 0 {
-				pps = float64(len(pairs)) / elapsed
-			}
-			cfg.Progress(obs.ProgressEvent{
-				Model: "sgns", Iteration: epoch + 1, Total: cfg.Epochs,
-				Loss: epochLoss / float64(len(pairs)), TokensPerSec: pps,
-			})
-		}
-		epsp.End()
-		if cfg.Checkpoint != nil && cfg.CheckpointEvery > 0 &&
-			(epoch+1)%cfg.CheckpointEvery == 0 && epoch+1 < cfg.Epochs {
-			if err := checkpoint(snapshotState(&cfg, m, epoch+1, step, g)); err != nil {
-				return nil, fmt.Errorf("sgns: checkpoint hook at epoch %d: %w", epoch+1, err)
-			}
-		}
+			trainEpochs.Inc()
+			trainPairs.Add(uint64(len(pairs)))
+			return len(pairs), func() float64 { return epochLoss / float64(len(pairs)) }, nil
+		},
+	}.Run(ctx)
+	if err != nil {
+		return nil, err
 	}
-	sp.End()
 	return m, nil
 }
 
@@ -365,32 +318,7 @@ func (m *Model) Similarity(a, b int) float64 {
 
 // Neighbors returns the k products most similar to w, by cosine,
 // excluding w itself.
-func (m *Model) Neighbors(w, k int) []int {
-	type cand struct {
-		id  int
-		sim float64
-	}
-	var cands []cand
-	for o := 0; o < m.V; o++ {
-		if o == w {
-			continue
-		}
-		cands = append(cands, cand{o, m.Similarity(w, o)})
-	}
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && cands[j].sim > cands[j-1].sim; j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
-		}
-	}
-	if k > len(cands) {
-		k = len(cands)
-	}
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = cands[i].id
-	}
-	return out
-}
+func (m *Model) Neighbors(w, k int) []int { return mat.NearestByCosine(m.In, w, k) }
 
 // CompanyEmbedding aggregates a company's product embeddings into one
 // vector. weights, when non-nil, gives per-category weights (e.g. IDF);
