@@ -25,7 +25,6 @@ package ann
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/cluster"
@@ -192,21 +191,31 @@ func (r *Router) Candidates(queries [][]float64) [][]int64 {
 	np := r.nprobe()
 	probe := make([]bool, cells)
 	scores := make([]float64, cells)
-	order := make([]int, cells)
+	best := make([]int, np) // the np best cells so far, best first
 	for _, q := range queries {
 		sc := core.NewScorer(ix.Metric, q)
 		sc.ScoreBlock(ix.Centroids, 0, cells, scores)
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool {
-			ca, cb := order[a], order[b]
-			if scores[ca] != scores[cb] {
-				return scores[ca] > scores[cb]
+		// Bounded insertion instead of a full sort: cells arrive in ascending
+		// id, so a cell goes in front of exactly those it strictly outscores
+		// and a tie keeps the lower id ahead — the order a sort by (score
+		// descending, id ascending) produces, cut at np.
+		n := 0
+		for c, s := range scores {
+			j := n // the slot c takes before moving forward: the free one, or the worst cell's
+			if n < np {
+				n++
+			} else {
+				j = np - 1
+				if !(s > scores[best[j]]) {
+					continue
+				}
 			}
-			return ca < cb
-		})
-		for _, c := range order[:np] {
+			for ; j > 0 && s > scores[best[j-1]]; j-- {
+				best[j] = best[j-1]
+			}
+			best[j] = c
+		}
+		for _, c := range best {
 			probe[c] = true
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -331,6 +333,61 @@ func TestRouterProbeSubset(t *testing.T) {
 	}
 }
 
+// TestRouterProbeSelectionMatchesFullSort pins Candidates' bounded selection
+// of the nprobe best cells to the full sort it replaced — score descending,
+// lower cell id on ties — over centroids that repeat, so that scores tie
+// exactly, at the smallest and largest probe counts and under both metrics.
+// Cell c holds the one company c, so the pool names the probed cells.
+func TestRouterProbeSelectionMatchesFullSort(t *testing.T) {
+	const cells, d = 12, 3
+	g := rng.New(7)
+	centroids := mat.New(cells, d)
+	for c := 0; c < cells; c++ {
+		if c%3 == 2 {
+			copy(centroids.Row(c), centroids.Row(g.Intn(c))) // an exact tie with an earlier cell
+			continue
+		}
+		for j := range centroids.Row(c) {
+			centroids.Row(c)[j] = g.Float64()
+		}
+	}
+	ix := &Index{N: cells, Centroids: centroids, Offsets: make([]int64, cells+1), IDs: make([]int64, cells)}
+	for c := 0; c < cells; c++ {
+		ix.Offsets[c+1], ix.IDs[c] = int64(c+1), int64(c)
+	}
+	for _, metric := range []core.Metric{core.Cosine, core.Euclidean} {
+		ix.Metric = metric
+		for _, query := range [][]float64{centroids.Row(2), centroids.Row(7), {0.3, 0.3, 0.4}, {0, 0, 0}} {
+			scores := make([]float64, cells)
+			core.NewScorer(metric, query).ScoreBlock(centroids, 0, cells, scores)
+			order := make([]int, cells)
+			for c := range order {
+				order[c] = c
+			}
+			sort.Slice(order, func(a, b int) bool {
+				ca, cb := order[a], order[b]
+				if scores[ca] != scores[cb] {
+					return scores[ca] > scores[cb]
+				}
+				return ca < cb
+			})
+			for _, np := range []int{1, 2, cells - 1, cells} {
+				want := append([]int(nil), order[:np]...)
+				sort.Ints(want)
+				pool := (&Router{Index: ix, NProbe: np}).Candidates([][]float64{query})
+				got := make([]int, len(pool))
+				for p, cell := range pool {
+					got[p] = int(cell[0])
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("%v query %v nprobe=%d: probed cells %v, the full sort selects %v (scores %v)",
+						metric, query, np, got, want, scores)
+				}
+			}
+		}
+	}
+}
+
 // TestRouterMultiQueryUnion checks the whitespace shape: the pool for
 // several client vectors is the deduplicated union of each one's probes.
 func TestRouterMultiQueryUnion(t *testing.T) {
@@ -355,6 +412,26 @@ func TestRouterMultiQueryUnion(t *testing.T) {
 				t.Fatalf("id %d duplicated across cells", id)
 			}
 			seen[id] = true
+		}
+	}
+}
+
+// BenchmarkCandidates times one query vector's routing at the serving
+// benchmark's shape — 316 cells of 4 topics, 8 probed: score every centroid,
+// select the probes, collect their postings.
+func BenchmarkCandidates(b *testing.B) {
+	const cells, d = 316, 4
+	g := rng.New(1)
+	ix := &Index{N: cells, Centroids: mat.New(cells, d), Offsets: make([]int64, cells+1), IDs: make([]int64, cells)}
+	for c := 0; c < cells; c++ {
+		g.DirichletTo(ix.Centroids.Row(c), []float64{0.3, 0.3, 0.3, 0.3})
+		ix.Offsets[c+1], ix.IDs[c] = int64(c+1), int64(c)
+	}
+	r := &Router{Index: ix, NProbe: 8}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if pool := r.Candidates([][]float64{ix.Centroids.Row(i % cells)}); len(pool) != 8 {
+			b.Fatalf("probed %d cells", len(pool))
 		}
 	}
 }

@@ -155,6 +155,9 @@ type Index struct {
 
 	norms []float64     // norms[i] = ‖Reps.Row(i)‖, summed in Scorer.Score's order
 	cols  filterColumns // the Filter-tested attributes of Corpus.Companies
+	// normsInRange: every norm is 0 or inside [rejectNormMin, rejectNormMax],
+	// the row-side precondition of the scans' floor test (scan.reject).
+	normsInRange bool
 
 	pruner Pruner // nil = exact full scan (the default escape hatch)
 }
@@ -267,10 +270,14 @@ func NewIndex(c *corpus.Corpus, reps *mat.Matrix, metric Metric) (*Index, error)
 	}
 	indexCompanies.Set(float64(c.N()))
 	norms := make([]float64, reps.Rows)
+	inRange := true
 	for i := range norms {
 		norms[i] = mat.Norm2(reps.Row(i))
+		if norms[i] != 0 && !normInRange(norms[i]) {
+			inRange = false
+		}
 	}
-	return &Index{Corpus: c, Reps: reps, Metric: metric, norms: norms, cols: newFilterColumns(c.Companies)}, nil
+	return &Index{Corpus: c, Reps: reps, Metric: metric, norms: norms, cols: newFilterColumns(c.Companies), normsInRange: inRange}, nil
 }
 
 // similarity computes the similarity between two representation vectors.
@@ -434,7 +441,7 @@ func (ix *Index) topKByVector(ctx context.Context, query []float64, k int, f Fil
 	// a traced request decomposes into its shard fan-out.
 	ctx, sp := trace.Start(ctx, "core.topk")
 	sp.AttrInt("k", int64(k))
-	sp.AttrInt("candidates", int64(ix.Corpus.N()))
+	sp.AttrInt("candidates", int64(ix.OwnedCompanies()))
 	// exclude is -1 for a free query vector: an id no candidate has.
 	q := ix.newScan(k, f, [][]float64{query}, []int{exclude})
 	best, admitted, rejected, err := q.run(ctx, sp, annTopkQueries, annTopkCandidates)
@@ -474,6 +481,9 @@ type scan struct {
 	skip     idSet
 	filtered bool         // false for the zero Filter, which admits every company
 	filter   columnFilter // bound only when filtered
+	// floorTest: the metric is cosine and every norm the floor test multiplies
+	// — the index's and the query vectors' — is inside its range (reject).
+	floorTest bool
 }
 
 func (ix *Index) newScan(k int, f Filter, vecs [][]float64, ids []int) *scan {
@@ -487,8 +497,12 @@ func (ix *Index) newScan(k int, f Filter, vecs [][]float64, ids []int) *scan {
 		q.filter = ix.cols.bind(f)
 	}
 	if ix.Metric != Euclidean {
+		q.floorTest = ix.normsInRange
 		for c, v := range vecs {
 			q.qnorms[c] = mat.Norm2(v)
+			if !normInRange(q.qnorms[c]) {
+				q.floorTest = false
+			}
 		}
 	}
 	return q
@@ -518,10 +532,18 @@ type scanOut struct {
 	admitted, rejected uint64
 }
 
+// minFanoutRows is the scan size below which run stays on the calling
+// goroutine: under it, handing the shards to a second worker loses to running
+// them in place even when that worker's core is awake and spinning (DESIGN §13
+// has the timings). A pruned pool at the benchmark's shape (5 % of 100k) is
+// well under it, an exact or sharded scan of 100k rows well over.
+const minFanoutRows = 16 << 10
+
 // run fans the scan out — over the pruner's cells when one is installed, over
 // shards of the owned positions otherwise — and merges the per-shard
-// selections. annQueries and annCandidates are the calling endpoint's pruned-
-// scan counters.
+// selections. A scan of fewer than minFanoutRows rows runs the same cells or
+// shards, in order, without goroutines. annQueries and annCandidates are the
+// calling endpoint's pruned-scan counters.
 func (q *scan) run(ctx context.Context, sp *trace.Span, annQueries, annCandidates *obs.Counter) (best []WhitespaceProspect, admitted, rejected uint64, err error) {
 	ix := q.ix
 	var out []scanOut
@@ -538,16 +560,24 @@ func (q *scan) run(ctx context.Context, sp *trace.Span, annQueries, annCandidate
 		annCandidates.Add(uint64(pool))
 		annCellsProbed.Add(uint64(len(cells)))
 		out = make([]scanOut, len(cells))
-		err = par.ForEach(ctx, len(cells), func(ci int) error {
-			out[ci] = q.visit(cells[ci], 0, len(cells[ci]), ix.parts > 1)
-			return nil
+		forEach := par.ForEach
+		if pool < minFanoutRows {
+			forEach = inline
+		}
+		err = forEach(ctx, len(cells), func(ci int) (err error) {
+			out[ci], err = q.visit(ctx, cells[ci], 0, len(cells[ci]), ix.parts > 1)
+			return err
 		})
 	} else {
 		n := ix.OwnedCompanies()
 		out = make([]scanOut, par.NumShards(n))
-		err = par.ForEachShard(ctx, n, func(s, lo, hi int) error {
-			out[s] = q.visit(ix.owned, lo, hi, false)
-			return nil
+		forEachShard := par.ForEachShard
+		if n < minFanoutRows {
+			forEachShard = inlineShards
+		}
+		err = forEachShard(ctx, n, func(s, lo, hi int) (err error) {
+			out[s], err = q.visit(ctx, ix.owned, lo, hi, false)
+			return err
 		})
 	}
 	if err != nil {
@@ -562,70 +592,259 @@ func (q *scan) run(ctx context.Context, sp *trace.Span, annQueries, annCandidate
 	return MergeTopK(perShard, q.k, ProspectBetter), admitted, rejected, nil
 }
 
+// inline is par.ForEach's one-worker path whatever the worker count: fn(0) to
+// fn(n-1) in order on the calling goroutine, the context checked between
+// calls.
+func inline(ctx context.Context, n int, fn func(i int) error) error {
+	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := fn(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// inlineShards is par.ForEachShard over inline: the same shard bounds, in
+// order, each under the same par.shard span.
+func inlineShards(ctx context.Context, n int, fn func(shard, lo, hi int) error) error {
+	shards := par.NumShards(n)
+	size, rem := n/shards, n%shards
+	return inline(ctx, shards, func(s int) error {
+		lo := s*size + min(s, rem)
+		hi := lo + size
+		if s < rem {
+			hi++
+		}
+		_, sp := trace.Start(ctx, "par.shard")
+		sp.AttrInt("shard", int64(s))
+		sp.AttrInt("lo", int64(lo))
+		sp.AttrInt("hi", int64(hi))
+		err := fn(s, lo, hi)
+		if err != nil {
+			sp.Error(err)
+		}
+		sp.End()
+		return err
+	})
+}
+
+// A scan works through its candidates scanBlock at a time, and looks at its
+// context once every ctxCheckBlocks blocks (16k rows): the deadline of a
+// request is honoured inside a shard, not only between shards.
+const (
+	scanBlock      = 256
+	ctxCheckBlocks = 64
+)
+
 // visit is the candidate loop. It offers candidates ids[lo:hi] — or the ids
 // lo..hi-1 themselves when ids is nil (an unpartitioned range) — to a bounded
 // heap and returns the selection. foreign says ids may name companies of
 // other partitions (a pruner's cell on a partitioned index), which are
-// dropped; owned-list ranges need no such test.
+// dropped; owned-list ranges need no such test. A context error ends the scan
+// at the next group of blocks; the tallies returned with it are partial.
 //
-// Two things here must stay bit-compatible with the reference path
+// Each block goes through three stages: admit compacts the ids that are
+// candidates at all into cand, reject drops those a multiplication shows to
+// score below the heap's floor, and the survivors are scored and selected
+// here. Two things must stay bit-compatible with the reference path
 // (Index.similarity over Filter.Admits survivors, fully sorted): the cosine
 // score is dot / (qnorm * norms[i]) with norms[i] the very value Scorer.Score
 // recomputes per call, and a candidate is dropped before the heap only when
 // its similarity is strictly below the worst retained one — under
 // ProspectBetter such a candidate can never displace it, while a tie is
-// decided by id and so still goes through push.
-func (q *scan) visit(ids []int64, lo, hi int, foreign bool) scanOut {
+// decided by id and so still goes through push. reject drops nothing else
+// (DESIGN §13 has the proof), and no score is computed anywhere but here.
+func (q *scan) visit(ctx context.Context, ids []int64, lo, hi int, foreign bool) (scanOut, error) {
 	ix := q.ix
 	d := ix.Reps.Cols
 	data, norms := ix.Reps.Data, ix.norms
 	cosine := ix.Metric != Euclidean
 	// Locals keep the loop's operands in registers across the push call.
-	k, vecs, qnorms, qids, filtered := q.k, q.vecs, q.qnorms, q.ids, q.filtered
+	k, vecs, qnorms, qids := q.k, q.vecs, q.qnorms, q.ids
 	h := newTopkHeap(k, ProspectBetter)
 	h.m = make([]WhitespaceProspect, 0, min(k, hi-lo))
 	floor := math.Inf(-1) // similarity of the worst retained candidate once h is full
 	var o scanOut
+	var cand [scanBlock]int
+	for base, block := lo, 1; base < hi; base, block = base+scanBlock, block+1 {
+		if block%ctxCheckBlocks == 0 {
+			if err := ctx.Err(); err != nil {
+				return o, err
+			}
+		}
+		m := q.admit(&cand, ids, base, min(base+scanBlock, hi), foreign, &o)
+		// The floor is stale by the end of the block, but only ever lower
+		// than the live one, so the test only ever keeps more.
+		if q.floorTest && floorInRange(floor) {
+			m = q.reject(cand[:m], floor)
+		}
+		for _, i := range cand[:m] {
+			row, rn := data[i*d:(i+1)*d], norms[i]
+			// The nearest query vector wins, the first one on ties.
+			sim, nearest := math.Inf(-1), -1
+			for c, qv := range vecs {
+				var s float64
+				if cosine {
+					s = cosineSimilarity(qv, row, qnorms[c], rn)
+				} else {
+					s = euclideanSimilarity(qv, row)
+				}
+				if s > sim {
+					sim, nearest = s, qids[c]
+				}
+			}
+			if sim < floor {
+				continue
+			}
+			h.push(WhitespaceProspect{CompanyID: i, NearestClient: nearest, Similarity: sim})
+			if len(h.m) == k {
+				floor = h.m[0].Similarity
+			}
+		}
+	}
+	o.best = h.sorted()
+	return o, nil
+}
+
+// admit is the first stage of a block: it resolves positions lo..hi-1 to
+// company ids, drops the ones that are not candidates — companies of other
+// partitions, the query's own ids, rows the filter refuses — and compacts the
+// rest into cand, returning how many. The filter tallies move here.
+func (q *scan) admit(cand *[scanBlock]int, ids []int64, lo, hi int, foreign bool, o *scanOut) int {
+	first, last := lo, hi-1
+	if ids != nil {
+		first, last = int(ids[lo]), int(ids[hi-1])
+	}
+	if !foreign && !q.filtered && (last < q.skip.lo || first > q.skip.hi) {
+		// No row of the block has a test to pass: ids ascend, and none of
+		// the scan's own lies between the block's ends.
+		if ids == nil {
+			for j := range cand[:hi-lo] {
+				cand[j] = lo + j
+			}
+		} else {
+			for j, id := range ids[lo:hi] {
+				cand[j] = int(id)
+			}
+		}
+		o.admitted += uint64(hi - lo)
+		return hi - lo
+	}
+	m := 0
 	for pos := lo; pos < hi; pos++ {
 		i := pos
 		if ids != nil {
 			i = int(ids[pos])
-			if foreign && !ix.owns(i) {
+			if foreign && !q.ix.owns(i) {
 				continue
 			}
 		}
 		if q.skip.has(i) {
 			continue
 		}
-		if filtered && !q.filter.admits(i) {
+		if q.filtered && !q.filter.admits(i) {
 			o.rejected++
 			continue
 		}
-		o.admitted++
-		row, rn := data[i*d:(i+1)*d], norms[i]
-		// The nearest query vector wins, the first one on ties.
-		sim, nearest := math.Inf(-1), -1
-		for c, qv := range vecs {
-			var s float64
-			if cosine {
-				s = cosineSimilarity(qv, row, qnorms[c], rn)
-			} else {
-				s = euclideanSimilarity(qv, row)
-			}
-			if s > sim {
-				sim, nearest = s, qids[c]
+		cand[m] = i
+		m++
+	}
+	o.admitted += uint64(m)
+	return m
+}
+
+// The floor test (reject) multiplies where the score divides, so it holds
+// only while no product over- or underflows. These are the ranges its proof
+// assumes, of the norms (a zero norm is also fine: that score is 0) and of the
+// floor; outside them the stage is skipped. 1 - 2^-48 absorbs the roundings.
+const (
+	rejectNormMin, rejectNormMax   = 0x1p-500, 0x1p+500
+	rejectFloorMin, rejectFloorMax = 0x1p-20, 0x1p+20
+	rejectSlack                    = 1 - 0x1p-48
+)
+
+func normInRange(n float64) bool  { return n >= rejectNormMin && n <= rejectNormMax }
+func floorInRange(f float64) bool { return f >= rejectFloorMin && f <= rejectFloorMax }
+
+// reachesFloor is the floor test's predicate: with t = floor·rejectSlack·qn,
+// a row of norm rn whose dot product with the query vector is dot may have a
+// cosine similarity of floor or more. When it says no, the similarity is
+// strictly below floor (DESIGN §13 has the proof, FuzzRejectBound hunts for a
+// counter-example). The ranges above leave no way to a NaN; one would compare
+// false and be dropped, as sim < floor drops the -Inf a NaN score leaves.
+func reachesFloor(dot, t, rn float64) bool { return dot >= t*rn }
+
+// reject is the second stage of a block, run under cosine once the heap is
+// full (floor is the similarity at its root): it keeps, at the front of cand,
+// the candidates that reachesFloor for some query vector, and returns their
+// number. Everything it drops the selection would drop at sim < floor;
+// what it keeps is scored there as if this stage did not exist.
+func (q *scan) reject(cand []int, floor float64) int {
+	data, norms := q.ix.Reps.Data, q.ix.norms
+	f := floor * rejectSlack
+	kept := 0
+	for c, qv := range q.vecs {
+		kept = keepAtFloor(cand, kept, data, norms, qv, f*q.qnorms[c])
+	}
+	return kept
+}
+
+// keepAtFloor is one query vector's pass over a block: cand[:kept] are kept
+// already, and each candidate of cand[kept:] that reachesFloor for qv is
+// swapped to the front to join them. It returns the new kept. The dot product
+// is cosineSimilarity's — the same products summed in the same order — with
+// the query vector held in registers at the paper's widths (2–4 topics).
+func keepAtFloor(cand []int, kept int, data, norms, qv []float64, t float64) int {
+	switch len(qv) {
+	case 2:
+		q0, q1 := qv[0], qv[1]
+		for j := kept; j < len(cand); j++ {
+			i := cand[j]
+			r := data[2*i : 2*i+2 : 2*i+2]
+			if reachesFloor(q0*r[0]+q1*r[1], t, norms[i]) {
+				cand[j], cand[kept] = cand[kept], i
+				kept++
 			}
 		}
-		if sim < floor {
-			continue
+	case 3:
+		q0, q1, q2 := qv[0], qv[1], qv[2]
+		for j := kept; j < len(cand); j++ {
+			i := cand[j]
+			r := data[3*i : 3*i+3 : 3*i+3]
+			if reachesFloor(q0*r[0]+q1*r[1]+q2*r[2], t, norms[i]) {
+				cand[j], cand[kept] = cand[kept], i
+				kept++
+			}
 		}
-		h.push(WhitespaceProspect{CompanyID: i, NearestClient: nearest, Similarity: sim})
-		if len(h.m) == k {
-			floor = h.m[0].Similarity
+	case 4:
+		q0, q1, q2, q3 := qv[0], qv[1], qv[2], qv[3]
+		for j := kept; j < len(cand); j++ {
+			i := cand[j]
+			r := data[4*i : 4*i+4 : 4*i+4]
+			if reachesFloor(q0*r[0]+q1*r[1]+q2*r[2]+q3*r[3], t, norms[i]) {
+				cand[j], cand[kept] = cand[kept], i
+				kept++
+			}
+		}
+	default:
+		d := len(qv)
+		for j := kept; j < len(cand); j++ {
+			i := cand[j]
+			row := data[i*d : (i+1)*d]
+			var dot float64
+			for jj, v := range qv[:len(row)] {
+				dot += v * row[jj]
+			}
+			if reachesFloor(dot, t, norms[i]) {
+				cand[j], cand[kept] = cand[kept], i
+				kept++
+			}
 		}
 	}
-	o.best = h.sorted()
-	return o
+	return kept
 }
 
 // ProductRecommendation is one gap-based recommendation: a category the
@@ -796,11 +1015,10 @@ func (ix *Index) WhitespaceContext(ctx context.Context, clientIDs []int, k int, 
 		clientRows[ci] = ix.Reps.Row(id)
 	}
 	start := time.Now()
-	n := ix.Corpus.N()
 	ctx, sp := trace.Start(ctx, "core.whitespace")
 	sp.AttrInt("clients", int64(len(clientIDs)))
 	sp.AttrInt("k", int64(k))
-	sp.AttrInt("candidates", int64(n))
+	sp.AttrInt("candidates", int64(ix.OwnedCompanies()))
 	// Per prospect the scan keeps the best-scoring client, the first one on
 	// ties, and clients themselves are never prospects.
 	q := ix.newScan(k, f, clientRows, clientIDs)

@@ -7,59 +7,69 @@ import (
 )
 
 // BenchmarkScan is the layer benchmark of the candidate loop at the serving
-// benchmark's shape (100k companies, 4 topics, 2 workers): compare two
-// commits with benchstat in seconds, without the end-to-end harness. Each
-// case reports ns per candidate row the scan has to consider.
+// benchmark's shape (100k companies, 4 topics): compare two commits with
+// benchstat in seconds, without the end-to-end harness. Each case reports ns
+// per candidate row the scan has to consider.
+//
+// The w1 cases run on one worker and are the ones to compare kernels with:
+// on a lent two-core host the two-worker rows swing by a factor of two on
+// identical code. d3 and d8 are a width the floor test unrolls and one it
+// does not; anncells and anncells20k are pruned scans on either side of
+// minFanoutRows.
 //
 //	go test ./internal/core/ -run '^$' -bench BenchmarkScan -count 10
 func BenchmarkScan(b *testing.B) {
-	const n, d, k = 100_000, 4, 10
-	c, reps := scanFixture(n, d, 1)
-	build := func() *Index {
+	const n, k = 100_000, 10
+	build := func(d int) *Index {
+		c, reps := scanFixture(n, d, 1)
 		ix, err := NewIndex(c, reps, Cosine)
 		if err != nil {
 			b.Fatal(err)
 		}
 		return ix
 	}
-	exact := build()
-	shard := build()
+	exact := build(4)
+	shard, pruned, pruned20k := *exact, *exact, *exact
 	if err := shard.SetPartition(1, 2); err != nil {
 		b.Fatal(err)
 	}
-	pruned := build()
-	pruned.SetPruner(newCellPruner(n, 160, 8)) // 5% of the rows, ann-closed's share
-	par.SetWorkers(2)
+	pruned.SetPruner(newCellPruner(n, 160, 8))     // 5% of the rows, ann-closed's share
+	pruned20k.SetPruner(newCellPruner(n, 160, 32)) // 20k rows: a pool that fans out
 	defer par.SetWorkers(0)
 
-	cases := []struct {
-		name string
-		rows int
-		run  func(i int) error
-	}{
-		{"exact", n, func(i int) error {
-			_, err := exact.TopK(i%n, k, Filter{})
+	topK := func(ix *Index) func(i int) error {
+		return func(i int) error {
+			_, err := ix.TopK(i%n, k, Filter{})
 			return err
-		}},
-		{"filtered", n, func(i int) error {
+		}
+	}
+	whitespace4 := func(i int) error {
+		_, err := exact.Whitespace([]int{i % n, (i + 7) % n, (i + 4001) % n, (i + 90001) % n}, k, Filter{})
+		return err
+	}
+	cases := []struct {
+		name    string
+		workers int
+		rows    int
+		run     func(i int) error
+	}{
+		{"exact", 2, n, topK(exact)},
+		{"filtered", 2, n, func(i int) error {
 			_, err := exact.TopK(i%n, k, Filter{Country: "C3"})
 			return err
 		}},
-		{"shard1of2", shard.OwnedCompanies(), func(i int) error {
-			_, err := shard.TopK(i%n, k, Filter{})
-			return err
-		}},
-		{"whitespace4", n, func(i int) error {
-			_, err := exact.Whitespace([]int{i % n, (i + 7) % n, (i + 4001) % n, (i + 90001) % n}, k, Filter{})
-			return err
-		}},
-		{"anncells", n / 20, func(i int) error {
-			_, err := pruned.TopK(i%n, k, Filter{})
-			return err
-		}},
+		{"shard1of2", 2, shard.OwnedCompanies(), topK(&shard)},
+		{"whitespace4", 2, n, whitespace4},
+		{"anncells", 2, n / 20, topK(&pruned)},
+		{"anncells20k", 2, n / 5, topK(&pruned20k)},
+		{"exact/w1", 1, n, topK(exact)},
+		{"whitespace4/w1", 1, n, whitespace4},
+		{"d3/w1", 1, n, topK(build(3))},
+		{"d8/w1", 1, n, topK(build(8))},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
+			par.SetWorkers(tc.workers)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if err := tc.run(i * 7919); err != nil {

@@ -1,15 +1,22 @@
 package core
 
 import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"path/filepath"
+	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/corpus"
 	"repro/internal/datagen"
 	"repro/internal/mat"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/snapshot"
@@ -194,26 +201,103 @@ func TestNormColumnOverMappedReps(t *testing.T) {
 	}
 }
 
-// diffFixture is scanFixture bent towards the scan's edge cases: all-zero
-// rows (the zero-norm guard), rows duplicated at distant ids (bit-equal
-// scores, so the id tie-break decides) and mixed-sign coordinates.
-func diffFixture(n, d int, seed int64) (*corpus.Corpus, *mat.Matrix) {
+// diffFixture is scanFixture bent towards the scan's edge cases, the floor
+// test's above all. A third of the rows are rewritten, most as relatives of a
+// few anchor rows, so that whole families score within an ulp of one another
+// and the heap's floor sits among them: exact duplicates (bit-equal scores,
+// so the id tie-break decides), positive scalings from 2^-300 to 2^300 (the
+// same cosine up to rounding), math.Nextafter perturbations of one
+// component, the negated row; and all-zero rows, rows of subnormal components
+// (nonzero, yet their norm is zero too), ±0 and negative components. wild
+// adds rows whose norms are finite but outside the range the floor test is
+// proved for, so that an index over them must scan without it.
+func diffFixture(n, d int, seed int64, wild bool) (*corpus.Corpus, *mat.Matrix, []int) {
 	c, reps := scanFixture(n, d, seed)
 	g := rng.New(seed + 1)
-	for r := 0; r < n/10; r++ {
+	anchors := make([]int, 6)
+	for a := range anchors {
+		anchors[a] = g.Intn(n)
+	}
+	isAnchor := func(i int) bool { return slices.Contains(anchors, i) }
+	scales := []float64{0.5, 3, 1.0 / 3, 7, 1 + 0x1p-52, 0x1p+300, 0x1p-300, 0x1p+150}
+	kinds := 9
+	if wild {
+		kinds = 10
+	}
+	for r := 0; r < n/3; r++ {
 		i := g.Intn(n)
-		switch r % 3 {
+		if isAnchor(i) {
+			continue
+		}
+		row, anchor := reps.Row(i), reps.Row(anchors[g.Intn(len(anchors))])
+		switch r % kinds {
 		case 0:
-			for j := range reps.Row(i) {
-				reps.Row(i)[j] = 0
-			}
+			clear(row)
 		case 1:
-			copy(reps.Row(i), reps.Row(g.Intn(n)))
+			copy(row, anchor)
 		case 2:
-			reps.Row(i)[g.Intn(d)] -= 0.5
+			row[g.Intn(d)] -= 0.5
+		case 3:
+			scale := scales[g.Intn(len(scales))]
+			for j, v := range anchor {
+				row[j] = v * scale
+			}
+		case 4:
+			copy(row, anchor)
+			j := g.Intn(d)
+			row[j] = math.Nextafter(row[j], math.Inf(2*g.Intn(2)-1))
+		case 5:
+			for j, v := range anchor {
+				row[j] = -v
+			}
+		case 6:
+			for j := range row {
+				row[j] = float64(g.Intn(5)-1) * 5e-324
+			}
+		case 7:
+			row[g.Intn(d)] = math.Copysign(0, -1)
+		case 8:
+			row[g.Intn(d)] = 0
+		case 9:
+			scale := []float64{0x1p-510, 0x1p+505}[g.Intn(2)]
+			for j, v := range anchor {
+				row[j] = v * scale
+			}
 		}
 	}
-	return c, reps
+	return c, reps, anchors
+}
+
+// drawQuery draws a free query vector: random coordinates of either sign, or
+// an anchor row exactly, scaled, perturbed by one ulp or with a zeroed
+// coordinate, or the zero vector.
+func drawQuery(g *rng.RNG, reps *mat.Matrix, anchors []int, wild bool) []float64 {
+	query := make([]float64, reps.Cols)
+	copy(query, reps.Row(anchors[g.Intn(len(anchors))]))
+	j := g.Intn(len(query))
+	switch g.Intn(7) {
+	case 0, 1:
+		for c := range query {
+			query[c] = g.Float64() - 0.2
+		}
+	case 2: // the anchor itself
+	case 3:
+		scales := []float64{0x1p+300, 0x1p-300, 3}
+		if wild {
+			scales = append(scales, 0x1p-510, 0x1p+505)
+		}
+		scale := scales[g.Intn(len(scales))]
+		for c := range query {
+			query[c] *= scale
+		}
+	case 4:
+		query[j] = math.Nextafter(query[j], math.Inf(2*g.Intn(2)-1))
+	case 5:
+		query[j] = math.Copysign(0, float64(2*g.Intn(2)-1))
+	case 6:
+		clear(query)
+	}
+	return query
 }
 
 // drawFilter draws a filter whose values come from the corpus itself (so
@@ -252,52 +336,82 @@ func drawFilter(g *rng.RNG, c *corpus.Corpus) Filter {
 }
 
 // TestScanDifferential is the seeded differential test of the candidate
-// loop: over drawn (metric, partition, pruner, filter, k, query) tuples, at
-// one worker and at four, TopK / TopKByVector / Whitespace must equal a
-// naive reference — Index.similarity over Filter.Admits survivors, fully
-// sorted — bit for bit, and the top-k candidate counters must move by exactly
-// what the reference counted.
+// loop: over drawn (dimension, metric, partition, pruner, filter, k, query)
+// tuples, at one worker and at four, TopK / TopKByVector / Whitespace must
+// equal a naive reference — Index.similarity over Filter.Admits survivors,
+// fully sorted — bit for bit, and the top-k candidate counters must move by
+// exactly what the reference counted. Dimensions 1 to 9 cover the widths the
+// floor test unrolls and the ones it loops over; a fixture is some 3000 rows,
+// so that a one-worker shard is two full blocks and a ragged third, a pruner's
+// cell two blocks and a four-worker shard less than one; k reaches from 1
+// past the block size to more than there are rows.
 func TestScanDifferential(t *testing.T) {
-	const n, d, rounds = 300, 5, 400
-	c, reps := diffFixture(n, d, 42)
+	const rounds = 600
 	g := rng.New(4242)
 	defer par.SetWorkers(0)
 
+	type fixture struct {
+		c       *corpus.Corpus
+		reps    *mat.Matrix
+		anchors []int
+	}
+	fixtures := make(map[string]fixture)
 	indexes := make(map[string]*Index)
-	index := func(metric Metric, part, parts int, pruned bool) *Index {
-		key := fmt.Sprintf("%v/%d/%d/%v", metric, part, parts, pruned)
-		if ix, ok := indexes[key]; ok {
-			return ix
+	index := func(d int, wild bool, metric Metric, part, parts int, pruned bool) (*Index, fixture) {
+		fkey := fmt.Sprintf("%d/%v", d, wild)
+		fx, ok := fixtures[fkey]
+		if !ok {
+			n := 3*4*scanBlock - 50 - 13*d // ragged at every shard and cell count used
+			fx.c, fx.reps, fx.anchors = diffFixture(n, d, int64(42+d), wild)
+			fixtures[fkey] = fx
 		}
-		ix, err := NewIndex(c, reps, metric)
+		key := fmt.Sprintf("%s/%v/%d/%d/%v", fkey, metric, part, parts, pruned)
+		if ix, ok := indexes[key]; ok {
+			return ix, fx
+		}
+		ix, err := NewIndex(fx.c, fx.reps, metric)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// The tame fixtures are the ones the floor test must run on, zero-norm
+		// rows and 2^±300 scalings included; the wild ones must switch it off.
+		if ix.normsInRange == wild {
+			t.Fatalf("d=%d wild=%v: normsInRange = %v", d, wild, ix.normsInRange)
 		}
 		if err := ix.SetPartition(part, parts); err != nil {
 			t.Fatal(err)
 		}
 		if pruned {
-			ix.SetPruner(newCellPruner(n, 7, 7)) // full probe: every cell, every id
+			ix.SetPruner(newCellPruner(fx.c.N(), 7, 7)) // full probe: every cell, every id
 		}
 		indexes[key] = ix
-		return ix
+		return ix, fx
 	}
 
 	for round := 0; round < rounds; round++ {
+		d := 1 + g.Intn(9)
+		wild := g.Intn(5) == 0
 		metric := []Metric{Cosine, Euclidean}[g.Intn(2)]
 		parts := []int{1, 2, 3, 7}[g.Intn(4)]
 		part := g.Intn(parts)
-		ix := index(metric, part, parts, g.Intn(2) == 0)
+		ix, fx := index(d, wild, metric, part, parts, g.Intn(2) == 0)
+		c, reps, n := fx.c, fx.reps, fx.c.N()
 		f := drawFilter(g, c)
-		k := []int{1, 2, 5, 10, 40, n + 10}[g.Intn(6)]
+		if g.Intn(3) == 0 {
+			f = Filter{} // the dense blocks only an unfiltered scan has
+		}
+		k := []int{1, 2, 10, 40, scanBlock - 1, scanBlock + 1, n + 10}[g.Intn(7)]
 		owned := func(i int) bool { return parts == 1 || PartitionOf(i, parts) == part }
-		desc := fmt.Sprintf("round %d: metric=%v part=%d/%d pruned=%v k=%d filter=%s",
-			round, metric, part, parts, ix.Pruner() != nil, k, f.Key())
+		desc := fmt.Sprintf("round %d: d=%d wild=%v metric=%v part=%d/%d pruned=%v k=%d filter=%s",
+			round, d, wild, metric, part, parts, ix.Pruner() != nil, k, f.Key())
 
 		if g.Intn(3) == 0 { // white-space
 			clients := make([]int, 1+g.Intn(2*idSetListMax))
 			for ci := range clients {
 				clients[ci] = g.Intn(n)
+				if g.Intn(3) == 0 {
+					clients[ci] = fx.anchors[g.Intn(len(fx.anchors))]
+				}
 			}
 			if len(clients) > 2 {
 				clients[len(clients)-1] = clients[0] // a duplicate
@@ -342,12 +456,13 @@ func TestScanDifferential(t *testing.T) {
 
 		// top-k: by id (the query company is excluded) or by a free vector
 		exclude, query := g.Intn(n), []float64(nil)
-		if g.Intn(3) == 0 {
-			exclude, query = -1, make([]float64, d)
-			for j := range query {
-				query[j] = g.Float64() - 0.2
-			}
-		} else {
+		switch g.Intn(3) {
+		case 0:
+			exclude, query = -1, drawQuery(g, reps, fx.anchors, wild)
+		case 1:
+			exclude = fx.anchors[g.Intn(len(fx.anchors))]
+		}
+		if exclude >= 0 {
 			query = reps.Row(exclude)
 		}
 		var want []Match
@@ -383,13 +498,171 @@ func TestScanDifferential(t *testing.T) {
 					desc, exclude, workers, da, dr, admitted, rejected)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("%s exclude=%d workers=%d: %d matches, want %d", desc, exclude, workers, len(got), len(want))
+				t.Fatalf("%s exclude=%d query=%v workers=%d: %d matches, want %d", desc, exclude, query, workers, len(got), len(want))
 			}
 			for r := range want {
 				if got[r].CompanyID != want[r].CompanyID ||
 					math.Float64bits(got[r].Similarity) != math.Float64bits(want[r].Similarity) {
-					t.Fatalf("%s exclude=%d workers=%d rank %d: got %+v, want %+v", desc, exclude, workers, r, got[r], want[r])
+					t.Fatalf("%s exclude=%d query=%v workers=%d rank %d: got %+v, want %+v", desc, exclude, query, workers, r, got[r], want[r])
 				}
+			}
+		}
+	}
+}
+
+// FuzzRejectBound aims at the one way the floor test can be wrong — dropping
+// a row the exact score would have kept. From fuzzed bits it builds a query
+// vector, a one-row index and a floor (raw, or the row's own score moved by
+// near ulps, to sit on the boundary), then checks the two halves of the
+// lemma in DESIGN §13: the stage is consulted exactly when every stated
+// precondition holds, and whenever it then drops the row, cosineSimilarity on
+// the same operands is strictly below the floor. The seeds are the files of
+// testdata/fuzz/FuzzRejectBound: raw is the query vector then the row,
+// little-endian float64s.
+func FuzzRejectBound(f *testing.F) {
+	cat := corpus.DefaultCatalog()
+	f.Fuzz(func(t *testing.T, raw []byte, floorBits uint64, near int8) {
+		d := len(raw) / 16
+		if d < 1 || d > 9 {
+			return
+		}
+		vals := make([]float64, 2*d)
+		for j := range vals {
+			vals[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:]))
+		}
+		qv, row := vals[:d], vals[d:]
+		c := corpus.New(cat, []corpus.Company{{ID: 0, Name: "row"}})
+		ix, err := NewIndex(c, mat.FromSlice(1, d, row), Cosine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := ix.newScan(1, Filter{}, [][]float64{qv}, []int{-1})
+		qn, rn := mat.Norm2(qv), mat.Norm2(row)
+		sim := cosineSimilarity(qv, row, qn, rn)
+		floor := math.Float64frombits(floorBits)
+		if near != 0 {
+			floor = sim
+			for step := 0; step < max(int(near), -int(near)); step++ {
+				floor = math.Nextafter(floor, math.Inf(int(near)))
+			}
+		}
+		inRange := func(v, lo, hi float64) bool { return lo <= v && v <= hi } // false for a NaN
+		consulted := q.floorTest && floorInRange(floor)
+		if want := inRange(qn, 0x1p-500, 0x1p+500) && (rn == 0 || inRange(rn, 0x1p-500, 0x1p+500)) &&
+			inRange(floor, 0x1p-20, 0x1p+20); consulted != want {
+			t.Fatalf("q=%v row=%v (norms %v, %v) floor=%v: floor test consulted=%v, preconditions hold=%v",
+				qv, row, qn, rn, floor, consulted, want)
+		}
+		if !consulted {
+			return
+		}
+		if kept := q.reject([]int{0}, floor); kept == 0 && !(sim < floor) {
+			t.Fatalf("q=%v row=%v (norms %v, %v): dropped at floor %v, but the exact score is %v",
+				qv, row, qn, rn, floor, sim)
+		}
+	})
+}
+
+// countdownCtx is a context whose Err turns non-nil after a set number of
+// calls: a deadline that expires at a known point inside a scan.
+type countdownCtx struct {
+	context.Context
+	calls, after atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.calls.Add(1) > c.after.Load() {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestScanHonoursDeadlineInsideShard pins the deadline check inside the
+// candidate loop: a context that expires after N looks stops visit at once —
+// one more look, no further rows than the groups of blocks gone through — and
+// a white-space query cut short this way counts as an error, not as served.
+func TestScanHonoursDeadlineInsideShard(t *testing.T) {
+	const group = scanBlock * ctxCheckBlocks
+	const n = 5*group + 100
+	c, reps := scanFixture(n, 2, 3)
+	ix, err := NewIndex(c, reps, Cosine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := ix.newScan(5, Filter{}, [][]float64{reps.Row(0)}, []int{0})
+	for _, after := range []int64{0, 1, 3} {
+		ctx := &countdownCtx{Context: context.Background()}
+		ctx.after.Store(after)
+		o, err := q.visit(ctx, nil, 0, n, false)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("expiry after %d looks: visit returned %v", after, err)
+		}
+		if got := ctx.calls.Load(); got != after+1 {
+			t.Errorf("expiry after %d looks: visit looked %d times", after, got)
+		}
+		// The look that fails comes before block (after+1)*ctxCheckBlocks.
+		if rows := uint64(after+1)*group - scanBlock; o.admitted > rows {
+			t.Errorf("expiry after %d looks: %d rows admitted, the scan should have stopped within %d", after, o.admitted, rows)
+		}
+	}
+	if _, err := q.visit(context.Background(), nil, 0, n, false); err != nil {
+		t.Fatal(err)
+	}
+
+	defer par.SetWorkers(0)
+	par.SetWorkers(1) // four shards, each longer than one group
+	counter := func(name string) uint64 { return obs.Default().Counter(name, "").Value() }
+	ws0, wsErr0 := counter("whitespace_requests_total"), counter("whitespace_errors_total")
+	ctx := &countdownCtx{Context: context.Background()}
+	ctx.after.Store(1) // par's look before the first shard passes; the one inside it does not
+	if _, err := ix.WhitespaceContext(ctx, []int{1, 2, 3}, 5, Filter{}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("white-space under an expiring context returned %v", err)
+	}
+	if got := ctx.calls.Load(); got != 2 {
+		t.Errorf("white-space looked at its context %d times, want 2: the first shard ran to its end", got)
+	}
+	if got := counter("whitespace_requests_total"); got != ws0 {
+		t.Errorf("a white-space query cut short counted as served (%d -> %d)", ws0, got)
+	}
+	if got := counter("whitespace_errors_total"); got != wsErr0+1 {
+		t.Errorf("whitespace_errors_total %d, want %d", got, wsErr0+1)
+	}
+}
+
+// TestFanoutRule answers the same exact and pruned queries on a fixture
+// below minFanoutRows and on one above it: whichever way run executes the
+// cells or shards, the answers at one worker and at four are gob-identical,
+// and the inline path surfaces a cancelled context as par's does.
+func TestFanoutRule(t *testing.T) {
+	defer par.SetWorkers(0)
+	for _, n := range []int{minFanoutRows / 4, 2 * minFanoutRows} {
+		c, reps := scanFixture(n, 4, int64(n))
+		exact, err := NewIndex(c, reps, Cosine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pruned := *exact
+		pruned.SetPruner(newCellPruner(n, 40, 30)) // three quarters of the rows: the pool is on n's side of the line
+		for name, ix := range map[string]*Index{"exact": exact, "pruned": &pruned} {
+			answers := func(workers int) []byte {
+				par.SetWorkers(workers)
+				m, err := ix.TopK(n/3, 25, Filter{Country: "C4"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := ix.Whitespace([]int{1, n / 2, n - 1}, 300, Filter{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return append(mustGob(t, m), mustGob(t, p)...)
+			}
+			if !bytes.Equal(answers(1), answers(4)) {
+				t.Errorf("n=%d %s: answers differ between workers=1 and workers=4", n, name)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := ix.TopKContext(ctx, 0, 5, Filter{}); !errors.Is(err, context.Canceled) {
+				t.Errorf("n=%d %s: cancelled top-k returned %v", n, name, err)
 			}
 		}
 	}
