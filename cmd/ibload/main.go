@@ -6,7 +6,7 @@
 //
 //	ibserve -corpus corpus.jsonl -model lda.gob -addr localhost:8080 &
 //	ibload  -corpus corpus.jsonl -url http://localhost:8080 \
-//	        -mode open -rate 200 -duration 30s -warmup 5s -out BENCH_serve.json
+//	        -mode open -rate 200 -duration 30s -warmup 5s -out ibload_report.json
 //
 // The corpus is the same file the server loaded: ibload uses it to know the
 // company id space, the vocabulary size and the real country/SIC2 values, so
@@ -27,7 +27,7 @@
 // Every request carries a fresh W3C traceparent (disable with -trace=false);
 // against a server running -trace, the report's slowest_trace_id fields
 // resolve at the server's /debug/traces/{id}. Results are written atomically
-// to -out in the repo's BENCH_*.json shape.
+// to -out (default ibload_report.json), a load.Report as JSON.
 package main
 
 import (
@@ -64,7 +64,7 @@ func main() {
 		mixInfer   = flag.Float64("mix-infer", load.DefaultMix.Infer, "infer endpoint weight")
 		sendTrace  = flag.Bool("trace", true, "send a fresh W3C traceparent with every request")
 		label      = flag.String("label", "", "label recorded in the report (tells runs apart in combined benchmark files)")
-		out        = flag.String("out", "BENCH_serve.json", "report path (written atomically)")
+		out        = flag.String("out", "ibload_report.json", "report path (written atomically)")
 		verbose    = flag.Bool("v", false, "verbose (debug-level) logging")
 	)
 	flag.Parse()

@@ -1,17 +1,21 @@
 package api
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // TestWireGolden pins "one schema ≡ both former schemas": every file under
@@ -207,5 +211,47 @@ func TestReadyz(t *testing.T) {
 	sh.SetReady(true)
 	if code, _ := probe(); code != http.StatusOK {
 		t.Fatalf("re-readied /readyz = %d", code)
+	}
+}
+
+// TestAccessLogLines pins what logRequest writes — and that a quiet shell
+// writes nothing for a successful request under the slow threshold, the case
+// every request of a -quiet server is.
+func TestAccessLogLines(t *testing.T) {
+	tr := trace.NewTracer(1)
+	tr.SetSlowThreshold(100 * time.Millisecond)
+	const fast, slow = 1500 * time.Microsecond, 250 * time.Millisecond
+	fields := func(status int, ms string) string {
+		return fmt.Sprintf("endpoint=similar method=GET path=/v1/similar/3 status=%d dur_ms=%s gen=7\n", status, ms)
+	}
+	cases := []struct {
+		name   string
+		quiet  bool
+		status int
+		dur    time.Duration
+		want   string
+	}{
+		{"quiet success", true, 200, fast, ""},
+		{"quiet failure", true, 404, fast, "level=WARN msg=request " + fields(404, "1.5")},
+		{"success", false, 200, fast, "level=INFO msg=request " + fields(200, "1.5")},
+		{"quiet slow success", true, 200, slow, `level=WARN msg="slow query" ` + fields(200, "250")},
+		{"slow failure", false, 504, slow, "level=WARN msg=request " + fields(504, "250") +
+			`level=WARN msg="slow query" ` + fields(504, "250")},
+	}
+	for _, tc := range cases {
+		var buf bytes.Buffer
+		logger := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{
+			ReplaceAttr: func(_ []string, a slog.Attr) slog.Attr {
+				if a.Key == slog.TimeKey {
+					return slog.Attr{}
+				}
+				return a
+			},
+		}))
+		sh := &Shell{Logger: logger, Tracer: tr, Quiet: tc.quiet, Generation: func() uint64 { return 7 }}
+		sh.logRequest(httptest.NewRequest("GET", "/v1/similar/3?k=5", nil), "similar", tc.status, tc.dur, nil)
+		if got := buf.String(); got != tc.want {
+			t.Errorf("%s: logged %q, want %q", tc.name, got, tc.want)
+		}
 	}
 }

@@ -204,6 +204,11 @@ func requestTimeout(r *http.Request, limit time.Duration) time.Duration {
 // Info unless Quiet. Requests at or over the tracer's slow threshold
 // additionally get a dedicated slow-query line, which also survives Quiet.
 func (sh *Shell) logRequest(r *http.Request, name string, status int, dur time.Duration, sp *trace.Span) {
+	slowAt := sh.Tracer.SlowThreshold()
+	slow := slowAt > 0 && dur >= slowAt
+	if status < 400 && sh.Quiet && !slow {
+		return // no line to write: build no attributes
+	}
 	attrs := append(make([]any, 0, 14), // room for gen and trace without regrowth
 		"endpoint", name,
 		"method", r.Method,
@@ -223,7 +228,7 @@ func (sh *Shell) logRequest(r *http.Request, name string, status int, dur time.D
 	case !sh.Quiet:
 		sh.Logger.Info("request", attrs...)
 	}
-	if slow := sh.Tracer.SlowThreshold(); slow > 0 && dur >= slow {
+	if slow {
 		sh.Logger.Warn("slow query", attrs...)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/corpus"
@@ -347,10 +348,6 @@ type topkHeap[T any] struct {
 	m      []T
 }
 
-func newTopkHeap[T any](k int, better func(a, b T) bool) *topkHeap[T] {
-	return &topkHeap[T]{k: k, better: better}
-}
-
 // push offers a candidate, evicting the worst retained element when full.
 func (h *topkHeap[T]) push(c T) {
 	if len(h.m) < h.k {
@@ -437,8 +434,8 @@ func (ix *Index) topKByVector(ctx context.Context, query []float64, k int, f Fil
 		return nil, fmt.Errorf("core: k must be positive, got %d", k)
 	}
 	start := time.Now()
-	// The scan span parents the per-shard spans par.ForEachShard records, so
-	// a traced request decomposes into its shard fan-out.
+	// The scan span parents the par.shard span of each exact task, so a traced
+	// request decomposes into its fan-out.
 	ctx, sp := trace.Start(ctx, "core.topk")
 	sp.AttrInt("k", int64(k))
 	sp.AttrInt("candidates", int64(ix.OwnedCompanies()))
@@ -526,125 +523,123 @@ func euclideanSimilarity(qv, row []float64) float64 {
 	return 1 / (1 + math.Sqrt(mat.SqDist(qv, row)))
 }
 
-// scanOut is one shard's (or cell's) selection and filter tallies.
-type scanOut struct {
-	best               []WhitespaceProspect
+// selection is what one worker of a scan carries from task to task: the heap
+// (so a task starts at the floor — the root's similarity once the heap is full
+// — that the worker's last one reached), the tallies, the blocks gone through.
+type selection struct {
+	heap               topkHeap[WhitespaceProspect]
 	admitted, rejected uint64
+	blocks             int
+}
+
+// newSelection returns an empty selection for a scan of at most rows rows.
+func (q *scan) newSelection(rows int) *selection {
+	return &selection{heap: topkHeap[WhitespaceProspect]{
+		k: q.k, better: ProspectBetter, m: make([]WhitespaceProspect, 0, min(q.k, rows)),
+	}}
 }
 
 // minFanoutRows is the scan size below which run stays on the calling
-// goroutine: under it, handing the shards to a second worker loses to running
-// them in place even when that worker's core is awake and spinning (DESIGN §13
-// has the timings). A pruned pool at the benchmark's shape (5 % of 100k) is
-// well under it, an exact or sharded scan of 100k rows well over.
+// goroutine: under it, handing tasks to a second worker loses to running them
+// in place even when that worker's core is awake and spinning (DESIGN §13 has
+// the timings). A pruned pool at the benchmark's shape (5 % of 100k) is well
+// under it, an exact or sharded scan of 100k rows well over.
 const minFanoutRows = 16 << 10
 
-// run fans the scan out — over the pruner's cells when one is installed, over
-// shards of the owned positions otherwise — and merges the per-shard
-// selections. A scan of fewer than minFanoutRows rows runs the same cells or
-// shards, in order, without goroutines. annQueries and annCandidates are the
-// calling endpoint's pruned-scan counters.
-func (q *scan) run(ctx context.Context, sp *trace.Span, annQueries, annCandidates *obs.Counter) (best []WhitespaceProspect, admitted, rejected uint64, err error) {
-	ix := q.ix
-	var out []scanOut
-	if ix.pruner != nil {
-		cells := ix.pruner.Candidates(q.vecs)
-		var pool int64
-		for _, cell := range cells {
-			pool += int64(len(cell))
-		}
-		sp.Attr("mode", "ann")
-		sp.AttrInt("cells_probed", int64(len(cells)))
-		sp.AttrInt("pool", pool)
-		annQueries.Inc()
-		annCandidates.Add(uint64(pool))
-		annCellsProbed.Add(uint64(len(cells)))
-		out = make([]scanOut, len(cells))
-		forEach := par.ForEach
-		if pool < minFanoutRows {
-			forEach = inline
-		}
-		err = forEach(ctx, len(cells), func(ci int) (err error) {
-			out[ci], err = q.visit(ctx, cells[ci], 0, len(cells[ci]), ix.parts > 1)
-			return err
-		})
-	} else {
-		n := ix.OwnedCompanies()
-		out = make([]scanOut, par.NumShards(n))
-		forEachShard := par.ForEachShard
-		if n < minFanoutRows {
-			forEachShard = inlineShards
-		}
-		err = forEachShard(ctx, n, func(s, lo, hi int) (err error) {
-			out[s], err = q.visit(ctx, ix.owned, lo, hi, false)
-			return err
-		})
-	}
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	perShard := make([][]WhitespaceProspect, len(out))
-	for s := range out {
-		perShard[s] = out[s].best
-		admitted += out[s].admitted
-		rejected += out[s].rejected
-	}
-	return MergeTopK(perShard, q.k, ProspectBetter), admitted, rejected, nil
-}
-
-// inline is par.ForEach's one-worker path whatever the worker count: fn(0) to
-// fn(n-1) in order on the calling goroutine, the context checked between
-// calls.
-func inline(ctx context.Context, n int, fn func(i int) error) error {
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := fn(i); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// inlineShards is par.ForEachShard over inline: the same shard bounds, in
-// order, each under the same par.shard span.
-func inlineShards(ctx context.Context, n int, fn func(shard, lo, hi int) error) error {
-	shards := par.NumShards(n)
-	size, rem := n/shards, n%shards
-	return inline(ctx, shards, func(s int) error {
-		lo := s*size + min(s, rem)
-		hi := lo + size
-		if s < rem {
-			hi++
-		}
-		_, sp := trace.Start(ctx, "par.shard")
-		sp.AttrInt("shard", int64(s))
-		sp.AttrInt("lo", int64(lo))
-		sp.AttrInt("hi", int64(hi))
-		err := fn(s, lo, hi)
-		if err != nil {
-			sp.Error(err)
-		}
-		sp.End()
-		return err
-	})
-}
-
-// A scan works through its candidates scanBlock at a time, and looks at its
-// context once every ctxCheckBlocks blocks (16k rows): the deadline of a
-// request is honoured inside a shard, not only between shards.
+// A scan works through its candidates scanBlock at a time, and a worker looks
+// at its context every ctxCheckBlocks blocks, so inside a task too. That group
+// (16k rows) is the task an exact scan is cut into, whatever the worker count.
 const (
 	scanBlock      = 256
 	ctxCheckBlocks = 64
+	scanChunk      = scanBlock * ctxCheckBlocks
 )
 
+// run is the one driver of every scan. The scan is a list of tasks — the
+// pruner's cells, or scanChunk-long ranges of the owned positions — taken off
+// a shared counter by one worker below minFanoutRows rows (par.ForEach then
+// runs it on the calling goroutine), by up to par.Workers() above; each offers
+// all it takes to one selection (DESIGN §13: the schedule cannot change the
+// answer). annQueries and annCandidates are the endpoint's pruned-scan counters.
+func (q *scan) run(ctx context.Context, sp *trace.Span, annQueries, annCandidates *obs.Counter) (best []WhitespaceProspect, admitted, rejected uint64, err error) {
+	ix := q.ix
+	type task struct {
+		ids    []int64
+		lo, hi int
+	}
+	var tasks []task
+	rows := ix.OwnedCompanies()
+	foreign := ix.pruner != nil && ix.parts > 1
+	// Exact tasks are par.shard spans of a traced request only: Start would root one each.
+	spans := ix.pruner == nil && trace.FromContext(ctx) != nil
+	if ix.pruner != nil {
+		cells := ix.pruner.Candidates(q.vecs)
+		tasks, rows = make([]task, len(cells)), 0
+		for t, cell := range cells {
+			tasks[t] = task{cell, 0, len(cell)}
+			rows += len(cell)
+		}
+		sp.Attr("mode", "ann")
+		sp.AttrInt("cells_probed", int64(len(cells)))
+		sp.AttrInt("pool", int64(rows))
+		annQueries.Inc()
+		annCandidates.Add(uint64(rows))
+		annCellsProbed.Add(uint64(len(cells)))
+	} else {
+		tasks = make([]task, (rows+scanChunk-1)/scanChunk)
+		for t := range tasks {
+			tasks[t] = task{ix.owned, t * scanChunk, min((t+1)*scanChunk, rows)}
+		}
+	}
+	workers := 1
+	if rows >= minFanoutRows {
+		workers = min(par.Workers(), len(tasks))
+	}
+	sels := make([]*selection, workers)
+	var next atomic.Int64
+	err = par.ForEach(ctx, workers, func(w int) error {
+		sels[w] = q.newSelection(rows)
+		for {
+			t := int(next.Add(1)) - 1
+			if t >= len(tasks) {
+				return nil
+			}
+			var tsp *trace.Span
+			if spans {
+				_, tsp = trace.Start(ctx, "par.shard")
+				tsp.AttrInt("shard", int64(t))
+				tsp.AttrInt("lo", int64(tasks[t].lo))
+				tsp.AttrInt("hi", int64(tasks[t].hi))
+			}
+			err := q.visit(ctx, sels[w], tasks[t].ids, tasks[t].lo, tasks[t].hi, foreign)
+			tsp.Error(err)
+			tsp.End()
+			if err != nil {
+				return err
+			}
+		}
+	})
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	if workers == 1 {
+		return sels[0].heap.sorted(), sels[0].admitted, sels[0].rejected, nil
+	}
+	heaps := make([][]WhitespaceProspect, workers)
+	for w, sel := range sels {
+		heaps[w] = sel.heap.m
+		admitted += sel.admitted
+		rejected += sel.rejected
+	}
+	return MergeTopK(heaps, q.k, ProspectBetter), admitted, rejected, nil
+}
+
 // visit is the candidate loop. It offers candidates ids[lo:hi] — or the ids
-// lo..hi-1 themselves when ids is nil (an unpartitioned range) — to a bounded
-// heap and returns the selection. foreign says ids may name companies of
-// other partitions (a pruner's cell on a partitioned index), which are
-// dropped; owned-list ranges need no such test. A context error ends the scan
-// at the next group of blocks; the tallies returned with it are partial.
+// lo..hi-1 themselves when ids is nil (an unpartitioned range) — to sel's
+// heap, as the worker's earlier tasks left it. foreign says ids may name
+// companies of other partitions (a pruner's cell on a partitioned index),
+// which are dropped; owned-list ranges need no such test. A context error ends
+// the scan at the next group of blocks; sel's tallies are then partial.
 //
 // Each block goes through three stages: admit compacts the ids that are
 // candidates at all into cand, reject drops those a multiplication shows to
@@ -657,25 +652,26 @@ const (
 // ProspectBetter such a candidate can never displace it, while a tie is
 // decided by id and so still goes through push. reject drops nothing else
 // (DESIGN §13 has the proof), and no score is computed anywhere but here.
-func (q *scan) visit(ctx context.Context, ids []int64, lo, hi int, foreign bool) (scanOut, error) {
+func (q *scan) visit(ctx context.Context, sel *selection, ids []int64, lo, hi int, foreign bool) error {
 	ix := q.ix
 	d := ix.Reps.Cols
 	data, norms := ix.Reps.Data, ix.norms
 	cosine := ix.Metric != Euclidean
 	// Locals keep the loop's operands in registers across the push call.
 	k, vecs, qnorms, qids := q.k, q.vecs, q.qnorms, q.ids
-	h := newTopkHeap(k, ProspectBetter)
-	h.m = make([]WhitespaceProspect, 0, min(k, hi-lo))
+	h := &sel.heap
 	floor := math.Inf(-1) // similarity of the worst retained candidate once h is full
-	var o scanOut
+	if len(h.m) == k {
+		floor = h.m[0].Similarity
+	}
 	var cand [scanBlock]int
-	for base, block := lo, 1; base < hi; base, block = base+scanBlock, block+1 {
-		if block%ctxCheckBlocks == 0 {
+	for base := lo; base < hi; base += scanBlock {
+		if sel.blocks++; sel.blocks%ctxCheckBlocks == 0 {
 			if err := ctx.Err(); err != nil {
-				return o, err
+				return err
 			}
 		}
-		m := q.admit(&cand, ids, base, min(base+scanBlock, hi), foreign, &o)
+		m := q.admit(&cand, ids, base, min(base+scanBlock, hi), foreign, sel)
 		// The floor is stale by the end of the block, but only ever lower
 		// than the live one, so the test only ever keeps more.
 		if q.floorTest && floorInRange(floor) {
@@ -705,15 +701,14 @@ func (q *scan) visit(ctx context.Context, ids []int64, lo, hi int, foreign bool)
 			}
 		}
 	}
-	o.best = h.sorted()
-	return o, nil
+	return nil
 }
 
 // admit is the first stage of a block: it resolves positions lo..hi-1 to
 // company ids, drops the ones that are not candidates — companies of other
 // partitions, the query's own ids, rows the filter refuses — and compacts the
 // rest into cand, returning how many. The filter tallies move here.
-func (q *scan) admit(cand *[scanBlock]int, ids []int64, lo, hi int, foreign bool, o *scanOut) int {
+func (q *scan) admit(cand *[scanBlock]int, ids []int64, lo, hi int, foreign bool, sel *selection) int {
 	first, last := lo, hi-1
 	if ids != nil {
 		first, last = int(ids[lo]), int(ids[hi-1])
@@ -730,7 +725,7 @@ func (q *scan) admit(cand *[scanBlock]int, ids []int64, lo, hi int, foreign bool
 				cand[j] = int(id)
 			}
 		}
-		o.admitted += uint64(hi - lo)
+		sel.admitted += uint64(hi - lo)
 		return hi - lo
 	}
 	m := 0
@@ -746,13 +741,13 @@ func (q *scan) admit(cand *[scanBlock]int, ids []int64, lo, hi int, foreign bool
 			continue
 		}
 		if q.filtered && !q.filter.admits(i) {
-			o.rejected++
+			sel.rejected++
 			continue
 		}
 		cand[m] = i
 		m++
 	}
-	o.admitted += uint64(m)
+	sel.admitted += uint64(m)
 	return m
 }
 

@@ -130,7 +130,7 @@ func TestTopkHeapMatchesFullSort(t *testing.T) {
 		all = append(all, Match{CompanyID: i, Similarity: float64((i * 37) % 11)})
 	}
 	for _, k := range []int{1, 2, 7, 11, 59, 60, 61, 200} {
-		h := newTopkHeap(k, MatchBetter)
+		h := &topkHeap[Match]{k: k, better: MatchBetter}
 		for _, m := range all {
 			h.push(m)
 		}

@@ -15,7 +15,10 @@ import (
 // on a lent two-core host the two-worker rows swing by a factor of two on
 // identical code. d3 and d8 are a width the floor test unrolls and one it
 // does not; anncells and anncells20k are pruned scans on either side of
-// minFanoutRows.
+// minFanoutRows, which differ in nothing but the number of workers that take
+// their cells. whitespace4cells is the white-space query under that pruner:
+// four clients' eight cells each come to 32 at most, the 20k-row pool again,
+// now with four dot products a row for the carried floor to save.
 //
 //	go test ./internal/core/ -run '^$' -bench BenchmarkScan -count 10
 func BenchmarkScan(b *testing.B) {
@@ -43,9 +46,11 @@ func BenchmarkScan(b *testing.B) {
 			return err
 		}
 	}
-	whitespace4 := func(i int) error {
-		_, err := exact.Whitespace([]int{i % n, (i + 7) % n, (i + 4001) % n, (i + 90001) % n}, k, Filter{})
-		return err
+	whitespace4 := func(ix *Index) func(i int) error {
+		return func(i int) error {
+			_, err := ix.Whitespace([]int{i % n, (i + 7) % n, (i + 4001) % n, (i + 90001) % n}, k, Filter{})
+			return err
+		}
 	}
 	cases := []struct {
 		name    string
@@ -59,11 +64,12 @@ func BenchmarkScan(b *testing.B) {
 			return err
 		}},
 		{"shard1of2", 2, shard.OwnedCompanies(), topK(&shard)},
-		{"whitespace4", 2, n, whitespace4},
+		{"whitespace4", 2, n, whitespace4(exact)},
 		{"anncells", 2, n / 20, topK(&pruned)},
 		{"anncells20k", 2, n / 5, topK(&pruned20k)},
+		{"whitespace4cells", 2, n / 5, whitespace4(&pruned20k)},
 		{"exact/w1", 1, n, topK(exact)},
-		{"whitespace4/w1", 1, n, whitespace4},
+		{"whitespace4/w1", 1, n, whitespace4(exact)},
 		{"d3/w1", 1, n, topK(build(3))},
 		{"d8/w1", 1, n, topK(build(8))},
 	}

@@ -20,6 +20,7 @@ import (
 	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/snapshot"
+	"repro/internal/trace"
 )
 
 // cellPruner is a stub Pruner over fixed cells of consecutive ids: it probes
@@ -210,13 +211,14 @@ func TestNormColumnOverMappedReps(t *testing.T) {
 // component, the negated row; and all-zero rows, rows of subnormal components
 // (nonzero, yet their norm is zero too), ±0 and negative components. wild
 // adds rows whose norms are finite but outside the range the floor test is
-// proved for, so that an index over them must scan without it.
+// proved for, so that an index over them must scan without it. The anchors lie
+// among the first scanChunk-1 rows: every prefix a test scans holds them all.
 func diffFixture(n, d int, seed int64, wild bool) (*corpus.Corpus, *mat.Matrix, []int) {
 	c, reps := scanFixture(n, d, seed)
 	g := rng.New(seed + 1)
 	anchors := make([]int, 6)
 	for a := range anchors {
-		anchors[a] = g.Intn(n)
+		anchors[a] = g.Intn(min(n, scanChunk-1))
 	}
 	isAnchor := func(i int) bool { return slices.Contains(anchors, i) }
 	scales := []float64{0.5, 3, 1.0 / 3, 7, 1 + 0x1p-52, 0x1p+300, 0x1p-300, 0x1p+150}
@@ -335,16 +337,103 @@ func drawFilter(g *rng.RNG, c *corpus.Corpus) Filter {
 	return f
 }
 
-// TestScanDifferential is the seeded differential test of the candidate
-// loop: over drawn (dimension, metric, partition, pruner, filter, k, query)
-// tuples, at one worker and at four, TopK / TopKByVector / Whitespace must
-// equal a naive reference — Index.similarity over Filter.Admits survivors,
-// fully sorted — bit for bit, and the top-k candidate counters must move by
-// exactly what the reference counted. Dimensions 1 to 9 cover the widths the
-// floor test unrolls and the ones it loops over; a fixture is some 3000 rows,
-// so that a one-worker shard is two full blocks and a ragged third, a pruner's
-// cell two blocks and a four-worker shard less than one; k reaches from 1
-// past the block size to more than there are rows.
+// plantBoundaries puts relatives of the anchors either side of every task
+// boundary of an exact scan, so that an anchor query's floor is tied across
+// it: at owned positions b-1 and b, for b one and two scanChunks, a copy of an
+// anchor; at b-2 and b+1 its math.Nextafter neighbours. The positions are
+// resolved for each view the test scans the fixture through — unpartitioned
+// and either half of two — one anchor per boundary.
+func plantBoundaries(reps *mat.Matrix, anchors []int) {
+	views := make([][]int, 3) // every id, the ids of 0/2, the ids of 1/2
+	for i := 0; i < reps.Rows; i++ {
+		views[0] = append(views[0], i)
+		views[1+PartitionOf(i, 2)] = append(views[1+PartitionOf(i, 2)], i)
+	}
+	site := 0
+	for _, owned := range views {
+		for _, b := range []int{scanChunk, 2 * scanChunk} {
+			anchor := reps.Row(anchors[site%len(anchors)])
+			site++
+			for j, ulps := range []int{-1, 0, 0, 1} {
+				id := owned[b-2+j]
+				if slices.Contains(anchors, id) {
+					continue
+				}
+				copy(reps.Row(id), anchor)
+				if ulps != 0 {
+					reps.Row(id)[0] = math.Nextafter(anchor[0], math.Inf(ulps))
+				}
+			}
+		}
+	}
+}
+
+// cellsAround is a full-probe pruner laid out around one answer: the ids of
+// top (ascending, as a cell's are) make up the first cell, the last one, or
+// are split between the two, so that the carried floor is at its highest for
+// every later cell, at its lowest until the last, or tied across the scan. The
+// other ids are cut, in order, into cells of drawn sizes: empty, one row,
+// fewer than k rows, many blocks.
+func cellsAround(g *rng.RNG, n, k int, top []int, where int) *cellPruner {
+	top = slices.Clone(top)
+	sort.Ints(top)
+	var rest []int64
+	for i := 0; i < n; i++ {
+		if _, isTop := slices.BinarySearch(top, i); !isTop {
+			rest = append(rest, int64(i))
+		}
+	}
+	var cells [][]int64
+	for len(rest) > 0 {
+		size := 0
+		switch g.Intn(4) {
+		case 1:
+			size = 1
+		case 2:
+			size = g.Intn(k)
+		case 3:
+			size = n/8 + g.Intn(n/8)
+		}
+		size = min(size, len(rest))
+		cells = append(cells, rest[:size:size])
+		rest = rest[size:]
+	}
+	cell := func(ids []int) []int64 {
+		out := make([]int64, len(ids))
+		for j, id := range ids {
+			out[j] = int64(id)
+		}
+		return out
+	}
+	switch where {
+	case 0:
+		cells = append([][]int64{cell(top)}, cells...)
+	case 1:
+		cells = append(cells, cell(top))
+	case 2:
+		cells = append(append([][]int64{cell(top[:len(top)/2])}, cells...), cell(top[len(top)/2:]))
+	}
+	return &cellPruner{cells: cells, probe: len(cells)}
+}
+
+// TestScanDifferential is the seeded differential test of the one scan driver
+// and its candidate loop: over drawn (dimension, metric, size, partition,
+// pruner, filter, k, query) tuples, at one, two and four workers, TopK /
+// TopKByVector / Whitespace must equal a naive reference — Index.similarity
+// over Filter.Admits survivors, fully sorted — bit for bit, and the top-k
+// candidate counters must move by exactly what the reference counted.
+// Dimensions 1 to 9 cover the widths the floor test unrolls and the ones it
+// loops over; k reaches from 1 past the block size to more than there are
+// rows.
+//
+// Most rounds scan a fixture of some 3000 rows: one task when exact, and under
+// a pruner as many as it has cells, all offered to one selection. The pruner
+// has seven even cells or is laid out around the round's own answer
+// (cellsAround). One round in five scans a prefix of a large fixture that
+// owns scanChunk-1 rows (one task, below minFanoutRows), scanChunk or
+// scanChunk+1 (the rule's other side; one task and a one-row second), or two
+// chunks and a ragged third, unpartitioned or as half of two, with tied rows
+// planted across the task boundaries (plantBoundaries).
 func TestScanDifferential(t *testing.T) {
 	const rounds = 600
 	g := rng.New(4242)
@@ -355,19 +444,40 @@ func TestScanDifferential(t *testing.T) {
 		reps    *mat.Matrix
 		anchors []int
 	}
+	largeOwned := []int{scanChunk - 1, scanChunk, scanChunk + 1, 2*scanChunk + 3*scanBlock - 19}
 	fixtures := make(map[string]fixture)
 	indexes := make(map[string]*Index)
-	index := func(d int, wild bool, metric Metric, part, parts int, pruned bool) (*Index, fixture) {
-		fkey := fmt.Sprintf("%d/%v", d, wild)
+	// index returns the index of a round and the fixture it is over. owned is
+	// 0 for a small fixture, scanned whole; otherwise the index is over the
+	// shortest prefix of a large fixture of which the partition owns that many
+	// rows (built per round: a cache of those would hold too much).
+	index := func(d int, wild bool, metric Metric, part, parts, owned int) (*Index, fixture) {
+		fkey := fmt.Sprintf("%d/%v/%v", d, wild, owned > 0)
 		fx, ok := fixtures[fkey]
 		if !ok {
-			n := 3*4*scanBlock - 50 - 13*d // ragged at every shard and cell count used
+			n := 3*4*scanBlock - 50 - 13*d // ragged at every cell count used
+			if owned > 0 {
+				n = 2*largeOwned[len(largeOwned)-1] + 2000
+			}
 			fx.c, fx.reps, fx.anchors = diffFixture(n, d, int64(42+d), wild)
+			if owned > 0 {
+				plantBoundaries(fx.reps, fx.anchors)
+			}
 			fixtures[fkey] = fx
 		}
-		key := fmt.Sprintf("%s/%v/%d/%d/%v", fkey, metric, part, parts, pruned)
+		key := fmt.Sprintf("%s/%v/%d/%d", fkey, metric, part, parts)
 		if ix, ok := indexes[key]; ok {
 			return ix, fx
+		}
+		if owned > 0 {
+			n := 0
+			for left := owned; left > 0 && n < fx.c.N(); n++ {
+				if parts == 1 || PartitionOf(n, parts) == part {
+					left--
+				}
+			}
+			fx.c = corpus.New(fx.c.Catalog, fx.c.Companies[:n])
+			fx.reps = &mat.Matrix{Rows: n, Cols: d, Data: fx.reps.Data[:n*d]}
 		}
 		ix, err := NewIndex(fx.c, fx.reps, metric)
 		if err != nil {
@@ -381,10 +491,9 @@ func TestScanDifferential(t *testing.T) {
 		if err := ix.SetPartition(part, parts); err != nil {
 			t.Fatal(err)
 		}
-		if pruned {
-			ix.SetPruner(newCellPruner(fx.c.N(), 7, 7)) // full probe: every cell, every id
+		if owned == 0 {
+			indexes[key] = ix
 		}
-		indexes[key] = ix
 		return ix, fx
 	}
 
@@ -393,20 +502,48 @@ func TestScanDifferential(t *testing.T) {
 		wild := g.Intn(5) == 0
 		metric := []Metric{Cosine, Euclidean}[g.Intn(2)]
 		parts := []int{1, 2, 3, 7}[g.Intn(4)]
+		owned := 0
+		if g.Intn(5) == 0 {
+			d, wild, parts = []int{2, 3, 4, 9}[g.Intn(4)], false, 1+g.Intn(2)
+			owned = largeOwned[g.Intn(len(largeOwned))]
+		}
 		part := g.Intn(parts)
-		ix, fx := index(d, wild, metric, part, parts, g.Intn(2) == 0)
+		ix, fx := index(d, wild, metric, part, parts, owned)
+		if owned > 0 && ix.OwnedCompanies() != owned {
+			t.Fatalf("round %d: the prefix owns %d rows, want %d", round, ix.OwnedCompanies(), owned)
+		}
 		c, reps, n := fx.c, fx.reps, fx.c.N()
 		f := drawFilter(g, c)
 		if g.Intn(3) == 0 {
 			f = Filter{} // the dense blocks only an unfiltered scan has
 		}
-		k := []int{1, 2, 10, 40, scanBlock - 1, scanBlock + 1, n + 10}[g.Intn(7)]
-		owned := func(i int) bool { return parts == 1 || PartitionOf(i, parts) == part }
-		desc := fmt.Sprintf("round %d: d=%d wild=%v metric=%v part=%d/%d pruned=%v k=%d filter=%s",
-			round, d, wild, metric, part, parts, ix.Pruner() != nil, k, f.Key())
+		k := []int{1, 2, 10, 25, 40, scanBlock - 1, scanBlock + 1, n + 10}[g.Intn(8)]
+		isOwned := func(i int) bool { return parts == 1 || PartitionOf(i, parts) == part }
+		// layout: no pruner, even cells, or cells laid out around the answer.
+		layout := g.Intn(8) - 3
+		// prune returns the round's index: ix itself, or a copy under a
+		// full-probe pruner (every cell, every id), once top is known.
+		prune := func(top []int) *Index {
+			if layout < 0 {
+				return ix
+			}
+			pruned := *ix
+			if layout > 2 {
+				pruned.SetPruner(newCellPruner(n, 7, 7))
+			} else {
+				pruned.SetPruner(cellsAround(g, n, k, top, layout))
+			}
+			return &pruned
+		}
+		desc := fmt.Sprintf("round %d: d=%d wild=%v metric=%v rows=%d part=%d/%d layout=%d k=%d filter=%s",
+			round, d, wild, metric, n, part, parts, layout, k, f.Key())
 
 		if g.Intn(3) == 0 { // white-space
-			clients := make([]int, 1+g.Intn(2*idSetListMax))
+			maxClients := 2 * idSetListMax
+			if owned > 0 {
+				maxClients = 4 // the reference scores every row against every client
+			}
+			clients := make([]int, 1+g.Intn(maxClients))
 			for ci := range clients {
 				clients[ci] = g.Intn(n)
 				if g.Intn(3) == 0 {
@@ -422,7 +559,7 @@ func TestScanDifferential(t *testing.T) {
 			}
 			var want []WhitespaceProspect
 			for i := 0; i < n; i++ {
-				if !owned(i) || isClient[i] || !f.Admits(&c.Companies[i]) {
+				if !isOwned(i) || isClient[i] || !f.Admits(&c.Companies[i]) {
 					continue
 				}
 				p := WhitespaceProspect{CompanyID: i, NearestClient: -1, Similarity: math.Inf(-1)}
@@ -435,7 +572,12 @@ func TestScanDifferential(t *testing.T) {
 			}
 			sort.Slice(want, func(a, b int) bool { return ProspectBetter(want[a], want[b]) })
 			want = want[:min(k, len(want))]
-			for _, workers := range []int{1, 4} {
+			top := make([]int, len(want))
+			for r := range want {
+				top[r] = want[r].CompanyID
+			}
+			ix := prune(top)
+			for _, workers := range []int{1, 2, 4} {
 				par.SetWorkers(workers)
 				got, err := ix.Whitespace(clients, k, f)
 				if err != nil {
@@ -468,7 +610,7 @@ func TestScanDifferential(t *testing.T) {
 		var want []Match
 		var admitted, rejected uint64
 		for i := 0; i < n; i++ {
-			if i == exclude || !owned(i) {
+			if i == exclude || !isOwned(i) {
 				continue
 			}
 			if !f.Admits(&c.Companies[i]) {
@@ -480,7 +622,12 @@ func TestScanDifferential(t *testing.T) {
 		}
 		sort.Slice(want, func(a, b int) bool { return MatchBetter(want[a], want[b]) })
 		want = want[:min(k, len(want))]
-		for _, workers := range []int{1, 4} {
+		top := make([]int, len(want))
+		for r := range want {
+			top[r] = want[r].CompanyID
+		}
+		ix = prune(top)
+		for _, workers := range []int{1, 2, 4} {
 			par.SetWorkers(workers)
 			admitted0, rejected0 := topkAdmitted.Value(), topkFiltered.Value()
 			var got []Match
@@ -593,7 +740,8 @@ func TestScanHonoursDeadlineInsideShard(t *testing.T) {
 	for _, after := range []int64{0, 1, 3} {
 		ctx := &countdownCtx{Context: context.Background()}
 		ctx.after.Store(after)
-		o, err := q.visit(ctx, nil, 0, n, false)
+		o := q.newSelection(n)
+		err := q.visit(ctx, o, nil, 0, n, false)
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("expiry after %d looks: visit returned %v", after, err)
 		}
@@ -605,7 +753,7 @@ func TestScanHonoursDeadlineInsideShard(t *testing.T) {
 			t.Errorf("expiry after %d looks: %d rows admitted, the scan should have stopped within %d", after, o.admitted, rows)
 		}
 	}
-	if _, err := q.visit(context.Background(), nil, 0, n, false); err != nil {
+	if err := q.visit(context.Background(), q.newSelection(n), nil, 0, n, false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -630,9 +778,9 @@ func TestScanHonoursDeadlineInsideShard(t *testing.T) {
 }
 
 // TestFanoutRule answers the same exact and pruned queries on a fixture
-// below minFanoutRows and on one above it: whichever way run executes the
-// cells or shards, the answers at one worker and at four are gob-identical,
-// and the inline path surfaces a cancelled context as par's does.
+// below minFanoutRows and on one above it: however many workers run takes,
+// the answers at one worker and at four are gob-identical, and a cancelled
+// context surfaces on the calling goroutine as it does from par's.
 func TestFanoutRule(t *testing.T) {
 	defer par.SetWorkers(0)
 	for _, n := range []int{minFanoutRows / 4, 2 * minFanoutRows} {
@@ -664,6 +812,30 @@ func TestFanoutRule(t *testing.T) {
 			if _, err := ix.TopKContext(ctx, 0, 5, Filter{}); !errors.Is(err, context.Canceled) {
 				t.Errorf("n=%d %s: cancelled top-k returned %v", n, name, err)
 			}
+		}
+	}
+}
+
+// TestUntracedScanStartsNoTrace pins the guard on the par.shard spans: with
+// the default tracer enabled, a scan whose context carries no span — on
+// either side of minFanoutRows — must not root a trace per task.
+func TestUntracedScanStartsNoTrace(t *testing.T) {
+	trace.Default().SetEnabled(true)
+	defer trace.Default().SetEnabled(false)
+	started := obs.Default().Counter("trace_traces_started_total", "")
+	for _, n := range []int{300, 2 * minFanoutRows} {
+		c, reps := scanFixture(n, 4, 9)
+		ix, err := NewIndex(c, reps, Cosine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := started.Value()
+		q := ix.newScan(5, Filter{}, [][]float64{reps.Row(0)}, []int{0})
+		if _, _, _, err := q.run(context.Background(), nil, annTopkQueries, annTopkCandidates); err != nil {
+			t.Fatal(err)
+		}
+		if got := started.Value() - before; got != 0 {
+			t.Errorf("n=%d: an untraced scan started %d traces", n, got)
 		}
 	}
 }

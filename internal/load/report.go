@@ -16,8 +16,8 @@ import (
 // Quantiles use ceil-based nearest-rank (the smallest sample ≥ q of the
 // distribution), so tail figures never under-report: p99 of 500 samples is
 // the 495th order statistic, not the 494th as the earlier floor-indexed
-// reports recorded. BENCH_serve.json files written before this change can
-// read one rank lower on P99MS/P999MS.
+// reports recorded. Report files written before this change can read one rank
+// lower on P99MS/P999MS.
 type EndpointStats struct {
 	Requests int `json:"requests"`
 	Errors   int `json:"errors"` // transport failures + status >= 400
@@ -44,7 +44,7 @@ type EndpointStats struct {
 	SlowestTraceID string `json:"slowest_trace_id,omitempty"`
 }
 
-// Report is the BENCH_serve.json shape.
+// Report is the shape of the file ibload writes to -out.
 type Report struct {
 	Benchmark string `json:"benchmark"`
 	// Label distinguishes runs in a combined benchmark file (e.g. "unsharded"
@@ -152,7 +152,7 @@ func buildReport(cfg Config, samples []sample, measured time.Duration) *Report {
 
 // WriteFile writes the report as indented JSON through snapshot.Atomic —
 // the repo's single crash-safe write discipline (temp file, fsync, rename,
-// world-readable install mode) for BENCH_*.json.
+// world-readable install mode).
 func (r *Report) WriteFile(path string) error {
 	raw, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
