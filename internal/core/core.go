@@ -6,6 +6,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -143,10 +144,10 @@ type Match struct {
 //
 // Everything a scan needs per candidate that does not depend on the query is
 // computed once, at build time: the row norms and filter columns (NewIndex),
-// the owned-id list (SetPartition) and the candidate lists of the equality
-// columns (both). Corpus and Reps must not change after NewIndex. Copying the
-// struct shares the columns, which is how the shadow re-execution gets a
-// pruner-free twin of the serving index.
+// the owned-id list (SetPartition), the candidate lists of the equality
+// columns and the leaves (both). Corpus, Reps and Metric must not change after
+// NewIndex. Copying the struct shares the columns, which is how the shadow
+// re-execution gets a pruner-free twin of the serving index.
 type Index struct {
 	Corpus *corpus.Corpus
 	Reps   *mat.Matrix
@@ -157,6 +158,7 @@ type Index struct {
 	// bySIC2 and byCountry group the owned ids by their code in cols.sic2 and
 	// cols.country: the candidates of an equality filter.
 	bySIC2, byCountry codeLists
+	leaves            leaves // the owned ids in cone-bounded groups: an unfiltered scan's order
 
 	norms []float64     // norms[i] = ‖Reps.Row(i)‖, summed in Scorer.Score's order
 	cols  filterColumns // the Filter-tested attributes of Corpus.Companies
@@ -219,8 +221,8 @@ func PartitionOf(id, parts int) int {
 // SetPartition restricts the index's candidate scans to partition part of
 // parts (per PartitionOf), hashing every id once to materialise the ascending
 // owned-id list the scans walk, and regroups the equality columns' candidate
-// lists to the owned ids. Call once at build time, before serving; parts of 0
-// or 1 restores the full scan.
+// lists and the leaves to the owned ids. Call once at build time, before
+// serving; parts of 0 or 1 restores the full scan.
 func (ix *Index) SetPartition(part, parts int) error {
 	if parts <= 1 {
 		ix.part, ix.parts, ix.owned = 0, 0, nil
@@ -243,11 +245,12 @@ func (ix *Index) SetPartition(part, parts int) error {
 	return nil
 }
 
-// groupOwned builds the candidate lists of the two equality columns over the
-// owned ids.
+// groupOwned builds the candidate lists of the two equality columns and the
+// leaves over the owned ids.
 func (ix *Index) groupOwned() {
 	ix.bySIC2 = newCodeLists(ix.cols.sic2, len(ix.cols.sic2Codes), ix.owned)
 	ix.byCountry = newCodeLists(ix.cols.country, len(ix.cols.countryCodes), ix.owned)
+	ix.groupLeaves()
 }
 
 // Partition reports the scan restriction: the partition index and count
@@ -275,8 +278,8 @@ func (ix *Index) OwnedCompanies() int {
 }
 
 // NewIndex validates shapes and builds an index, including its scan columns
-// (one pass over the companies and one over the representation rows) and the
-// equality columns' candidate lists (a counting sort each).
+// (one pass over the companies and one over the representation rows), the
+// equality columns' candidate lists (a counting sort each) and the leaves.
 func NewIndex(c *corpus.Corpus, reps *mat.Matrix, metric Metric) (*Index, error) {
 	if reps.Rows != c.N() {
 		return nil, fmt.Errorf("core: %d representation rows for %d companies", reps.Rows, c.N())
@@ -497,8 +500,8 @@ type scan struct {
 	ids  []int
 	skip idSet
 	// rows resolves an exact scan's positions to ids: the owned list, an
-	// equality filter's candidate list (narrow), or nil for the identity. A
-	// pruned scan walks its cells instead.
+	// equality filter's candidate list (narrow), the leaves' rows, or nil for
+	// the identity. A pruned scan walks its cells instead.
 	rows []uint32
 	// outside is what the filter would have refused of the owned rows the
 	// scan's list leaves out; run counts them filtered without visiting them.
@@ -509,6 +512,10 @@ type scan struct {
 	// and every norm the floor test multiplies — the index's and the query
 	// vectors' — is inside its range (reject).
 	filtered, floorTest bool
+	// leaves: the scan walks the index's leaves best bound first (run). It is
+	// exact, unfiltered, and meets the floor test's preconditions, which are
+	// the cone bound's too.
+	leaves bool
 }
 
 func (ix *Index) newScan(k int, f Filter, vecs [][]float64, ids []int) *scan {
@@ -519,9 +526,7 @@ func (ix *Index) newScan(k int, f Filter, vecs [][]float64, ids []int) *scan {
 		rows:   ix.owned,
 		filter: ix.cols.bind(f),
 	}
-	if ix.pruner == nil {
-		q.narrow()
-	}
+	narrowed := ix.pruner == nil && q.narrow()
 	q.filtered = q.filter != ix.cols.bind(Filter{})
 	if ix.Metric != Euclidean {
 		q.floorTest = ix.normsInRange
@@ -532,13 +537,17 @@ func (ix *Index) newScan(k int, f Filter, vecs [][]float64, ids []int) *scan {
 			}
 		}
 	}
+	if ix.pruner == nil && !narrowed && !q.filtered && q.floorTest && ix.leaves.start != nil {
+		q.leaves, q.rows = true, ix.leaves.rows
+	}
 	return q
 }
 
 // narrow makes an exact scan walk the candidate list of one equality field of
 // its filter — the shorter list when it has two — instead of every owned row,
-// and leaves that field out of what admit tests row by row.
-func (q *scan) narrow() {
+// and leaves that field out of what admit tests row by row. It reports
+// whether the filter named such a field.
+func (q *scan) narrow() bool {
 	ix, cf := q.ix, &q.filter
 	var col []uint32
 	var field *uint32 // the code of cf the list stands for
@@ -551,19 +560,28 @@ func (q *scan) narrow() {
 		}
 	}
 	if field == nil {
-		return
+		return false
 	}
 	code := *field
 	*field = anyCode
 	// Every owned row off the list fails the filter, and the row-by-row test
 	// counted each one filtered — except the scan's own ids, which it never
-	// tested (a client may be listed twice).
-	q.outside = uint64(ix.OwnedCompanies() - len(q.rows))
+	// tested.
+	q.outside = uint64(ix.OwnedCompanies()-len(q.rows)) - q.ownRows(func(id int) bool { return col[id] != code })
+	return true
+}
+
+// ownRows counts the scan's own ids that are owned rows of the index and for
+// which in holds, each once (a client may be listed twice): rows admit skips
+// without counting them either way.
+func (q *scan) ownRows(in func(id int) bool) uint64 {
+	var n uint64
 	for j, id := range q.ids {
-		if id >= 0 && col[id] != code && ix.owns(id) && !slices.Contains(q.ids[:j], id) {
-			q.outside--
+		if id >= 0 && in(id) && q.ix.owns(id) && !slices.Contains(q.ids[:j], id) {
+			n++
 		}
 	}
+	return n
 }
 
 // cosineSimilarity and euclideanSimilarity are Scorer.Score with the norms
@@ -586,11 +604,22 @@ func euclideanSimilarity(qv, row []float64) float64 {
 
 // selection is what one worker of a scan carries from task to task: the heap
 // (so a task starts at the floor — the root's similarity once the heap is full
-// — that the worker's last one reached), the tallies, the blocks gone through.
+// — that the worker's last one reached), the tallies, the blocks gone through,
+// the tasks it took and their rows.
 type selection struct {
 	heap               topkHeap[WhitespaceProspect]
 	admitted, rejected uint64
 	blocks             int
+	tasks, rows        int
+}
+
+// floor is the similarity at the root of sel's heap once it is full, -Inf
+// before: a row strictly below it cannot enter the heap.
+func (sel *selection) floor() float64 {
+	if len(sel.heap.m) == sel.heap.k {
+		return sel.heap.m[0].Similarity
+	}
+	return math.Inf(-1)
 }
 
 // newSelection returns an empty selection for a scan of at most rows rows.
@@ -618,11 +647,12 @@ const (
 )
 
 // run is the one driver of every scan. The scan is a list of tasks — the
-// pruner's cells, or scanChunk-long ranges of the scan's positions — taken off
-// a shared counter by one worker below minFanoutRows rows (par.ForEach then
-// runs it on the calling goroutine), by up to par.Workers() above; each offers
-// all it takes to one selection (DESIGN §13: the schedule cannot change the
-// answer). annQueries and annCandidates are the endpoint's pruned-scan counters.
+// pruner's cells, the leaves a scan.leaves scan has to visit, or
+// scanChunk-long ranges of the scan's positions — taken off a shared counter by
+// one worker below minFanoutRows rows (par.ForEach then runs it on the calling
+// goroutine), by up to par.Workers() above; each offers all it takes to one
+// selection (DESIGN §13: the schedule cannot change the answer). annQueries
+// and annCandidates are the endpoint's pruned-scan counters.
 func (q *scan) run(ctx context.Context, sp *trace.Span, annQueries, annCandidates *obs.Counter) (best []WhitespaceProspect, admitted, rejected uint64, err error) {
 	ix := q.ix
 	type task struct {
@@ -630,6 +660,11 @@ func (q *scan) run(ctx context.Context, sp *trace.Span, annQueries, annCandidate
 		lo, hi int
 	}
 	var tasks []task
+	// bounds[t] is leaf task t's bound, nil for chunks and cells. A worker
+	// stops before a leaf whose bound is strictly below its floor: no row of
+	// it, nor of any later leaf, could enter its heap.
+	var bounds []float64
+	var first *selection // worker 0's, once it has visited the best leaf
 	rows := len(q.rows)
 	if q.rows == nil {
 		rows = ix.Corpus.N()
@@ -637,7 +672,8 @@ func (q *scan) run(ctx context.Context, sp *trace.Span, annQueries, annCandidate
 	foreign := ix.pruner != nil && ix.parts > 1
 	// Exact tasks are par.shard spans of a traced request only: Start would root one each.
 	spans := ix.pruner == nil && trace.FromContext(ctx) != nil
-	if ix.pruner != nil {
+	switch {
+	case ix.pruner != nil:
 		cells := ix.pruner.Candidates(q.vecs)
 		tasks, rows = make([]task, len(cells)), 0
 		for t, cell := range cells {
@@ -650,36 +686,73 @@ func (q *scan) run(ctx context.Context, sp *trace.Span, annQueries, annCandidate
 		annQueries.Inc()
 		annCandidates.Add(uint64(rows))
 		annCellsProbed.Add(uint64(len(cells)))
-	} else {
+	case q.leaves:
+		// The best leaf first, on the calling goroutine: the floor it leaves
+		// decides which other leaves are tasks at all, best bound first.
+		start, all := ix.leaves.start, q.leafBounds()
+		leaf := func(l int) task { return task{nil, int(start[l]), int(start[l+1])} }
+		rows = 0
+		if len(all) == 0 {
+			break
+		}
+		top := 0
+		for l, b := range all {
+			if b > all[top] {
+				top = l
+			}
+		}
+		tasks = []task{leaf(top)}
+		first = q.newSelection(ix.OwnedCompanies())
+		if err := q.runTask(ctx, first, 0, tasks[0].ids, tasks[0].lo, tasks[0].hi, spans, foreign); err != nil {
+			return nil, 0, 0, err
+		}
+		floor := first.floor()
+		rest := make([]int, 0, len(all))
+		for l, b := range all {
+			if b >= floor && l != top {
+				rest = append(rest, l)
+			}
+		}
+		slices.SortFunc(rest, func(a, b int) int {
+			if all[a] != all[b] {
+				return cmp.Compare(all[b], all[a])
+			}
+			return a - b
+		})
+		tasks = append(make([]task, 0, 1+len(rest)), tasks[0])
+		bounds = make([]float64, 1, 1+len(rest))
+		bounds[0] = all[top]
+		for _, l := range rest {
+			tasks, bounds = append(tasks, leaf(l)), append(bounds, all[l])
+			rows += int(start[l+1] - start[l])
+		}
+	default:
 		tasks = make([]task, (rows+scanChunk-1)/scanChunk)
 		for t := range tasks {
 			tasks[t] = task{nil, t * scanChunk, min((t+1)*scanChunk, rows)}
 		}
 	}
+	var next atomic.Int64
+	if first != nil {
+		next.Store(1)
+	}
 	workers := 1
 	if rows >= minFanoutRows {
-		workers = min(par.Workers(), len(tasks))
+		workers = min(par.Workers(), len(tasks)-int(next.Load()))
 	}
 	sels := make([]*selection, workers)
-	var next atomic.Int64
 	err = par.ForEach(ctx, workers, func(w int) error {
-		sels[w] = q.newSelection(rows)
+		sel := first
+		if w > 0 || sel == nil {
+			sel = q.newSelection(rows)
+		}
+		sels[w] = sel
 		for {
 			t := int(next.Add(1)) - 1
-			if t >= len(tasks) {
+			if t >= len(tasks) || bounds != nil && bounds[t] < sel.floor() {
 				return nil
 			}
-			var tsp *trace.Span
-			if spans {
-				_, tsp = trace.Start(ctx, "par.shard")
-				tsp.AttrInt("shard", int64(t))
-				tsp.AttrInt("lo", int64(tasks[t].lo))
-				tsp.AttrInt("hi", int64(tasks[t].hi))
-			}
-			err := q.visit(ctx, sels[w], tasks[t].ids, tasks[t].lo, tasks[t].hi, foreign)
-			tsp.Error(err)
-			tsp.End()
-			if err != nil {
+			if err := q.runTask(ctx, sel, t, tasks[t].ids, tasks[t].lo, tasks[t].hi, spans, foreign); err != nil {
 				return err
 			}
 		}
@@ -687,17 +760,47 @@ func (q *scan) run(ctx context.Context, sp *trace.Span, annQueries, annCandidate
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	if workers == 1 {
-		return sels[0].heap.sorted(), sels[0].admitted, sels[0].rejected + q.outside, nil
-	}
-	heaps := make([][]WhitespaceProspect, workers)
 	rejected = q.outside
-	for w, sel := range sels {
-		heaps[w] = sel.heap.m
+	var visited, visitedRows int
+	for _, sel := range sels {
 		admitted += sel.admitted
 		rejected += sel.rejected
+		visited += sel.tasks
+		visitedRows += sel.rows
+	}
+	if q.leaves {
+		// The rows of a leaf never visited would all have been admitted: no
+		// filter is left, and the scan's own ids are never candidates.
+		admitted = uint64(ix.OwnedCompanies()) - q.ownRows(func(int) bool { return true })
+		sp.AttrInt("leaves_visited", int64(visited))
+		sp.AttrInt("rows_visited", int64(visitedRows))
+	}
+	if workers == 1 {
+		return sels[0].heap.sorted(), admitted, rejected, nil
+	}
+	heaps := make([][]WhitespaceProspect, workers)
+	for w, sel := range sels {
+		heaps[w] = sel.heap.m
 	}
 	return MergeTopK(heaps, q.k, ProspectBetter), admitted, rejected, nil
+}
+
+// runTask offers task t — ids[lo:hi], or the scan's positions lo..hi-1 — to
+// sel through visit, as a par.shard span when spans is set.
+func (q *scan) runTask(ctx context.Context, sel *selection, t int, ids []int64, lo, hi int, spans, foreign bool) error {
+	var tsp *trace.Span
+	if spans {
+		_, tsp = trace.Start(ctx, "par.shard")
+		tsp.AttrInt("shard", int64(t))
+		tsp.AttrInt("lo", int64(lo))
+		tsp.AttrInt("hi", int64(hi))
+	}
+	err := q.visit(ctx, sel, ids, lo, hi, foreign)
+	sel.tasks++
+	sel.rows += hi - lo
+	tsp.Error(err)
+	tsp.End()
+	return err
 }
 
 // visit is the candidate loop. It offers candidates ids[lo:hi] — or, when ids

@@ -13,8 +13,12 @@ import (
 //
 // The w1 cases run on one worker and are the ones to compare kernels with:
 // on a lent two-core host the two-worker rows swing by a factor of two on
-// identical code. d3 and d8 are a width the floor test unrolls and one it
-// does not; anncells and anncells20k are pruned scans on either side of
+// identical code. Every unfiltered exact case visits the index's leaves best
+// bound first and stops where no leaf can beat its floor, so on these rows,
+// topic-mixture-like, it reads a few percent of them; unpruned/w1 is the
+// worst case, every row a scaled copy of one direction, where no leaf can be
+// skipped and the scan reads every row in leaf order. d3 and d8 are a width
+// the floor test unrolls and one it does not; anncells and anncells20k are pruned scans on either side of
 // minFanoutRows, which differ in nothing but the number of workers that take
 // their cells. whitespace4cells is the white-space query under that pruner:
 // four clients' eight cells each come to 32 at most, the 20k-row pool again,
@@ -39,6 +43,16 @@ func BenchmarkScan(b *testing.B) {
 		return ix
 	}
 	exact := build(4)
+	c, reps := scanFixture(n, 4, 1)
+	for i := 0; i < n; i++ {
+		for j, v := range reps.Row(0) {
+			reps.Row(i)[j] = v * float64(1+i%7)
+		}
+	}
+	unpruned, err := NewIndex(c, reps, Cosine)
+	if err != nil {
+		b.Fatal(err)
+	}
 	shard, pruned, pruned20k := *exact, *exact, *exact
 	if err := shard.SetPartition(1, 2); err != nil {
 		b.Fatal(err)
@@ -84,6 +98,7 @@ func BenchmarkScan(b *testing.B) {
 		{"anncells20k", 2, n / 5, topK(&pruned20k)},
 		{"whitespace4cells", 2, n / 5, whitespace4(&pruned20k)},
 		{"exact/w1", 1, n, topK(exact)},
+		{"unpruned/w1", 1, n, topK(unpruned)},
 		{"whitespace4/w1", 1, n, whitespace4(exact)},
 		{"d3/w1", 1, n, topK(build(3))},
 		{"d8/w1", 1, n, topK(build(8))},

@@ -462,6 +462,18 @@ func plantBoundaries(reps *mat.Matrix, anchors []int) {
 	}
 }
 
+// plantCopies overwrites more rows than a leaf holds — every third row from
+// the first that is not an anchor — with exact copies of the first anchor, so
+// that an anchor query's k-th place is a tie that straddles leaves.
+func plantCopies(reps *mat.Matrix, anchors []int) {
+	for i, planted := 0, 0; planted < scanBlock+45; i += 3 {
+		if !slices.Contains(anchors, i) {
+			copy(reps.Row(i), reps.Row(anchors[0]))
+			planted++
+		}
+	}
+}
+
 // cellsAround is a full-probe pruner laid out around one answer: the ids of
 // top (ascending, as a cell's are) make up the first cell, the last one, or
 // are split between the two, so that the carried floor is at its highest for
@@ -523,11 +535,16 @@ func cellsAround(g *rng.RNG, n, k int, top []int, where int) *cellPruner {
 // Most rounds scan a fixture of some 3000 rows: one task when exact, and under
 // a pruner as many as it has cells, all offered to one selection. The pruner
 // has seven even cells or is laid out around the round's own answer
-// (cellsAround). One round in five scans a prefix of a large fixture that
-// owns scanChunk-1 rows (one task, below minFanoutRows), scanChunk or
-// scanChunk+1 (the rule's other side; one task and a one-row second), or two
-// chunks and a ragged third, unpartitioned or as half of two, with tied rows
-// planted across the task boundaries (plantBoundaries).
+// (cellsAround). An unfiltered exact cosine scan visits the index's leaves
+// instead, best bound first; one round in four of those over a small fixture
+// is such a scan of one that holds more exact copies of an anchor than a leaf
+// holds, querying that anchor, so that the k-th place is tied across leaves
+// (plantCopies). One round in five scans
+// a prefix of a large fixture that owns scanChunk-1 rows (one task, below
+// minFanoutRows), scanChunk or scanChunk+1 (the rule's other side; one task
+// and a one-row second), or two chunks and a ragged third, unpartitioned or as
+// half of two, with tied rows planted across the task boundaries
+// (plantBoundaries). A few rounds scan a partition that owns no row at all.
 func TestScanDifferential(t *testing.T) {
 	const rounds = 600
 	g := rng.New(4242)
@@ -542,11 +559,12 @@ func TestScanDifferential(t *testing.T) {
 	fixtures := make(map[string]fixture)
 	indexes := make(map[string]*Index)
 	// index returns the index of a round and the fixture it is over. owned is
-	// 0 for a small fixture, scanned whole; otherwise the index is over the
-	// shortest prefix of a large fixture of which the partition owns that many
-	// rows (built per round: a cache of those would hold too much).
-	index := func(d int, wild bool, metric Metric, part, parts, owned int) (*Index, fixture) {
-		fkey := fmt.Sprintf("%d/%v/%v", d, wild, owned > 0)
+	// 0 for a small fixture, scanned whole, and -1 for its first row, which the
+	// partition does not own; otherwise the index is over the shortest prefix
+	// of a large fixture of which the partition owns that many rows (built per
+	// round: a cache of those would hold too much).
+	index := func(d int, wild, planted bool, metric Metric, part, parts, owned int) (*Index, fixture) {
+		fkey := fmt.Sprintf("%d/%v/%v/%v", d, wild, planted, owned > 0)
 		fx, ok := fixtures[fkey]
 		if !ok {
 			n := 3*4*scanBlock - 50 - 13*d // ragged at every cell count used
@@ -554,13 +572,16 @@ func TestScanDifferential(t *testing.T) {
 				n = 2*largeOwned[len(largeOwned)-1] + 2000
 			}
 			fx.c, fx.reps, fx.anchors = diffFixture(n, d, int64(42+d), wild)
+			if planted {
+				plantCopies(fx.reps, fx.anchors)
+			}
 			if owned > 0 {
 				plantBoundaries(fx.reps, fx.anchors)
 			}
 			fixtures[fkey] = fx
 		}
 		key := fmt.Sprintf("%s/%v/%d/%d", fkey, metric, part, parts)
-		if ix, ok := indexes[key]; ok {
+		if ix, ok := indexes[key]; ok && owned == 0 {
 			return ix, fx
 		}
 		if owned > 0 {
@@ -573,13 +594,18 @@ func TestScanDifferential(t *testing.T) {
 			fx.c = corpus.New(fx.c.Catalog, fx.c.Companies[:n])
 			fx.reps = &mat.Matrix{Rows: n, Cols: d, Data: fx.reps.Data[:n*d]}
 		}
+		if owned < 0 {
+			fx.c = corpus.New(fx.c.Catalog, fx.c.Companies[:1])
+			fx.reps = &mat.Matrix{Rows: 1, Cols: d, Data: fx.reps.Data[:d]}
+			fx.anchors = []int{0}
+		}
 		ix, err := NewIndex(fx.c, fx.reps, metric)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// The tame fixtures are the ones the floor test must run on, zero-norm
 		// rows and 2^±300 scalings included; the wild ones must switch it off.
-		if ix.normsInRange == wild {
+		if owned >= 0 && ix.normsInRange == wild {
 			t.Fatalf("d=%d wild=%v: normsInRange = %v", d, wild, ix.normsInRange)
 		}
 		if err := ix.SetPartition(part, parts); err != nil {
@@ -602,19 +628,32 @@ func TestScanDifferential(t *testing.T) {
 			owned = largeOwned[g.Intn(len(largeOwned))]
 		}
 		part := g.Intn(parts)
-		ix, fx := index(d, wild, metric, part, parts, owned)
-		if owned > 0 && ix.OwnedCompanies() != owned {
-			t.Fatalf("round %d: the prefix owns %d rows, want %d", round, ix.OwnedCompanies(), owned)
+		if owned == 0 && g.Intn(20) == 0 {
+			owned, parts, part = -1, 7, (PartitionOf(0, 7)+1)%7
+		}
+		planted := owned == 0 && g.Intn(4) == 0
+		if planted {
+			metric = Cosine // and exact and unfiltered (below): the leaves' case
+		}
+		ix, fx := index(d, wild, planted, metric, part, parts, owned)
+		if owned != 0 && ix.OwnedCompanies() != max(owned, 0) {
+			t.Fatalf("round %d: the prefix owns %d rows, want %d", round, ix.OwnedCompanies(), max(owned, 0))
 		}
 		c, reps, n := fx.c, fx.reps, fx.c.N()
 		f := drawFilter(g, c)
-		if g.Intn(3) == 0 {
+		if g.Intn(3) == 0 || planted {
 			f = Filter{} // the dense blocks only an unfiltered scan has
 		}
 		k := []int{1, 2, 10, 25, 40, scanBlock - 1, scanBlock + 1, n + 10}[g.Intn(8)]
 		isOwned := func(i int) bool { return parts == 1 || PartitionOf(i, parts) == part }
 		// layout: no pruner, even cells, or cells laid out around the answer.
 		layout := g.Intn(8) - 3
+		if owned < 0 && layout >= 0 {
+			layout = 3 // cellsAround cuts cells of an eighth of the rows
+		}
+		if planted {
+			layout = -1
+		}
 		// prune returns the round's index: ix itself, or a copy under a
 		// full-probe pruner (every cell, every id), once top is known.
 		prune := func(top []int) *Index {
@@ -629,8 +668,8 @@ func TestScanDifferential(t *testing.T) {
 			}
 			return &pruned
 		}
-		desc := fmt.Sprintf("round %d: d=%d wild=%v metric=%v rows=%d part=%d/%d layout=%d k=%d filter=%s",
-			round, d, wild, metric, n, part, parts, layout, k, f.Key())
+		desc := fmt.Sprintf("round %d: d=%d wild=%v planted=%v metric=%v rows=%d part=%d/%d layout=%d k=%d filter=%s",
+			round, d, wild, planted, metric, n, part, parts, layout, k, f.Key())
 
 		if g.Intn(3) == 0 { // white-space
 			maxClients := 2 * idSetListMax
@@ -643,6 +682,9 @@ func TestScanDifferential(t *testing.T) {
 				if g.Intn(3) == 0 {
 					clients[ci] = fx.anchors[g.Intn(len(fx.anchors))]
 				}
+			}
+			if planted {
+				clients[0] = fx.anchors[0]
 			}
 			if len(clients) > 2 {
 				clients[len(clients)-1] = clients[0] // a duplicate
@@ -697,6 +739,9 @@ func TestScanDifferential(t *testing.T) {
 			exclude, query = -1, drawQuery(g, reps, fx.anchors, wild)
 		case 1:
 			exclude = fx.anchors[g.Intn(len(fx.anchors))]
+		}
+		if planted {
+			exclude = fx.anchors[0]
 		}
 		if exclude >= 0 {
 			query = reps.Row(exclude)
@@ -804,6 +849,107 @@ func FuzzRejectBound(f *testing.F) {
 	})
 }
 
+// FuzzConeBound aims at the one way the leaves can be wrong — a leaf whose
+// bound is below a member's exact score, so that a scan stops before a row it
+// had to offer. From fuzzed bits it builds 1–8 rows of dimension 1–9, one
+// leaf, and a query vector, then checks the two halves of the cone lemma in
+// DESIGN §13: a scan takes the leaves exactly when every stated precondition
+// holds, and the leaf's bound, slack included, is then at least
+// cosineSimilarity of the query with every member. The seeds are the files of
+// testdata/fuzz/FuzzConeBound: raw is the query vector then the rows,
+// little-endian float64s, 1 + dim%9 of them each.
+func FuzzConeBound(f *testing.F) {
+	cat := corpus.DefaultCatalog()
+	f.Fuzz(func(t *testing.T, raw []byte, dim uint8) {
+		d := 1 + int(dim)%9
+		n := len(raw)/(8*d) - 1
+		if n < 1 || n > 8 {
+			return
+		}
+		vals := make([]float64, (n+1)*d)
+		for j := range vals {
+			vals[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:]))
+		}
+		qv := vals[:d]
+		companies := make([]corpus.Company, n)
+		for i := range companies {
+			companies[i] = corpus.Company{ID: i, Name: fmt.Sprint(i)}
+		}
+		ix, err := NewIndex(corpus.New(cat, companies), mat.FromSlice(n, d, vals[d:]), Cosine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := ix.newScan(1, Filter{}, [][]float64{qv}, []int{-1})
+		inRange := func(v float64) bool { return 0x1p-500 <= v && v <= 0x1p+500 } // false for a NaN
+		want := inRange(mat.Norm2(qv))
+		for i := 0; i < n; i++ {
+			if rn := mat.Norm2(ix.Reps.Row(i)); rn != 0 && !inRange(rn) {
+				want = false
+			}
+		}
+		if q.leaves != want {
+			t.Fatalf("q=%v rows=%v: the scan takes the leaves: %v, preconditions hold: %v", qv, vals[d:], q.leaves, want)
+		}
+		if !q.leaves {
+			return
+		}
+		if len(ix.leaves.start) != 2 {
+			t.Fatalf("%d rows make %d leaves", n, len(ix.leaves.start)-1)
+		}
+		bound := q.leafBounds()[0]
+		for i := 0; i < n; i++ {
+			if s := cosineSimilarity(qv, ix.Reps.Row(i), q.qnorms[0], ix.norms[i]); !(s <= bound) {
+				t.Fatalf("q=%v row %d of %v: bound %v (cone %v), but the exact score is %v",
+					qv, i, vals[d:], bound, ix.leaves.cones, s)
+			}
+		}
+	})
+}
+
+// TestLeafStopRule pins the driver's stop rule at its edge: a leaf whose
+// bound equals a worker's floor is still visited, since a row there may tie
+// the floor and win on its id. The leaves are set by hand: leaf 0 holds
+// company 1, scoring 1 against the query; leaf 1 holds company 0, the same
+// row, under a made-up cone whose bound is exactly 1. The core.topk span
+// counts both leaves and both rows visited.
+func TestLeafStopRule(t *testing.T) {
+	c, _ := scanFixture(2, 2, 1)
+	ix, err := NewIndex(c, mat.FromSlice(2, 2, []float64{1, 0, 1, 0}), Cosine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix.leaves = leaves{
+		rows:  []uint32{1, 0},
+		start: []uint32{0, 1, 2},
+		// c = (1, 0), θ = 0; then c = (0, 1), cos θ = 2⁻¹⁰, sin θ = 1 − 2⁻²⁰:
+		// against (1, 0) that bound is 0·2⁻¹⁰ + 1·(1 − 2⁻²⁰) + 2⁻²⁰ = 1.
+		cones: []float64{1, 0, 1, 0, 0, 1, 0x1p-10, 1 - 0x1p-20},
+	}
+	tr := trace.NewTracer(4)
+	tr.SetEnabled(true)
+	tr.SetSampleRate(1)
+	ctx, root := tr.Start(context.Background(), "test")
+	got, err := ix.TopKByVectorContext(ctx, []float64{1, 0}, 1, Filter{})
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].CompanyID != 0 || got[0].Similarity != 1 {
+		t.Fatalf("top-1 %+v, want company 0 at 1: the row of the leaf whose bound ties the floor wins on its id", got)
+	}
+	tj, ok := tr.Get(root.TraceID().String())
+	if !ok || len(tj.Root.Children) != 1 || tj.Root.Children[0].Name != "core.topk" {
+		t.Fatalf("trace %+v, want one core.topk span under the root", tj)
+	}
+	attrs := map[string]string{}
+	for _, a := range tj.Root.Children[0].Attrs {
+		attrs[a.Key] = a.Value
+	}
+	if attrs["leaves_visited"] != "2" || attrs["rows_visited"] != "2" {
+		t.Errorf("core.topk attributes %v, want leaves_visited 2 and rows_visited 2", attrs)
+	}
+}
+
 // countdownCtx is a context whose Err turns non-nil after a set number of
 // calls: a deadline that expires at a known point inside a scan.
 type countdownCtx struct {
@@ -822,14 +968,27 @@ func (c *countdownCtx) Err() error {
 // candidate loop: a context that expires after N looks stops visit at once —
 // one more look, no further rows than the groups of blocks gone through — and
 // a white-space query cut short this way counts as an error, not as served.
+// Every row is a scaled copy of one direction, so no leaf's bound can fall
+// below a floor and the white-space scan visits every leaf, looking at its
+// context every ctxCheckBlocks leaves. A scan the leaves do prune honours an
+// expiring context too, before the first task after the best leaf.
 func TestScanHonoursDeadlineInsideShard(t *testing.T) {
 	const group = scanBlock * ctxCheckBlocks
 	const n = 5*group + 100
 	c, reps := scanFixture(n, 2, 3)
-	ix, err := NewIndex(c, reps, Cosine)
+	prunable, err := NewIndex(c, reps, Cosine)
 	if err != nil {
 		t.Fatal(err)
 	}
+	flat := mat.New(n, 2)
+	for i := 0; i < n; i++ {
+		flat.Row(i)[0], flat.Row(i)[1] = float64(1+i%5), float64(2+2*(i%5))
+	}
+	ix, err := NewIndex(c, flat, Cosine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps = flat
 	q := ix.newScan(5, Filter{}, [][]float64{reps.Row(0)}, []int{0})
 	for _, after := range []int64{0, 1, 3} {
 		ctx := &countdownCtx{Context: context.Background()}
@@ -868,6 +1027,22 @@ func TestScanHonoursDeadlineInsideShard(t *testing.T) {
 	}
 	if got := counter("whitespace_errors_total"); got != wsErr0+1 {
 		t.Errorf("whitespace_errors_total %d, want %d", got, wsErr0+1)
+	}
+
+	if q := prunable.newScan(5, Filter{}, [][]float64{reps.Row(0)}, []int{0}); !q.leaves {
+		t.Fatal("an unfiltered cosine scan does not take the leaves")
+	}
+	topkErr0 := counter("topk_errors_total")
+	ctx = &countdownCtx{Context: context.Background()}
+	if _, err := prunable.TopKContext(ctx, 7, 10, Filter{}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("leaf-path top-k under an expired context returned %v", err)
+	}
+	if got := counter("topk_errors_total"); got != topkErr0+1 {
+		t.Errorf("topk_errors_total %d, want %d", got, topkErr0+1)
+	}
+	ctx = &countdownCtx{Context: context.Background()}
+	if _, err := prunable.WhitespaceContext(ctx, []int{1, 2, 3}, 5, Filter{}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("leaf-path white-space under an expired context returned %v", err)
 	}
 }
 
