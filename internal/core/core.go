@@ -6,7 +6,6 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -145,7 +144,7 @@ type Match struct {
 // Everything a scan needs per candidate that does not depend on the query is
 // computed once, at build time: the row norms and filter columns (NewIndex),
 // the owned-id list (SetPartition), the candidate lists of the equality
-// columns and the leaves (both). Corpus, Reps and Metric must not change after
+// columns and the cone tree (both). Corpus, Reps and Metric must not change after
 // NewIndex. Copying the struct shares the columns, which is how the shadow
 // re-execution gets a pruner-free twin of the serving index.
 type Index struct {
@@ -158,7 +157,7 @@ type Index struct {
 	// bySIC2 and byCountry group the owned ids by their code in cols.sic2 and
 	// cols.country: the candidates of an equality filter.
 	bySIC2, byCountry codeLists
-	leaves            leaves // the owned ids in cone-bounded groups: an unfiltered scan's order
+	tree              tree // the owned ids under a cone tree: what an unfiltered scan searches
 
 	norms []float64     // norms[i] = ‖Reps.Row(i)‖, summed in Scorer.Score's order
 	cols  filterColumns // the Filter-tested attributes of Corpus.Companies
@@ -221,7 +220,7 @@ func PartitionOf(id, parts int) int {
 // SetPartition restricts the index's candidate scans to partition part of
 // parts (per PartitionOf), hashing every id once to materialise the ascending
 // owned-id list the scans walk, and regroups the equality columns' candidate
-// lists and the leaves to the owned ids. Call once at build time, before
+// lists and the cone tree to the owned ids. Call once at build time, before
 // serving; parts of 0 or 1 restores the full scan.
 func (ix *Index) SetPartition(part, parts int) error {
 	if parts <= 1 {
@@ -246,7 +245,7 @@ func (ix *Index) SetPartition(part, parts int) error {
 }
 
 // groupOwned builds the candidate lists of the two equality columns and the
-// leaves over the owned ids.
+// cone tree over the owned ids.
 func (ix *Index) groupOwned() {
 	ix.bySIC2 = newCodeLists(ix.cols.sic2, len(ix.cols.sic2Codes), ix.owned)
 	ix.byCountry = newCodeLists(ix.cols.country, len(ix.cols.countryCodes), ix.owned)
@@ -279,7 +278,7 @@ func (ix *Index) OwnedCompanies() int {
 
 // NewIndex validates shapes and builds an index, including its scan columns
 // (one pass over the companies and one over the representation rows), the
-// equality columns' candidate lists (a counting sort each) and the leaves.
+// equality columns' candidate lists (a counting sort each) and the cone tree.
 func NewIndex(c *corpus.Corpus, reps *mat.Matrix, metric Metric) (*Index, error) {
 	if reps.Rows != c.N() {
 		return nil, fmt.Errorf("core: %d representation rows for %d companies", reps.Rows, c.N())
@@ -500,7 +499,7 @@ type scan struct {
 	ids  []int
 	skip idSet
 	// rows resolves an exact scan's positions to ids: the owned list, an
-	// equality filter's candidate list (narrow), the leaves' rows, or nil for
+	// equality filter's candidate list (narrow), the tree's rows, or nil for
 	// the identity. A pruned scan walks its cells instead.
 	rows []uint32
 	// outside is what the filter would have refused of the owned rows the
@@ -512,9 +511,9 @@ type scan struct {
 	// and every norm the floor test multiplies — the index's and the query
 	// vectors' — is inside its range (reject).
 	filtered, floorTest bool
-	// leaves: the scan walks the index's leaves best bound first (run). It is
-	// exact, unfiltered, and meets the floor test's preconditions, which are
-	// the cone bound's too.
+	// leaves: the scan searches the index's cone tree best bound first for the
+	// leaves it has to visit (search). It is exact, unfiltered, and meets the
+	// floor test's preconditions, which are the cone bound's too.
 	leaves bool
 }
 
@@ -537,8 +536,8 @@ func (ix *Index) newScan(k int, f Filter, vecs [][]float64, ids []int) *scan {
 			}
 		}
 	}
-	if ix.pruner == nil && !narrowed && !q.filtered && q.floorTest && ix.leaves.start != nil {
-		q.leaves, q.rows = true, ix.leaves.rows
+	if ix.pruner == nil && !narrowed && !q.filtered && q.floorTest && len(ix.tree.nodes) > 0 {
+		q.leaves, q.rows = true, ix.tree.rows
 	}
 	return q
 }
@@ -605,12 +604,12 @@ func euclideanSimilarity(qv, row []float64) float64 {
 // selection is what one worker of a scan carries from task to task: the heap
 // (so a task starts at the floor — the root's similarity once the heap is full
 // — that the worker's last one reached), the tallies, the blocks gone through,
-// the tasks it took and their rows.
+// the rows it visited and the tree leaves among them.
 type selection struct {
 	heap               topkHeap[WhitespaceProspect]
 	admitted, rejected uint64
 	blocks             int
-	tasks, rows        int
+	rows, leaves       int
 }
 
 // floor is the similarity at the root of sel's heap once it is full, -Inf
@@ -647,12 +646,12 @@ const (
 )
 
 // run is the one driver of every scan. The scan is a list of tasks — the
-// pruner's cells, the leaves a scan.leaves scan has to visit, or
-// scanChunk-long ranges of the scan's positions — taken off a shared counter by
-// one worker below minFanoutRows rows (par.ForEach then runs it on the calling
-// goroutine), by up to par.Workers() above; each offers all it takes to one
-// selection (DESIGN §13: the schedule cannot change the answer). annQueries
-// and annCandidates are the endpoint's pruned-scan counters.
+// pruner's cells, scanChunk-long ranges of the scan's positions, or the
+// subtrees a scan.leaves scan hands off (search) — taken off a shared counter
+// by one worker below minFanoutRows rows (par.ForEach then runs it on the
+// calling goroutine), by up to par.Workers() above; each offers all it takes
+// to one selection (DESIGN §13: the schedule cannot change the answer).
+// annQueries and annCandidates are the endpoint's pruned-scan counters.
 func (q *scan) run(ctx context.Context, sp *trace.Span, annQueries, annCandidates *obs.Counter) (best []WhitespaceProspect, admitted, rejected uint64, err error) {
 	ix := q.ix
 	type task struct {
@@ -660,11 +659,11 @@ func (q *scan) run(ctx context.Context, sp *trace.Span, annQueries, annCandidate
 		lo, hi int
 	}
 	var tasks []task
-	// bounds[t] is leaf task t's bound, nil for chunks and cells. A worker
-	// stops before a leaf whose bound is strictly below its floor: no row of
-	// it, nor of any later leaf, could enter its heap.
+	// bounds[t] is subtree task t's bound, nil for chunks and cells. A worker
+	// stops before a subtree whose bound is strictly below its floor: no row
+	// of it, nor of any later subtree, could enter its heap.
 	var bounds []float64
-	var first *selection // worker 0's, once it has visited the best leaf
+	var first *selection // the calling goroutine's, once it has searched the tree
 	rows := len(q.rows)
 	if q.rows == nil {
 		rows = ix.Corpus.N()
@@ -687,44 +686,18 @@ func (q *scan) run(ctx context.Context, sp *trace.Span, annQueries, annCandidate
 		annCandidates.Add(uint64(rows))
 		annCellsProbed.Add(uint64(len(cells)))
 	case q.leaves:
-		// The best leaf first, on the calling goroutine: the floor it leaves
-		// decides which other leaves are tasks at all, best bound first.
-		start, all := ix.leaves.start, q.leafBounds()
-		leaf := func(l int) task { return task{nil, int(start[l]), int(start[l+1])} }
-		rows = 0
-		if len(all) == 0 {
-			break
-		}
-		top := 0
-		for l, b := range all {
-			if b > all[top] {
-				top = l
-			}
-		}
-		tasks = []task{leaf(top)}
 		first = q.newSelection(ix.OwnedCompanies())
-		if err := q.runTask(ctx, first, 0, tasks[0].ids, tasks[0].lo, tasks[0].hi, spans, foreign); err != nil {
+		var tail []reach
+		if tail, err = q.search(ctx, first, make([]reach, 0, 32)); err != nil {
 			return nil, 0, 0, err
 		}
-		floor := first.floor()
-		rest := make([]int, 0, len(all))
-		for l, b := range all {
-			if b >= floor && l != top {
-				rest = append(rest, l)
-			}
-		}
-		slices.SortFunc(rest, func(a, b int) int {
-			if all[a] != all[b] {
-				return cmp.Compare(all[b], all[a])
-			}
-			return a - b
-		})
-		tasks = append(make([]task, 0, 1+len(rest)), tasks[0])
-		bounds = make([]float64, 1, 1+len(rest))
-		bounds[0] = all[top]
-		for _, l := range rest {
-			tasks, bounds = append(tasks, leaf(l)), append(bounds, all[l])
-			rows += int(start[l+1] - start[l])
+		// Subtrees are handed off only once first has read handOffRows rows.
+		rows = first.rows
+		tasks, bounds = make([]task, len(tail)), make([]float64, len(tail))
+		for t, r := range tail {
+			n := ix.tree.nodes[r.node]
+			tasks[t], bounds[t] = task{nil, int(n.lo), int(n.hi)}, r.bound
+			rows += int(n.hi - n.lo)
 		}
 	default:
 		tasks = make([]task, (rows+scanChunk-1)/scanChunk)
@@ -732,14 +705,11 @@ func (q *scan) run(ctx context.Context, sp *trace.Span, annQueries, annCandidate
 			tasks[t] = task{nil, t * scanChunk, min((t+1)*scanChunk, rows)}
 		}
 	}
-	var next atomic.Int64
-	if first != nil {
-		next.Store(1)
-	}
 	workers := 1
 	if rows >= minFanoutRows {
-		workers = min(par.Workers(), len(tasks)-int(next.Load()))
+		workers = min(par.Workers(), len(tasks))
 	}
+	var next atomic.Int64
 	sels := make([]*selection, workers)
 	err = par.ForEach(ctx, workers, func(w int) error {
 		sel := first
@@ -765,7 +735,7 @@ func (q *scan) run(ctx context.Context, sp *trace.Span, annQueries, annCandidate
 	for _, sel := range sels {
 		admitted += sel.admitted
 		rejected += sel.rejected
-		visited += sel.tasks
+		visited += sel.leaves
 		visitedRows += sel.rows
 	}
 	if q.leaves {
@@ -786,7 +756,8 @@ func (q *scan) run(ctx context.Context, sp *trace.Span, annQueries, annCandidate
 }
 
 // runTask offers task t — ids[lo:hi], or the scan's positions lo..hi-1 — to
-// sel through visit, as a par.shard span when spans is set.
+// sel, as a par.shard span when spans is set: through visit, or leaf by leaf
+// when the positions are a subtree of the tree (visitLeaves).
 func (q *scan) runTask(ctx context.Context, sel *selection, t int, ids []int64, lo, hi int, spans, foreign bool) error {
 	var tsp *trace.Span
 	if spans {
@@ -795,8 +766,12 @@ func (q *scan) runTask(ctx context.Context, sel *selection, t int, ids []int64, 
 		tsp.AttrInt("lo", int64(lo))
 		tsp.AttrInt("hi", int64(hi))
 	}
-	err := q.visit(ctx, sel, ids, lo, hi, foreign)
-	sel.tasks++
+	var err error
+	if q.leaves {
+		err = q.visitLeaves(ctx, sel, q.ix.tree.leaf(lo), hi)
+	} else {
+		err = q.visit(ctx, sel, ids, lo, hi, foreign)
+	}
 	sel.rows += hi - lo
 	tsp.Error(err)
 	tsp.End()

@@ -13,12 +13,15 @@ import (
 //
 // The w1 cases run on one worker and are the ones to compare kernels with:
 // on a lent two-core host the two-worker rows swing by a factor of two on
-// identical code. Every unfiltered exact case visits the index's leaves best
-// bound first and stops where no leaf can beat its floor, so on these rows,
-// topic-mixture-like, it reads a few percent of them; unpruned/w1 is the
-// worst case, every row a scaled copy of one direction, where no leaf can be
-// skipped and the scan reads every row in leaf order. d3 and d8 are a width
-// the floor test unrolls and one it does not; anncells and anncells20k are pruned scans on either side of
+// identical code. Every unfiltered exact case searches the index's cone tree
+// best bound first and stops where no node can beat its floor, so on these
+// rows, topic-mixture-like, it reads a fraction of a percent of them on the
+// calling goroutine. unpruned is the worst case, every row a scaled copy of
+// one direction, where no node can be skipped: the search reads handOffRows
+// rows, then hands the subtrees left (≤ handOffRows rows each) to the workers
+// as tasks, which they visit leaf by leaf, the only case in which a tree scan
+// fans out; unpruned/w1 is the same scan on one worker. d3 and d8 are a width the floor test unrolls and one it does
+// not; anncells and anncells20k are pruned scans on either side of
 // minFanoutRows, which differ in nothing but the number of workers that take
 // their cells. whitespace4cells is the white-space query under that pruner:
 // four clients' eight cells each come to 32 at most, the 20k-row pool again,
@@ -92,6 +95,7 @@ func BenchmarkScan(b *testing.B) {
 			_, err := exact.TopK(i%n, k, Filter{MinEmployees: 2500})
 			return err
 		}},
+		{"unpruned", 2, n, topK(unpruned)},
 		{"shard1of2", 2, shard.OwnedCompanies(), topK(&shard)},
 		{"whitespace4", 2, n, whitespace4(exact)},
 		{"anncells", 2, n / 20, topK(&pruned)},

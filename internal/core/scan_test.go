@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strconv"
 	"sync/atomic"
 	"testing"
 
@@ -462,16 +463,58 @@ func plantBoundaries(reps *mat.Matrix, anchors []int) {
 	}
 }
 
-// plantCopies overwrites more rows than a leaf holds — every third row from
-// the first that is not an anchor — with exact copies of the first anchor, so
-// that an anchor query's k-th place is a tie that straddles leaves.
-func plantCopies(reps *mat.Matrix, anchors []int) {
-	for i, planted := 0, 0; planted < scanBlock+45; i += 3 {
+// plantCopies overwrites count rows — every step-th row from the first that
+// is not an anchor — with exact copies of the first anchor, so that an anchor
+// query's k-th place is a tie that straddles leaves.
+func plantCopies(reps *mat.Matrix, anchors []int, count, step int) {
+	for i, planted := 0, 0; planted < count; i += step {
 		if !slices.Contains(anchors, i) {
 			copy(reps.Row(i), reps.Row(anchors[0]))
 			planted++
 		}
 	}
+}
+
+// flatten rewrites every row as the first anchor's, scaled by a factor from
+// 2⁻³⁰⁰ to 2³⁰⁰ and each coordinate then moved by up to a millionth of itself.
+// Every cone then holds every row within its margin, so that against any row
+// every node's bound is 1 + coneSlack: a search cannot skip a node, and reads
+// the leaves left to right. The rows still differ enough for the splits to
+// scatter ids among the leaves.
+func flatten(reps *mat.Matrix, anchors []int, seed int64) {
+	g := rng.New(seed)
+	dir := slices.Clone(reps.Row(anchors[0]))
+	scales := []float64{0.5, 3, 1.0 / 3, 7, 0x1p+300, 0x1p-300}
+	for i := 0; i < reps.Rows; i++ {
+		scale := scales[g.Intn(len(scales))]
+		for j, v := range dir {
+			reps.Row(i)[j] = v * scale * (1 + 1e-6*(g.Float64()-0.5))
+		}
+	}
+}
+
+// spanAttrs runs call under a sampled trace and returns the attributes of
+// the one span it starts, which must be named name.
+func spanAttrs(t *testing.T, name string, call func(ctx context.Context) error) map[string]string {
+	t.Helper()
+	tr := trace.NewTracer(4)
+	tr.SetEnabled(true)
+	tr.SetSampleRate(1)
+	ctx, root := tr.Start(context.Background(), "test")
+	err := call(ctx)
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tj, ok := tr.Get(root.TraceID().String())
+	if !ok || len(tj.Root.Children) != 1 || tj.Root.Children[0].Name != name {
+		t.Fatalf("trace %+v, want one %s span under the root", tj, name)
+	}
+	attrs := map[string]string{}
+	for _, a := range tj.Root.Children[0].Attrs {
+		attrs[a.Key] = a.Value
+	}
+	return attrs
 }
 
 // cellsAround is a full-probe pruner laid out around one answer: the ids of
@@ -536,10 +579,18 @@ func cellsAround(g *rng.RNG, n, k int, top []int, where int) *cellPruner {
 // a pruner as many as it has cells, all offered to one selection. The pruner
 // has seven even cells or is laid out around the round's own answer
 // (cellsAround). An unfiltered exact cosine scan visits the index's leaves
-// instead, best bound first; one round in four of those over a small fixture
-// is such a scan of one that holds more exact copies of an anchor than a leaf
-// holds, querying that anchor, so that the k-th place is tied across leaves
-// (plantCopies). One round in five scans
+// instead, searching its cone tree best bound first; one round in four of
+// those over a small fixture is such a scan of one that holds more exact
+// copies of an anchor than a leaf holds, querying that anchor, so that the
+// k-th place is tied across leaves (plantCopies). Every other such round is
+// the deep-tree arm: a fixture of 5·leafRows+7 rows, a tree four levels deep,
+// more than half of whose rows are those copies, so that the tie straddles
+// the root's two subtrees. The third of them is the hand-off arm: a fixture
+// of 2·minFanoutRows+77 rows no cone can prune (flatten), whose search hands
+// off all but its first handOffRows rows or so as subtrees, which the workers
+// visit; it queries ids the search has handed off — the least or greatest of
+// them, which lie outside the ends of a block that spans leaves, or any — and
+// a traced call shows that rows were handed off. One round in five scans
 // a prefix of a large fixture that owns scanChunk-1 rows (one task, below
 // minFanoutRows), scanChunk or scanChunk+1 (the rule's other side; one task
 // and a one-row second), or two chunks and a ragged third, unpartitioned or as
@@ -563,17 +614,27 @@ func TestScanDifferential(t *testing.T) {
 	// partition does not own; otherwise the index is over the shortest prefix
 	// of a large fixture of which the partition owns that many rows (built per
 	// round: a cache of those would hold too much).
-	index := func(d int, wild, planted bool, metric Metric, part, parts, owned int) (*Index, fixture) {
-		fkey := fmt.Sprintf("%d/%v/%v/%v", d, wild, planted, owned > 0)
+	index := func(d int, wild, planted, deep, flat bool, metric Metric, part, parts, owned int) (*Index, fixture) {
+		fkey := fmt.Sprintf("%d/%v/%v/%v/%v/%v", d, wild, planted, deep, flat, owned > 0)
 		fx, ok := fixtures[fkey]
 		if !ok {
 			n := 3*4*scanBlock - 50 - 13*d // ragged at every cell count used
-			if owned > 0 {
+			switch {
+			case owned > 0:
 				n = 2*largeOwned[len(largeOwned)-1] + 2000
+			case deep:
+				n = 5*leafRows + 7
+			case flat:
+				n = 2*minFanoutRows + 77
 			}
 			fx.c, fx.reps, fx.anchors = diffFixture(n, d, int64(42+d), wild)
-			if planted {
-				plantCopies(fx.reps, fx.anchors)
+			switch {
+			case flat:
+				flatten(fx.reps, fx.anchors, int64(d))
+			case deep:
+				plantCopies(fx.reps, fx.anchors, 3*leafRows, 1)
+			case planted:
+				plantCopies(fx.reps, fx.anchors, scanBlock+45, 3)
 			}
 			if owned > 0 {
 				plantBoundaries(fx.reps, fx.anchors)
@@ -614,6 +675,27 @@ func TestScanDifferential(t *testing.T) {
 		if owned == 0 {
 			indexes[key] = ix
 		}
+		if deep && metric == Cosine {
+			// The fixture is what the arm says: a deep tree whose root splits the
+			// copies between its two subtrees.
+			tr := &ix.tree
+			depth := 0
+			for nd := 0; ; nd++ {
+				depth++
+				if tr.nodes[nd].right == 0 {
+					break
+				}
+			}
+			copies := func(nd uint32) bool {
+				return slices.ContainsFunc(tr.rows[tr.nodes[nd].lo:tr.nodes[nd].hi], func(id uint32) bool {
+					return int(id) != fx.anchors[0] && slices.Equal(fx.reps.Row(int(id)), fx.reps.Row(fx.anchors[0]))
+				})
+			}
+			if right := tr.nodes[0].right; depth < 4 || !copies(1) || !copies(right) {
+				t.Fatalf("d=%d: the deep fixture's tree is %d levels deep, its root's subtrees hold copies: %v, %v",
+					d, depth, right != 0 && copies(1), right != 0 && copies(right))
+			}
+		}
 		return ix, fx
 	}
 
@@ -632,10 +714,15 @@ func TestScanDifferential(t *testing.T) {
 			owned, parts, part = -1, 7, (PartitionOf(0, 7)+1)%7
 		}
 		planted := owned == 0 && g.Intn(4) == 0
+		deep := planted && round%3 == 0
+		flat := planted && round%3 == 1
 		if planted {
-			metric = Cosine // and exact and unfiltered (below): the leaves' case
+			metric = Cosine // and exact and unfiltered (below): the tree's case
 		}
-		ix, fx := index(d, wild, planted, metric, part, parts, owned)
+		if deep || flat {
+			wild, parts, part = false, 1, 0 // a tree over every row
+		}
+		ix, fx := index(d, wild, planted, deep, flat, metric, part, parts, owned)
 		if owned != 0 && ix.OwnedCompanies() != max(owned, 0) {
 			t.Fatalf("round %d: the prefix owns %d rows, want %d", round, ix.OwnedCompanies(), max(owned, 0))
 		}
@@ -668,8 +755,29 @@ func TestScanDifferential(t *testing.T) {
 			}
 			return &pruned
 		}
-		desc := fmt.Sprintf("round %d: d=%d wild=%v planted=%v metric=%v rows=%d part=%d/%d layout=%d k=%d filter=%s",
-			round, d, wild, planted, metric, n, part, parts, layout, k, f.Key())
+		desc := fmt.Sprintf("round %d: d=%d wild=%v planted=%v deep=%v flat=%v metric=%v rows=%d part=%d/%d layout=%d k=%d filter=%s",
+			round, d, wild, planted, deep, flat, metric, n, part, parts, layout, k, f.Key())
+		// handedOff draws an id of the flat fixture that lies past
+		// 2·handOffRows in the tree's rows, so that the search hands its leaf
+		// off: the least or the greatest of those ids, or any.
+		handedOff := func() int {
+			rows := ix.tree.rows[2*handOffRows:]
+			switch g.Intn(3) {
+			case 0:
+				return int(slices.Min(rows))
+			case 1:
+				return int(slices.Max(rows))
+			}
+			return int(rows[g.Intn(len(rows))])
+		}
+		// handsOff fails the round unless call, a traced scan of the flat
+		// fixture, read more rows than its search visits before it hands off.
+		handsOff := func(name string, call func(ctx context.Context) error) {
+			attrs := spanAttrs(t, name, call)
+			if rows, _ := strconv.Atoi(attrs["rows_visited"]); rows < handOffRows+leafRows {
+				t.Fatalf("%s: %s attributes %v, want rows_visited %d or more: nothing was handed off", desc, name, attrs, handOffRows+leafRows)
+			}
+		}
 
 		if g.Intn(3) == 0 { // white-space
 			maxClients := 2 * idSetListMax
@@ -683,7 +791,12 @@ func TestScanDifferential(t *testing.T) {
 					clients[ci] = fx.anchors[g.Intn(len(fx.anchors))]
 				}
 			}
-			if planted {
+			switch {
+			case flat:
+				for ci := range clients {
+					clients[ci] = handedOff()
+				}
+			case planted:
 				clients[0] = fx.anchors[0]
 			}
 			if len(clients) > 2 {
@@ -729,6 +842,12 @@ func TestScanDifferential(t *testing.T) {
 					}
 				}
 			}
+			if flat {
+				handsOff("core.whitespace", func(ctx context.Context) error {
+					_, err := ix.WhitespaceContext(ctx, clients, k, f)
+					return err
+				})
+			}
 			continue
 		}
 
@@ -740,7 +859,10 @@ func TestScanDifferential(t *testing.T) {
 		case 1:
 			exclude = fx.anchors[g.Intn(len(fx.anchors))]
 		}
-		if planted {
+		switch {
+		case flat:
+			exclude = handedOff()
+		case planted:
 			exclude = fx.anchors[0]
 		}
 		if exclude >= 0 {
@@ -792,6 +914,12 @@ func TestScanDifferential(t *testing.T) {
 					t.Fatalf("%s exclude=%d query=%v workers=%d rank %d: got %+v, want %+v", desc, exclude, query, workers, r, got[r], want[r])
 				}
 			}
+		}
+		if flat {
+			handsOff("core.topk", func(ctx context.Context) error {
+				_, err := ix.TopKContext(ctx, exclude, k, f)
+				return err
+			})
 		}
 	}
 }
@@ -849,33 +977,59 @@ func FuzzRejectBound(f *testing.F) {
 	})
 }
 
-// FuzzConeBound aims at the one way the leaves can be wrong — a leaf whose
-// bound is below a member's exact score, so that a scan stops before a row it
-// had to offer. From fuzzed bits it builds 1–8 rows of dimension 1–9, one
-// leaf, and a query vector, then checks the two halves of the cone lemma in
-// DESIGN §13: a scan takes the leaves exactly when every stated precondition
-// holds, and the leaf's bound, slack included, is then at least
-// cosineSimilarity of the query with every member. The seeds are the files of
-// testdata/fuzz/FuzzConeBound: raw is the query vector then the rows,
-// little-endian float64s, 1 + dim%9 of them each.
+// FuzzConeBound aims at the one way the cone tree can be wrong — a node whose
+// bound is below a member's exact score, so that a search stops before a row
+// it had to offer. From fuzzed bits it builds rows of dimension 1 + dim%9 and
+// a query vector, then checks the two halves of the cone lemma in DESIGN §13:
+// a scan takes the tree exactly when every stated precondition holds, and the
+// bound of every node, slack included, is then at least cosineSimilarity of
+// the query with every member. Below dim 128, raw is the query vector then
+// 1–8 rows, little-endian float64s: the tree is one leaf. From dim 128 raw
+// starts with a seed and a scale, little-endian: the seed draws more than
+// leafRows rows (drawConeRows; topic mixtures only when the seed is even),
+// each multiplied by the scale, and the query, so that the tree has inner
+// nodes. The seeds are the files of testdata/fuzz/FuzzConeBound.
 func FuzzConeBound(f *testing.F) {
 	cat := corpus.DefaultCatalog()
 	f.Fuzz(func(t *testing.T, raw []byte, dim uint8) {
 		d := 1 + int(dim)%9
-		n := len(raw)/(8*d) - 1
-		if n < 1 || n > 8 {
-			return
+		var qv, rows []float64
+		if dim < 128 {
+			n := len(raw)/(8*d) - 1
+			if n < 1 || n > 8 {
+				return
+			}
+			vals := make([]float64, (n+1)*d)
+			for j := range vals {
+				vals[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:]))
+			}
+			qv, rows = vals[:d], vals[d:]
+		} else {
+			if len(raw) < 16 {
+				return
+			}
+			seed := binary.LittleEndian.Uint64(raw)
+			scale := math.Float64frombits(binary.LittleEndian.Uint64(raw[8:]))
+			g, simplex := rng.New(int64(seed>>1)), seed%2 == 0
+			rows = drawConeRows(g, leafRows+1+int(seed%(4*leafRows)), d, scale, simplex)
+			qv = make([]float64, d)
+			switch {
+			case g.Intn(2) == 0:
+				copy(qv, rows[g.Intn(len(rows)/d)*d:])
+			case simplex:
+				qv = drawConeRows(g, 1, d, 1, true)
+			default:
+				for j := range qv {
+					qv[j] = g.Float64() - 0.2
+				}
+			}
 		}
-		vals := make([]float64, (n+1)*d)
-		for j := range vals {
-			vals[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:]))
-		}
-		qv := vals[:d]
+		n := len(rows) / d
 		companies := make([]corpus.Company, n)
 		for i := range companies {
 			companies[i] = corpus.Company{ID: i, Name: fmt.Sprint(i)}
 		}
-		ix, err := NewIndex(corpus.New(cat, companies), mat.FromSlice(n, d, vals[d:]), Cosine)
+		ix, err := NewIndex(corpus.New(cat, companies), mat.FromSlice(n, d, rows), Cosine)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -888,65 +1042,208 @@ func FuzzConeBound(f *testing.F) {
 			}
 		}
 		if q.leaves != want {
-			t.Fatalf("q=%v rows=%v: the scan takes the leaves: %v, preconditions hold: %v", qv, vals[d:], q.leaves, want)
+			t.Fatalf("q=%v rows=%v: the scan takes the tree: %v, preconditions hold: %v", qv, rows, q.leaves, want)
 		}
 		if !q.leaves {
 			return
 		}
-		if len(ix.leaves.start) != 2 {
-			t.Fatalf("%d rows make %d leaves", n, len(ix.leaves.start)-1)
+		if nodes := len(ix.tree.nodes); n <= leafRows && nodes != 1 || n > leafRows && nodes < 3 {
+			t.Fatalf("%d rows make %d nodes", n, nodes)
 		}
-		bound := q.leafBounds()[0]
-		for i := 0; i < n; i++ {
-			if s := cosineSimilarity(qv, ix.Reps.Row(i), q.qnorms[0], ix.norms[i]); !(s <= bound) {
-				t.Fatalf("q=%v row %d of %v: bound %v (cone %v), but the exact score is %v",
-					qv, i, vals[d:], bound, ix.leaves.cones, s)
+		for nd, node := range ix.tree.nodes {
+			bound := q.bound(uint32(nd))
+			for _, i := range ix.tree.rows[node.lo:node.hi] {
+				if s := cosineSimilarity(qv, ix.Reps.Row(int(i)), q.qnorms[0], ix.norms[i]); !(s <= bound) {
+					t.Fatalf("q=%v node %d of %d, row %d (%v): bound %v (cone %v), but the exact score is %v",
+						qv, nd, len(ix.tree.nodes), i, ix.Reps.Row(int(i)), bound, ix.tree.cones[nd*(d+2):(nd+1)*(d+2)], s)
+				}
 			}
 		}
 	})
 }
 
-// TestLeafStopRule pins the driver's stop rule at its edge: a leaf whose
-// bound equals a worker's floor is still visited, since a row there may tie
-// the floor and win on its id. The leaves are set by hand: leaf 0 holds
-// company 1, scoring 1 against the query; leaf 1 holds company 0, the same
-// row, under a made-up cone whose bound is exactly 1. The core.topk span
-// counts both leaves and both rows visited.
+// drawConeRows draws n rows of dimension d, multiplied by scale: topic
+// mixtures, copies of an earlier row, one-ulp neighbours of one, mixtures
+// with a zeroed coordinate, now and then a zero row, and unless simplex, rows
+// of either sign and negations of an earlier one. Topic mixtures alone make
+// narrow cones, which a bound built from too few rows fails.
+func drawConeRows(g *rng.RNG, n, d int, scale float64, simplex bool) []float64 {
+	rows := make([]float64, n*d)
+	alpha := make([]float64, d)
+	for j := range alpha {
+		alpha[j] = 0.3
+	}
+	for i := 0; i < n; i++ {
+		row, earlier := rows[i*d:(i+1)*d], rows[g.Intn(i+1)*d:]
+		kind := g.Intn(10)
+		if simplex && (kind == 3 || kind == 4 || kind == 7) {
+			kind = 0
+		}
+		switch kind {
+		case 0, 1, 2:
+			g.DirichletTo(row, alpha)
+		case 3, 4:
+			for j := range row {
+				row[j] = g.Float64() - 0.2
+			}
+		case 5:
+			copy(row, earlier)
+		case 6:
+			copy(row, earlier)
+			j := g.Intn(d)
+			row[j] = math.Nextafter(row[j], math.Inf(2*g.Intn(2)-1))
+		case 7:
+			for j := range row {
+				row[j] = -earlier[j]
+			}
+		case 8:
+			if g.Intn(4) == 0 {
+				break // a zero row
+			}
+			g.DirichletTo(row, alpha)
+		case 9:
+			g.DirichletTo(row, alpha)
+			row[g.Intn(d)] = 0
+		}
+	}
+	for j := range rows {
+		rows[j] *= scale
+	}
+	return rows
+}
+
+// TestLeafStopRule pins the search's stop rule at its edge: a leaf whose
+// bound equals the selection's floor is still visited, since a row there may
+// tie the floor and win on its id. The tree is set by hand: a root, the whole
+// sphere, over two leaves; the first holds company 1, scoring 1 against the
+// query; the second holds company 0, the same row, under a made-up cone whose
+// bound is exactly 1. The core.topk span counts both leaves and both rows
+// visited.
 func TestLeafStopRule(t *testing.T) {
 	c, _ := scanFixture(2, 2, 1)
 	ix, err := NewIndex(c, mat.FromSlice(2, 2, []float64{1, 0, 1, 0}), Cosine)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.leaves = leaves{
+	ix.tree = tree{
 		rows:  []uint32{1, 0},
-		start: []uint32{0, 1, 2},
-		// c = (1, 0), θ = 0; then c = (0, 1), cos θ = 2⁻¹⁰, sin θ = 1 − 2⁻²⁰:
-		// against (1, 0) that bound is 0·2⁻¹⁰ + 1·(1 − 2⁻²⁰) + 2⁻²⁰ = 1.
-		cones: []float64{1, 0, 1, 0, 0, 1, 0x1p-10, 1 - 0x1p-20},
+		nodes: []node{{0, 2, 2}, {0, 1, 0}, {1, 2, 0}},
+		// The root: c = 0, θ = π. Then c = (1, 0), θ = 0; then c = (0, 1),
+		// cos θ = 2⁻¹⁰, sin θ = 1 − 2⁻²⁰: against (1, 0) that bound is
+		// 0·2⁻¹⁰ + 1·(1 − 2⁻²⁰) + 2⁻²⁰ = 1.
+		cones: []float64{0, 0, -1, 0, 1, 0, 1, 0, 0, 1, 0x1p-10, 1 - 0x1p-20},
 	}
-	tr := trace.NewTracer(4)
-	tr.SetEnabled(true)
-	tr.SetSampleRate(1)
-	ctx, root := tr.Start(context.Background(), "test")
-	got, err := ix.TopKByVectorContext(ctx, []float64{1, 0}, 1, Filter{})
-	root.End()
-	if err != nil {
-		t.Fatal(err)
-	}
+	var got []Match
+	attrs := spanAttrs(t, "core.topk", func(ctx context.Context) (err error) {
+		got, err = ix.TopKByVectorContext(ctx, []float64{1, 0}, 1, Filter{})
+		return err
+	})
 	if len(got) != 1 || got[0].CompanyID != 0 || got[0].Similarity != 1 {
 		t.Fatalf("top-1 %+v, want company 0 at 1: the row of the leaf whose bound ties the floor wins on its id", got)
 	}
-	tj, ok := tr.Get(root.TraceID().String())
-	if !ok || len(tj.Root.Children) != 1 || tj.Root.Children[0].Name != "core.topk" {
-		t.Fatalf("trace %+v, want one core.topk span under the root", tj)
-	}
-	attrs := map[string]string{}
-	for _, a := range tj.Root.Children[0].Attrs {
-		attrs[a.Key] = a.Value
-	}
 	if attrs["leaves_visited"] != "2" || attrs["rows_visited"] != "2" {
 		t.Errorf("core.topk attributes %v, want leaves_visited 2 and rows_visited 2", attrs)
+	}
+}
+
+// TestTreeShape checks the cone tree's structure over the owned rows of a
+// fixture, unpartitioned and as each third of three: the nodes are in
+// preorder, every node but the root is the child of one node, and a node's
+// two children hold its first and second half, so that each node's rows are
+// its children's; a leaf
+// holds 1 to leafRows rows, ascending; every owned id is in one leaf; and the
+// node arrays are bit-equal when built at one worker and at four. The
+// fixture has 1024·leafRows + 50 rows, enough for the build to run in several
+// tasks, so that unpartitioned its leaves lie at two depths (50 parts of
+// leafRows+1 rows split where 974 of leafRows do not), and a few zero rows,
+// which make their nodes the whole sphere.
+func TestTreeShape(t *testing.T) {
+	// leaves counts the leaves of a node of rows rows.
+	var leaves func(rows uint32) uint32
+	leaves = func(rows uint32) uint32 {
+		if rows <= leafRows {
+			return 1
+		}
+		return leaves(rows/2) + leaves(rows-rows/2)
+	}
+	defer par.SetWorkers(0)
+	c, reps := scanFixture(1024*leafRows+50, 4, 3)
+	for _, i := range []int{5, 9000, 20000} {
+		clear(reps.Row(i))
+	}
+	for _, parts := range []int{1, 3} {
+		for part := 0; part < parts; part++ {
+			build := func(workers int) tree {
+				par.SetWorkers(workers)
+				ix, err := NewIndex(c, reps, Cosine)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ix.SetPartition(part, parts); err != nil {
+					t.Fatal(err)
+				}
+				return ix.tree
+			}
+			tr, tr4 := build(1), build(4)
+			cones := func(tr tree) []uint64 {
+				bits := make([]uint64, len(tr.cones))
+				for j, v := range tr.cones {
+					bits[j] = math.Float64bits(v)
+				}
+				return bits
+			}
+			if !slices.Equal(tr.rows, tr4.rows) || !slices.Equal(tr.nodes, tr4.nodes) || !slices.Equal(cones(tr), cones(tr4)) {
+				t.Fatalf("part %d/%d: the tree differs between workers=1 and workers=4", part, parts)
+			}
+			var owned int
+			for i := 0; i < c.N(); i++ {
+				if PartitionOf(i, parts) == part {
+					owned++
+				}
+			}
+			if len(tr.rows) != owned || len(tr.nodes) == 0 || tr.nodes[0].lo != 0 || int(tr.nodes[0].hi) != owned {
+				t.Fatalf("part %d/%d: %d rows, root %+v, for %d owned ids", part, parts, len(tr.rows), tr.nodes[0], owned)
+			}
+			parents := make([]int, len(tr.nodes))
+			seen := make([]bool, c.N())
+			for nd, n := range tr.nodes {
+				if n.right == 0 {
+					leaf := tr.rows[n.lo:n.hi]
+					if len(leaf) < 1 || len(leaf) > leafRows {
+						t.Fatalf("part %d/%d: leaf %d holds %d rows", part, parts, nd, len(leaf))
+					}
+					for j, id := range leaf {
+						if j > 0 && leaf[j-1] >= id {
+							t.Fatalf("part %d/%d: leaf %d does not ascend at %d: %v", part, parts, nd, j, leaf)
+						}
+						if PartitionOf(int(id), parts) != part || seen[id] {
+							t.Fatalf("part %d/%d: leaf %d holds id %d, owned %v, seen before %v",
+								part, parts, nd, id, PartitionOf(int(id), parts) == part, seen[id])
+						}
+						seen[id] = true
+					}
+					continue
+				}
+				// Preorder: the first child follows its parent, and the second
+				// follows the first's subtree, which holds 2·leaves − 1 nodes.
+				if left := (n.hi - n.lo) / 2; int(n.right) >= len(tr.nodes) ||
+					n.right != uint32(nd)+1+2*leaves(left)-1 {
+					t.Fatalf("part %d/%d: node %d %+v has its second child at %d of %d nodes", part, parts, nd, n, n.right, len(tr.nodes))
+				}
+				a, b := tr.nodes[nd+1], tr.nodes[n.right]
+				if a.lo != n.lo || a.hi != b.lo || b.hi != n.hi || a.hi-a.lo != (n.hi-n.lo)/2 {
+					t.Fatalf("part %d/%d: node %d %+v has children %+v and %+v", part, parts, nd, n, a, b)
+				}
+				parents[nd+1]++
+				parents[n.right]++
+			}
+			for nd, p := range parents {
+				if want := min(nd, 1); p != want {
+					t.Fatalf("part %d/%d: node %d is the child of %d nodes, want %d", part, parts, nd, p, want)
+				}
+			}
+			t.Logf("part %d/%d: %d rows, %d nodes", part, parts, owned, len(tr.nodes))
+		}
 	}
 }
 

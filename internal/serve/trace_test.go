@@ -63,8 +63,11 @@ func attrValue(sp *trace.SpanJSON, key string) (string, bool) {
 	return "", false
 }
 
-// TestTraceSpanTreeForSimilar drives a traced /v1/similar query and asserts
-// the acceptance shape: serve.similar -> core.topk -> par.shard, with the
+// TestTraceSpanTreeForSimilar drives traced /v1/similar queries and asserts
+// the acceptance shape. An unfiltered query searches the cone tree on the
+// request's goroutine: serve.similar -> core.topk, which carries
+// leaves_visited and no par.shard child. A country-filtered one walks its
+// candidate list as a task: serve.similar -> core.topk -> par.shard, with the
 // root duration bounding the sum of the shard scans (workers=1 keeps the
 // shards sequential so the inequality is deterministic, not probabilistic).
 func TestTraceSpanTreeForSimilar(t *testing.T) {
@@ -74,44 +77,57 @@ func TestTraceSpanTreeForSimilar(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp, err := ts.Client().Get(ts.URL + "/v1/similar/3?k=5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	tp, ok := trace.ParseTraceparent(resp.Header.Get("traceparent"))
-	if !ok {
-		t.Fatalf("response traceparent %q did not parse", resp.Header.Get("traceparent"))
+	// get serves path and returns its trace and its one core.topk span.
+	get := func(path string) (*trace.TraceJSON, *trace.SpanJSON) {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", path, resp.StatusCode)
+		}
+		tp, ok := trace.ParseTraceparent(resp.Header.Get("traceparent"))
+		if !ok {
+			t.Fatalf("response traceparent %q did not parse", resp.Header.Get("traceparent"))
+		}
+		tj, ok := tr.Get(tp.TraceID.String())
+		if !ok {
+			t.Fatalf("trace %s not retained", tp.TraceID)
+		}
+		if tj.Name != "serve.similar" || tj.Root == nil || tj.Root.Name != "serve.similar" {
+			t.Fatalf("root span %+v, want serve.similar", tj.Root)
+		}
+		if tj.Retained != trace.RetainedSampled {
+			t.Fatalf("retained %q, want %q", tj.Retained, trace.RetainedSampled)
+		}
+		if v, ok := attrValue(tj.Root, "status"); !ok || v != "200" {
+			t.Fatalf("root status attr %q ok=%v", v, ok)
+		}
+		if v, ok := attrValue(tj.Root, "path"); !ok || v != "/v1/similar/3" {
+			t.Fatalf("root path attr %q ok=%v", v, ok)
+		}
+		topk := findSpans(tj.Root, "core.topk")
+		if len(topk) != 1 {
+			t.Fatalf("found %d core.topk spans, want 1", len(topk))
+		}
+		return tj, topk[0]
 	}
 
-	tj, ok := tr.Get(tp.TraceID.String())
-	if !ok {
-		t.Fatalf("trace %s not retained", tp.TraceID)
+	_, topk := get("/v1/similar/3?k=5")
+	if v, _ := attrValue(topk, "leaves_visited"); v == "" || v == "0" {
+		t.Fatalf("unfiltered core.topk leaves_visited %q, want at least 1", v)
 	}
-	if tj.Name != "serve.similar" || tj.Root == nil || tj.Root.Name != "serve.similar" {
-		t.Fatalf("root span %+v, want serve.similar", tj.Root)
-	}
-	if tj.Retained != trace.RetainedSampled {
-		t.Fatalf("retained %q, want %q", tj.Retained, trace.RetainedSampled)
-	}
-	if v, ok := attrValue(tj.Root, "status"); !ok || v != "200" {
-		t.Fatalf("root status attr %q ok=%v", v, ok)
-	}
-	if v, ok := attrValue(tj.Root, "path"); !ok || v != "/v1/similar/3" {
-		t.Fatalf("root path attr %q ok=%v", v, ok)
+	if shards := findSpans(topk, "par.shard"); len(shards) != 0 {
+		t.Fatalf("unfiltered core.topk has %d par.shard spans, want none: leaves are not tasks", len(shards))
 	}
 
-	topk := findSpans(tj.Root, "core.topk")
-	if len(topk) != 1 {
-		t.Fatalf("found %d core.topk spans, want 1", len(topk))
-	}
-	shards := findSpans(topk[0], "par.shard")
+	tj, topk := get("/v1/similar/3?k=5&country=US")
+	shards := findSpans(topk, "par.shard")
 	if len(shards) == 0 {
-		t.Fatal("no par.shard spans under core.topk")
+		t.Fatal("no par.shard spans under a filtered core.topk")
 	}
 	var shardSum int64
 	for _, sh := range shards {
@@ -120,8 +136,8 @@ func TestTraceSpanTreeForSimilar(t *testing.T) {
 		}
 		shardSum += sh.DurUS
 	}
-	if topk[0].DurUS < shardSum {
-		t.Fatalf("core.topk duration %dus < shard sum %dus", topk[0].DurUS, shardSum)
+	if topk.DurUS < shardSum {
+		t.Fatalf("core.topk duration %dus < shard sum %dus", topk.DurUS, shardSum)
 	}
 	if tj.Root.DurUS < shardSum {
 		t.Fatalf("root duration %dus < shard sum %dus", tj.Root.DurUS, shardSum)

@@ -168,8 +168,8 @@ func TestTraceIntegration(t *testing.T) {
 		}
 		id := parts[1]
 
-		// The retained tree has the serve -> core -> par shape and the root
-		// duration bounds the sequential shard scans underneath it.
+		// An unfiltered query searches the cone tree on the request's
+		// goroutine: serve -> core, with leaves_visited and no par.shard.
 		var tj traceNode
 		getTraceJSON(t, debug, id, &tj)
 		if tj.Name != "serve.similar" || tj.Retained != "sampled" || tj.Error {
@@ -179,9 +179,39 @@ func TestTraceIntegration(t *testing.T) {
 		if len(topk) != 1 {
 			t.Fatalf("found %d core.topk spans, want 1", len(topk))
 		}
+		leaves := ""
+		for _, a := range topk[0].Attrs {
+			if a.Key == "leaves_visited" {
+				leaves = a.Value
+			}
+		}
+		if leaves == "" || leaves == "0" {
+			t.Fatalf("unfiltered core.topk leaves_visited %q, want at least 1", leaves)
+		}
+		if shards := collectSpans(topk[0], "par.shard"); len(shards) != 0 {
+			t.Fatalf("unfiltered core.topk has %d par.shard spans, want none", len(shards))
+		}
+
+		// A country-filtered query walks its candidate list as a task: the
+		// retained tree has the serve -> core -> par shape and the root
+		// duration bounds the sequential shard scans underneath it.
+		resp, err = http.Get(base + "/v1/similar/3?k=5&country=US")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/v1/similar/3?country=US: status %d", resp.StatusCode)
+		}
+		tj = traceNode{}
+		getTraceJSON(t, debug, strings.Split(resp.Header.Get("traceparent"), "-")[1], &tj)
+		topk = collectSpans(tj.Root, "core.topk")
+		if len(topk) != 1 {
+			t.Fatalf("found %d core.topk spans, want 1", len(topk))
+		}
 		shards := collectSpans(topk[0], "par.shard")
 		if len(shards) == 0 {
-			t.Fatal("no par.shard spans under core.topk")
+			t.Fatal("no par.shard spans under a filtered core.topk")
 		}
 		var shardSum int64
 		for _, sh := range shards {
