@@ -603,13 +603,12 @@ func euclideanSimilarity(qv, row []float64) float64 {
 
 // selection is what one worker of a scan carries from task to task: the heap
 // (so a task starts at the floor — the root's similarity once the heap is full
-// — that the worker's last one reached), the tallies, the blocks gone through,
-// the rows it visited and the tree leaves among them.
+// — that the worker's last one reached), the tallies and the blocks gone
+// through.
 type selection struct {
 	heap               topkHeap[WhitespaceProspect]
 	admitted, rejected uint64
 	blocks             int
-	rows, leaves       int
 }
 
 // floor is the similarity at the root of sel's heap once it is full, -Inf
@@ -628,12 +627,13 @@ func (q *scan) newSelection(rows int) *selection {
 	}}
 }
 
-// minFanoutRows is the scan size below which run stays on the calling
-// goroutine: under it, handing tasks to a second worker loses to running them
-// in place even when that worker's core is awake and spinning (DESIGN §13 has
-// the timings). A pruned pool at the benchmark's shape (5 % of 100k) is well
-// under it, and so is a SIC2 filter's candidate list; an exact or sharded scan
-// of 100k rows is well over.
+// minFanoutRows is the scan size below which run keeps a task scan on the
+// calling goroutine: under it, handing tasks to a second worker loses to
+// running them in place even when that worker's core is awake and spinning
+// (DESIGN §13 has the timings). A pruned pool at the benchmark's shape (5 % of
+// 100k) is well under it, and so is a SIC2 filter's candidate list; a
+// range-filtered or Euclidean scan of 100k rows is well over. A tree search
+// has no tasks and always runs in place.
 const minFanoutRows = 16 << 10
 
 // A scan works through its candidates scanBlock at a time, and a worker looks
@@ -645,25 +645,33 @@ const (
 	scanChunk      = scanBlock * ctxCheckBlocks
 )
 
-// run is the one driver of every scan. The scan is a list of tasks — the
-// pruner's cells, scanChunk-long ranges of the scan's positions, or the
-// subtrees a scan.leaves scan hands off (search) — taken off a shared counter
-// by one worker below minFanoutRows rows (par.ForEach then runs it on the
-// calling goroutine), by up to par.Workers() above; each offers all it takes
-// to one selection (DESIGN §13: the schedule cannot change the answer).
-// annQueries and annCandidates are the endpoint's pruned-scan counters.
+// run is the one driver of every scan. A scan.leaves scan is one search of
+// the tree on the calling goroutine. Any other scan is a list of tasks — the
+// pruner's cells, or scanChunk-long ranges of the scan's positions — taken off
+// a shared counter by one worker below minFanoutRows rows (par.ForEach then
+// runs it on the calling goroutine), by up to par.Workers() above; each offers
+// all it takes to one selection (DESIGN §13: the schedule cannot change the
+// answer). annQueries and annCandidates are the endpoint's pruned-scan
+// counters.
 func (q *scan) run(ctx context.Context, sp *trace.Span, annQueries, annCandidates *obs.Counter) (best []WhitespaceProspect, admitted, rejected uint64, err error) {
 	ix := q.ix
+	if q.leaves {
+		sel := q.newSelection(ix.OwnedCompanies())
+		leaves, rows, err := q.search(ctx, sel)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		sp.AttrInt("leaves_visited", int64(leaves))
+		sp.AttrInt("rows_visited", int64(rows))
+		// The rows of a leaf never visited would all have been admitted: no
+		// filter is left, and the scan's own ids are never candidates.
+		return sel.heap.sorted(), uint64(ix.OwnedCompanies()) - q.ownRows(func(int) bool { return true }), 0, nil
+	}
 	type task struct {
 		ids    []int64
 		lo, hi int
 	}
 	var tasks []task
-	// bounds[t] is subtree task t's bound, nil for chunks and cells. A worker
-	// stops before a subtree whose bound is strictly below its floor: no row
-	// of it, nor of any later subtree, could enter its heap.
-	var bounds []float64
-	var first *selection // the calling goroutine's, once it has searched the tree
 	rows := len(q.rows)
 	if q.rows == nil {
 		rows = ix.Corpus.N()
@@ -685,20 +693,6 @@ func (q *scan) run(ctx context.Context, sp *trace.Span, annQueries, annCandidate
 		annQueries.Inc()
 		annCandidates.Add(uint64(rows))
 		annCellsProbed.Add(uint64(len(cells)))
-	case q.leaves:
-		first = q.newSelection(ix.OwnedCompanies())
-		var tail []reach
-		if tail, err = q.search(ctx, first, make([]reach, 0, 32)); err != nil {
-			return nil, 0, 0, err
-		}
-		// Subtrees are handed off only once first has read handOffRows rows.
-		rows = first.rows
-		tasks, bounds = make([]task, len(tail)), make([]float64, len(tail))
-		for t, r := range tail {
-			n := ix.tree.nodes[r.node]
-			tasks[t], bounds[t] = task{nil, int(n.lo), int(n.hi)}, r.bound
-			rows += int(n.hi - n.lo)
-		}
 	default:
 		tasks = make([]task, (rows+scanChunk-1)/scanChunk)
 		for t := range tasks {
@@ -712,14 +706,11 @@ func (q *scan) run(ctx context.Context, sp *trace.Span, annQueries, annCandidate
 	var next atomic.Int64
 	sels := make([]*selection, workers)
 	err = par.ForEach(ctx, workers, func(w int) error {
-		sel := first
-		if w > 0 || sel == nil {
-			sel = q.newSelection(rows)
-		}
+		sel := q.newSelection(rows)
 		sels[w] = sel
 		for {
 			t := int(next.Add(1)) - 1
-			if t >= len(tasks) || bounds != nil && bounds[t] < sel.floor() {
+			if t >= len(tasks) {
 				return nil
 			}
 			if err := q.runTask(ctx, sel, t, tasks[t].ids, tasks[t].lo, tasks[t].hi, spans, foreign); err != nil {
@@ -731,19 +722,9 @@ func (q *scan) run(ctx context.Context, sp *trace.Span, annQueries, annCandidate
 		return nil, 0, 0, err
 	}
 	rejected = q.outside
-	var visited, visitedRows int
 	for _, sel := range sels {
 		admitted += sel.admitted
 		rejected += sel.rejected
-		visited += sel.leaves
-		visitedRows += sel.rows
-	}
-	if q.leaves {
-		// The rows of a leaf never visited would all have been admitted: no
-		// filter is left, and the scan's own ids are never candidates.
-		admitted = uint64(ix.OwnedCompanies()) - q.ownRows(func(int) bool { return true })
-		sp.AttrInt("leaves_visited", int64(visited))
-		sp.AttrInt("rows_visited", int64(visitedRows))
 	}
 	if workers == 1 {
 		return sels[0].heap.sorted(), admitted, rejected, nil
@@ -756,8 +737,7 @@ func (q *scan) run(ctx context.Context, sp *trace.Span, annQueries, annCandidate
 }
 
 // runTask offers task t — ids[lo:hi], or the scan's positions lo..hi-1 — to
-// sel, as a par.shard span when spans is set: through visit, or leaf by leaf
-// when the positions are a subtree of the tree (visitLeaves).
+// sel through visit, as a par.shard span when spans is set.
 func (q *scan) runTask(ctx context.Context, sel *selection, t int, ids []int64, lo, hi int, spans, foreign bool) error {
 	var tsp *trace.Span
 	if spans {
@@ -766,13 +746,7 @@ func (q *scan) runTask(ctx context.Context, sel *selection, t int, ids []int64, 
 		tsp.AttrInt("lo", int64(lo))
 		tsp.AttrInt("hi", int64(hi))
 	}
-	var err error
-	if q.leaves {
-		err = q.visitLeaves(ctx, sel, q.ix.tree.leaf(lo), hi)
-	} else {
-		err = q.visit(ctx, sel, ids, lo, hi, foreign)
-	}
-	sel.rows += hi - lo
+	err := q.visit(ctx, sel, ids, lo, hi, foreign)
 	tsp.Error(err)
 	tsp.End()
 	return err

@@ -425,7 +425,7 @@ type reach struct {
 }
 
 // before orders the frontier: the higher bound first, the lower node on ties,
-// so that the search is the same at any worker count.
+// so that what the search reads depends on the query alone.
 func (r reach) before(o reach) bool {
 	return r.bound > o.bound || r.bound == o.bound && r.node < o.node
 }
@@ -471,29 +471,21 @@ func (f frontier) pop() (reach, frontier) {
 	return top, h
 }
 
-// handOffRows is how many rows a tree search reads on the calling goroutine
-// before it hands what is left to run's workers: a search that has not
-// finished by then is not pruning much. At the benchmark's shape a top-10
-// reads a few hundred rows and a 16-client white-space under 2k. Where
-// nothing can be pruned, handing off only after minFanoutRows rows left the
-// two-worker scan 15–30 % behind one that fans out from the start; after a
-// quarter of them it is not (DESIGN §13). The subtrees handed off hold at
-// most as many rows again.
-const handOffRows = minFanoutRows / 4
-
-// search is the tree's half of run, on the calling goroutine: it pops the
-// node with the best bound, stops once that bound is strictly below sel's
-// floor, visits a leaf into sel, and bounds an inner node's two children,
-// keeping those that reach the floor. A node whose bound equals the floor is
-// still expanded: a row there may tie the floor and win on its id. Equal
-// bounds pop in node order, depth first, so that what the search reads does
-// not depend on the worker count.
-//
-// Once sel has read handOffRows rows the search stops visiting: what is left
-// of the frontier, expanded until each node holds at most handOffRows rows,
-// is appended to tail best bound first, for run to hand to its workers as
-// tasks, and search returns the extended tail.
-func (q *scan) search(ctx context.Context, sel *selection, tail []reach) ([]reach, error) {
+// search is how a scan.leaves scan runs, all of it on the calling goroutine:
+// it pops the node with the best bound, stops once that bound is strictly
+// below sel's floor, visits a leaf into sel, and bounds an inner node's two
+// children, keeping those that reach the floor. A node whose bound equals the
+// floor is still expanded: a row there may tie the floor and win on its id.
+// Equal bounds pop in node order, depth first. A leaf is one visit: ids
+// ascend within a leaf but not across leaves, and admit's test for the
+// scan's own ids relies on the first. It returns how many leaves and rows it
+// visited.
+func (q *scan) search(ctx context.Context, sel *selection) (leaves, rows int, err error) {
+	// visit looks at the context every ctxCheckBlocks leaves; a search that
+	// visits fewer would otherwise never look at all.
+	if err := ctx.Err(); err != nil {
+		return 0, 0, err
+	}
 	t := &q.ix.tree
 	front := make(frontier, 0, 128).push(reach{q.bound(0), 0})
 	for len(front) > 0 {
@@ -503,63 +495,20 @@ func (q *scan) search(ctx context.Context, sel *selection, tail []reach) ([]reac
 		if r.bound < floor {
 			break
 		}
-		switch n := t.nodes[r.node]; {
-		case sel.rows >= handOffRows && n.hi-n.lo <= handOffRows:
-			tail = append(tail, r)
-		case n.right != 0:
-			for _, kid := range [2]uint32{r.node + 1, n.right} {
-				if b := q.bound(kid); b >= floor {
-					front = front.push(reach{b, kid})
-				}
+		n := t.nodes[r.node]
+		if n.right == 0 {
+			if err := q.visit(ctx, sel, nil, int(n.lo), int(n.hi), false); err != nil {
+				return 0, 0, err
 			}
-		default:
-			if err := q.visitLeaves(ctx, sel, r.node, int(n.hi)); err != nil {
-				return nil, err
+			leaves++
+			rows += int(n.hi - n.lo)
+			continue
+		}
+		for _, kid := range [2]uint32{r.node + 1, n.right} {
+			if b := q.bound(kid); b >= floor {
+				front = front.push(reach{b, kid})
 			}
-			sel.rows += int(n.hi - n.lo)
 		}
 	}
-	// A child's cone is not inside its parent's, so the subtrees came off the
-	// frontier in an order their own bounds need not follow.
-	slices.SortFunc(tail, func(a, b reach) int {
-		switch {
-		case a.before(b):
-			return -1
-		case b.before(a):
-			return 1
-		}
-		return 0
-	})
-	return tail, nil
-}
-
-// visitLeaves visits into sel, one at a time, the leaves from node n on that
-// start before position hi — from a subtree's first leaf, all of its leaves —
-// and counts them. Ids ascend within a leaf but not across leaves, and
-// admit's test for the scan's own ids relies on the first, so no visit may
-// span two.
-func (q *scan) visitLeaves(ctx context.Context, sel *selection, n uint32, hi int) error {
-	nodes := q.ix.tree.nodes
-	for ; int(n) < len(nodes) && int(nodes[n].lo) < hi; n++ {
-		if nd := nodes[n]; nd.right == 0 {
-			if err := q.visit(ctx, sel, nil, int(nd.lo), int(nd.hi), false); err != nil {
-				return err
-			}
-			sel.leaves++
-		}
-	}
-	return nil
-}
-
-// leaf returns the leaf that holds position p.
-func (t *tree) leaf(p int) uint32 {
-	n := uint32(0)
-	for r := t.nodes[0].right; r != 0; r = t.nodes[n].right {
-		if p < int(t.nodes[r].lo) {
-			n++
-		} else {
-			n = r
-		}
-	}
-	return n
+	return leaves, rows, nil
 }

@@ -16,11 +16,12 @@ import (
 // identical code. Every unfiltered exact case searches the index's cone tree
 // best bound first and stops where no node can beat its floor, so on these
 // rows, topic-mixture-like, it reads a fraction of a percent of them on the
-// calling goroutine. unpruned is the worst case, every row a scaled copy of
-// one direction, where no node can be skipped: the search reads handOffRows
-// rows, then hands the subtrees left (≤ handOffRows rows each) to the workers
-// as tasks, which they visit leaf by leaf, the only case in which a tree scan
-// fans out; unpruned/w1 is the same scan on one worker. d3 and d8 are a width the floor test unrolls and one it does
+// calling goroutine. A tree scan never fans out, so its two-worker row and
+// its w1 row run the same code. whitespace64 is the many-client white-space,
+// 64 query vectors whose floor rises slowly, so the search reads thousands of
+// rows. unpruned is the worst case, every row a scaled copy of one direction,
+// where no node can be skipped: the search reads every row, leaf by leaf, on
+// one core. d3 and d8 are a width the floor test unrolls and one it does
 // not; anncells and anncells20k are pruned scans on either side of
 // minFanoutRows, which differ in nothing but the number of workers that take
 // their cells. whitespace4cells is the white-space query under that pruner:
@@ -76,6 +77,14 @@ func BenchmarkScan(b *testing.B) {
 			return err
 		}
 	}
+	clients64 := make([]int, 64)
+	whitespace64 := func(i int) error {
+		for c := range clients64 {
+			clients64[c] = (i + c*1543) % n
+		}
+		_, err := exact.Whitespace(clients64, k, Filter{})
+		return err
+	}
 	cases := []struct {
 		name    string
 		workers int
@@ -98,12 +107,14 @@ func BenchmarkScan(b *testing.B) {
 		{"unpruned", 2, n, topK(unpruned)},
 		{"shard1of2", 2, shard.OwnedCompanies(), topK(&shard)},
 		{"whitespace4", 2, n, whitespace4(exact)},
+		{"whitespace64", 2, n, whitespace64},
 		{"anncells", 2, n / 20, topK(&pruned)},
 		{"anncells20k", 2, n / 5, topK(&pruned20k)},
 		{"whitespace4cells", 2, n / 5, whitespace4(&pruned20k)},
 		{"exact/w1", 1, n, topK(exact)},
 		{"unpruned/w1", 1, n, topK(unpruned)},
 		{"whitespace4/w1", 1, n, whitespace4(exact)},
+		{"whitespace64/w1", 1, n, whitespace64},
 		{"d3/w1", 1, n, topK(build(3))},
 		{"d8/w1", 1, n, topK(build(8))},
 	}

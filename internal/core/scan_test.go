@@ -585,12 +585,12 @@ func cellsAround(g *rng.RNG, n, k int, top []int, where int) *cellPruner {
 // k-th place is tied across leaves (plantCopies). Every other such round is
 // the deep-tree arm: a fixture of 5·leafRows+7 rows, a tree four levels deep,
 // more than half of whose rows are those copies, so that the tie straddles
-// the root's two subtrees. The third of them is the hand-off arm: a fixture
-// of 2·minFanoutRows+77 rows no cone can prune (flatten), whose search hands
-// off all but its first handOffRows rows or so as subtrees, which the workers
-// visit; it queries ids the search has handed off — the least or greatest of
-// them, which lie outside the ends of a block that spans leaves, or any — and
-// a traced call shows that rows were handed off. One round in five scans
+// the root's two subtrees. The third of them is the unprunable arm: a fixture
+// of 2·minFanoutRows+77 rows no cone can prune (flatten), whose search reads
+// leaf after leaf; it queries ids past the first quarter of the tree's rows —
+// the least or greatest of them, which lie outside the ends of a block that
+// spans leaves, or any — and a traced call shows that the search read at least
+// half the rows. One round in five scans
 // a prefix of a large fixture that owns scanChunk-1 rows (one task, below
 // minFanoutRows), scanChunk or scanChunk+1 (the rule's other side; one task
 // and a one-row second), or two chunks and a ragged third, unpartitioned or as
@@ -614,8 +614,8 @@ func TestScanDifferential(t *testing.T) {
 	// partition does not own; otherwise the index is over the shortest prefix
 	// of a large fixture of which the partition owns that many rows (built per
 	// round: a cache of those would hold too much).
-	index := func(d int, wild, planted, deep, flat bool, metric Metric, part, parts, owned int) (*Index, fixture) {
-		fkey := fmt.Sprintf("%d/%v/%v/%v/%v/%v", d, wild, planted, deep, flat, owned > 0)
+	index := func(d int, wild, planted, deep, unprunable bool, metric Metric, part, parts, owned int) (*Index, fixture) {
+		fkey := fmt.Sprintf("%d/%v/%v/%v/%v/%v", d, wild, planted, deep, unprunable, owned > 0)
 		fx, ok := fixtures[fkey]
 		if !ok {
 			n := 3*4*scanBlock - 50 - 13*d // ragged at every cell count used
@@ -624,12 +624,12 @@ func TestScanDifferential(t *testing.T) {
 				n = 2*largeOwned[len(largeOwned)-1] + 2000
 			case deep:
 				n = 5*leafRows + 7
-			case flat:
+			case unprunable:
 				n = 2*minFanoutRows + 77
 			}
 			fx.c, fx.reps, fx.anchors = diffFixture(n, d, int64(42+d), wild)
 			switch {
-			case flat:
+			case unprunable:
 				flatten(fx.reps, fx.anchors, int64(d))
 			case deep:
 				plantCopies(fx.reps, fx.anchors, 3*leafRows, 1)
@@ -715,14 +715,14 @@ func TestScanDifferential(t *testing.T) {
 		}
 		planted := owned == 0 && g.Intn(4) == 0
 		deep := planted && round%3 == 0
-		flat := planted && round%3 == 1
+		unprunable := planted && round%3 == 1
 		if planted {
 			metric = Cosine // and exact and unfiltered (below): the tree's case
 		}
-		if deep || flat {
+		if deep || unprunable {
 			wild, parts, part = false, 1, 0 // a tree over every row
 		}
-		ix, fx := index(d, wild, planted, deep, flat, metric, part, parts, owned)
+		ix, fx := index(d, wild, planted, deep, unprunable, metric, part, parts, owned)
 		if owned != 0 && ix.OwnedCompanies() != max(owned, 0) {
 			t.Fatalf("round %d: the prefix owns %d rows, want %d", round, ix.OwnedCompanies(), max(owned, 0))
 		}
@@ -755,13 +755,14 @@ func TestScanDifferential(t *testing.T) {
 			}
 			return &pruned
 		}
-		desc := fmt.Sprintf("round %d: d=%d wild=%v planted=%v deep=%v flat=%v metric=%v rows=%d part=%d/%d layout=%d k=%d filter=%s",
-			round, d, wild, planted, deep, flat, metric, n, part, parts, layout, k, f.Key())
-		// handedOff draws an id of the flat fixture that lies past
-		// 2·handOffRows in the tree's rows, so that the search hands its leaf
-		// off: the least or the greatest of those ids, or any.
-		handedOff := func() int {
-			rows := ix.tree.rows[2*handOffRows:]
+		desc := fmt.Sprintf("round %d: d=%d wild=%v planted=%v deep=%v unprunable=%v metric=%v rows=%d part=%d/%d layout=%d k=%d filter=%s",
+			round, d, wild, planted, deep, unprunable, metric, n, part, parts, layout, k, f.Key())
+		// deepID draws an id of the unprunable fixture that lies past the
+		// first quarter of the tree's rows, so that the search reaches its leaf
+		// only after many others: the least or the greatest of those ids, which
+		// lie outside the ends of any block that spans leaves, or any.
+		deepID := func() int {
+			rows := ix.tree.rows[len(ix.tree.rows)/4:]
 			switch g.Intn(3) {
 			case 0:
 				return int(slices.Min(rows))
@@ -770,12 +771,12 @@ func TestScanDifferential(t *testing.T) {
 			}
 			return int(rows[g.Intn(len(rows))])
 		}
-		// handsOff fails the round unless call, a traced scan of the flat
-		// fixture, read more rows than its search visits before it hands off.
-		handsOff := func(name string, call func(ctx context.Context) error) {
+		// readsDeep fails the round unless call, a traced scan of the
+		// unprunable fixture, read at least half of its rows.
+		readsDeep := func(name string, call func(ctx context.Context) error) {
 			attrs := spanAttrs(t, name, call)
-			if rows, _ := strconv.Atoi(attrs["rows_visited"]); rows < handOffRows+leafRows {
-				t.Fatalf("%s: %s attributes %v, want rows_visited %d or more: nothing was handed off", desc, name, attrs, handOffRows+leafRows)
+			if rows, _ := strconv.Atoi(attrs["rows_visited"]); rows < n/2 {
+				t.Fatalf("%s: %s attributes %v, want rows_visited %d or more: the search stopped short of the deep leaves", desc, name, attrs, n/2)
 			}
 		}
 
@@ -792,9 +793,9 @@ func TestScanDifferential(t *testing.T) {
 				}
 			}
 			switch {
-			case flat:
+			case unprunable:
 				for ci := range clients {
-					clients[ci] = handedOff()
+					clients[ci] = deepID()
 				}
 			case planted:
 				clients[0] = fx.anchors[0]
@@ -842,8 +843,8 @@ func TestScanDifferential(t *testing.T) {
 					}
 				}
 			}
-			if flat {
-				handsOff("core.whitespace", func(ctx context.Context) error {
+			if unprunable {
+				readsDeep("core.whitespace", func(ctx context.Context) error {
 					_, err := ix.WhitespaceContext(ctx, clients, k, f)
 					return err
 				})
@@ -860,8 +861,8 @@ func TestScanDifferential(t *testing.T) {
 			exclude = fx.anchors[g.Intn(len(fx.anchors))]
 		}
 		switch {
-		case flat:
-			exclude = handedOff()
+		case unprunable:
+			exclude = deepID()
 		case planted:
 			exclude = fx.anchors[0]
 		}
@@ -915,8 +916,8 @@ func TestScanDifferential(t *testing.T) {
 				}
 			}
 		}
-		if flat {
-			handsOff("core.topk", func(ctx context.Context) error {
+		if unprunable {
+			readsDeep("core.topk", func(ctx context.Context) error {
 				_, err := ix.TopKContext(ctx, exclude, k, f)
 				return err
 			})
@@ -1267,8 +1268,8 @@ func (c *countdownCtx) Err() error {
 // a white-space query cut short this way counts as an error, not as served.
 // Every row is a scaled copy of one direction, so no leaf's bound can fall
 // below a floor and the white-space scan visits every leaf, looking at its
-// context every ctxCheckBlocks leaves. A scan the leaves do prune honours an
-// expiring context too, before the first task after the best leaf.
+// context before its first leaf and every ctxCheckBlocks leaves after. A scan
+// the tree does prune honours an expiring context too, before its first leaf.
 func TestScanHonoursDeadlineInsideShard(t *testing.T) {
 	const group = scanBlock * ctxCheckBlocks
 	const n = 5*group + 100
