@@ -429,21 +429,8 @@ func BenchmarkObsHistogramObserveExemplar(b *testing.B) {
 	}
 }
 
-// BenchmarkObsSpanDisabled measures the fast path instrumentation takes when
-// span capture is switched off: Start must not allocate and End must be a
-// nil-check only.
-func BenchmarkObsSpanDisabled(b *testing.B) {
-	r := obs.NewRegistry()
-	r.SetSpansEnabled(false)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sp := r.StartSpan("bench.disabled")
-		sp.End()
-	}
-}
-
-// BenchmarkObsSpanEnabled is the enabled counterpart: one Start/End pair
-// including the histogram observation it feeds.
+// BenchmarkObsSpanEnabled measures one Start/End pair including the
+// histogram observation it feeds.
 func BenchmarkObsSpanEnabled(b *testing.B) {
 	r := obs.NewRegistry()
 	b.ReportAllocs()

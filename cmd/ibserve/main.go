@@ -141,7 +141,7 @@ type annOptions struct {
 // one) matches, it is mmapped zero-copy; otherwise the index is re-clustered
 // from reps and — when a path is configured — saved and re-opened through
 // the mapping, so the next boot or reload skips training entirely.
-func openOrBuildANN(reps *mat.Matrix, metric core.Metric, opts annOptions) (*ann.Index, func() error, error) {
+func openOrBuildANN(reps *mat.Matrix, opts annOptions) (*ann.Index, func() error, error) {
 	if opts.path != "" {
 		ix, closeIx, err := ann.LoadFile(opts.path)
 		switch {
@@ -156,7 +156,7 @@ func openOrBuildANN(reps *mat.Matrix, metric core.Metric, opts annOptions) (*ann
 			logger.Warn("ann index unreadable, re-clustering", "path", opts.path, "err", err.Error())
 		}
 	}
-	built, err := ann.Build(reps, metric, ann.BuildConfig{Cells: opts.cells, Seed: opts.seed})
+	built, err := ann.Build(reps, core.Cosine, ann.BuildConfig{Cells: opts.cells, Seed: opts.seed})
 	if err != nil {
 		return nil, nil, fmt.Errorf("building ann index: %w", err)
 	}
@@ -227,7 +227,7 @@ func buildState(corpusPath, modelPath string, seed int64, part, parts int, annOp
 	}
 	closeAll := closeModel
 	if annOpts.on {
-		annIx, closeANN, err := openOrBuildANN(reps, core.Cosine, annOpts)
+		annIx, closeANN, err := openOrBuildANN(reps, annOpts)
 		if err != nil {
 			return fail(err)
 		}

@@ -137,9 +137,8 @@ func main() {
 		out        = flag.String("out", "model.gob", "output model path")
 		seed       = flag.Int64("seed", 1, "training seed")
 
-		topics  = flag.Int("topics", 3, "lda: number of latent topics")
-		tfidf   = flag.Bool("tfidf", false, "lda: use TF-IDF token weights instead of binary input")
-		snapFmt = flag.String("snapshot-format", "v2", "lda: model container format: v2 (flat, mmap zero-copy load) | v1 (legacy gob, for v1-only readers)")
+		topics = flag.Int("topics", 3, "lda: number of latent topics")
+		tfidf  = flag.Bool("tfidf", false, "lda: use TF-IDF token weights instead of binary input")
 
 		layers  = flag.Int("layers", 1, "lstm/gru: hidden layers (1-3)")
 		hidden  = flag.Int("hidden", 200, "lstm/gru: nodes per layer / embedding size")
@@ -255,20 +254,7 @@ func main() {
 		checkTrainErr(err, *ckptPath)
 		fmt.Printf("LDA%d test perplexity: %.2f (parameters: %d)\n",
 			m.K, m.Perplexity(split.Test.Sets(), g), m.ParameterCount())
-		// The LDA family has two container generations: v2 (the default,
-		// flat sections, mmap zero-copy load in ibserve) and v1 gob for
-		// fleets still running v1-only readers. Loaders sniff the version,
-		// so either file works with current ibserve/ibrec.
-		switch *snapFmt {
-		case "v2":
-			writeModel(*out, m)
-		case "v1":
-			if err := snapshot.Atomic(*out, m.SaveV1); err != nil {
-				fatal(err)
-			}
-		default:
-			fatal(fmt.Errorf("-snapshot-format %q: want v1 or v2", *snapFmt))
-		}
+		writeModel(*out, m)
 	case "lstm", "gru":
 		cell := rnn.LSTM
 		if *model == "gru" {

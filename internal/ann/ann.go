@@ -49,12 +49,11 @@ var (
 // routing state is in exported fields so the determinism tests can compare
 // whole indexes gob-byte-identically; treat a built index as immutable.
 type Index struct {
-	Metric  core.Metric // similarity used to rank cells at query time
-	Seed    int64       // k-means++ seeding stream
-	RepsCRC uint32      // Fingerprint of the representations clustered
-	N       int         // companies indexed (rows of the representations)
-	Inertia float64     // final k-means inertia (sum of squared distances)
-	Iters   int         // Lloyd iterations run
+	Seed    int64   // k-means++ seeding stream
+	RepsCRC uint32  // Fingerprint of the representations clustered
+	N       int     // companies indexed (rows of the representations)
+	Inertia float64 // final k-means inertia (sum of squared distances)
+	Iters   int     // Lloyd iterations run
 
 	Centroids *mat.Matrix // Cells() x Dim()
 	Offsets   []int64     // len Cells()+1, CSR offsets into IDs
@@ -74,23 +73,16 @@ func (ix *Index) Mapped() bool { return ix.mapped }
 
 // BuildConfig parameterizes Build. Zero values select the defaults.
 type BuildConfig struct {
-	Cells   int     // coarse cell count; 0 selects DefaultCells(n)
-	MaxIter int     // Lloyd iteration cap; 0 selects 25
-	Tol     float64 // relative inertia improvement stop; 0 selects 1e-4
-	Seed    int64   // k-means++ RNG seed
+	Cells int   // coarse cell count; 0 selects DefaultCells(n)
+	Seed  int64 // k-means++ RNG seed
 }
 
-func (c *BuildConfig) fillDefaults(n int) {
-	if c.Cells == 0 {
-		c.Cells = DefaultCells(n)
-	}
-	if c.MaxIter == 0 {
-		c.MaxIter = 25
-	}
-	if c.Tol == 0 {
-		c.Tol = 1e-4
-	}
-}
+// The k-means stopping rule: at most maxIter Lloyd iterations, fewer once an
+// iteration improves the inertia by less than the relative tol.
+const (
+	maxIter = 25
+	tol     = 1e-4
+)
 
 // DefaultCells is the √n rule of thumb for the coarse cell count, clamped
 // to [1, n].
@@ -109,19 +101,25 @@ func DefaultCells(n int) int {
 }
 
 // Build clusters the rows of reps into cfg.Cells coarse cells and assembles
-// the routing index. Deterministic at any par worker count.
+// the routing index, whose cells are ranked by cosine similarity: metric must
+// be core.Cosine. Deterministic at any par worker count.
 func Build(reps *mat.Matrix, metric core.Metric, cfg BuildConfig) (*Index, error) {
+	if metric != core.Cosine {
+		return nil, fmt.Errorf("ann: unknown metric %d", metric)
+	}
 	n := reps.Rows
 	if n < 1 || reps.Cols < 1 {
 		return nil, fmt.Errorf("ann: cannot index an empty representation matrix (%dx%d)", n, reps.Cols)
 	}
-	cfg.fillDefaults(n)
+	if cfg.Cells == 0 {
+		cfg.Cells = DefaultCells(n)
+	}
 	if cfg.Cells < 1 || cfg.Cells > n {
 		return nil, fmt.Errorf("ann: %d cells outside [1,%d]", cfg.Cells, n)
 	}
 	start := time.Now()
 	km, err := cluster.KMeans(reps, cluster.KMeansConfig{
-		K: cfg.Cells, MaxIter: cfg.MaxIter, Tol: cfg.Tol, Restarts: 1,
+		K: cfg.Cells, MaxIter: maxIter, Tol: tol, Restarts: 1,
 	}, rng.New(cfg.Seed))
 	if err != nil {
 		return nil, err
@@ -147,7 +145,6 @@ func Build(reps *mat.Matrix, metric core.Metric, cfg BuildConfig) (*Index, error
 	buildsTotal.Inc()
 	buildSeconds.Set(time.Since(start).Seconds())
 	return &Index{
-		Metric:  metric,
 		Seed:    cfg.Seed,
 		RepsCRC: Fingerprint(reps),
 		N:       n,
@@ -193,7 +190,7 @@ func (r *Router) Candidates(queries [][]float64) [][]int64 {
 	scores := make([]float64, cells)
 	best := make([]int, np) // the np best cells so far, best first
 	for _, q := range queries {
-		sc := core.NewScorer(ix.Metric, q)
+		sc := core.NewScorer(core.Cosine, q)
 		sc.ScoreBlock(ix.Centroids, 0, cells, scores)
 		// Bounded insertion instead of a full sort: cells arrive in ascending
 		// id, so a cell goes in front of exactly those it strictly outscores

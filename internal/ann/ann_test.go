@@ -56,9 +56,9 @@ func testCorpus(t *testing.T, n, d int) (*corpus.Corpus, *mat.Matrix) {
 	return c, reps
 }
 
-func testIndex(t *testing.T, c *corpus.Corpus, reps *mat.Matrix, metric core.Metric) *core.Index {
+func testIndex(t *testing.T, c *corpus.Corpus, reps *mat.Matrix) *core.Index {
 	t.Helper()
-	ix, err := core.NewIndex(c, reps, metric)
+	ix, err := core.NewIndex(c, reps, core.Cosine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,60 +154,57 @@ func TestBuildValidation(t *testing.T) {
 // TestFullProbeMatchesExact is the escape-hatch contract: with nprobe equal
 // to the cell count the pruned pool is the whole corpus, so every query
 // path returns gob-byte-identical answers to the exact scan — for TopK,
-// TopKByVector, Whitespace and recommendations, under filters, at one and
-// four workers, for both metrics.
+// Whitespace and recommendations, under filters, at one and four workers.
 func TestFullProbeMatchesExact(t *testing.T) {
 	defer par.SetWorkers(4)
 	c, reps := testCorpus(t, 120, 5)
-	for _, metric := range []core.Metric{core.Cosine, core.Euclidean} {
-		annIx, err := Build(reps, metric, BuildConfig{Cells: 8, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		exact := testIndex(t, c, reps, metric)
-		pruned := testIndex(t, c, reps, metric)
-		pruned.SetPruner(&Router{Index: annIx, NProbe: annIx.Cells()})
-		filters := []core.Filter{{}, {Country: "US"}, {SIC2: 71, MinEmployees: 20}}
-		for _, workers := range []int{1, 4} {
-			par.SetWorkers(workers)
-			for _, f := range filters {
-				for _, k := range []int{1, 7, 30} {
-					want, err := exact.TopK(13, k, f)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := pruned.TopK(13, k, f)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(gobBytes(t, want), gobBytes(t, got)) {
-						t.Fatalf("metric=%v workers=%d k=%d filter=%+v: full-probe TopK differs from exact\nwant %v\ngot  %v",
-							metric, workers, k, f, want, got)
-					}
-					wantWS, err := exact.Whitespace([]int{2, 9, 33}, k, f)
-					if err != nil {
-						t.Fatal(err)
-					}
-					gotWS, err := pruned.Whitespace([]int{2, 9, 33}, k, f)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(gobBytes(t, wantWS), gobBytes(t, gotWS)) {
-						t.Fatalf("metric=%v workers=%d k=%d filter=%+v: full-probe Whitespace differs from exact",
-							metric, workers, k, f)
-					}
-				}
-				wantRec, err := exact.RecommendFromSimilar(4, 10, f)
+	annIx, err := Build(reps, core.Cosine, BuildConfig{Cells: 8, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := testIndex(t, c, reps)
+	pruned := testIndex(t, c, reps)
+	pruned.SetPruner(&Router{Index: annIx, NProbe: annIx.Cells()})
+	filters := []core.Filter{{}, {Country: "US"}, {SIC2: 71, MinEmployees: 20}}
+	for _, workers := range []int{1, 4} {
+		par.SetWorkers(workers)
+		for _, f := range filters {
+			for _, k := range []int{1, 7, 30} {
+				want, err := exact.TopK(13, k, f)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotRec, err := pruned.RecommendFromSimilar(4, 10, f)
+				got, err := pruned.TopK(13, k, f)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(gobBytes(t, wantRec), gobBytes(t, gotRec)) {
-					t.Fatalf("metric=%v filter=%+v: full-probe recommendations differ from exact", metric, f)
+				if !bytes.Equal(gobBytes(t, want), gobBytes(t, got)) {
+					t.Fatalf("workers=%d k=%d filter=%+v: full-probe TopK differs from exact\nwant %v\ngot  %v",
+						workers, k, f, want, got)
 				}
+				wantWS, err := exact.Whitespace([]int{2, 9, 33}, k, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotWS, err := pruned.Whitespace([]int{2, 9, 33}, k, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(gobBytes(t, wantWS), gobBytes(t, gotWS)) {
+					t.Fatalf("workers=%d k=%d filter=%+v: full-probe Whitespace differs from exact",
+						workers, k, f)
+				}
+			}
+			wantRec, err := exact.RecommendFromSimilar(4, 10, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotRec, err := pruned.RecommendFromSimilar(4, 10, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gobBytes(t, wantRec), gobBytes(t, gotRec)) {
+				t.Fatalf("filter=%+v: full-probe recommendations differ from exact", f)
 			}
 		}
 	}
@@ -228,7 +225,7 @@ func TestPrunedPartition1vs3GobIdentical(t *testing.T) {
 	router := &Router{Index: annIx, NProbe: 2}
 	const parts = 3
 	newPruned := func(part int, sharded bool) *core.Index {
-		ix := testIndex(t, c, reps, core.Cosine)
+		ix := testIndex(t, c, reps)
 		if sharded {
 			if err := ix.SetPartition(part, parts); err != nil {
 				t.Fatal(err)
@@ -310,7 +307,7 @@ func TestRouterProbeSubset(t *testing.T) {
 	if !found {
 		t.Error("company 0's own cell was not the top probe for its own representation")
 	}
-	ix := testIndex(t, c, reps, core.Cosine)
+	ix := testIndex(t, c, reps)
 	ix.SetPruner(r)
 	ms, err := ix.TopK(0, 5, core.Filter{})
 	if err != nil {
@@ -336,7 +333,7 @@ func TestRouterProbeSubset(t *testing.T) {
 // TestRouterProbeSelectionMatchesFullSort pins Candidates' bounded selection
 // of the nprobe best cells to the full sort it replaced — score descending,
 // lower cell id on ties — over centroids that repeat, so that scores tie
-// exactly, at the smallest and largest probe counts and under both metrics.
+// exactly, at the smallest and largest probe counts.
 // Cell c holds the one company c, so the pool names the probed cells.
 func TestRouterProbeSelectionMatchesFullSort(t *testing.T) {
 	const cells, d = 12, 3
@@ -355,34 +352,31 @@ func TestRouterProbeSelectionMatchesFullSort(t *testing.T) {
 	for c := 0; c < cells; c++ {
 		ix.Offsets[c+1], ix.IDs[c] = int64(c+1), int64(c)
 	}
-	for _, metric := range []core.Metric{core.Cosine, core.Euclidean} {
-		ix.Metric = metric
-		for _, query := range [][]float64{centroids.Row(2), centroids.Row(7), {0.3, 0.3, 0.4}, {0, 0, 0}} {
-			scores := make([]float64, cells)
-			core.NewScorer(metric, query).ScoreBlock(centroids, 0, cells, scores)
-			order := make([]int, cells)
-			for c := range order {
-				order[c] = c
+	for _, query := range [][]float64{centroids.Row(2), centroids.Row(7), {0.3, 0.3, 0.4}, {0, 0, 0}} {
+		scores := make([]float64, cells)
+		core.NewScorer(core.Cosine, query).ScoreBlock(centroids, 0, cells, scores)
+		order := make([]int, cells)
+		for c := range order {
+			order[c] = c
+		}
+		sort.Slice(order, func(a, b int) bool {
+			ca, cb := order[a], order[b]
+			if scores[ca] != scores[cb] {
+				return scores[ca] > scores[cb]
 			}
-			sort.Slice(order, func(a, b int) bool {
-				ca, cb := order[a], order[b]
-				if scores[ca] != scores[cb] {
-					return scores[ca] > scores[cb]
-				}
-				return ca < cb
-			})
-			for _, np := range []int{1, 2, cells - 1, cells} {
-				want := append([]int(nil), order[:np]...)
-				sort.Ints(want)
-				pool := (&Router{Index: ix, NProbe: np}).Candidates([][]float64{query})
-				got := make([]int, len(pool))
-				for p, cell := range pool {
-					got[p] = int(cell[0])
-				}
-				if !slices.Equal(got, want) {
-					t.Errorf("%v query %v nprobe=%d: probed cells %v, the full sort selects %v (scores %v)",
-						metric, query, np, got, want, scores)
-				}
+			return ca < cb
+		})
+		for _, np := range []int{1, 2, cells - 1, cells} {
+			want := append([]int(nil), order[:np]...)
+			sort.Ints(want)
+			pool := (&Router{Index: ix, NProbe: np}).Candidates([][]float64{query})
+			got := make([]int, len(pool))
+			for p, cell := range pool {
+				got[p] = int(cell[0])
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("query %v nprobe=%d: probed cells %v, the full sort selects %v (scores %v)",
+					query, np, got, want, scores)
 			}
 		}
 	}

@@ -32,7 +32,8 @@ const Kind = "ann-index"
 
 // v2 section names and the fixed meta layout (little-endian): Cells int64,
 // Dim int64, N int64, Metric int64, Seed int64, RepsCRC uint64,
-// Inertia float64, Iters int64.
+// Inertia float64, Iters int64. Metric is always core.Cosine (0); a file
+// naming another is corrupt.
 const (
 	sectionMeta      = "meta"
 	sectionCentroids = "centroids"
@@ -89,7 +90,7 @@ func (ix *Index) builder() (*snapshot.Builder, error) {
 	binary.LittleEndian.PutUint64(meta[0:], uint64(int64(ix.Cells())))
 	binary.LittleEndian.PutUint64(meta[8:], uint64(int64(ix.Dim())))
 	binary.LittleEndian.PutUint64(meta[16:], uint64(int64(ix.N)))
-	binary.LittleEndian.PutUint64(meta[24:], uint64(int64(ix.Metric)))
+	binary.LittleEndian.PutUint64(meta[24:], uint64(int64(core.Cosine)))
 	binary.LittleEndian.PutUint64(meta[32:], uint64(ix.Seed))
 	binary.LittleEndian.PutUint64(meta[40:], uint64(ix.RepsCRC))
 	binary.LittleEndian.PutUint64(meta[48:], math.Float64bits(ix.Inertia))
@@ -132,7 +133,7 @@ func indexFromV2(f *snapshot.File, frozen bool) (*Index, error) {
 	inertia := math.Float64frombits(binary.LittleEndian.Uint64(meta[48:]))
 	iters := int64(binary.LittleEndian.Uint64(meta[56:]))
 	if cells < 1 || dim < 1 || n < cells || cells*dim > int64(math.MaxInt) ||
-		repsCRC > math.MaxUint32 || iters < 0 || (metric != int64(core.Cosine) && metric != int64(core.Euclidean)) {
+		repsCRC > math.MaxUint32 || iters < 0 || metric != int64(core.Cosine) {
 		return nil, fmt.Errorf("ann: corrupt index meta (cells=%d dim=%d n=%d metric=%d)", cells, dim, n, metric)
 	}
 	cents, err := f.Float64Section(sectionCentroids)
@@ -172,7 +173,6 @@ func indexFromV2(f *snapshot.File, frozen bool) (*Index, error) {
 		cm = mat.FromSlice(int(cells), int(dim), cents)
 	}
 	return &Index{
-		Metric:  core.Metric(metric),
 		Seed:    seed,
 		RepsCRC: uint32(repsCRC),
 		N:       int(n),
@@ -193,7 +193,7 @@ func indexFromV2(f *snapshot.File, frozen bool) (*Index, error) {
 // finishes. Callers routing for a representation matrix should reject an
 // index whose RepsCRC differs from Fingerprint of that matrix.
 func LoadFile(path string) (*Index, func() error, error) {
-	mf, err := snapshot.Map(path, snapshot.MapOptions{})
+	mf, err := snapshot.Map(path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ann: mapping %s: %w", path, err)
 	}

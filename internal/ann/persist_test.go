@@ -2,6 +2,7 @@ package ann
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -96,6 +97,36 @@ func TestLoadFileRejectsCorruption(t *testing.T) {
 		}
 		return p
 	}
+	// setMetric rewrites the container at p with metric in the meta section's
+	// metric slot, every other byte as SaveFile wrote it.
+	setMetric := func(p string, metric uint64) {
+		t.Helper()
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := snapshot.OpenV2(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := snapshot.NewBuilder(Kind)
+		for _, name := range []string{sectionMeta, sectionCentroids, sectionOffsets, sectionIDs} {
+			data, err := f.Section(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if name == sectionMeta {
+				data = bytes.Clone(data)
+				binary.LittleEndian.PutUint64(data[24:], metric)
+			}
+			if err := b.AddSection(name, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := b.WriteFile(p); err != nil {
+			t.Fatal(err)
+		}
+	}
 	cases := []struct {
 		name   string
 		mutate func(ix *Index)
@@ -111,7 +142,6 @@ func TestLoadFileRejectsCorruption(t *testing.T) {
 		{"id-out-of-range", func(ix *Index) { ix.IDs[0] = int64(ix.N) }},
 		{"negative-id", func(ix *Index) { ix.IDs[len(ix.IDs)-1] = -1 }},
 		{"offsets-not-anchored", func(ix *Index) { ix.Offsets[0] = 1 }},
-		{"bad-metric", func(ix *Index) { ix.Metric = core.Metric(99) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -123,8 +153,27 @@ func TestLoadFileRejectsCorruption(t *testing.T) {
 			}
 		})
 	}
+	// Cosine (0) is the only metric an index has; 1 is the slot's value for
+	// the distance metric indexes once had besides it. The rewrite itself
+	// keeps a file loadable.
+	p := save("cosine-metric.ibsnap", fixtureIndex(t))
+	setMetric(p, 0)
+	if _, closeFn, err := LoadFile(p); err != nil {
+		t.Fatalf("a rewritten cosine index does not load: %v", err)
+	} else if err := closeFn(); err != nil {
+		t.Fatal(err)
+	}
+	for name, metric := range map[string]uint64{"bad-metric": 99, "euclidean-metric": 1} {
+		t.Run(name, func(t *testing.T) {
+			p := save(name+".ibsnap", fixtureIndex(t))
+			setMetric(p, metric)
+			if _, _, err := LoadFile(p); err == nil {
+				t.Fatalf("LoadFile accepted an index whose metric slot reads %d", metric)
+			}
+		})
+	}
 	// Wrong container kind.
-	p := filepath.Join(dir, "wrong-kind.ibsnap")
+	p = filepath.Join(dir, "wrong-kind.ibsnap")
 	b := snapshot.NewBuilder("company-model")
 	if err := b.AddSection(sectionMeta, make([]byte, metaLen)); err != nil {
 		t.Fatal(err)

@@ -3,8 +3,7 @@
 // P(item | context) is high. The paper's recommender baseline uses *exact*
 // conditional heavy hitters with context depth 2 (Mirylenka et al., The VLDB
 // Journal 24(3), 2015), i.e. exact time-dependent association rules on the
-// previous one or two products. A space-bounded streaming variant is also
-// provided for corpora whose context universe does not fit in memory.
+// previous one or two products.
 package chh
 
 import (

@@ -170,97 +170,3 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal("garbage accepted")
 	}
 }
-
-func TestSparseMatchesExactWhenUnbounded(t *testing.T) {
-	g := rng.New(9)
-	seqs := make([][]int, 200)
-	for i := range seqs {
-		s := make([]int, 10)
-		for j := range s {
-			s[j] = g.Intn(6)
-		}
-		seqs[i] = s
-	}
-	e := mustExact(t, 6, 1)
-	if err := e.Fit(seqs); err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSparse(6, 1000) // budget >> universe: exact
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.FitSequences(seqs); err != nil {
-		t.Fatal(err)
-	}
-	for ctx := 0; ctx < 6; ctx++ {
-		for item := 0; item < 6; item++ {
-			ep := e.CondProb([]int{ctx}, item)
-			sp := s.CondProb(ctx, item)
-			if math.Abs(ep-sp) > 1e-12 {
-				t.Fatalf("unbounded sparse differs: P(%d|%d) exact %v sparse %v", item, ctx, ep, sp)
-			}
-		}
-	}
-}
-
-func TestSparseBudgetRespectedAndOverestimates(t *testing.T) {
-	g := rng.New(11)
-	s, err := NewSparse(20, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := mustExact(t, 20, 1)
-	var seqs [][]int
-	for i := 0; i < 300; i++ {
-		seq := make([]int, 8)
-		for j := range seq {
-			// skewed so some pairs are genuinely heavy
-			if g.Float64() < 0.5 {
-				seq[j] = g.Intn(3)
-			} else {
-				seq[j] = g.Intn(20)
-			}
-		}
-		seqs = append(seqs, seq)
-	}
-	if err := s.FitSequences(seqs); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Fit(seqs); err != nil {
-		t.Fatal(err)
-	}
-	if s.Size() > 25 {
-		t.Fatalf("budget exceeded: %d counters", s.Size())
-	}
-	// SpaceSaving invariant: tracked counts overestimate true counts.
-	for key, c := range s.counts {
-		var truth float64
-		if row := e.Count1[key[0]]; row != nil {
-			truth = row[key[1]]
-		}
-		if c+1e-9 < truth {
-			t.Fatalf("count underestimates truth for %v: %v < %v", key, c, truth)
-		}
-	}
-	// A genuinely heavy transition should be retained and detected.
-	hh := s.HeavyHitters(0.1, 50)
-	if len(hh) == 0 {
-		t.Fatal("no heavy hitters found in skewed stream")
-	}
-}
-
-func TestSparseValidation(t *testing.T) {
-	if _, err := NewSparse(0, 5); err == nil {
-		t.Fatal("v=0 accepted")
-	}
-	if _, err := NewSparse(5, 0); err == nil {
-		t.Fatal("budget=0 accepted")
-	}
-	s, _ := NewSparse(3, 5)
-	if err := s.Observe(0, 9); err == nil {
-		t.Fatal("bad item accepted")
-	}
-	if s.CondProb(1, 1) != 0 {
-		t.Fatal("unseen context should give 0")
-	}
-}

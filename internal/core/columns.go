@@ -183,7 +183,7 @@ type idSet struct {
 const idSetListMax = 16
 
 // newIDSet builds the set over ids, none of which is n or above. (A negative
-// id, TopKByVector's "no company", is a member no row ever asks about.)
+// id, TopKByVectorContext's "no company", is a member no row ever asks about.)
 func newIDSet(ids []int, n int) idSet {
 	s := idSet{lo: n, hi: -1, list: ids}
 	for _, id := range ids {

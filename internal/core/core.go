@@ -60,23 +60,13 @@ var (
 		"centroid cells scanned across all ANN-pruned queries")
 )
 
-// Metric selects the vector distance used for company similarity.
+// Metric names the similarity of an index. Cosine, over the topic mixtures,
+// is the one there is; NewIndex, NewScorer and ann.Build take it so that their
+// callers say which similarity they rank by.
 type Metric int
 
-const (
-	// Cosine similarity: the default for topic mixtures.
-	Cosine Metric = iota
-	// Euclidean converts distance d to similarity 1/(1+d).
-	Euclidean
-)
-
-// String names the metric.
-func (m Metric) String() string {
-	if m == Euclidean {
-		return "euclidean"
-	}
-	return "cosine"
-}
+// Cosine similarity: the angle between two topic mixtures.
+const Cosine Metric = 0
 
 // Filter restricts similarity search results, mirroring the tool's filtering
 // capabilities "based on industry, location, number of employees and
@@ -144,13 +134,12 @@ type Match struct {
 // Everything a scan needs per candidate that does not depend on the query is
 // computed once, at build time: the row norms and filter columns (NewIndex),
 // the owned-id list (SetPartition), the candidate lists of the equality
-// columns and the cone tree (both). Corpus, Reps and Metric must not change after
+// columns and the cone tree (both). Corpus and Reps must not change after
 // NewIndex. Copying the struct shares the columns, which is how the shadow
 // re-execution gets a pruner-free twin of the serving index.
 type Index struct {
 	Corpus *corpus.Corpus
 	Reps   *mat.Matrix
-	Metric Metric
 
 	part, parts int      // candidate-scan partition; parts <= 1 scans everything
 	owned       []uint32 // ascending owned ids when parts > 1; nil = every id
@@ -279,7 +268,11 @@ func (ix *Index) OwnedCompanies() int {
 // NewIndex validates shapes and builds an index, including its scan columns
 // (one pass over the companies and one over the representation rows), the
 // equality columns' candidate lists (a counting sort each) and the cone tree.
+// metric must be Cosine.
 func NewIndex(c *corpus.Corpus, reps *mat.Matrix, metric Metric) (*Index, error) {
+	if metric != Cosine {
+		return nil, fmt.Errorf("core: unknown metric %d", metric)
+	}
 	if reps.Rows != c.N() {
 		return nil, fmt.Errorf("core: %d representation rows for %d companies", reps.Rows, c.N())
 	}
@@ -298,19 +291,9 @@ func NewIndex(c *corpus.Corpus, reps *mat.Matrix, metric Metric) (*Index, error)
 			inRange = false
 		}
 	}
-	ix := &Index{Corpus: c, Reps: reps, Metric: metric, norms: norms, cols: newFilterColumns(c.Companies), normsInRange: inRange}
+	ix := &Index{Corpus: c, Reps: reps, norms: norms, cols: newFilterColumns(c.Companies), normsInRange: inRange}
 	ix.groupOwned()
 	return ix, nil
-}
-
-// similarity computes the similarity between two representation vectors.
-func (ix *Index) similarity(a, b []float64) float64 {
-	switch ix.Metric {
-	case Euclidean:
-		return 1 / (1 + math.Sqrt(mat.SqDist(a, b)))
-	default:
-		return mat.CosineSim(a, b)
-	}
 }
 
 // TopK returns the k companies most similar to company id (excluding
@@ -332,13 +315,9 @@ func (ix *Index) TopKContext(ctx context.Context, id, k int, f Filter) ([]Match,
 	return ix.topKByVector(ctx, ix.Reps.Row(id), k, f, id)
 }
 
-// TopKByVector searches with an explicit query vector (e.g. the inferred
-// representation of a company outside the corpus).
-func (ix *Index) TopKByVector(query []float64, k int, f Filter) ([]Match, error) {
-	return ix.TopKByVectorContext(context.Background(), query, k, f)
-}
-
-// TopKByVectorContext is TopKByVector with a per-request context.
+// TopKByVectorContext searches with an explicit query vector (e.g. the
+// inferred representation of a company outside the corpus) under a
+// per-request context.
 func (ix *Index) TopKByVectorContext(ctx context.Context, query []float64, k int, f Filter) ([]Match, error) {
 	if len(query) != ix.Reps.Cols {
 		topkErrors.Inc()
@@ -493,7 +472,7 @@ type scan struct {
 	ix     *Index
 	k      int
 	vecs   [][]float64 // query vectors: the query row, or one row per client
-	qnorms []float64   // ‖vecs[c]‖ under cosine, unused (zero) under Euclidean
+	qnorms []float64   // ‖vecs[c]‖
 	// ids[c] is the company vecs[c] belongs to: reported as NearestClient,
 	// and never a candidate itself (skip is the set of them).
 	ids  []int
@@ -507,9 +486,9 @@ type scan struct {
 	outside uint64
 	// filter is what is left to test row by row once the list is chosen.
 	filter columnFilter
-	// filtered: admit has a test left to make. floorTest: the metric is cosine
-	// and every norm the floor test multiplies — the index's and the query
-	// vectors' — is inside its range (reject).
+	// filtered: admit has a test left to make. floorTest: every norm the floor
+	// test multiplies — the index's and the query vectors' — is inside its
+	// range (reject).
 	filtered, floorTest bool
 	// leaves: the scan searches the index's cone tree best bound first for the
 	// leaves it has to visit (search). It is exact, unfiltered, and meets the
@@ -527,13 +506,11 @@ func (ix *Index) newScan(k int, f Filter, vecs [][]float64, ids []int) *scan {
 	}
 	narrowed := ix.pruner == nil && q.narrow()
 	q.filtered = q.filter != ix.cols.bind(Filter{})
-	if ix.Metric != Euclidean {
-		q.floorTest = ix.normsInRange
-		for c, v := range vecs {
-			q.qnorms[c] = mat.Norm2(v)
-			if !normInRange(q.qnorms[c]) {
-				q.floorTest = false
-			}
+	q.floorTest = ix.normsInRange
+	for c, v := range vecs {
+		q.qnorms[c] = mat.Norm2(v)
+		if !normInRange(q.qnorms[c]) {
+			q.floorTest = false
 		}
 	}
 	if ix.pruner == nil && !narrowed && !q.filtered && q.floorTest && len(ix.tree.nodes) > 0 {
@@ -583,9 +560,9 @@ func (q *scan) ownRows(in func(id int) bool) uint64 {
 	return n
 }
 
-// cosineSimilarity and euclideanSimilarity are Scorer.Score with the norms
-// supplied: the similarity of query vector qv (norm qn) and candidate row
-// (norm rn), bit for bit. The cosine one inlines into the candidate loop.
+// cosineSimilarity is Scorer.Score with the norms supplied: the similarity of
+// query vector qv (norm qn) and candidate row (norm rn), bit for bit. It
+// inlines into the candidate loop.
 func cosineSimilarity(qv, row []float64, qn, rn float64) float64 {
 	var dot float64
 	for j, v := range qv[:len(row)] {
@@ -595,10 +572,6 @@ func cosineSimilarity(qv, row []float64, qn, rn float64) float64 {
 		return 0
 	}
 	return dot / (qn * rn)
-}
-
-func euclideanSimilarity(qv, row []float64) float64 {
-	return 1 / (1 + math.Sqrt(mat.SqDist(qv, row)))
 }
 
 // selection is what one worker of a scan carries from task to task: the heap
@@ -632,7 +605,7 @@ func (q *scan) newSelection(rows int) *selection {
 // running them in place even when that worker's core is awake and spinning
 // (DESIGN §13 has the timings). A pruned pool at the benchmark's shape (5 % of
 // 100k) is well under it, and so is a SIC2 filter's candidate list; a
-// range-filtered or Euclidean scan of 100k rows is well over. A tree search
+// range-filtered scan of 100k rows is well over. A tree search
 // has no tasks and always runs in place.
 const minFanoutRows = 16 << 10
 
@@ -763,8 +736,8 @@ func (q *scan) runTask(ctx context.Context, sel *selection, t int, ids []int64, 
 // candidates at all into cand, reject drops those a multiplication shows to
 // score below the heap's floor, and the survivors are scored and selected
 // here. Two things must stay bit-compatible with the reference path
-// (Index.similarity over Filter.Admits survivors, fully sorted): the cosine
-// score is dot / (qnorm * norms[i]) with norms[i] the very value Scorer.Score
+// (mat.CosineSim over Filter.Admits survivors, fully sorted): the score is
+// dot / (qnorm * norms[i]) with norms[i] the very value Scorer.Score
 // recomputes per call, and a candidate is dropped before the heap only when
 // its similarity is strictly below the worst retained one — under
 // ProspectBetter such a candidate can never displace it, while a tie is
@@ -774,7 +747,6 @@ func (q *scan) visit(ctx context.Context, sel *selection, ids []int64, lo, hi in
 	ix := q.ix
 	d := ix.Reps.Cols
 	data, norms := ix.Reps.Data, ix.norms
-	cosine := ix.Metric != Euclidean
 	// Locals keep the loop's operands in registers across the push call.
 	k, vecs, qnorms, qids := q.k, q.vecs, q.qnorms, q.ids
 	h := &sel.heap
@@ -800,13 +772,7 @@ func (q *scan) visit(ctx context.Context, sel *selection, ids []int64, lo, hi in
 			// The nearest query vector wins, the first one on ties.
 			sim, nearest := math.Inf(-1), -1
 			for c, qv := range vecs {
-				var s float64
-				if cosine {
-					s = cosineSimilarity(qv, row, qnorms[c], rn)
-				} else {
-					s = euclideanSimilarity(qv, row)
-				}
-				if s > sim {
+				if s := cosineSimilarity(qv, row, qnorms[c], rn); s > sim {
 					sim, nearest = s, qids[c]
 				}
 			}
@@ -891,10 +857,9 @@ func floorInRange(f float64) bool { return f >= rejectFloorMin && f <= rejectFlo
 // false and be dropped, as sim < floor drops the -Inf a NaN score leaves.
 func reachesFloor(dot, t, rn float64) bool { return dot >= t*rn }
 
-// reject is the second stage of a block, run under cosine once the heap is
-// full (floor is the similarity at its root): it keeps, at the front of cand,
-// the candidates that reachesFloor for some query vector, and returns their
-// number. Everything it drops the selection would drop at sim < floor;
+// reject is the second stage of a block, run once the heap is full (floor is
+// the similarity at its root): it keeps, at the front of cand, the candidates
+// that reachesFloor for some query vector, and returns their number. Everything it drops the selection would drop at sim < floor;
 // what it keeps is scored there as if this stage did not exist.
 func (q *scan) reject(cand []int, floor float64) int {
 	data, norms := q.ix.Reps.Data, q.ix.norms

@@ -51,6 +51,9 @@ func TestNewIndexValidation(t *testing.T) {
 	if _, err := NewIndex(c, mat.New(6, 0), Cosine); err == nil {
 		t.Fatal("zero-dim reps accepted")
 	}
+	if _, err := NewIndex(c, reps, Metric(1)); err == nil {
+		t.Fatal("a metric other than cosine accepted")
+	}
 	if _, err := NewIndex(c, reps, Cosine); err != nil {
 		t.Fatal(err)
 	}
@@ -83,21 +86,6 @@ func TestTopKFindsGroup(t *testing.T) {
 	}
 }
 
-func TestTopKEuclidean(t *testing.T) {
-	c, reps := fixture()
-	ix, _ := NewIndex(c, reps, Euclidean)
-	matches, err := ix.TopK(3, 1, Filter{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if matches[0].CompanyID != 4 {
-		t.Fatalf("nearest to SW-A should be SW-B, got %d", matches[0].CompanyID)
-	}
-	if matches[0].Similarity <= 0 || matches[0].Similarity > 1 {
-		t.Fatalf("euclidean similarity %v outside (0,1]", matches[0].Similarity)
-	}
-}
-
 func TestTopKErrors(t *testing.T) {
 	c, reps := fixture()
 	ix, _ := NewIndex(c, reps, Cosine)
@@ -107,7 +95,7 @@ func TestTopKErrors(t *testing.T) {
 	if _, err := ix.TopK(0, 0, Filter{}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := ix.TopKByVector([]float64{1}, 2, Filter{}); err == nil {
+	if _, err := ix.TopKByVectorContext(context.Background(), []float64{1}, 2, Filter{}); err == nil {
 		t.Fatal("bad query dimension accepted")
 	}
 }
@@ -147,7 +135,7 @@ func TestFilters(t *testing.T) {
 func TestTopKByVector(t *testing.T) {
 	c, reps := fixture()
 	ix, _ := NewIndex(c, reps, Cosine)
-	matches, err := ix.TopKByVector([]float64{0.05, 0.9, 0.05}, 1, Filter{})
+	matches, err := ix.TopKByVectorContext(context.Background(), []float64{0.05, 0.9, 0.05}, 1, Filter{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +400,7 @@ func TestMetricCountsServedVsErrors(t *testing.T) {
 	if _, err = ix.TopK(0, 0, Filter{}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err = ix.TopKByVector([]float64{1}, 3, Filter{}); err == nil {
+	if _, err = ix.TopKByVectorContext(context.Background(), []float64{1}, 3, Filter{}); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
 	if got := counter("topk_requests_total"); got != tk0 {

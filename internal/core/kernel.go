@@ -7,38 +7,30 @@ import (
 )
 
 // Scorer is the blocked exact scoring kernel of the candidate scans: a
-// query-bound similarity evaluator that hoists the per-query work — the
-// metric dispatch and the query norm — out of the per-candidate loop and
-// fuses the dot product with the candidate norm into one pass over the row,
-// so a scan streams each Reps row through cache exactly once. A Scorer is
-// immutable after construction and safe to share across scan goroutines.
+// query-bound similarity evaluator that hoists the per-query work — the query
+// norm — out of the per-candidate loop and fuses the dot product with the
+// candidate norm into one pass over the row, so a scan streams each Reps row
+// through cache exactly once. A Scorer is immutable after construction and
+// safe to share across scan goroutines.
 //
 // Bit-compatibility contract: Score(row) returns exactly what the naive
-// per-pair path (mat.CosineSim / the Euclidean transform in
-// Index.similarity) returns for the same operands, including the zero-norm
-// guard — multiplication operand order and summation order are preserved —
-// so switching the scans to the kernel changes no served byte. Pinned by
-// TestScorerMatchesSimilarity.
+// per-pair path (mat.CosineSim) returns for the same operands, including the
+// zero-norm guard — multiplication operand order and summation order are
+// preserved — so switching the scans to the kernel changes no served byte.
+// Pinned by TestScorerMatchesSimilarity.
 type Scorer struct {
-	metric Metric
-	query  []float64
-	qnorm  float64 // cached ‖query‖; cosine only
+	query []float64
+	qnorm float64 // cached ‖query‖
 }
 
-// NewScorer binds a query vector to a metric, precomputing the query norm.
-func NewScorer(metric Metric, query []float64) *Scorer {
-	s := &Scorer{metric: metric, query: query}
-	if metric != Euclidean {
-		s.qnorm = mat.Norm2(query)
-	}
-	return s
+// NewScorer binds a query vector, precomputing its norm. The metric is
+// Cosine, the only one an index has.
+func NewScorer(_ Metric, query []float64) *Scorer {
+	return &Scorer{query: query, qnorm: mat.Norm2(query)}
 }
 
-// Score returns similarity(query, row) under the bound metric.
+// Score returns the cosine similarity of the query and row.
 func (s *Scorer) Score(row []float64) float64 {
-	if s.metric == Euclidean {
-		return euclideanSimilarity(s.query, row)
-	}
 	var dot, rr float64
 	for i, v := range s.query {
 		dot += v * row[i]

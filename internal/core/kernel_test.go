@@ -12,7 +12,7 @@ import (
 
 // TestScorerMatchesSimilarity is the kernel's bit-compatibility contract:
 // every Score the blocked kernel produces must be bit-identical to the
-// naive per-pair similarity the scans used before, for both metrics,
+// naive per-pair similarity (mat.CosineSim) the scans used before,
 // including the zero-norm guards. Any drift here changes served results.
 func TestScorerMatchesSimilarity(t *testing.T) {
 	const n, d = 200, 7
@@ -26,27 +26,24 @@ func TestScorerMatchesSimilarity(t *testing.T) {
 		rows.Row(3)[j] = 0
 	}
 	queries := [][]float64{rows.Row(0), rows.Row(n - 1), make([]float64, d)}
-	for _, metric := range []Metric{Cosine, Euclidean} {
-		ix := &Index{Metric: metric}
-		for qi, q := range queries {
-			sc := NewScorer(metric, q)
-			for i := 0; i < n; i++ {
-				got := sc.Score(rows.Row(i))
-				want := ix.similarity(q, rows.Row(i))
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("metric=%v query=%d row=%d: Score=%v (bits %x) similarity=%v (bits %x)",
-						metric, qi, i, got, math.Float64bits(got), want, math.Float64bits(want))
-				}
+	for qi, q := range queries {
+		sc := NewScorer(Cosine, q)
+		for i := 0; i < n; i++ {
+			got := sc.Score(rows.Row(i))
+			want := mat.CosineSim(q, rows.Row(i))
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("query=%d row=%d: Score=%v (bits %x) similarity=%v (bits %x)",
+					qi, i, got, math.Float64bits(got), want, math.Float64bits(want))
 			}
-			// ScoreBlock must agree with Score on any sub-range.
-			dst := make([]float64, n)
-			for _, span := range [][2]int{{0, n}, {3, 4}, {n / 2, n}, {5, 5}} {
-				lo, hi := span[0], span[1]
-				sc.ScoreBlock(rows, lo, hi, dst[lo:hi])
-				for i := lo; i < hi; i++ {
-					if math.Float64bits(dst[i]) != math.Float64bits(sc.Score(rows.Row(i))) {
-						t.Fatalf("metric=%v query=%d ScoreBlock[%d,%d) row %d differs from Score", metric, qi, lo, hi, i)
-					}
+		}
+		// ScoreBlock must agree with Score on any sub-range.
+		dst := make([]float64, n)
+		for _, span := range [][2]int{{0, n}, {3, 4}, {n / 2, n}, {5, 5}} {
+			lo, hi := span[0], span[1]
+			sc.ScoreBlock(rows, lo, hi, dst[lo:hi])
+			for i := lo; i < hi; i++ {
+				if math.Float64bits(dst[i]) != math.Float64bits(sc.Score(rows.Row(i))) {
+					t.Fatalf("query=%d ScoreBlock[%d,%d) row %d differs from Score", qi, lo, hi, i)
 				}
 			}
 		}

@@ -46,8 +46,8 @@ const leafRows = 32
 // groupLeaves builds the tree over the owned ids (every id when the index is
 // not partitioned): unit-normalised rows are split at the median of their
 // widest coordinate until a part holds at most leafRows rows, and each part
-// on the way is a node. It builds none where the bound is not proved: under
-// Euclidean, with a norm outside the floor test's range, or past coneMaxDim.
+// on the way is a node. It builds none where the bound is not proved: with a
+// norm outside the floor test's range, or past coneMaxDim.
 //
 // It works on float32 copies of the unit rows, half the bytes to move; the
 // cones allow for their rounding (coneMargin). The copies move with their
@@ -59,7 +59,7 @@ func (ix *Index) groupLeaves() {
 	ix.tree = tree{}
 	d := ix.Reps.Cols
 	m := ix.OwnedCompanies()
-	if ix.Metric == Euclidean || !ix.normsInRange || d > coneMaxDim || m == 0 {
+	if !ix.normsInRange || d > coneMaxDim || m == 0 {
 		return
 	}
 	id := func(p uint32) int {

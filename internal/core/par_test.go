@@ -63,8 +63,8 @@ func TestTopKAllFiltered(t *testing.T) {
 	}
 }
 
-func TestTopKEuclideanTies(t *testing.T) {
-	// Rows 1 and 2 are exactly equidistant from row 0; the tie must break
+func TestTopKTiesBreakByID(t *testing.T) {
+	// Rows 1 and 2 are at exactly the same angle to row 0; the tie must break
 	// toward the lower company id, at any worker count.
 	cat := corpus.DefaultCatalog()
 	companies := make([]corpus.Company, 3)
@@ -73,11 +73,11 @@ func TestTopKEuclideanTies(t *testing.T) {
 	}
 	c := corpus.New(cat, companies)
 	reps := mat.FromSlice(3, 2, []float64{
-		0, 0,
+		1, 1,
 		1, 0,
 		0, 1,
 	})
-	ix, err := NewIndex(c, reps, Euclidean)
+	ix, err := NewIndex(c, reps, Cosine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,31 +160,29 @@ func mustGob(t *testing.T, v any) []byte {
 // gob-byte-identical results at workers=1 and workers=4.
 func TestTopKWorkersGobIdentical(t *testing.T) {
 	c, reps := bigFixture(150)
-	for _, metric := range []Metric{Cosine, Euclidean} {
-		ix, err := NewIndex(c, reps, metric)
+	ix, err := NewIndex(c, reps, Cosine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(w int) (topk, ws []byte) {
+		par.SetWorkers(w)
+		defer par.SetWorkers(0)
+		m, err := ix.TopK(0, 17, Filter{Country: "US"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		run := func(w int) (topk, ws []byte) {
-			par.SetWorkers(w)
-			defer par.SetWorkers(0)
-			m, err := ix.TopK(0, 17, Filter{Country: "US"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err := ix.Whitespace([]int{0, 3, 7}, 23, Filter{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return mustGob(t, m), mustGob(t, p)
+		p, err := ix.Whitespace([]int{0, 3, 7}, 23, Filter{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		seqTopk, seqWS := run(1)
-		parTopk, parWS := run(4)
-		if !bytes.Equal(seqTopk, parTopk) {
-			t.Fatalf("%v: TopK differs between workers=1 and workers=4", metric)
-		}
-		if !bytes.Equal(seqWS, parWS) {
-			t.Fatalf("%v: Whitespace differs between workers=1 and workers=4", metric)
-		}
+		return mustGob(t, m), mustGob(t, p)
+	}
+	seqTopk, seqWS := run(1)
+	parTopk, parWS := run(4)
+	if !bytes.Equal(seqTopk, parTopk) {
+		t.Fatal("TopK differs between workers=1 and workers=4")
+	}
+	if !bytes.Equal(seqWS, parWS) {
+		t.Fatal("Whitespace differs between workers=1 and workers=4")
 	}
 }

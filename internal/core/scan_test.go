@@ -264,7 +264,7 @@ func TestNormColumnOverMappedReps(t *testing.T) {
 	if err := sb.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	f, err := snapshot.Map(path, snapshot.MapOptions{})
+	f, err := snapshot.Map(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,10 +566,10 @@ func cellsAround(g *rng.RNG, n, k int, top []int, where int) *cellPruner {
 }
 
 // TestScanDifferential is the seeded differential test of the one scan driver
-// and its candidate loop: over drawn (dimension, metric, size, partition,
-// pruner, filter, k, query) tuples, at one, two and four workers, TopK /
-// TopKByVector / Whitespace must equal a naive reference — Index.similarity
-// over Filter.Admits survivors, fully sorted — bit for bit, and the top-k
+// and its candidate loop: over drawn (dimension, size, partition, pruner,
+// filter, k, query) tuples, at one, two and four workers, TopK /
+// TopKByVectorContext / Whitespace must equal a naive reference —
+// mat.CosineSim over Filter.Admits survivors, fully sorted — bit for bit, and the top-k
 // candidate counters must move by exactly what the reference counted.
 // Dimensions 1 to 9 cover the widths the floor test unrolls and the ones it
 // loops over; k reaches from 1 past the block size to more than there are
@@ -614,7 +614,7 @@ func TestScanDifferential(t *testing.T) {
 	// partition does not own; otherwise the index is over the shortest prefix
 	// of a large fixture of which the partition owns that many rows (built per
 	// round: a cache of those would hold too much).
-	index := func(d int, wild, planted, deep, unprunable bool, metric Metric, part, parts, owned int) (*Index, fixture) {
+	index := func(d int, wild, planted, deep, unprunable bool, part, parts, owned int) (*Index, fixture) {
 		fkey := fmt.Sprintf("%d/%v/%v/%v/%v/%v", d, wild, planted, deep, unprunable, owned > 0)
 		fx, ok := fixtures[fkey]
 		if !ok {
@@ -641,7 +641,7 @@ func TestScanDifferential(t *testing.T) {
 			}
 			fixtures[fkey] = fx
 		}
-		key := fmt.Sprintf("%s/%v/%d/%d", fkey, metric, part, parts)
+		key := fmt.Sprintf("%s/%d/%d", fkey, part, parts)
 		if ix, ok := indexes[key]; ok && owned == 0 {
 			return ix, fx
 		}
@@ -660,7 +660,7 @@ func TestScanDifferential(t *testing.T) {
 			fx.reps = &mat.Matrix{Rows: 1, Cols: d, Data: fx.reps.Data[:d]}
 			fx.anchors = []int{0}
 		}
-		ix, err := NewIndex(fx.c, fx.reps, metric)
+		ix, err := NewIndex(fx.c, fx.reps, Cosine)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -675,7 +675,7 @@ func TestScanDifferential(t *testing.T) {
 		if owned == 0 {
 			indexes[key] = ix
 		}
-		if deep && metric == Cosine {
+		if deep {
 			// The fixture is what the arm says: a deep tree whose root splits the
 			// copies between its two subtrees.
 			tr := &ix.tree
@@ -702,7 +702,6 @@ func TestScanDifferential(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		d := 1 + g.Intn(9)
 		wild := g.Intn(5) == 0
-		metric := []Metric{Cosine, Euclidean}[g.Intn(2)]
 		parts := []int{1, 2, 3, 7}[g.Intn(4)]
 		owned := 0
 		if g.Intn(5) == 0 {
@@ -716,13 +715,10 @@ func TestScanDifferential(t *testing.T) {
 		planted := owned == 0 && g.Intn(4) == 0
 		deep := planted && round%3 == 0
 		unprunable := planted && round%3 == 1
-		if planted {
-			metric = Cosine // and exact and unfiltered (below): the tree's case
-		}
 		if deep || unprunable {
 			wild, parts, part = false, 1, 0 // a tree over every row
 		}
-		ix, fx := index(d, wild, planted, deep, unprunable, metric, part, parts, owned)
+		ix, fx := index(d, wild, planted, deep, unprunable, part, parts, owned)
 		if owned != 0 && ix.OwnedCompanies() != max(owned, 0) {
 			t.Fatalf("round %d: the prefix owns %d rows, want %d", round, ix.OwnedCompanies(), max(owned, 0))
 		}
@@ -755,8 +751,8 @@ func TestScanDifferential(t *testing.T) {
 			}
 			return &pruned
 		}
-		desc := fmt.Sprintf("round %d: d=%d wild=%v planted=%v deep=%v unprunable=%v metric=%v rows=%d part=%d/%d layout=%d k=%d filter=%s",
-			round, d, wild, planted, deep, unprunable, metric, n, part, parts, layout, k, f.Key())
+		desc := fmt.Sprintf("round %d: d=%d wild=%v planted=%v deep=%v unprunable=%v rows=%d part=%d/%d layout=%d k=%d filter=%s",
+			round, d, wild, planted, deep, unprunable, n, part, parts, layout, k, f.Key())
 		// deepID draws an id of the unprunable fixture that lies past the
 		// first quarter of the tree's rows, so that the search reaches its leaf
 		// only after many others: the least or the greatest of those ids, which
@@ -814,7 +810,7 @@ func TestScanDifferential(t *testing.T) {
 				}
 				p := WhitespaceProspect{CompanyID: i, NearestClient: -1, Similarity: math.Inf(-1)}
 				for _, id := range clients {
-					if sim := ix.similarity(reps.Row(id), reps.Row(i)); sim > p.Similarity {
+					if sim := mat.CosineSim(reps.Row(id), reps.Row(i)); sim > p.Similarity {
 						p.Similarity, p.NearestClient = sim, id
 					}
 				}
@@ -880,7 +876,7 @@ func TestScanDifferential(t *testing.T) {
 				continue
 			}
 			admitted++
-			want = append(want, Match{CompanyID: i, Similarity: ix.similarity(query, reps.Row(i))})
+			want = append(want, Match{CompanyID: i, Similarity: mat.CosineSim(query, reps.Row(i))})
 		}
 		sort.Slice(want, func(a, b int) bool { return MatchBetter(want[a], want[b]) })
 		want = want[:min(k, len(want))]
@@ -897,7 +893,7 @@ func TestScanDifferential(t *testing.T) {
 			if exclude >= 0 {
 				got, err = ix.TopK(exclude, k, f)
 			} else {
-				got, err = ix.TopKByVector(query, k, f)
+				got, err = ix.TopKByVectorContext(context.Background(), query, k, f)
 			}
 			if err != nil {
 				t.Fatalf("%s exclude=%d: %v", desc, exclude, err)

@@ -76,15 +76,6 @@ func (c *Catalog) MustID(name string) int {
 	return id
 }
 
-// reindex rebuilds the name index after deserialization.
-func (c *Catalog) reindex() {
-	c.byName = make(map[string]int, len(c.Categories))
-	for i := range c.Categories {
-		c.Categories[i].ID = i
-		c.byName[c.Categories[i].Name] = i
-	}
-}
-
 // DefaultCatalog returns the 38 product categories used in the paper,
 // with names taken verbatim from the paper's Figures 8-9 and category
 // parents/groups assigned from HG Data's public taxonomy naming.

@@ -195,15 +195,6 @@ func (c *Company) Sequence() []int {
 	return out
 }
 
-// BinaryVector returns the M-dimensional 0/1 attribute vector A_i.
-func (c *Company) BinaryVector(m int) []float64 {
-	v := make([]float64, m)
-	for _, a := range c.Acquisitions {
-		v[a.Category] = 1
-	}
-	return v
-}
-
 // SiteRecord is one raw, pre-aggregation record: a single business location
 // (identified by its own D-U-N-S number) and the products observed there.
 // The paper aggregates sites to the domestic (per-country) company level.

@@ -140,22 +140,6 @@ func TestOwnedBeforeAcquiredIn(t *testing.T) {
 	}
 }
 
-func TestBinaryVector(t *testing.T) {
-	c := testCompany()
-	v := c.BinaryVector(12)
-	var ones int
-	for _, x := range v {
-		if x == 1 {
-			ones++
-		} else if x != 0 {
-			t.Fatalf("non-binary value %v", x)
-		}
-	}
-	if ones != 4 {
-		t.Fatalf("ones = %d", ones)
-	}
-}
-
 func TestAggregateDomestic(t *testing.T) {
 	sites := []SiteRecord{
 		{SiteDUNS: "1", DomesticDUNS: "A", CompanyName: "Acme", Country: "US", SIC2: 80, Employees: 100, RevenueM: 10,

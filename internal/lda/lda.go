@@ -646,21 +646,10 @@ type gobModel struct {
 	InferIters  int
 }
 
-// SaveV1 serializes the model into the legacy v1 (gob payload) snapshot
-// container of kind KindModel. New writes should prefer Save (the v2 flat
-// container); SaveV1 exists for fleets still running v1-only readers.
-func (m *Model) SaveV1(w io.Writer) error {
-	return snapshot.Write(w, KindModel, func(w io.Writer) error {
-		return gob.NewEncoder(w).Encode(gobModel{
-			K: m.K, V: m.V, Alpha: m.Alpha, Beta: m.Beta,
-			PhiData: m.Phi.Data, InferIters: m.InferIters,
-		})
-	})
-}
-
-// loadV1 deserializes a model written by SaveV1. Truncated, bit-flipped and
-// wrong-kind files fail the container's integrity checks before any gob
-// decoding runs.
+// loadV1 deserializes a model in the legacy v1 container: a gob payload of
+// gobModel, which nothing here writes any more but which existing files still
+// hold. Truncated, bit-flipped and wrong-kind files fail the container's
+// integrity checks before any gob decoding runs.
 func loadV1(r io.Reader) (*Model, error) {
 	var g gobModel
 	if err := snapshot.Read(r, KindModel, func(r io.Reader) error {

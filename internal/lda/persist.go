@@ -1,14 +1,14 @@
 // LDA model persistence across both IBSNAP container generations.
 //
-// Save writes the v2 flat container natively: a fixed-size binary "meta"
-// section plus the phi matrix as a raw little-endian float64 blob, so a
-// loader can point mat.Matrix rows straight at an mmap of the file. SaveV1
-// (lda.go) remains the legacy gob writer; Load sniffs the header version
-// and accepts either, and LoadFile adds the zero-copy mapped path that
-// ibserve uses for startup and /admin/reload.
+// Save writes the v2 flat container: a fixed-size binary "meta" section plus
+// the phi matrix as a raw little-endian float64 blob, so a loader can point
+// mat.Matrix rows straight at an mmap of the file. Nothing writes the legacy
+// v1 gob container any more, but Load sniffs the header version and reads
+// either, and LoadFile adds the zero-copy mapped path that ibserve uses for
+// startup and /admin/reload.
 //
-// Compatibility contract, pinned by TestV1V2LoadIdentical: a model saved in
-// either format loads to a gob-byte-identical in-memory Model.
+// Compatibility contract, pinned by TestV1V2LoadIdentical over committed v1
+// bytes: a v1 model and its v2 twin load to gob-byte-identical Models.
 package lda
 
 import (
@@ -33,7 +33,7 @@ const (
 
 // Save serializes the model as an IBSNAP v2 flat container of kind
 // KindModel: O(sections) to open, mmap-aliasable phi. Readers older than
-// the v2 format reject the file with a VersionError (use SaveV1 for them).
+// the v2 format reject the file with a VersionError.
 func (m *Model) Save(w io.Writer) error {
 	b := snapshot.NewBuilder(KindModel)
 	meta := make([]byte, metaLen)
@@ -145,7 +145,7 @@ func LoadFile(path string) (*Model, func() error, error) {
 		}
 		return m, func() error { return nil }, nil
 	}
-	mf, err := snapshot.Map(path, snapshot.MapOptions{})
+	mf, err := snapshot.Map(path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("lda: mapping %s: %w", path, err)
 	}

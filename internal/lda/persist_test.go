@@ -48,48 +48,51 @@ func gobBytes(t *testing.T, m *Model) []byte {
 	return b.Bytes()
 }
 
-// TestV1V2LoadIdentical is the cross-format property test: a model saved as
-// legacy v1 gob and as native v2 flat container must load back to
-// gob-byte-identical in-memory models (which both match the original).
-func TestV1V2LoadIdentical(t *testing.T) {
-	m := fixtureModel(t)
+// v1Fixture is a 38-category LDA-3 model in the legacy v1 container, written
+// once by the last ibtrain that could write v1 (ibgen -companies 120 -seed 9,
+// then ibtrain -model lda -topics=3 -seed 1 -snapshot-format v1). Nothing
+// writes v1 any more, so these bytes are the v1 side of every v1 ≡ v2 pin:
+// internal/serve's and the root package's tests read the same file.
+var v1Fixture = filepath.Join("testdata", "model_v1_k3v38.ibsnap")
 
-	var v1, v2 bytes.Buffer
-	if err := m.SaveV1(&v1); err != nil {
+// TestV1V2LoadIdentical is the cross-format property test: committed legacy
+// v1 bytes and the v2 twin Save writes of the model they hold must load back
+// to gob-byte-identical in-memory models.
+func TestV1V2LoadIdentical(t *testing.T) {
+	v1, err := os.ReadFile(v1Fixture)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Save(&v2); err != nil {
-		t.Fatal(err)
+	if ver, _ := snapshot.SniffVersion(v1); ver != 1 {
+		t.Fatalf("v1 fixture has version %d", ver)
 	}
-	if ver, _ := snapshot.SniffVersion(v1.Bytes()); ver != 1 {
-		t.Fatalf("SaveV1 wrote version %d", ver)
+	fromV1, err := Load(bytes.NewReader(v1))
+	if err != nil {
+		t.Fatalf("loading v1: %v", err)
+	}
+	if fromV1.K != 3 || fromV1.V != 38 {
+		t.Fatalf("v1 fixture decoded to K=%d V=%d, want 3x38", fromV1.K, fromV1.V)
+	}
+	var v2 bytes.Buffer
+	if err := fromV1.Save(&v2); err != nil {
+		t.Fatal(err)
 	}
 	if ver, _ := snapshot.SniffVersion(v2.Bytes()); ver != snapshot.Version2 {
 		t.Fatalf("Save wrote version %d, want %d", ver, snapshot.Version2)
-	}
-
-	fromV1, err := Load(bytes.NewReader(v1.Bytes()))
-	if err != nil {
-		t.Fatalf("loading v1: %v", err)
 	}
 	fromV2, err := Load(bytes.NewReader(v2.Bytes()))
 	if err != nil {
 		t.Fatalf("loading v2: %v", err)
 	}
-
-	want := gobBytes(t, m)
-	if !bytes.Equal(gobBytes(t, fromV1), want) {
-		t.Fatal("v1 round trip is not gob-identical to the original")
-	}
-	if !bytes.Equal(gobBytes(t, fromV2), want) {
-		t.Fatal("v2 round trip is not gob-identical to the original")
+	if !bytes.Equal(gobBytes(t, fromV2), gobBytes(t, fromV1)) {
+		t.Fatal("the v2 twin does not load to the model the v1 bytes hold")
 	}
 }
 
 // TestLoadFileMapped exercises the zero-copy path: a v2 file loads through
 // mmap with a frozen phi matrix, inference works against the mapping, and
-// the close function releases it. A v1 file goes through the legacy decode
-// with a no-op closer.
+// the close function releases it. The committed v1 fixture goes through the
+// legacy decode with a no-op closer.
 func TestLoadFileMapped(t *testing.T) {
 	m := fixtureModel(t)
 	dir := t.TempDir()
@@ -134,11 +137,7 @@ func TestLoadFileMapped(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	v1path := filepath.Join(dir, "model_v1.ibsnap")
-	if err := snapshot.Atomic(v1path, m.SaveV1); err != nil {
-		t.Fatal(err)
-	}
-	legacy, closeLegacy, err := LoadFile(v1path)
+	legacy, closeLegacy, err := LoadFile(filepath.Join("testdata", "model_v1.ibsnap"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,18 +182,16 @@ func TestCompatFixtures(t *testing.T) {
 	}
 }
 
-// TestRegenerateFixtures rewrites the committed testdata fixtures when
+// TestRegenerateFixtures rewrites the committed v2 fixture when
 // LDA_REGEN_FIXTURES=1 is set. Run it only when the fixture model's
-// training parameters change deliberately; commit the result.
+// training parameters change deliberately; commit the result. The v1
+// fixtures cannot be regenerated: nothing writes v1 any more.
 func TestRegenerateFixtures(t *testing.T) {
 	if os.Getenv("LDA_REGEN_FIXTURES") != "1" {
-		t.Skip("set LDA_REGEN_FIXTURES=1 to rewrite testdata fixtures")
+		t.Skip("set LDA_REGEN_FIXTURES=1 to rewrite the v2 testdata fixture")
 	}
 	m := fixtureModel(t)
 	if err := os.MkdirAll("testdata", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := snapshot.Atomic(filepath.Join("testdata", "model_v1.ibsnap"), m.SaveV1); err != nil {
 		t.Fatal(err)
 	}
 	if err := snapshot.Atomic(filepath.Join("testdata", "model_v2.ibsnap"), m.Save); err != nil {

@@ -98,16 +98,6 @@ func SolveUpperTriFromLowerT(l *Matrix, b []float64) []float64 {
 	return x
 }
 
-// SolveSPD solves a x = b for symmetric positive definite a via Cholesky.
-func SolveSPD(a *Matrix, b []float64) ([]float64, error) {
-	l, err := Cholesky(a)
-	if err != nil {
-		return nil, err
-	}
-	y := SolveLowerTri(l, b)
-	return SolveUpperTriFromLowerT(l, y), nil
-}
-
 // InverseSPD computes the inverse of a symmetric positive definite matrix.
 func InverseSPD(a *Matrix) (*Matrix, error) {
 	l, err := Cholesky(a)
@@ -130,14 +120,4 @@ func InverseSPD(a *Matrix) (*Matrix, error) {
 	}
 	inv.Symmetrize()
 	return inv, nil
-}
-
-// LogDetFromChol returns log|A| given A's lower Cholesky factor L,
-// i.e. 2 Σ log L_ii.
-func LogDetFromChol(l *Matrix) float64 {
-	var s float64
-	for i := 0; i < l.Rows; i++ {
-		s += math.Log(l.At(i, i))
-	}
-	return 2 * s
 }

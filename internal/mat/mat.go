@@ -33,10 +33,6 @@ func FrozenFromSlice(rows, cols int, data []float64) *Matrix {
 	return m
 }
 
-// Freeze marks m read-only: subsequent in-place mutators panic. Freezing is
-// irreversible on this header; use Mutable for a writable copy.
-func (m *Matrix) Freeze() { m.frozen = true }
-
 // Frozen reports whether m rejects in-place mutation.
 func (m *Matrix) Frozen() bool { return m.frozen }
 
@@ -98,15 +94,6 @@ func (m *Matrix) Set(i, j int, v float64) {
 // afford a per-row branch; a write to an mmap-backed row faults).
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.Data[i*m.Cols+j]
-	}
-	return out
-}
-
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
 	out := New(m.Rows, m.Cols)
@@ -131,41 +118,11 @@ func (m *Matrix) Zero() {
 	}
 }
 
-// Fill sets every element of m to v.
-func (m *Matrix) Fill(v float64) {
-	m.mutable("Fill")
-	for i := range m.Data {
-		m.Data[i] = v
-	}
-}
-
 // Scale multiplies every element of m by s, in place.
 func (m *Matrix) Scale(s float64) {
 	m.mutable("Scale")
 	for i := range m.Data {
 		m.Data[i] *= s
-	}
-}
-
-// AddInPlace adds b to m element-wise, in place.
-func (m *Matrix) AddInPlace(b *Matrix) {
-	m.mutable("AddInPlace")
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic("mat: AddInPlace dimension mismatch")
-	}
-	for i := range m.Data {
-		m.Data[i] += b.Data[i]
-	}
-}
-
-// SubInPlace subtracts b from m element-wise, in place.
-func (m *Matrix) SubInPlace(b *Matrix) {
-	m.mutable("SubInPlace")
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic("mat: SubInPlace dimension mismatch")
-	}
-	for i := range m.Data {
-		m.Data[i] -= b.Data[i]
 	}
 }
 
@@ -316,17 +273,6 @@ func (m *Matrix) Trace() float64 {
 		t += m.Data[i*m.Cols+i]
 	}
 	return t
-}
-
-// MaxAbs returns the largest absolute value in m (0 for an empty matrix).
-func (m *Matrix) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }
 
 // Equal reports whether a and b have identical shape and every pair of

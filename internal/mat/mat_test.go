@@ -170,22 +170,13 @@ func TestOuterAccum(t *testing.T) {
 
 func TestAddSubScale(t *testing.T) {
 	a := FromSlice(2, 2, []float64{1, 2, 3, 4})
-	b := FromSlice(2, 2, []float64{5, 6, 7, 8})
 	c := a.Clone()
-	c.AddInPlace(b)
-	if !Equal(c, FromSlice(2, 2, []float64{6, 8, 10, 12}), 0) {
-		t.Fatal("AddInPlace wrong")
-	}
-	c.SubInPlace(b)
-	if !Equal(c, a, 0) {
-		t.Fatal("SubInPlace wrong")
-	}
 	c.Scale(3)
 	if !Equal(c, FromSlice(2, 2, []float64{3, 6, 9, 12}), 0) {
 		t.Fatal("Scale wrong")
 	}
 	c.AxpyInPlace(-1, FromSlice(2, 2, []float64{3, 6, 9, 12}))
-	if c.MaxAbs() != 0 {
+	if !Equal(c, New(2, 2), 0) {
 		t.Fatal("AxpyInPlace wrong")
 	}
 }
@@ -240,36 +231,6 @@ func TestCholeskyJittered(t *testing.T) {
 	}
 }
 
-func TestSolveSPDProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(6)
-		g := randMatrix(r, n, n)
-		a := Mul(g, g.Transpose())
-		for i := 0; i < n; i++ {
-			a.Data[i*n+i] += float64(n)
-		}
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = r.NormFloat64()
-		}
-		b := MulVec(a, x)
-		got, err := SolveSPD(a, b)
-		if err != nil {
-			return false
-		}
-		for i := range x {
-			if math.Abs(got[i]-x[i]) > 1e-7 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestInverseSPD(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	n := 5
@@ -287,29 +248,12 @@ func TestInverseSPD(t *testing.T) {
 	}
 }
 
-func TestLogDetFromChol(t *testing.T) {
-	// diag(4, 9): |A| = 36, log = log 36
-	a := FromSlice(2, 2, []float64{4, 0, 0, 9})
-	l, err := Cholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := LogDetFromChol(l); math.Abs(got-math.Log(36)) > 1e-12 {
-		t.Fatalf("LogDet = %v, want %v", got, math.Log(36))
-	}
-}
-
 func TestRowColClone(t *testing.T) {
 	m := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	row := m.Row(1)
 	row[0] = 40 // Row is a view
 	if m.At(1, 0) != 40 {
 		t.Fatal("Row should be a view")
-	}
-	col := m.Col(2)
-	col[0] = 99 // Col is a copy
-	if m.At(0, 2) == 99 {
-		t.Fatal("Col should be a copy")
 	}
 	cl := m.Clone()
 	cl.Set(0, 0, -1)

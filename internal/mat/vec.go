@@ -20,30 +20,6 @@ func Dot(x, y []float64) float64 {
 // Norm2 returns the Euclidean norm of x.
 func Norm2(x []float64) float64 { return math.Sqrt(Dot(x, x)) }
 
-// AddVec computes x + y into a new slice.
-func AddVec(x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic("mat: AddVec length mismatch")
-	}
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = x[i] + y[i]
-	}
-	return out
-}
-
-// SubVec computes x - y into a new slice.
-func SubVec(x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic("mat: SubVec length mismatch")
-	}
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = x[i] - y[i]
-	}
-	return out
-}
-
 // AxpyVec performs y += alpha*x in place.
 func AxpyVec(alpha float64, x, y []float64) {
 	if len(x) != len(y) {

@@ -37,14 +37,6 @@ func TestCauchySchwarzProperty(t *testing.T) {
 func TestAddSubAxpyVec(t *testing.T) {
 	x := []float64{1, 2, 3}
 	y := []float64{4, 5, 6}
-	s := AddVec(x, y)
-	if s[0] != 5 || s[2] != 9 {
-		t.Fatalf("AddVec = %v", s)
-	}
-	d := SubVec(y, x)
-	if d[0] != 3 || d[2] != 3 {
-		t.Fatalf("SubVec = %v", d)
-	}
 	AxpyVec(2, x, y) // y += 2x
 	if y[0] != 6 || y[2] != 12 {
 		t.Fatalf("AxpyVec = %v", y)

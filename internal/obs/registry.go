@@ -59,8 +59,6 @@ func (g *Gauge) Value() float64 { return bitsFloat(g.bits.Load()) }
 // Registry holds named metrics. All methods are safe for concurrent use;
 // metric lookups take a read lock only, and metric updates are lock-free.
 type Registry struct {
-	spansOn atomic.Bool
-
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
@@ -69,17 +67,15 @@ type Registry struct {
 	help     map[string]string
 }
 
-// NewRegistry returns an empty registry with span capture enabled.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	r := &Registry{
+	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		windows:  make(map[string]*WindowedHistogram),
 		help:     make(map[string]string),
 	}
-	r.spansOn.Store(true)
-	return r
 }
 
 var defaultRegistry = NewRegistry()
@@ -175,13 +171,6 @@ func (r *Registry) Names() []string {
 	sort.Strings(out)
 	return out
 }
-
-// SetSpansEnabled toggles span capture. Disabled spans take the fast path:
-// Start returns an inactive span and End is a nil-check only.
-func (r *Registry) SetSpansEnabled(on bool) { r.spansOn.Store(on) }
-
-// SpansEnabled reports whether span capture is on.
-func (r *Registry) SpansEnabled() bool { return r.spansOn.Load() }
 
 // ValidMetricName reports whether name matches the Prometheus metric name
 // grammar [a-zA-Z_:][a-zA-Z0-9_:]*.

@@ -2,13 +2,10 @@ package obs
 
 import "time"
 
-// Span is a lightweight wall-clock timer. Start a root span with
-// obs.Start("lda.train"), nest with Child, and call End to accumulate the
-// elapsed seconds into the registry histogram named after the dotted path
-// ("lda.train" -> lda_train_seconds, "lda.train.sweep" ->
-// lda_train_sweep_seconds). Spans are plain values: no allocation on start,
-// and an inactive span (from a registry with spans disabled) makes End a
-// nil-check only, so instrumentation can stay compiled into hot paths.
+// Span is a lightweight wall-clock timer. Start one with
+// obs.Start("lda.train") and call End to accumulate the elapsed seconds into
+// the registry histogram named after the dotted path ("lda.train" ->
+// lda_train_seconds). Spans are plain values: no allocation on start.
 type Span struct {
 	reg   *Registry
 	name  string
@@ -18,34 +15,14 @@ type Span struct {
 // Start begins a span on the default registry.
 func Start(name string) Span { return defaultRegistry.StartSpan(name) }
 
-// StartSpan begins a span on this registry. Returns an inactive span when
-// span capture is disabled.
+// StartSpan begins a span on this registry.
 func (r *Registry) StartSpan(name string) Span {
-	if !r.spansOn.Load() {
-		return Span{}
-	}
 	return Span{reg: r, name: name, start: time.Now()}
 }
 
-// Child begins a nested span whose dotted path extends the parent's, so the
-// hierarchy is visible in the metric namespace. Children of inactive spans
-// are inactive.
-func (s Span) Child(name string) Span {
-	if s.reg == nil {
-		return Span{}
-	}
-	return Span{reg: s.reg, name: s.name + "." + name, start: time.Now()}
-}
-
-// Active reports whether the span is recording.
-func (s Span) Active() bool { return s.reg != nil }
-
 // End stops the span, accumulates the elapsed wall-clock seconds into the
-// <path>_seconds histogram, and returns the duration. Inactive spans return 0.
+// <path>_seconds histogram, and returns the duration.
 func (s Span) End() time.Duration {
-	if s.reg == nil {
-		return 0
-	}
 	d := time.Since(s.start)
 	s.reg.Histogram(MetricName(s.name)+"_seconds",
 		"wall-clock seconds spent in "+s.name+" spans", DefBuckets).Observe(d.Seconds())

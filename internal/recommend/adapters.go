@@ -3,7 +3,6 @@ package recommend
 import (
 	"strconv"
 
-	"repro/internal/bpmf"
 	"repro/internal/chh"
 	"repro/internal/lda"
 	"repro/internal/ngram"
@@ -55,22 +54,5 @@ func CHH(m *chh.Exact) Recommender {
 		Label:      "CHH",
 		Fn:         m.Dist,
 		Concurrent: true,
-	}
-}
-
-// BPMFForRow scores all categories for one company row of a trained BPMF
-// model. Matrix-factorization scores are positional (per company row), not
-// history-based, so BPMF recommenders are built per company; the harness
-// for the paper's Figure 6 sweeps score thresholds directly over these
-// per-row predictive scores.
-func BPMFForRow(m *bpmf.Model, row int) Recommender {
-	return &Static{
-		Label:      "BPMF",
-		Concurrent: true,
-		Fn: func([]int) []float64 {
-			out := make([]float64, m.M)
-			copy(out, m.Scores.Row(row))
-			return out
-		},
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/bpmf"
 	"repro/internal/chh"
 	"repro/internal/corpus"
 	"repro/internal/datagen"
@@ -224,37 +223,6 @@ func TestAdaptersProduceValidScores(t *testing.T) {
 	}
 	if recs[2].Name() != "bigram" {
 		t.Fatalf("ngram adapter name = %q", recs[2].Name())
-	}
-}
-
-func TestBPMFForRow(t *testing.T) {
-	g := rng.New(9)
-	var ratings []bpmf.Rating
-	for i := 0; i < 10; i++ {
-		for j := 0; j < 5; j++ {
-			if (i+j)%2 == 0 {
-				ratings = append(ratings, bpmf.Rating{User: i, Item: j, Value: 1})
-			}
-		}
-	}
-	m, err := bpmf.Train(bpmf.Config{Rank: 2, Burn: 3, Samples: 4}, 10, 5, ratings, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := BPMFForRow(m, 3)
-	scores := r.Scores(nil)
-	if len(scores) != 5 {
-		t.Fatalf("scores = %d", len(scores))
-	}
-	for j, s := range scores {
-		if s != m.Predict(3, j) {
-			t.Fatal("BPMF adapter disagrees with model")
-		}
-	}
-	// defensive copy
-	scores[0] = -99
-	if m.Predict(3, 0) == -99 {
-		t.Fatal("adapter leaked internal storage")
 	}
 }
 

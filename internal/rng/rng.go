@@ -154,11 +154,6 @@ func (g *RNG) Gaussian(mean, std float64) float64 {
 // Bernoulli returns true with probability p.
 func (g *RNG) Bernoulli(p float64) bool { return g.r.Float64() < p }
 
-// Exponential returns a sample from Exp(rate).
-func (g *RNG) Exponential(rate float64) float64 {
-	return g.r.ExpFloat64() / rate
-}
-
 // Gamma samples from Gamma(shape, 1) using the Marsaglia–Tsang method,
 // with the Ahrens–Dieter boost for shape < 1. Multiply by a scale parameter
 // for general Gamma(shape, scale).
@@ -250,15 +245,6 @@ func (g *RNG) Categorical(weights []float64) int {
 		}
 	}
 	return len(weights) - 1 // floating-point slack
-}
-
-// Multinomial draws n samples from Categorical(weights) and returns counts.
-func (g *RNG) Multinomial(n int, weights []float64) []int {
-	counts := make([]int, len(weights))
-	for i := 0; i < n; i++ {
-		counts[g.Categorical(weights)]++
-	}
-	return counts
 }
 
 // MVNormal samples from N(mean, cov) where covChol is the lower Cholesky

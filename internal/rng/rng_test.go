@@ -172,18 +172,6 @@ func TestCategoricalPanicsOnZeroSum(t *testing.T) {
 	New(1).Categorical([]float64{0, 0})
 }
 
-func TestMultinomialTotal(t *testing.T) {
-	g := New(29)
-	counts := g.Multinomial(1000, []float64{1, 2, 3})
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 1000 {
-		t.Fatalf("Multinomial total = %d", total)
-	}
-}
-
 func TestMVNormalMoments(t *testing.T) {
 	g := New(31)
 	// cov = [[4, 2], [2, 3]]
@@ -226,7 +214,7 @@ func TestWishartMean(t *testing.T) {
 	acc := mat.New(2, 2)
 	for i := 0; i < n; i++ {
 		w := g.Wishart(df, l)
-		acc.AddInPlace(w)
+		acc.AxpyInPlace(1, w)
 		// SPD check on a few samples
 		if i < 100 {
 			if _, err := mat.Cholesky(w); err != nil {
@@ -313,18 +301,6 @@ func TestPermAndShuffle(t *testing.T) {
 	}
 	if sum != 15 {
 		t.Fatalf("shuffle lost elements: %v", xs)
-	}
-}
-
-func TestExponentialMean(t *testing.T) {
-	g := New(59)
-	var sum float64
-	n := 50000
-	for i := 0; i < n; i++ {
-		sum += g.Exponential(2)
-	}
-	if mean := sum / float64(n); math.Abs(mean-0.5) > 0.02 {
-		t.Fatalf("Exponential(2) mean = %v, want 0.5", mean)
 	}
 }
 

@@ -92,6 +92,20 @@ type Config struct {
 	Quiet bool
 }
 
+// validate refuses the settings no default stands for: a negative count or
+// budget would fail every request that relies on it.
+func (c Config) validate() error {
+	switch {
+	case c.DefaultK < 0:
+		return fmt.Errorf("router: negative default k %d", c.DefaultK)
+	case c.DefaultPeers < 0:
+		return fmt.Errorf("router: negative default peers %d", c.DefaultPeers)
+	case c.Timeout < 0:
+		return fmt.Errorf("router: negative request timeout %v", c.Timeout)
+	}
+	return nil
+}
+
 func (c Config) withDefaults() Config {
 	if c.Timeout == 0 {
 		c.Timeout = 5 * time.Second
@@ -156,6 +170,9 @@ type Router struct {
 func New(cfg Config) (*Router, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, errors.New("router: no shards configured")
+	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	cfg = cfg.withDefaults()
 	rt := &Router{cfg: cfg, client: &http.Client{}, started: time.Now()}

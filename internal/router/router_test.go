@@ -615,3 +615,25 @@ func TestBodyCapReturns413(t *testing.T) {
 		t.Fatalf("in-bounds whitespace body: status %d %q", resp.StatusCode, body)
 	}
 }
+
+// TestNewRejectsNegativeConfig pins New's refusal of settings no default
+// stands for: a negative k, peer count or timeout failed every request that
+// relied on the default.
+func TestNewRejectsNegativeConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"k", Config{DefaultK: -1}},
+		{"peers", Config{DefaultPeers: -1}},
+		{"timeout", Config{Timeout: -time.Second}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Shards = []string{"localhost:1"}
+			if rt, err := New(tc.cfg); err == nil {
+				rt.Close()
+				t.Fatalf("New accepted %+v", tc.cfg)
+			}
+		})
+	}
+}

@@ -71,7 +71,7 @@ func TestNegativeKAndPeersRejected(t *testing.T) {
 // annRouter builds a coarse router over the server's index representations.
 func annRouter(t *testing.T, ix *core.Index, cells, nprobe int) *ann.Router {
 	t.Helper()
-	annIx, err := ann.Build(ix.Reps, ix.Metric, ann.BuildConfig{Cells: cells, Seed: 13})
+	annIx, err := ann.Build(ix.Reps, core.Cosine, ann.BuildConfig{Cells: cells, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestHealthzANNBlock(t *testing.T) {
 // corpus, model and cache configuration.
 func TestServeANNFullProbeByteIdentical(t *testing.T) {
 	exact, ix, m := newTestServer(t, Config{})
-	ix2, err := core.NewIndex(ix.Corpus, ix.Reps, ix.Metric)
+	ix2, err := core.NewIndex(ix.Corpus, ix.Reps, core.Cosine)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,6 +121,23 @@ type Config struct {
 	ReloadGuard float64
 }
 
+// validate refuses the settings no default stands for: a negative count or
+// deadline would panic at boot (the semaphore) or fail every request that
+// relies on it.
+func (c Config) validate() error {
+	switch {
+	case c.DefaultK < 0:
+		return fmt.Errorf("serve: negative default k %d", c.DefaultK)
+	case c.DefaultPeers < 0:
+		return fmt.Errorf("serve: negative default peers %d", c.DefaultPeers)
+	case c.MaxConcurrent < 0:
+		return fmt.Errorf("serve: negative max concurrent %d", c.MaxConcurrent)
+	case c.Timeout < 0:
+		return fmt.Errorf("serve: negative request timeout %v", c.Timeout)
+	}
+	return nil
+}
+
 func (c Config) withDefaults() Config {
 	if c.DefaultK == 0 {
 		c.DefaultK = 10
@@ -273,6 +290,9 @@ func New(init Loaded, load Loader, cfg Config) (*Server, error) {
 	ix, model := init.Index, init.Model
 	if ix == nil {
 		return nil, errors.New("serve: nil index")
+	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	cfg = cfg.withDefaults()
 	if err := checkState(ix, model); err != nil {

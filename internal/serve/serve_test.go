@@ -231,7 +231,7 @@ func TestInferEndpoint(t *testing.T) {
 	}
 	// The response must equal a direct fold-in with the same seed.
 	theta := m.InferTheta(owned, rng.New(11))
-	want, err := ix.TopKByVector(theta, 4, core.Filter{})
+	want, err := ix.TopKByVectorContext(context.Background(), theta, 4, core.Filter{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,5 +496,29 @@ func TestConcurrentRequestsWithReloads(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestNewRejectsNegativeConfig pins New's refusal of settings no default
+// stands for: a negative MaxConcurrent used to panic in make(chan) at boot,
+// and a negative k, peer count or timeout failed every request that relied
+// on the default.
+func TestNewRejectsNegativeConfig(t *testing.T) {
+	_, ix, m := newTestServer(t, Config{Quiet: true})
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"max-concurrent", Config{MaxConcurrent: -1}},
+		{"k", Config{DefaultK: -1}},
+		{"peers", Config{DefaultPeers: -1}},
+		{"timeout", Config{Timeout: -time.Second}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if s, err := New(Loaded{Index: ix, Model: m}, nil, tc.cfg); err == nil {
+				s.Close()
+				t.Fatalf("New accepted %+v", tc.cfg)
+			}
+		})
 	}
 }

@@ -74,17 +74,19 @@ func fetch(t *testing.T, ts *httptest.Server, method, path, body string) (int, s
 }
 
 // TestV1V2ServeByteIdentical pins the fleet-compatibility acceptance
-// criterion: an LDA model saved as IBSNAP v2 (mmap-served) answers every
-// query endpoint byte-identically to the same model loaded from legacy v1
-// gob.
+// criterion: an LDA model in the legacy v1 gob container (committed bytes:
+// nothing writes v1 any more) answers every query endpoint byte-identically
+// to its v2 twin, which Save writes here and ibserve serves mmapped.
 func TestV1V2ServeByteIdentical(t *testing.T) {
-	m := trainTestModel(t)
-	dir := t.TempDir()
-	v1path := filepath.Join(dir, "model_v1.ibsnap")
-	v2path := filepath.Join(dir, "model_v2.ibsnap")
-	if err := snapshot.Atomic(v1path, m.SaveV1); err != nil {
+	v1path := filepath.Join("..", "lda", "testdata", "model_v1_k3v38.ibsnap")
+	m, closeV1, err := lda.LoadFile(v1path)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := closeV1(); err != nil {
+		t.Fatal(err)
+	}
+	v2path := filepath.Join(t.TempDir(), "model_v2.ibsnap")
 	if err := snapshot.Atomic(v2path, m.Save); err != nil {
 		t.Fatal(err)
 	}

@@ -182,7 +182,7 @@ func TestReloadCanaryAndGuard(t *testing.T) {
 	c := ix.Corpus
 
 	newGen := func(reps *mat.Matrix) *core.Index {
-		g, err := core.NewIndex(c, reps, ix.Metric)
+		g, err := core.NewIndex(c, reps, core.Cosine)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,18 +32,6 @@ func aliasFloat64(b []byte, n int) []float64 {
 	return unsafe.Slice((*float64)(p), n)
 }
 
-func aliasFloat32(b []byte, n int) []float32 {
-	p := unsafe.Pointer(&b[0])
-	if uintptr(p)%4 != 0 {
-		out := make([]float32, n)
-		for i := range out {
-			out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-		}
-		return out
-	}
-	return unsafe.Slice((*float32)(p), n)
-}
-
 func aliasInt64(b []byte, n int) []int64 {
 	p := unsafe.Pointer(&b[0])
 	if uintptr(p)%8 != 0 {

@@ -13,7 +13,7 @@ import (
 // (and off the Go heap always), so opening is O(sections) regardless of
 // model size. If the filesystem refuses mmap, Map falls back to reading the
 // file into memory — same API, heap-resident bytes, Mapped() == false.
-func Map(path string, opts MapOptions) (*File, error) {
+func Map(path string) (*File, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -29,7 +29,7 @@ func Map(path string, opts MapOptions) (*File, error) {
 	}
 	data, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
 	if err != nil {
-		return mapReadFallback(path, opts)
+		return mapReadFallback(path)
 	}
 	mf, perr := parseV2(data)
 	if perr != nil {
@@ -37,7 +37,6 @@ func Map(path string, opts MapOptions) (*File, error) {
 		return nil, corrupt(fmt.Errorf("%s: %w", path, perr))
 	}
 	mf.mapped = true
-	mf.verify = !opts.SkipSectionCRC
 	mf.closeFn = func() error { return syscall.Munmap(data) }
 	mmapLoads.Inc()
 	readsTotal.Inc()

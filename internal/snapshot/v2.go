@@ -27,11 +27,9 @@
 //	              zero padding between and after them
 //
 // Integrity policy: the header checksum is always verified on open, so a
-// torn or bit-flipped table can never mis-direct a read. Per-section CRCs
-// are verified by Section/Float64Section and friends on the first access of
-// each section by default; Map callers that re-open a file they have already
-// verified (a serving reload remapping the same bytes) can skip payload
-// verification to keep a generation swap O(sections) — see MapOptions.
+// torn or bit-flipped table can never mis-direct a read. Each section's CRC
+// is verified by Section, Float64Section or Int64Section on that section's
+// first access.
 //
 // Alignment: every section offset is a multiple of 8, and mmap returns
 // page-aligned base addresses, so a float64 blob can be reinterpreted
@@ -46,7 +44,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
 
 	"repro/internal/obs"
 )
@@ -112,15 +109,6 @@ func (b *Builder) AddFloat64(name string, vals []float64) error {
 	return b.AddSection(name, data)
 }
 
-// AddFloat32 appends vals as a little-endian float32 blob.
-func (b *Builder) AddFloat32(name string, vals []float32) error {
-	data := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(data[4*i:], math.Float32bits(v))
-	}
-	return b.AddSection(name, data)
-}
-
 // AddInt64 appends vals as a little-endian int64 blob.
 func (b *Builder) AddInt64(name string, vals []int64) error {
 	data := make([]byte, 8*len(vals))
@@ -128,20 +116,6 @@ func (b *Builder) AddInt64(name string, vals []int64) error {
 		binary.LittleEndian.PutUint64(data[8*i:], uint64(v))
 	}
 	return b.AddSection(name, data)
-}
-
-// AddIDIndex appends a sorted id index section: the ids must be strictly
-// increasing, so readers can map an id to its row (its position in the
-// section) by binary search. This is the lookup structure for matrix blobs
-// whose rows are keyed by company id.
-func (b *Builder) AddIDIndex(name string, ids []int64) error {
-	for i := 1; i < len(ids); i++ {
-		if ids[i] <= ids[i-1] {
-			return fmt.Errorf("snapshot: id index %q is not strictly increasing at position %d (%d after %d)",
-				name, i, ids[i], ids[i-1])
-		}
-	}
-	return b.AddInt64(name, ids)
 }
 
 // align8 rounds n up to the next multiple of 8.
@@ -220,8 +194,8 @@ func (b *Builder) WriteFile(path string) error {
 	return Atomic(path, b.Write)
 }
 
-// Section is one entry of a parsed v2 section table.
-type Section struct {
+// section is one entry of a parsed v2 section table.
+type section struct {
 	Name   string
 	Offset uint64
 	Len    uint64
@@ -236,23 +210,17 @@ type Section struct {
 type File struct {
 	kind     string
 	data     []byte
-	sections []Section
+	sections []section
 	byName   map[string]int
 	verified []bool // per section; set once its CRC has been checked
 	mapped   bool
 	closeFn  func() error
-	verify   bool // verify section CRCs on first access
 }
-
-// MappedFile names a Map-opened File in serving code, where the mmap
-// lifetime rules (close only after the last aliased matrix is unreachable)
-// are the point.
-type MappedFile = File
 
 // mapReadFallback reads the whole container into memory and parses it as
 // v2 — the path for platforms without mmap, or filesystems that refuse it.
 // Same API as a real mapping; Mapped() reports false.
-func mapReadFallback(path string, opts MapOptions) (*File, error) {
+func mapReadFallback(path string) (*File, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -261,20 +229,9 @@ func mapReadFallback(path string, opts MapOptions) (*File, error) {
 	if perr != nil {
 		return nil, corrupt(fmt.Errorf("%s: %w", path, perr))
 	}
-	mf.verify = !opts.SkipSectionCRC
 	fallbackLoads.Inc()
 	readsTotal.Inc()
 	return mf, nil
-}
-
-// MapOptions tunes Map.
-type MapOptions struct {
-	// SkipSectionCRC disables per-section checksum verification on access.
-	// The header/table checksum is always verified. Use only when re-opening
-	// a file that was fully verified earlier in the process lifetime (a
-	// serving reload remapping the same generation bytes): it keeps the swap
-	// O(sections) instead of O(bytes).
-	SkipSectionCRC bool
 }
 
 // OpenV2 parses a v2 container from bytes already in memory. The returned
@@ -317,9 +274,8 @@ func parseV2(data []byte) (*File, error) {
 	f := &File{
 		kind:     kind,
 		data:     data,
-		sections: make([]Section, 0, count),
+		sections: make([]section, 0, count),
 		byName:   make(map[string]int, count),
-		verify:   true,
 	}
 	for i := uint32(0); i < count; i++ {
 		if len(data) < pos+2 {
@@ -332,7 +288,7 @@ func parseV2(data []byte) (*File, error) {
 		}
 		name := string(data[pos : pos+nameLen])
 		pos += nameLen
-		sec := Section{
+		sec := section{
 			Name:   name,
 			Offset: binary.BigEndian.Uint64(data[pos : pos+8]),
 			Len:    binary.BigEndian.Uint64(data[pos+8 : pos+16]),
@@ -373,9 +329,6 @@ func (f *File) Kind() string { return f.kind }
 // Mapped reports whether the file bytes are an mmap (true) or a heap copy.
 func (f *File) Mapped() bool { return f.mapped }
 
-// Sections returns the parsed section table, in file order.
-func (f *File) Sections() []Section { return f.sections }
-
 // Close releases the mapping (or heap buffer). Any []byte or []float64
 // obtained from a mapped File is invalid after Close — serving code must
 // hold the File for as long as aliased matrices are reachable.
@@ -389,8 +342,8 @@ func (f *File) Close() error {
 }
 
 // Section returns the raw bytes of the named section, verifying its CRC on
-// first access (unless disabled via MapOptions). The bytes alias the mapping
-// — do not mutate, and do not use after Close.
+// first access. The bytes alias the mapping — do not mutate, and do not use
+// after Close.
 func (f *File) Section(name string) ([]byte, error) {
 	i, ok := f.byName[name]
 	if !ok {
@@ -398,7 +351,7 @@ func (f *File) Section(name string) ([]byte, error) {
 	}
 	sec := f.sections[i]
 	b := f.data[sec.Offset : sec.Offset+sec.Len]
-	if f.verify && !f.verified[i] {
+	if !f.verified[i] {
 		if crc32.Checksum(b, crcTable) != sec.CRC {
 			return nil, corrupt(fmt.Errorf("snapshot: section %q: %w", name, ErrChecksum))
 		}
@@ -406,17 +359,6 @@ func (f *File) Section(name string) ([]byte, error) {
 		f.verified[i] = true
 	}
 	return b, nil
-}
-
-// Verify checks every section checksum (the full-file integrity pass; load
-// paths that need O(sections) open defer or skip it instead).
-func (f *File) Verify() error {
-	for _, sec := range f.sections {
-		if _, err := f.Section(sec.Name); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Float64Section returns the named section as []float64. On a little-endian
@@ -446,30 +388,6 @@ func (f *File) Float64Section(name string) ([]float64, error) {
 	return out, nil
 }
 
-// Float32Section returns the named section decoded as []float32 (copied on
-// big-endian hosts, aliased otherwise).
-func (f *File) Float32Section(name string) ([]float32, error) {
-	b, err := f.Section(name)
-	if err != nil {
-		return nil, err
-	}
-	if len(b)%4 != 0 {
-		return nil, fmt.Errorf("snapshot: section %q length %d is not a whole float32 count", name, len(b))
-	}
-	n := len(b) / 4
-	if n == 0 {
-		return nil, nil
-	}
-	if hostLittleEndian {
-		return aliasFloat32(b, n), nil
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out, nil
-}
-
 // Int64Section returns the named section decoded as []int64 (aliased on
 // little-endian hosts).
 func (f *File) Int64Section(name string) ([]int64, error) {
@@ -492,39 +410,6 @@ func (f *File) Int64Section(name string) ([]int64, error) {
 		out[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return out, nil
-}
-
-// IDIndex is a sorted company-id index section: position i holds the id of
-// row i of the companion matrix blob.
-type IDIndex struct{ ids []int64 }
-
-// IDIndexSection loads and validates the named sorted id index.
-func (f *File) IDIndexSection(name string) (IDIndex, error) {
-	ids, err := f.Int64Section(name)
-	if err != nil {
-		return IDIndex{}, err
-	}
-	for i := 1; i < len(ids); i++ {
-		if ids[i] <= ids[i-1] {
-			return IDIndex{}, corrupt(fmt.Errorf("snapshot: id index %q not strictly increasing at %d", name, i))
-		}
-	}
-	return IDIndex{ids: ids}, nil
-}
-
-// Len returns the number of indexed ids.
-func (ix IDIndex) Len() int { return len(ix.ids) }
-
-// ID returns the id stored at row.
-func (ix IDIndex) ID(row int) int64 { return ix.ids[row] }
-
-// Lookup returns the row of id, by binary search.
-func (ix IDIndex) Lookup(id int64) (row int, ok bool) {
-	i := sort.Search(len(ix.ids), func(j int) bool { return ix.ids[j] >= id })
-	if i < len(ix.ids) && ix.ids[i] == id {
-		return i, true
-	}
-	return 0, false
 }
 
 // FileVersion reads the container format version at path (1 or 2) without

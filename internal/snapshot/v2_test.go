@@ -11,12 +11,11 @@ import (
 	"unsafe"
 )
 
-// buildTestV2 assembles a representative container: float64 matrix, float32
-// matrix, raw metadata bytes and a sorted id index.
-func buildTestV2(t *testing.T) (*Builder, []float64, []float32, []int64) {
+// buildTestV2 assembles a representative container: a float64 matrix, raw
+// metadata bytes and an int64 id column.
+func buildTestV2(t *testing.T) (*Builder, []float64, []int64) {
 	t.Helper()
 	f64 := []float64{0, 1.5, -2.25, math.Pi, math.Inf(1), math.SmallestNonzeroFloat64}
-	f32 := []float32{1, -1, 0.5, float32(math.Pi)}
 	ids := []int64{3, 7, 40, 1000, 999999}
 	b := NewBuilder("test-kind")
 	if err := b.AddSection("meta", []byte(`{"k":2,"v":3}`)); err != nil {
@@ -25,16 +24,13 @@ func buildTestV2(t *testing.T) (*Builder, []float64, []float32, []int64) {
 	if err := b.AddFloat64("phi", f64); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AddFloat32("reps32", f32); err != nil {
+	if err := b.AddInt64("ids", ids); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AddIDIndex("ids", ids); err != nil {
-		t.Fatal(err)
-	}
-	return b, f64, f32, ids
+	return b, f64, ids
 }
 
-func checkV2Contents(t *testing.T, f *File, f64 []float64, f32 []float32, ids []int64) {
+func checkV2Contents(t *testing.T, f *File, f64 []float64, ids []int64) {
 	t.Helper()
 	if f.Kind() != "test-kind" {
 		t.Fatalf("kind = %q, want test-kind", f.Kind())
@@ -58,41 +54,27 @@ func checkV2Contents(t *testing.T, f *File, f64 []float64, f32 []float32, ids []
 			t.Fatalf("phi[%d] = %v, want %v", i, gf64[i], v)
 		}
 	}
-	gf32, err := f.Float32Section("reps32")
+	gids, err := f.Int64Section("ids")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range f32 {
-		if gf32[i] != v {
-			t.Fatalf("reps32[%d] = %v, want %v", i, gf32[i], v)
+	if len(gids) != len(ids) {
+		t.Fatalf("ids has %d values, want %d", len(gids), len(ids))
+	}
+	for i, id := range ids {
+		if gids[i] != id {
+			t.Fatalf("ids[%d] = %d, want %d", i, gids[i], id)
 		}
 	}
-	ix, err := f.IDIndexSection("ids")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix.Len() != len(ids) {
-		t.Fatalf("id index has %d entries, want %d", ix.Len(), len(ids))
-	}
-	for row, id := range ids {
-		if ix.ID(row) != id {
-			t.Fatalf("ix.ID(%d) = %d, want %d", row, ix.ID(row), id)
+	for i, ok := range f.verified {
+		if !ok {
+			t.Fatalf("section %q was read but its CRC never checked", f.sections[i].Name)
 		}
-		got, ok := ix.Lookup(id)
-		if !ok || got != row {
-			t.Fatalf("Lookup(%d) = %d,%v, want %d,true", id, got, ok, row)
-		}
-	}
-	if _, ok := ix.Lookup(4); ok {
-		t.Fatal("Lookup(4) found a row for an absent id")
-	}
-	if err := f.Verify(); err != nil {
-		t.Fatalf("Verify: %v", err)
 	}
 }
 
 func TestV2RoundTripInMemory(t *testing.T) {
-	b, f64, f32, ids := buildTestV2(t)
+	b, f64, ids := buildTestV2(t)
 	var buf bytes.Buffer
 	if err := b.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -108,11 +90,11 @@ func TestV2RoundTripInMemory(t *testing.T) {
 	if f.Mapped() {
 		t.Fatal("in-memory open claims to be mapped")
 	}
-	checkV2Contents(t, f, f64, f32, ids)
+	checkV2Contents(t, f, f64, ids)
 }
 
 func TestV2MapRoundTrip(t *testing.T) {
-	b, f64, f32, ids := buildTestV2(t)
+	b, f64, ids := buildTestV2(t)
 	path := filepath.Join(t.TempDir(), "model.ibsnap")
 	if err := b.WriteFile(path); err != nil {
 		t.Fatal(err)
@@ -120,11 +102,11 @@ func TestV2MapRoundTrip(t *testing.T) {
 	if v, err := FileVersion(path); err != nil || v != Version2 {
 		t.Fatalf("FileVersion = %d, %v; want %d, nil", v, err, Version2)
 	}
-	f, err := Map(path, MapOptions{})
+	f, err := Map(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkV2Contents(t, f, f64, f32, ids)
+	checkV2Contents(t, f, f64, ids)
 	if err := f.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -139,12 +121,12 @@ func TestV2MapZeroCopy(t *testing.T) {
 	if !hostLittleEndian {
 		t.Skip("zero-copy aliasing requires a little-endian host")
 	}
-	b, f64, _, _ := buildTestV2(t)
+	b, f64, _ := buildTestV2(t)
 	path := filepath.Join(t.TempDir(), "model.ibsnap")
 	if err := b.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	f, err := Map(path, MapOptions{})
+	f, err := Map(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +173,7 @@ func TestV2SectionAlignment(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	for _, sec := range f.Sections() {
+	for _, sec := range f.sections {
 		if sec.Offset%8 != 0 {
 			t.Fatalf("section %q at unaligned offset %d", sec.Name, sec.Offset)
 		}
@@ -202,7 +184,7 @@ func TestV2SectionAlignment(t *testing.T) {
 }
 
 func TestV2CorruptionDetection(t *testing.T) {
-	b, _, _, _ := buildTestV2(t)
+	b, _, _ := buildTestV2(t)
 	var buf bytes.Buffer
 	if err := b.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -236,21 +218,27 @@ func TestV2CorruptionDetection(t *testing.T) {
 			t.Fatalf("open (header intact) should succeed, got %v", err)
 		}
 		defer f.Close()
-		if err := f.Verify(); !errors.Is(err, ErrChecksum) {
-			t.Fatalf("Verify = %v, want ErrChecksum", err)
+		if _, err := f.Int64Section("ids"); !errors.Is(err, ErrChecksum) {
+			t.Fatalf("Int64Section = %v, want ErrChecksum", err)
+		}
+		if _, err := f.Section("meta"); err != nil {
+			t.Fatalf("an intact section should still read: %v", err)
 		}
 	})
-	t.Run("payload flip skipped when disabled", func(t *testing.T) {
+	t.Run("flipped payload bit through Map", func(t *testing.T) {
 		bad := append([]byte(nil), valid...)
 		bad[len(bad)-5] ^= 0x01
-		f, err := OpenV2(bad)
-		if err != nil {
+		path := filepath.Join(t.TempDir(), "bad.ibsnap")
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		f, err := Map(path)
+		if err != nil {
+			t.Fatalf("map (header intact) should succeed, got %v", err)
+		}
 		defer f.Close()
-		f.verify = false // what MapOptions.SkipSectionCRC sets
-		if _, err := f.Section("ids"); err != nil {
-			t.Fatalf("unverified access should pass through: %v", err)
+		if _, err := f.Section("ids"); !errors.Is(err, ErrChecksum) {
+			t.Fatalf("Section = %v, want ErrChecksum", err)
 		}
 	})
 	t.Run("v1 reader rejects v2 with VersionError", func(t *testing.T) {
@@ -307,12 +295,6 @@ func TestV2BuilderRejects(t *testing.T) {
 	}
 	if err := b.AddSection("", []byte("a")); err == nil {
 		t.Fatal("empty section name accepted")
-	}
-	if err := b.AddIDIndex("ids", []int64{1, 1}); err == nil {
-		t.Fatal("non-increasing id index accepted")
-	}
-	if err := b.AddIDIndex("ids2", []int64{5, 3}); err == nil {
-		t.Fatal("decreasing id index accepted")
 	}
 }
 

@@ -161,12 +161,6 @@ type CI struct {
 	N            int
 }
 
-// Overlaps reports whether two confidence intervals intersect. The paper
-// uses CI overlap as its statistical-significance criterion.
-func (c CI) Overlaps(other CI) bool {
-	return c.Lo <= other.Hi && other.Lo <= c.Hi
-}
-
 // MeanCI returns the 95% Student-t confidence interval for the mean of xs.
 // With fewer than two observations the interval collapses to the mean.
 func MeanCI(xs []float64) CI {

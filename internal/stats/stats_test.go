@@ -108,21 +108,6 @@ func TestMeanCICoversTrueMean(t *testing.T) {
 	}
 }
 
-func TestCIOverlap(t *testing.T) {
-	a := CI{Lo: 0, Hi: 2}
-	b := CI{Lo: 1, Hi: 3}
-	c := CI{Lo: 2.5, Hi: 4}
-	if !a.Overlaps(b) || !b.Overlaps(a) {
-		t.Fatal("a and b should overlap")
-	}
-	if a.Overlaps(c) {
-		t.Fatal("a and c should not overlap")
-	}
-	if !b.Overlaps(c) {
-		t.Fatal("b and c should overlap")
-	}
-}
-
 func TestMeanCISingleObservation(t *testing.T) {
 	ci := MeanCI([]float64{7})
 	if ci.Lo != 7 || ci.Hi != 7 || ci.Mean != 7 {
@@ -267,25 +252,6 @@ func TestHistogramEdgeBins(t *testing.T) {
 	}
 	if total != 3 {
 		t.Fatalf("edge values lose mass: %v", h)
-	}
-}
-
-// TestCIOverlapNaN pins NaN semantics: an undefined interval (NaN bounds,
-// e.g. a precision CI over zero retrievals) overlaps nothing, not even
-// itself, because every NaN comparison is false.
-func TestCIOverlapNaN(t *testing.T) {
-	nan := CI{Mean: math.NaN(), Lo: math.NaN(), Hi: math.NaN()}
-	real1 := CI{Lo: 0, Hi: 1}
-	if nan.Overlaps(real1) || real1.Overlaps(nan) {
-		t.Fatal("NaN interval must not overlap a real interval")
-	}
-	if nan.Overlaps(nan) {
-		t.Fatal("NaN interval must not overlap itself")
-	}
-	// a half-NaN interval is undefined too
-	half := CI{Lo: 0, Hi: math.NaN()}
-	if half.Overlaps(real1) {
-		t.Fatal("half-NaN interval must not overlap")
 	}
 }
 

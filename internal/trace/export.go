@@ -23,7 +23,6 @@ type SpanJSON struct {
 	StartUS  int64       `json:"start_us"`
 	DurUS    int64       `json:"duration_us"`
 	Attrs    []Attr      `json:"attrs,omitempty"`
-	Events   []SpanEvent `json:"events,omitempty"`
 	Error    string      `json:"error,omitempty"`
 	Children []*SpanJSON `json:"children,omitempty"`
 }
@@ -68,7 +67,6 @@ func export(td *traceData) *TraceJSON {
 			StartUS: sp.start.Sub(td.start).Microseconds(),
 			DurUS:   sp.dur.Microseconds(),
 			Attrs:   sp.attrs,
-			Events:  sp.events,
 			Error:   sp.errMsg,
 		}
 	}

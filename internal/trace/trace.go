@@ -2,7 +2,7 @@
 // Where internal/obs answers "how is the p99 doing" with aggregate
 // histograms, trace answers "where did THIS 300ms request go": every traced
 // request carries a 128-bit trace ID and a tree of parent/child spans with
-// attributes and events, propagated through context.Context from the serve
+// attributes, propagated through context.Context from the serve
 // handlers down the context-threaded core query paths and into the par shard
 // fan-out, so a single /v1/recommend call decomposes into filter-scan,
 // shard-scan and fold-in spans with per-span wall-clock durations.
@@ -16,7 +16,7 @@
 // endpoint and minimum duration) and /debug/traces/{id} (full JSON tree) on
 // the cmd/ binaries' -debug-addr listener.
 //
-// The layer is off by default and follows the obs.Span cost discipline: with
+// The layer is off by default and costs next to nothing then: with
 // the tracer disabled and no active trace in the context, Start returns a
 // nil *Span whose methods are nil-check no-ops, so instrumentation stays
 // compiled into hot paths. Active spans additionally feed the obs registry —
@@ -221,12 +221,6 @@ type Attr struct {
 	Value string `json:"value"`
 }
 
-// SpanEvent is a timestamped point annotation within a span.
-type SpanEvent struct {
-	OffsetUS int64  `json:"offset_us"` // microseconds since the span started
-	Msg      string `json:"msg"`
-}
-
 // Span is one node of a trace tree. A nil *Span is valid and inert: every
 // method nil-checks first, so disabled tracing costs one pointer test per
 // call site. Span methods other than lifecycle bookkeeping must be called
@@ -239,7 +233,6 @@ type Span struct {
 	start  time.Time
 	dur    time.Duration
 	attrs  []Attr
-	events []SpanEvent
 	errMsg string
 	failed bool
 }
@@ -361,14 +354,6 @@ func (s *Span) AttrInt(key string, v int64) {
 		return
 	}
 	s.attrs = append(s.attrs, Attr{Key: key, Value: itoa(v)})
-}
-
-// Event records a timestamped point annotation within the span.
-func (s *Span) Event(msg string) {
-	if s == nil {
-		return
-	}
-	s.events = append(s.events, SpanEvent{OffsetUS: time.Since(s.start).Microseconds(), Msg: msg})
 }
 
 // Error marks the span (and therefore its trace) failed. Error traces are

@@ -35,7 +35,6 @@ func TestDisabledTracerNilFastPath(t *testing.T) {
 	// Every method of the nil span must be an inert no-op.
 	sp.Attr("k", "v")
 	sp.AttrInt("n", 42)
-	sp.Event("event")
 	sp.Error(errors.New("boom"))
 	if sp.Active() {
 		t.Fatal("nil span reports Active")
@@ -73,7 +72,6 @@ func TestSpanTreeExport(t *testing.T) {
 	cctx, child := Start(ctx, "core.topk")
 	child.AttrInt("k", 10)
 	_, grand := Start(cctx, "par.shard")
-	grand.Event("scanning")
 	grand.End()
 	child.End()
 	if got := len(tr.Traces("", 0, 0)); got != 0 {
@@ -103,9 +101,6 @@ func TestSpanTreeExport(t *testing.T) {
 	}
 	if len(mid.Children) != 1 || mid.Children[0].Name != "par.shard" {
 		t.Fatalf("grandchild missing: %+v", mid.Children)
-	}
-	if len(mid.Children[0].Events) != 1 || mid.Children[0].Events[0].Msg != "scanning" {
-		t.Fatalf("grandchild events: %+v", mid.Children[0].Events)
 	}
 	// Root duration must cover its (sequential) children.
 	var childSum int64

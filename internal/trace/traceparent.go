@@ -48,10 +48,6 @@ type Traceparent struct {
 	Flags   byte
 }
 
-// Sampled reports whether the caller set the sampled flag. Informational
-// only: retention here is decided by tail sampling, not the caller's flag.
-func (tp Traceparent) Sampled() bool { return tp.Flags&1 != 0 }
-
 // hexNibble decodes one lowercase hex digit; ok is false otherwise. The
 // W3C grammar allows lowercase only, and being strict keeps the parser a
 // pure table lookup.

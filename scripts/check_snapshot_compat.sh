@@ -7,6 +7,10 @@
 # (old v1 snapshots in production, new v2-writing trainers) — fix the reader,
 # or regenerate the fixtures deliberately with LDA_REGEN_FIXTURES=1 and call
 # the format break out in the PR.
+#
+# The v1 fixtures (model_v1.ibsnap, model_v1_k3v38.ibsnap) are frozen
+# history: nothing in the repository writes v1 any more, so they can be read
+# but never regenerated. LDA_REGEN_FIXTURES=1 rewrites only model_v2.ibsnap.
 set -eu
 cd "$(dirname "$0")/.."
 

@@ -1,20 +1,19 @@
 package hiddenlayer
 
-// End-to-end test for the IBSNAP v2 rollout path: train the same corpus with
-// -snapshot-format v1 and v2, stand an ibserve over each, and require every
+// End-to-end test for the IBSNAP v2 rollout path: stand an ibserve over the
+// committed legacy v1 model and another over its v2 twin, and require every
 // query endpoint to answer byte-identically across the formats — then reload
 // the v2 server to exercise the mmap generation swap under the real binary.
 
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"net/http"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/lda"
 	"repro/internal/snapshot"
 )
 
@@ -53,29 +52,27 @@ func TestSnapshotFormatsServeIdentical(t *testing.T) {
 	}
 	dir := t.TempDir()
 	ibgen := buildTool(t, dir, "ibgen")
-	ibtrain := buildTool(t, dir, "ibtrain")
 	ibserve := buildTool(t, dir, "ibserve")
 
+	// The v1 model was trained on this corpus with -topics=3 -seed 1 by the
+	// last ibtrain that wrote v1; its v2 twin is written here.
 	corpusPath := filepath.Join(dir, "corpus.jsonl")
-	v1Path := filepath.Join(dir, "lda_v1.ibsnap")
+	v1Path := filepath.Join("internal", "lda", "testdata", "model_v1_k3v38.ibsnap")
 	v2Path := filepath.Join(dir, "lda_v2.ibsnap")
 	runTool(t, ibgen, "-companies", "120", "-seed", "9", "-out", corpusPath)
-	runTool(t, ibtrain, "-model", "lda", "-topics=3", "-corpus", corpusPath,
-		"-out", v1Path, "-seed", "1", "-snapshot-format", "v1")
-	runTool(t, ibtrain, "-model", "lda", "-topics=3", "-corpus", corpusPath,
-		"-out", v2Path, "-seed", "1", "-snapshot-format", "v2")
-
-	// The flag must actually select the container version on disk.
+	m, closeV1, err := lda.LoadFile(v1Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := closeV1(); err != nil {
+		t.Fatal(err)
+	}
+	if err := snapshot.Atomic(v2Path, m.Save); err != nil {
+		t.Fatal(err)
+	}
 	for path, want := range map[string]uint16{v1Path: 1, v2Path: snapshot.Version2} {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(raw) < 8 || string(raw[:6]) != "IBSNAP" {
-			t.Fatalf("%s is not an IBSNAP container", path)
-		}
-		if got := binary.BigEndian.Uint16(raw[6:8]); got != want {
-			t.Fatalf("%s: container version %d, want %d", path, got, want)
+		if got, err := snapshot.FileVersion(path); err != nil || got != want {
+			t.Fatalf("%s: container version %d (%v), want %d", path, got, err, want)
 		}
 	}
 
