@@ -189,13 +189,14 @@ func openOrBuildANN(reps *mat.Matrix, opts annOptions) (*ann.Index, func() error
 // finished.
 //
 // The work is three stages — at 100k companies on two cores about 0.14 s,
-// 0.30 s and 5 ms: decode the JSONL (corpus.LoadFile, chunk-parallel), fold
+// 0.30 s and 0.09 s: decode the JSONL (corpus.LoadFile, chunk-parallel), fold
 // every company in (Model.Representations, block-parallel), build the index
-// columns and, with -ann, open or build the routing index. The first two run
-// on all -workers cores, so a reload competes with queries for CPU for that
-// long — a third of the time it used to hold one core. Loaded.BuildLog
-// carries the three durations onto the "index built" and "model reloaded"
-// log lines.
+// columns, candidate lists and cone trees (core.NewShardIndex, over the
+// shard's own rows only) and, with -ann, open or build the routing index.
+// The first two run on all -workers cores, so a reload competes with queries
+// for CPU for that long — a third of the time it used to hold one core.
+// Loaded.BuildLog carries the three durations onto the "index built" and
+// "model reloaded" log lines.
 func buildState(corpusPath, modelPath string, seed int64, part, parts int, annOpts annOptions) (serve.Loaded, error) {
 	start := time.Now()
 	c, err := corpus.LoadFile(corpusPath)
@@ -216,14 +217,9 @@ func buildState(corpusPath, modelPath string, seed int64, part, parts int, annOp
 	}
 	reps := m.Representations(c.Sets(), rng.New(seed))
 	represented := time.Now()
-	ix, err := core.NewIndex(c, reps, core.Cosine)
+	ix, err := core.NewShardIndex(c, reps, core.Cosine, part, parts)
 	if err != nil {
 		return fail(err)
-	}
-	if parts > 1 {
-		if err := ix.SetPartition(part, parts); err != nil {
-			return fail(err)
-		}
 	}
 	closeAll := closeModel
 	if annOpts.on {

@@ -34,11 +34,17 @@ const noCode = math.MaxUint32
 
 // codeLists is an equality column's candidates grouped by code, made by a
 // counting sort: the ids holding code c are ids[start[c]:start[c+1]], in
-// ascending order. An equality filter's exact scan walks its code's list
-// instead of testing every row (scan.narrow).
+// ascending order. An equality filter's exact scan searches its code's cone
+// tree, rooted at node roots[c] of tree, or — when the filter tests more than
+// this field, or no tree is built — walks its code's list, instead of testing
+// every row (scan.narrow). The tree holds the same ids, leaf by leaf, at the
+// same positions: a node's rows are tree.rows[lo:hi], and those of code c's
+// tree lie in start[c]:start[c+1].
 type codeLists struct {
 	ids   []uint32
 	start []uint32 // one entry per code, and one past the last
+	tree           // a tree per code over its ids; no nodes when none is built
+	roots []uint32 // per code, the node its tree is rooted at
 }
 
 // newCodeLists groups the ids of owned — every id of col when owned is nil —
@@ -77,6 +83,15 @@ func (l *codeLists) of(c uint32) []uint32 {
 		return l.ids[:0:0]
 	}
 	return l.ids[l.start[c]:l.start[c+1]]
+}
+
+// treeOf returns the tree to search for the ids of code c and the node it is
+// rooted at: nil when no tree is built or c has no ids.
+func (l *codeLists) treeOf(c uint32) (*tree, uint32) {
+	if c == noCode || len(l.nodes) == 0 || l.start[c] == l.start[c+1] {
+		return nil, 0
+	}
+	return &l.tree, l.roots[c]
 }
 
 func newFilterColumns(companies []corpus.Company) filterColumns {

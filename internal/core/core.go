@@ -134,9 +134,10 @@ type Match struct {
 // Everything a scan needs per candidate that does not depend on the query is
 // computed once, at build time: the row norms and filter columns (NewIndex),
 // the owned-id list (SetPartition), the candidate lists of the equality
-// columns and the cone tree (both). Corpus and Reps must not change after
-// NewIndex. Copying the struct shares the columns, which is how the shadow
-// re-execution gets a pruner-free twin of the serving index.
+// columns and the cone trees over all owned ids and over each list (both).
+// Corpus and Reps must not change after NewIndex. Copying the struct shares
+// the columns, which is how the shadow re-execution gets a pruner-free twin
+// of the serving index.
 type Index struct {
 	Corpus *corpus.Corpus
 	Reps   *mat.Matrix
@@ -144,7 +145,8 @@ type Index struct {
 	part, parts int      // candidate-scan partition; parts <= 1 scans everything
 	owned       []uint32 // ascending owned ids when parts > 1; nil = every id
 	// bySIC2 and byCountry group the owned ids by their code in cols.sic2 and
-	// cols.country: the candidates of an equality filter.
+	// cols.country, each code's under a cone tree: the candidates of an
+	// equality filter.
 	bySIC2, byCountry codeLists
 	tree              tree // the owned ids under a cone tree: what an unfiltered scan searches
 
@@ -209,8 +211,9 @@ func PartitionOf(id, parts int) int {
 // SetPartition restricts the index's candidate scans to partition part of
 // parts (per PartitionOf), hashing every id once to materialise the ascending
 // owned-id list the scans walk, and regroups the equality columns' candidate
-// lists and the cone tree to the owned ids. Call once at build time, before
-// serving; parts of 0 or 1 restores the full scan.
+// lists and the cone trees to the owned ids. Call once at build time, before
+// serving; parts of 0 or 1 restores the full scan. NewShardIndex builds a
+// partitioned index without first building the unpartitioned one.
 func (ix *Index) SetPartition(part, parts int) error {
 	if parts <= 1 {
 		ix.part, ix.parts, ix.owned = 0, 0, nil
@@ -234,7 +237,7 @@ func (ix *Index) SetPartition(part, parts int) error {
 }
 
 // groupOwned builds the candidate lists of the two equality columns and the
-// cone tree over the owned ids.
+// cone trees over the owned ids.
 func (ix *Index) groupOwned() {
 	ix.bySIC2 = newCodeLists(ix.cols.sic2, len(ix.cols.sic2Codes), ix.owned)
 	ix.byCountry = newCodeLists(ix.cols.country, len(ix.cols.countryCodes), ix.owned)
@@ -267,9 +270,15 @@ func (ix *Index) OwnedCompanies() int {
 
 // NewIndex validates shapes and builds an index, including its scan columns
 // (one pass over the companies and one over the representation rows), the
-// equality columns' candidate lists (a counting sort each) and the cone tree.
+// equality columns' candidate lists (a counting sort each) and the cone trees.
 // metric must be Cosine.
 func NewIndex(c *corpus.Corpus, reps *mat.Matrix, metric Metric) (*Index, error) {
+	return NewShardIndex(c, reps, metric, 0, 1)
+}
+
+// NewShardIndex is NewIndex followed by SetPartition(part, parts), except that
+// the candidate lists and cone trees are built once, over the owned ids only.
+func NewShardIndex(c *corpus.Corpus, reps *mat.Matrix, metric Metric, part, parts int) (*Index, error) {
 	if metric != Cosine {
 		return nil, fmt.Errorf("core: unknown metric %d", metric)
 	}
@@ -282,7 +291,6 @@ func NewIndex(c *corpus.Corpus, reps *mat.Matrix, metric Metric) (*Index, error)
 	if uint64(c.N()) >= noCode {
 		return nil, fmt.Errorf("core: %d companies, an index holds fewer than %d", c.N(), uint64(noCode))
 	}
-	indexCompanies.Set(float64(c.N()))
 	norms := make([]float64, reps.Rows)
 	inRange := true
 	for i := range norms {
@@ -292,7 +300,10 @@ func NewIndex(c *corpus.Corpus, reps *mat.Matrix, metric Metric) (*Index, error)
 		}
 	}
 	ix := &Index{Corpus: c, Reps: reps, norms: norms, cols: newFilterColumns(c.Companies), normsInRange: inRange}
-	ix.groupOwned()
+	if err := ix.SetPartition(part, parts); err != nil {
+		return nil, err
+	}
+	indexCompanies.Set(float64(c.N()))
 	return ix, nil
 }
 
@@ -478,21 +489,31 @@ type scan struct {
 	ids  []int
 	skip idSet
 	// rows resolves an exact scan's positions to ids: the owned list, an
-	// equality filter's candidate list (narrow), the tree's rows, or nil for
-	// the identity. A pruned scan walks its cells instead.
+	// equality filter's candidate list (narrow), the rows of the tree it
+	// searches, or nil for the identity. A pruned scan walks its cells instead.
 	rows []uint32
+	// col and code are the equality column and code whose list narrow chose;
+	// col is nil when the scan's list is every owned row (onList).
+	col  []uint32
+	code uint32
 	// outside is what the filter would have refused of the owned rows the
 	// scan's list leaves out; run counts them filtered without visiting them.
 	outside uint64
+	// tree and root are the cone tree over the scan's list — the index's, or
+	// the one over narrow's list — and the node it is rooted at; tree is nil
+	// when none is built.
+	tree *tree
+	root uint32
 	// filter is what is left to test row by row once the list is chosen.
 	filter columnFilter
 	// filtered: admit has a test left to make. floorTest: every norm the floor
 	// test multiplies — the index's and the query vectors' — is inside its
 	// range (reject).
 	filtered, floorTest bool
-	// leaves: the scan searches the index's cone tree best bound first for the
-	// leaves it has to visit (search). It is exact, unfiltered, and meets the
-	// floor test's preconditions, which are the cone bound's too.
+	// leaves: the scan searches its cone tree best bound first for the leaves
+	// it has to visit (search). It is exact, its list answers the whole filter,
+	// and it meets the floor test's preconditions, which are the cone bound's
+	// too.
 	leaves bool
 }
 
@@ -504,7 +525,12 @@ func (ix *Index) newScan(k int, f Filter, vecs [][]float64, ids []int) *scan {
 		rows:   ix.owned,
 		filter: ix.cols.bind(f),
 	}
-	narrowed := ix.pruner == nil && q.narrow()
+	if len(ix.tree.nodes) > 0 {
+		q.tree = &ix.tree
+	}
+	if ix.pruner == nil {
+		q.narrow()
+	}
 	q.filtered = q.filter != ix.cols.bind(Filter{})
 	q.floorTest = ix.normsInRange
 	for c, v := range vecs {
@@ -513,39 +539,42 @@ func (ix *Index) newScan(k int, f Filter, vecs [][]float64, ids []int) *scan {
 			q.floorTest = false
 		}
 	}
-	if ix.pruner == nil && !narrowed && !q.filtered && q.floorTest && len(ix.tree.nodes) > 0 {
-		q.leaves, q.rows = true, ix.tree.rows
+	if ix.pruner == nil && !q.filtered && q.floorTest && q.tree != nil {
+		q.leaves, q.rows = true, q.tree.rows
 	}
 	return q
 }
 
-// narrow makes an exact scan walk the candidate list of one equality field of
+// narrow makes an exact scan take the candidate list of one equality field of
 // its filter — the shorter list when it has two — instead of every owned row,
-// and leaves that field out of what admit tests row by row. It reports
-// whether the filter named such a field.
-func (q *scan) narrow() bool {
+// with the list's cone tree when it has one, and leaves that field out of
+// what admit tests row by row.
+func (q *scan) narrow() {
 	ix, cf := q.ix, &q.filter
-	var col []uint32
+	var lists *codeLists
 	var field *uint32 // the code of cf the list stands for
 	if cf.sic2 != anyCode {
-		q.rows, col, field = ix.bySIC2.of(cf.sic2), ix.cols.sic2, &cf.sic2
+		q.rows, q.col, lists, field = ix.bySIC2.of(cf.sic2), ix.cols.sic2, &ix.bySIC2, &cf.sic2
 	}
 	if cf.country != anyCode {
 		if l := ix.byCountry.of(cf.country); field == nil || len(l) < len(q.rows) {
-			q.rows, col, field = l, ix.cols.country, &cf.country
+			q.rows, q.col, lists, field = l, ix.cols.country, &ix.byCountry, &cf.country
 		}
 	}
 	if field == nil {
-		return false
+		return
 	}
-	code := *field
-	*field = anyCode
+	q.code, *field = *field, anyCode
+	q.tree, q.root = lists.treeOf(q.code)
 	// Every owned row off the list fails the filter, and the row-by-row test
 	// counted each one filtered — except the scan's own ids, which it never
 	// tested.
-	q.outside = uint64(ix.OwnedCompanies()-len(q.rows)) - q.ownRows(func(id int) bool { return col[id] != code })
-	return true
+	q.outside = uint64(ix.OwnedCompanies()-len(q.rows)) - q.ownRows(func(id int) bool { return !q.onList(id) })
 }
+
+// onList reports whether company id is on the scan's list, narrow's or every
+// owned row's; whether it is owned is ownRows' question.
+func (q *scan) onList(id int) bool { return q.col == nil || q.col[id] == q.code }
 
 // ownRows counts the scan's own ids that are owned rows of the index and for
 // which in holds, each once (a client may be listed twice): rows admit skips
@@ -604,9 +633,9 @@ func (q *scan) newSelection(rows int) *selection {
 // calling goroutine: under it, handing tasks to a second worker loses to
 // running them in place even when that worker's core is awake and spinning
 // (DESIGN §13 has the timings). A pruned pool at the benchmark's shape (5 % of
-// 100k) is well under it, and so is a SIC2 filter's candidate list; a
-// range-filtered scan of 100k rows is well over. A tree search
-// has no tasks and always runs in place.
+// 100k) is well under it, and so is a SIC2 filter's candidate list that a
+// range bound keeps from its tree; a range-filtered scan of 100k rows is well
+// over. A tree search has no tasks and always runs in place.
 const minFanoutRows = 16 << 10
 
 // A scan works through its candidates scanBlock at a time, and a worker looks
@@ -619,7 +648,7 @@ const (
 )
 
 // run is the one driver of every scan. A scan.leaves scan is one search of
-// the tree on the calling goroutine. Any other scan is a list of tasks — the
+// its tree on the calling goroutine. Any other scan is a list of tasks — the
 // pruner's cells, or scanChunk-long ranges of the scan's positions — taken off
 // a shared counter by one worker below minFanoutRows rows (par.ForEach then
 // runs it on the calling goroutine), by up to par.Workers() above; each offers
@@ -629,16 +658,19 @@ const (
 func (q *scan) run(ctx context.Context, sp *trace.Span, annQueries, annCandidates *obs.Counter) (best []WhitespaceProspect, admitted, rejected uint64, err error) {
 	ix := q.ix
 	if q.leaves {
-		sel := q.newSelection(ix.OwnedCompanies())
+		root := q.tree.nodes[q.root]
+		listed := int(root.hi - root.lo)
+		sel := q.newSelection(listed)
 		leaves, rows, err := q.search(ctx, sel)
 		if err != nil {
 			return nil, 0, 0, err
 		}
 		sp.AttrInt("leaves_visited", int64(leaves))
 		sp.AttrInt("rows_visited", int64(rows))
-		// The rows of a leaf never visited would all have been admitted: no
-		// filter is left, and the scan's own ids are never candidates.
-		return sel.heap.sorted(), uint64(ix.OwnedCompanies()) - q.ownRows(func(int) bool { return true }), 0, nil
+		// The rows of a leaf never visited would all have been admitted: the
+		// list answers the whole filter, and the scan's own ids are never
+		// candidates. What the list leaves out is filtered, as a stream counts it.
+		return sel.heap.sorted(), uint64(listed) - q.ownRows(q.onList), q.outside, nil
 	}
 	type task struct {
 		ids    []int64

@@ -9,18 +9,20 @@ import (
 	"repro/internal/par"
 )
 
-// tree is the cone tree over the owned ids of a cosine index: the median
-// splits that group rows whose directions lie close together, kept as a
-// binary tree down to leaves of at most leafRows rows. Every node is bounded
-// by a cone over its own rows: a unit centre c and the cosine and sine of a
-// half-angle θ such that every member lies within θ of c. No member of a node
-// can score above the node's coneBound against a query vector, so an exact
-// scan searches the tree best bound first and stops at the first node its
-// floor has passed (scan.search; DESIGN §13 has the lemma). 4 B per owned
-// company and (d+2)·8 B plus 12 B per node, about two nodes per leaf.
+// tree is a cone tree over owned ids: the median splits that group rows
+// whose directions lie close together, kept as a binary tree down to leaves
+// of at most leafRows rows. Every node is bounded by a cone over its own rows:
+// a unit centre c and the cosine and sine of a half-angle θ such that every
+// member lies within θ of c. No member of a node can score above the node's
+// coneBound against a query vector, so an exact scan searches a tree best
+// bound first and stops at the first node its floor has passed (scan.search;
+// DESIGN §13 has the lemma). The index has one over all its owned ids, and
+// each equality column one per candidate list, held as one tree value whose
+// nodes are the lists' trees in turn (codeLists). 4 B per company and
+// (d+2)·8 B plus 12 B per node, about two nodes per leaf.
 type tree struct {
-	rows  []uint32  // the owned ids leaf by leaf, ascending within a leaf
-	nodes []node    // in preorder from the root; empty when none is built
+	rows  []uint32  // the ids leaf by leaf, ascending within a leaf
+	nodes []node    // each tree's in preorder from its root; empty when none is built
 	cones []float64 // node n's d+2 values from n·(d+2): c, cos θ, sin θ
 }
 
@@ -43,18 +45,12 @@ const (
 // 32 makes half the nodes of 16 (DESIGN §13 has the sweep).
 const leafRows = 32
 
-// groupLeaves builds the tree over the owned ids (every id when the index is
-// not partitioned): unit-normalised rows are split at the median of their
-// widest coordinate until a part holds at most leafRows rows, and each part
-// on the way is a node. It builds none where the bound is not proved: with a
-// norm outside the floor test's range, or past coneMaxDim.
-//
-// It works on float32 copies of the unit rows, half the bytes to move; the
-// cones allow for their rounding (coneMargin). The copies move with their
-// positions, level by level, so that a node's rows are contiguous when its
-// split and its cone read them. The nodes' sizes depend on the number of rows
-// alone, and the nodes of one level split in parallel, each into its own
-// range, so the tree is the same at any worker count.
+// groupLeaves builds the cone trees over the owned ids (every id when the
+// index is not partitioned): the tree over all of them, and the trees over
+// each candidate list of the two equality columns, all three builds in one
+// scratch, since each list partitions the owned ids. It builds none where the
+// bound is not proved: with a norm outside the floor test's range, or past
+// coneMaxDim. The lists must be fresh from newCodeLists, without trees.
 func (ix *Index) groupLeaves() {
 	ix.tree = tree{}
 	d := ix.Reps.Cols
@@ -62,20 +58,44 @@ func (ix *Index) groupLeaves() {
 	if !ix.normsInRange || d > coneMaxDim || m == 0 {
 		return
 	}
-	id := func(p uint32) int {
-		if ix.owned == nil {
-			return int(p)
-		}
-		return int(ix.owned[p])
-	}
 	c := chunks(d)
-	b := leafBuild{d: d, c: c, pts: make([][4]float32, m*c), apts: make([][4]float32, m*c),
+	b := leafBuild{ix: ix, d: d, c: c, pts: make([][4]float32, m*c), apts: make([][4]float32, m*c),
 		pos: make([]uint32, m), apos: make([]uint32, m),
 		keys: make([]float32, m), work: make([]float32, m),
 	}
+	ix.tree, _ = b.grow(ix.owned, []uint32{0, uint32(m)})
+	for _, l := range []*codeLists{&ix.bySIC2, &ix.byCountry} {
+		l.tree, l.roots = b.grow(l.ids, l.start)
+	}
+}
+
+// grow builds a tree over each group of ids, ids[start[g]:start[g+1]] (over
+// every id from 0 when ids is nil), every group ascending, and returns them
+// as one tree, the groups' nodes in turn, with the node each group's tree is
+// rooted at: for a group of no ids, the next group's. Unit-normalised rows
+// are split at the median of their widest coordinate until a part holds at
+// most leafRows rows, and each part on the way is a node; all groups split in
+// one loop, a level at a time.
+//
+// It works on float32 copies of the unit rows, half the bytes to move; the
+// cones allow for their rounding (coneMargin). The copies move with their
+// positions, level by level, so that a node's rows are contiguous when its
+// split and its cone read them. The nodes' sizes depend on the groups' sizes
+// alone, and the nodes of one level split in parallel, each into its own
+// range, so the trees are the same at any worker count.
+func (b *leafBuild) grow(ids, start []uint32) (tree, []uint32) {
+	d, c := b.d, b.c
+	id := func(p uint32) int {
+		if ids == nil {
+			return int(p)
+		}
+		return int(ids[p])
+	}
+	m := len(b.pos)
+	clear(b.zero)
 	for p := range b.pos {
 		b.pos[p] = uint32(p)
-		rn := ix.norms[id(uint32(p))]
+		rn := b.ix.norms[id(uint32(p))]
 		if rn == 0 {
 			if b.zero == nil {
 				b.zero = make([]bool, m)
@@ -85,18 +105,30 @@ func (ix *Index) groupLeaves() {
 		}
 		inv := 1 / rn
 		u := b.pts[p*c : (p+1)*c]
-		for j, v := range ix.Reps.Row(id(uint32(p))) {
+		for j, v := range b.ix.Reps.Row(id(uint32(p))) {
 			u[j/4][j%4] = float32(v * inv)
 		}
 	}
-	nodes := layout(nil, 0, uint32(m))
+	var nodes []node
+	roots := make([]uint32, len(start)-1)
+	for g := range roots {
+		roots[g] = uint32(len(nodes))
+		if start[g] < start[g+1] {
+			nodes = layout(nodes, start[g], start[g+1])
+		}
+	}
 	size := func(n uint32) int { return int(nodes[n].hi - nodes[n].lo) }
 	axes := make([]int, len(nodes)) // the split coordinate of each inner node
-	axes[0] = b.widest(b.pts)
 	// level holds the nodes that hold every row between them: the children of
-	// the last level's splits, and the leaves it left as they were. In the end
-	// it holds the leaves.
-	level := []uint32{0}
+	// the last level's splits, and the leaves it left as they were. It starts
+	// with the groups' roots and ends with the leaves.
+	level := make([]uint32, 0, len(roots))
+	for g, r := range roots {
+		if start[g] < start[g+1] {
+			axes[r] = b.widest(b.pts[int(start[g])*c : int(start[g+1])*c])
+			level = append(level, r)
+		}
+	}
 	for {
 		next := make([]uint32, 0, 2*len(level))
 		for _, n := range level {
@@ -137,12 +169,12 @@ func (ix *Index) groupLeaves() {
 	forRows(len(level), func(i int) int { return size(level[i]) }, func(i int) {
 		nd := nodes[level[i]]
 		ps := b.pos[nd.lo:nd.hi]
-		slices.Sort(ps) // ids ascend within a leaf, as admit assumes
+		slices.Sort(ps) // ids ascend within a group, so within a leaf too, as admit assumes
 		for x, p := range ps {
 			rows[int(nd.lo)+x] = uint32(id(p))
 		}
 	})
-	ix.tree = tree{rows: rows, nodes: nodes, cones: cones}
+	return tree{rows: rows, nodes: nodes, cones: cones}, roots
 }
 
 // layout appends to nodes, in preorder, the nodes over rows lo..hi-1: a node
@@ -181,13 +213,15 @@ func forRows(n int, rows func(i int) int, fn func(i int)) {
 	})
 }
 
-// leafBuild is the scratch of groupLeaves. pos lists the owned positions
-// node by node, and pts their unit rows in the same order, d values each
-// padded with zeros to c = chunks(d) chunks of four; a level moves both into
-// apos and apts. zero marks the positions of rows with no direction, nil when
-// there are none. keys holds the split coordinate of a node's rows, and work
-// a copy of it to select from.
+// leafBuild is the scratch of groupLeaves, which every build it makes
+// reuses. pos lists the positions of the ids grown over node by node, and pts
+// their unit rows in the same order, d values each padded with zeros to
+// c = chunks(d) chunks of four; a level moves both into apos and apts. zero
+// marks the positions of rows with no direction, nil while there have been
+// none. keys holds the split coordinate of a node's rows, and work a copy of
+// it to select from.
 type leafBuild struct {
+	ix         *Index
 	d, c       int
 	pts, apts  [][4]float32
 	zero       []bool
@@ -410,7 +444,7 @@ func coneBound(cone, qv []float64, inv float64) float64 {
 // vectors: no row of the node scores above it.
 func (q *scan) bound(n uint32) float64 {
 	d := q.ix.Reps.Cols
-	cone := q.ix.tree.cones[int(n)*(d+2) : int(n+1)*(d+2)]
+	cone := q.tree.cones[int(n)*(d+2) : int(n+1)*(d+2)]
 	best := math.Inf(-1)
 	for c, qv := range q.vecs {
 		best = max(best, coneBound(cone, qv, 1/q.qnorms[c]))
@@ -471,10 +505,11 @@ func (f frontier) pop() (reach, frontier) {
 	return top, h
 }
 
-// search is how a scan.leaves scan runs, all of it on the calling goroutine:
-// it pops the node with the best bound, stops once that bound is strictly
-// below sel's floor, visits a leaf into sel, and bounds an inner node's two
-// children, keeping those that reach the floor. A node whose bound equals the
+// search is how a scan.leaves scan runs, all of it on the calling goroutine,
+// over the scan's tree from its root: it pops the node with the best bound,
+// stops once that bound is strictly below sel's floor, visits a leaf into
+// sel, and bounds an inner node's two children, keeping those that reach the
+// floor. A node whose bound equals the
 // floor is still expanded: a row there may tie the floor and win on its id.
 // Equal bounds pop in node order, depth first. A leaf is one visit: ids
 // ascend within a leaf but not across leaves, and admit's test for the
@@ -486,8 +521,8 @@ func (q *scan) search(ctx context.Context, sel *selection) (leaves, rows int, er
 	if err := ctx.Err(); err != nil {
 		return 0, 0, err
 	}
-	t := &q.ix.tree
-	front := make(frontier, 0, 128).push(reach{q.bound(0), 0})
+	t := q.tree
+	front := make(frontier, 0, 128).push(reach{q.bound(q.root), q.root})
 	for len(front) > 0 {
 		var r reach
 		r, front = front.pop()

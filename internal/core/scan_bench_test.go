@@ -1,8 +1,11 @@
 package core
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/par"
 )
 
@@ -28,12 +31,13 @@ import (
 // four clients' eight cells each come to 32 at most, the 20k-row pool again,
 // now with four dot products a row for the carried floor to save.
 //
-// filtered (Country, a tenth of the rows) and sic2 (SIC2, an eighth) are the
-// rows that walk an equality filter's candidate list: they touch only their
-// own rows, under minFanoutRows on one worker, yet ns/row still divides by
-// every row, so they show what the lists save. range (MinEmployees, half the
-// rows) names no equality field, so no list applies: it tests every row, and
-// should cost what it did before the lists.
+// filtered (Country, a tenth of the rows), sic2 (SIC2, an eighth) and
+// country76 (one country holding 76 % of the rows, the shape of the serving
+// benchmark's US) name one equality field and nothing else, so each searches
+// its candidate list's cone tree as exact does the index's; ns/row still
+// divides by every row. Streamed, country76's list was over minFanoutRows and
+// fanned out. range (MinEmployees, half the rows) names no equality field, so
+// neither a list nor a tree applies: it tests every row, in tasks.
 //
 //	go test ./internal/core/ -run '^$' -bench BenchmarkScan -count 10
 func BenchmarkScan(b *testing.B) {
@@ -54,6 +58,16 @@ func BenchmarkScan(b *testing.B) {
 		}
 	}
 	unpruned, err := NewIndex(c, reps, Cosine)
+	if err != nil {
+		b.Fatal(err)
+	}
+	us := slices.Clone(c.Companies)
+	for i := range us {
+		if i%100 < 76 {
+			us[i].Country = "US"
+		}
+	}
+	country76, err := NewIndex(corpus.New(c.Catalog, us), exact.Reps, Cosine)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -100,6 +114,10 @@ func BenchmarkScan(b *testing.B) {
 			_, err := exact.TopK(i%n, k, Filter{SIC2: 70})
 			return err
 		}},
+		{"country76", 2, n, func(i int) error {
+			_, err := country76.TopK(i%n, k, Filter{Country: "US"})
+			return err
+		}},
 		{"range", 2, n, func(i int) error {
 			_, err := exact.TopK(i%n, k, Filter{MinEmployees: 2500})
 			return err
@@ -130,4 +148,34 @@ func BenchmarkScan(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tc.rows), "ns/row")
 		})
 	}
+}
+
+// BenchmarkNewIndex builds the index at the serving benchmark's shape (100k
+// companies, 4 topics): the norm and filter columns, the candidate lists and
+// the cone trees over all rows and over every list, which is what a boot and
+// a reload pay before the first scan. live-MB is what one index keeps on the
+// heap after a forced collection, its representations aside.
+//
+//	go test ./internal/core/ -run '^$' -bench BenchmarkNewIndex -count 10
+func BenchmarkNewIndex(b *testing.B) {
+	c, reps := scanFixture(100_000, 4, 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewIndex(c, reps, Cosine); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e6, "ms/op")
+	b.StopTimer()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ix, err := NewIndex(c, reps, Cosine)
+	if err != nil {
+		b.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(ix)
+	b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/1e6, "live-MB")
 }

@@ -596,6 +596,8 @@ func cellsAround(g *rng.RNG, n, k int, top []int, where int) *cellPruner {
 // and a one-row second), or two chunks and a ragged third, unpartitioned or as
 // half of two, with tied rows planted across the task boundaries
 // (plantBoundaries). A few rounds scan a partition that owns no row at all.
+// Drawn filters of one equality field search that list's tree; the list arm
+// (testListTrees) plants ties inside the lists.
 func TestScanDifferential(t *testing.T) {
 	const rounds = 600
 	g := rng.New(4242)
@@ -799,25 +801,7 @@ func TestScanDifferential(t *testing.T) {
 			if len(clients) > 2 {
 				clients[len(clients)-1] = clients[0] // a duplicate
 			}
-			isClient := make(map[int]bool)
-			for _, id := range clients {
-				isClient[id] = true
-			}
-			var want []WhitespaceProspect
-			for i := 0; i < n; i++ {
-				if !isOwned(i) || isClient[i] || !f.Admits(&c.Companies[i]) {
-					continue
-				}
-				p := WhitespaceProspect{CompanyID: i, NearestClient: -1, Similarity: math.Inf(-1)}
-				for _, id := range clients {
-					if sim := mat.CosineSim(reps.Row(id), reps.Row(i)); sim > p.Similarity {
-						p.Similarity, p.NearestClient = sim, id
-					}
-				}
-				want = append(want, p)
-			}
-			sort.Slice(want, func(a, b int) bool { return ProspectBetter(want[a], want[b]) })
-			want = want[:min(k, len(want))]
+			want := referenceWhitespace(c, reps, isOwned, f, clients, k)
 			top := make([]int, len(want))
 			for r := range want {
 				top[r] = want[r].CompanyID
@@ -865,21 +849,7 @@ func TestScanDifferential(t *testing.T) {
 		if exclude >= 0 {
 			query = reps.Row(exclude)
 		}
-		var want []Match
-		var admitted, rejected uint64
-		for i := 0; i < n; i++ {
-			if i == exclude || !isOwned(i) {
-				continue
-			}
-			if !f.Admits(&c.Companies[i]) {
-				rejected++
-				continue
-			}
-			admitted++
-			want = append(want, Match{CompanyID: i, Similarity: mat.CosineSim(query, reps.Row(i))})
-		}
-		sort.Slice(want, func(a, b int) bool { return MatchBetter(want[a], want[b]) })
-		want = want[:min(k, len(want))]
+		want, admitted, rejected := referenceTopK(c, reps, isOwned, f, query, exclude, k)
 		top := make([]int, len(want))
 		for r := range want {
 			top[r] = want[r].CompanyID
@@ -919,6 +889,158 @@ func TestScanDifferential(t *testing.T) {
 			})
 		}
 	}
+	t.Run("lists", testListTrees)
+}
+
+// testListTrees is TestScanDifferential's list arm: the planted-ties fixture
+// inside the candidate lists. Of the rows of one country and of one industry,
+// neither the first anchor's own, seven in ten are made exact copies of that
+// anchor, so that each list's tree, on every partition, holds copies on both
+// sides of its root, and a query at the anchor ties its k-th place across
+// them. Unpartitioned and as each part of two and of three, at one, two and
+// four workers, a top-k by the anchor (off the list), by a copy (on it) and
+// by the anchor's vector, and a white-space query from both, filtered by the
+// list's field, must equal the reference bit for bit and move the candidate
+// counters by what it counted; and so must the same query with a range bound
+// that refuses nothing, which streams the list instead of searching its
+// tree.
+func testListTrees(t *testing.T) {
+	defer par.SetWorkers(0)
+	for _, d := range []int{2, 4, 9} {
+		c, reps, anchors := diffFixture(3*4*scanBlock, d, int64(60+d), false)
+		a := anchors[0]
+		var country string
+		var sic2 int
+		for _, co := range c.Companies {
+			if country == "" && co.Country != c.Companies[a].Country {
+				country = co.Country
+			}
+			if sic2 == 0 && co.SIC2 != c.Companies[a].SIC2 {
+				sic2 = co.SIC2
+			}
+		}
+		g := rng.New(int64(d))
+		for i, co := range c.Companies {
+			if (co.Country == country || co.SIC2 == sic2) && !slices.Contains(anchors, i) && g.Intn(10) < 7 {
+				copy(reps.Row(i), reps.Row(a))
+			}
+		}
+		isCopy := func(id uint32) bool { return int(id) != a && slices.Equal(reps.Row(int(id)), reps.Row(a)) }
+		for _, parts := range []int{1, 2, 3} {
+			for part := 0; part < parts; part++ {
+				ix, err := NewShardIndex(c, reps, Cosine, part, parts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				owns := func(i int) bool { return PartitionOf(i, parts) == part }
+				for _, lf := range []Filter{{Country: country}, {SIC2: sic2}} {
+					desc := fmt.Sprintf("d=%d part %d/%d filter %s", d, part, parts, lf.Key())
+					q := ix.newScan(1, lf, [][]float64{reps.Row(a)}, []int{a})
+					if !q.leaves {
+						t.Fatalf("%s: the scan does not search the list's tree", desc)
+					}
+					root := q.tree.nodes[q.root]
+					copies := func(nd uint32) bool {
+						n := q.tree.nodes[nd]
+						return slices.ContainsFunc(q.tree.rows[n.lo:n.hi], isCopy)
+					}
+					if root.right == 0 || !copies(q.root+1) || !copies(root.right) {
+						t.Fatalf("%s: the list's tree %+v does not hold copies of the anchor on both sides of its root", desc, root)
+					}
+					onList := q.tree.rows[root.lo+uint32(slices.IndexFunc(q.tree.rows[root.lo:root.hi], isCopy))]
+					stream := lf
+					stream.MinEmployees = math.MinInt // refuses nothing, yet a list no longer answers the filter
+					for _, k := range []int{1, 25, 400} {
+						for _, exclude := range []int{a, int(onList), -1} {
+							want, admitted, rejected := referenceTopK(c, reps, owns, lf, reps.Row(a), exclude, k)
+							for _, f := range []Filter{lf, stream} {
+								for _, workers := range []int{1, 2, 4} {
+									par.SetWorkers(workers)
+									admitted0, rejected0 := topkAdmitted.Value(), topkFiltered.Value()
+									var got []Match
+									var err error
+									if exclude >= 0 {
+										got, err = ix.TopK(exclude, k, f)
+									} else {
+										got, err = ix.TopKByVectorContext(context.Background(), reps.Row(a), k, f)
+									}
+									if err != nil {
+										t.Fatal(err)
+									}
+									what := fmt.Sprintf("%s k=%d exclude=%d as %s workers=%d", desc, k, exclude, f.Key(), workers)
+									if da, dr := topkAdmitted.Value()-admitted0, topkFiltered.Value()-rejected0; da != admitted || dr != rejected {
+										t.Fatalf("%s: counters moved by admitted=%d filtered=%d, reference counted %d and %d", what, da, dr, admitted, rejected)
+									}
+									if !slices.EqualFunc(got, want, func(x, y Match) bool {
+										return x.CompanyID == y.CompanyID && math.Float64bits(x.Similarity) == math.Float64bits(y.Similarity)
+									}) {
+										t.Fatalf("%s: got %+v, want %+v", what, got, want)
+									}
+								}
+							}
+						}
+						clients := []int{a, int(onList), anchors[1]}
+						want := referenceWhitespace(c, reps, owns, lf, clients, k)
+						for _, f := range []Filter{lf, stream} {
+							for _, workers := range []int{1, 2, 4} {
+								par.SetWorkers(workers)
+								got, err := ix.Whitespace(clients, k, f)
+								if err != nil {
+									t.Fatal(err)
+								}
+								if !slices.EqualFunc(got, want, func(x, y WhitespaceProspect) bool {
+									return x.CompanyID == y.CompanyID && x.NearestClient == y.NearestClient &&
+										math.Float64bits(x.Similarity) == math.Float64bits(y.Similarity)
+								}) {
+									t.Fatalf("%s k=%d clients=%v as %s workers=%d: got %+v, want %+v", desc, k, clients, f.Key(), workers, got, want)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// referenceTopK is the differential tests' naive top-k: mat.CosineSim over
+// the owned rows Filter.Admits, but for exclude, fully sorted, with the
+// admitted and refused rows counted.
+func referenceTopK(c *corpus.Corpus, reps *mat.Matrix, owns func(int) bool, f Filter, query []float64, exclude, k int) (want []Match, admitted, rejected uint64) {
+	for i := 0; i < c.N(); i++ {
+		if i == exclude || !owns(i) {
+			continue
+		}
+		if !f.Admits(&c.Companies[i]) {
+			rejected++
+			continue
+		}
+		admitted++
+		want = append(want, Match{CompanyID: i, Similarity: mat.CosineSim(query, reps.Row(i))})
+	}
+	sort.Slice(want, func(a, b int) bool { return MatchBetter(want[a], want[b]) })
+	return want[:min(k, len(want))], admitted, rejected
+}
+
+// referenceWhitespace is the differential tests' naive white-space query:
+// every owned non-client row Filter.Admits, at its nearest client (the first
+// on ties), fully sorted.
+func referenceWhitespace(c *corpus.Corpus, reps *mat.Matrix, owns func(int) bool, f Filter, clients []int, k int) []WhitespaceProspect {
+	var want []WhitespaceProspect
+	for i := 0; i < c.N(); i++ {
+		if !owns(i) || slices.Contains(clients, i) || !f.Admits(&c.Companies[i]) {
+			continue
+		}
+		p := WhitespaceProspect{CompanyID: i, NearestClient: -1, Similarity: math.Inf(-1)}
+		for _, id := range clients {
+			if sim := mat.CosineSim(reps.Row(id), reps.Row(i)); sim > p.Similarity {
+				p.Similarity, p.NearestClient = sim, id
+			}
+		}
+		want = append(want, p)
+	}
+	sort.Slice(want, func(a, b int) bool { return ProspectBetter(want[a], want[b]) })
+	return want[:min(k, len(want))]
 }
 
 // FuzzRejectBound aims at the one way the floor test can be wrong — dropping
@@ -1240,6 +1362,95 @@ func TestTreeShape(t *testing.T) {
 				}
 			}
 			t.Logf("part %d/%d: %d rows, %d nodes", part, parts, owned, len(tr.nodes))
+		}
+	}
+}
+
+// TestListTreeShape checks the cone trees over the candidate lists of both
+// equality columns, on TestTreeShape's fixture, unpartitioned and as each
+// third of three: the trees, their roots and the lists are bit-equal when
+// built at one worker and at four, and the tree of each code is rooted where
+// the previous code's ends, over exactly its list's positions; each inner
+// node's children hold its first and second half and the second follows the
+// first's subtree; each leaf holds 1 to leafRows ids, ascending; and the
+// leaves of a code's tree hold the ids of its list, each once.
+func TestListTreeShape(t *testing.T) {
+	var leaves func(rows uint32) uint32
+	leaves = func(rows uint32) uint32 {
+		if rows <= leafRows {
+			return 1
+		}
+		return leaves(rows/2) + leaves(rows-rows/2)
+	}
+	defer par.SetWorkers(0)
+	c, reps := scanFixture(1024*leafRows+50, 4, 3)
+	for _, i := range []int{5, 9000, 20000} {
+		clear(reps.Row(i))
+	}
+	for _, parts := range []int{1, 3} {
+		for part := 0; part < parts; part++ {
+			build := func(workers int) *Index {
+				par.SetWorkers(workers)
+				ix, err := NewShardIndex(c, reps, Cosine, part, parts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ix
+			}
+			ix, ix4 := build(1), build(4)
+			for col, l := range map[string][2]*codeLists{"sic2": {&ix.bySIC2, &ix4.bySIC2}, "country": {&ix.byCountry, &ix4.byCountry}} {
+				l, l4 := l[0], l[1]
+				bits := func(v []float64) []uint64 {
+					out := make([]uint64, len(v))
+					for j, x := range v {
+						out[j] = math.Float64bits(x)
+					}
+					return out
+				}
+				if !slices.Equal(l.ids, l4.ids) || !slices.Equal(l.rows, l4.rows) || !slices.Equal(l.nodes, l4.nodes) ||
+					!slices.Equal(l.roots, l4.roots) || !slices.Equal(bits(l.cones), bits(l4.cones)) {
+					t.Fatalf("part %d/%d %s: the list trees differ between workers=1 and workers=4", part, parts, col)
+				}
+				// walk checks the subtree of node nd and returns the ids of its leaves.
+				var walk func(nd uint32) []uint32
+				walk = func(nd uint32) []uint32 {
+					n := l.nodes[nd]
+					if n.right == 0 {
+						leaf := l.rows[n.lo:n.hi]
+						if len(leaf) < 1 || len(leaf) > leafRows || !slices.IsSorted(leaf) {
+							t.Fatalf("part %d/%d %s: leaf %d holds %v", part, parts, col, nd, leaf)
+						}
+						return slices.Clone(leaf)
+					}
+					a, b := l.nodes[nd+1], l.nodes[n.right]
+					if n.right != nd+2*leaves(a.hi-a.lo) || a.lo != n.lo || a.hi != b.lo || b.hi != n.hi || a.hi-a.lo != (n.hi-n.lo)/2 {
+						t.Fatalf("part %d/%d %s: node %d %+v has children %+v and %+v (at %d)", part, parts, col, nd, n, a, b, n.right)
+					}
+					return append(walk(nd+1), walk(n.right)...)
+				}
+				next := uint32(0) // where the next code's tree is rooted
+				for code := range len(l.start) - 1 {
+					list := l.of(uint32(code))
+					if len(list) == 0 {
+						continue
+					}
+					root := l.roots[code]
+					if n := l.nodes[root]; root != next || n.lo != l.start[code] || n.hi != l.start[code+1] {
+						t.Fatalf("part %d/%d %s: code %d is rooted at node %d %+v, want node %d over %d..%d",
+							part, parts, col, code, root, n, next, l.start[code], l.start[code+1])
+					}
+					next = root + 2*leaves(uint32(len(list))) - 1
+					got := walk(root)
+					slices.Sort(got)
+					if !slices.Equal(got, list) {
+						t.Fatalf("part %d/%d %s: the tree of code %d holds %v, its list %v", part, parts, col, code, got, list)
+					}
+				}
+				if int(next) != len(l.nodes) || len(l.rows) != ix.OwnedCompanies() {
+					t.Fatalf("part %d/%d %s: the trees end at node %d of %d, hold %d rows of %d owned",
+						part, parts, col, next, len(l.nodes), len(l.rows), ix.OwnedCompanies())
+				}
+			}
 		}
 	}
 }

@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/url"
 	"runtime"
@@ -521,6 +522,11 @@ func floatParam(q url.Values, name string) (float64, error) {
 	x, err := strconv.ParseFloat(v, 64)
 	if err != nil {
 		return 0, api.BadRequest("serve: parameter %s=%q is not a number", name, v)
+	}
+	// Every comparison with NaN is false, so a NaN bound would admit every
+	// company instead of refusing the request; an infinite one is no bound.
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return 0, api.BadRequest("serve: parameter %s=%q is not a finite number", name, v)
 	}
 	return x, nil
 }

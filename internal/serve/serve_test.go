@@ -310,6 +310,42 @@ func TestBadRequestsCountErrorsNotServed(t *testing.T) {
 	}
 }
 
+// TestRevenueBoundsMustBeFinite pins floatParam's refusal of non-finite
+// revenue bounds: NaN compares false with every revenue, so before the check
+// min_revenue_m=NaN switched the bound off and answered 200 with unfiltered
+// matches; an infinite bound is no bound either. Finite spellings, hex and
+// exponent forms included, still parse.
+func TestRevenueBoundsMustBeFinite(t *testing.T) {
+	s, _, _ := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, tc := range []struct {
+		query string
+		want  int
+	}{
+		{"min_revenue_m=NaN", http.StatusBadRequest},
+		{"max_revenue_m=NaN", http.StatusBadRequest},
+		{"min_revenue_m=nan", http.StatusBadRequest},
+		{"max_revenue_m=-NaN", http.StatusBadRequest},
+		{"min_revenue_m=Inf", http.StatusBadRequest},
+		{"max_revenue_m=%2BInf", http.StatusBadRequest},
+		{"min_revenue_m=-Inf", http.StatusBadRequest},
+		{"max_revenue_m=infinity", http.StatusBadRequest},
+		{"min_revenue_m=1e400", http.StatusBadRequest}, // ParseFloat's range error
+		{"min_revenue_m=10&max_revenue_m=NaN", http.StatusBadRequest},
+		{"min_revenue_m=0", http.StatusOK},
+		{"max_revenue_m=1e300", http.StatusOK},
+		{"min_revenue_m=0x1p-2&max_revenue_m=5e3", http.StatusOK},
+	} {
+		for _, ep := range []string{"/v1/similar/0", "/v1/recommend/0"} {
+			path := ep + "?" + tc.query
+			if resp := getJSON(t, ts, path, nil); resp.StatusCode != tc.want {
+				t.Errorf("%s: status %d, want %d", path, resp.StatusCode, tc.want)
+			}
+		}
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	s, ix, m := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())

@@ -66,10 +66,11 @@ func attrValue(sp *trace.SpanJSON, key string) (string, bool) {
 // TestTraceSpanTreeForSimilar drives traced /v1/similar queries and asserts
 // the acceptance shape. An unfiltered query searches the cone tree on the
 // request's goroutine: serve.similar -> core.topk, which carries
-// leaves_visited and no par.shard child. A country-filtered one walks its
-// candidate list as a task: serve.similar -> core.topk -> par.shard, with the
-// root duration bounding the sum of the shard scans (workers=1 keeps the
-// shards sequential so the inequality is deterministic, not probabilistic).
+// leaves_visited and no par.shard child; so does a country-filtered one,
+// which searches its candidate list's tree. A range-filtered one streams its
+// rows as tasks: serve.similar -> core.topk -> par.shard, with the root
+// duration bounding the sum of the shard scans (workers=1 keeps the shards
+// sequential so the inequality is deterministic, not probabilistic).
 func TestTraceSpanTreeForSimilar(t *testing.T) {
 	withWorkers(t, 1)
 	tr := newServeTracer(1)
@@ -116,18 +117,20 @@ func TestTraceSpanTreeForSimilar(t *testing.T) {
 		return tj, topk[0]
 	}
 
-	_, topk := get("/v1/similar/3?k=5")
-	if v, _ := attrValue(topk, "leaves_visited"); v == "" || v == "0" {
-		t.Fatalf("unfiltered core.topk leaves_visited %q, want at least 1", v)
-	}
-	if shards := findSpans(topk, "par.shard"); len(shards) != 0 {
-		t.Fatalf("unfiltered core.topk has %d par.shard spans, want none: leaves are not tasks", len(shards))
+	for _, query := range []string{"", "&country=US"} {
+		_, topk := get("/v1/similar/3?k=5" + query)
+		if v, _ := attrValue(topk, "leaves_visited"); v == "" || v == "0" {
+			t.Fatalf("core.topk of %q leaves_visited %q, want at least 1", query, v)
+		}
+		if shards := findSpans(topk, "par.shard"); len(shards) != 0 {
+			t.Fatalf("core.topk of %q has %d par.shard spans, want none: leaves are not tasks", query, len(shards))
+		}
 	}
 
-	tj, topk := get("/v1/similar/3?k=5&country=US")
+	tj, topk := get("/v1/similar/3?k=5&min_employees=1")
 	shards := findSpans(topk, "par.shard")
 	if len(shards) == 0 {
-		t.Fatal("no par.shard spans under a filtered core.topk")
+		t.Fatal("no par.shard spans under a range-filtered core.topk")
 	}
 	var shardSum int64
 	for _, sh := range shards {

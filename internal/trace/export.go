@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -211,7 +212,12 @@ func (t *Tracer) listHandler(w http.ResponseWriter, r *http.Request) {
 	var minDur time.Duration
 	if v := q.Get("min_ms"); v != "" {
 		if ms, err := strconv.ParseFloat(v, 64); err == nil && ms > 0 {
-			minDur = time.Duration(ms * float64(time.Millisecond))
+			// Clamped in float64: from about 9.3e12 ms up, converting first
+			// would overflow to a negative Duration, which filters nothing.
+			minDur = time.Duration(math.MaxInt64)
+			if ns := ms * float64(time.Millisecond); ns < float64(math.MaxInt64) {
+				minDur = time.Duration(ns)
+			}
 		}
 	}
 	out := t.Traces(q.Get("endpoint"), minDur, limit)

@@ -411,6 +411,13 @@ func TestListHandlerQueryFilters(t *testing.T) {
 	if got := list("?min_ms=3600000"); len(got) != 0 {
 		t.Fatalf("min_ms=1h = %d, want 0", len(got))
 	}
+	// Past what a Duration holds the bound clamps to the longest one instead
+	// of overflowing to a negative value, which would filter nothing.
+	for _, q := range []string{"?min_ms=9.3e12", "?min_ms=1e13", "?min_ms=1e300", "?min_ms=Inf", "?min_ms=%2BInf"} {
+		if got := list(q); len(got) != 0 {
+			t.Fatalf("%s = %d traces, want 0", q, len(got))
+		}
+	}
 
 	// Invalid fallbacks: bad/zero/negative limit falls back to the default 50,
 	// bad/negative min_ms to 0 — both render the full buffer here.

@@ -168,50 +168,69 @@ func TestTraceIntegration(t *testing.T) {
 		}
 		id := parts[1]
 
+		// topkOf fetches a retained trace and returns it with its one
+		// core.topk span and that span's leaves_visited attribute.
+		topkOf := func(traceID string) (traceNode, *spanNode, string) {
+			t.Helper()
+			var tj traceNode
+			getTraceJSON(t, debug, traceID, &tj)
+			topk := collectSpans(tj.Root, "core.topk")
+			if len(topk) != 1 {
+				t.Fatalf("found %d core.topk spans, want 1", len(topk))
+			}
+			leaves := ""
+			for _, a := range topk[0].Attrs {
+				if a.Key == "leaves_visited" {
+					leaves = a.Value
+				}
+			}
+			return tj, topk[0], leaves
+		}
+
 		// An unfiltered query searches the cone tree on the request's
 		// goroutine: serve -> core, with leaves_visited and no par.shard.
-		var tj traceNode
-		getTraceJSON(t, debug, id, &tj)
+		tj, topk, leaves := topkOf(id)
 		if tj.Name != "serve.similar" || tj.Retained != "sampled" || tj.Error {
 			t.Fatalf("trace %+v, want sampled serve.similar", tj)
-		}
-		topk := collectSpans(tj.Root, "core.topk")
-		if len(topk) != 1 {
-			t.Fatalf("found %d core.topk spans, want 1", len(topk))
-		}
-		leaves := ""
-		for _, a := range topk[0].Attrs {
-			if a.Key == "leaves_visited" {
-				leaves = a.Value
-			}
 		}
 		if leaves == "" || leaves == "0" {
 			t.Fatalf("unfiltered core.topk leaves_visited %q, want at least 1", leaves)
 		}
-		if shards := collectSpans(topk[0], "par.shard"); len(shards) != 0 {
+		if shards := collectSpans(topk, "par.shard"); len(shards) != 0 {
 			t.Fatalf("unfiltered core.topk has %d par.shard spans, want none", len(shards))
 		}
 
-		// A country-filtered query walks its candidate list as a task: the
-		// retained tree has the serve -> core -> par shape and the root
-		// duration bounds the sequential shard scans underneath it.
-		resp, err = http.Get(base + "/v1/similar/3?k=5&country=US")
-		if err != nil {
-			t.Fatal(err)
+		// get serves a query and returns its trace ID.
+		get := func(path string) string {
+			t.Helper()
+			resp, err := http.Get(base + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d", path, resp.StatusCode)
+			}
+			return strings.Split(resp.Header.Get("traceparent"), "-")[1]
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("/v1/similar/3?country=US: status %d", resp.StatusCode)
+
+		// A country-filtered query searches its candidate list's tree the
+		// same way.
+		_, topk, leaves = topkOf(get("/v1/similar/3?k=5&country=US"))
+		if leaves == "" || leaves == "0" {
+			t.Fatalf("country-filtered core.topk leaves_visited %q, want at least 1", leaves)
 		}
-		tj = traceNode{}
-		getTraceJSON(t, debug, strings.Split(resp.Header.Get("traceparent"), "-")[1], &tj)
-		topk = collectSpans(tj.Root, "core.topk")
-		if len(topk) != 1 {
-			t.Fatalf("found %d core.topk spans, want 1", len(topk))
+		if shards := collectSpans(topk, "par.shard"); len(shards) != 0 {
+			t.Fatalf("country-filtered core.topk has %d par.shard spans, want none", len(shards))
 		}
-		shards := collectSpans(topk[0], "par.shard")
+
+		// A range-filtered query streams its rows as a task: the retained
+		// tree has the serve -> core -> par shape and the root duration
+		// bounds the sequential shard scans underneath it.
+		tj, topk, _ = topkOf(get("/v1/similar/3?k=5&min_employees=1"))
+		shards := collectSpans(topk, "par.shard")
 		if len(shards) == 0 {
-			t.Fatal("no par.shard spans under a filtered core.topk")
+			t.Fatal("no par.shard spans under a range-filtered core.topk")
 		}
 		var shardSum int64
 		for _, sh := range shards {
