@@ -277,7 +277,7 @@ func main() {
 		runtimeMetrics  = flag.Bool("runtime-metrics", false, "sample Go runtime health (go_* gauges, GC pauses) into /metrics")
 		runtimeInterval = flag.Duration("runtime-interval", 10*time.Second, "runtime sampler interval (each sample briefly stops the world)")
 	)
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for parallel index scans (deterministic at any value)")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for boot and reload builds (corpus decode, fold-in, cone trees) and the -max-concurrent default; every query scans on its own goroutine (deterministic at any value)")
 	sloFlags := api.BindSLOFlags(flag.CommandLine, "track rolling-window SLOs per endpoint and serve GET /debug/slo on -debug-addr")
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	traceFlags := trace.BindFlags(flag.CommandLine)

@@ -33,15 +33,13 @@ type filterColumns struct {
 const noCode = math.MaxUint32
 
 // codeLists is an equality column's candidates grouped by code, made by a
-// counting sort: the ids holding code c are ids[start[c]:start[c+1]], in
-// ascending order. An equality filter's exact scan searches its code's cone
-// tree, rooted at node roots[c] of tree, or — when the filter tests more than
-// this field, or no tree is built — walks its code's list, instead of testing
-// every row (scan.narrow). The tree holds the same ids, leaf by leaf, at the
-// same positions: a node's rows are tree.rows[lo:hi], and those of code c's
-// tree lie in start[c]:start[c+1].
+// counting sort: the ids holding code c are rows[start[c]:start[c+1]] of the
+// embedded tree, ascending when no tree is built and leaf by leaf, each leaf
+// ascending, when one is (grow reorders them). An equality filter's exact
+// scan searches its code's cone tree, rooted at node roots[c], instead of
+// testing every row (scan.narrow); on an index with no tree it visits the
+// code's list.
 type codeLists struct {
-	ids   []uint32
 	start []uint32 // one entry per code, and one past the last
 	tree           // a tree per code over its ids; no nodes when none is built
 	roots []uint32 // per code, the node its tree is rooted at
@@ -60,7 +58,7 @@ func newCodeLists(col []uint32, codes int, owned []uint32) codeLists {
 		}
 		return owned[p]
 	}
-	l := codeLists{ids: make([]uint32, n), start: make([]uint32, codes+1)}
+	l := codeLists{start: make([]uint32, codes+1), tree: tree{rows: make([]uint32, n)}}
 	for p := 0; p < n; p++ {
 		l.start[col[id(p)]+1]++
 	}
@@ -70,7 +68,7 @@ func newCodeLists(col []uint32, codes int, owned []uint32) codeLists {
 	next := slices.Clone(l.start[:codes])
 	for p := 0; p < n; p++ {
 		i := id(p)
-		l.ids[next[col[i]]] = i
+		l.rows[next[col[i]]] = i
 		next[col[i]]++
 	}
 	return l
@@ -80,9 +78,9 @@ func newCodeLists(col []uint32, codes int, owned []uint32) codeLists {
 // never nil: a scan's nil rows mean every id (scan.rows).
 func (l *codeLists) of(c uint32) []uint32 {
 	if c == noCode {
-		return l.ids[:0:0]
+		return l.rows[:0:0]
 	}
-	return l.ids[l.start[c]:l.start[c+1]]
+	return l.rows[l.start[c]:l.start[c+1]]
 }
 
 // treeOf returns the tree to search for the ids of code c and the node it is
@@ -181,6 +179,46 @@ func (cf *columnFilter) admits(i int) bool {
 		return false
 	}
 	return true
+}
+
+// zone is a cone-tree node's box over the two range-tested columns: the least
+// and greatest employees and revenue of its rows (tree.zones).
+type zone struct {
+	minEmployees, maxEmployees int
+	minRevenueM, maxRevenueM   float64
+}
+
+// zoneOf returns the zone of the rows ids. min and max return a NaN when an
+// operand is one, so a NaN revenue leaves the zone's revenue bounds NaN, and
+// meets, whose revenue tests are false for a NaN, never excludes the node: as
+// it must, since admits lets a NaN revenue through every bound.
+func (fc *filterColumns) zoneOf(ids []uint32) zone {
+	z := zone{math.MaxInt, math.MinInt, math.Inf(1), math.Inf(-1)}
+	for _, i := range ids {
+		z.minEmployees = min(z.minEmployees, fc.employees[i])
+		z.maxEmployees = max(z.maxEmployees, fc.employees[i])
+		z.minRevenueM = min(z.minRevenueM, fc.revenueM[i])
+		z.maxRevenueM = max(z.maxRevenueM, fc.revenueM[i])
+	}
+	return z
+}
+
+// union is the zone of the rows of a and b.
+func (a zone) union(b zone) zone {
+	return zone{min(a.minEmployees, b.minEmployees), max(a.maxEmployees, b.maxEmployees),
+		min(a.minRevenueM, b.minRevenueM), max(a.maxRevenueM, b.maxRevenueM)}
+}
+
+// meets reports whether a row inside z may pass cf's range bounds. When it
+// says no, admits refuses every row of z: each fails a bound on the side z
+// lies beyond (FuzzZoneBound hunts for a counter-example). The revenue tests
+// are written so that a NaN, in z or in a bound (which admits lets every row
+// through), compares false and never excludes.
+func (cf *columnFilter) meets(z *zone) bool {
+	return (cf.minEmployees == 0 || z.maxEmployees >= cf.minEmployees) &&
+		(cf.maxEmployees == 0 || z.minEmployees <= cf.maxEmployees) &&
+		(cf.minRevenueM == 0 || !(z.maxRevenueM < cf.minRevenueM)) &&
+		(cf.maxRevenueM == 0 || !(z.minRevenueM > cf.maxRevenueM))
 }
 
 // idSet is the set of ids a scan must never offer as candidates: the query

@@ -11,13 +11,11 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/mat"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/trace"
 )
 
@@ -29,9 +27,9 @@ var (
 	topkRequests = obs.Default().Counter("topk_requests_total",
 		"similarity top-k queries served")
 	topkAdmitted = obs.Default().Counter("topk_candidates_admitted_total",
-		"candidate companies that passed the business filter during top-k scans")
+		"candidate rows a top-k scan tested against the business filter and admitted (rows a tree search skipped count neither way)")
 	topkFiltered = obs.Default().Counter("topk_candidates_filtered_total",
-		"candidate companies rejected by the business filter during top-k scans")
+		"candidate rows a top-k scan tested against the business filter and refused (rows a tree search skipped count neither way)")
 	recRequests = obs.Default().Counter("recommend_requests_total",
 		"gap-based product recommendation queries served")
 	recFanout = obs.Default().Histogram("recommend_fanout_products",
@@ -253,9 +251,9 @@ func (ix *Index) Partition() (part, parts int) {
 	return ix.part, ix.parts
 }
 
-// owns reports whether company i is a scan candidate on this index. Range
-// scans walk the owned list instead; only pruned scans, whose cells hold ids
-// of every partition, ask per candidate.
+// owns reports whether company i is a scan candidate on this index. Exact
+// scans walk the owned list, or a tree or list over it, instead; only pruned
+// scans, whose cells hold ids of every partition, ask per candidate.
 func (ix *Index) owns(i int) bool {
 	return ix.parts <= 1 || PartitionOf(i, ix.parts) == ix.part
 }
@@ -315,7 +313,7 @@ func (ix *Index) TopK(id, k int, f Filter) ([]Match, error) {
 }
 
 // TopKContext is TopK with a deadline- or cancellation-carrying context
-// threaded into the sharded candidate scan, for serving paths that enforce
+// threaded into the candidate scan, for serving paths that enforce
 // per-request deadlines. A cancelled query returns ctx.Err() and counts
 // toward topk_errors_total, not topk_requests_total.
 func (ix *Index) TopKContext(ctx context.Context, id, k int, f Filter) ([]Match, error) {
@@ -446,8 +444,6 @@ func (ix *Index) topKByVector(ctx context.Context, query []float64, k int, f Fil
 		return nil, fmt.Errorf("core: k must be positive, got %d", k)
 	}
 	start := time.Now()
-	// The scan span parents the par.shard span of each exact task, so a traced
-	// request decomposes into its fan-out.
 	ctx, sp := trace.Start(ctx, "core.topk")
 	sp.AttrInt("k", int64(k))
 	sp.AttrInt("candidates", int64(ix.OwnedCompanies()))
@@ -488,20 +484,14 @@ type scan struct {
 	// and never a candidate itself (skip is the set of them).
 	ids  []int
 	skip idSet
-	// rows resolves an exact scan's positions to ids: the owned list, an
-	// equality filter's candidate list (narrow), the rows of the tree it
-	// searches, or nil for the identity. A pruned scan walks its cells instead.
+	// rows resolves an exact scan's positions to ids: the rows of the tree it
+	// searches, the owned list, the candidate list narrow chose on an index
+	// with no tree, or nil for the identity. A pruned scan walks its cells
+	// instead.
 	rows []uint32
-	// col and code are the equality column and code whose list narrow chose;
-	// col is nil when the scan's list is every owned row (onList).
-	col  []uint32
-	code uint32
-	// outside is what the filter would have refused of the owned rows the
-	// scan's list leaves out; run counts them filtered without visiting them.
-	outside uint64
-	// tree and root are the cone tree over the scan's list — the index's, or
-	// the one over narrow's list — and the node it is rooted at; tree is nil
-	// when none is built.
+	// tree and root are the cone tree the scan searches — the index's, or the
+	// one over narrow's list — and the node it is rooted at; tree is nil when
+	// the scan does not search.
 	tree *tree
 	root uint32
 	// filter is what is left to test row by row once the list is chosen.
@@ -511,12 +501,18 @@ type scan struct {
 	// range (reject).
 	filtered, floorTest bool
 	// leaves: the scan searches its cone tree best bound first for the leaves
-	// it has to visit (search). It is exact, its list answers the whole filter,
-	// and it meets the floor test's preconditions, which are the cone bound's
-	// too.
+	// it has to visit (search). It is exact and meets the floor test's
+	// preconditions, which are the cone bound's too; whatever its filter is,
+	// admit tests what narrow left of it, and the nodes' zones keep the search
+	// out of subtrees a range bound refuses.
 	leaves bool
 }
 
+// newScan binds a scan to its query. An exact scan on an index with trees
+// searches one — the index's, or narrow's list's — whenever the query vectors
+// meet the floor test's preconditions; one that does not tests every owned
+// row, since a list in leaf order would break the ascending ids admit relies
+// on. On an index with no tree, narrow's list ascends and is visited whole.
 func (ix *Index) newScan(k int, f Filter, vecs [][]float64, ids []int) *scan {
 	q := &scan{
 		ix: ix, k: k, vecs: vecs, ids: ids,
@@ -525,13 +521,6 @@ func (ix *Index) newScan(k int, f Filter, vecs [][]float64, ids []int) *scan {
 		rows:   ix.owned,
 		filter: ix.cols.bind(f),
 	}
-	if len(ix.tree.nodes) > 0 {
-		q.tree = &ix.tree
-	}
-	if ix.pruner == nil {
-		q.narrow()
-	}
-	q.filtered = q.filter != ix.cols.bind(Filter{})
 	q.floorTest = ix.normsInRange
 	for c, v := range vecs {
 		q.qnorms[c] = mat.Norm2(v)
@@ -539,9 +528,17 @@ func (ix *Index) newScan(k int, f Filter, vecs [][]float64, ids []int) *scan {
 			q.floorTest = false
 		}
 	}
-	if ix.pruner == nil && !q.filtered && q.floorTest && q.tree != nil {
-		q.leaves, q.rows = true, q.tree.rows
+	trees := len(ix.tree.nodes) > 0
+	if ix.pruner == nil && (q.floorTest || !trees) {
+		if trees {
+			q.tree = &ix.tree
+		}
+		q.narrow()
+		if q.tree != nil {
+			q.leaves, q.rows = true, q.tree.rows
+		}
 	}
+	q.filtered = q.filter != ix.cols.bind(Filter{})
 	return q
 }
 
@@ -554,39 +551,18 @@ func (q *scan) narrow() {
 	var lists *codeLists
 	var field *uint32 // the code of cf the list stands for
 	if cf.sic2 != anyCode {
-		q.rows, q.col, lists, field = ix.bySIC2.of(cf.sic2), ix.cols.sic2, &ix.bySIC2, &cf.sic2
+		q.rows, lists, field = ix.bySIC2.of(cf.sic2), &ix.bySIC2, &cf.sic2
 	}
 	if cf.country != anyCode {
 		if l := ix.byCountry.of(cf.country); field == nil || len(l) < len(q.rows) {
-			q.rows, q.col, lists, field = l, ix.cols.country, &ix.byCountry, &cf.country
+			q.rows, lists, field = l, &ix.byCountry, &cf.country
 		}
 	}
 	if field == nil {
 		return
 	}
-	q.code, *field = *field, anyCode
-	q.tree, q.root = lists.treeOf(q.code)
-	// Every owned row off the list fails the filter, and the row-by-row test
-	// counted each one filtered — except the scan's own ids, which it never
-	// tested.
-	q.outside = uint64(ix.OwnedCompanies()-len(q.rows)) - q.ownRows(func(id int) bool { return !q.onList(id) })
-}
-
-// onList reports whether company id is on the scan's list, narrow's or every
-// owned row's; whether it is owned is ownRows' question.
-func (q *scan) onList(id int) bool { return q.col == nil || q.col[id] == q.code }
-
-// ownRows counts the scan's own ids that are owned rows of the index and for
-// which in holds, each once (a client may be listed twice): rows admit skips
-// without counting them either way.
-func (q *scan) ownRows(in func(id int) bool) uint64 {
-	var n uint64
-	for j, id := range q.ids {
-		if id >= 0 && in(id) && q.ix.owns(id) && !slices.Contains(q.ids[:j], id) {
-			n++
-		}
-	}
-	return n
+	q.tree, q.root = lists.treeOf(*field)
+	*field = anyCode
 }
 
 // cosineSimilarity is Scorer.Score with the norms supplied: the similarity of
@@ -603,10 +579,8 @@ func cosineSimilarity(qv, row []float64, qn, rn float64) float64 {
 	return dot / (qn * rn)
 }
 
-// selection is what one worker of a scan carries from task to task: the heap
-// (so a task starts at the floor — the root's similarity once the heap is full
-// — that the worker's last one reached), the tallies and the blocks gone
-// through.
+// selection is what a scan offers its candidates to: the heap, the tallies of
+// the rows admit tested, and the blocks gone through.
 type selection struct {
 	heap               topkHeap[WhitespaceProspect]
 	admitted, rejected uint64
@@ -629,140 +603,71 @@ func (q *scan) newSelection(rows int) *selection {
 	}}
 }
 
-// minFanoutRows is the scan size below which run keeps a task scan on the
-// calling goroutine: under it, handing tasks to a second worker loses to
-// running them in place even when that worker's core is awake and spinning
-// (DESIGN §13 has the timings). A pruned pool at the benchmark's shape (5 % of
-// 100k) is well under it, and so is a SIC2 filter's candidate list that a
-// range bound keeps from its tree; a range-filtered scan of 100k rows is well
-// over. A tree search has no tasks and always runs in place.
-const minFanoutRows = 16 << 10
-
-// A scan works through its candidates scanBlock at a time, and a worker looks
-// at its context every ctxCheckBlocks blocks, so inside a task too. That group
-// (16k rows) is the task an exact scan is cut into, whatever the worker count.
+// A scan works through its candidates scanBlock at a time, and looks at its
+// context before its first block and every ctxCheckBlocks blocks after.
 const (
 	scanBlock      = 256
 	ctxCheckBlocks = 64
-	scanChunk      = scanBlock * ctxCheckBlocks
 )
 
-// run is the one driver of every scan. A scan.leaves scan is one search of
-// its tree on the calling goroutine. Any other scan is a list of tasks — the
-// pruner's cells, or scanChunk-long ranges of the scan's positions — taken off
-// a shared counter by one worker below minFanoutRows rows (par.ForEach then
-// runs it on the calling goroutine), by up to par.Workers() above; each offers
-// all it takes to one selection (DESIGN §13: the schedule cannot change the
-// answer). annQueries and annCandidates are the endpoint's pruned-scan
-// counters.
+// run is the one driver of every scan, all of it on the calling goroutine. A
+// scan.leaves scan is one search of its tree. A pruned scan visits the
+// pruner's cells in turn; any other — an index with no tree, or query
+// vectors the cone bound does not cover — is one visit over the scan's rows.
+// Each offers its candidates to one selection. admitted and rejected count
+// the rows admit tested, and a row the scan never reached counts neither way.
+// annQueries and annCandidates are the endpoint's pruned-scan counters.
 func (q *scan) run(ctx context.Context, sp *trace.Span, annQueries, annCandidates *obs.Counter) (best []WhitespaceProspect, admitted, rejected uint64, err error) {
 	ix := q.ix
-	if q.leaves {
+	var sel *selection
+	switch {
+	case q.leaves:
 		root := q.tree.nodes[q.root]
-		listed := int(root.hi - root.lo)
-		sel := q.newSelection(listed)
+		sel = q.newSelection(int(root.hi - root.lo))
 		leaves, rows, err := q.search(ctx, sel)
 		if err != nil {
 			return nil, 0, 0, err
 		}
 		sp.AttrInt("leaves_visited", int64(leaves))
 		sp.AttrInt("rows_visited", int64(rows))
-		// The rows of a leaf never visited would all have been admitted: the
-		// list answers the whole filter, and the scan's own ids are never
-		// candidates. What the list leaves out is filtered, as a stream counts it.
-		return sel.heap.sorted(), uint64(listed) - q.ownRows(q.onList), q.outside, nil
-	}
-	type task struct {
-		ids    []int64
-		lo, hi int
-	}
-	var tasks []task
-	rows := len(q.rows)
-	if q.rows == nil {
-		rows = ix.Corpus.N()
-	}
-	foreign := ix.pruner != nil && ix.parts > 1
-	// Exact tasks are par.shard spans of a traced request only: Start would root one each.
-	spans := ix.pruner == nil && trace.FromContext(ctx) != nil
-	switch {
 	case ix.pruner != nil:
 		cells := ix.pruner.Candidates(q.vecs)
-		tasks, rows = make([]task, len(cells)), 0
-		for t, cell := range cells {
-			tasks[t] = task{cell, 0, len(cell)}
-			rows += len(cell)
+		pool := 0
+		for _, cell := range cells {
+			pool += len(cell)
 		}
 		sp.Attr("mode", "ann")
 		sp.AttrInt("cells_probed", int64(len(cells)))
-		sp.AttrInt("pool", int64(rows))
+		sp.AttrInt("pool", int64(pool))
 		annQueries.Inc()
-		annCandidates.Add(uint64(rows))
+		annCandidates.Add(uint64(pool))
 		annCellsProbed.Add(uint64(len(cells)))
+		sel = q.newSelection(pool)
+		for _, cell := range cells {
+			if err := q.visit(ctx, sel, cell, 0, len(cell), ix.parts > 1); err != nil {
+				return nil, 0, 0, err
+			}
+		}
 	default:
-		tasks = make([]task, (rows+scanChunk-1)/scanChunk)
-		for t := range tasks {
-			tasks[t] = task{nil, t * scanChunk, min((t+1)*scanChunk, rows)}
+		rows := len(q.rows)
+		if q.rows == nil {
+			rows = ix.Corpus.N()
 		}
-	}
-	workers := 1
-	if rows >= minFanoutRows {
-		workers = min(par.Workers(), len(tasks))
-	}
-	var next atomic.Int64
-	sels := make([]*selection, workers)
-	err = par.ForEach(ctx, workers, func(w int) error {
-		sel := q.newSelection(rows)
-		sels[w] = sel
-		for {
-			t := int(next.Add(1)) - 1
-			if t >= len(tasks) {
-				return nil
-			}
-			if err := q.runTask(ctx, sel, t, tasks[t].ids, tasks[t].lo, tasks[t].hi, spans, foreign); err != nil {
-				return err
-			}
+		sel = q.newSelection(rows)
+		if err := q.visit(ctx, sel, nil, 0, rows, false); err != nil {
+			return nil, 0, 0, err
 		}
-	})
-	if err != nil {
-		return nil, 0, 0, err
+		sp.AttrInt("rows_visited", int64(rows))
 	}
-	rejected = q.outside
-	for _, sel := range sels {
-		admitted += sel.admitted
-		rejected += sel.rejected
-	}
-	if workers == 1 {
-		return sels[0].heap.sorted(), admitted, rejected, nil
-	}
-	heaps := make([][]WhitespaceProspect, workers)
-	for w, sel := range sels {
-		heaps[w] = sel.heap.m
-	}
-	return MergeTopK(heaps, q.k, ProspectBetter), admitted, rejected, nil
-}
-
-// runTask offers task t — ids[lo:hi], or the scan's positions lo..hi-1 — to
-// sel through visit, as a par.shard span when spans is set.
-func (q *scan) runTask(ctx context.Context, sel *selection, t int, ids []int64, lo, hi int, spans, foreign bool) error {
-	var tsp *trace.Span
-	if spans {
-		_, tsp = trace.Start(ctx, "par.shard")
-		tsp.AttrInt("shard", int64(t))
-		tsp.AttrInt("lo", int64(lo))
-		tsp.AttrInt("hi", int64(hi))
-	}
-	err := q.visit(ctx, sel, ids, lo, hi, foreign)
-	tsp.Error(err)
-	tsp.End()
-	return err
+	return sel.heap.sorted(), sel.admitted, sel.rejected, nil
 }
 
 // visit is the candidate loop. It offers candidates ids[lo:hi] — or, when ids
-// is nil, the scan's own positions lo..hi-1 (scan.rows) — to sel's
-// heap, as the worker's earlier tasks left it. foreign says ids may name
-// companies of other partitions (a pruner's cell on a partitioned index),
-// which are dropped; owned-list ranges need no such test. A context error ends
-// the scan at the next group of blocks; sel's tallies are then partial.
+// is nil, the scan's own positions lo..hi-1 (scan.rows) — to sel's heap, as
+// the scan's earlier visits left it. foreign says ids may name companies of
+// other partitions (a pruner's cell on a partitioned index), which are
+// dropped; owned-list ranges need no such test. A context error ends the scan
+// at the next look; sel's tallies are then partial.
 //
 // Each block goes through three stages: admit compacts the ids that are
 // candidates at all into cand, reject drops those a multiplication shows to
@@ -788,7 +693,7 @@ func (q *scan) visit(ctx context.Context, sel *selection, ids []int64, lo, hi in
 	}
 	var cand [scanBlock]int
 	for base := lo; base < hi; base += scanBlock {
-		if sel.blocks++; sel.blocks%ctxCheckBlocks == 0 {
+		if sel.blocks++; sel.blocks%ctxCheckBlocks == 1 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}

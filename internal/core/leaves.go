@@ -18,12 +18,15 @@ import (
 // bound first and stops at the first node its floor has passed (scan.search;
 // DESIGN §13 has the lemma). The index has one over all its owned ids, and
 // each equality column one per candidate list, held as one tree value whose
-// nodes are the lists' trees in turn (codeLists). 4 B per company and
-// (d+2)·8 B plus 12 B per node, about two nodes per leaf.
+// nodes are the lists' trees in turn (codeLists). Every node also has a zone,
+// the box of its rows' employees and revenue, so that a scan with a range
+// bound skips a node none of whose rows the bound admits. 4 B per company and
+// (d+2)·8 B plus 44 B per node, about two nodes per leaf.
 type tree struct {
 	rows  []uint32  // the ids leaf by leaf, ascending within a leaf
 	nodes []node    // each tree's in preorder from its root; empty when none is built
 	cones []float64 // node n's d+2 values from n·(d+2): c, cos θ, sin θ
+	zones []zone    // node n's box over the range-tested columns
 }
 
 // node n holds rows[lo:hi]. An inner node's children are nodes n+1 and
@@ -45,6 +48,9 @@ const (
 // 32 makes half the nodes of 16 (DESIGN §13 has the sweep).
 const leafRows = 32
 
+// buildChunk is about how many rows one task of a tree build's level holds.
+const buildChunk = 16 << 10
+
 // groupLeaves builds the cone trees over the owned ids (every id when the
 // index is not partitioned): the tree over all of them, and the trees over
 // each candidate list of the two equality columns, all three builds in one
@@ -65,7 +71,7 @@ func (ix *Index) groupLeaves() {
 	}
 	ix.tree, _ = b.grow(ix.owned, []uint32{0, uint32(m)})
 	for _, l := range []*codeLists{&ix.bySIC2, &ix.byCountry} {
-		l.tree, l.roots = b.grow(l.ids, l.start)
+		l.tree, l.roots = b.grow(l.rows, l.start)
 	}
 }
 
@@ -75,7 +81,8 @@ func (ix *Index) groupLeaves() {
 // rooted at: for a group of no ids, the next group's. Unit-normalised rows
 // are split at the median of their widest coordinate until a part holds at
 // most leafRows rows, and each part on the way is a node; all groups split in
-// one loop, a level at a time.
+// one loop, a level at a time. Each node's zone comes last: a leaf's from its
+// rows, an inner node's from its children's.
 //
 // It works on float32 copies of the unit rows, half the bytes to move; the
 // cones allow for their rounding (coneMargin). The copies move with their
@@ -166,6 +173,8 @@ func (b *leafBuild) grow(ids, start []uint32) (tree, []uint32) {
 		}
 	})
 	rows := make([]uint32, m)
+	zones := make([]zone, len(nodes))
+	cols := &b.ix.cols
 	forRows(len(level), func(i int) int { return size(level[i]) }, func(i int) {
 		nd := nodes[level[i]]
 		ps := b.pos[nd.lo:nd.hi]
@@ -173,8 +182,16 @@ func (b *leafBuild) grow(ids, start []uint32) (tree, []uint32) {
 		for x, p := range ps {
 			rows[int(nd.lo)+x] = uint32(id(p))
 		}
+		zones[level[i]] = cols.zoneOf(rows[nd.lo:nd.hi])
 	})
-	return tree{rows: rows, nodes: nodes, cones: cones}, roots
+	// Children follow their parent in preorder: backwards, every inner node
+	// comes after both of its children.
+	for n := len(nodes) - 1; n >= 0; n-- {
+		if r := nodes[n].right; r != 0 {
+			zones[n] = zones[n+1].union(zones[r])
+		}
+	}
+	return tree{rows: rows, nodes: nodes, cones: cones, zones: zones}, roots
 }
 
 // layout appends to nodes, in preorder, the nodes over rows lo..hi-1: a node
@@ -193,13 +210,13 @@ func layout(nodes []node, lo, hi uint32) []node {
 }
 
 // forRows runs fn(i) for every i in [0, n) on par's workers, in tasks of
-// consecutive items that hold about scanChunk rows between them, rows(i)
+// consecutive items that hold about buildChunk rows between them, rows(i)
 // each: every level of the tree holds all the rows, in one node at the root
 // and in thousands at the leaves.
 func forRows(n int, rows func(i int) int, fn func(i int)) {
 	starts := []int{0}
 	for i, r := 0, 0; i < n; i++ {
-		if r >= scanChunk {
+		if r >= buildChunk {
 			starts, r = append(starts, i), 0
 		}
 		r += rows(i)
@@ -509,18 +526,15 @@ func (f frontier) pop() (reach, frontier) {
 // over the scan's tree from its root: it pops the node with the best bound,
 // stops once that bound is strictly below sel's floor, visits a leaf into
 // sel, and bounds an inner node's two children, keeping those that reach the
-// floor. A node whose bound equals the
-// floor is still expanded: a row there may tie the floor and win on its id.
-// Equal bounds pop in node order, depth first. A leaf is one visit: ids
-// ascend within a leaf but not across leaves, and admit's test for the
-// scan's own ids relies on the first. It returns how many leaves and rows it
-// visited.
+// floor and whose zone meets the scan's range bounds. A node whose bound
+// equals the floor is still expanded: a row there may tie the floor and win on
+// its id. The floor rises only on rows the filter admits, since no other row
+// enters the heap. Equal bounds pop in node order, depth first. A leaf is one
+// visit: ids ascend within a leaf but not across leaves, and admit's test for
+// the scan's own ids relies on the first; visit looks at the context before
+// the first leaf and every ctxCheckBlocks leaves after. It returns how many
+// leaves and rows it visited.
 func (q *scan) search(ctx context.Context, sel *selection) (leaves, rows int, err error) {
-	// visit looks at the context every ctxCheckBlocks leaves; a search that
-	// visits fewer would otherwise never look at all.
-	if err := ctx.Err(); err != nil {
-		return 0, 0, err
-	}
 	t := q.tree
 	front := make(frontier, 0, 128).push(reach{q.bound(q.root), q.root})
 	for len(front) > 0 {
@@ -540,6 +554,9 @@ func (q *scan) search(ctx context.Context, sel *selection) (leaves, rows int, er
 			continue
 		}
 		for _, kid := range [2]uint32{r.node + 1, n.right} {
+			if !q.filter.meets(&t.zones[kid]) {
+				continue
+			}
 			if b := q.bound(kid); b >= floor {
 				front = front.push(reach{b, kid})
 			}

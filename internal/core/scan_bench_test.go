@@ -6,38 +6,39 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
-	"repro/internal/par"
 )
 
 // BenchmarkScan is the layer benchmark of the candidate loop at the serving
 // benchmark's shape (100k companies, 4 topics): compare two commits with
 // benchstat in seconds, without the end-to-end harness. Each case reports ns
-// per candidate row the scan has to consider.
+// per candidate row the scan has to consider. Every scan runs on the calling
+// goroutine, whatever the worker count.
 //
-// The w1 cases run on one worker and are the ones to compare kernels with:
-// on a lent two-core host the two-worker rows swing by a factor of two on
-// identical code. Every unfiltered exact case searches the index's cone tree
-// best bound first and stops where no node can beat its floor, so on these
-// rows, topic-mixture-like, it reads a fraction of a percent of them on the
-// calling goroutine. A tree scan never fans out, so its two-worker row and
-// its w1 row run the same code. whitespace64 is the many-client white-space,
-// 64 query vectors whose floor rises slowly, so the search reads thousands of
-// rows. unpruned is the worst case, every row a scaled copy of one direction,
-// where no node can be skipped: the search reads every row, leaf by leaf, on
-// one core. d3 and d8 are a width the floor test unrolls and one it does
-// not; anncells and anncells20k are pruned scans on either side of
-// minFanoutRows, which differ in nothing but the number of workers that take
-// their cells. whitespace4cells is the white-space query under that pruner:
-// four clients' eight cells each come to 32 at most, the 20k-row pool again,
-// now with four dot products a row for the carried floor to save.
+// Every exact case searches a cone tree best bound first and stops where no
+// node can beat its floor, so on these rows, topic-mixture-like, an unfiltered
+// top-k reads a fraction of a percent of them. whitespace64 is the many-client
+// white-space, 64 query vectors whose floor rises slowly, so the search reads
+// thousands of rows. unpruned is the worst case of the cones, every row a
+// scaled copy of one direction, where no node can be skipped: the search reads
+// every row, leaf by leaf. d3 and d8 are a width the floor test unrolls and
+// one it does not; anncells and anncells20k are pruned scans of 5 % and 20 %
+// of the rows, visited cell by cell. whitespace4cells is the white-space query
+// under the larger pruner: four clients' eight cells each come to 32 at most,
+// the 20k-row pool again, now with four dot products a row for the carried
+// floor to save.
 //
 // filtered (Country, a tenth of the rows), sic2 (SIC2, an eighth) and
 // country76 (one country holding 76 % of the rows, the shape of the serving
 // benchmark's US) name one equality field and nothing else, so each searches
 // its candidate list's cone tree as exact does the index's; ns/row still
-// divides by every row. Streamed, country76's list was over minFanoutRows and
-// fanned out. range (MinEmployees, half the rows) names no equality field, so
-// neither a list nor a tree applies: it tests every row, in tasks.
+// divides by every row. two names both (Country and SIC2, about 1 % of the
+// rows) and searches the shorter list's tree, testing the other field row by
+// row. The range cases name no equality field: they search the index's tree,
+// test the bound row by row and skip the nodes whose zone it refuses. range
+// admits half the rows (MinEmployees 2500), range1pct 1 % (4950), rare the
+// ~0.02 % at the top of the range (5000), which the zones find, and raremid
+// ~0.02 % in its middle (Min = Max = 2500), which no zone can isolate: the
+// search reads leaves until it has found k admitted rows.
 //
 //	go test ./internal/core/ -run '^$' -bench BenchmarkScan -count 10
 func BenchmarkScan(b *testing.B) {
@@ -76,12 +77,17 @@ func BenchmarkScan(b *testing.B) {
 		b.Fatal(err)
 	}
 	pruned.SetPruner(newCellPruner(n, 160, 8))     // 5% of the rows, ann-closed's share
-	pruned20k.SetPruner(newCellPruner(n, 160, 32)) // 20k rows: a pool that fans out
-	defer par.SetWorkers(0)
+	pruned20k.SetPruner(newCellPruner(n, 160, 32)) // 20k rows
 
 	topK := func(ix *Index) func(i int) error {
 		return func(i int) error {
 			_, err := ix.TopK(i%n, k, Filter{})
+			return err
+		}
+	}
+	filtered := func(f Filter) func(i int) error {
+		return func(i int) error {
+			_, err := exact.TopK(i%n, k, f)
 			return err
 		}
 	}
@@ -100,45 +106,34 @@ func BenchmarkScan(b *testing.B) {
 		return err
 	}
 	cases := []struct {
-		name    string
-		workers int
-		rows    int
-		run     func(i int) error
+		name string
+		rows int
+		run  func(i int) error
 	}{
-		{"exact", 2, n, topK(exact)},
-		{"filtered", 2, n, func(i int) error {
-			_, err := exact.TopK(i%n, k, Filter{Country: "C3"})
-			return err
-		}},
-		{"sic2", 2, n, func(i int) error {
-			_, err := exact.TopK(i%n, k, Filter{SIC2: 70})
-			return err
-		}},
-		{"country76", 2, n, func(i int) error {
+		{"exact", n, topK(exact)},
+		{"filtered", n, filtered(Filter{Country: "C3"})},
+		{"sic2", n, filtered(Filter{SIC2: 70})},
+		{"country76", n, func(i int) error {
 			_, err := country76.TopK(i%n, k, Filter{Country: "US"})
 			return err
 		}},
-		{"range", 2, n, func(i int) error {
-			_, err := exact.TopK(i%n, k, Filter{MinEmployees: 2500})
-			return err
-		}},
-		{"unpruned", 2, n, topK(unpruned)},
-		{"shard1of2", 2, shard.OwnedCompanies(), topK(&shard)},
-		{"whitespace4", 2, n, whitespace4(exact)},
-		{"whitespace64", 2, n, whitespace64},
-		{"anncells", 2, n / 20, topK(&pruned)},
-		{"anncells20k", 2, n / 5, topK(&pruned20k)},
-		{"whitespace4cells", 2, n / 5, whitespace4(&pruned20k)},
-		{"exact/w1", 1, n, topK(exact)},
-		{"unpruned/w1", 1, n, topK(unpruned)},
-		{"whitespace4/w1", 1, n, whitespace4(exact)},
-		{"whitespace64/w1", 1, n, whitespace64},
-		{"d3/w1", 1, n, topK(build(3))},
-		{"d8/w1", 1, n, topK(build(8))},
+		{"two", n, filtered(Filter{Country: "C3", SIC2: 70})},
+		{"range", n, filtered(Filter{MinEmployees: 2500})},
+		{"range1pct", n, filtered(Filter{MinEmployees: 4950})},
+		{"rare", n, filtered(Filter{MinEmployees: 5000})},
+		{"raremid", n, filtered(Filter{MinEmployees: 2500, MaxEmployees: 2500})},
+		{"unpruned", n, topK(unpruned)},
+		{"shard1of2", shard.OwnedCompanies(), topK(&shard)},
+		{"whitespace4", n, whitespace4(exact)},
+		{"whitespace64", n, whitespace64},
+		{"anncells", n / 20, topK(&pruned)},
+		{"anncells20k", n / 5, topK(&pruned20k)},
+		{"whitespace4cells", n / 5, whitespace4(&pruned20k)},
+		{"d3", n, topK(build(3))},
+		{"d8", n, topK(build(8))},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
-			par.SetWorkers(tc.workers)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if err := tc.run(i * 7919); err != nil {

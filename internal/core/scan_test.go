@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -104,12 +103,15 @@ func TestOwnedCompaniesMatchesWalk(t *testing.T) {
 // four corpus.Company fields — to the structs they were copied from: for
 // every company of a generated corpus and every filter of the table, the
 // column test and Filter.Admits agree. It pins the candidate lists built from
-// the two equality columns the same way, unpartitioned and as each third of
-// three: each list ascends and holds only ids of its code, the lists of a
-// column hold every owned id once, and the rows an exact scan walks (a list,
-// or every owned row) and admits are exactly the owned rows Filter.Admits
-// admits, the others counted filtered. Going back to one partition restores
-// the lists NewIndex built.
+// the two equality columns the same way, on an index with trees and on one
+// with none (a row's norm is out of the floor test's range), unpartitioned and
+// as each third of three: each list holds only ids of its code, ascending when
+// no tree is built, and the lists of a column hold every owned id once; the
+// rows an exact scan may visit (a list's tree, a list, or every owned row) are
+// owned, each once, and those it admits are exactly the owned rows
+// Filter.Admits admits, for a query vector a tree covers and for the zero
+// vector, which none does. Going back to one partition restores the lists
+// NewIndex built.
 func TestFilterColumnsMatchAdmits(t *testing.T) {
 	gen, err := datagen.NewGenerator(datagen.DefaultConfig(1500, 7))
 	if err != nil {
@@ -162,89 +164,111 @@ func TestFilterColumnsMatchAdmits(t *testing.T) {
 		t.Logf("%-70s admits %d of %d", f.Key(), admitted, c.N())
 	}
 
-	full, err := NewIndex(c, mat.New(c.N(), 2), Cosine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, parts := range []int{1, 3} {
-		for part := 0; part < parts; part++ {
-			ix := *full
-			if err := ix.SetPartition(part, parts); err != nil {
-				t.Fatal(err)
-			}
-			owned := func(i int) bool { return PartitionOf(i, parts) == part }
-			for _, col := range []struct {
-				name  string
-				lists codeLists
-				codes []uint32
-			}{{"sic2", ix.bySIC2, cols.sic2}, {"country", ix.byCountry, cols.country}} {
-				listed := make([]bool, c.N())
-				for code := range len(col.lists.start) - 1 {
-					list := col.lists.of(uint32(code))
-					for j, id := range list {
-						if j > 0 && list[j-1] >= id {
-							t.Fatalf("part %d/%d: %s list of code %d does not ascend at %d: %v", part, parts, col.name, code, j, list)
+	wild := mat.New(c.N(), 2)
+	wild.Row(7)[0] = 0x1p+600
+	for _, reps := range []*mat.Matrix{mat.New(c.N(), 2), wild} {
+		full, err := NewIndex(c, reps, Cosine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees := reps != wild
+		if got := len(full.tree.nodes) > 0; got != trees {
+			t.Fatalf("the index builds trees: %v, want %v", got, trees)
+		}
+		for _, parts := range []int{1, 3} {
+			for part := 0; part < parts; part++ {
+				ix := *full
+				if err := ix.SetPartition(part, parts); err != nil {
+					t.Fatal(err)
+				}
+				owned := func(i int) bool { return PartitionOf(i, parts) == part }
+				for _, col := range []struct {
+					name  string
+					lists codeLists
+					codes []uint32
+				}{{"sic2", ix.bySIC2, cols.sic2}, {"country", ix.byCountry, cols.country}} {
+					held := make([]bool, c.N())
+					for code := range len(col.lists.start) - 1 {
+						list := col.lists.of(uint32(code))
+						if !trees && !slices.IsSorted(list) {
+							t.Fatalf("part %d/%d: %s list of code %d does not ascend on an index with no tree: %v", part, parts, col.name, code, list)
 						}
-						if col.codes[id] != uint32(code) || !owned(int(id)) || listed[id] {
-							t.Fatalf("part %d/%d: %s list of code %d holds id %d (code %d, owned %v, listed before %v)",
-								part, parts, col.name, code, id, col.codes[id], owned(int(id)), listed[id])
+						for _, id := range list {
+							if col.codes[id] != uint32(code) || !owned(int(id)) || held[id] {
+								t.Fatalf("part %d/%d: %s list of code %d holds id %d (code %d, owned %v, listed before %v)",
+									part, parts, col.name, code, id, col.codes[id], owned(int(id)), held[id])
+							}
+							held[id] = true
 						}
-						listed[id] = true
+					}
+					for i, ok := range held {
+						if ok != owned(i) {
+							t.Fatalf("part %d/%d: %s lists hold id %d: %v, it is owned: %v", part, parts, col.name, i, ok, owned(i))
+						}
 					}
 				}
-				for i, ok := range listed {
-					if ok != owned(i) {
-						t.Fatalf("part %d/%d: %s lists hold id %d: %v, it is owned: %v", part, parts, col.name, i, ok, owned(i))
+				for _, f := range filters {
+					for _, qv := range [][]float64{{1, 2}, {0, 0}} {
+						q := ix.newScan(1, f, [][]float64{qv}, []int{-1})
+						walked := listed(q)
+						// Only an empty list has no tree to search.
+						if q.leaves != (trees && qv[0] != 0 && len(walked) > 0) {
+							t.Fatalf("part %d/%d filter %s query %v: the scan searches a tree: %v", part, parts, f.Key(), qv, q.leaves)
+						}
+						var got, want []int
+						seen := make([]bool, c.N())
+						for _, id := range walked {
+							if !owned(int(id)) || seen[id] {
+								t.Fatalf("part %d/%d filter %s query %v: the scan may visit id %d, owned %v, listed before %v",
+									part, parts, f.Key(), qv, id, owned(int(id)), seen[id])
+							}
+							seen[id] = true
+							if !q.filtered || q.filter.admits(int(id)) {
+								got = append(got, int(id))
+							}
+						}
+						slices.Sort(got)
+						for i := range c.Companies {
+							if owned(i) && f.Admits(&c.Companies[i]) {
+								want = append(want, i)
+							}
+						}
+						if !slices.Equal(got, want) {
+							t.Fatalf("part %d/%d filter %s query %v: the scan admits %d rows, Filter.Admits %d: %v, want %v",
+								part, parts, f.Key(), qv, len(got), len(want), got, want)
+						}
 					}
-				}
-			}
-			for _, f := range filters {
-				q := ix.newScan(1, f, [][]float64{ix.Reps.Row(0)}, []int{-1})
-				walked := len(q.rows)
-				if q.rows == nil {
-					walked = c.N()
-				}
-				var got, want []int
-				for p := range walked {
-					i := p
-					if q.rows != nil {
-						i = int(q.rows[p])
-					}
-					if !q.filtered || q.filter.admits(i) {
-						got = append(got, i)
-					}
-				}
-				var refused int
-				for i := range c.Companies {
-					switch {
-					case !owned(i):
-					case f.Admits(&c.Companies[i]):
-						want = append(want, i)
-					default:
-						refused++
-					}
-				}
-				if !slices.Equal(got, want) {
-					t.Fatalf("part %d/%d filter %s: the scan admits %d rows, Filter.Admits %d: %v, want %v",
-						part, parts, f.Key(), len(got), len(want), got, want)
-				}
-				if filtered := walked - len(got) + int(q.outside); filtered != refused {
-					t.Fatalf("part %d/%d filter %s: %d rows counted filtered, Filter.Admits refuses %d",
-						part, parts, f.Key(), filtered, refused)
 				}
 			}
 		}
+		ix := *full
+		if err := ix.SetPartition(1, 3); err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.SetPartition(0, 1); err != nil {
+			t.Fatal(err)
+		}
+		if ix.owned != nil || !reflect.DeepEqual(ix.bySIC2, full.bySIC2) || !reflect.DeepEqual(ix.byCountry, full.byCountry) {
+			t.Fatal("SetPartition(0, 1) after SetPartition(1, 3) does not restore the lists NewIndex built")
+		}
 	}
-	ix := *full
-	if err := ix.SetPartition(1, 3); err != nil {
-		t.Fatal(err)
+}
+
+// listed returns the ids an exact scan may visit, in its order: the rows
+// under its tree's root, its list, or every id.
+func listed(q *scan) []uint32 {
+	switch {
+	case q.leaves:
+		root := q.tree.nodes[q.root]
+		return q.tree.rows[root.lo:root.hi]
+	case q.rows != nil:
+		return q.rows
 	}
-	if err := ix.SetPartition(0, 1); err != nil {
-		t.Fatal(err)
+	all := make([]uint32, q.ix.Corpus.N())
+	for i := range all {
+		all[i] = uint32(i)
 	}
-	if ix.owned != nil || !reflect.DeepEqual(ix.bySIC2, full.bySIC2) || !reflect.DeepEqual(ix.byCountry, full.byCountry) {
-		t.Fatal("SetPartition(0, 1) after SetPartition(1, 3) does not restore the lists NewIndex built")
-	}
+	return all
 }
 
 // TestNormColumnOverMappedReps builds one index over heap representations
@@ -307,13 +331,13 @@ func TestNormColumnOverMappedReps(t *testing.T) {
 // (nonzero, yet their norm is zero too), ±0 and negative components. wild
 // adds rows whose norms are finite but outside the range the floor test is
 // proved for, so that an index over them must scan without it. The anchors lie
-// among the first scanChunk-1 rows: every prefix a test scans holds them all.
+// among the first largeChunk-1 rows: every prefix a test scans holds them all.
 func diffFixture(n, d int, seed int64, wild bool) (*corpus.Corpus, *mat.Matrix, []int) {
 	c, reps := scanFixture(n, d, seed)
 	g := rng.New(seed + 1)
 	anchors := make([]int, 6)
 	for a := range anchors {
-		anchors[a] = g.Intn(min(n, scanChunk-1))
+		anchors[a] = g.Intn(min(n, largeChunk-1))
 	}
 	isAnchor := func(i int) bool { return slices.Contains(anchors, i) }
 	scales := []float64{0.5, 3, 1.0 / 3, 7, 1 + 0x1p-52, 0x1p+300, 0x1p-300, 0x1p+150}
@@ -432,12 +456,17 @@ func drawFilter(g *rng.RNG, c *corpus.Corpus) Filter {
 	return f
 }
 
-// plantBoundaries puts relatives of the anchors either side of every task
-// boundary of an exact scan, so that an anchor query's floor is tied across
-// it: at owned positions b-1 and b, for b one and two scanChunks, a copy of an
-// anchor; at b-2 and b+1 its math.Nextafter neighbours. The positions are
-// resolved for each view the test scans the fixture through — unpartitioned
-// and either half of two — one anchor per boundary.
+// largeChunk is the unit of TestScanDifferential's large fixtures, as many
+// rows as a scan goes through between two looks at its context: their prefixes
+// own about one, two or three of it.
+const largeChunk = scanBlock * ctxCheckBlocks
+
+// plantBoundaries puts relatives of the anchors either side of the owned
+// positions one and two largeChunks in, so that an anchor query's floor is tied
+// across rows far apart: at owned positions b-1 and b a copy of an anchor; at
+// b-2 and b+1 its math.Nextafter neighbours. The positions are resolved for
+// each view the test scans the fixture through — unpartitioned and either
+// half of two — one anchor per boundary.
 func plantBoundaries(reps *mat.Matrix, anchors []int) {
 	views := make([][]int, 3) // every id, the ids of 0/2, the ids of 1/2
 	for i := 0; i < reps.Rows; i++ {
@@ -446,7 +475,7 @@ func plantBoundaries(reps *mat.Matrix, anchors []int) {
 	}
 	site := 0
 	for _, owned := range views {
-		for _, b := range []int{scanChunk, 2 * scanChunk} {
+		for _, b := range []int{largeChunk, 2 * largeChunk} {
 			anchor := reps.Row(anchors[site%len(anchors)])
 			site++
 			for j, ulps := range []int{-1, 0, 0, 1} {
@@ -565,39 +594,44 @@ func cellsAround(g *rng.RNG, n, k int, top []int, where int) *cellPruner {
 	return &cellPruner{cells: cells, probe: len(cells)}
 }
 
-// TestScanDifferential is the seeded differential test of the one scan driver
-// and its candidate loop: over drawn (dimension, size, partition, pruner,
-// filter, k, query) tuples, at one, two and four workers, TopK /
-// TopKByVectorContext / Whitespace must equal a naive reference —
-// mat.CosineSim over Filter.Admits survivors, fully sorted — bit for bit, and the top-k
-// candidate counters must move by exactly what the reference counted.
-// Dimensions 1 to 9 cover the widths the floor test unrolls and the ones it
-// loops over; k reaches from 1 past the block size to more than there are
-// rows.
+// TestScanDifferential is the seeded differential test of the scan driver and
+// its candidate loop: over drawn (dimension, size, partition, pruner, filter,
+// k, query) tuples, at one, two and four workers, TopK / TopKByVectorContext /
+// Whitespace must equal a naive reference — mat.CosineSim over Filter.Admits
+// survivors, fully sorted — bit for bit. The top-k candidate counters count the
+// rows admit tested: a search's admitted is at least the matches it returns and
+// at most the reference's, and its admitted plus filtered is the core.topk
+// span's rows_visited less the query's own id when the search reached it; a
+// scan that visits its whole list (no tree, or a query vector no cone covers)
+// admits what the reference does, and a full-probe pruned scan tallies
+// exactly what the reference counted. Dimensions 1 to 9 cover the widths the
+// floor test unrolls and the ones it loops over; k reaches from 1 past the
+// block size to more than there are rows.
 //
-// Most rounds scan a fixture of some 3000 rows: one task when exact, and under
-// a pruner as many as it has cells, all offered to one selection. The pruner
-// has seven even cells or is laid out around the round's own answer
-// (cellsAround). An unfiltered exact cosine scan visits the index's leaves
-// instead, searching its cone tree best bound first; one round in four of
-// those over a small fixture is such a scan of one that holds more exact
-// copies of an anchor than a leaf holds, querying that anchor, so that the
-// k-th place is tied across leaves (plantCopies). Every other such round is
-// the deep-tree arm: a fixture of 5·leafRows+7 rows, a tree four levels deep,
-// more than half of whose rows are those copies, so that the tie straddles
-// the root's two subtrees. The third of them is the unprunable arm: a fixture
-// of 2·minFanoutRows+77 rows no cone can prune (flatten), whose search reads
-// leaf after leaf; it queries ids past the first quarter of the tree's rows —
-// the least or greatest of them, which lie outside the ends of a block that
-// spans leaves, or any — and a traced call shows that the search read at least
-// half the rows. One round in five scans
-// a prefix of a large fixture that owns scanChunk-1 rows (one task, below
-// minFanoutRows), scanChunk or scanChunk+1 (the rule's other side; one task
-// and a one-row second), or two chunks and a ragged third, unpartitioned or as
-// half of two, with tied rows planted across the task boundaries
+// Most rounds scan a fixture of some 3000 rows. An exact scan searches a cone
+// tree best bound first — the index's, or that of the list of the filter's
+// shorter equality field — whatever the filter, leaving the rest of it to the
+// row-by-row test and the nodes' zones; over a wild fixture, which has no
+// tree, or for the zero query vector, it visits its rows in one pass. Under a
+// pruner it visits every cell, all offered to one selection; the pruner has
+// seven even cells or is laid out around the round's own answer
+// (cellsAround). One round in four of the unfiltered exact ones over a small
+// fixture is a scan of one that holds more exact copies of an anchor than a
+// leaf holds, querying that anchor, so that the k-th place is tied across
+// leaves (plantCopies). Every other such round is the deep-tree arm: a fixture
+// of 5·leafRows+7 rows, a tree four levels deep, more than half of whose rows
+// are those copies, so that the tie straddles the root's two subtrees. The
+// third of them is the unprunable arm: a fixture of 2·largeChunk+77 rows no
+// cone can prune (flatten), whose search reads leaf after leaf; it queries ids
+// past the first quarter of the tree's rows — the least or greatest of them,
+// which lie outside the ends of a block that spans leaves, or any — and a
+// traced call shows that the search read at least half the rows. One round in
+// five scans a prefix of a large fixture that owns largeChunk-1, largeChunk or
+// largeChunk+1 rows, or two chunks and a ragged third, unpartitioned or as
+// half of two, with tied rows planted at the chunk boundaries
 // (plantBoundaries). A few rounds scan a partition that owns no row at all.
-// Drawn filters of one equality field search that list's tree; the list arm
-// (testListTrees) plants ties inside the lists.
+// The list arm (testListTrees) plants ties inside the lists and inside a range
+// bound.
 func TestScanDifferential(t *testing.T) {
 	const rounds = 600
 	g := rng.New(4242)
@@ -608,7 +642,7 @@ func TestScanDifferential(t *testing.T) {
 		reps    *mat.Matrix
 		anchors []int
 	}
-	largeOwned := []int{scanChunk - 1, scanChunk, scanChunk + 1, 2*scanChunk + 3*scanBlock - 19}
+	largeOwned := []int{largeChunk - 1, largeChunk, largeChunk + 1, 2*largeChunk + 3*scanBlock - 19}
 	fixtures := make(map[string]fixture)
 	indexes := make(map[string]*Index)
 	// index returns the index of a round and the fixture it is over. owned is
@@ -627,7 +661,7 @@ func TestScanDifferential(t *testing.T) {
 			case deep:
 				n = 5*leafRows + 7
 			case unprunable:
-				n = 2*minFanoutRows + 77
+				n = 2*largeChunk + 77
 			}
 			fx.c, fx.reps, fx.anchors = diffFixture(n, d, int64(42+d), wild)
 			switch {
@@ -855,22 +889,14 @@ func TestScanDifferential(t *testing.T) {
 			top[r] = want[r].CompanyID
 		}
 		ix = prune(top)
+		q := ix.newScan(k, f, [][]float64{query}, []int{exclude})
+		own := ownOnList(q, exclude)
 		for _, workers := range []int{1, 2, 4} {
 			par.SetWorkers(workers)
-			admitted0, rejected0 := topkAdmitted.Value(), topkFiltered.Value()
-			var got []Match
-			var err error
-			if exclude >= 0 {
-				got, err = ix.TopK(exclude, k, f)
-			} else {
-				got, err = ix.TopKByVectorContext(context.Background(), query, k, f)
-			}
-			if err != nil {
-				t.Fatalf("%s exclude=%d: %v", desc, exclude, err)
-			}
-			if da, dr := topkAdmitted.Value()-admitted0, topkFiltered.Value()-rejected0; da != admitted || dr != rejected {
-				t.Fatalf("%s exclude=%d workers=%d: counters moved by admitted=%d filtered=%d, reference counted %d and %d",
-					desc, exclude, workers, da, dr, admitted, rejected)
+			got, da, dr, visited := tracedTopK(t, desc, ix, exclude, query, k, f)
+			if !talliesHold(q, len(got), da, dr, visited, own, admitted, rejected) {
+				t.Fatalf("%s exclude=%d workers=%d search=%v: counters moved by admitted=%d filtered=%d over %d rows visited (own id listed: %d); the reference admitted %d and refused %d",
+					desc, exclude, workers, q.leaves, da, dr, visited, own, admitted, rejected)
 			}
 			if len(got) != len(want) {
 				t.Fatalf("%s exclude=%d query=%v workers=%d: %d matches, want %d", desc, exclude, query, workers, len(got), len(want))
@@ -899,11 +925,12 @@ func TestScanDifferential(t *testing.T) {
 // sides of its root, and a query at the anchor ties its k-th place across
 // them. Unpartitioned and as each part of two and of three, at one, two and
 // four workers, a top-k by the anchor (off the list), by a copy (on it) and
-// by the anchor's vector, and a white-space query from both, filtered by the
-// list's field, must equal the reference bit for bit and move the candidate
-// counters by what it counted; and so must the same query with a range bound
-// that refuses nothing, which streams the list instead of searching its
-// tree.
+// by the anchor's vector, and a white-space query from both, must equal the
+// reference bit for bit and move the candidate counters as talliesHold says,
+// filtered by the list's field alone, with a range bound that refuses nothing,
+// and with one at the median employees of the list's copies, which admits
+// about half of the tied copies and leaves the other half to the row-by-row
+// test and the nodes' zones. Each of them searches the list's tree.
 func testListTrees(t *testing.T) {
 	defer par.SetWorkers(0)
 	for _, d := range []int{2, 4, 9} {
@@ -947,29 +974,34 @@ func testListTrees(t *testing.T) {
 					if root.right == 0 || !copies(q.root+1) || !copies(root.right) {
 						t.Fatalf("%s: the list's tree %+v does not hold copies of the anchor on both sides of its root", desc, root)
 					}
-					onList := q.tree.rows[root.lo+uint32(slices.IndexFunc(q.tree.rows[root.lo:root.hi], isCopy))]
-					stream := lf
-					stream.MinEmployees = math.MinInt // refuses nothing, yet a list no longer answers the filter
-					for _, k := range []int{1, 25, 400} {
-						for _, exclude := range []int{a, int(onList), -1} {
-							want, admitted, rejected := referenceTopK(c, reps, owns, lf, reps.Row(a), exclude, k)
-							for _, f := range []Filter{lf, stream} {
+					list := q.tree.rows[root.lo:root.hi]
+					onList := list[slices.IndexFunc(list, isCopy)]
+					var employees []int
+					for _, id := range list {
+						if isCopy(id) {
+							employees = append(employees, c.Companies[id].Employees)
+						}
+					}
+					slices.Sort(employees)
+					open, ranged := lf, lf
+					open.MinEmployees = math.MinInt // refuses nothing, yet the list no longer answers the filter
+					ranged.MinEmployees = employees[len(employees)/2]
+					for _, f := range []Filter{lf, open, ranged} {
+						if q := ix.newScan(1, f, [][]float64{reps.Row(a)}, []int{a}); !q.leaves || q.tree != &ix.bySIC2.tree && q.tree != &ix.byCountry.tree {
+							t.Fatalf("%s as %s: the scan does not search the list's tree", desc, f.Key())
+						}
+						for _, k := range []int{1, 25, 400} {
+							for _, exclude := range []int{a, int(onList), -1} {
+								want, admitted, rejected := referenceTopK(c, reps, owns, f, reps.Row(a), exclude, k)
+								q := ix.newScan(k, f, [][]float64{reps.Row(a)}, []int{exclude})
+								own := ownOnList(q, exclude)
 								for _, workers := range []int{1, 2, 4} {
 									par.SetWorkers(workers)
-									admitted0, rejected0 := topkAdmitted.Value(), topkFiltered.Value()
-									var got []Match
-									var err error
-									if exclude >= 0 {
-										got, err = ix.TopK(exclude, k, f)
-									} else {
-										got, err = ix.TopKByVectorContext(context.Background(), reps.Row(a), k, f)
-									}
-									if err != nil {
-										t.Fatal(err)
-									}
+									got, da, dr, visited := tracedTopK(t, desc, ix, exclude, reps.Row(a), k, f)
 									what := fmt.Sprintf("%s k=%d exclude=%d as %s workers=%d", desc, k, exclude, f.Key(), workers)
-									if da, dr := topkAdmitted.Value()-admitted0, topkFiltered.Value()-rejected0; da != admitted || dr != rejected {
-										t.Fatalf("%s: counters moved by admitted=%d filtered=%d, reference counted %d and %d", what, da, dr, admitted, rejected)
+									if !talliesHold(q, len(got), da, dr, visited, own, admitted, rejected) {
+										t.Fatalf("%s: counters moved by admitted=%d filtered=%d over %d rows visited (own id listed: %d); the reference admitted %d and refused %d",
+											what, da, dr, visited, own, admitted, rejected)
 									}
 									if !slices.EqualFunc(got, want, func(x, y Match) bool {
 										return x.CompanyID == y.CompanyID && math.Float64bits(x.Similarity) == math.Float64bits(y.Similarity)
@@ -978,10 +1010,8 @@ func testListTrees(t *testing.T) {
 									}
 								}
 							}
-						}
-						clients := []int{a, int(onList), anchors[1]}
-						want := referenceWhitespace(c, reps, owns, lf, clients, k)
-						for _, f := range []Filter{lf, stream} {
+							clients := []int{a, int(onList), anchors[1]}
+							want := referenceWhitespace(c, reps, owns, f, clients, k)
 							for _, workers := range []int{1, 2, 4} {
 								par.SetWorkers(workers)
 								got, err := ix.Whitespace(clients, k, f)
@@ -1001,6 +1031,54 @@ func testListTrees(t *testing.T) {
 			}
 		}
 	}
+}
+
+// tracedTopK runs a top-k through ix under a trace — by id, or by query when
+// exclude is -1 — and returns its matches, how far it moved the candidate
+// counters, and the rows_visited of its core.topk span.
+func tracedTopK(t *testing.T, desc string, ix *Index, exclude int, query []float64, k int, f Filter) (got []Match, admitted, filtered, visited uint64) {
+	t.Helper()
+	admitted0, filtered0 := topkAdmitted.Value(), topkFiltered.Value()
+	attrs := spanAttrs(t, "core.topk", func(ctx context.Context) (err error) {
+		if exclude >= 0 {
+			got, err = ix.TopKContext(ctx, exclude, k, f)
+		} else {
+			got, err = ix.TopKByVectorContext(ctx, query, k, f)
+		}
+		if err != nil {
+			return fmt.Errorf("%s exclude=%d k=%d filter %s: %w", desc, exclude, k, f.Key(), err)
+		}
+		return nil
+	})
+	visited, _ = strconv.ParseUint(attrs["rows_visited"], 10, 64)
+	return got, topkAdmitted.Value() - admitted0, topkFiltered.Value() - filtered0, visited
+}
+
+// ownOnList is 1 when the query's own id, exclude, is a row exact scan q may
+// visit — one admit skips without counting it either way — and 0 otherwise.
+func ownOnList(q *scan, exclude int) uint64 {
+	if q.ix.pruner == nil && exclude >= 0 && slices.Contains(listed(q), uint32(exclude)) {
+		return 1
+	}
+	return 0
+}
+
+// talliesHold is the candidate counters' contract for top-k scan q, which
+// returned got matches and moved the counters by admitted and filtered over
+// visited rows (its span's rows_visited), own of them its own id (ownOnList):
+// they count the rows admit tested. A search admits at least what it returns
+// and at most what the reference admitted, and what it tested is what it
+// visited less its own id if it reached it; a scan of its whole list admits
+// what the reference admitted; a full-probe pruned scan tallies exactly what
+// the reference counted.
+func talliesHold(q *scan, got int, admitted, filtered, visited, own, refAdmitted, refRejected uint64) bool {
+	switch {
+	case q.ix.pruner != nil:
+		return admitted == refAdmitted && filtered == refRejected
+	case q.leaves:
+		return admitted >= uint64(got) && admitted <= refAdmitted && admitted+filtered <= visited && admitted+filtered+own >= visited
+	}
+	return admitted == refAdmitted && admitted+filtered+own == visited
 }
 
 // referenceTopK is the differential tests' naive top-k: mat.CosineSim over
@@ -1181,6 +1259,79 @@ func FuzzConeBound(f *testing.F) {
 	})
 }
 
+// FuzzZoneBound aims at the one way a zone map can be wrong — a node the
+// search skips for a range bound although one of its rows passes the filter.
+// From fuzzed bits it builds companies, 12 bytes of raw each, little-endian:
+// employees (an int32) and revenue (float64 bits, NaN and infinities among
+// them); their rows fall in seven directions, so that over more than leafRows
+// companies the trees have inner nodes. The filter is two employee and two
+// revenue bounds. For every node of every tree the index builds — over all
+// rows, and over each SIC2 and country list — that the zone test refuses, no
+// row passes Filter.Admits.
+func FuzzZoneBound(f *testing.F) {
+	cat := corpus.DefaultCatalog()
+	rows := func(n int, emp func(i int) int32, rev func(i int) float64) []byte {
+		raw := make([]byte, 12*n)
+		for i := 0; i < n; i++ {
+			binary.LittleEndian.PutUint32(raw[12*i:], uint32(emp(i)))
+			binary.LittleEndian.PutUint64(raw[12*i+4:], math.Float64bits(rev(i)))
+		}
+		return raw
+	}
+	one := rows(1, func(int) int32 { return 100 }, func(int) float64 { return 5 })
+	f.Add(one, 100, 0, 0.0, 0.0) // each bound on the one row's value
+	f.Add(one, 0, 100, 0.0, 0.0)
+	f.Add(one, 0, 0, 5.0, 0.0)
+	f.Add(one, 0, 0, 0.0, 5.0)
+	f.Add(one, 0, 0, math.NaN(), 0.0)
+	nan := rows(3*leafRows, func(i int) int32 { return int32(i % 7 * 10) }, func(i int) float64 {
+		if i%11 == 0 {
+			return math.NaN()
+		}
+		return float64(i % 7)
+	})
+	f.Add(nan, 0, 0, 6.0, 0.0) // a NaN revenue passes every revenue bound
+	f.Add(nan, 0, 0, 0.0, -1.0)
+	f.Add(nan, 30, 40, 0.0, 0.0)
+	f.Add(nan, 60, 0, math.Inf(1), 0.0)
+	f.Add(rows(4*leafRows, func(i int) int32 { return int32(i%7*1000 - 3000) }, func(i int) float64 {
+		return []float64{math.Inf(-1), -0.0, 1, math.Inf(1)}[i%4]
+	}), -3000, 0, 0.0, math.Inf(-1))
+	f.Fuzz(func(t *testing.T, raw []byte, minE, maxE int, minR, maxR float64) {
+		n := len(raw) / 12
+		if n < 1 || n > 8*leafRows {
+			return
+		}
+		companies := make([]corpus.Company, n)
+		reps := mat.New(n, 2)
+		for i := range companies {
+			companies[i] = corpus.Company{ID: i, Name: fmt.Sprint(i), SIC2: 70 + i%3, Country: fmt.Sprint("C", i%2),
+				Employees: int(int32(binary.LittleEndian.Uint32(raw[12*i:]))),
+				RevenueM:  math.Float64frombits(binary.LittleEndian.Uint64(raw[12*i+4:]))}
+			reps.Row(i)[0], reps.Row(i)[1] = float64(1+i%7), float64(7-i%7)
+		}
+		ix, err := NewIndex(corpus.New(cat, companies), reps, Cosine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flt := Filter{MinEmployees: minE, MaxEmployees: maxE, MinRevenueM: minR, MaxRevenueM: maxR}
+		cf := ix.cols.bind(flt)
+		for _, tr := range []*tree{&ix.tree, &ix.bySIC2.tree, &ix.byCountry.tree} {
+			for nd, node := range tr.nodes {
+				if cf.meets(&tr.zones[nd]) {
+					continue
+				}
+				for _, i := range tr.rows[node.lo:node.hi] {
+					if flt.Admits(&companies[i]) {
+						t.Fatalf("filter %s: node %d (zone %+v) is skipped, but company %d (employees %d, revenue %v) passes",
+							flt.Key(), nd, tr.zones[nd], i, companies[i].Employees, companies[i].RevenueM)
+					}
+				}
+			}
+		}
+	})
+}
+
 // drawConeRows draws n rows of dimension d, multiplied by scale: topic
 // mixtures, copies of an earlier row, one-ulp neighbours of one, mixtures
 // with a zeroed coordinate, now and then a zero row, and unless simplex, rows
@@ -1251,6 +1402,7 @@ func TestLeafStopRule(t *testing.T) {
 		// cos θ = 2⁻¹⁰, sin θ = 1 − 2⁻²⁰: against (1, 0) that bound is
 		// 0·2⁻¹⁰ + 1·(1 − 2⁻²⁰) + 2⁻²⁰ = 1.
 		cones: []float64{0, 0, -1, 0, 1, 0, 1, 0, 0, 1, 0x1p-10, 1 - 0x1p-20},
+		zones: make([]zone, 3), // an unfiltered search does not read them
 	}
 	var got []Match
 	attrs := spanAttrs(t, "core.topk", func(ctx context.Context) (err error) {
@@ -1270,8 +1422,9 @@ func TestLeafStopRule(t *testing.T) {
 // preorder, every node but the root is the child of one node, and a node's
 // two children hold its first and second half, so that each node's rows are
 // its children's; a leaf
-// holds 1 to leafRows rows, ascending; every owned id is in one leaf; and the
-// node arrays are bit-equal when built at one worker and at four. The
+// holds 1 to leafRows rows, ascending; every owned id is in one leaf; each
+// node's zone is the box of its own rows; and the node arrays are bit-equal
+// when built at one worker and at four. The
 // fixture has 1024·leafRows + 50 rows, enough for the build to run in several
 // tasks, so that unpartitioned its leaves lie at two depths (50 parts of
 // leafRows+1 rows split where 974 of leafRows do not), and a few zero rows,
@@ -1311,7 +1464,8 @@ func TestTreeShape(t *testing.T) {
 				}
 				return bits
 			}
-			if !slices.Equal(tr.rows, tr4.rows) || !slices.Equal(tr.nodes, tr4.nodes) || !slices.Equal(cones(tr), cones(tr4)) {
+			if !slices.Equal(tr.rows, tr4.rows) || !slices.Equal(tr.nodes, tr4.nodes) || !slices.Equal(cones(tr), cones(tr4)) ||
+				!slices.Equal(tr.zones, tr4.zones) {
 				t.Fatalf("part %d/%d: the tree differs between workers=1 and workers=4", part, parts)
 			}
 			var owned int
@@ -1325,7 +1479,11 @@ func TestTreeShape(t *testing.T) {
 			}
 			parents := make([]int, len(tr.nodes))
 			seen := make([]bool, c.N())
+			cols := newFilterColumns(c.Companies)
 			for nd, n := range tr.nodes {
+				if z := cols.zoneOf(tr.rows[n.lo:n.hi]); tr.zones[nd] != z {
+					t.Fatalf("part %d/%d: node %d has zone %+v, its rows %+v", part, parts, nd, tr.zones[nd], z)
+				}
 				if n.right == 0 {
 					leaf := tr.rows[n.lo:n.hi]
 					if len(leaf) < 1 || len(leaf) > leafRows {
@@ -1368,7 +1526,7 @@ func TestTreeShape(t *testing.T) {
 
 // TestListTreeShape checks the cone trees over the candidate lists of both
 // equality columns, on TestTreeShape's fixture, unpartitioned and as each
-// third of three: the trees, their roots and the lists are bit-equal when
+// third of three: the trees, their roots, zones and lists are bit-equal when
 // built at one worker and at four, and the tree of each code is rooted where
 // the previous code's ends, over exactly its list's positions; each inner
 // node's children hold its first and second half and the second follows the
@@ -1407,8 +1565,8 @@ func TestListTreeShape(t *testing.T) {
 					}
 					return out
 				}
-				if !slices.Equal(l.ids, l4.ids) || !slices.Equal(l.rows, l4.rows) || !slices.Equal(l.nodes, l4.nodes) ||
-					!slices.Equal(l.roots, l4.roots) || !slices.Equal(bits(l.cones), bits(l4.cones)) {
+				if !slices.Equal(l.start, l4.start) || !slices.Equal(l.rows, l4.rows) || !slices.Equal(l.nodes, l4.nodes) ||
+					!slices.Equal(l.roots, l4.roots) || !slices.Equal(bits(l.cones), bits(l4.cones)) || !slices.Equal(l.zones, l4.zones) {
 					t.Fatalf("part %d/%d %s: the list trees differ between workers=1 and workers=4", part, parts, col)
 				}
 				// walk checks the subtree of node nd and returns the ids of its leaves.
@@ -1440,9 +1598,10 @@ func TestListTreeShape(t *testing.T) {
 							part, parts, col, code, root, n, next, l.start[code], l.start[code+1])
 					}
 					next = root + 2*leaves(uint32(len(list))) - 1
-					got := walk(root)
+					got, want := walk(root), slices.Clone(list)
 					slices.Sort(got)
-					if !slices.Equal(got, list) {
+					slices.Sort(want)
+					if !slices.Equal(got, want) {
 						t.Fatalf("part %d/%d %s: the tree of code %d holds %v, its list %v", part, parts, col, code, got, list)
 					}
 				}
@@ -1473,10 +1632,11 @@ func (c *countdownCtx) Err() error {
 // candidate loop: a context that expires after N looks stops visit at once —
 // one more look, no further rows than the groups of blocks gone through — and
 // a white-space query cut short this way counts as an error, not as served.
-// Every row is a scaled copy of one direction, so no leaf's bound can fall
-// below a floor and the white-space scan visits every leaf, looking at its
-// context before its first leaf and every ctxCheckBlocks leaves after. A scan
-// the tree does prune honours an expiring context too, before its first leaf.
+// The white-space query runs on an index with no tree (every row a scaled copy
+// of one direction, with norms past the floor test's range), so it is one
+// visit over every row, looking at its context before its first block and
+// every ctxCheckBlocks blocks after. A scan that searches a tree honours an
+// expiring context too, before its first leaf.
 func TestScanHonoursDeadlineInsideShard(t *testing.T) {
 	const group = scanBlock * ctxCheckBlocks
 	const n = 5*group + 100
@@ -1487,14 +1647,16 @@ func TestScanHonoursDeadlineInsideShard(t *testing.T) {
 	}
 	flat := mat.New(n, 2)
 	for i := 0; i < n; i++ {
-		flat.Row(i)[0], flat.Row(i)[1] = float64(1+i%5), float64(2+2*(i%5))
+		flat.Row(i)[0], flat.Row(i)[1] = float64(1+i%5)*0x1p+505, float64(2+2*(i%5))*0x1p+505
 	}
 	ix, err := NewIndex(c, flat, Cosine)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reps = flat
-	q := ix.newScan(5, Filter{}, [][]float64{reps.Row(0)}, []int{0})
+	q := ix.newScan(5, Filter{}, [][]float64{flat.Row(0)}, []int{0})
+	if q.leaves || len(ix.tree.nodes) != 0 {
+		t.Fatal("an index with norms past the floor test's range has a tree")
+	}
 	for _, after := range []int64{0, 1, 3} {
 		ctx := &countdownCtx{Context: context.Background()}
 		ctx.after.Store(after)
@@ -1506,8 +1668,8 @@ func TestScanHonoursDeadlineInsideShard(t *testing.T) {
 		if got := ctx.calls.Load(); got != after+1 {
 			t.Errorf("expiry after %d looks: visit looked %d times", after, got)
 		}
-		// The look that fails comes before block (after+1)*ctxCheckBlocks.
-		if rows := uint64(after+1)*group - scanBlock; o.admitted > rows {
+		// The look that fails comes before block after·ctxCheckBlocks+1.
+		if rows := uint64(after) * group; o.admitted > rows {
 			t.Errorf("expiry after %d looks: %d rows admitted, the scan should have stopped within %d", after, o.admitted, rows)
 		}
 	}
@@ -1515,17 +1677,15 @@ func TestScanHonoursDeadlineInsideShard(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	defer par.SetWorkers(0)
-	par.SetWorkers(1) // four shards, each longer than one group
 	counter := func(name string) uint64 { return obs.Default().Counter(name, "").Value() }
 	ws0, wsErr0 := counter("whitespace_requests_total"), counter("whitespace_errors_total")
 	ctx := &countdownCtx{Context: context.Background()}
-	ctx.after.Store(1) // par's look before the first shard passes; the one inside it does not
+	ctx.after.Store(1) // the look before the first block passes; the one after the first group does not
 	if _, err := ix.WhitespaceContext(ctx, []int{1, 2, 3}, 5, Filter{}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("white-space under an expiring context returned %v", err)
 	}
 	if got := ctx.calls.Load(); got != 2 {
-		t.Errorf("white-space looked at its context %d times, want 2: the first shard ran to its end", got)
+		t.Errorf("white-space looked at its context %d times, want 2: the first group ran to its end", got)
 	}
 	if got := counter("whitespace_requests_total"); got != ws0 {
 		t.Errorf("a white-space query cut short counted as served (%d -> %d)", ws0, got)
@@ -1546,70 +1706,7 @@ func TestScanHonoursDeadlineInsideShard(t *testing.T) {
 		t.Errorf("topk_errors_total %d, want %d", got, topkErr0+1)
 	}
 	ctx = &countdownCtx{Context: context.Background()}
-	if _, err := prunable.WhitespaceContext(ctx, []int{1, 2, 3}, 5, Filter{}); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("leaf-path white-space under an expired context returned %v", err)
-	}
-}
-
-// TestFanoutRule answers the same exact and pruned queries on a fixture
-// below minFanoutRows and on one above it: however many workers run takes,
-// the answers at one worker and at four are gob-identical, and a cancelled
-// context surfaces on the calling goroutine as it does from par's.
-func TestFanoutRule(t *testing.T) {
-	defer par.SetWorkers(0)
-	for _, n := range []int{minFanoutRows / 4, 2 * minFanoutRows} {
-		c, reps := scanFixture(n, 4, int64(n))
-		exact, err := NewIndex(c, reps, Cosine)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pruned := *exact
-		pruned.SetPruner(newCellPruner(n, 40, 30)) // three quarters of the rows: the pool is on n's side of the line
-		for name, ix := range map[string]*Index{"exact": exact, "pruned": &pruned} {
-			answers := func(workers int) []byte {
-				par.SetWorkers(workers)
-				m, err := ix.TopK(n/3, 25, Filter{Country: "C4"})
-				if err != nil {
-					t.Fatal(err)
-				}
-				p, err := ix.Whitespace([]int{1, n / 2, n - 1}, 300, Filter{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return append(mustGob(t, m), mustGob(t, p)...)
-			}
-			if !bytes.Equal(answers(1), answers(4)) {
-				t.Errorf("n=%d %s: answers differ between workers=1 and workers=4", n, name)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			if _, err := ix.TopKContext(ctx, 0, 5, Filter{}); !errors.Is(err, context.Canceled) {
-				t.Errorf("n=%d %s: cancelled top-k returned %v", n, name, err)
-			}
-		}
-	}
-}
-
-// TestUntracedScanStartsNoTrace pins the guard on the par.shard spans: with
-// the default tracer enabled, a scan whose context carries no span — on
-// either side of minFanoutRows — must not root a trace per task.
-func TestUntracedScanStartsNoTrace(t *testing.T) {
-	trace.Default().SetEnabled(true)
-	defer trace.Default().SetEnabled(false)
-	started := obs.Default().Counter("trace_traces_started_total", "")
-	for _, n := range []int{300, 2 * minFanoutRows} {
-		c, reps := scanFixture(n, 4, 9)
-		ix, err := NewIndex(c, reps, Cosine)
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := started.Value()
-		q := ix.newScan(5, Filter{}, [][]float64{reps.Row(0)}, []int{0})
-		if _, _, _, err := q.run(context.Background(), nil, annTopkQueries, annTopkCandidates); err != nil {
-			t.Fatal(err)
-		}
-		if got := started.Value() - before; got != 0 {
-			t.Errorf("n=%d: an untraced scan started %d traces", n, got)
-		}
+	if _, err := prunable.WhitespaceContext(ctx, []int{1, 2, 3}, 5, Filter{MinEmployees: 1}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("leaf-path range-filtered white-space under an expired context returned %v", err)
 	}
 }

@@ -48,6 +48,19 @@ func waitCounter(t *testing.T, name string, want uint64) {
 	t.Fatalf("%s = %d, want >= %d within 5s", name, counterValue(name), want)
 }
 
+// waitRecorded polls until sampler s has recorded want samples, its replay
+// buffer included.
+func waitRecorded(t *testing.T, s *shadow.Sampler, want uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Status().Samples < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("the sampler recorded %d samples, want %d within 5s", s.Status().Samples, want)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 // newShadowServer builds an ANN-routed server (cells/nprobe approximate, so
 // divergence is possible) with the given shadow/reload configuration.
 func newShadowServer(t *testing.T, cfg Config) (*Server, *core.Index) {
@@ -220,11 +233,13 @@ func TestReloadCanaryAndGuard(t *testing.T) {
 		t.Fatalf("empty-buffer reload = %+v, want gen 2 without canary", resp)
 	}
 
-	samples0 := counterValue("shadow_samples_total")
 	for i := 0; i < 5; i++ {
 		getJSON(t, ts, fmt.Sprintf("/v1/similar/%d?k=5", i*7), nil)
 	}
-	waitCounter(t, "shadow_samples_total", samples0+5)
+	// Wait on this server's sampler: another test's may still be moving the
+	// process-wide shadow_samples_total, and the sampler counts a sample there
+	// before the replay buffer the canary reads holds it.
+	waitRecorded(t, srv.shadow, 5)
 
 	// Identical incoming generation: clean diff, swap allowed.
 	canaries0 := counterValue("shadow_reload_canaries_total")

@@ -264,6 +264,7 @@ type Sampler struct {
 	recent     []replayEntry
 	recentNext int
 	recentN    int
+	recorded   uint64 // samples record has folded in, each after its replay entry
 }
 
 // New builds a Sampler and starts its worker and window ticker. Every metric
@@ -454,6 +455,7 @@ func (s *Sampler) record(smp Sample, d Divergence) {
 	if s.recentN < len(s.recent) {
 		s.recentN++
 	}
+	s.recorded++
 	s.rmu.Unlock()
 }
 
@@ -476,7 +478,7 @@ type Status struct {
 	Enabled       bool    `json:"enabled"`
 	SampleOneIn   int     `json:"sample_one_in"`
 	WindowSec     float64 `json:"window_seconds"`
-	Samples       uint64  `json:"samples_total"`
+	Samples       uint64  `json:"samples_total"` // recorded by this sampler
 	Dropped       uint64  `json:"dropped_total"`
 	ExactErrors   uint64  `json:"exact_errors_total"`
 	WindowSamples uint64  `json:"window_samples"`
@@ -492,7 +494,6 @@ func (s *Sampler) Status() Status {
 		Enabled:       true,
 		SampleOneIn:   s.cfg.SampleN,
 		WindowSec:     s.cfg.Window.Seconds(),
-		Samples:       s.samples.Value(),
 		Dropped:       s.dropped.Value(),
 		ExactErrors:   s.exactErr.Value(),
 		WindowSamples: n,
@@ -500,6 +501,7 @@ func (s *Sampler) Status() Status {
 		RecallP50:     s.recallW.Quantile(0.5),
 	}
 	s.rmu.Lock()
+	out.Samples = s.recorded
 	out.Worst = append([]Entry(nil), s.worst...)
 	s.rmu.Unlock()
 	if out.Worst == nil {
