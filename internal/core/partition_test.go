@@ -1,14 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"testing"
 
 	"repro/internal/corpus"
 	"repro/internal/mat"
-	"repro/internal/par"
 	"repro/internal/rng"
 )
 
@@ -58,7 +56,7 @@ func TestPartitionCoversDisjointly(t *testing.T) {
 	}
 }
 
-func testPartitionIndex(t *testing.T) (*Index, func(part, parts int) *Index) {
+func testPartitionIndex(t *testing.T) *Index {
 	t.Helper()
 	cat := corpus.DefaultCatalog()
 	m := cat.Size()
@@ -85,113 +83,12 @@ func testPartitionIndex(t *testing.T) (*Index, func(part, parts int) *Index) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shard := func(part, parts int) *Index {
-		ix, err := NewIndex(c, reps, Cosine)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ix.SetPartition(part, parts); err != nil {
-			t.Fatal(err)
-		}
-		return ix
-	}
-	return full, shard
-}
-
-// TestTopKPartition1vs3GobIdentical is the sharded merge contract: the
-// per-partition TopK answers, merged under MatchBetter, are gob-byte-
-// identical to the unpartitioned answer — at one worker and at four.
-func TestTopKPartition1vs3GobIdentical(t *testing.T) {
-	full, shard := testPartitionIndex(t)
-	const parts = 3
-	filters := []Filter{{}, {Country: "US"}, {SIC2: 71}, {MinEmployees: 30}}
-	for _, workers := range []int{1, 4} {
-		par.SetWorkers(workers)
-		for _, f := range filters {
-			for _, k := range []int{1, 5, 12} {
-				want, err := full.TopK(7, k, f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				perShard := make([][]Match, parts)
-				for p := 0; p < parts; p++ {
-					ms, err := shard(p, parts).TopK(7, k, f)
-					if err != nil {
-						t.Fatal(err)
-					}
-					perShard[p] = ms
-				}
-				got := MergeTopK(perShard, k, MatchBetter)
-				if !bytes.Equal(gobBytes(t, want), gobBytes(t, got)) {
-					t.Fatalf("workers=%d k=%d filter=%v: merged partition top-k differs from unpartitioned\nwant %v\ngot  %v",
-						workers, k, f, want, got)
-				}
-			}
-		}
-	}
-	par.SetWorkers(4)
-}
-
-// TestWhitespacePartitionGobIdentical does the same for white-space scans.
-func TestWhitespacePartitionGobIdentical(t *testing.T) {
-	full, shard := testPartitionIndex(t)
-	const parts = 3
-	clients := []int{2, 9, 33}
-	want, err := full.Whitespace(clients, 8, Filter{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	perShard := make([][]WhitespaceProspect, parts)
-	for p := 0; p < parts; p++ {
-		ps, err := shard(p, parts).Whitespace(clients, 8, Filter{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		perShard[p] = ps
-	}
-	got := MergeTopK(perShard, 8, ProspectBetter)
-	if !bytes.Equal(gobBytes(t, want), gobBytes(t, got)) {
-		t.Fatalf("merged partition whitespace differs from unpartitioned\nwant %v\ngot  %v", want, got)
-	}
-}
-
-// TestRecommendFromPeersMatchesSingleProcess proves the two-phase sharded
-// recommendation path: global peers (merged from partitions) scored by
-// RecommendFromPeers equal the single-process RecommendFromSimilar.
-func TestRecommendFromPeersMatchesSingleProcess(t *testing.T) {
-	full, shard := testPartitionIndex(t)
-	const parts, peers = 3, 10
-	want, err := full.RecommendFromSimilar(4, peers, Filter{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	perShard := make([][]Match, parts)
-	for p := 0; p < parts; p++ {
-		ms, err := shard(p, parts).TopK(4, peers, Filter{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		perShard[p] = ms
-	}
-	merged := MergeTopK(perShard, peers, MatchBetter)
-	got, err := full.RecommendFromPeers(4, merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gobBytes(t, want), gobBytes(t, got)) {
-		t.Fatalf("RecommendFromPeers(merged peers) differs from RecommendFromSimilar\nwant %v\ngot  %v", want, got)
-	}
-	if _, err := full.RecommendFromPeers(-1, nil); err == nil {
-		t.Error("RecommendFromPeers accepted a negative id")
-	}
-	if _, err := full.RecommendFromPeers(0, []Match{{CompanyID: 10_000}}); err == nil {
-		t.Error("RecommendFromPeers accepted an out-of-range peer")
-	}
+	return full
 }
 
 // TestSetPartitionValidation covers the partition setter edge cases.
 func TestSetPartitionValidation(t *testing.T) {
-	full, _ := testPartitionIndex(t)
+	full := testPartitionIndex(t)
 	if err := full.SetPartition(3, 3); err == nil {
 		t.Error("SetPartition(3, 3) should fail")
 	}

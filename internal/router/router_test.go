@@ -1,7 +1,6 @@
 package router
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -146,62 +145,6 @@ func post(t *testing.T, base, path, body string) (*http.Response, []byte) {
 
 func counterValue(name string) uint64 { return obs.Default().Counter(name, "").Value() }
 func gaugeValue(name string) float64  { return obs.Default().Gauge(name, "").Value() }
-
-// TestShards1vs3ByteIdentical is the router's merge contract at the HTTP
-// layer: a healthy 3-shard fan-out answers byte-identically to one unsharded
-// ibserve on every query endpoint, with no partial marker anywhere.
-func TestShards1vs3ByteIdentical(t *testing.T) {
-	single := newShardServer(t, 0, 1, nil)
-	_, routed := newCluster(t, 3, Config{}, nil)
-
-	gets := []string{
-		"/v1/similar/7?k=5",
-		"/v1/similar/3?k=12&country=US",
-		"/v1/similar/11?k=4&min_employees=100",
-		"/v1/recommend/4?peers=8",
-		"/v1/recommend/9",
-		"/v1/recommend/2?peers=6&country=DE",
-	}
-	for _, path := range gets {
-		wantResp, want := get(t, single.URL, path)
-		gotResp, got := get(t, routed.URL, path)
-		if wantResp.StatusCode != http.StatusOK || gotResp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d vs %d", path, wantResp.StatusCode, gotResp.StatusCode)
-		}
-		if !bytes.Equal(want, got) {
-			t.Errorf("%s: sharded answer differs from unsharded\nwant %s\ngot  %s", path, want, got)
-		}
-		if gotResp.Header.Get("X-Partial") != "" {
-			t.Errorf("%s: healthy fan-out set X-Partial", path)
-		}
-	}
-	posts := []struct{ path, body string }{
-		{"/v1/whitespace", `{"clients":[1,2,5],"k":6}`},
-		{"/v1/whitespace", `{"clients":[3],"k":9,"filter":{"country":"GB"}}`},
-		{"/v1/infer", `{"owned":[0,3,10],"k":4}`},
-	}
-	for _, tc := range posts {
-		_, want := post(t, single.URL, tc.path, tc.body)
-		gotResp, got := post(t, routed.URL, tc.path, tc.body)
-		if gotResp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", tc.path, gotResp.StatusCode, got)
-		}
-		if !bytes.Equal(want, got) {
-			t.Errorf("%s %s: sharded answer differs from unsharded\nwant %s\ngot  %s", tc.path, tc.body, want, got)
-		}
-	}
-
-	// Client errors pass through with the shard's verdict.
-	resp, _ := get(t, routed.URL, "/v1/similar/9999")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("/v1/similar/9999 through the router: status %d, want 400", resp.StatusCode)
-	}
-	tooMany := `{"clients":[` + strings.Repeat("1,", 1024) + `1]}` // 1,025 ids
-	_, want := post(t, single.URL, "/v1/whitespace", tooMany)
-	if resp, got := post(t, routed.URL, "/v1/whitespace", tooMany); resp.StatusCode != http.StatusBadRequest || !bytes.Equal(got, want) {
-		t.Errorf("1,025 clients through the router: status %d, body %s; the shard says %s", resp.StatusCode, got, want)
-	}
-}
 
 // TestPartialDegradation blackholes one shard and checks the router degrades
 // instead of failing: 200, partial:true, the missing shard named, X-Partial

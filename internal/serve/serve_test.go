@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -50,7 +49,7 @@ func testCorpus() *corpus.Corpus {
 
 // newTestServer trains a tiny LDA model over the fixture corpus and stands
 // up a Server over the resulting index.
-func newTestServer(t *testing.T, cfg Config) (*Server, *core.Index, *lda.Model) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *core.Index, *lda.Model) {
 	t.Helper()
 	c := testCorpus()
 	m, err := lda.TrainContext(context.Background(),
@@ -73,155 +72,48 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *core.Index, *lda.Model) 
 
 func counterValue(name string) uint64 { return obs.Default().Counter(name, "").Value() }
 
-func getJSON(t *testing.T, ts *httptest.Server, path string, out any) *http.Response {
+// getJSON and postJSON send one request to h and decode a 200 answer into
+// out when out is non-nil.
+func getJSON(t *testing.T, h http.Handler, path string, out any) *httptest.ResponseRecorder {
 	t.Helper()
-	resp, err := ts.Client().Get(ts.URL + path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != nil && resp.StatusCode == http.StatusOK {
-		if err := json.Unmarshal(body, out); err != nil {
-			t.Fatalf("decoding %s: %v\n%s", path, err, body)
-		}
-	}
-	return resp
+	return decoded(t, fetch(h, http.MethodGet, path, ""), out)
 }
 
-func postJSON(t *testing.T, ts *httptest.Server, path string, req, out any) *http.Response {
+func postJSON(t *testing.T, h http.Handler, path string, req, out any) *httptest.ResponseRecorder {
 	t.Helper()
-	payload, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := ts.Client().Post(ts.URL+path, "application/json", bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != nil && resp.StatusCode == http.StatusOK {
-		if err := json.Unmarshal(body, out); err != nil {
-			t.Fatalf("decoding %s: %v\n%s", path, err, body)
-		}
-	}
-	return resp
+	return decoded(t, fetch(h, http.MethodPost, path, string(must(json.Marshal(req)))), out)
 }
 
-func TestSimilarEndpointMatchesDirectQuery(t *testing.T) {
-	s, ix, _ := newTestServer(t, Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	want, err := ix.TopK(4, 5, core.Filter{Country: "US"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	served0 := counterValue("serve_similar_requests_total")
-	var got api.SimilarResponse
-	resp := getJSON(t, ts, "/v1/similar/4?k=5&country=US", &got)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if got.CompanyID != 4 || got.K != 5 || len(got.Matches) != len(want) {
-		t.Fatalf("response shape: %+v (want %d matches)", got, len(want))
-	}
-	for i, m := range want {
-		if got.Matches[i].CompanyID != m.CompanyID || got.Matches[i].Similarity != m.Similarity {
-			t.Fatalf("match %d: got %+v, want %+v", i, got.Matches[i], m)
-		}
-		if c := ix.Corpus.Companies[m.CompanyID]; got.Matches[i].Name != c.Name {
-			t.Fatalf("match %d name %q, want %q", i, got.Matches[i].Name, c.Name)
+func decoded(t *testing.T, w *httptest.ResponseRecorder, out any) *httptest.ResponseRecorder {
+	t.Helper()
+	if out != nil && w.Code == http.StatusOK {
+		if err := json.Unmarshal(w.Body.Bytes(), out); err != nil {
+			t.Fatalf("decoding %v\n%s", err, w.Body)
 		}
 	}
-	if got := counterValue("serve_similar_requests_total"); got != served0+1 {
-		t.Fatalf("serve_similar_requests_total %d, want %d", got, served0+1)
-	}
+	return w
 }
 
-func TestRecommendEndpointMatchesDirectQuery(t *testing.T) {
-	s, ix, _ := newTestServer(t, Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+// TestSimilarEndpointMatchesDirectQuery, TestRecommendEndpointMatchesDirectQuery
+// and TestWhitespaceEndpointMatchesDirectQuery run the serving oracle, whose
+// reference answers are checked against direct core calls: ids, names and
+// bit-exact scores, empty answers served as 200s, and exactly one of the
+// endpoint's requests and errors counters ticked per request.
+func TestSimilarEndpointMatchesDirectQuery(t *testing.T) { serveOracle(t, 1001, 1, nil) }
 
-	want, err := ix.RecommendFromSimilar(2, 8, core.Filter{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got api.RecommendResponse
-	if resp := getJSON(t, ts, "/v1/recommend/2?peers=8", &got); resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if got.Peers != 8 || len(got.Recommendations) != len(want) {
-		t.Fatalf("got %d recommendations for peers=%d, want %d", len(got.Recommendations), got.Peers, len(want))
-	}
-	for i, r := range want {
-		g := got.Recommendations[i]
-		if g.Category != r.Category || g.Strength != r.Strength || g.Owners != r.Owners || g.Name != r.Name {
-			t.Fatalf("recommendation %d: got %+v, want %+v", i, g, r)
-		}
-	}
+func TestRecommendEndpointMatchesDirectQuery(t *testing.T) { serveOracle(t, 1101, 1, nil) }
 
-	// A filter admitting no peers still serves a 200 with an empty list.
-	served0, errs0 := counterValue("serve_recommend_requests_total"), counterValue("serve_recommend_errors_total")
-	var empty api.RecommendResponse
-	if resp := getJSON(t, ts, "/v1/recommend/2?country=XX", &empty); resp.StatusCode != http.StatusOK {
-		t.Fatalf("empty-answer status %d", resp.StatusCode)
-	}
-	if len(empty.Recommendations) != 0 {
-		t.Fatalf("expected no recommendations, got %d", len(empty.Recommendations))
-	}
-	if got := counterValue("serve_recommend_requests_total"); got != served0+1 {
-		t.Fatalf("empty answer not counted as served (%d, want %d)", got, served0+1)
-	}
-	if got := counterValue("serve_recommend_errors_total"); got != errs0 {
-		t.Fatalf("empty answer counted as error (%d -> %d)", errs0, got)
-	}
-}
-
-func TestWhitespaceEndpointMatchesDirectQuery(t *testing.T) {
-	s, ix, _ := newTestServer(t, Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	clients := []int{0, 3, 9}
-	want, err := ix.Whitespace(clients, 6, core.Filter{Country: "DE"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got api.WhitespaceResponse
-	req := api.WhitespaceRequest{Clients: clients, K: 6, Filter: api.Filter{Country: "DE"}}
-	if resp := postJSON(t, ts, "/v1/whitespace", req, &got); resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if len(got.Prospects) != len(want) {
-		t.Fatalf("got %d prospects, want %d", len(got.Prospects), len(want))
-	}
-	for i, p := range want {
-		g := got.Prospects[i]
-		if g.CompanyID != p.CompanyID || g.NearestClient != p.NearestClient || g.Similarity != p.Similarity {
-			t.Fatalf("prospect %d: got %+v, want %+v", i, g, p)
-		}
-	}
-}
+func TestWhitespaceEndpointMatchesDirectQuery(t *testing.T) { serveOracle(t, 1201, 1, nil) }
 
 func TestInferEndpoint(t *testing.T) {
 	s, ix, m := newTestServer(t, Config{Seed: 11})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	h := s.Handler()
 
 	owned := []int{0, 5, 9}
 	var got api.InferResponse
 	req := api.InferRequest{Owned: owned, K: 4}
-	if resp := postJSON(t, ts, "/v1/infer", req, &got); resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
+	if resp := postJSON(t, h, "/v1/infer", req, &got); resp.Code != http.StatusOK {
+		t.Fatalf("status %d", resp.Code)
 	}
 	if len(got.Theta) != m.K {
 		t.Fatalf("theta has %d entries, want %d topics", len(got.Theta), m.K)
@@ -242,15 +134,15 @@ func TestInferEndpoint(t *testing.T) {
 	}
 	// Identical requests are deterministic.
 	var again api.InferResponse
-	postJSON(t, ts, "/v1/infer", req, &again)
+	postJSON(t, h, "/v1/infer", req, &again)
 	if fmt.Sprint(again) != fmt.Sprint(got) {
 		t.Fatal("identical infer requests returned different responses")
 	}
 
 	// Out-of-vocabulary category is a 400.
 	errs0 := counterValue("serve_infer_errors_total")
-	if resp := postJSON(t, ts, "/v1/infer", api.InferRequest{Owned: []int{m.V}}, nil); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("out-of-range category: status %d, want 400", resp.StatusCode)
+	if resp := postJSON(t, h, "/v1/infer", api.InferRequest{Owned: []int{m.V}}, nil); resp.Code != http.StatusBadRequest {
+		t.Fatalf("out-of-range category: status %d, want 400", resp.Code)
 	}
 	if got := counterValue("serve_infer_errors_total"); got != errs0+1 {
 		t.Fatalf("serve_infer_errors_total %d, want %d", got, errs0+1)
@@ -259,8 +151,7 @@ func TestInferEndpoint(t *testing.T) {
 
 func TestBadRequestsCountErrorsNotServed(t *testing.T) {
 	s, _, _ := newTestServer(t, Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	h := s.Handler()
 
 	served0, errs0 := counterValue("serve_similar_requests_total"), counterValue("serve_similar_errors_total")
 	cases := []string{
@@ -271,8 +162,8 @@ func TestBadRequestsCountErrorsNotServed(t *testing.T) {
 		"/v1/similar/0?min_revenue_m=lots",
 	}
 	for _, path := range cases {
-		if resp := getJSON(t, ts, path, nil); resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", path, resp.StatusCode)
+		if resp := getJSON(t, h, path, nil); resp.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", path, resp.Code)
 		}
 	}
 	if got := counterValue("serve_similar_requests_total"); got != served0 {
@@ -283,27 +174,23 @@ func TestBadRequestsCountErrorsNotServed(t *testing.T) {
 	}
 
 	wsErrs0 := counterValue("serve_whitespace_errors_total")
-	resp, err := ts.Client().Post(ts.URL+"/v1/whitespace", "application/json", strings.NewReader("{not json"))
-	if err != nil {
-		t.Fatal(err)
+	resp := fetch(h, http.MethodPost, "/v1/whitespace", "{not json")
+	if resp.Code != http.StatusBadRequest {
+		t.Fatalf("malformed body: status %d, want 400", resp.Code)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed body: status %d, want 400", resp.StatusCode)
-	}
-	if resp = postJSON(t, ts, "/v1/whitespace", api.WhitespaceRequest{}, nil); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty client set: status %d, want 400", resp.StatusCode)
+	if resp = postJSON(t, h, "/v1/whitespace", api.WhitespaceRequest{}, nil); resp.Code != http.StatusBadRequest {
+		t.Fatalf("empty client set: status %d, want 400", resp.Code)
 	}
 	// core bounds a white-space query at 1,024 client ids, repeats included.
 	clients := make([]int, 1025)
 	for i := range clients {
 		clients[i] = i % 40
 	}
-	if resp = postJSON(t, ts, "/v1/whitespace", api.WhitespaceRequest{Clients: clients[:1024], K: 3}, nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("1,024 clients: status %d, want 200", resp.StatusCode)
+	if resp = postJSON(t, h, "/v1/whitespace", api.WhitespaceRequest{Clients: clients[:1024], K: 3}, nil); resp.Code != http.StatusOK {
+		t.Fatalf("1,024 clients: status %d, want 200", resp.Code)
 	}
-	if resp = postJSON(t, ts, "/v1/whitespace", api.WhitespaceRequest{Clients: clients, K: 3}, nil); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("1,025 clients: status %d, want 400", resp.StatusCode)
+	if resp = postJSON(t, h, "/v1/whitespace", api.WhitespaceRequest{Clients: clients, K: 3}, nil); resp.Code != http.StatusBadRequest {
+		t.Fatalf("1,025 clients: status %d, want 400", resp.Code)
 	}
 	if got := counterValue("serve_whitespace_errors_total"); got != wsErrs0+3 {
 		t.Fatalf("serve_whitespace_errors_total %d, want %d", got, wsErrs0+3)
@@ -317,8 +204,7 @@ func TestBadRequestsCountErrorsNotServed(t *testing.T) {
 // exponent forms included, still parse.
 func TestRevenueBoundsMustBeFinite(t *testing.T) {
 	s, _, _ := newTestServer(t, Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	h := s.Handler()
 	for _, tc := range []struct {
 		query string
 		want  int
@@ -339,8 +225,8 @@ func TestRevenueBoundsMustBeFinite(t *testing.T) {
 	} {
 		for _, ep := range []string{"/v1/similar/0", "/v1/recommend/0"} {
 			path := ep + "?" + tc.query
-			if resp := getJSON(t, ts, path, nil); resp.StatusCode != tc.want {
-				t.Errorf("%s: status %d, want %d", path, resp.StatusCode, tc.want)
+			if resp := getJSON(t, h, path, nil); resp.Code != tc.want {
+				t.Errorf("%s: status %d, want %d", path, resp.Code, tc.want)
 			}
 		}
 	}
@@ -348,11 +234,10 @@ func TestRevenueBoundsMustBeFinite(t *testing.T) {
 
 func TestHealthz(t *testing.T) {
 	s, ix, m := newTestServer(t, Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	h := s.Handler()
 	var got healthResponse
-	if resp := getJSON(t, ts, "/healthz", &got); resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
+	if resp := getJSON(t, h, "/healthz", &got); resp.Code != http.StatusOK {
+		t.Fatalf("status %d", resp.Code)
 	}
 	if got.Status != "ok" || got.Companies != ix.Corpus.N() || got.Topics != m.K || got.Dim != ix.Reps.Cols {
 		t.Fatalf("health response %+v", got)
@@ -368,13 +253,12 @@ func TestCacheHitsAndReloadInvalidation(t *testing.T) {
 		reloaded++
 		return Loaded{Index: ix, Model: m, BuildLog: []any{"corpus_load_ms", 12.5}}, nil
 	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	h := s.Handler()
 
 	hits0, misses0 := counterValue("serve_cache_hits_total"), counterValue("serve_cache_misses_total")
 	var first, second api.SimilarResponse
-	getJSON(t, ts, "/v1/similar/7?k=3", &first)
-	getJSON(t, ts, "/v1/similar/7?k=3", &second)
+	getJSON(t, h, "/v1/similar/7?k=3", &first)
+	getJSON(t, h, "/v1/similar/7?k=3", &second)
 	if fmt.Sprint(first) != fmt.Sprint(second) {
 		t.Fatal("cached response differs from computed response")
 	}
@@ -385,7 +269,7 @@ func TestCacheHitsAndReloadInvalidation(t *testing.T) {
 		t.Fatalf("serve_cache_misses_total %d, want %d", got, misses0+1)
 	}
 	// Different k or filter is a different key.
-	getJSON(t, ts, "/v1/similar/7?k=4", nil)
+	getJSON(t, h, "/v1/similar/7?k=4", nil)
 	if got := counterValue("serve_cache_misses_total"); got != misses0+2 {
 		t.Fatalf("distinct query served from cache (misses %d, want %d)", got, misses0+2)
 	}
@@ -393,8 +277,8 @@ func TestCacheHitsAndReloadInvalidation(t *testing.T) {
 	// Reload swaps the state and empties the cache: the same query misses.
 	reloads0 := counterValue("serve_reloads_total")
 	var rl reloadResponse
-	if resp := postJSON(t, ts, "/admin/reload", struct{}{}, &rl); resp.StatusCode != http.StatusOK {
-		t.Fatalf("reload status %d", resp.StatusCode)
+	if resp := postJSON(t, h, "/admin/reload", struct{}{}, &rl); resp.Code != http.StatusOK {
+		t.Fatalf("reload status %d", resp.Code)
 	}
 	if reloaded != 1 || !rl.Reloaded || rl.Companies != ix.Corpus.N() || rl.Invalidated != 2 {
 		t.Fatalf("reload response %+v (loader calls: %d)", rl, reloaded)
@@ -406,7 +290,7 @@ func TestCacheHitsAndReloadInvalidation(t *testing.T) {
 		t.Fatalf("reload log line lacks the loader's BuildLog pairs: %q", line)
 	}
 	var third api.SimilarResponse
-	getJSON(t, ts, "/v1/similar/7?k=3", &third)
+	getJSON(t, h, "/v1/similar/7?k=3", &third)
 	if got := counterValue("serve_cache_misses_total"); got != misses0+3 {
 		t.Fatalf("post-reload query hit a stale cache (misses %d, want %d)", got, misses0+3)
 	}
@@ -417,17 +301,15 @@ func TestCacheHitsAndReloadInvalidation(t *testing.T) {
 
 func TestReloadWithoutLoaderIs501(t *testing.T) {
 	s, _, _ := newTestServer(t, Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	if resp := postJSON(t, ts, "/admin/reload", struct{}{}, nil); resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("reload without loader: status %d, want 501", resp.StatusCode)
+	h := s.Handler()
+	if resp := postJSON(t, h, "/admin/reload", struct{}{}, nil); resp.Code != http.StatusNotImplemented {
+		t.Fatalf("reload without loader: status %d, want 501", resp.Code)
 	}
 }
 
 func TestSaturationReturns503(t *testing.T) {
 	s, _, _ := newTestServer(t, Config{MaxConcurrent: 1, Timeout: 50 * time.Millisecond})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	h := s.Handler()
 
 	// Occupy the single semaphore slot so every query waits out its
 	// deadline and fails fast.
@@ -435,8 +317,8 @@ func TestSaturationReturns503(t *testing.T) {
 	defer func() { <-s.sem }()
 
 	throttled0 := counterValue("serve_throttled_total")
-	if resp := getJSON(t, ts, "/v1/similar/0", nil); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("saturated server: status %d, want 503", resp.StatusCode)
+	if resp := getJSON(t, h, "/v1/similar/0", nil); resp.Code != http.StatusServiceUnavailable {
+		t.Fatalf("saturated server: status %d, want 503", resp.Code)
 	}
 	if got := counterValue("serve_throttled_total"); got != throttled0+1 {
 		t.Fatalf("serve_throttled_total %d, want %d", got, throttled0+1)
@@ -449,8 +331,7 @@ func TestSaturationReturns503(t *testing.T) {
 func TestConcurrentRequestsWithReloads(t *testing.T) {
 	s, ix, m := newTestServer(t, Config{CacheSize: 8})
 	s.load = func(context.Context) (Loaded, error) { return Loaded{Index: ix, Model: m}, nil }
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	h := s.Handler()
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
@@ -461,19 +342,9 @@ func TestConcurrentRequestsWithReloads(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				var out api.SimilarResponse
 				path := fmt.Sprintf("/v1/similar/%d?k=3", (g*20+i)%40)
-				resp, err := ts.Client().Get(ts.URL + path)
-				if err != nil {
-					errs <- err
-					return
-				}
-				body, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					errs <- fmt.Errorf("%s: status %d", path, resp.StatusCode)
-					return
-				}
-				if err := json.Unmarshal(body, &out); err != nil {
-					errs <- fmt.Errorf("%s: %v", path, err)
+				w := fetch(h, http.MethodGet, path, "")
+				if err := json.Unmarshal(w.Body.Bytes(), &out); w.Code != http.StatusOK || err != nil {
+					errs <- fmt.Errorf("%s: %d %v", path, w.Code, err)
 					return
 				}
 				if len(out.Matches) != 3 {
@@ -490,24 +361,14 @@ func TestConcurrentRequestsWithReloads(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 40; i++ {
-			resp, err := ts.Client().Get(ts.URL + "/healthz")
-			if err != nil {
-				errs <- err
+			w := fetch(h, http.MethodGet, "/healthz", "")
+			var hz healthResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &hz); w.Code != http.StatusOK || err != nil {
+				errs <- fmt.Errorf("healthz %d: %d %v\n%s", i, w.Code, err, w.Body)
 				return
 			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				errs <- fmt.Errorf("healthz %d: status %d", i, resp.StatusCode)
-				return
-			}
-			var h healthResponse
-			if err := json.Unmarshal(body, &h); err != nil {
-				errs <- fmt.Errorf("healthz %d: %v\n%s", i, err, body)
-				return
-			}
-			if h.Status != "ok" {
-				errs <- fmt.Errorf("healthz %d: %+v", i, h)
+			if hz.Status != "ok" {
+				errs <- fmt.Errorf("healthz %d: %+v", i, hz)
 				return
 			}
 		}
@@ -516,14 +377,8 @@ func TestConcurrentRequestsWithReloads(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			resp, err := ts.Client().Post(ts.URL+"/admin/reload", "application/json", nil)
-			if err != nil {
-				errs <- err
-				return
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				errs <- fmt.Errorf("reload %d: status %d", i, resp.StatusCode)
+			if w := fetch(h, http.MethodPost, "/admin/reload", ""); w.Code != http.StatusOK {
+				errs <- fmt.Errorf("reload %d: status %d", i, w.Code)
 				return
 			}
 		}

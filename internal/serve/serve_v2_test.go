@@ -2,11 +2,8 @@ package serve
 
 import (
 	"context"
-	"io"
 	"net/http"
-	"net/http/httptest"
 	"path/filepath"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -53,74 +50,21 @@ func serverOverModelFile(t *testing.T, path string) *Server {
 	return s
 }
 
-func fetch(t *testing.T, ts *httptest.Server, method, path, body string) (int, string) {
-	t.Helper()
-	var resp *http.Response
-	var err error
-	if method == http.MethodGet {
-		resp, err = ts.Client().Get(ts.URL + path)
-	} else {
-		resp, err = ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(body))
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, string(raw)
-}
-
-// TestV1V2ServeByteIdentical pins the fleet-compatibility acceptance
-// criterion: an LDA model in the legacy v1 gob container (committed bytes:
-// nothing writes v1 any more) answers every query endpoint byte-identically
-// to its v2 twin, which Save writes here and ibserve serves mmapped.
+// TestV1V2ServeByteIdentical runs the serving oracle with every round on the
+// committed v1 model (nothing writes v1 any more): each server must hold its
+// v2 twin's model bit for bit and answer byte-identically. What the oracle
+// cannot see is where phi lives: a v2 server serves it from the mapping, a
+// v1 server from the heap.
 func TestV1V2ServeByteIdentical(t *testing.T) {
-	v1path := filepath.Join("..", "lda", "testdata", "model_v1_k3v38.ibsnap")
-	m, closeV1, err := lda.LoadFile(v1path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := closeV1(); err != nil {
-		t.Fatal(err)
-	}
-	v2path := filepath.Join(t.TempDir(), "model_v2.ibsnap")
-	if err := snapshot.Atomic(v2path, m.Save); err != nil {
-		t.Fatal(err)
-	}
-
-	sV1 := serverOverModelFile(t, v1path)
-	sV2 := serverOverModelFile(t, v2path)
-	if !sV2.cur.Load().model.Phi.Frozen() {
-		t.Fatal("v2 server is not serving from a frozen (mapping-aliased) phi")
-	}
-	if sV1.cur.Load().model.Phi.Frozen() {
-		t.Fatal("v1 server unexpectedly froze its phi")
-	}
-	tsV1 := httptest.NewServer(sV1.Handler())
-	defer tsV1.Close()
-	tsV2 := httptest.NewServer(sV2.Handler())
-	defer tsV2.Close()
-
-	queries := []struct {
-		method, path, body string
-	}{
-		{http.MethodGet, "/v1/similar/7?k=5", ""},
-		{http.MethodGet, "/v1/similar/0?k=3&country=US", ""},
-		{http.MethodGet, "/v1/recommend/12?peers=10", ""},
-		{http.MethodPost, "/v1/whitespace", `{"clients":[1,5,9],"k":5}`},
-		{http.MethodPost, "/v1/infer", `{"owned":[0,4,7],"k":5}`},
-	}
-	for _, q := range queries {
-		st1, body1 := fetch(t, tsV1, q.method, q.path, q.body)
-		st2, body2 := fetch(t, tsV2, q.method, q.path, q.body)
-		if st1 != http.StatusOK || st2 != http.StatusOK {
-			t.Fatalf("%s %s: status v1=%d v2=%d", q.method, q.path, st1, st2)
-		}
-		if body1 != body2 {
-			t.Fatalf("%s %s: responses differ\nv1: %s\nv2: %s", q.method, q.path, body1, body2)
+	serveOracle(t, 2001, 1, func(v *variant) { v.v1 = 1 })
+	models := oracleModels(t)
+	fx := drawFixture(rng.New(1))
+	for v1, frozen := range []bool{true, false} {
+		d := deploy(t, fx, models, variant{v1: v1})
+		got := d.servers[0].cur.Load().model.Phi.Frozen()
+		d.close()
+		if got != frozen {
+			t.Fatalf("v1=%d: phi frozen %v, want %v", v1, got, frozen)
 		}
 	}
 }
@@ -150,13 +94,10 @@ func TestReloadV2UsesMmapNotDecode(t *testing.T) {
 		}
 		return Loaded{Index: ix, Model: mm, Close: closeFn}, nil
 	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
 	mmap0 := counterValue("snapshot_mmap_loads_total")
 	fallback0 := counterValue("snapshot_map_fallback_loads_total")
-	if code, body := fetch(t, ts, http.MethodPost, "/admin/reload", ""); code != http.StatusOK {
-		t.Fatalf("reload: %d %s", code, body)
+	if w := fetch(s.Handler(), http.MethodPost, "/admin/reload", ""); w.Code != http.StatusOK {
+		t.Fatalf("reload: %d %s", w.Code, w.Body)
 	}
 	mmapDelta := counterValue("snapshot_mmap_loads_total") - mmap0
 	fallbackDelta := counterValue("snapshot_map_fallback_loads_total") - fallback0
@@ -168,8 +109,8 @@ func TestReloadV2UsesMmapNotDecode(t *testing.T) {
 		t.Fatal("reloaded generation is not serving from a frozen (mapping-aliased) phi")
 	}
 	// A post-reload query must serve fine off the new mapping.
-	if code, _ := fetch(t, ts, http.MethodGet, "/v1/similar/3?k=3", ""); code != http.StatusOK {
-		t.Fatalf("post-reload query: %d", code)
+	if w := fetch(s.Handler(), http.MethodGet, "/v1/similar/3?k=3", ""); w.Code != http.StatusOK {
+		t.Fatalf("post-reload query: %d", w.Code)
 	}
 }
 
@@ -187,17 +128,14 @@ func TestGenerationCloseDeferredUntilRelease(t *testing.T) {
 	s.load = func(context.Context) (Loaded, error) {
 		return Loaded{Index: ix, Model: m}, nil
 	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
 	// Simulate an in-flight request: take a reference like limited() does.
 	held := s.current()
 	if held != first {
 		t.Fatal("current() did not return the installed generation")
 	}
 
-	if code, body := fetch(t, ts, http.MethodPost, "/admin/reload", ""); code != http.StatusOK {
-		t.Fatalf("reload: %d %s", code, body)
+	if w := fetch(s.Handler(), http.MethodPost, "/admin/reload", ""); w.Code != http.StatusOK {
+		t.Fatalf("reload: %d %s", w.Code, w.Body)
 	}
 	if got := closed.Load(); got != 0 {
 		t.Fatalf("old generation closed %d times while a request still held it", got)
@@ -212,8 +150,8 @@ func TestGenerationCloseDeferredUntilRelease(t *testing.T) {
 	if first.acquire() {
 		t.Fatal("acquire succeeded on a closed generation")
 	}
-	if code, _ := fetch(t, ts, http.MethodGet, "/v1/similar/1?k=2", ""); code != http.StatusOK {
-		t.Fatalf("query after generation swap: %d", code)
+	if w := fetch(s.Handler(), http.MethodGet, "/v1/similar/1?k=2", ""); w.Code != http.StatusOK {
+		t.Fatalf("query after generation swap: %d", w.Code)
 	}
 }
 

@@ -4,12 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/api"
 	"repro/internal/chaos"
@@ -21,46 +18,6 @@ import (
 
 func gaugeValue(name string) float64 { return obs.Default().Gauge(name, "").Value() }
 
-// getBodyClose drains and closes an already-issued response (the chaos test
-// needs the status code AND the body from one round trip).
-func getBodyClose(t *testing.T, resp *http.Response) []byte {
-	t.Helper()
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return body
-}
-
-// waitCounter polls until the named counter reaches want or the deadline
-// passes (the shadow worker is asynchronous by design, so tests wait for the
-// queue to drain instead of sleeping blind).
-func waitCounter(t *testing.T, name string, want uint64) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if counterValue(name) >= want {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("%s = %d, want >= %d within 5s", name, counterValue(name), want)
-}
-
-// waitRecorded polls until sampler s has recorded want samples, its replay
-// buffer included.
-func waitRecorded(t *testing.T, s *shadow.Sampler, want uint64) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Status().Samples < want {
-		if time.Now().After(deadline) {
-			t.Fatalf("the sampler recorded %d samples, want %d within 5s", s.Status().Samples, want)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
 // newShadowServer builds an ANN-routed server (cells/nprobe approximate, so
 // divergence is possible) with the given shadow/reload configuration.
 func newShadowServer(t *testing.T, cfg Config) (*Server, *core.Index) {
@@ -70,58 +27,43 @@ func newShadowServer(t *testing.T, cfg Config) (*Server, *core.Index) {
 	return s, ix
 }
 
-// TestShadowDisabledInvariance pins the disabled-path contract from both
-// sides: with shadow sampling off, serving traffic registers no new metric
-// names and /healthz carries no shadow block; and turning sampling ON
-// changes no served byte — the same request sequence answers byte-identically
-// on a sampling and a non-sampling server over the same index configuration.
+// TestShadowDisabledInvariance runs the serving oracle with shadow sampling on
+// an ANN-routed index in every round, so sampling must change no served byte.
+// The oracle's pruner probes every cell, so its samples never diverge; the
+// pair here probes 2 of 5 cells, so the worst-ring and recall paths run
+// beside a byte comparison (GETs, and a POST twice for the cache path).
+// Traffic registers no metric name; /healthz carries a shadow block and
+// /debug/recall is mounted exactly when sampling is on.
 func TestShadowDisabledInvariance(t *testing.T) {
+	serveOracle(t, 7001, 1, func(v *variant) { v.ann, v.shadow = 1, 1 })
 	on, _ := newShadowServer(t, Config{Shadow: &shadow.Config{SampleN: 1, Seed: 5}})
-	off, _ := newShadowServer(t, Config{})
-	tsOn := httptest.NewServer(on.Handler())
-	defer tsOn.Close()
-	tsOff := httptest.NewServer(off.Handler())
-	defer tsOff.Close()
 	defer on.shadow.Close()
-
-	names0 := strings.Join(obs.Default().Names(), "\n")
-	paths := []string{"/v1/similar/0?k=5", "/v1/similar/7?k=3&country=US", "/v1/similar/7?k=3&country=US"}
-	for _, p := range paths {
-		respOff := getBody(t, tsOff, p)
-		respOn := getBody(t, tsOn, p)
-		if string(respOff) != string(respOn) {
-			t.Fatalf("%s diverges with sampling on:\noff: %s\non:  %s", p, respOff, respOn)
+	off, _ := newShadowServer(t, Config{})
+	names := strings.Join(obs.Default().Names(), "\n")
+	ws := `{"clients":[1,2],"k":5}`
+	for _, rq := range [][3]string{
+		{http.MethodGet, "/v1/similar/0?k=5", ""},
+		{http.MethodGet, "/v1/similar/7?k=3&country=US", ""},
+		{http.MethodGet, "/v1/similar/7?k=3&country=US", ""},
+		{http.MethodPost, "/v1/whitespace", ws},
+		{http.MethodPost, "/v1/whitespace", ws},
+	} {
+		a, b := fetch(off.Handler(), rq[0], rq[1], rq[2]), fetch(on.Handler(), rq[0], rq[1], rq[2])
+		if a.Code != http.StatusOK || b.Code != a.Code || b.Body.String() != a.Body.String() {
+			t.Fatalf("%s %s diverges with sampling on:\noff: %d %s\non:  %d %s", rq[0], rq[1], a.Code, a.Body, b.Code, b.Body)
 		}
 	}
-	for i := 0; i < 2; i++ { // POST surface too, twice to cover the cache-hit path
-		var respOff, respOn api.WhitespaceResponse
-		postJSON(t, tsOff, "/v1/whitespace", api.WhitespaceRequest{Clients: []int{1, 2}, K: 5}, &respOff)
-		postJSON(t, tsOn, "/v1/whitespace", api.WhitespaceRequest{Clients: []int{1, 2}, K: 5}, &respOn)
-		if fmt.Sprintf("%+v", respOff) != fmt.Sprintf("%+v", respOn) {
-			t.Fatalf("whitespace diverges with sampling on:\noff: %+v\non:  %+v", respOff, respOn)
+	if now := strings.Join(obs.Default().Names(), "\n"); now != names {
+		t.Fatalf("serving traffic registered new metric names:\nbefore:\n%s\nafter:\n%s", names, now)
+	}
+	for _, s := range []*Server{off, on} {
+		sampling := s == on
+		if w := fetch(s.Handler(), http.MethodGet, "/healthz", ""); strings.Contains(w.Body.String(), `"shadow"`) != sampling {
+			t.Fatalf("sampling %v: /healthz %s", sampling, w.Body)
 		}
-	}
-	if names1 := strings.Join(obs.Default().Names(), "\n"); names1 != names0 {
-		t.Fatalf("serving traffic registered new metric names:\nbefore:\n%s\nafter:\n%s", names0, names1)
-	}
-
-	// The healthz shadow block exists exactly when sampling is on.
-	var rawOff, rawOn map[string]any
-	getJSON(t, tsOff, "/healthz", &rawOff)
-	getJSON(t, tsOn, "/healthz", &rawOn)
-	if _, ok := rawOff["shadow"]; ok {
-		t.Fatalf("non-sampling /healthz carries a shadow block: %+v", rawOff["shadow"])
-	}
-	if _, ok := rawOn["shadow"]; !ok {
-		t.Fatal("sampling /healthz omits the shadow block")
-	}
-
-	// /debug/recall mounts on the main mux only with sampling on.
-	if resp := getJSON(t, tsOff, "/debug/recall", nil); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("non-sampling /debug/recall = %d, want 404", resp.StatusCode)
-	}
-	if resp := getJSON(t, tsOn, "/debug/recall", nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("sampling /debug/recall = %d, want 200", resp.StatusCode)
+		if w, want := fetch(s.Handler(), http.MethodGet, "/debug/recall", ""), map[bool]int{false: 404, true: 200}[sampling]; w.Code != want {
+			t.Fatalf("sampling %v: /debug/recall = %d, want %d", sampling, w.Code, want)
+		}
 	}
 }
 
@@ -132,19 +74,18 @@ func TestShadowDisabledInvariance(t *testing.T) {
 // and the /healthz shadow summary. Cache hits must not consume samples.
 func TestShadowSamplingPopulates(t *testing.T) {
 	s, _ := newShadowServer(t, Config{Shadow: &shadow.Config{SampleN: 1, Seed: 7}})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	h := s.Handler()
 	defer s.shadow.Close()
 
 	samples0 := counterValue("shadow_samples_total")
 	for i := 0; i < 6; i++ {
-		if resp := getJSON(t, ts, fmt.Sprintf("/v1/similar/%d?k=5", i*3), nil); resp.StatusCode != http.StatusOK {
-			t.Fatalf("similar %d: status %d", i, resp.StatusCode)
+		if resp := getJSON(t, h, fmt.Sprintf("/v1/similar/%d?k=5", i*3), nil); resp.Code != http.StatusOK {
+			t.Fatalf("similar %d: status %d", i, resp.Code)
 		}
 	}
-	getJSON(t, ts, "/v1/similar/0?k=5", nil) // cache hit: no decision, no sample
-	postJSON(t, ts, "/v1/whitespace", api.WhitespaceRequest{Clients: []int{1, 2}, K: 5}, nil)
-	waitCounter(t, "shadow_samples_total", samples0+7)
+	getJSON(t, h, "/v1/similar/0?k=5", nil) // cache hit: no decision, no sample
+	postJSON(t, h, "/v1/whitespace", api.WhitespaceRequest{Clients: []int{1, 2}, K: 5}, nil)
+	waitFor(t, "shadow_samples_total", func() bool { return counterValue("shadow_samples_total") >= samples0+7 })
 	if got := counterValue("shadow_samples_total"); got != samples0+7 {
 		t.Fatalf("shadow_samples_total = %d, want exactly %d (cache hits must not sample)", got, samples0+7)
 	}
@@ -158,7 +99,7 @@ func TestShadowSamplingPopulates(t *testing.T) {
 	}
 
 	var st shadow.Status
-	getJSON(t, ts, "/debug/recall", &st)
+	getJSON(t, h, "/debug/recall", &st)
 	if !st.Enabled || st.SampleOneIn != 1 || len(st.Worst) == 0 {
 		t.Fatalf("/debug/recall = %+v, want enabled with worst entries", st)
 	}
@@ -173,13 +114,13 @@ func TestShadowSamplingPopulates(t *testing.T) {
 		t.Fatalf("worst ring kinds = %v, want both similar and whitespace", kinds)
 	}
 
-	var h healthResponse
-	getJSON(t, ts, "/healthz", &h)
-	if h.Shadow == nil || h.Shadow.SampleOneIn != 1 || h.Shadow.WindowSamples < 7 {
-		t.Fatalf("/healthz shadow = %+v, want sample_one_in=1 with window samples", h.Shadow)
+	var hz healthResponse
+	getJSON(t, h, "/healthz", &hz)
+	if hz.Shadow == nil || hz.Shadow.SampleOneIn != 1 || hz.Shadow.WindowSamples < 7 {
+		t.Fatalf("/healthz shadow = %+v, want sample_one_in=1 with window samples", hz.Shadow)
 	}
-	if h.Shadow.ObservedRecall != mean {
-		t.Fatalf("/healthz observed_recall = %v, want %v", h.Shadow.ObservedRecall, mean)
+	if hz.Shadow.ObservedRecall != mean {
+		t.Fatalf("/healthz observed_recall = %v, want %v", hz.Shadow.ObservedRecall, mean)
 	}
 }
 
@@ -219,34 +160,33 @@ func TestReloadCanaryAndGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	h := srv.Handler()
 	defer srv.shadow.Close()
 
 	// An empty replay buffer means nothing to diff: the reload proceeds with
 	// no canary block at all.
 	var resp reloadResponse
-	if r := postJSON(t, ts, "/admin/reload", nil, &resp); r.StatusCode != http.StatusOK {
-		t.Fatalf("reload with empty buffer = %d, want 200", r.StatusCode)
+	if r := postJSON(t, h, "/admin/reload", nil, &resp); r.Code != http.StatusOK {
+		t.Fatalf("reload with empty buffer = %d, want 200", r.Code)
 	}
 	if resp.Canary != nil || resp.Generation != 2 {
 		t.Fatalf("empty-buffer reload = %+v, want gen 2 without canary", resp)
 	}
 
 	for i := 0; i < 5; i++ {
-		getJSON(t, ts, fmt.Sprintf("/v1/similar/%d?k=5", i*7), nil)
+		getJSON(t, h, fmt.Sprintf("/v1/similar/%d?k=5", i*7), nil)
 	}
 	// Wait on this server's sampler: another test's may still be moving the
 	// process-wide shadow_samples_total, and the sampler counts a sample there
 	// before the replay buffer the canary reads holds it.
-	waitRecorded(t, srv.shadow, 5)
+	waitFor(t, "5 samples recorded", func() bool { return srv.shadow.Status().Samples >= 5 })
 
 	// Identical incoming generation: clean diff, swap allowed.
 	canaries0 := counterValue("shadow_reload_canaries_total")
 	refusals0 := counterValue("shadow_reload_refusals_total")
 	resp = reloadResponse{}
-	if r := postJSON(t, ts, "/admin/reload", nil, &resp); r.StatusCode != http.StatusOK {
-		t.Fatalf("clean reload = %d, want 200", r.StatusCode)
+	if r := postJSON(t, h, "/admin/reload", nil, &resp); r.Code != http.StatusOK {
+		t.Fatalf("clean reload = %d, want 200", r.Code)
 	}
 	if resp.Canary == nil || !resp.Reloaded || resp.Generation != 3 {
 		t.Fatalf("clean reload = %+v, want gen 3 with canary", resp)
@@ -262,9 +202,9 @@ func TestReloadCanaryAndGuard(t *testing.T) {
 	// Scrambled incoming generation: the guard refuses the swap with 409,
 	// counts the refusal, and keeps serving the old generation.
 	incoming = bad
-	r := postJSON(t, ts, "/admin/reload", nil, nil)
-	if r.StatusCode != http.StatusConflict {
-		t.Fatalf("scrambled reload = %d, want 409", r.StatusCode)
+	r := postJSON(t, h, "/admin/reload", nil, nil)
+	if r.Code != http.StatusConflict {
+		t.Fatalf("scrambled reload = %d, want 409", r.Code)
 	}
 	if got := counterValue("shadow_reload_refusals_total"); got != refusals0+1 {
 		t.Fatalf("shadow_reload_refusals_total = %d, want %d", got, refusals0+1)
@@ -274,17 +214,17 @@ func TestReloadCanaryAndGuard(t *testing.T) {
 	}
 	// The refused generation never took traffic: queries still answer from
 	// the healthy index, identically to before the refused reload.
-	before := getBody(t, ts, "/v1/similar/0?k=5")
+	before := fetch(srv.Handler(), http.MethodGet, "/v1/similar/0?k=5", "").Body.String()
 	incoming = good
 	resp = reloadResponse{}
-	if r := postJSON(t, ts, "/admin/reload", nil, &resp); r.StatusCode != http.StatusOK {
-		t.Fatalf("recovered reload = %d, want 200", r.StatusCode)
+	if r := postJSON(t, h, "/admin/reload", nil, &resp); r.Code != http.StatusOK {
+		t.Fatalf("recovered reload = %d, want 200", r.Code)
 	}
 	if resp.Generation != 4 {
 		t.Fatalf("recovered reload generation = %d, want 4 (the refusal must not burn a generation)", resp.Generation)
 	}
-	after := getBody(t, ts, "/v1/similar/0?k=5")
-	if string(before) != string(after) {
+	after := fetch(srv.Handler(), http.MethodGet, "/v1/similar/0?k=5", "").Body.String()
+	if before != after {
 		t.Fatalf("healthy reload changed answers:\nbefore: %s\nafter:  %s", before, after)
 	}
 }
@@ -303,10 +243,7 @@ func TestShadowChaosComposition(t *testing.T) {
 		ExactFault: func() error { return errors.New("injected shadow drill fault") },
 	}})
 	off, _ := newShadowServer(t, Config{})
-	tsOn := httptest.NewServer(chaos.Middleware(cc, on.Handler()))
-	defer tsOn.Close()
-	tsOff := httptest.NewServer(chaos.Middleware(cc, off.Handler()))
-	defer tsOff.Close()
+	hOn, hOff := chaos.Middleware(cc, on.Handler()), chaos.Middleware(cc, off.Handler())
 	defer on.shadow.Close()
 
 	serveErrs0 := counterValue("serve_similar_errors_total")
@@ -315,21 +252,11 @@ func TestShadowChaosComposition(t *testing.T) {
 	var served uint64
 	for i := 0; i < 25; i++ {
 		path := fmt.Sprintf("/v1/similar/%d?k=5", i)
-		respOff, err := tsOff.Client().Get(tsOff.URL + path)
-		if err != nil {
-			t.Fatal(err)
+		wOff, wOn := fetch(hOff, http.MethodGet, path, ""), fetch(hOn, http.MethodGet, path, "")
+		if wOff.Code != wOn.Code || wOff.Body.String() != wOn.Body.String() {
+			t.Fatalf("%s diverges under chaos: off=(%d, %s) on=(%d, %s)", path, wOff.Code, wOff.Body, wOn.Code, wOn.Body)
 		}
-		bodyOff := getBodyClose(t, respOff)
-		respOn, err := tsOn.Client().Get(tsOn.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bodyOn := getBodyClose(t, respOn)
-		if respOff.StatusCode != respOn.StatusCode || string(bodyOff) != string(bodyOn) {
-			t.Fatalf("%s diverges under chaos: off=(%d, %s) on=(%d, %s)",
-				path, respOff.StatusCode, bodyOff, respOn.StatusCode, bodyOn)
-		}
-		if respOn.StatusCode == http.StatusOK {
+		if wOn.Code == http.StatusOK {
 			served++
 		}
 	}
@@ -340,7 +267,7 @@ func TestShadowChaosComposition(t *testing.T) {
 	// Every served (cache-missing, distinct-id) query was sampled and its
 	// exact leg failed through ExactFault: the drill faults land in
 	// shadow_exact_errors_total, never in the serving error counters.
-	waitCounter(t, "shadow_exact_errors_total", exactErrs0+served)
+	waitFor(t, "shadow_exact_errors_total", func() bool { return counterValue("shadow_exact_errors_total") >= exactErrs0+served })
 	if got := counterValue("shadow_exact_errors_total"); got != exactErrs0+served {
 		t.Fatalf("shadow_exact_errors_total = %d, want exactly %d", got, exactErrs0+served)
 	}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -9,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/rng"
 )
 
 // TestSLOStatusAndDebugEndpoint drives a mixed workload through an
@@ -31,16 +31,15 @@ func TestSLOStatusAndDebugEndpoint(t *testing.T) {
 		},
 	})
 	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	h := s.Handler()
 
 	for i := 0; i < 4; i++ {
-		if resp := getJSON(t, ts, "/v1/similar/3?k=3", nil); resp.StatusCode != http.StatusOK {
-			t.Fatalf("similar status %d", resp.StatusCode)
+		if resp := getJSON(t, h, "/v1/similar/3?k=3", nil); resp.Code != http.StatusOK {
+			t.Fatalf("similar status %d", resp.Code)
 		}
 	}
 	// A 400 counts as a request but neither an error nor a latency sample.
-	if resp := getJSON(t, ts, "/v1/similar/notanid", nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := getJSON(t, h, "/v1/similar/notanid", nil); resp.Code != http.StatusBadRequest {
 		t.Fatal("bad request not rejected")
 	}
 	// A saturation 503 is a server error: it consumes error budget.
@@ -60,10 +59,9 @@ func TestSLOStatusAndDebugEndpoint(t *testing.T) {
 	if len(routes) != 1 || routes[0].Pattern != "GET /debug/slo" {
 		t.Fatalf("SLORoutes %+v", routes)
 	}
-	tsSLO := httptest.NewServer(routes[0].Handler)
-	defer tsSLO.Close()
+	hSLO := routes[0].Handler
 	var st api.SLOStatus
-	if resp := getJSON(t, tsSLO, "/debug/slo", &st); resp.StatusCode != http.StatusOK {
+	if resp := getJSON(t, hSLO, "/debug/slo", &st); resp.Code != http.StatusOK {
 		t.Fatal("debug/slo not served")
 	}
 	if st.WindowSec != 3600 || st.Availability != 0.999 || st.Buckets != api.DefaultSLOBuckets {
@@ -102,111 +100,32 @@ func TestSLOStatusAndDebugEndpoint(t *testing.T) {
 	}
 
 	// Text rendering carries the same story.
-	resp, err := tsSLO.Client().Get(tsSLO.URL + "/debug/slo?format=text")
-	if err != nil {
-		t.Fatal(err)
-	}
-	text, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(text), "BURNING: recommend") || !strings.Contains(string(text), "burning(avail)") {
+	text := fetch(hSLO, http.MethodGet, "/debug/slo?format=text", "").Body.String()
+	if !strings.Contains(text, "BURNING: recommend") || !strings.Contains(text, "burning(avail)") {
 		t.Fatalf("text rendering:\n%s", text)
 	}
 
 	// /healthz folds in the one-line summary.
 	var health healthResponse
-	getJSON(t, ts, "/healthz", &health)
+	getJSON(t, h, "/healthz", &health)
 	if health.SLO == nil || health.SLO.OK || len(health.SLO.Burning) != 1 {
 		t.Fatalf("healthz slo summary %+v", health.SLO)
 	}
 }
 
-// TestSLOMetricAndResponseInvariance is the disabled-path pin for the SLO
-// layer, mirroring the tracing invariance suite: an identical request mix
-// against an SLO-off and an SLO-on server must produce byte-identical query
-// responses and move every pre-existing serving metric by exactly the same
-// delta. SLO tracking may add new series; it must never perturb old ones.
+// TestSLOMetricAndResponseInvariance runs the serving oracle with SLO tracking
+// on in every round, so each round's twin (SLO off) must answer the same
+// bytes and move every counter it moves by the same delta. Off, a server
+// exposes no SLO surface: no routes and no slo key in /healthz.
 func TestSLOMetricAndResponseInvariance(t *testing.T) {
-	type reqSpec struct {
-		method, path, body string
-		status             int
-	}
-	specs := []reqSpec{
-		{http.MethodGet, "/v1/similar/3?k=5", "", http.StatusOK},
-		{http.MethodGet, "/v1/similar/3?k=5", "", http.StatusOK}, // cache hit
-		{http.MethodGet, "/v1/recommend/7?peers=5", "", http.StatusOK},
-		{http.MethodPost, "/v1/whitespace", `{"clients":[1,2,3],"k":4}`, http.StatusOK},
-		{http.MethodPost, "/v1/infer", `{"owned":[0,1],"k":3}`, http.StatusOK},
-		{http.MethodGet, "/v1/similar/notanid", "", http.StatusBadRequest},
-	}
-	run := func(slo *api.SLOConfig) ([]string, map[string]uint64, *Server) {
-		t.Helper()
-		s, _, _ := newTestServer(t, Config{Quiet: true, Logger: discardLogger(), SLO: slo})
-		ts := httptest.NewServer(s.Handler())
-		defer ts.Close()
-		before := snapshotMetrics()
-		bodies := make([]string, 0, len(specs))
-		for _, spec := range specs {
-			req, err := http.NewRequest(spec.method, ts.URL+spec.path, strings.NewReader(spec.body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, err := ts.Client().Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			body, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp.StatusCode != spec.status {
-				t.Fatalf("%s %s: status %d, want %d", spec.method, spec.path, resp.StatusCode, spec.status)
-			}
-			bodies = append(bodies, string(body))
-		}
-		after := snapshotMetrics()
-		deltas := make(map[string]uint64, len(after))
-		for name, v := range after {
-			deltas[name] = v - before[name]
-		}
-		return bodies, deltas, s
-	}
-
-	offBodies, offDeltas, offSrv := run(nil)
-	onBodies, onDeltas, onSrv := run(&api.SLOConfig{Window: time.Hour})
-	defer onSrv.Close()
-
-	for i := range specs {
-		if offBodies[i] != onBodies[i] {
-			t.Errorf("%s %s: response differs with SLO tracking on\noff: %s\non:  %s",
-				specs[i].method, specs[i].path, offBodies[i], onBodies[i])
-		}
-	}
-	for name, want := range offDeltas {
-		if got := onDeltas[name]; got != want {
-			t.Errorf("metric %s: delta %d with SLO on, %d off", name, got, want)
-		}
-	}
-	if offDeltas["serve_similar_requests_total"] == 0 || offDeltas["serve_similar_errors_total"] == 0 {
-		t.Fatalf("request mix did not move both similar counters: %+v", offDeltas)
-	}
-
-	// The disabled path exposes no SLO surface at all: no routes, no
-	// tracker state, no slo key in /healthz.
-	if routes := offSrv.SLORoutes(); routes != nil {
+	serveOracle(t, 5001, 1, func(v *variant) { v.slo = 1 })
+	d := deploy(t, drawFixture(rng.New(5)), oracleModels(t), variant{})
+	defer d.close()
+	if routes := d.servers[0].SLORoutes(); routes != nil {
 		t.Fatalf("SLO-off server mounted routes: %+v", routes)
 	}
-	offSrv.Close() // no-op, must not panic
-	tsOff := httptest.NewServer(offSrv.Handler())
-	defer tsOff.Close()
-	resp, err := tsOff.Client().Get(tsOff.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if strings.Contains(string(raw), `"slo"`) {
-		t.Fatalf("SLO-off healthz mentions slo:\n%s", raw)
+	if w := fetch(d.h, http.MethodGet, "/healthz", ""); strings.Contains(w.Body.String(), `"slo"`) {
+		t.Fatalf("SLO-off healthz mentions slo:\n%s", w.Body)
 	}
 }
 
@@ -215,20 +134,19 @@ func TestSLOMetricAndResponseInvariance(t *testing.T) {
 // one, and re-querying the evicted key misses again.
 func TestCacheEvictionCounter(t *testing.T) {
 	s, _, _ := newTestServer(t, Config{CacheSize: 2, Quiet: true, Logger: discardLogger()})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	h := s.Handler()
 
 	evict0, misses0 := counterValue("serve_cache_evictions_total"), counterValue("serve_cache_misses_total")
-	getJSON(t, ts, "/v1/similar/1?k=3", nil)
-	getJSON(t, ts, "/v1/similar/2?k=3", nil)
+	getJSON(t, h, "/v1/similar/1?k=3", nil)
+	getJSON(t, h, "/v1/similar/2?k=3", nil)
 	if got := counterValue("serve_cache_evictions_total"); got != evict0 {
 		t.Fatalf("eviction before capacity (%d -> %d)", evict0, got)
 	}
-	getJSON(t, ts, "/v1/similar/3?k=3", nil) // evicts the id=1 entry
+	getJSON(t, h, "/v1/similar/3?k=3", nil) // evicts the id=1 entry
 	if got := counterValue("serve_cache_evictions_total"); got != evict0+1 {
 		t.Fatalf("serve_cache_evictions_total %d, want %d", got, evict0+1)
 	}
-	getJSON(t, ts, "/v1/similar/1?k=3", nil) // evicted: a miss (and evicts id=2)
+	getJSON(t, h, "/v1/similar/1?k=3", nil) // evicted: a miss (and evicts id=2)
 	if got := counterValue("serve_cache_misses_total"); got != misses0+4 {
 		t.Fatalf("serve_cache_misses_total %d, want %d", got, misses0+4)
 	}
@@ -242,12 +160,11 @@ func TestCacheEvictionCounter(t *testing.T) {
 // meaningful) and never a hit.
 func TestDisabledCacheCountsMisses(t *testing.T) {
 	s, _, _ := newTestServer(t, Config{CacheSize: -1, Quiet: true, Logger: discardLogger()})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	h := s.Handler()
 
 	hits0, misses0 := counterValue("serve_cache_hits_total"), counterValue("serve_cache_misses_total")
-	getJSON(t, ts, "/v1/similar/5?k=3", nil)
-	getJSON(t, ts, "/v1/similar/5?k=3", nil)
+	getJSON(t, h, "/v1/similar/5?k=3", nil)
+	getJSON(t, h, "/v1/similar/5?k=3", nil)
 	if got := counterValue("serve_cache_hits_total"); got != hits0 {
 		t.Fatalf("disabled cache produced hits (%d -> %d)", hits0, got)
 	}

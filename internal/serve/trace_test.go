@@ -4,13 +4,12 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/rng"
 	"repro/internal/trace"
 )
 
@@ -60,24 +59,19 @@ func attrValue(sp *trace.SpanJSON, key string) (string, bool) {
 func TestTraceSpanTreeForSimilar(t *testing.T) {
 	tr := newServeTracer(1)
 	s, _, _ := newTestServer(t, Config{Tracer: tr, Quiet: true, Logger: discardLogger()})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	h := s.Handler()
 
 	// get serves path and returns its trace and its one core.topk span.
 	get := func(path string) (*trace.TraceJSON, *trace.SpanJSON) {
 		t.Helper()
-		resp, err := ts.Client().Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
+		resp := fetch(h, http.MethodGet, path, "")
+		if resp.Code != http.StatusOK {
+			t.Fatalf("%s: status %d", path, resp.Code)
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d", path, resp.StatusCode)
-		}
-		tp, ok := trace.ParseTraceparent(resp.Header.Get("traceparent"))
+		sent := resp.Result().Header.Get("traceparent")
+		tp, ok := trace.ParseTraceparent(sent)
 		if !ok {
-			t.Fatalf("response traceparent %q did not parse", resp.Header.Get("traceparent"))
+			t.Fatalf("response traceparent %q did not parse", sent)
 		}
 		tj, ok := tr.Get(tp.TraceID.String())
 		if !ok {
@@ -126,19 +120,12 @@ func TestTraceSpanTreeForSimilar(t *testing.T) {
 func TestTailSamplingRetention(t *testing.T) {
 	tr := newServeTracer(0)
 	s, _, _ := newTestServer(t, Config{Tracer: tr, Quiet: true, Logger: discardLogger()})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	h := s.Handler()
 
 	mustGet := func(path string, want int) {
 		t.Helper()
-		resp, err := ts.Client().Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != want {
-			t.Fatalf("GET %s: status %d, want %d", path, resp.StatusCode, want)
+		if resp := fetch(h, http.MethodGet, path, ""); resp.Code != want {
+			t.Fatalf("GET %s: status %d, want %d", path, resp.Code, want)
 		}
 	}
 
@@ -174,24 +161,14 @@ func TestTraceparentPropagation(t *testing.T) {
 	const inbound = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
 	tr := newServeTracer(1)
 	s, _, _ := newTestServer(t, Config{Tracer: tr, Quiet: true, Logger: discardLogger()})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	h := s.Handler()
 
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/similar/5?k=3", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("traceparent", inbound)
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	resp := fetch(h, http.MethodGet, "/v1/similar/5?k=3", "", "traceparent", inbound)
 
-	echo, ok := trace.ParseTraceparent(resp.Header.Get("traceparent"))
+	sent := resp.Result().Header.Get("traceparent")
+	echo, ok := trace.ParseTraceparent(sent)
 	if !ok {
-		t.Fatalf("echoed traceparent %q did not parse", resp.Header.Get("traceparent"))
+		t.Fatalf("echoed traceparent %q did not parse", sent)
 	}
 	if echo.TraceID.String() != "0af7651916cd43dd8448eb211c80319c" {
 		t.Fatalf("echoed trace ID %s, want the inbound one", echo.TraceID)
@@ -212,112 +189,20 @@ func TestTraceparentPropagation(t *testing.T) {
 	}
 }
 
-// traceInvarianceMetrics is every serving-path series the tracing work must
-// not perturb: per-endpoint request/error counters plus the core scan
-// counters underneath them.
-var traceInvarianceMetrics = []string{
-	"serve_similar_requests_total", "serve_similar_errors_total",
-	"serve_recommend_requests_total", "serve_recommend_errors_total",
-	"serve_whitespace_requests_total", "serve_whitespace_errors_total",
-	"serve_infer_requests_total", "serve_infer_errors_total",
-	"serve_throttled_total", "serve_cache_hits_total", "serve_cache_misses_total",
-	"topk_requests_total", "topk_errors_total",
-	"topk_candidates_admitted_total", "topk_candidates_filtered_total",
-}
-
-var traceInvarianceHistograms = []string{
-	"serve_similar_latency_seconds", "serve_recommend_latency_seconds",
-	"serve_whitespace_latency_seconds", "serve_infer_latency_seconds",
-	"topk_latency_seconds",
-}
-
-func snapshotMetrics() map[string]uint64 {
-	out := make(map[string]uint64, len(traceInvarianceMetrics)+len(traceInvarianceHistograms))
-	for _, name := range traceInvarianceMetrics {
-		out[name] = obs.Default().Counter(name, "").Value()
-	}
-	for _, name := range traceInvarianceHistograms {
-		out[name+"_count"] = obs.Default().Histogram(name, "", nil).Count()
-	}
-	return out
-}
-
-// TestTracingMetricAndResponseInvariance runs an identical request mix
-// against a tracing-off server and a tracing-on (sample rate 1) server and
-// asserts the responses are byte-identical and every serving metric moved by
-// exactly the same delta. This is the "off by default costs nothing, on
-// changes nothing observable" acceptance criterion.
+// TestTracingMetricAndResponseInvariance runs the serving oracle with tracing
+// on at sample rate 1 in every round, so each round's twin (tracing off) must
+// answer the same bytes and move every counter it moves by the same delta.
+// A disabled tracer keeps no trace of the traffic.
 func TestTracingMetricAndResponseInvariance(t *testing.T) {
-	type reqSpec struct {
-		method, path, body string
-		status             int
+	serveOracle(t, 6001, 1, func(v *variant) { v.trace = 1 })
+	g := rng.New(6)
+	fx := drawFixture(g)
+	d := deploy(t, fx, oracleModels(t), variant{})
+	defer d.close()
+	for _, rq := range drawRequests(g, fx, d.servers[0].Index()) {
+		d.send(rq, true)
 	}
-	// Mix of cold queries, a cache-hit repeat, a POST body path and two
-	// failure shapes so both requests and errors counters move.
-	specs := []reqSpec{
-		{http.MethodGet, "/v1/similar/3?k=5", "", http.StatusOK},
-		{http.MethodGet, "/v1/similar/3?k=5", "", http.StatusOK}, // cache hit
-		{http.MethodGet, "/v1/recommend/7?peers=5", "", http.StatusOK},
-		{http.MethodPost, "/v1/whitespace", `{"clients":[1,2,3],"k":4}`, http.StatusOK},
-		{http.MethodPost, "/v1/infer", `{"owned":[0,1],"k":3}`, http.StatusOK},
-		{http.MethodGet, "/v1/similar/notanid", "", http.StatusBadRequest},
-		{http.MethodPost, "/v1/whitespace", `{not json`, http.StatusBadRequest},
-	}
-
-	run := func(tracer *trace.Tracer) ([]string, map[string]uint64) {
-		t.Helper()
-		s, _, _ := newTestServer(t, Config{Tracer: tracer, Quiet: true, Logger: discardLogger()})
-		ts := httptest.NewServer(s.Handler())
-		defer ts.Close()
-		before := snapshotMetrics()
-		bodies := make([]string, 0, len(specs))
-		for _, spec := range specs {
-			req, err := http.NewRequest(spec.method, ts.URL+spec.path, strings.NewReader(spec.body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, err := ts.Client().Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			body, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp.StatusCode != spec.status {
-				t.Fatalf("%s %s: status %d, want %d", spec.method, spec.path, resp.StatusCode, spec.status)
-			}
-			bodies = append(bodies, string(body))
-		}
-		after := snapshotMetrics()
-		deltas := make(map[string]uint64, len(after))
-		for name, v := range after {
-			deltas[name] = v - before[name]
-		}
-		return bodies, deltas
-	}
-
-	off := trace.NewTracer(16) // disabled: every span takes the nil fast path
-	offBodies, offDeltas := run(off)
-	onBodies, onDeltas := run(newServeTracer(1))
-
-	for i := range specs {
-		if offBodies[i] != onBodies[i] {
-			t.Errorf("%s %s: response differs with tracing on\noff: %s\non:  %s",
-				specs[i].method, specs[i].path, offBodies[i], onBodies[i])
-		}
-	}
-	for name, want := range offDeltas {
-		if got := onDeltas[name]; got != want {
-			t.Errorf("metric %s: delta %d with tracing on, %d off", name, got, want)
-		}
-	}
-	// Sanity: the mix exercised both success and failure counters.
-	if offDeltas["serve_similar_requests_total"] == 0 || offDeltas["serve_similar_errors_total"] == 0 {
-		t.Fatalf("request mix did not move both similar counters: %+v", offDeltas)
-	}
-	if got := off.Traces("", 0, -1); len(got) != 0 {
+	if got := d.tracer.Traces("", 0, -1); len(got) != 0 {
 		t.Fatalf("disabled tracer retained %d traces", len(got))
 	}
 }
@@ -331,8 +216,7 @@ func TestConcurrentTracedLoad(t *testing.T) {
 	tr.SetEnabled(true)
 	tr.SetSampleRate(1)
 	s, _, _ := newTestServer(t, Config{Tracer: tr, Quiet: true, Logger: discardLogger()})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	h := s.Handler()
 
 	paths := []string{
 		"/v1/similar/1?k=3",
@@ -348,13 +232,7 @@ func TestConcurrentTracedLoad(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				resp, err := ts.Client().Get(ts.URL + paths[(w+i)%len(paths)])
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
+				fetch(h, http.MethodGet, paths[(w+i)%len(paths)], "")
 			}
 		}(w)
 	}
