@@ -76,7 +76,6 @@ func main() {
 		brCooldown   = flag.Duration("breaker-cooldown", 500*time.Millisecond, "first breaker open interval (doubles per failed probe)")
 		brMaxCool    = flag.Duration("breaker-max-cooldown", 10*time.Second, "breaker cooldown ceiling")
 		probeIvl     = flag.Duration("probe-interval", time.Second, "shard /readyz probe cadence (negative disables)")
-		defaultK     = flag.Int("k", 10, "default result count (must match the shards' -k)")
 		peers        = flag.Int("peers", 25, "default recommendation peer count (must match the shards' -peers)")
 		grace        = flag.Duration("grace", 10*time.Second, "connection-drain budget on shutdown")
 		drainWait    = flag.Duration("drain-wait", 0, "after SIGTERM, keep serving this long with /readyz at 503 before draining")
@@ -114,7 +113,6 @@ func main() {
 		BreakerCooldown:    *brCooldown,
 		BreakerMaxCooldown: *brMaxCool,
 		ProbeInterval:      *probeIvl,
-		DefaultK:           *defaultK,
 		DefaultPeers:       *peers,
 		Logger:             logger,
 		Quiet:              *quiet,

@@ -26,7 +26,7 @@
 // stays an exact full scan, byte-identical to previous releases.
 //
 // Live quality: -shadow-sample N re-executes 1 in N ANN-served /v1/similar
-// and /v1/whitespace cache misses as exact full scans off the critical path
+// and /v1/whitespace queries as exact full scans off the critical path
 // (bounded queue, dedicated worker; a full queue drops and counts rather
 // than blocking) and compares the answers — recall@k, top-1 agreement, rank
 // displacement, score drift — into the ann_observed_recall window and a
@@ -53,8 +53,7 @@
 // parameters (GET) or a "filter" object (POST), and run under the
 // -request-timeout deadline with at most -max-concurrent queries executing
 // at once. /admin/reload re-reads -model and -corpus from disk and swaps
-// the index atomically: in-flight requests finish against the old index,
-// and the response cache is invalidated.
+// the index atomically: in-flight requests finish against the old index.
 //
 // Observability: -debug-addr serves /metrics (including the per-endpoint
 // serve_*_requests_total / serve_*_errors_total / serve_*_latency_seconds
@@ -255,7 +254,6 @@ func main() {
 		peers     = flag.Int("peers", 25, "default peer count for /v1/recommend")
 		maxConc   = flag.Int("max-concurrent", 0, "max queries executing at once (0 = worker count)")
 		reqTO     = flag.Duration("request-timeout", 5*time.Second, "per-request deadline")
-		cacheSize = flag.Int("cache-size", 256, "LRU response cache entries (negative disables)")
 		maxBody   = flag.Int64("max-body-bytes", 1<<20, "POST request body cap in bytes; oversized bodies fail 413 (negative disables)")
 		shardSpec = flag.String("shard", "", `serve one partition of the candidate scans, as "i/n" (e.g. 0/3); pair with an ibrouter over all n shards`)
 
@@ -317,7 +315,6 @@ func main() {
 		DefaultPeers:  *peers,
 		MaxConcurrent: *maxConc,
 		Timeout:       *reqTO,
-		CacheSize:     *cacheSize,
 		MaxBodyBytes:  *maxBody,
 		Seed:          *seed,
 		Logger:        logger,

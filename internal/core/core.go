@@ -102,13 +102,14 @@ func (f Filter) Admits(c *corpus.Company) bool {
 }
 
 // Key returns a canonical compact encoding of the filter. Two filters admit
-// the same companies iff their keys are equal, so response caches can key on
-// endpoint + query id + Key(). Country is a free-form client-supplied string
-// interpolated into the `|`-delimited key, so it is quoted: with %q every
-// field boundary is unforgeable by construction and the encoding stays
-// injective no matter what bytes (pipes, the other fields' prefixes, quotes)
-// a crafted request smuggles into the country — a collision here would serve
-// one filter's cached response to a differently-filtered request.
+// the same companies iff their keys are equal; the shadow sampler's
+// worst-divergence entries carry it as their filter_key. Country is a
+// free-form client-supplied string interpolated into the `|`-delimited key,
+// so it is quoted: with %q every field boundary is unforgeable by
+// construction and the encoding stays injective no matter what bytes (pipes,
+// the other fields' prefixes, quotes) a crafted request smuggles into the
+// country — a collision here would make two differently-filtered queries
+// read as one.
 func (f Filter) Key() string {
 	return fmt.Sprintf("s%d|c%q|e%d:%d|r%g:%g",
 		f.SIC2, f.Country, f.MinEmployees, f.MaxEmployees, f.MinRevenueM, f.MaxRevenueM)

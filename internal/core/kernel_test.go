@@ -52,7 +52,7 @@ func TestScorerMatchesSimilarity(t *testing.T) {
 
 // TestFilterKeyInjectionResistant extends the canonical-key test with
 // adversarial countries: Country is the only client-controlled string in
-// the serving cache key, and quoting it must keep field boundaries
+// the key, and quoting it must keep field boundaries
 // unforgeable — no crafted country may alias another filter's key.
 func TestFilterKeyInjectionResistant(t *testing.T) {
 	variants := []Filter{
@@ -68,7 +68,7 @@ func TestFilterKeyInjectionResistant(t *testing.T) {
 	seen := make(map[string]int)
 	for i, f := range variants {
 		if j, dup := seen[f.Key()]; dup {
-			t.Fatalf("filters %+v and %+v collide on cache key %q", variants[i], variants[j], f.Key())
+			t.Fatalf("filters %+v and %+v collide on key %q", variants[i], variants[j], f.Key())
 		}
 		seen[f.Key()] = i
 	}

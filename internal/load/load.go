@@ -68,7 +68,7 @@ type Config struct {
 	// Duration is the measured span. Default 5s.
 	Duration time.Duration
 	// Warmup requests are sent and drained but excluded from the report
-	// (cache fill, connection establishment, JIT-ish first-touch costs).
+	// (connection establishment, first-touch page faults and allocations).
 	// Default 0.
 	Warmup time.Duration
 	// Timeout is the per-request client deadline. Default 10s.

@@ -71,10 +71,9 @@ type Config struct {
 	// a not-ready shard is skipped like one with an open breaker. Default
 	// 1s; negative disables probing.
 	ProbeInterval time.Duration
-	// DefaultK mirrors the shards' default result count; DefaultPeers the
-	// recommendation peer count. They must match the shard configuration for
-	// sharded answers to be byte-identical. Defaults 10 / 25.
-	DefaultK     int
+	// DefaultPeers mirrors the shards' recommendation peer count. It must
+	// match the shard configuration for sharded answers to be
+	// byte-identical. Default 25.
 	DefaultPeers int
 	// Logger receives access and degradation lines. Default slog.Default().
 	Logger *slog.Logger
@@ -96,8 +95,6 @@ type Config struct {
 // budget would fail every request that relies on it.
 func (c Config) validate() error {
 	switch {
-	case c.DefaultK < 0:
-		return fmt.Errorf("router: negative default k %d", c.DefaultK)
 	case c.DefaultPeers < 0:
 		return fmt.Errorf("router: negative default peers %d", c.DefaultPeers)
 	case c.Timeout < 0:
@@ -130,9 +127,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = time.Second
-	}
-	if c.DefaultK == 0 {
-		c.DefaultK = 10
 	}
 	if c.DefaultPeers == 0 {
 		c.DefaultPeers = 25

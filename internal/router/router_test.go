@@ -560,14 +560,13 @@ func TestBodyCapReturns413(t *testing.T) {
 }
 
 // TestNewRejectsNegativeConfig pins New's refusal of settings no default
-// stands for: a negative k, peer count or timeout failed every request that
+// stands for: a negative peer count or timeout failed every request that
 // relied on the default.
 func TestNewRejectsNegativeConfig(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
-		{"k", Config{DefaultK: -1}},
 		{"peers", Config{DefaultPeers: -1}},
 		{"timeout", Config{Timeout: -time.Second}},
 	} {

@@ -94,7 +94,7 @@ func TestServeANNFullProbeByteIdentical(t *testing.T) {
 // so no request may observe a torn generation (the pre-fix bare
 // s.cur.Load() could race the last release of a retiring generation).
 func TestHealthzDuringReloads(t *testing.T) {
-	s, ix, m := newTestServer(t, Config{CacheSize: 8})
+	s, ix, m := newTestServer(t, Config{})
 	s.load = func(ctx context.Context) (Loaded, error) { return Loaded{Index: ix, Model: m}, nil }
 	h := s.Handler()
 

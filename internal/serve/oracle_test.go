@@ -40,7 +40,6 @@ type variant struct {
 	ann     int // 1: a full-probe ANN pruner (nprobe = cells) on every index
 	v1      int // 1: the committed v1 model file rather than its v2 twin
 	workers int // par workers of the builds
-	cache   int // 1: the default response cache rather than CacheSize -1
 	trace   int // 1: on at sample rate 1; 2: on, requests carrying a traceparent
 	slo     int
 	shadow  int // 1: shadow sampling 1 in 1
@@ -56,7 +55,6 @@ var settings = []struct {
 	{"ann", []int{0, 1}, func(v *variant) *int { return &v.ann }},
 	{"v1", []int{0, 1}, func(v *variant) *int { return &v.v1 }},
 	{"workers", []int{1, 2, 4}, func(v *variant) *int { return &v.workers }},
-	{"cache", []int{0, 1}, func(v *variant) *int { return &v.cache }},
 	{"trace", []int{0, 1, 2}, func(v *variant) *int { return &v.trace }},
 	{"slo", []int{0, 1}, func(v *variant) *int { return &v.slo }},
 	{"shadow", []int{0, 1}, func(v *variant) *int { return &v.shadow }},
@@ -122,7 +120,7 @@ func drawRound(seed int64, force func(*variant)) (*rng.RNG, oracleFixture, varia
 
 // oracleRound holds the variant to the reference over one request sequence.
 // The reference is one exact, unsharded Server over the v2 model, built at
-// one worker, with cache, tracing, SLO and shadow off. The rules:
+// one worker, with tracing, SLO and shadow off. The rules:
 //
 //   - each reference answer is 400 where the request says so, and otherwise
 //     the wire rendering of what direct core calls give (ids, names,
@@ -130,11 +128,10 @@ func drawRound(seed int64, force func(*variant)) (*rng.RNG, oracleFixture, varia
 //     counters, the requests one exactly on a 200;
 //   - every server of the variant holds the reference's model and
 //     representation rows bit for bit;
-//   - every request goes to the variant twice, cold and then through its
-//     cache path, and gets the reference's status, and its bytes on every
-//     200 and wherever no router sits in front (a router parses
-//     /v1/recommend itself and words its own errors); a routed answer never
-//     sets X-Partial;
+//   - every request goes to the variant and gets the reference's status,
+//     and its bytes on every 200 and wherever no router sits in front (a
+//     router parses /v1/recommend itself and words its own errors); a routed
+//     answer never sets X-Partial;
 //   - with tracing or SLO on, a twin with both off replays the sequence
 //     under the same rules, and every counter and histogram count but the
 //     tracer's own must move by the same delta on both, zeros included.
@@ -192,24 +189,22 @@ func oracleRound(t *testing.T, desc string, g *rng.RNG, fx oracleFixture, models
 	}
 }
 
-// replay sends every request to d twice and holds each answer to want (see
+// replay sends every request to d and holds each answer to want (see
 // oracleRound), then waits for the shadow samplers to drain and returns how
 // far every counter and histogram count moved.
 func (d *deployment) replay(t *testing.T, desc string, reqs []request, want []*httptest.ResponseRecorder, traceparent bool) map[string]uint64 {
 	t.Helper()
 	before := counts()
 	for i, rq := range reqs {
-		for pass := 0; pass < 2; pass++ {
-			got := d.send(rq, traceparent)
-			routed := d.routed && rq.path != "/internal/recommend"
-			sameBody := got.Code == http.StatusOK || !routed || !strings.HasPrefix(rq.path, "/v1/recommend/")
-			if got.Code != want[i].Code || sameBody && got.Body.String() != want[i].Body.String() {
-				t.Fatalf("%s: %s %s %s (pass %d) answers %d %s; the reference %d %s",
-					desc, rq.method, rq.path, rq.body, pass, got.Code, got.Body, want[i].Code, want[i].Body)
-			}
-			if routed && got.Result().Header.Get("X-Partial") != "" {
-				t.Fatalf("%s: %s %s: a healthy fan-out set X-Partial", desc, rq.method, rq.path)
-			}
+		got := d.send(rq, traceparent)
+		routed := d.routed && rq.path != "/internal/recommend"
+		sameBody := got.Code == http.StatusOK || !routed || !strings.HasPrefix(rq.path, "/v1/recommend/")
+		if got.Code != want[i].Code || sameBody && got.Body.String() != want[i].Body.String() {
+			t.Fatalf("%s: %s %s %s answers %d %s; the reference %d %s",
+				desc, rq.method, rq.path, rq.body, got.Code, got.Body, want[i].Code, want[i].Body)
+		}
+		if routed && got.Result().Header.Get("X-Partial") != "" {
+			t.Fatalf("%s: %s %s: a healthy fan-out set X-Partial", desc, rq.method, rq.path)
 		}
 	}
 	// A sampled query holds a reference on its generation until the shadow
@@ -356,7 +351,7 @@ func deploy(t *testing.T, fx oracleFixture, models [2]string, v variant) *deploy
 	d := &deployment{tracer: trace.NewTracer(64)}
 	d.tracer.SetEnabled(v.trace > 0)
 	d.tracer.SetSampleRate(1)
-	cfg := Config{Quiet: true, Logger: discardLogger(), Tracer: d.tracer, CacheSize: v.cache - 1}
+	cfg := Config{Quiet: true, Logger: discardLogger(), Tracer: d.tracer}
 	if v.slo == 1 {
 		cfg.SLO = &api.SLOConfig{Window: time.Hour}
 	}

@@ -4,14 +4,14 @@
 // gap-based product recommendations and white-space prospecting, exposed as
 // a JSON API a load balancer can sit in front of.
 //
-// The server wraps one atomically swappable serving state (index + model +
-// response cache) behind four query endpoints and one admin endpoint:
+// The server wraps one atomically swappable serving state (index + model)
+// behind four query endpoints and one admin endpoint:
 //
 //	GET  /v1/similar/{id}    top-k similar companies
 //	GET  /v1/recommend/{id}  gap-based product recommendations
 //	POST /v1/whitespace      white-space prospects for a client set
 //	POST /v1/infer           score an out-of-corpus company (fold-in inference)
-//	POST /admin/reload       hot-swap the model/index, invalidating the cache
+//	POST /admin/reload       hot-swap the model/index
 //	GET  /healthz            liveness + loaded-state shape
 //
 // Every query endpoint accepts the core.Filter fields (sic2, country,
@@ -59,7 +59,7 @@ var (
 	throttled = obs.Default().Counter("serve_throttled_total",
 		"query requests rejected 503 because the semaphore stayed full until the request deadline")
 	reloadsTotal = obs.Default().Counter("serve_reloads_total",
-		"successful hot model reloads (each swaps the index and empties the cache)")
+		"successful hot model reloads (each swaps the index)")
 )
 
 // Config parameterizes a Server. Zero values select the documented defaults.
@@ -76,9 +76,6 @@ type Config struct {
 	// Timeout is the per-request deadline threaded into the index scans.
 	// Default 5s.
 	Timeout time.Duration
-	// CacheSize is the LRU response-cache capacity in entries. Default 256;
-	// negative disables caching.
-	CacheSize int
 	// MaxBodyBytes caps the request bodies of the POST endpoints
 	// (/v1/whitespace, /v1/infer, /admin/reload); an oversized body fails
 	// with 413 and counts toward the endpoint's serve_*_errors_total.
@@ -107,7 +104,7 @@ type Config struct {
 	SLO *api.SLOConfig
 	// Shadow, when non-nil with SampleN >= 1, enables shadow-sampled
 	// exact-vs-ANN quality observability: 1 in SampleN ANN-served similar and
-	// whitespace cache misses are re-executed as exact scans off the critical
+	// whitespace queries are re-executed as exact scans off the critical
 	// path (bounded queue, dedicated worker, drop-and-count on saturation)
 	// and diffed against the served answer into the ann_observed_recall
 	// window, GET /debug/recall, and the /admin/reload canary. Nil keeps the
@@ -151,9 +148,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Timeout == 0 {
 		c.Timeout = 5 * time.Second
-	}
-	if c.CacheSize == 0 {
-		c.CacheSize = 256
 	}
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 1 << 20
@@ -212,7 +206,6 @@ var generationCloseErrors = obs.Default().Counter("serve_generation_close_errors
 type state struct {
 	ix    *core.Index
 	model *lda.Model
-	cache *lru
 	gen   uint64
 	refs  atomic.Int64
 	close func() error // nil for heap-resident generations
@@ -326,7 +319,7 @@ func New(init Loaded, load Loader, cfg Config) (*Server, error) {
 		SLO:          s.slo,
 		Generation:   func() uint64 { return s.cur.Load().gen },
 	}
-	first := &state{ix: ix, model: model, cache: newLRU(cfg.CacheSize), gen: s.gens.Add(1), close: init.Close}
+	first := &state{ix: ix, model: model, gen: s.gens.Add(1), close: init.Close}
 	first.refs.Store(1)
 	s.cur.Store(first)
 	mux := http.NewServeMux()
@@ -420,22 +413,14 @@ func bodyError(endpoint string, err error) error {
 		"serve: bad "+endpoint+" request body: %v")
 }
 
-// response is one handler result: either pre-marshalled bytes (cache hit)
-// or a value to marshal, optionally stored under cacheKey afterwards.
-type response struct {
-	value    any
-	raw      []byte
-	cacheKey string
-}
-
-type handlerFunc func(ctx context.Context, st *state, r *http.Request) (response, error)
+// handlerFunc answers one query against st with the wire value to marshal.
+type handlerFunc func(ctx context.Context, st *state, r *http.Request) (any, error)
 
 // admit adapts a query handler to the shared request shell (api.Shell) with
 // the three things only ibserve has: admission through the bounded-concurrency
 // semaphore (acquisition races the request deadline, so a saturated server
 // answers 503 instead of queueing), a reference on the serving generation for
-// the handler's duration, and marshalling with cache fill for cacheable
-// answers.
+// the handler's duration, and marshalling of the handler's answer.
 func (s *Server) admit(h handlerFunc) api.Handler {
 	return func(ctx context.Context, r *http.Request) (api.Response, error) {
 		select {
@@ -457,21 +442,15 @@ func (s *Server) admit(h handlerFunc) api.Handler {
 			return api.Response{}, errClosed
 		}
 		defer st.release()
-		resp, err := h(ctx, st, r)
+		value, err := h(ctx, st, r)
 		if err != nil {
 			return api.Response{}, err
 		}
-		body := resp.raw
-		if body == nil {
-			if body, err = json.Marshal(resp.value); err != nil {
-				return api.Response{}, &api.Error{Status: http.StatusInternalServerError, Err: err}
-			}
-			body = append(body, '\n')
-			if resp.cacheKey != "" {
-				st.cache.put(resp.cacheKey, body)
-			}
+		body, err := json.Marshal(value)
+		if err != nil {
+			return api.Response{}, &api.Error{Status: http.StatusInternalServerError, Err: err}
 		}
-		return api.Response{Body: body}, nil
+		return api.Response{Body: append(body, '\n')}, nil
 	}
 }
 
@@ -547,7 +526,6 @@ type healthResponse struct {
 	Dim        int            `json:"dim"`
 	Topics     int            `json:"topics,omitempty"`
 	Vocab      int            `json:"vocab"`
-	Cached     int            `json:"cached"`
 	Generation uint64         `json:"generation"`
 	UptimeSec  float64        `json:"uptime_seconds"`
 	Tracing    bool           `json:"tracing"`
@@ -586,12 +564,11 @@ type annJSON struct {
 }
 
 type reloadResponse struct {
-	Companies   int    `json:"companies"`
-	Dim         int    `json:"dim"`
-	Topics      int    `json:"topics,omitempty"`
-	Invalidated int    `json:"invalidated"`
-	Generation  uint64 `json:"generation"`
-	Reloaded    bool   `json:"reloaded"`
+	Companies  int    `json:"companies"`
+	Dim        int    `json:"dim"`
+	Topics     int    `json:"topics,omitempty"`
+	Generation uint64 `json:"generation"`
+	Reloaded   bool   `json:"reloaded"`
 	// Canary is present only when shadow sampling had queries to replay: the
 	// generation diff measured against the incoming state before the swap.
 	Canary *shadow.GenerationDiff `json:"canary,omitempty"`
@@ -613,7 +590,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Companies:  st.ix.Corpus.N(),
 		Dim:        st.ix.Reps.Cols,
 		Vocab:      st.ix.Corpus.M(),
-		Cached:     st.cache.len(),
 		Generation: st.gen,
 		UptimeSec:  time.Since(s.started).Seconds(),
 		Tracing:    s.cfg.Tracer.Enabled(),
@@ -716,46 +692,39 @@ func (s *Server) shadowSubmit(ctx context.Context, st *state, q shadow.Query, se
 	s.shadow.Submit(smp)
 }
 
-func (s *Server) handleSimilar(ctx context.Context, st *state, r *http.Request) (response, error) {
+func (s *Server) handleSimilar(ctx context.Context, st *state, r *http.Request) (any, error) {
 	id, err := pathID(r)
 	if err != nil {
-		return response{}, err
+		return nil, err
 	}
 	q := r.URL.Query()
 	k, err := intParam(q, "k")
 	if err != nil {
-		return response{}, err
+		return nil, err
 	}
 	if k == 0 {
 		k = s.cfg.DefaultK
 	}
 	f, err := filterFromQuery(q)
 	if err != nil {
-		return response{}, err
-	}
-	key := fmt.Sprintf("similar|%d|%d|%s", id, k, f.Key())
-	if body, ok := st.cache.get(key); ok {
-		return response{raw: body}, nil
+		return nil, err
 	}
 	// The sampling decision is drawn before the scan, once per eligible query
-	// (ANN-served cache miss), so the decision stream depends only on the
-	// request sequence — a failed scan still consumes its decision.
+	// (ANN-served), so the decision stream depends only on the request
+	// sequence — a failed scan still consumes its decision.
 	sampled := s.shadow != nil && st.ix.Pruner() != nil && s.shadow.Sample()
 	ms, err := st.ix.TopKContext(ctx, id, k, f)
 	if err != nil {
-		return response{}, err
+		return nil, err
 	}
 	if sampled {
 		s.shadowSubmit(ctx, st, shadow.Query{Kind: "similar", ID: id, K: k, Filter: f}, shadowMatches(ms))
 	}
-	return response{
-		value: api.SimilarResponse{
-			CompanyID: id,
-			Name:      st.ix.Corpus.Companies[id].Name,
-			K:         k,
-			Matches:   s.matches(st, ms),
-		},
-		cacheKey: key,
+	return api.SimilarResponse{
+		CompanyID: id,
+		Name:      st.ix.Corpus.Companies[id].Name,
+		K:         k,
+		Matches:   s.matches(st, ms),
 	}, nil
 }
 
@@ -777,38 +746,34 @@ func recommendations(st *state, id, peers int, recs []core.ProductRecommendation
 	}
 }
 
-func (s *Server) handleRecommend(ctx context.Context, st *state, r *http.Request) (response, error) {
+func (s *Server) handleRecommend(ctx context.Context, st *state, r *http.Request) (any, error) {
 	id, err := pathID(r)
 	if err != nil {
-		return response{}, err
+		return nil, err
 	}
 	q := r.URL.Query()
 	peers, err := intParam(q, "peers")
 	if err != nil {
-		return response{}, err
+		return nil, err
 	}
 	if peers == 0 {
 		peers = s.cfg.DefaultPeers
 	}
 	f, err := filterFromQuery(q)
 	if err != nil {
-		return response{}, err
-	}
-	key := fmt.Sprintf("recommend|%d|%d|%s", id, peers, f.Key())
-	if body, ok := st.cache.get(key); ok {
-		return response{raw: body}, nil
+		return nil, err
 	}
 	recs, err := st.ix.RecommendFromSimilarContext(ctx, id, peers, f)
 	if err != nil {
-		return response{}, err
+		return nil, err
 	}
-	return response{value: recommendations(st, id, peers, recs), cacheKey: key}, nil
+	return recommendations(st, id, peers, recs), nil
 }
 
-func (s *Server) handleWhitespace(ctx context.Context, st *state, r *http.Request) (response, error) {
+func (s *Server) handleWhitespace(ctx context.Context, st *state, r *http.Request) (any, error) {
 	var req api.WhitespaceRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return response{}, bodyError("whitespace", err)
+		return nil, bodyError("whitespace", err)
 	}
 	k := req.K
 	if k == 0 {
@@ -818,7 +783,7 @@ func (s *Server) handleWhitespace(ctx context.Context, st *state, r *http.Reques
 	sampled := s.shadow != nil && st.ix.Pruner() != nil && s.shadow.Sample()
 	prospects, err := st.ix.WhitespaceContext(ctx, req.Clients, k, f)
 	if err != nil {
-		return response{}, err
+		return nil, err
 	}
 	if sampled {
 		q := shadow.Query{Kind: "whitespace", Clients: append([]int(nil), req.Clients...), K: k, Filter: f}
@@ -833,24 +798,24 @@ func (s *Server) handleWhitespace(ctx context.Context, st *state, r *http.Reques
 			Similarity:    p.Similarity,
 		}
 	}
-	return response{value: api.WhitespaceResponse{K: k, Prospects: out}}, nil
+	return api.WhitespaceResponse{K: k, Prospects: out}, nil
 }
 
-func (s *Server) handleInfer(ctx context.Context, st *state, r *http.Request) (response, error) {
+func (s *Server) handleInfer(ctx context.Context, st *state, r *http.Request) (any, error) {
 	if st.model == nil {
-		return response{}, &api.Error{Status: http.StatusNotImplemented,
+		return nil, &api.Error{Status: http.StatusNotImplemented,
 			Err: errors.New("serve: no model loaded; /v1/infer unavailable")}
 	}
 	var req api.InferRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return response{}, bodyError("infer", err)
+		return nil, bodyError("infer", err)
 	}
 	if len(req.Owned) == 0 {
-		return response{}, api.BadRequest("serve: infer request needs a non-empty owned category set")
+		return nil, api.BadRequest("serve: infer request needs a non-empty owned category set")
 	}
 	for _, cat := range req.Owned {
 		if cat < 0 || cat >= st.model.V {
-			return response{}, api.BadRequest("serve: owned category %d outside [0,%d)", cat, st.model.V)
+			return nil, api.BadRequest("serve: owned category %d outside [0,%d)", cat, st.model.V)
 		}
 	}
 	k := req.K
@@ -862,18 +827,18 @@ func (s *Server) handleInfer(ctx context.Context, st *state, r *http.Request) (r
 	theta := st.model.InferTheta(req.Owned, rng.New(s.cfg.Seed))
 	ms, err := st.ix.TopKByVectorContext(ctx, theta, k, req.Filter.Core())
 	if err != nil {
-		return response{}, err
+		return nil, err
 	}
-	return response{value: api.InferResponse{Theta: theta, K: k, Matches: s.matches(st, ms)}}, nil
+	return api.InferResponse{Theta: theta, K: k, Matches: s.matches(st, ms)}, nil
 }
 
 // handleInternalRecommend is the shard-side half of two-phase sharded
 // recommendation (see api.InternalRecommendRequest).
-func (s *Server) handleInternalRecommend(_ context.Context, st *state, r *http.Request) (response, error) {
+func (s *Server) handleInternalRecommend(_ context.Context, st *state, r *http.Request) (any, error) {
 	// No ctx: scoring is O(peers), there is no candidate scan to cancel.
 	var req api.InternalRecommendRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return response{}, bodyError("internal recommend", err)
+		return nil, bodyError("internal recommend", err)
 	}
 	peers := make([]core.Match, len(req.Matches))
 	for i, m := range req.Matches {
@@ -881,14 +846,14 @@ func (s *Server) handleInternalRecommend(_ context.Context, st *state, r *http.R
 	}
 	recs, err := st.ix.RecommendFromPeers(req.CompanyID, peers)
 	if err != nil {
-		return response{}, err
+		return nil, err
 	}
-	return response{value: recommendations(st, req.CompanyID, req.Peers, recs)}, nil
+	return recommendations(st, req.CompanyID, req.Peers, recs), nil
 }
 
 // handleReload rebuilds the serving state through the Loader and installs
 // it atomically. In-flight queries keep the generation they captured at
-// entry; new queries see the new index and an empty cache.
+// entry; new queries see the new index.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if r.Body != nil && s.cfg.MaxBodyBytes > 0 {
@@ -950,7 +915,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	next := &state{ix: ix, model: model, cache: newLRU(s.cfg.CacheSize), gen: s.gens.Add(1), close: loaded.Close}
+	next := &state{ix: ix, model: model, gen: s.gens.Add(1), close: loaded.Close}
 	next.refs.Store(1)
 	old := s.cur.Swap(next)
 	// Drop the old generation's birth reference. Its backing (an mmap, for
@@ -961,18 +926,17 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	s.mReload.Requests.Inc()
 	s.mReload.Latency.Observe(time.Since(start).Seconds())
 	resp := reloadResponse{
-		Companies:   ix.Corpus.N(),
-		Dim:         ix.Reps.Cols,
-		Invalidated: old.cache.len(),
-		Generation:  next.gen,
-		Reloaded:    true,
-		Canary:      canary,
+		Companies:  ix.Corpus.N(),
+		Dim:        ix.Reps.Cols,
+		Generation: next.gen,
+		Reloaded:   true,
+		Canary:     canary,
 	}
 	if model != nil {
 		resp.Topics = model.K
 	}
 	s.cfg.Logger.Info("model reloaded", append([]any{"companies", resp.Companies, "dim", resp.Dim,
-		"invalidated", resp.Invalidated, "gen", next.gen}, loaded.BuildLog...)...)
+		"gen", next.gen}, loaded.BuildLog...)...)
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(resp)
 }

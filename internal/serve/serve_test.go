@@ -244,9 +244,12 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
+// TestCacheHitsAndReloadInvalidation pins a reload over the same data: the
+// loader runs once, the response and the log line say so, and the same query
+// answers the same after the swap.
 func TestCacheHitsAndReloadInvalidation(t *testing.T) {
 	var logged bytes.Buffer
-	s, ix, m := newTestServer(t, Config{CacheSize: 16, Logger: slog.New(slog.NewTextHandler(&logged, nil))})
+	s, ix, m := newTestServer(t, Config{Logger: slog.New(slog.NewTextHandler(&logged, nil))})
 	// Install a loader that rebuilds a fresh state over the same data.
 	reloaded := 0
 	s.load = func(context.Context) (Loaded, error) {
@@ -255,32 +258,14 @@ func TestCacheHitsAndReloadInvalidation(t *testing.T) {
 	}
 	h := s.Handler()
 
-	hits0, misses0 := counterValue("serve_cache_hits_total"), counterValue("serve_cache_misses_total")
-	var first, second api.SimilarResponse
+	var first api.SimilarResponse
 	getJSON(t, h, "/v1/similar/7?k=3", &first)
-	getJSON(t, h, "/v1/similar/7?k=3", &second)
-	if fmt.Sprint(first) != fmt.Sprint(second) {
-		t.Fatal("cached response differs from computed response")
-	}
-	if got := counterValue("serve_cache_hits_total"); got != hits0+1 {
-		t.Fatalf("serve_cache_hits_total %d, want %d", got, hits0+1)
-	}
-	if got := counterValue("serve_cache_misses_total"); got != misses0+1 {
-		t.Fatalf("serve_cache_misses_total %d, want %d", got, misses0+1)
-	}
-	// Different k or filter is a different key.
-	getJSON(t, h, "/v1/similar/7?k=4", nil)
-	if got := counterValue("serve_cache_misses_total"); got != misses0+2 {
-		t.Fatalf("distinct query served from cache (misses %d, want %d)", got, misses0+2)
-	}
-
-	// Reload swaps the state and empties the cache: the same query misses.
 	reloads0 := counterValue("serve_reloads_total")
 	var rl reloadResponse
 	if resp := postJSON(t, h, "/admin/reload", struct{}{}, &rl); resp.Code != http.StatusOK {
 		t.Fatalf("reload status %d", resp.Code)
 	}
-	if reloaded != 1 || !rl.Reloaded || rl.Companies != ix.Corpus.N() || rl.Invalidated != 2 {
+	if reloaded != 1 || !rl.Reloaded || rl.Companies != ix.Corpus.N() {
 		t.Fatalf("reload response %+v (loader calls: %d)", rl, reloaded)
 	}
 	if got := counterValue("serve_reloads_total"); got != reloads0+1 {
@@ -289,12 +274,9 @@ func TestCacheHitsAndReloadInvalidation(t *testing.T) {
 	if line := logged.String(); !strings.Contains(line, `msg="model reloaded"`) || !strings.Contains(line, "corpus_load_ms=12.5") {
 		t.Fatalf("reload log line lacks the loader's BuildLog pairs: %q", line)
 	}
-	var third api.SimilarResponse
-	getJSON(t, h, "/v1/similar/7?k=3", &third)
-	if got := counterValue("serve_cache_misses_total"); got != misses0+3 {
-		t.Fatalf("post-reload query hit a stale cache (misses %d, want %d)", got, misses0+3)
-	}
-	if fmt.Sprint(third) != fmt.Sprint(first) {
+	var second api.SimilarResponse
+	getJSON(t, h, "/v1/similar/7?k=3", &second)
+	if fmt.Sprint(second) != fmt.Sprint(first) {
 		t.Fatal("identical data after reload changed the answer")
 	}
 }
@@ -329,7 +311,7 @@ func TestSaturationReturns503(t *testing.T) {
 // while reloads swap the state, asserting every response is well-formed —
 // the atomic-pointer generation scheme must never surface a torn state.
 func TestConcurrentRequestsWithReloads(t *testing.T) {
-	s, ix, m := newTestServer(t, Config{CacheSize: 8})
+	s, ix, m := newTestServer(t, Config{})
 	s.load = func(context.Context) (Loaded, error) { return Loaded{Index: ix, Model: m}, nil }
 	h := s.Handler()
 

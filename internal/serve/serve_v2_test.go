@@ -121,7 +121,7 @@ func TestGenerationCloseDeferredUntilRelease(t *testing.T) {
 	var closed atomic.Int32
 	s, ix, m := newTestServer(t, Config{})
 	// Rebuild the initial generation with a close recorder.
-	first := &state{ix: ix, model: m, cache: newLRU(16), gen: 1,
+	first := &state{ix: ix, model: m, gen: 1,
 		close: func() error { closed.Add(1); return nil }}
 	first.refs.Store(1)
 	s.cur.Store(first)
@@ -161,7 +161,7 @@ func TestGenerationCloseDeferredUntilRelease(t *testing.T) {
 func TestServerCloseReleasesGeneration(t *testing.T) {
 	var closed atomic.Int32
 	s, ix, m := newTestServer(t, Config{})
-	gen := &state{ix: ix, model: m, cache: newLRU(16), gen: 1,
+	gen := &state{ix: ix, model: m, gen: 1,
 		close: func() error { closed.Add(1); return nil }}
 	gen.refs.Store(1)
 	s.cur.Store(gen)

@@ -128,47 +128,3 @@ func TestSLOMetricAndResponseInvariance(t *testing.T) {
 		t.Fatalf("SLO-off healthz mentions slo:\n%s", w.Body)
 	}
 }
-
-// TestCacheEvictionCounter pins the new eviction series with delta
-// assertions: filling a 2-entry cache with 3 distinct queries evicts exactly
-// one, and re-querying the evicted key misses again.
-func TestCacheEvictionCounter(t *testing.T) {
-	s, _, _ := newTestServer(t, Config{CacheSize: 2, Quiet: true, Logger: discardLogger()})
-	h := s.Handler()
-
-	evict0, misses0 := counterValue("serve_cache_evictions_total"), counterValue("serve_cache_misses_total")
-	getJSON(t, h, "/v1/similar/1?k=3", nil)
-	getJSON(t, h, "/v1/similar/2?k=3", nil)
-	if got := counterValue("serve_cache_evictions_total"); got != evict0 {
-		t.Fatalf("eviction before capacity (%d -> %d)", evict0, got)
-	}
-	getJSON(t, h, "/v1/similar/3?k=3", nil) // evicts the id=1 entry
-	if got := counterValue("serve_cache_evictions_total"); got != evict0+1 {
-		t.Fatalf("serve_cache_evictions_total %d, want %d", got, evict0+1)
-	}
-	getJSON(t, h, "/v1/similar/1?k=3", nil) // evicted: a miss (and evicts id=2)
-	if got := counterValue("serve_cache_misses_total"); got != misses0+4 {
-		t.Fatalf("serve_cache_misses_total %d, want %d", got, misses0+4)
-	}
-	if got := counterValue("serve_cache_evictions_total"); got != evict0+2 {
-		t.Fatalf("serve_cache_evictions_total %d, want %d", got, evict0+2)
-	}
-}
-
-// TestDisabledCacheCountsMisses pins that a caching-disabled server still
-// counts every cacheable lookup as a miss (the hit ratio denominator stays
-// meaningful) and never a hit.
-func TestDisabledCacheCountsMisses(t *testing.T) {
-	s, _, _ := newTestServer(t, Config{CacheSize: -1, Quiet: true, Logger: discardLogger()})
-	h := s.Handler()
-
-	hits0, misses0 := counterValue("serve_cache_hits_total"), counterValue("serve_cache_misses_total")
-	getJSON(t, h, "/v1/similar/5?k=3", nil)
-	getJSON(t, h, "/v1/similar/5?k=3", nil)
-	if got := counterValue("serve_cache_hits_total"); got != hits0 {
-		t.Fatalf("disabled cache produced hits (%d -> %d)", hits0, got)
-	}
-	if got := counterValue("serve_cache_misses_total"); got != misses0+2 {
-		t.Fatalf("serve_cache_misses_total %d, want %d", got, misses0+2)
-	}
-}

@@ -325,7 +325,7 @@ var (
 )
 
 // Sample draws one deterministic sampling decision. Call exactly once per
-// eligible query (an ANN-served /v1/similar or /v1/whitespace cache miss), in
+// eligible query (an ANN-served /v1/similar or /v1/whitespace request), in
 // arrival order — the decisions come from a single seeded stream, so a pinned
 // request sequence replays the same sample set from the same seed. Nil-safe.
 func (s *Sampler) Sample() bool {

@@ -3,9 +3,9 @@
 #
 # Server-side latency of /v1/similar by filter shape at N companies (default
 # 100000; the paper's corpus is 860000). Builds ibgen, ibtrain and ibserve,
-# generates a corpus (seed 1), trains LDA-4 on it, starts one ibserve with the
-# response cache off, then sends the same 200 seeded ids, top-10, one request
-# at a time, under each filter shape:
+# generates a corpus (seed 1), trains LDA-4 on it, starts one ibserve, then
+# sends the same 200 seeded ids, top-10, one request at a time, under each
+# filter shape:
 #
 #   none, country=US, sic2=73, country=US&sic2=73, min_employees=100
 #
@@ -39,8 +39,7 @@ cd "$root"
 go build -o "$work/" ./cmd/ibgen ./cmd/ibtrain ./cmd/ibserve
 "$work/ibgen" -companies "$n" -seed 1 -out "$work/corpus.jsonl" -stats=false >/dev/null
 "$work/ibtrain" -model lda -topics 4 -seed 1 -corpus "$work/corpus.jsonl" -out "$work/lda.gob" >/dev/null
-"$work/ibserve" -corpus "$work/corpus.jsonl" -model "$work/lda.gob" -addr localhost:0 \
-    -cache-size -1 >"$work/stdout" 2>"$work/log" &
+"$work/ibserve" -corpus "$work/corpus.jsonl" -model "$work/lda.gob" -addr localhost:0 >"$work/stdout" 2>"$work/log" &
 pid=$!
 
 addr=

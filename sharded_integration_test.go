@@ -101,7 +101,6 @@ func TestShardedServingIntegration(t *testing.T) {
 	router := startProc(t, ibrouter, true,
 		"-shards", strings.Join(addrs, ","),
 		"-addr", "localhost:0", "-debug-addr", "localhost:0",
-		"-k", "5",
 		"-request-timeout", "600ms",
 		"-breaker-threshold", "2", "-breaker-cooldown", "5s",
 		"-quiet")
