@@ -134,18 +134,6 @@ func main() {
 			tot.ErrorsTransport, tot.ErrorsHTTP, tot.Partial)
 	}
 
-	// A shadow-sampling target (ibserve -shadow-sample, or an ibrouter fleet)
-	// exposes its live exact-vs-ANN recall at /debug/recall; fold it into the
-	// report next to the client-observed latencies. A 404 (not sampling) is
-	// silent; only a reachable-but-broken scrape warns.
-	if rs, err := load.ScrapeRecall(*url, *timeout); err != nil {
-		logger.Debug("scraping /debug/recall", "err", err.Error())
-	} else if rs != nil {
-		report.Recall = rs
-		fmt.Printf("observed ANN recall: %.4f over %d window samples (%d sampled, %d dropped, %d exact errors)\n",
-			rs.ObservedRecall, rs.WindowSamples, rs.Samples, rs.Dropped, rs.ExactErrors)
-	}
-
 	if err := report.WriteFile(*out); err != nil {
 		fatal(fmt.Errorf("writing report: %w", err))
 	}

@@ -32,11 +32,7 @@
 // background /readyz probe (-probe-interval) skips draining ones. Router
 // metrics — per-endpoint router_* series plus per-shard fan-out latency,
 // hedges fired/won and breaker state — are served on -debug-addr /metrics;
-// -slo adds rolling-window SLO tracking on GET /debug/slo, and GET
-// /debug/recall aggregates the shards' shadow-sampled /debug/recall views
-// into one fleet verdict: sample-weighted observed recall plus the worst
-// divergences across shards, annotated with the shard they came from (shards
-// running without -shadow-sample report "sampling": false). Requests carry a
+// -slo adds rolling-window SLO tracking on GET /debug/slo. Requests carry a
 // W3C traceparent to every shard, so -trace shows the full fan-out span tree
 // inspectable at /debug/traces on the same listener. SIGINT/SIGTERM flips
 // /readyz, waits -drain-wait, then drains.

@@ -25,18 +25,13 @@
 // reloads mmap the index instead of re-clustering. Without -ann every scan
 // stays an exact full scan, byte-identical to previous releases.
 //
-// Live quality: -shadow-sample N re-executes 1 in N ANN-served /v1/similar
-// and /v1/whitespace queries as exact full scans off the critical path
-// (bounded queue, dedicated worker; a full queue drops and counts rather
-// than blocking) and compares the answers — recall@k, top-1 agreement, rank
-// displacement, score drift — into the ann_observed_recall window and a
-// worst-divergence ring at GET /debug/recall whose entries resolve at
-// /debug/traces/{id}. Sampling decisions are drawn from one seeded stream
-// (-seed), so a drill replays the same sample set. -slo-recall adds the
-// observed recall as an objective to /debug/slo; /admin/reload replays the
-// last sampled queries against the incoming generation and reports the
-// canary diff, and -reload-guard refuses swaps whose mean result-set Jaccard
-// falls below the threshold.
+// Quality check: every /admin/reload answers a fixed probe set (256 evenly
+// spaced company ids, unfiltered top-k) on the serving and the incoming
+// generation and reports the mean and minimum result-set Jaccard of the two
+// as the response's "canary"; -reload-guard refuses with 409 a swap whose
+// mean Jaccard falls below the threshold. An -ann generation also answers
+// the probes exactly, at boot and at reload, and its probe recall is the
+// ann_observed_recall gauge.
 //
 // Sharded serving: -shard i/n restricts the candidate scans to partition i
 // of n (a stable hash of the company id; the representations stay complete,
@@ -96,7 +91,6 @@ import (
 	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/serve"
-	"repro/internal/shadow"
 	"repro/internal/trace"
 )
 
@@ -265,12 +259,7 @@ func main() {
 		drainWait = flag.Duration("drain-wait", 0, "after SIGTERM, keep serving this long with /readyz at 503 before draining, so routers stop sending first")
 		quiet     = flag.Bool("quiet", false, "suppress per-request access-log lines (failures and slow queries still log)")
 
-		shadowSample = flag.Int("shadow-sample", 0, "re-execute 1 in N ANN-served queries as exact scans off the critical path and serve GET /debug/recall (0 disables; decisions are seeded from -seed)")
-		shadowQueue  = flag.Int("shadow-queue", shadow.DefaultQueue, "shadow sample queue bound; a full queue drops and counts instead of blocking")
-		shadowRecent = flag.Int("shadow-recent", shadow.DefaultRecent, "sampled queries kept for the /admin/reload canary replay")
-		reloadGuard  = flag.Float64("reload-guard", 0, "refuse /admin/reload with 409 when the canary's mean result-set Jaccard falls below this (0 = report-only; requires -shadow-sample)")
-
-		sloRecall = flag.Float64("slo-recall", 0, "observed-recall SLO objective evaluated from the shadow sampler (0 disables; requires -slo and -shadow-sample)")
+		reloadGuard = flag.Float64("reload-guard", 0, "refuse /admin/reload with 409 when the mean result-set Jaccard of the serving and incoming generations over the probe set falls below this, in [0, 1] (0 = report-only)")
 
 		runtimeMetrics  = flag.Bool("runtime-metrics", false, "sample Go runtime health (go_* gauges, GC pauses) into /metrics")
 		runtimeInterval = flag.Duration("runtime-interval", 10*time.Second, "runtime sampler interval (each sample briefly stops the world)")
@@ -319,30 +308,10 @@ func main() {
 		Seed:          *seed,
 		Logger:        logger,
 		Quiet:         *quiet,
-	}
-	if *shadowSample > 0 {
-		cfg.Shadow = &shadow.Config{
-			SampleN: *shadowSample,
-			Seed:    *seed,
-			Queue:   *shadowQueue,
-			Recent:  *shadowRecent,
-		}
-		cfg.ReloadGuard = *reloadGuard
-	} else {
-		if *reloadGuard > 0 {
-			fatal(errors.New("-reload-guard requires -shadow-sample (the guard judges the shadow canary replay)"))
-		}
-		if *sloRecall > 0 {
-			fatal(errors.New("-slo-recall requires -shadow-sample (the objective is evaluated from shadow samples)"))
-		}
+		ReloadGuard:   *reloadGuard,
 	}
 	if cfg.SLO, err = sloFlags.Config(); err != nil {
 		fatal(err)
-	}
-	if cfg.SLO != nil {
-		cfg.SLO.Recall = *sloRecall
-	} else if *sloRecall > 0 {
-		fatal(errors.New("-slo-recall requires -slo"))
 	}
 	srv, err := serve.New(loaded, func(context.Context) (serve.Loaded, error) {
 		return buildState(*corpusPath, *modelPath, *seed, part, parts, annOpts)
@@ -352,19 +321,27 @@ func main() {
 	}
 	defer srv.Close()
 
+	// Collect the boot's garbage (decode buffers, fold-in and tree-build
+	// scratch) before taking traffic. The first heap goal under load is then
+	// twice the live serving state on every boot, not twice whatever boot
+	// scratch the last boot-time cycle happened to find still in use, which
+	// moved the goal by up to 18 MB, and the resident peak under load by up
+	// to 10 MB, between boots of the same files.
+	runtime.GC()
+
 	handler := srv.Handler()
 	if cc := chaosFlags.Config(); cc.Enabled() {
 		logger.Warn("fault injection active", "chaos", cc.String())
 		handler = chaos.Middleware(cc, handler)
 	}
 
-	// The debug listener starts after the server is built so /debug/slo and
-	// /debug/recall (also on the main mux) can mount beside /debug/traces.
+	// The debug listener starts after the server is built so /debug/slo can
+	// mount beside /debug/traces.
 	err = api.Run(api.RunConfig{
 		Addr:        *addr,
 		Handler:     handler,
 		DebugAddr:   obsFlags.DebugAddr,
-		DebugRoutes: slices.Concat(trace.Routes(trace.Default()), srv.SLORoutes(), srv.ShadowRoutes()),
+		DebugRoutes: slices.Concat(trace.Routes(trace.Default()), srv.SLORoutes()),
 		SetReady:    srv.SetReady,
 		DrainWait:   *drainWait,
 		Grace:       *grace,

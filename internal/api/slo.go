@@ -44,11 +44,6 @@ type SLOConfig struct {
 	// its p99 latency objective. The "default" entry covers endpoints with
 	// no explicit one; missing entirely selects DefaultSLOLatency.
 	Latency map[string]time.Duration
-	// Recall is the observed-recall objective in (0, 1), evaluated against a
-	// RecallSource (the shadow sampler's sliding-window mean) when one is
-	// attached. Zero disables the recall objective — /debug/slo and /healthz
-	// bodies stay exactly as before.
-	Recall float64
 }
 
 func (c SLOConfig) withDefaults() SLOConfig {
@@ -60,9 +55,6 @@ func (c SLOConfig) withDefaults() SLOConfig {
 	}
 	if c.Availability <= 0 || c.Availability >= 1 {
 		c.Availability = DefaultSLOAvailability
-	}
-	if c.Recall < 0 || c.Recall >= 1 {
-		c.Recall = 0
 	}
 	return c
 }
@@ -123,23 +115,6 @@ type SLOTracker struct {
 	order    []string
 	trackers map[string]*sloEndpoint
 	stop     func()
-	recall   RecallSource // nil = no recall objective evaluated
-}
-
-// RecallSource supplies the observed result-quality signal the recall
-// objective is evaluated against: a sliding-window mean recall and the
-// sample count it rests on. internal/shadow's Sampler implements it.
-type RecallSource interface {
-	ObservedRecall() (mean float64, samples uint64)
-}
-
-// SetRecallSource attaches the observed-recall signal. Call before serving;
-// with no source (or a zero cfg.Recall) the recall objective is skipped and
-// Status output is unchanged. Nil-safe.
-func (s *SLOTracker) SetRecallSource(src RecallSource) {
-	if s != nil {
-		s.recall = src
-	}
 }
 
 // NewSLOTracker builds trackers for the given endpoints and starts one
@@ -233,33 +208,14 @@ type SLOEndpointStatus struct {
 	OK                 bool    `json:"ok"`
 }
 
-// SLORecallStatus is the recall objective's rolling evaluation: the third
-// SLO pillar next to availability and latency, fed by shadow sampling. The
-// burn rate is the quality analogue of the availability one — missed-recall
-// fraction over allowed-miss fraction, (1−observed)/(1−objective) — so 1.0
-// means the index is decaying at exactly the tolerated rate.
-type SLORecallStatus struct {
-	Objective float64 `json:"objective"`
-	Observed  float64 `json:"observed"`
-	// Samples is the shadow-sample count behind Observed over the window; a
-	// zero-sample window is reported but never evaluated (no data, no burn).
-	Samples  uint64  `json:"samples"`
-	BurnRate float64 `json:"burn_rate"`
-	OK       bool    `json:"ok"`
-}
-
 // SLOStatus is the full /debug/slo body.
 type SLOStatus struct {
 	WindowSec    float64             `json:"window_seconds"`
 	Buckets      int                 `json:"buckets"`
 	Availability float64             `json:"availability_objective"`
 	OK           bool                `json:"ok"`
-	Burning      []string            `json:"burning,omitempty"` // endpoints (or "recall") currently violating an objective
+	Burning      []string            `json:"burning,omitempty"` // endpoints currently violating an objective
 	Endpoints    []SLOEndpointStatus `json:"endpoints"`
-	// Recall is present only when a recall objective and source are
-	// configured (-slo-recall with -shadow-sample); nil keeps the body
-	// byte-identical to a latency/availability-only tracker.
-	Recall *SLORecallStatus `json:"recall,omitempty"`
 }
 
 // Status evaluates every tracker against its objectives right now.
@@ -310,19 +266,6 @@ func (s *SLOTracker) Status() SLOStatus {
 			out.Burning = append(out.Burning, name)
 		}
 		out.Endpoints = append(out.Endpoints, st)
-	}
-	if s.cfg.Recall > 0 && s.recall != nil {
-		mean, n := s.recall.ObservedRecall()
-		rs := &SLORecallStatus{Objective: s.cfg.Recall, Observed: mean, Samples: n, OK: true}
-		if n > 0 {
-			rs.BurnRate = (1 - mean) / (1 - s.cfg.Recall)
-			rs.OK = rs.BurnRate <= 1
-		}
-		if !rs.OK {
-			out.OK = false
-			out.Burning = append(out.Burning, "recall")
-		}
-		out.Recall = rs
 	}
 	sort.Strings(out.Burning)
 	return out
@@ -382,17 +325,6 @@ func writeSLOText(w http.ResponseWriter, st SLOStatus) {
 		fmt.Fprintf(w, "%-12s %8d %6d %8.1f %8.2f %9.3f %9.3f %9.3f %10g %s\n",
 			e.Endpoint, e.Requests, e.Errors, e.QPS, e.BurnRate,
 			e.P50MS, e.P99MS, e.P999MS, e.LatencyObjectiveMS, status)
-	}
-	if rc := st.Recall; rc != nil {
-		status := "ok"
-		if !rc.OK {
-			status = "burning(recall)"
-		}
-		if rc.Samples == 0 {
-			status = "no data"
-		}
-		fmt.Fprintf(w, "\nrecall       observed=%.4f objective=%.4f samples=%d burn=%.2f %s\n",
-			rc.Observed, rc.Objective, rc.Samples, rc.BurnRate, status)
 	}
 }
 

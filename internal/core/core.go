@@ -101,20 +101,6 @@ func (f Filter) Admits(c *corpus.Company) bool {
 	return true
 }
 
-// Key returns a canonical compact encoding of the filter. Two filters admit
-// the same companies iff their keys are equal; the shadow sampler's
-// worst-divergence entries carry it as their filter_key. Country is a
-// free-form client-supplied string interpolated into the `|`-delimited key,
-// so it is quoted: with %q every field boundary is unforgeable by
-// construction and the encoding stays injective no matter what bytes (pipes,
-// the other fields' prefixes, quotes) a crafted request smuggles into the
-// country — a collision here would make two differently-filtered queries
-// read as one.
-func (f Filter) Key() string {
-	return fmt.Sprintf("s%d|c%q|e%d:%d|r%g:%g",
-		f.SIC2, f.Country, f.MinEmployees, f.MaxEmployees, f.MinRevenueM, f.MaxRevenueM)
-}
-
 // Match is one similarity-search hit.
 type Match struct {
 	CompanyID  int
@@ -135,8 +121,8 @@ type Match struct {
 // the owned-id list (SetPartition), the candidate lists of the equality
 // columns and the cone trees over all owned ids and over each list (both).
 // Corpus and Reps must not change after NewIndex. Copying the struct shares
-// the columns, which is how the shadow re-execution gets a pruner-free twin
-// of the serving index.
+// the columns, which is how the reload probe check gets a pruner-free twin
+// of an approximate index.
 type Index struct {
 	Corpus *corpus.Corpus
 	Reps   *mat.Matrix

@@ -454,27 +454,3 @@ func TestContextCancellationCountsAsError(t *testing.T) {
 		t.Fatalf("recommend_errors_total %d, want %d", got, recErr0+1)
 	}
 }
-
-// TestFilterKeyCanonical checks Filter.Key distinguishes filters that admit
-// different sets and is stable for equal filters.
-func TestFilterKeyCanonical(t *testing.T) {
-	a := Filter{SIC2: 73, Country: "US", MinEmployees: 10, MaxRevenueM: 5.5}
-	b := Filter{SIC2: 73, Country: "US", MinEmployees: 10, MaxRevenueM: 5.5}
-	if a.Key() != b.Key() {
-		t.Fatalf("equal filters disagree: %q vs %q", a.Key(), b.Key())
-	}
-	variants := []Filter{
-		{}, {SIC2: 73}, {Country: "US"}, {MinEmployees: 10}, {MaxEmployees: 10},
-		{MinRevenueM: 1}, {MaxRevenueM: 1}, a,
-		// Country is client-supplied: delimiter-bearing values must not
-		// forge other fields (see TestFilterKeyInjectionResistant).
-		{Country: "US|e10:0"}, {Country: "US", MinEmployees: 10},
-	}
-	seen := make(map[string]int)
-	for i, f := range variants {
-		if j, dup := seen[f.Key()]; dup {
-			t.Fatalf("filters %d and %d collide on key %q", i, j, f.Key())
-		}
-		seen[f.Key()] = i
-	}
-}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/mat"
 	"repro/internal/rng"
 )
@@ -50,10 +51,12 @@ func TestScorerMatchesSimilarity(t *testing.T) {
 	}
 }
 
-// TestFilterKeyInjectionResistant extends the canonical-key test with
-// adversarial countries: Country is the only client-controlled string in
-// the key, and quoting it must keep field boundaries
-// unforgeable — no crafted country may alias another filter's key.
+// TestFilterKeyInjectionResistant holds adversarial countries to exact
+// matching: Country is the only client-controlled string of a filter, and no
+// crafted country (pipes, quotes, a NUL, another field's spelling) may admit
+// what another variant admits. The companies carry every variant's country
+// with and without employees and SIC2 1, so distinct filters must admit
+// distinct sets.
 func TestFilterKeyInjectionResistant(t *testing.T) {
 	variants := []Filter{
 		{Country: "US", MinEmployees: 1},
@@ -65,12 +68,32 @@ func TestFilterKeyInjectionResistant(t *testing.T) {
 		{SIC2: 1, Country: "US"},
 		{Country: "1US"},
 	}
-	seen := make(map[string]int)
-	for i, f := range variants {
-		if j, dup := seen[f.Key()]; dup {
-			t.Fatalf("filters %+v and %+v collide on key %q", variants[i], variants[j], f.Key())
+	var companies []corpus.Company
+	for _, f := range variants {
+		for _, emp := range []int{0, 1} {
+			for _, sic := range []int{0, 1} {
+				companies = append(companies, corpus.Company{Country: f.Country, Employees: emp, SIC2: sic})
+			}
 		}
-		seen[f.Key()] = i
+	}
+	seen := make(map[Filter]int)
+	admitted := make(map[string]int)
+	for i, f := range variants {
+		if j, dup := seen[f]; dup {
+			t.Fatalf("variants %d and %d are the same filter %+v", j, i, f)
+		}
+		seen[f] = i
+		set := make([]byte, len(companies))
+		for c := range companies {
+			set[c] = '0'
+			if f.Admits(&companies[c]) {
+				set[c] = '1'
+			}
+		}
+		if j, dup := admitted[string(set)]; dup {
+			t.Fatalf("filters %+v and %+v admit the same companies", variants[j], f)
+		}
+		admitted[string(set)] = i
 	}
 }
 

@@ -161,7 +161,7 @@ func TestFilterColumnsMatchAdmits(t *testing.T) {
 				admitted++
 			}
 		}
-		t.Logf("%-70s admits %d of %d", f.Key(), admitted, c.N())
+		t.Logf("%+v admits %d of %d", f, admitted, c.N())
 	}
 
 	wild := mat.New(c.N(), 2)
@@ -213,14 +213,14 @@ func TestFilterColumnsMatchAdmits(t *testing.T) {
 						walked := listed(q)
 						// Only an empty list has no tree to search.
 						if q.leaves != (trees && qv[0] != 0 && len(walked) > 0) {
-							t.Fatalf("part %d/%d filter %s query %v: the scan searches a tree: %v", part, parts, f.Key(), qv, q.leaves)
+							t.Fatalf("part %d/%d filter %+v query %v: the scan searches a tree: %v", part, parts, f, qv, q.leaves)
 						}
 						var got, want []int
 						seen := make([]bool, c.N())
 						for _, id := range walked {
 							if !owned(int(id)) || seen[id] {
-								t.Fatalf("part %d/%d filter %s query %v: the scan may visit id %d, owned %v, listed before %v",
-									part, parts, f.Key(), qv, id, owned(int(id)), seen[id])
+								t.Fatalf("part %d/%d filter %+v query %v: the scan may visit id %d, owned %v, listed before %v",
+									part, parts, f, qv, id, owned(int(id)), seen[id])
 							}
 							seen[id] = true
 							if !q.filtered || q.filter.admits(int(id)) {
@@ -234,8 +234,8 @@ func TestFilterColumnsMatchAdmits(t *testing.T) {
 							}
 						}
 						if !slices.Equal(got, want) {
-							t.Fatalf("part %d/%d filter %s query %v: the scan admits %d rows, Filter.Admits %d: %v, want %v",
-								part, parts, f.Key(), qv, len(got), len(want), got, want)
+							t.Fatalf("part %d/%d filter %+v query %v: the scan admits %d rows, Filter.Admits %d: %v, want %v",
+								part, parts, f, qv, len(got), len(want), got, want)
 						}
 					}
 				}
@@ -787,8 +787,8 @@ func TestScanDifferential(t *testing.T) {
 			}
 			return &pruned
 		}
-		desc := fmt.Sprintf("round %d: d=%d wild=%v planted=%v deep=%v unprunable=%v rows=%d part=%d/%d layout=%d k=%d filter=%s",
-			round, d, wild, planted, deep, unprunable, n, part, parts, layout, k, f.Key())
+		desc := fmt.Sprintf("round %d: d=%d wild=%v planted=%v deep=%v unprunable=%v rows=%d part=%d/%d layout=%d k=%d filter=%+v",
+			round, d, wild, planted, deep, unprunable, n, part, parts, layout, k, f)
 		// deepID draws an id of the unprunable fixture that lies past the
 		// first quarter of the tree's rows, so that the search reaches its leaf
 		// only after many others: the least or the greatest of those ids, which
@@ -961,7 +961,7 @@ func testListTrees(t *testing.T) {
 				}
 				owns := func(i int) bool { return PartitionOf(i, parts) == part }
 				for _, lf := range []Filter{{Country: country}, {SIC2: sic2}} {
-					desc := fmt.Sprintf("d=%d part %d/%d filter %s", d, part, parts, lf.Key())
+					desc := fmt.Sprintf("d=%d part %d/%d filter %+v", d, part, parts, lf)
 					q := ix.newScan(1, lf, [][]float64{reps.Row(a)}, []int{a})
 					if !q.leaves {
 						t.Fatalf("%s: the scan does not search the list's tree", desc)
@@ -988,7 +988,7 @@ func testListTrees(t *testing.T) {
 					ranged.MinEmployees = employees[len(employees)/2]
 					for _, f := range []Filter{lf, open, ranged} {
 						if q := ix.newScan(1, f, [][]float64{reps.Row(a)}, []int{a}); !q.leaves || q.tree != &ix.bySIC2.tree && q.tree != &ix.byCountry.tree {
-							t.Fatalf("%s as %s: the scan does not search the list's tree", desc, f.Key())
+							t.Fatalf("%s as %+v: the scan does not search the list's tree", desc, f)
 						}
 						for _, k := range []int{1, 25, 400} {
 							for _, exclude := range []int{a, int(onList), -1} {
@@ -998,7 +998,7 @@ func testListTrees(t *testing.T) {
 								for _, workers := range []int{1, 2, 4} {
 									par.SetWorkers(workers)
 									got, da, dr, visited := tracedTopK(t, desc, ix, exclude, reps.Row(a), k, f)
-									what := fmt.Sprintf("%s k=%d exclude=%d as %s workers=%d", desc, k, exclude, f.Key(), workers)
+									what := fmt.Sprintf("%s k=%d exclude=%d as %+v workers=%d", desc, k, exclude, f, workers)
 									if !talliesHold(q, len(got), da, dr, visited, own, admitted, rejected) {
 										t.Fatalf("%s: counters moved by admitted=%d filtered=%d over %d rows visited (own id listed: %d); the reference admitted %d and refused %d",
 											what, da, dr, visited, own, admitted, rejected)
@@ -1022,7 +1022,7 @@ func testListTrees(t *testing.T) {
 									return x.CompanyID == y.CompanyID && x.NearestClient == y.NearestClient &&
 										math.Float64bits(x.Similarity) == math.Float64bits(y.Similarity)
 								}) {
-									t.Fatalf("%s k=%d clients=%v as %s workers=%d: got %+v, want %+v", desc, k, clients, f.Key(), workers, got, want)
+									t.Fatalf("%s k=%d clients=%v as %+v workers=%d: got %+v, want %+v", desc, k, clients, f, workers, got, want)
 								}
 							}
 						}
@@ -1046,7 +1046,7 @@ func tracedTopK(t *testing.T, desc string, ix *Index, exclude int, query []float
 			got, err = ix.TopKByVectorContext(ctx, query, k, f)
 		}
 		if err != nil {
-			return fmt.Errorf("%s exclude=%d k=%d filter %s: %w", desc, exclude, k, f.Key(), err)
+			return fmt.Errorf("%s exclude=%d k=%d filter %+v: %w", desc, exclude, k, f, err)
 		}
 		return nil
 	})
@@ -1323,8 +1323,8 @@ func FuzzZoneBound(f *testing.F) {
 				}
 				for _, i := range tr.rows[node.lo:node.hi] {
 					if flt.Admits(&companies[i]) {
-						t.Fatalf("filter %s: node %d (zone %+v) is skipped, but company %d (employees %d, revenue %v) passes",
-							flt.Key(), nd, tr.zones[nd], i, companies[i].Employees, companies[i].RevenueM)
+						t.Fatalf("filter %+v: node %d (zone %+v) is skipped, but company %d (employees %d, revenue %v) passes",
+							flt, nd, tr.zones[nd], i, companies[i].Employees, companies[i].RevenueM)
 					}
 				}
 			}

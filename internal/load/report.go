@@ -63,10 +63,6 @@ type Report struct {
 	WarmupRequests               int                      `json:"warmup_requests"`
 	Total                        EndpointStats            `json:"total"`
 	Endpoints                    map[string]EndpointStats `json:"endpoints"`
-	// Recall carries the server's live shadow-sampled exact-vs-ANN verdict
-	// scraped from /debug/recall after the replay (ScrapeRecall); absent when
-	// the target is not shadow-sampling.
-	Recall *RecallStats `json:"ann_observed_recall,omitempty"`
 }
 
 func buildStats(samples []sample, measured time.Duration, withTrace bool) EndpointStats {

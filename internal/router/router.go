@@ -217,14 +217,8 @@ func New(cfg Config) (*Router, error) {
 func (rt *Router) Handler() http.Handler { return rt.mux }
 
 // Routes returns the router's debug routes for the -debug-addr mux:
-// /debug/slo when SLO tracking is on, and the always-mounted fleet recall
-// view GET /debug/recall, which scatters to every shard's /debug/recall and
-// aggregates a sample-weighted fleet observed recall (shards without shadow
-// sampling report "sampling": false rather than erroring the view).
-func (rt *Router) Routes() []obs.Route {
-	return append(rt.slo.Routes(),
-		obs.Route{Pattern: "GET /debug/recall", Handler: http.HandlerFunc(rt.handleFleetRecall)})
-}
+// /debug/slo when SLO tracking is on, nothing otherwise.
+func (rt *Router) Routes() []obs.Route { return rt.slo.Routes() }
 
 // SetReady flips /readyz, mirroring the shard-side drain protocol.
 func (rt *Router) SetReady(ok bool) { rt.shell.SetReady(ok) }

@@ -21,6 +21,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/serve"
+	"repro/internal/trace"
 )
 
 // The fixture corpus/model pair is trained once and shared; every server
@@ -577,5 +578,71 @@ func TestNewRejectsNegativeConfig(t *testing.T) {
 				t.Fatalf("New accepted %+v", tc.cfg)
 			}
 		})
+	}
+}
+
+// TestRouterLatencyExemplarAndTraceRoutes covers two observability contracts
+// at once: a traced request must leave its trace ID as a bucket exemplar on
+// the router_*_latency_seconds histogram, and the same trace must be
+// inspectable through the trace debug routes that ibrouter mounts on its
+// -debug-addr (list filtered by the router.similar root span, then resolved
+// by ID).
+func TestRouterLatencyExemplarAndTraceRoutes(t *testing.T) {
+	tr := trace.NewTracer(64)
+	tr.SetEnabled(true)
+	tr.SetSampleRate(1)
+	_, ts := newCluster(t, 2, Config{Tracer: tr}, nil)
+
+	resp, _ := get(t, ts.URL, "/v1/similar/3?k=5")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("similar status = %d, want 200", resp.StatusCode)
+	}
+	traceID := resp.Header.Get("traceparent")
+	if len(traceID) < 35 {
+		t.Fatalf("traceparent header = %q, want a W3C traceparent", traceID)
+	}
+	traceID = traceID[3:35] // 00-<32 hex trace id>-...
+
+	hs, ok := obs.Default().Snapshot().Histograms["router_similar_latency_seconds"]
+	if !ok {
+		t.Fatal("router_similar_latency_seconds not registered")
+	}
+	found := false
+	for _, ex := range hs.Exemplars {
+		if ex.TraceID == traceID {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("no exemplar with trace %s on router_similar_latency_seconds: %+v", traceID, hs.Exemplars)
+	}
+
+	// The trace routes ibrouter serves on -debug-addr resolve the same trace.
+	mux := http.NewServeMux()
+	for _, rtr := range trace.Routes(tr) {
+		mux.Handle(rtr.Pattern, rtr.Handler)
+	}
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/traces?endpoint=router.similar", nil))
+	var list []trace.Summary
+	if err := json.Unmarshal(rec.Body.Bytes(), &list); err != nil {
+		t.Fatalf("unmarshal /debug/traces: %v", err)
+	}
+	if len(list) == 0 {
+		t.Fatal("/debug/traces?endpoint=router.similar is empty, want the traced request")
+	}
+	found = false
+	for _, s := range list {
+		if s.TraceID == traceID {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("trace %s absent from /debug/traces list %+v", traceID, list)
+	}
+	rec = httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/traces/"+traceID, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/debug/traces/%s status = %d, want 200", traceID, rec.Code)
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/router"
-	"repro/internal/shadow"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
 )
@@ -42,7 +41,6 @@ type variant struct {
 	workers int // par workers of the builds
 	trace   int // 1: on at sample rate 1; 2: on, requests carrying a traceparent
 	slo     int
-	shadow  int // 1: shadow sampling 1 in 1
 }
 
 // settings are the variant settings and the values a round draws from.
@@ -57,7 +55,6 @@ var settings = []struct {
 	{"workers", []int{1, 2, 4}, func(v *variant) *int { return &v.workers }},
 	{"trace", []int{0, 1, 2}, func(v *variant) *int { return &v.trace }},
 	{"slo", []int{0, 1}, func(v *variant) *int { return &v.slo }},
-	{"shadow", []int{0, 1}, func(v *variant) *int { return &v.shadow }},
 }
 
 // TestServeDifferential is the serving oracle: each of its rounds draws,
@@ -96,7 +93,7 @@ func serveOracle(t *testing.T, first int64, rounds int, force func(*variant)) {
 			goroutines := runtime.NumGoroutine()
 			oracleRound(t, desc, g, fx, models, v)
 			// The leak drill: a closed round leaves no goroutine of its servers,
-			// routers, samplers, SLO trackers or httptest servers running.
+			// routers, SLO trackers or httptest servers running.
 			waitFor(t, desc+": goroutines back to "+fmt.Sprint(goroutines), func() bool { return runtime.NumGoroutine() <= goroutines })
 		})
 	}
@@ -120,7 +117,7 @@ func drawRound(seed int64, force func(*variant)) (*rng.RNG, oracleFixture, varia
 
 // oracleRound holds the variant to the reference over one request sequence.
 // The reference is one exact, unsharded Server over the v2 model, built at
-// one worker, with tracing, SLO and shadow off. The rules:
+// one worker, with tracing and SLO off. The rules:
 //
 //   - each reference answer is 400 where the request says so, and otherwise
 //     the wire rendering of what direct core calls give (ids, names,
@@ -190,8 +187,7 @@ func oracleRound(t *testing.T, desc string, g *rng.RNG, fx oracleFixture, models
 }
 
 // replay sends every request to d and holds each answer to want (see
-// oracleRound), then waits for the shadow samplers to drain and returns how
-// far every counter and histogram count moved.
+// oracleRound) and returns how far every counter and histogram count moved.
 func (d *deployment) replay(t *testing.T, desc string, reqs []request, want []*httptest.ResponseRecorder, traceparent bool) map[string]uint64 {
 	t.Helper()
 	before := counts()
@@ -206,11 +202,6 @@ func (d *deployment) replay(t *testing.T, desc string, reqs []request, want []*h
 		if routed && got.Result().Header.Get("X-Partial") != "" {
 			t.Fatalf("%s: %s %s: a healthy fan-out set X-Partial", desc, rq.method, rq.path)
 		}
-	}
-	// A sampled query holds a reference on its generation until the shadow
-	// worker has scored it: one reference left means nothing is queued.
-	for _, s := range d.servers {
-		waitFor(t, desc+": the shadow sampler drains", func() bool { return s.cur.Load().refs.Load() == 1 })
 	}
 	after := counts()
 	for name, n := range after {
@@ -354,9 +345,6 @@ func deploy(t *testing.T, fx oracleFixture, models [2]string, v variant) *deploy
 	cfg := Config{Quiet: true, Logger: discardLogger(), Tracer: d.tracer}
 	if v.slo == 1 {
 		cfg.SLO = &api.SLOConfig{Window: time.Hour}
-	}
-	if v.shadow == 1 {
-		cfg.Shadow = &shadow.Config{SampleN: 1, Seed: 5, Queue: 1024}
 	}
 	par.SetWorkers(max(1, v.workers))
 	defer par.SetWorkers(0)

@@ -48,7 +48,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/rng"
-	"repro/internal/shadow"
 	"repro/internal/trace"
 )
 
@@ -58,8 +57,6 @@ var (
 		"query requests currently executing inside the concurrency semaphore")
 	throttled = obs.Default().Counter("serve_throttled_total",
 		"query requests rejected 503 because the semaphore stayed full until the request deadline")
-	reloadsTotal = obs.Default().Counter("serve_reloads_total",
-		"successful hot model reloads (each swaps the index)")
 )
 
 // Config parameterizes a Server. Zero values select the documented defaults.
@@ -102,26 +99,18 @@ type Config struct {
 	// /healthz. Nil keeps the disabled path inert: no ticker goroutine, no
 	// extra metrics, byte-identical responses.
 	SLO *api.SLOConfig
-	// Shadow, when non-nil with SampleN >= 1, enables shadow-sampled
-	// exact-vs-ANN quality observability: 1 in SampleN ANN-served similar and
-	// whitespace queries are re-executed as exact scans off the critical
-	// path (bounded queue, dedicated worker, drop-and-count on saturation)
-	// and diffed against the served answer into the ann_observed_recall
-	// window, GET /debug/recall, and the /admin/reload canary. Nil keeps the
-	// disabled path inert like SLO: no goroutine, no metric registrations,
-	// byte-identical responses.
-	Shadow *shadow.Config
 	// ReloadGuard, when positive, makes /admin/reload refuse the generation
-	// swap if the shadow canary's mean result-set Jaccard between the serving
-	// and incoming generations falls below it (409 Conflict; the incoming
-	// generation is closed). Requires Shadow; zero (the default) reports the
-	// canary diff without ever refusing.
+	// swap if the mean result-set Jaccard between the serving and incoming
+	// generations' answers to the probes (see probeIDs) falls below it (409
+	// Conflict; the incoming generation is closed). Zero, the default,
+	// reports the verdict without ever refusing. It must lie in [0, 1].
 	ReloadGuard float64
 }
 
 // validate refuses the settings no default stands for: a negative count or
 // deadline would panic at boot (the semaphore) or fail every request that
-// relies on it.
+// relies on it, and a reload guard outside [0, 1] (NaN included) would refuse
+// every reload or none.
 func (c Config) validate() error {
 	switch {
 	case c.DefaultK < 0:
@@ -132,6 +121,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("serve: negative max concurrent %d", c.MaxConcurrent)
 	case c.Timeout < 0:
 		return fmt.Errorf("serve: negative request timeout %v", c.Timeout)
+	case !(c.ReloadGuard >= 0 && c.ReloadGuard <= 1):
+		return fmt.Errorf("serve: reload guard %v outside [0, 1]", c.ReloadGuard)
 	}
 	return nil
 }
@@ -270,10 +261,12 @@ type Server struct {
 	started time.Time
 	gens    atomic.Uint64   // generation counter; the live state carries its value
 	slo     *api.SLOTracker // nil when Config.SLO is nil (SLO tracking off)
-	shadow  *shadow.Sampler // nil when Config.Shadow is nil (shadow sampling off)
 	closed  atomic.Bool     // Close ran; guards the current generation's release
 	shell   api.Shell       // request pipeline of the query endpoints + /readyz state
 	mReload api.EndpointMetrics
+	// reloadMu serialises reloads, so a reload's probe verdict is taken
+	// against the generation its swap replaces.
+	reloadMu sync.Mutex
 }
 
 // New builds a Server over an already-loaded generation. init.Model may be
@@ -292,6 +285,11 @@ func New(init Loaded, load Loader, cfg Config) (*Server, error) {
 	if err := checkState(ix, model); err != nil {
 		return nil, err
 	}
+	r, err := indexRecall(context.Background(), ix, cfg.DefaultK)
+	if err != nil {
+		return nil, err
+	}
+	annObservedRecall.Set(r)
 	registerBuildInfo()
 	s := &Server{
 		cfg:     cfg,
@@ -300,14 +298,8 @@ func New(init Loaded, load Loader, cfg Config) (*Server, error) {
 		started: time.Now(),
 		mReload: api.NewEndpointMetrics("serve", "reload"),
 	}
-	if cfg.Shadow != nil && cfg.Shadow.SampleN >= 1 {
-		s.shadow = shadow.New(*cfg.Shadow)
-	}
 	if cfg.SLO != nil {
 		s.slo = api.NewSLOTracker(*cfg.SLO, "serve", []string{"similar", "recommend", "whitespace", "infer"})
-		if s.shadow != nil {
-			s.slo.SetRecallSource(s.shadow)
-		}
 	}
 	s.shell = api.Shell{
 		Prefix:       "serve",
@@ -331,12 +323,6 @@ func New(init Loaded, load Loader, cfg Config) (*Server, error) {
 	mux.HandleFunc("POST /v1/infer", s.shell.Endpoint("infer", s.admit(s.handleInfer)))
 	mux.HandleFunc("POST /internal/recommend", s.shell.Endpoint("recommend", s.admit(s.handleInternalRecommend)))
 	mux.HandleFunc("POST /admin/reload", s.handleReload)
-	// With shadow sampling on, /debug/recall also mounts on the main mux so
-	// routers and load generators — which only know the serving address —
-	// can scrape observed recall; off, the route set is unchanged.
-	for _, rt := range s.shadow.Routes() {
-		mux.Handle(rt.Pattern, rt.Handler)
-	}
 	s.mux = mux
 	return s, nil
 }
@@ -537,18 +523,6 @@ type healthResponse struct {
 	// ANN is present only when an approximate candidate router is installed
 	// (ibserve -ann): the coarse index shape the scans prune through.
 	ANN *annJSON `json:"ann,omitempty"`
-	// Shadow is present only with shadow sampling on (-shadow-sample): the
-	// live observed-recall summary (full detail at GET /debug/recall).
-	Shadow *shadowHealthJSON `json:"shadow,omitempty"`
-}
-
-// shadowHealthJSON is the one-line shadow summary folded into /healthz when
-// sampling is on; omitted (nil pointer, omitempty) when off so the disabled
-// path's /healthz body is byte-identical.
-type shadowHealthJSON struct {
-	SampleOneIn    int     `json:"sample_one_in"`
-	ObservedRecall float64 `json:"observed_recall"`
-	WindowSamples  uint64  `json:"window_samples"`
 }
 
 type partitionJSON struct {
@@ -569,9 +543,9 @@ type reloadResponse struct {
 	Topics     int    `json:"topics,omitempty"`
 	Generation uint64 `json:"generation"`
 	Reloaded   bool   `json:"reloaded"`
-	// Canary is present only when shadow sampling had queries to replay: the
-	// generation diff measured against the incoming state before the swap.
-	Canary *shadow.GenerationDiff `json:"canary,omitempty"`
+	// Canary is the probe verdict on the incoming generation, taken against
+	// the serving one before the swap.
+	Canary canaryJSON `json:"canary"`
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -606,14 +580,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		info := p.Info()
 		resp.ANN = &annJSON{Cells: info.Cells, NProbe: info.NProbe, Mapped: info.Mapped}
 	}
-	if s.shadow != nil {
-		mean, n := s.shadow.ObservedRecall()
-		resp.Shadow = &shadowHealthJSON{
-			SampleOneIn:    s.cfg.Shadow.SampleN,
-			ObservedRecall: mean,
-			WindowSamples:  n,
-		}
-	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(resp)
 }
@@ -628,68 +594,6 @@ func (s *Server) matches(st *state, ms []core.Match) []api.Match {
 		}
 	}
 	return out
-}
-
-// shadowMatches and shadowProspects convert core answers into the shadow
-// package's generation-neutral result shape.
-func shadowMatches(ms []core.Match) []shadow.Result {
-	out := make([]shadow.Result, len(ms))
-	for i, m := range ms {
-		out[i] = shadow.Result{ID: int64(m.CompanyID), Score: m.Similarity}
-	}
-	return out
-}
-
-func shadowProspects(ps []core.WhitespaceProspect) []shadow.Result {
-	out := make([]shadow.Result, len(ps))
-	for i, p := range ps {
-		out[i] = shadow.Result{ID: int64(p.CompanyID), Score: p.Similarity}
-	}
-	return out
-}
-
-// shadowScan re-executes a sampled query against ix through the index's
-// configured scan path — exact when ix carries no pruner (the shadow
-// re-execution and the canary's exact leg), ANN when it does (the canary's
-// served leg).
-func shadowScan(ctx context.Context, ix *core.Index, q shadow.Query) ([]shadow.Result, error) {
-	if q.Kind == "whitespace" {
-		ps, err := ix.WhitespaceContext(ctx, q.Clients, q.K, q.Filter)
-		if err != nil {
-			return nil, err
-		}
-		return shadowProspects(ps), nil
-	}
-	ms, err := ix.TopKContext(ctx, q.ID, q.K, q.Filter)
-	if err != nil {
-		return nil, err
-	}
-	return shadowMatches(ms), nil
-}
-
-// shadowSubmit enqueues one sampled query for exact re-execution. The sample
-// holds its own reference on the generation it was served from — the shadow
-// worker's exact scan must never race a reload's munmap — and the exact leg
-// runs on a pruner-free shallow copy of the index (the copy preserves the
-// scan partition; Corpus and Reps are shared, not copied).
-func (s *Server) shadowSubmit(ctx context.Context, st *state, q shadow.Query, served []shadow.Result) {
-	if !st.acquire() {
-		return // generation already dead (Server.Close raced the request)
-	}
-	exactIx := *st.ix
-	exactIx.SetPruner(nil)
-	smp := shadow.Sample{
-		Query:  q,
-		Served: served,
-		Exact: func(ctx context.Context) ([]shadow.Result, error) {
-			return shadowScan(ctx, &exactIx, q)
-		},
-		Release: st.release,
-	}
-	if sp := trace.FromContext(ctx); sp.Active() {
-		smp.TraceID = sp.TraceID().String()
-	}
-	s.shadow.Submit(smp)
 }
 
 func (s *Server) handleSimilar(ctx context.Context, st *state, r *http.Request) (any, error) {
@@ -709,16 +613,9 @@ func (s *Server) handleSimilar(ctx context.Context, st *state, r *http.Request) 
 	if err != nil {
 		return nil, err
 	}
-	// The sampling decision is drawn before the scan, once per eligible query
-	// (ANN-served), so the decision stream depends only on the request
-	// sequence — a failed scan still consumes its decision.
-	sampled := s.shadow != nil && st.ix.Pruner() != nil && s.shadow.Sample()
 	ms, err := st.ix.TopKContext(ctx, id, k, f)
 	if err != nil {
 		return nil, err
-	}
-	if sampled {
-		s.shadowSubmit(ctx, st, shadow.Query{Kind: "similar", ID: id, K: k, Filter: f}, shadowMatches(ms))
 	}
 	return api.SimilarResponse{
 		CompanyID: id,
@@ -779,15 +676,9 @@ func (s *Server) handleWhitespace(ctx context.Context, st *state, r *http.Reques
 	if k == 0 {
 		k = s.cfg.DefaultK
 	}
-	f := req.Filter.Core()
-	sampled := s.shadow != nil && st.ix.Pruner() != nil && s.shadow.Sample()
-	prospects, err := st.ix.WhitespaceContext(ctx, req.Clients, k, f)
+	prospects, err := st.ix.WhitespaceContext(ctx, req.Clients, k, req.Filter.Core())
 	if err != nil {
 		return nil, err
-	}
-	if sampled {
-		q := shadow.Query{Kind: "whitespace", Clients: append([]int(nil), req.Clients...), K: k, Filter: f}
-		s.shadowSubmit(ctx, st, q, shadowProspects(prospects))
 	}
 	out := make([]api.Prospect, len(prospects))
 	for i, p := range prospects {
@@ -851,9 +742,10 @@ func (s *Server) handleInternalRecommend(_ context.Context, st *state, r *http.R
 	return recommendations(st, req.CompanyID, req.Peers, recs), nil
 }
 
-// handleReload rebuilds the serving state through the Loader and installs
-// it atomically. In-flight queries keep the generation they captured at
-// entry; new queries see the new index.
+// handleReload rebuilds the serving state through the Loader, judges it on
+// the probes against the serving generation and installs it atomically.
+// In-flight queries keep the generation they captured at entry; new queries
+// see the new index.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if r.Body != nil && s.cfg.MaxBodyBytes > 0 {
@@ -870,59 +762,48 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, r, s.cfg.Logger, http.StatusInternalServerError, fmt.Errorf("serve: reload failed: %w", err))
 		return
 	}
-	ix, model := loaded.Index, loaded.Model
-	if err := checkState(ix, model); err != nil {
+	// The handler owns the incoming generation until the swap publishes it;
+	// every refusal below closes it.
+	refuse := func(status int, err error) {
 		if loaded.Close != nil {
 			_ = loaded.Close()
 		}
 		s.mReload.Errors.Inc()
-		api.WriteError(w, r, s.cfg.Logger, http.StatusInternalServerError, fmt.Errorf("serve: reload rejected: %w", err))
+		api.WriteError(w, r, s.cfg.Logger, status, err)
+	}
+	ix, model := loaded.Index, loaded.Model
+	if err := checkState(ix, model); err != nil {
+		refuse(http.StatusInternalServerError, fmt.Errorf("serve: reload rejected: %w", err))
 		return
 	}
-	// Canary phase: before the incoming generation can take traffic, replay
-	// the last M shadow-sampled queries against it — through its configured
-	// scan path and an exact copy — and diff against what the serving
-	// generation answered. The handler owns the incoming generation
-	// exclusively here (no refcounting needed until the swap publishes it).
-	var canary *shadow.GenerationDiff
-	if s.shadow != nil {
-		servedIx, exactIx := *ix, *ix
-		exactIx.SetPruner(nil)
-		exec := func(ctx context.Context, q shadow.Query) (served, exact []shadow.Result, err error) {
-			if served, err = shadowScan(ctx, &servedIx, q); err != nil {
-				return nil, nil, err
-			}
-			if exact, err = shadowScan(ctx, &exactIx, q); err != nil {
-				return nil, nil, err
-			}
-			return served, exact, nil
-		}
-		if diff, ok := s.shadow.CanaryDiff(r.Context(), exec); ok {
-			canary = &diff
-			if g := s.cfg.ReloadGuard; g > 0 && diff.Queries > diff.Errors && diff.MeanJaccard < g {
-				s.shadow.RecordRefusal()
-				if loaded.Close != nil {
-					_ = loaded.Close()
-				}
-				s.mReload.Errors.Inc()
-				s.cfg.Logger.Warn("reload refused by canary guard",
-					"mean_jaccard", diff.MeanJaccard, "guard", g,
-					"recall_delta", diff.RecallDelta, "queries", diff.Queries)
-				api.WriteError(w, r, s.cfg.Logger, http.StatusConflict,
-					fmt.Errorf("serve: reload refused: canary mean result-set Jaccard %.3f below guard %.3f over %d replayed queries (recall delta %+.3f)",
-						diff.MeanJaccard, g, diff.Queries, diff.RecallDelta))
-				return
-			}
-		}
+	s.reloadMu.Lock()
+	defer s.reloadMu.Unlock()
+	cur := s.current()
+	if cur == nil {
+		refuse(errClosed.Status, errClosed)
+		return
+	}
+	defer cur.release()
+	canary, rec, err := judge(r.Context(), cur.ix, ix, s.cfg.DefaultK)
+	if err != nil {
+		refuse(http.StatusInternalServerError, fmt.Errorf("serve: reload probes failed: %w", err))
+		return
+	}
+	reloadJaccard.Set(canary.MeanJaccard)
+	if g := s.cfg.ReloadGuard; canary.MeanJaccard < g {
+		s.cfg.Logger.Warn("reload refused", "mean_jaccard", canary.MeanJaccard, "guard", g, "probes", canary.Probes)
+		refuse(http.StatusConflict, fmt.Errorf("serve: reload refused: mean result-set Jaccard %.3f over %d probes is below the guard %.3f",
+			canary.MeanJaccard, canary.Probes, g))
+		return
 	}
 	next := &state{ix: ix, model: model, gen: s.gens.Add(1), close: loaded.Close}
 	next.refs.Store(1)
 	old := s.cur.Swap(next)
+	annObservedRecall.Set(rec)
 	// Drop the old generation's birth reference. Its backing (an mmap, for
 	// v2 models) is released only when the last in-flight request against it
-	// finishes — possibly right here, if none are running.
+	// finishes — possibly when this handler drops its own reference.
 	old.release()
-	reloadsTotal.Inc()
 	s.mReload.Requests.Inc()
 	s.mReload.Latency.Observe(time.Since(start).Seconds())
 	resp := reloadResponse{
@@ -936,7 +817,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		resp.Topics = model.K
 	}
 	s.cfg.Logger.Info("model reloaded", append([]any{"companies", resp.Companies, "dim", resp.Dim,
-		"gen", next.gen}, loaded.BuildLog...)...)
+		"gen", next.gen, "mean_jaccard", canary.MeanJaccard}, loaded.BuildLog...)...)
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(resp)
 }
@@ -946,22 +827,13 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 // the disabled path.
 func (s *Server) SLORoutes() []obs.Route { return s.slo.Routes() }
 
-// ShadowRoutes returns the /debug/recall route for the -debug-addr mux, or
-// nothing when shadow sampling is off (same disabled-path contract as
-// SLORoutes). The same route is also mounted on the serving mux so routers
-// and load generators can scrape it without knowing the debug address.
-func (s *Server) ShadowRoutes() []obs.Route { return s.shadow.Routes() }
-
-// Close releases the server's background resources: the shadow sampler (its
-// worker drains, releasing any generation references queued samples hold),
-// the SLO rotation ticker, and the live generation's reference (so an
-// mmap-backed model is unmapped once in-flight requests drain). Stop routing
-// traffic here before Close; straggler requests that arrive anyway answer 503
+// Close releases the server's background resources: the SLO rotation ticker
+// and the live generation's reference (so an mmap-backed model is unmapped
+// once in-flight requests drain). Stop routing traffic here before Close; straggler requests that arrive anyway answer 503
 // (current() refuses the dead generation) rather than touch unmapped memory.
 // Safe to call more than once: the current-generation release is guarded so a
 // double Close cannot double-unmap.
 func (s *Server) Close() {
-	s.shadow.Close()
 	s.slo.Close()
 	if s.closed.CompareAndSwap(false, true) {
 		s.cur.Load().release()

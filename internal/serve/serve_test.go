@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -260,7 +261,7 @@ func TestCacheHitsAndReloadInvalidation(t *testing.T) {
 
 	var first api.SimilarResponse
 	getJSON(t, h, "/v1/similar/7?k=3", &first)
-	reloads0 := counterValue("serve_reloads_total")
+	reloads0 := counterValue("serve_reload_requests_total")
 	var rl reloadResponse
 	if resp := postJSON(t, h, "/admin/reload", struct{}{}, &rl); resp.Code != http.StatusOK {
 		t.Fatalf("reload status %d", resp.Code)
@@ -268,8 +269,8 @@ func TestCacheHitsAndReloadInvalidation(t *testing.T) {
 	if reloaded != 1 || !rl.Reloaded || rl.Companies != ix.Corpus.N() {
 		t.Fatalf("reload response %+v (loader calls: %d)", rl, reloaded)
 	}
-	if got := counterValue("serve_reloads_total"); got != reloads0+1 {
-		t.Fatalf("serve_reloads_total %d, want %d", got, reloads0+1)
+	if got := counterValue("serve_reload_requests_total"); got != reloads0+1 {
+		t.Fatalf("serve_reload_requests_total %d, want %d", got, reloads0+1)
 	}
 	if line := logged.String(); !strings.Contains(line, `msg="model reloaded"`) || !strings.Contains(line, "corpus_load_ms=12.5") {
 		t.Fatalf("reload log line lacks the loader's BuildLog pairs: %q", line)
@@ -355,27 +356,34 @@ func TestConcurrentRequestsWithReloads(t *testing.T) {
 			}
 		}
 	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 10; i++ {
-			if w := fetch(h, http.MethodPost, "/admin/reload", ""); w.Code != http.StatusOK {
-				errs <- fmt.Errorf("reload %d: status %d", i, w.Code)
-				return
+	// Two reloaders race each other: reloads serialise, so all ten swap.
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				if w := fetch(h, http.MethodPost, "/admin/reload", ""); w.Code != http.StatusOK {
+					errs <- fmt.Errorf("reloader %d, reload %d: status %d", r, i, w.Code)
+					return
+				}
 			}
-		}
-	}()
+		}()
+	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Error(err)
 	}
+	if gen := s.cur.Load().gen; gen != 11 {
+		t.Errorf("generation %d after 10 reloads, want 11", gen)
+	}
 }
 
 // TestNewRejectsNegativeConfig pins New's refusal of settings no default
 // stands for: a negative MaxConcurrent used to panic in make(chan) at boot,
-// and a negative k, peer count or timeout failed every request that relied
-// on the default.
+// a negative k, peer count or timeout failed every request that relied on
+// the default, and a reload guard above 1 refused every reload while a
+// negative or NaN one silently disabled the guard.
 func TestNewRejectsNegativeConfig(t *testing.T) {
 	_, ix, m := newTestServer(t, Config{Quiet: true})
 	for _, tc := range []struct {
@@ -386,6 +394,9 @@ func TestNewRejectsNegativeConfig(t *testing.T) {
 		{"k", Config{DefaultK: -1}},
 		{"peers", Config{DefaultPeers: -1}},
 		{"timeout", Config{Timeout: -time.Second}},
+		{"reload-guard-negative", Config{ReloadGuard: -0.1}},
+		{"reload-guard-above-one", Config{ReloadGuard: 1.5}},
+		{"reload-guard-nan", Config{ReloadGuard: math.NaN()}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if s, err := New(Loaded{Index: ix, Model: m}, nil, tc.cfg); err == nil {

@@ -1,9 +1,9 @@
 #!/bin/sh
 # check_metrics_docs.sh asserts that every metric name the serving stack can
 # register is documented in README.md or DESIGN.md. The name list comes from
-# scripts/metricnames, which constructs real instances (server with shadow
-# sampling + recall SLO, router with its SLO tracker, runtime sampler) against
-# the shared obs registry and prints Registry.Names() — so a PR that adds a
+# scripts/metricnames, which constructs real instances (server with its SLO
+# tracker and reload guard, router with its SLO tracker, runtime sampler)
+# against the shared obs registry and prints Registry.Names() — so a PR that adds a
 # metric without documenting it fails tier-1. Per-shard series are normalized
 # to the router_shard{i}_* family the docs describe.
 set -eu

@@ -1,8 +1,7 @@
 // Command metricnames prints every metric name the serving stack can
 // register, one per line, by constructing real instances against the shared
-// obs registry: a server with shadow sampling, the recall SLO and the reload
-// canary armed, a scatter-gather router with its own SLO tracker, and the
-// runtime sampler. Trainer- and infrastructure-package metrics register as
+// obs registry: a server with its SLO tracker and the reload guard armed, a
+// scatter-gather router with its own SLO tracker, and the runtime sampler. Trainer- and infrastructure-package metrics register as
 // package variables, so importing the packages is enough for those.
 //
 // scripts/check_metrics_docs.sh runs this and asserts each printed name is
@@ -22,7 +21,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/router"
 	"repro/internal/serve"
-	"repro/internal/shadow"
 
 	_ "repro/internal/ann"
 	_ "repro/internal/bpmf"
@@ -63,9 +61,8 @@ func main() {
 	}
 	srv, err := serve.New(serve.Loaded{Index: ix}, nil, serve.Config{
 		Quiet:       true,
-		Shadow:      &shadow.Config{SampleN: 1},
 		ReloadGuard: 0.9,
-		SLO:         &api.SLOConfig{Recall: 0.9},
+		SLO:         &api.SLOConfig{},
 	})
 	if err != nil {
 		fatal(err)

@@ -349,8 +349,8 @@ func TestServeIntegration(t *testing.T) {
 	if v := metricValue(t, metrics, "serve_infer_requests_total"); v != 1 {
 		t.Errorf("serve_infer_requests_total = %d, want 1", v)
 	}
-	if v := metricValue(t, metrics, "serve_reloads_total"); v != 1 {
-		t.Errorf("serve_reloads_total = %d, want 1", v)
+	if v := metricValue(t, metrics, "serve_reload_requests_total"); v != 1 {
+		t.Errorf("serve_reload_requests_total = %d, want 1", v)
 	}
 	// The core-layer counters the bugfix pinned down must agree: whitespace
 	// failures may not leak into whitespace_requests_total.
