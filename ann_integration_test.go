@@ -15,25 +15,18 @@ import (
 )
 
 func TestANNServingIntegration(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries; skipped in -short mode")
-	}
+	ibserve := tool(t, "ibserve")
 	dir := t.TempDir()
-	ibgen := buildTool(t, dir, "ibgen")
-	ibtrain := buildTool(t, dir, "ibtrain")
-	ibserve := buildTool(t, dir, "ibserve")
-
-	corpusPath := filepath.Join(dir, "corpus.jsonl")
-	modelPath := filepath.Join(dir, "lda.gob")
+	corpusPath, modelPath, err := writeModel(t, dir, 240)
+	if err != nil {
+		t.Fatal(err)
+	}
 	indexPath := filepath.Join(dir, "ann.ibsnap")
-	runTool(t, ibgen, "-companies", "240", "-seed", "9", "-out", corpusPath)
-	runTool(t, ibtrain, "-model", "lda", "-topics=3", "-corpus", corpusPath,
-		"-out", modelPath, "-seed", "1")
 
-	exact := startProc(t, ibserve, false,
+	exact := startProc(t, ibserve,
 		"-corpus", corpusPath, "-model", modelPath,
 		"-addr", "localhost:0", "-debug-addr", "localhost:0", "-k", "5")
-	full := startProc(t, ibserve, true,
+	full := startProc(t, ibserve,
 		"-corpus", corpusPath, "-model", modelPath,
 		"-addr", "localhost:0", "-debug-addr", "localhost:0", "-k", "5",
 		"-ann", "-ann-cells", "12", "-ann-nprobe", "12", "-ann-index", indexPath)
@@ -47,9 +40,9 @@ func TestANNServingIntegration(t *testing.T) {
 			Mapped bool `json:"mapped"`
 		} `json:"ann"`
 	}
-	code, body := httpGetBody(t, full.base+"/healthz")
-	if code != http.StatusOK {
-		t.Fatalf("/healthz: status %d\n%s", code, body)
+	resp, body := fetch(t, full.base+"/healthz", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz: status %d\n%s", resp.StatusCode, body)
 	}
 	if err := json.Unmarshal(body, &health); err != nil {
 		t.Fatal(err)
@@ -57,9 +50,9 @@ func TestANNServingIntegration(t *testing.T) {
 	if health.ANN == nil || health.ANN.Cells != 12 || health.ANN.NProbe != 12 || !health.ANN.Mapped {
 		t.Fatalf("/healthz ann block = %+v, want cells=12 nprobe=12 mapped=true", health.ANN)
 	}
-	code, body = httpGetBody(t, exact.base+"/healthz")
-	if code != http.StatusOK {
-		t.Fatalf("exact /healthz: status %d", code)
+	resp, body = fetch(t, exact.base+"/healthz", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("exact /healthz: status %d", resp.StatusCode)
 	}
 	if bytes.Contains(body, []byte(`"ann"`)) {
 		t.Fatalf("exact server advertises an ann block:\n%s", body)
@@ -74,10 +67,10 @@ func TestANNServingIntegration(t *testing.T) {
 			"/v1/recommend/3?peers=10&k=4",
 		}
 		for _, path := range gets {
-			wc, want := httpGetBody(t, exact.base+path)
-			gc, got := httpGetBody(t, full.base+path)
-			if wc != http.StatusOK || gc != http.StatusOK {
-				t.Fatalf("%s: statuses %d/%d\n%s%s", path, wc, gc, want, got)
+			wr, want := fetch(t, exact.base+path, nil)
+			gr, got := fetch(t, full.base+path, nil)
+			if wr.StatusCode != http.StatusOK || gr.StatusCode != http.StatusOK {
+				t.Fatalf("%s: statuses %d/%d\n%s%s", path, wr.StatusCode, gr.StatusCode, want, got)
 			}
 			if !bytes.Equal(want, got) {
 				t.Errorf("%s: full-probe response differs from exact\nexact: %s\nann:   %s", path, want, got)
@@ -97,10 +90,10 @@ func TestANNServingIntegration(t *testing.T) {
 				}}},
 		}
 		for _, p := range posts {
-			wc, want := httpPostBody(t, exact.base+p.path, p.payload)
-			gc, got := httpPostBody(t, full.base+p.path, p.payload)
-			if wc != http.StatusOK || gc != http.StatusOK {
-				t.Fatalf("%s: statuses %d/%d\n%s%s", p.path, wc, gc, want, got)
+			wr, want := fetch(t, exact.base+p.path, p.payload)
+			gr, got := fetch(t, full.base+p.path, p.payload)
+			if wr.StatusCode != http.StatusOK || gr.StatusCode != http.StatusOK {
+				t.Fatalf("%s: statuses %d/%d\n%s%s", p.path, wr.StatusCode, gr.StatusCode, want, got)
 			}
 			if !bytes.Equal(want, got) {
 				t.Errorf("%s: full-probe response differs from exact\nexact: %s\nann:   %s", p.path, want, got)
@@ -110,53 +103,45 @@ func TestANNServingIntegration(t *testing.T) {
 	compare(t)
 
 	// The routed scans surface on the debug listener.
-	code, body = httpGetBody(t, full.debug+"/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("/metrics: status %d", code)
-	}
-	metrics := string(body)
-	if metricValue(t, metrics, "ann_topk_queries_total") == 0 {
+	metrics := full.metrics(t)
+	if metric(t, metrics, "ann_topk_queries_total") == 0 {
 		t.Error("ann_topk_queries_total still zero after routed similar queries")
 	}
-	if metricValue(t, metrics, "ann_topk_candidates_scanned_total") == 0 {
+	if metric(t, metrics, "ann_topk_candidates_scanned_total") == 0 {
 		t.Error("ann_topk_candidates_scanned_total still zero after routed similar queries")
 	}
-	if metricValue(t, metrics, "ann_whitespace_queries_total") == 0 {
+	if metric(t, metrics, "ann_whitespace_queries_total") == 0 {
 		t.Error("ann_whitespace_queries_total still zero after routed whitespace query")
 	}
-	if metricValue(t, metrics, "ann_index_mmap_opens_total") == 0 {
+	if metric(t, metrics, "ann_index_mmap_opens_total") == 0 {
 		t.Error("ann_index_mmap_opens_total zero — -ann-index did not serve via mmap")
 	}
 
 	// Reboot from the saved snapshot: the index must mmap (no re-cluster)
 	// and keep answering byte-identically to the exact server.
-	full.kill(t)
-	full = startProc(t, ibserve, true,
+	full.kill()
+	full = startProc(t, ibserve,
 		"-corpus", corpusPath, "-model", modelPath,
 		"-addr", "localhost:0", "-debug-addr", "localhost:0", "-k", "5",
 		"-ann", "-ann-cells", "12", "-ann-nprobe", "12", "-ann-index", indexPath)
 	compare(t)
-	code, body = httpGetBody(t, full.debug+"/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("/metrics after reboot: status %d", code)
+	metrics = full.metrics(t)
+	if got := metric(t, metrics, "ann_index_builds_total"); got != 0 {
+		t.Errorf("reboot re-clustered %v times instead of mmapping the saved index", got)
 	}
-	metrics = string(body)
-	if got := metricValue(t, metrics, "ann_index_builds_total"); got != 0 {
-		t.Errorf("reboot re-clustered %d times instead of mmapping the saved index", got)
-	}
-	if metricValue(t, metrics, "ann_index_mmap_opens_total") == 0 {
+	if metric(t, metrics, "ann_index_mmap_opens_total") == 0 {
 		t.Error("reboot did not open the saved index via mmap")
 	}
 
 	// A genuinely pruned server (nprobe < cells) stays well-formed: the ann
 	// block reports the probe depth and queries still rank correctly.
-	pruned := startProc(t, ibserve, false,
+	pruned := startProc(t, ibserve,
 		"-corpus", corpusPath, "-model", modelPath,
 		"-addr", "localhost:0", "-debug-addr", "localhost:0", "-k", "5",
 		"-ann", "-ann-cells", "12", "-ann-nprobe", "2", "-ann-index", indexPath)
-	code, body = httpGetBody(t, pruned.base+"/healthz")
-	if code != http.StatusOK {
-		t.Fatalf("pruned /healthz: status %d", code)
+	resp, body = fetch(t, pruned.base+"/healthz", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("pruned /healthz: status %d", resp.StatusCode)
 	}
 	if err := json.Unmarshal(body, &health); err != nil {
 		t.Fatal(err)
@@ -170,9 +155,9 @@ func TestANNServingIntegration(t *testing.T) {
 			Similarity float64 `json:"similarity"`
 		} `json:"matches"`
 	}
-	code, body = httpGetBody(t, pruned.base+"/v1/similar/3?k=5")
-	if code != http.StatusOK {
-		t.Fatalf("pruned similar: status %d\n%s", code, body)
+	resp, body = fetch(t, pruned.base+"/v1/similar/3?k=5", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("pruned similar: status %d\n%s", resp.StatusCode, body)
 	}
 	if err := json.Unmarshal(body, &similar); err != nil {
 		t.Fatal(err)

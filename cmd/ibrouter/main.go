@@ -65,7 +65,7 @@ func main() {
 		addr   = flag.String("addr", "localhost:8090", "serve address (port 0 picks a free port)")
 
 		reqTO        = flag.Duration("request-timeout", 5*time.Second, "whole-request budget (shards get it minus the merge reserve)")
-		mergeReserve = flag.Float64("merge-reserve", 0.1, "fraction of the budget held back from shard deadlines for merging")
+		mergeReserve = flag.Float64("merge-reserve", 0.1, "fraction of the budget held back from shard deadlines for merging, in [0, 1)")
 		hedgeQ       = flag.Float64("hedge-quantile", 0.9, "hedge a shard call once it outlives this quantile of the shard's recent latencies (negative disables)")
 		hedgeMin     = flag.Duration("hedge-min", 20*time.Millisecond, "minimum hedge delay")
 		brThreshold  = flag.Int("breaker-threshold", 5, "consecutive shard failures that trip its breaker")

@@ -40,8 +40,7 @@
 // top-k answers byte-identically to an unsharded server. POST bodies above
 // -max-body-bytes fail fast with 413. On SIGTERM, /readyz flips to 503 and
 // the process keeps serving for -drain-wait before draining, so routers
-// stop routing to it first. The -chaos-* flags inject deterministic faults
-// (latency, 5xx, blackholes) for robustness drills; they are off by default.
+// stop routing to it first.
 //
 // All query endpoints accept the business-filter fields (sic2, country,
 // min_employees, max_employees, min_revenue_m, max_revenue_m) as query
@@ -82,7 +81,6 @@ import (
 
 	"repro/internal/ann"
 	"repro/internal/api"
-	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/lda"
@@ -268,7 +266,6 @@ func main() {
 	sloFlags := api.BindSLOFlags(flag.CommandLine, "track rolling-window SLOs per endpoint and serve GET /debug/slo on -debug-addr")
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	traceFlags := trace.BindFlags(flag.CommandLine)
-	chaosFlags := chaos.BindFlags(flag.CommandLine)
 	flag.Parse()
 	par.SetWorkers(*workers)
 	traceFlags.Apply(trace.Default())
@@ -329,17 +326,11 @@ func main() {
 	// to 10 MB, between boots of the same files.
 	runtime.GC()
 
-	handler := srv.Handler()
-	if cc := chaosFlags.Config(); cc.Enabled() {
-		logger.Warn("fault injection active", "chaos", cc.String())
-		handler = chaos.Middleware(cc, handler)
-	}
-
 	// The debug listener starts after the server is built so /debug/slo can
 	// mount beside /debug/traces.
 	err = api.Run(api.RunConfig{
 		Addr:        *addr,
-		Handler:     handler,
+		Handler:     srv.Handler(),
 		DebugAddr:   obsFlags.DebugAddr,
 		DebugRoutes: slices.Concat(trace.Routes(trace.Default()), srv.SLORoutes()),
 		SetReady:    srv.SetReady,

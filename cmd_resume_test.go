@@ -17,15 +17,12 @@ import (
 )
 
 func TestTrainInterruptAndResume(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries; skipped in -short mode")
-	}
 	if runtime.GOOS == "windows" {
 		t.Skip("relies on SIGINT delivery")
 	}
+	ibgen := tool(t, "ibgen")
+	ibtrain := tool(t, "ibtrain")
 	dir := t.TempDir()
-	ibgen := buildTool(t, dir, "ibgen")
-	ibtrain := buildTool(t, dir, "ibtrain")
 
 	corpusPath := filepath.Join(dir, "corpus.jsonl")
 	runTool(t, ibgen, "-companies", "150", "-seed", "3", "-out", corpusPath)

@@ -1,62 +1,23 @@
 package hiddenlayer
 
-// End-to-end smoke tests for the command-line tools: each binary is built
-// once into a temp dir and driven the way a user would drive it, against a
-// real corpus file.
+// End-to-end smoke tests for the command-line tools: each binary is driven
+// the way a user would drive it, against a real corpus file.
 
 import (
 	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 )
 
-// buildTool compiles one cmd/ binary into dir and returns its path.
-func buildTool(t *testing.T, dir, name string) string {
-	t.Helper()
-	bin := filepath.Join(dir, name)
-	if runtime.GOOS == "windows" {
-		bin += ".exe"
-	}
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/"+name)
-	cmd.Dir = repoRoot(t)
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("building %s: %v\n%s", name, err, out)
-	}
-	return bin
-}
-
-func repoRoot(t *testing.T) string {
-	t.Helper()
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return wd
-}
-
-func runTool(t *testing.T, bin string, args ...string) string {
-	t.Helper()
-	out, err := exec.Command(bin, args...).CombinedOutput()
-	if err != nil {
-		t.Fatalf("%s %v: %v\n%s", filepath.Base(bin), args, err, out)
-	}
-	return string(out)
-}
-
 func TestCommandLineTools(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries; skipped in -short mode")
-	}
+	ibgen := tool(t, "ibgen")
+	ibtrain := tool(t, "ibtrain")
+	ibrec := tool(t, "ibrec")
+	ibeval := tool(t, "ibeval")
 	dir := t.TempDir()
-	ibgen := buildTool(t, dir, "ibgen")
-	ibtrain := buildTool(t, dir, "ibtrain")
-	ibrec := buildTool(t, dir, "ibrec")
-	ibeval := buildTool(t, dir, "ibeval")
 
 	corpusPath := filepath.Join(dir, "corpus.jsonl")
 

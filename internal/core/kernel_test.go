@@ -51,13 +51,13 @@ func TestScorerMatchesSimilarity(t *testing.T) {
 	}
 }
 
-// TestFilterKeyInjectionResistant holds adversarial countries to exact
+// TestFilterAdmitsInjectionResistant holds adversarial countries to exact
 // matching: Country is the only client-controlled string of a filter, and no
 // crafted country (pipes, quotes, a NUL, another field's spelling) may admit
 // what another variant admits. The companies carry every variant's country
 // with and without employees and SIC2 1, so distinct filters must admit
 // distinct sets.
-func TestFilterKeyInjectionResistant(t *testing.T) {
+func TestFilterAdmitsInjectionResistant(t *testing.T) {
 	variants := []Filter{
 		{Country: "US", MinEmployees: 1},
 		{Country: "US|e1:0"},

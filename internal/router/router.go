@@ -50,7 +50,7 @@ type Config struct {
 	// shrink it per request but never extend it. Default 5s.
 	Timeout time.Duration
 	// MergeReserve is the fraction of the remaining budget kept back from
-	// the shard deadline for merging and marshalling. Default 0.1.
+	// the shard deadline for merging and marshalling, in [0, 1). Default 0.1.
 	MergeReserve float64
 	// HedgeQuantile places the hedge delay at this quantile of the shard's
 	// recent answered latencies; a request still unanswered after the delay
@@ -92,13 +92,16 @@ type Config struct {
 }
 
 // validate refuses the settings no default stands for: a negative count or
-// budget would fail every request that relies on it.
+// budget would fail every request that relies on it, and a merge reserve of
+// the whole budget or more puts every shard deadline at or before now.
 func (c Config) validate() error {
 	switch {
 	case c.DefaultPeers < 0:
 		return fmt.Errorf("router: negative default peers %d", c.DefaultPeers)
 	case c.Timeout < 0:
 		return fmt.Errorf("router: negative request timeout %v", c.Timeout)
+	case !(c.MergeReserve >= 0 && c.MergeReserve < 1):
+		return fmt.Errorf("router: merge reserve %v outside [0, 1)", c.MergeReserve)
 	}
 	return nil
 }

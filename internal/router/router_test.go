@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/lda"
@@ -60,7 +60,7 @@ var fixtureOnce = sync.OnceValues(func() (*corpus.Corpus, *lda.Model) {
 
 // newShardServer stands up one serve.Server over the fixture, partitioned to
 // part/parts (parts <= 1 builds the unsharded baseline). wrap, when non-nil,
-// wraps the handler (e.g. in chaos middleware) before listening.
+// wraps the handler (e.g. to inject a fault) before listening.
 func newShardServer(t *testing.T, part, parts int, wrap func(http.Handler) http.Handler) *httptest.Server {
 	t.Helper()
 	c, model := fixtureOnce()
@@ -147,6 +147,37 @@ func post(t *testing.T, base, path, body string) (*http.Response, []byte) {
 func counterValue(name string) uint64 { return obs.Default().Counter(name, "").Value() }
 func gaugeValue(name string) float64  { return obs.Default().Gauge(name, "").Value() }
 
+// blackhole hangs every request, writing nothing, until the client gives up:
+// a dead but connectable shard. It drains the body first, because the server
+// notices a client leaving only through a background read that starts once
+// the body is consumed; without the drain a POST would hang past its client.
+var blackhole = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	_, _ = io.Copy(io.Discard, r.Body)
+	<-r.Context().Done()
+})
+
+// straggle delays a seeded prob share of the requests reaching next by d and
+// counts each delay in delays. The draws follow arrival order, so requests
+// sent one at a time meet the same stragglers on every run.
+func straggle(next http.Handler, seed int64, prob float64, d time.Duration, delays *atomic.Int64) http.Handler {
+	var mu sync.Mutex
+	g := rng.New(seed)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		slow := g.Bernoulli(prob)
+		mu.Unlock()
+		if slow {
+			delays.Add(1)
+			select {
+			case <-time.After(d):
+			case <-r.Context().Done():
+				return
+			}
+		}
+		next.ServeHTTP(w, r)
+	})
+}
+
 // TestPartialDegradation blackholes one shard and checks the router degrades
 // instead of failing: 200, partial:true, the missing shard named, X-Partial
 // set, and the surviving shards' results still merged in order.
@@ -154,7 +185,7 @@ func TestPartialDegradation(t *testing.T) {
 	_, routed := newCluster(t, 3, Config{Timeout: 600 * time.Millisecond},
 		func(i int, h http.Handler) http.Handler {
 			if i == 1 {
-				return chaos.Middleware(chaos.Config{Blackhole: true}, h)
+				return blackhole
 			}
 			return h
 		})
@@ -221,9 +252,7 @@ func TestPartialDegradation(t *testing.T) {
 // fails loudly with 502 instead of inventing an empty result.
 func TestAllShardsDown(t *testing.T) {
 	_, routed := newCluster(t, 2, Config{Timeout: 400 * time.Millisecond},
-		func(i int, h http.Handler) http.Handler {
-			return chaos.Middleware(chaos.Config{Blackhole: true}, h)
-		})
+		func(i int, h http.Handler) http.Handler { return blackhole })
 	resp, body := get(t, routed.URL, "/v1/similar/7?k=5")
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Fatalf("all shards blackholed: status %d, want 502: %s", resp.StatusCode, body)
@@ -238,20 +267,20 @@ func TestAllShardsDown(t *testing.T) {
 // request, which would flake on a double draw.
 func TestHedgingCutsStragglerTail(t *testing.T) {
 	const injected = 250 * time.Millisecond
+	var injectedDelays atomic.Int64
 	_, routed := newCluster(t, 3, Config{
 		Timeout:       5 * time.Second,
 		HedgeQuantile: 0.75,
 		HedgeMin:      5 * time.Millisecond,
 	}, func(i int, h http.Handler) http.Handler {
 		if i == 2 {
-			return chaos.Middleware(chaos.Config{Seed: 9, Latency: injected, LatencyProb: 0.1}, h)
+			return straggle(h, 9, 0.1, injected, &injectedDelays)
 		}
 		return h
 	})
 
 	hedges0 := counterValue("router_shard2_hedges_total")
 	wins0 := counterValue("router_shard2_hedge_wins_total")
-	delays0 := counterValue("chaos_injected_delays_total")
 	var slow int
 	for i := 0; i < 80; i++ {
 		start := time.Now()
@@ -272,9 +301,9 @@ func TestHedgingCutsStragglerTail(t *testing.T) {
 	// Without hedging every injected delay would surface as a >=250ms
 	// answer; with it, only the (rare) requests whose hedge also drew the
 	// delay stay slow. Require hedging to rescue more than half.
-	delays := int(counterValue("chaos_injected_delays_total") - delays0)
+	delays := int(injectedDelays.Load())
 	if delays == 0 {
-		t.Fatal("chaos injected no delays — the straggler shard never straggled")
+		t.Fatal("no delays injected — the straggler shard never straggled")
 	}
 	if 2*slow >= delays {
 		t.Errorf("%d of %d injected straggles still answered >= %s — hedging rescued too few",
@@ -562,7 +591,8 @@ func TestBodyCapReturns413(t *testing.T) {
 
 // TestNewRejectsNegativeConfig pins New's refusal of settings no default
 // stands for: a negative peer count or timeout failed every request that
-// relied on the default.
+// relied on the default, and a merge reserve of 1 or more (or NaN) answered
+// every request 502 because each shard deadline had already passed.
 func TestNewRejectsNegativeConfig(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -570,6 +600,10 @@ func TestNewRejectsNegativeConfig(t *testing.T) {
 	}{
 		{"peers", Config{DefaultPeers: -1}},
 		{"timeout", Config{Timeout: -time.Second}},
+		{"merge-reserve-1", Config{MergeReserve: 1}},
+		{"merge-reserve-1.5", Config{MergeReserve: 1.5}},
+		{"merge-reserve-negative", Config{MergeReserve: -0.1}},
+		{"merge-reserve-nan", Config{MergeReserve: math.NaN()}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.Shards = []string{"localhost:1"}

@@ -245,10 +245,10 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// TestCacheHitsAndReloadInvalidation pins a reload over the same data: the
+// TestReloadSwapsGeneration pins a reload over the same data: the
 // loader runs once, the response and the log line say so, and the same query
 // answers the same after the swap.
-func TestCacheHitsAndReloadInvalidation(t *testing.T) {
+func TestReloadSwapsGeneration(t *testing.T) {
 	var logged bytes.Buffer
 	s, ix, m := newTestServer(t, Config{Logger: slog.New(slog.NewTextHandler(&logged, nil))})
 	// Install a loader that rebuilds a fresh state over the same data.

@@ -66,27 +66,21 @@ type sloStatus struct {
 var exemplarLine = regexp.MustCompile(`_bucket\{le="[^"]+"\} \d+ # \{trace_id="([0-9a-f]{32})"\}`)
 
 func TestLoadIntegration(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries; skipped in -short mode")
-	}
+	ibserve := tool(t, "ibserve")
+	ibload := tool(t, "ibload")
+	corpusPath, modelPath := sharedFixture(t)
 	dir := t.TempDir()
-	ibgen := buildTool(t, dir, "ibgen")
-	ibtrain := buildTool(t, dir, "ibtrain")
-	ibserve := buildTool(t, dir, "ibserve")
-	ibload := buildTool(t, dir, "ibload")
-
-	corpusPath := filepath.Join(dir, "corpus.jsonl")
-	modelPath := filepath.Join(dir, "lda.gob")
-	runTool(t, ibgen, "-companies", "200", "-seed", "9", "-out", corpusPath)
-	runTool(t, ibtrain, "-model", "lda", "-topics=3", "-corpus", corpusPath,
-		"-out", modelPath, "-seed", "1")
 
 	// Sample every request so the slowest one is guaranteed retained; the
 	// run below issues ~180 requests, under the 256-trace ring.
-	base, debug := traceServer(t, ibserve, corpusPath, modelPath,
+	srv := startProc(t, ibserve,
+		"-corpus", corpusPath, "-model", modelPath,
+		"-addr", "localhost:0", "-debug-addr", "localhost:0",
+		"-k", "5", "-grace", "5s",
 		"-trace", "-trace-sample", "1", "-quiet",
 		"-slo", "-slo-window", "30s", "-slo-latency", "default=250ms",
 		"-runtime-metrics", "-runtime-interval", "1s")
+	base, debug := srv.base, srv.debug
 
 	reportPath := filepath.Join(dir, "BENCH_serve.json")
 	out := runTool(t, ibload,
@@ -141,9 +135,9 @@ func TestLoadIntegration(t *testing.T) {
 
 	// /debug/slo reflects the run: the endpoints ibload hit show requests,
 	// zero errors, full error budget.
-	code, body := httpGetBody(t, debug+"/debug/slo")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/slo: %d\n%s", code, body)
+	resp, body := fetch(t, debug+"/debug/slo", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/debug/slo: %d\n%s", resp.StatusCode, body)
 	}
 	var slo sloStatus
 	if err := json.Unmarshal(body, &slo); err != nil {
@@ -175,26 +169,23 @@ func TestLoadIntegration(t *testing.T) {
 	}
 
 	// Text rendering for humans.
-	code, body = httpGetBody(t, debug+"/debug/slo?format=text")
-	if code != http.StatusOK || !strings.Contains(string(body), "endpoint") {
-		t.Fatalf("/debug/slo?format=text: %d\n%s", code, body)
+	resp, body = fetch(t, debug+"/debug/slo?format=text", nil)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "endpoint") {
+		t.Fatalf("/debug/slo?format=text: %d\n%s", resp.StatusCode, body)
 	}
 
 	// /healthz carries the SLO summary.
-	code, body = httpGetBody(t, base+"/healthz")
-	if code != http.StatusOK || !strings.Contains(string(body), `"slo"`) {
-		t.Fatalf("/healthz: %d\n%s", code, body)
+	resp, body = fetch(t, base+"/healthz", nil)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"slo"`) {
+		t.Fatalf("/healthz: %d\n%s", resp.StatusCode, body)
 	}
 
 	// /metrics: at least one histogram bucket line carries a trace
 	// exemplar, and the exemplar's trace ID resolves at /debug/traces/{id}.
-	code, body = httpGetBody(t, debug+"/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("/metrics: %d", code)
-	}
-	m := exemplarLine.FindStringSubmatch(string(body))
+	metrics := srv.metrics(t)
+	m := exemplarLine.FindStringSubmatch(metrics)
 	if m == nil {
-		t.Fatalf("no exemplar on any /metrics bucket line:\n%s", body)
+		t.Fatalf("no exemplar on any /metrics bucket line:\n%s", metrics)
 	}
 	var exTrace traceNode
 	getTraceJSON(t, debug, m[1], &exTrace)
@@ -204,7 +195,6 @@ func TestLoadIntegration(t *testing.T) {
 
 	// Runtime sampler series are exposed (interval 1s, server has been up
 	// longer than that; first sample is synchronous anyway).
-	metrics := string(body)
 	for _, series := range []string{"go_goroutines", "go_heap_inuse_bytes", "go_uptime_seconds"} {
 		if !strings.Contains(metrics, series) {
 			t.Fatalf("/metrics missing runtime series %s", series)
@@ -212,9 +202,9 @@ func TestLoadIntegration(t *testing.T) {
 	}
 	// Windowed SLO histograms registered by the serve layer are in the JSON
 	// exposition with rolling quantiles.
-	code, body = httpGetBody(t, debug+"/metrics.json")
-	if code != http.StatusOK || !strings.Contains(string(body), "latency_window_seconds") {
-		t.Fatalf("/metrics.json missing windowed series: %d\n%.2000s", code, body)
+	resp, body = fetch(t, debug+"/metrics.json", nil)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "latency_window_seconds") {
+		t.Fatalf("/metrics.json missing windowed series: %d\n%.2000s", resp.StatusCode, body)
 	}
 
 	// Determinism across processes: the same seed replays the same stream,

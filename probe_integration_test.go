@@ -11,43 +11,20 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"testing"
 )
 
-// gaugeValue reads one float gauge from a Prometheus exposition.
-func gaugeValue(t *testing.T, metrics, name string) float64 {
-	t.Helper()
-	for _, line := range strings.Split(metrics, "\n") {
-		if rest, ok := strings.CutPrefix(line, name+" "); ok {
-			v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
-			if err != nil {
-				t.Fatalf("parsing %s value %q: %v", name, rest, err)
-			}
-			return v
-		}
-	}
-	t.Fatalf("metric %s not found in exposition", name)
-	return 0
-}
-
-func TestShadowRecallIntegration(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries; skipped in -short mode")
-	}
-	dir := t.TempDir()
-	ibgen := buildTool(t, dir, "ibgen")
-	ibtrain := buildTool(t, dir, "ibtrain")
-	ibserve := buildTool(t, dir, "ibserve")
+func TestReloadProbeIntegration(t *testing.T) {
+	ibtrain := tool(t, "ibtrain")
+	ibserve := tool(t, "ibserve")
 
 	const companies = 240
-	corpusPath := filepath.Join(dir, "corpus.jsonl")
-	modelPath := filepath.Join(dir, "lda.gob")
+	dir := t.TempDir()
+	corpusPath, modelPath, err := writeModel(t, dir, companies)
+	if err != nil {
+		t.Fatal(err)
+	}
 	otherPath := filepath.Join(dir, "other.gob")
-	runTool(t, ibgen, "-companies", strconv.Itoa(companies), "-seed", "9", "-out", corpusPath)
-	runTool(t, ibtrain, "-model", "lda", "-topics=3", "-corpus", corpusPath,
-		"-out", modelPath, "-seed", "1")
 	runTool(t, ibtrain, "-model", "lda", "-topics=2", "-corpus", corpusPath,
 		"-out", otherPath, "-seed", "99")
 	// The serving generation maps the model file, so a model is swapped in
@@ -77,20 +54,13 @@ func TestShadowRecallIntegration(t *testing.T) {
 
 	// A genuinely pruned ANN server (nprobe 2 of 12 cells) with a strict
 	// guard and no other quality flag.
-	srv := startProc(t, ibserve, true,
+	srv := startProc(t, ibserve,
 		"-corpus", corpusPath, "-model", modelPath,
 		"-addr", "localhost:0", "-debug-addr", "localhost:0", "-quiet",
 		"-ann", "-ann-cells", "12", "-ann-nprobe", "2",
 		"-reload-guard", "0.999")
 
-	scrape := func() string {
-		code, body := httpGetBody(t, srv.debug+"/metrics")
-		if code != http.StatusOK {
-			t.Fatalf("/metrics: status %d", code)
-		}
-		return string(body)
-	}
-	bootRecall := gaugeValue(t, scrape(), "ann_observed_recall")
+	bootRecall := metric(t, srv.metrics(t), "ann_observed_recall")
 	if bootRecall <= 0 || bootRecall > 1 {
 		t.Fatalf("ann_observed_recall at boot = %v, want in (0, 1]", bootRecall)
 	}
@@ -102,17 +72,17 @@ func TestShadowRecallIntegration(t *testing.T) {
 		Recall      *float64 `json:"recall"`
 	}
 	reload := func() (int, uint64, json.RawMessage, []byte) {
-		code, body := httpPostBody(t, srv.base+"/admin/reload", map[string]any{})
+		r, body := fetch(t, srv.base+"/admin/reload", map[string]any{})
 		var resp struct {
 			Generation uint64          `json:"generation"`
 			Canary     json.RawMessage `json:"canary"`
 		}
-		if code == http.StatusOK {
+		if r.StatusCode == http.StatusOK {
 			if err := json.Unmarshal(body, &resp); err != nil {
 				t.Fatalf("/admin/reload: %v\n%s", err, body)
 			}
 		}
-		return code, resp.Generation, resp.Canary, body
+		return r.StatusCode, resp.Generation, resp.Canary, body
 	}
 
 	// The files on disk are unchanged, so the rebuilt generation answers
@@ -128,7 +98,7 @@ func TestShadowRecallIntegration(t *testing.T) {
 	if v.Probes != companies || v.MeanJaccard != 1 || v.MinJaccard != 1 || v.Recall == nil || *v.Recall != bootRecall {
 		t.Fatalf("clean canary = %s, want %d probes at Jaccard 1 with recall %v", first, companies, bootRecall)
 	}
-	if got := gaugeValue(t, scrape(), "serve_reload_jaccard"); got != 1 {
+	if got := metric(t, srv.metrics(t), "serve_reload_jaccard"); got != 1 {
 		t.Fatalf("serve_reload_jaccard = %v after a clean reload, want 1", got)
 	}
 	code, gen, second, body := reload()
@@ -142,12 +112,12 @@ func TestShadowRecallIntegration(t *testing.T) {
 	if code, _, _, body := reload(); code != http.StatusConflict {
 		t.Fatalf("reload of a different model = %d, want 409\n%s", code, body)
 	}
-	metrics := scrape()
-	if got := gaugeValue(t, metrics, "serve_reload_jaccard"); got >= 0.999 {
+	metrics := srv.metrics(t)
+	if got := metric(t, metrics, "serve_reload_jaccard"); got >= 0.999 {
 		t.Fatalf("serve_reload_jaccard = %v for the different model, want < 0.999", got)
 	}
-	if got := metricValue(t, metrics, "serve_reload_errors_total"); got != 1 {
-		t.Fatalf("serve_reload_errors_total = %d, want 1", got)
+	if got := metric(t, metrics, "serve_reload_errors_total"); got != 1 {
+		t.Fatalf("serve_reload_errors_total = %v, want 1", got)
 	}
 	install(goodPath)
 	if code, gen, _, body := reload(); code != http.StatusOK || gen != 4 {

@@ -24,7 +24,6 @@ import (
 
 	_ "repro/internal/ann"
 	_ "repro/internal/bpmf"
-	_ "repro/internal/chaos"
 	_ "repro/internal/eval"
 	_ "repro/internal/lda"
 	_ "repro/internal/par"

@@ -6,15 +6,10 @@ package hiddenlayer
 // per-endpoint serving metrics on the debug listener.
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"os/exec"
-	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -22,108 +17,16 @@ import (
 	"time"
 )
 
-// scrapeAddr reads lines from r until one starting with prefix appears and
-// returns the remainder of that line (the bound address).
-func scrapeAddr(t *testing.T, sc *bufio.Scanner, prefix string) string {
-	t.Helper()
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if strings.HasPrefix(line, prefix) {
-			return strings.TrimSpace(strings.TrimPrefix(line, prefix))
-		}
-	}
-	t.Fatalf("server never announced %q (stdout closed)", prefix)
-	return ""
-}
-
-// metricValue extracts a plain counter value from Prometheus text exposition.
-func metricValue(t *testing.T, metrics, name string) uint64 {
-	t.Helper()
-	for _, line := range strings.Split(metrics, "\n") {
-		if rest, ok := strings.CutPrefix(line, name+" "); ok {
-			v, err := strconv.ParseUint(strings.TrimSpace(rest), 10, 64)
-			if err != nil {
-				t.Fatalf("parsing %s value %q: %v", name, rest, err)
-			}
-			return v
-		}
-	}
-	t.Fatalf("metric %s not found in exposition", name)
-	return 0
-}
-
-func httpGetBody(t *testing.T, url string) (int, []byte) {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatalf("GET %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, body
-}
-
-func httpPostBody(t *testing.T, url string, payload any) (int, []byte) {
-	t.Helper()
-	raw, err := json.Marshal(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("POST %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, body
-}
-
 func TestServeIntegration(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries; skipped in -short mode")
-	}
-	dir := t.TempDir()
-	ibgen := buildTool(t, dir, "ibgen")
-	ibtrain := buildTool(t, dir, "ibtrain")
-	ibserve := buildTool(t, dir, "ibserve")
-
-	corpusPath := filepath.Join(dir, "corpus.jsonl")
-	modelPath := filepath.Join(dir, "lda.gob")
-	runTool(t, ibgen, "-companies", "200", "-seed", "9", "-out", corpusPath)
-	runTool(t, ibtrain, "-model", "lda", "-topics=3", "-corpus", corpusPath,
-		"-out", modelPath, "-seed", "1")
+	ibserve := tool(t, "ibserve")
+	corpusPath, modelPath := sharedFixture(t)
 
 	// Start the server on random ports for both listeners.
-	cmd := exec.Command(ibserve,
+	srv := startProc(t, ibserve,
 		"-corpus", corpusPath, "-model", modelPath,
 		"-addr", "localhost:0", "-debug-addr", "localhost:0",
 		"-k", "5", "-grace", "10s")
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if cmd.Process != nil {
-			_ = cmd.Process.Kill()
-			_ = cmd.Wait()
-		}
-	}()
-	sc := bufio.NewScanner(stdout)
-	debugAddr := scrapeAddr(t, sc, "debug on ")
-	serveAddr := scrapeAddr(t, sc, "serving on ")
-	base := "http://" + serveAddr
-	metricsURL := "http://" + debugAddr + "/metrics"
+	base := srv.base
 
 	// Health first: confirms the index shape before querying.
 	var health struct {
@@ -131,9 +34,9 @@ func TestServeIntegration(t *testing.T) {
 		Companies int    `json:"companies"`
 		Topics    int    `json:"topics"`
 	}
-	code, body := httpGetBody(t, base+"/healthz")
-	if code != http.StatusOK {
-		t.Fatalf("/healthz: status %d\n%s", code, body)
+	resp, body := fetch(t, base+"/healthz", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz: status %d\n%s", resp.StatusCode, body)
 	}
 	if err := json.Unmarshal(body, &health); err != nil {
 		t.Fatalf("/healthz: %v\n%s", err, body)
@@ -151,9 +54,9 @@ func TestServeIntegration(t *testing.T) {
 			Similarity float64 `json:"similarity"`
 		} `json:"matches"`
 	}
-	code, body = httpGetBody(t, base+"/v1/similar/3")
-	if code != http.StatusOK {
-		t.Fatalf("/v1/similar/3: status %d\n%s", code, body)
+	resp, body = fetch(t, base+"/v1/similar/3", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/similar/3: status %d\n%s", resp.StatusCode, body)
 	}
 	if err := json.Unmarshal(body, &similar); err != nil {
 		t.Fatal(err)
@@ -169,9 +72,9 @@ func TestServeIntegration(t *testing.T) {
 			t.Fatal("matches not sorted by similarity")
 		}
 	}
-	code, body = httpGetBody(t, base+"/v1/similar/3?k=2&min_employees=1")
-	if code != http.StatusOK {
-		t.Fatalf("filtered similar: status %d\n%s", code, body)
+	resp, body = fetch(t, base+"/v1/similar/3?k=2&min_employees=1", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("filtered similar: status %d\n%s", resp.StatusCode, body)
 	}
 
 	// /v1/recommend.
@@ -182,9 +85,9 @@ func TestServeIntegration(t *testing.T) {
 			Strength float64 `json:"strength"`
 		} `json:"recommendations"`
 	}
-	code, body = httpGetBody(t, base+"/v1/recommend/3?peers=15&k=4")
-	if code != http.StatusOK {
-		t.Fatalf("/v1/recommend/3: status %d\n%s", code, body)
+	resp, body = fetch(t, base+"/v1/recommend/3?peers=15&k=4", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/recommend/3: status %d\n%s", resp.StatusCode, body)
 	}
 	if err := json.Unmarshal(body, &rec); err != nil {
 		t.Fatal(err)
@@ -206,10 +109,10 @@ func TestServeIntegration(t *testing.T) {
 			Similarity    float64 `json:"similarity"`
 		} `json:"prospects"`
 	}
-	code, body = httpPostBody(t, base+"/v1/whitespace",
+	resp, body = fetch(t, base+"/v1/whitespace",
 		map[string]any{"clients": []int{1, 2, 3}, "k": 4})
-	if code != http.StatusOK {
-		t.Fatalf("/v1/whitespace: status %d\n%s", code, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/whitespace: status %d\n%s", resp.StatusCode, body)
 	}
 	if err := json.Unmarshal(body, &ws); err != nil {
 		t.Fatal(err)
@@ -231,10 +134,10 @@ func TestServeIntegration(t *testing.T) {
 			CompanyID int `json:"company_id"`
 		} `json:"matches"`
 	}
-	code, body = httpPostBody(t, base+"/v1/infer",
+	resp, body = fetch(t, base+"/v1/infer",
 		map[string]any{"owned": []int{0, 4, 7}, "k": 3})
-	if code != http.StatusOK {
-		t.Fatalf("/v1/infer: status %d\n%s", code, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/infer: status %d\n%s", resp.StatusCode, body)
 	}
 	if err := json.Unmarshal(body, &inf); err != nil {
 		t.Fatal(err)
@@ -251,11 +154,11 @@ func TestServeIntegration(t *testing.T) {
 	}
 
 	// One malformed request per family for the error counters.
-	if code, _ = httpGetBody(t, base+"/v1/similar/99999"); code != http.StatusBadRequest {
-		t.Fatalf("unknown id: status %d, want 400", code)
+	if resp, _ = fetch(t, base+"/v1/similar/99999", nil); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown id: status %d, want 400", resp.StatusCode)
 	}
-	if code, _ = httpPostBody(t, base+"/v1/whitespace", map[string]any{"clients": []int{}}); code != http.StatusBadRequest {
-		t.Fatalf("empty clients: status %d, want 400", code)
+	if resp, _ = fetch(t, base+"/v1/whitespace", map[string]any{"clients": []int{}}); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("empty clients: status %d, want 400", resp.StatusCode)
 	}
 
 	// Hot reload with queries in flight: every concurrent request must get a
@@ -285,9 +188,9 @@ func TestServeIntegration(t *testing.T) {
 		Reloaded  bool `json:"reloaded"`
 		Companies int  `json:"companies"`
 	}
-	code, body = httpPostBody(t, base+"/admin/reload", struct{}{})
-	if code != http.StatusOK {
-		t.Fatalf("/admin/reload: status %d\n%s", code, body)
+	resp, body = fetch(t, base+"/admin/reload", struct{}{})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/admin/reload: status %d\n%s", resp.StatusCode, body)
 	}
 	if err := json.Unmarshal(body, &reload); err != nil {
 		t.Fatal(err)
@@ -301,9 +204,9 @@ func TestServeIntegration(t *testing.T) {
 		t.Error(err)
 	}
 	// Identical files on disk: post-reload answers match pre-reload ones.
-	code, body = httpGetBody(t, base+"/v1/similar/3")
-	if code != http.StatusOK {
-		t.Fatalf("post-reload similar: status %d", code)
+	resp, body = fetch(t, base+"/v1/similar/3", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("post-reload similar: status %d", resp.StatusCode)
 	}
 	var similar2 struct {
 		Matches []struct {
@@ -323,58 +226,46 @@ func TestServeIntegration(t *testing.T) {
 	// Metrics on the debug listener: served and error counters must match
 	// exactly the requests sent above (42 similar served: 2 warm-up + 40
 	// during reload hammering + 1 post-reload = 43; recompute carefully).
-	code, body = httpGetBody(t, metricsURL)
-	if code != http.StatusOK {
-		t.Fatalf("/metrics: status %d", code)
-	}
-	metrics := string(body)
-	similarServed := metricValue(t, metrics, "serve_similar_requests_total")
-	similarErrs := metricValue(t, metrics, "serve_similar_errors_total")
+	metrics := srv.metrics(t)
+	similarServed := metric(t, metrics, "serve_similar_requests_total")
+	similarErrs := metric(t, metrics, "serve_similar_errors_total")
 	// 2 warm-up + 40 in-flight + 1 post-reload = 43 served; 1 bad id.
 	if similarServed != 43 {
-		t.Errorf("serve_similar_requests_total = %d, want 43", similarServed)
+		t.Errorf("serve_similar_requests_total = %v, want 43", similarServed)
 	}
 	if similarErrs != 1 {
-		t.Errorf("serve_similar_errors_total = %d, want 1", similarErrs)
+		t.Errorf("serve_similar_errors_total = %v, want 1", similarErrs)
 	}
-	if v := metricValue(t, metrics, "serve_recommend_requests_total"); v != 1 {
-		t.Errorf("serve_recommend_requests_total = %d, want 1", v)
+	if v := metric(t, metrics, "serve_recommend_requests_total"); v != 1 {
+		t.Errorf("serve_recommend_requests_total = %v, want 1", v)
 	}
-	if v := metricValue(t, metrics, "serve_whitespace_requests_total"); v != 1 {
-		t.Errorf("serve_whitespace_requests_total = %d, want 1", v)
+	if v := metric(t, metrics, "serve_whitespace_requests_total"); v != 1 {
+		t.Errorf("serve_whitespace_requests_total = %v, want 1", v)
 	}
-	if v := metricValue(t, metrics, "serve_whitespace_errors_total"); v != 1 {
-		t.Errorf("serve_whitespace_errors_total = %d, want 1", v)
+	if v := metric(t, metrics, "serve_whitespace_errors_total"); v != 1 {
+		t.Errorf("serve_whitespace_errors_total = %v, want 1", v)
 	}
-	if v := metricValue(t, metrics, "serve_infer_requests_total"); v != 1 {
-		t.Errorf("serve_infer_requests_total = %d, want 1", v)
+	if v := metric(t, metrics, "serve_infer_requests_total"); v != 1 {
+		t.Errorf("serve_infer_requests_total = %v, want 1", v)
 	}
-	if v := metricValue(t, metrics, "serve_reload_requests_total"); v != 1 {
-		t.Errorf("serve_reload_requests_total = %d, want 1", v)
+	if v := metric(t, metrics, "serve_reload_requests_total"); v != 1 {
+		t.Errorf("serve_reload_requests_total = %v, want 1", v)
 	}
 	// The core-layer counters the bugfix pinned down must agree: whitespace
 	// failures may not leak into whitespace_requests_total.
-	wsCoreServed := metricValue(t, metrics, "whitespace_requests_total")
+	wsCoreServed := metric(t, metrics, "whitespace_requests_total")
 	if wsCoreServed != 1 {
-		t.Errorf("whitespace_requests_total = %d, want 1 (errors must not count)", wsCoreServed)
+		t.Errorf("whitespace_requests_total = %v, want 1 (errors must not count)", wsCoreServed)
 	}
 
 	// Graceful shutdown: SIGTERM drains and exits cleanly.
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+	if err := srv.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	waited := make(chan error, 1)
-	go func() { waited <- cmd.Wait() }()
-	select {
-	case err := <-waited:
-		if err != nil {
-			t.Fatalf("server exited uncleanly: %v\nstderr:\n%s", err, stderr.String())
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("server did not exit within 15s of SIGTERM")
+	if err := srv.wait(t, 15*time.Second); err != nil {
+		t.Fatalf("server exited uncleanly: %v\nstderr:\n%s", err, srv.stderr.String())
 	}
-	cmd.Process = nil // disarm the deferred Kill
-	if !strings.Contains(stderr.String(), "drained and stopped") {
-		t.Fatalf("no drain log on shutdown; stderr:\n%s", stderr.String())
+	if !strings.Contains(srv.stderr.String(), "drained and stopped") {
+		t.Fatalf("no drain log on shutdown; stderr:\n%s", srv.stderr.String())
 	}
 }

@@ -10,95 +10,40 @@ package hiddenlayer
 // transport/HTTP error split.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
+	"net/http/httputil"
+	"net/url"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 )
 
-// shardProc is one ibserve (or ibrouter) child process with scraped
-// listener addresses.
-type shardProc struct {
-	cmd    *exec.Cmd
-	base   string // http://host:port of the query listener
-	debug  string // http://host:port of the debug listener ("" if none)
-	stderr *bytes.Buffer
-}
-
-// startProc launches bin, scrapes "debug on " (when withDebug) and
-// "serving on " from stdout, and registers a kill-on-cleanup.
-func startProc(t *testing.T, bin string, withDebug bool, args ...string) *shardProc {
-	t.Helper()
-	cmd := exec.Command(bin, args...)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &shardProc{cmd: cmd, stderr: &bytes.Buffer{}}
-	cmd.Stderr = p.stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if cmd.Process != nil {
-			_ = cmd.Process.Kill()
-			_ = cmd.Wait()
-		}
-	})
-	sc := bufio.NewScanner(stdout)
-	if withDebug {
-		p.debug = "http://" + scrapeAddr(t, sc, "debug on ")
-	}
-	p.base = "http://" + scrapeAddr(t, sc, "serving on ")
-	return p
-}
-
-func (p *shardProc) kill(t *testing.T) {
-	t.Helper()
-	if err := p.cmd.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	_ = p.cmd.Wait()
-	p.cmd.Process = nil
-}
-
 func TestShardedServingIntegration(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries; skipped in -short mode")
-	}
-	dir := t.TempDir()
-	ibgen := buildTool(t, dir, "ibgen")
-	ibtrain := buildTool(t, dir, "ibtrain")
-	ibserve := buildTool(t, dir, "ibserve")
-	ibrouter := buildTool(t, dir, "ibrouter")
-	ibload := buildTool(t, dir, "ibload")
-
-	corpusPath := filepath.Join(dir, "corpus.jsonl")
-	modelPath := filepath.Join(dir, "lda.gob")
-	runTool(t, ibgen, "-companies", "200", "-seed", "9", "-out", corpusPath)
-	runTool(t, ibtrain, "-model", "lda", "-topics=3", "-corpus", corpusPath,
-		"-out", modelPath, "-seed", "1")
+	ibserve := tool(t, "ibserve")
+	ibrouter := tool(t, "ibrouter")
+	ibload := tool(t, "ibload")
+	corpusPath, modelPath := sharedFixture(t)
 
 	// One unsharded reference server and a 3-shard cluster over the same
 	// corpus, model and result count.
 	common := []string{"-corpus", corpusPath, "-model", modelPath,
 		"-addr", "localhost:0", "-k", "5", "-quiet"}
-	ref := startProc(t, ibserve, false, common...)
-	shards := make([]*shardProc, 3)
+	ref := startProc(t, ibserve, common...)
+	shards := make([]*proc, 3)
 	addrs := make([]string, 3)
 	for i := range shards {
-		shards[i] = startProc(t, ibserve, false,
+		shards[i] = startProc(t, ibserve,
 			append([]string{"-shard", fmt.Sprintf("%d/3", i)}, common...)...)
 		addrs[i] = strings.TrimPrefix(shards[i].base, "http://")
 	}
-	router := startProc(t, ibrouter, true,
+	router := startProc(t, ibrouter,
 		"-shards", strings.Join(addrs, ","),
 		"-addr", "localhost:0", "-debug-addr", "localhost:0",
 		"-request-timeout", "600ms",
@@ -117,9 +62,9 @@ func TestShardedServingIntegration(t *testing.T) {
 				Companies int `json:"companies"`
 			} `json:"partition"`
 		}
-		code, body := httpGetBody(t, sh.base+"/healthz")
-		if code != http.StatusOK {
-			t.Fatalf("shard %d /healthz: %d\n%s", i, code, body)
+		resp, body := fetch(t, sh.base+"/healthz", nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("shard %d /healthz: %d\n%s", i, resp.StatusCode, body)
 		}
 		if err := json.Unmarshal(body, &health); err != nil {
 			t.Fatal(err)
@@ -147,15 +92,11 @@ func TestShardedServingIntegration(t *testing.T) {
 		"/v1/recommend/11",
 	}
 	for _, path := range gets {
-		wantCode, want := httpGetBody(t, ref.base+path)
-		resp, err := http.Get(router.base + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := readBody(t, resp)
-		if resp.StatusCode != wantCode || !bytes.Equal(got, want) {
+		wantResp, want := fetch(t, ref.base+path, nil)
+		resp, got := fetch(t, router.base+path, nil)
+		if resp.StatusCode != wantResp.StatusCode || !bytes.Equal(got, want) {
 			t.Fatalf("GET %s diverged from unsharded:\nrouter %d: %s\nref    %d: %s",
-				path, resp.StatusCode, got, wantCode, want)
+				path, resp.StatusCode, got, wantResp.StatusCode, want)
 		}
 		if resp.Header.Get("X-Partial") != "" {
 			t.Fatalf("healthy GET %s marked partial", path)
@@ -169,31 +110,48 @@ func TestShardedServingIntegration(t *testing.T) {
 		{"/v1/infer", map[string]any{"owned": []int{0, 4, 7}, "k": 3}},
 	}
 	for _, p := range posts {
-		wantCode, want := httpPostBody(t, ref.base+p.path, p.payload)
-		gotCode, got := httpPostBody(t, router.base+p.path, p.payload)
-		if gotCode != wantCode || !bytes.Equal(got, want) {
+		wantResp, want := fetch(t, ref.base+p.path, p.payload)
+		resp, got := fetch(t, router.base+p.path, p.payload)
+		if resp.StatusCode != wantResp.StatusCode || !bytes.Equal(got, want) {
 			t.Fatalf("POST %s diverged from unsharded:\nrouter %d: %s\nref    %d: %s",
-				p.path, gotCode, got, wantCode, want)
+				p.path, resp.StatusCode, got, wantResp.StatusCode, want)
 		}
 	}
 	// Client errors pass through the fan-out verbatim.
-	if code, _ := httpGetBody(t, router.base+"/v1/similar/99999"); code != http.StatusBadRequest {
-		t.Fatalf("unknown id through router: %d, want 400", code)
+	if resp, _ := fetch(t, router.base+"/v1/similar/99999", nil); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown id through router: %d, want 400", resp.StatusCode)
 	}
 
-	// Blackhole shard 1: kill it and rebind its port to an ibserve whose /v1
-	// endpoints hang forever (the dead-switch-port failure mode). /readyz and
-	// /internal stay live so the router's degradation comes from the breaker
-	// and per-shard deadlines, not the readiness probe.
+	// Blackhole shard 1: kill it and bind its port to a server whose /v1
+	// endpoints hang until the client gives up (the dead-switch-port failure
+	// mode). /readyz and /internal stay live, proxied to a fresh shard 1, so
+	// the router's degradation comes from the breaker and per-shard
+	// deadlines, not the readiness probe.
 	shard1Addr := addrs[1]
-	shards[1].kill(t)
-	blackholed := startProc(t, ibserve, false,
-		"-shard", "1/3", "-corpus", corpusPath, "-model", modelPath,
-		"-addr", shard1Addr, "-k", "5", "-quiet",
-		"-chaos-blackhole", "-chaos-path", "/v1")
-	if !strings.Contains(blackholed.base, shard1Addr) {
-		t.Fatalf("blackholed shard bound %s, want %s", blackholed.base, shard1Addr)
+	shards[1].kill()
+	backend := startProc(t, ibserve, append([]string{"-shard", "1/3"}, common...)...)
+	target, err := url.Parse(backend.base)
+	if err != nil {
+		t.Fatal(err)
 	}
+	mux := http.NewServeMux()
+	mux.Handle("/", httputil.NewSingleHostReverseProxy(target))
+	mux.HandleFunc("/v1/", func(w http.ResponseWriter, r *http.Request) {
+		// The server notices the client leaving only through a background
+		// read, which starts once the body is consumed.
+		_, _ = io.Copy(io.Discard, r.Body)
+		<-r.Context().Done()
+	})
+	ln, err := net.Listen("tcp", shard1Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ln.Addr().String() != shard1Addr {
+		t.Fatalf("blackholed shard bound %s, want %s", ln.Addr(), shard1Addr)
+	}
+	blackhole := &http.Server{Handler: mux}
+	go blackhole.Serve(ln)
+	t.Cleanup(func() { blackhole.Close() })
 
 	// First requests ride out the shard deadline (~540ms of the 600ms
 	// budget), still answer 200, and name the missing shard.
@@ -206,11 +164,7 @@ func TestShardedServingIntegration(t *testing.T) {
 		} `json:"matches"`
 	}
 	for i := 0; i < 2; i++ { // two failures: exactly the breaker threshold
-		resp, err := http.Get(router.base + "/v1/similar/3")
-		if err != nil {
-			t.Fatal(err)
-		}
-		body := readBody(t, resp)
+		resp, body := fetch(t, router.base+"/v1/similar/3", nil)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("degraded similar: %d\n%s", resp.StatusCode, body)
 		}
@@ -230,17 +184,13 @@ func TestShardedServingIntegration(t *testing.T) {
 
 	// The breaker tripped open; with it open, requests skip shard 1 and
 	// answer fast (well under the blackhole deadline).
-	code, body := httpGetBody(t, router.debug+"/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("router /metrics: %d", code)
-	}
-	if v := metricValue(t, string(body), "router_shard1_breaker_state"); v != 2 {
-		t.Fatalf("router_shard1_breaker_state = %d, want 2 (open)", v)
+	if v := metric(t, router.metrics(t), "router_shard1_breaker_state"); v != 2 {
+		t.Fatalf("router_shard1_breaker_state = %v, want 2 (open)", v)
 	}
 	start := time.Now()
-	code, body = httpGetBody(t, router.base+"/v1/similar/3")
-	if dur := time.Since(start); code != http.StatusOK || dur > 400*time.Millisecond {
-		t.Fatalf("open-breaker request: %d in %s\n%s", code, dur, body)
+	resp, body := fetch(t, router.base+"/v1/similar/3", nil)
+	if dur := time.Since(start); resp.StatusCode != http.StatusOK || dur > 400*time.Millisecond {
+		t.Fatalf("open-breaker request: %d in %s\n%s", resp.StatusCode, dur, body)
 	}
 	if err := json.Unmarshal(body, &partial); err != nil {
 		t.Fatal(err)
@@ -251,9 +201,9 @@ func TestShardedServingIntegration(t *testing.T) {
 
 	// Two-phase recommend degrades the same way: phase 1 merges peers from
 	// the healthy shards, a healthy shard scores them.
-	code, body = httpGetBody(t, router.base+"/v1/recommend/3?peers=15&k=4")
-	if code != http.StatusOK {
-		t.Fatalf("degraded recommend: %d\n%s", code, body)
+	resp, body = fetch(t, router.base+"/v1/recommend/3?peers=15&k=4", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("degraded recommend: %d\n%s", resp.StatusCode, body)
 	}
 	var rec struct {
 		Partial         bool  `json:"partial"`
@@ -272,7 +222,7 @@ func TestShardedServingIntegration(t *testing.T) {
 	// ibload against the degraded router: every answer is a 200 (no errors
 	// of either class), and the report's new partial_responses counter
 	// records the degradation the error counters can't see.
-	reportPath := filepath.Join(dir, "BENCH_router.json")
+	reportPath := filepath.Join(t.TempDir(), "BENCH_router.json")
 	runTool(t, ibload,
 		"-url", router.base, "-corpus", corpusPath,
 		"-mode", "open", "-rate", "60", "-duration", "1s",
@@ -308,9 +258,9 @@ func TestShardedServingIntegration(t *testing.T) {
 
 	// Router health names the tripped breaker and stays "ok" — partial
 	// availability is the feature.
-	code, body = httpGetBody(t, router.base+"/healthz")
-	if code != http.StatusOK {
-		t.Fatalf("router /healthz: %d\n%s", code, body)
+	resp, body = fetch(t, router.base+"/healthz", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("router /healthz: %d\n%s", resp.StatusCode, body)
 	}
 	var health struct {
 		Status string `json:"status"`
@@ -328,17 +278,7 @@ func TestShardedServingIntegration(t *testing.T) {
 	if br := health.Shards[1].Breaker; br != "open" {
 		t.Fatalf("shard 1 breaker %q, want open", br)
 	}
-	if code, _ := httpGetBody(t, router.base+"/readyz"); code != http.StatusOK {
-		t.Fatalf("router /readyz: %d", code)
+	if resp, _ := fetch(t, router.base+"/readyz", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("router /readyz: %d", resp.StatusCode)
 	}
-}
-
-func readBody(t *testing.T, resp *http.Response) []byte {
-	t.Helper()
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }

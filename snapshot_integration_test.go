@@ -6,10 +6,8 @@ package hiddenlayer
 // the v2 server to exercise the mmap generation swap under the real binary.
 
 import (
-	"bufio"
 	"bytes"
 	"net/http"
-	"os/exec"
 	"path/filepath"
 	"testing"
 
@@ -17,42 +15,10 @@ import (
 	"repro/internal/snapshot"
 )
 
-// startServe launches ibserve over (corpus, model) and returns the query base
-// URL plus a stop func.
-func startServe(t *testing.T, ibserve, corpusPath, modelPath string) string {
-	t.Helper()
-	cmd := exec.Command(ibserve,
-		"-corpus", corpusPath, "-model", modelPath,
-		"-addr", "localhost:0", "-k", "5", "-grace", "5s", "-quiet")
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if cmd.Process != nil {
-			_ = cmd.Process.Kill()
-			_ = cmd.Wait()
-		}
-		if t.Failed() && stderr.Len() > 0 {
-			t.Logf("ibserve stderr (%s):\n%s", filepath.Base(modelPath), stderr.String())
-		}
-	})
-	sc := bufio.NewScanner(stdout)
-	return "http://" + scrapeAddr(t, sc, "serving on ")
-}
-
 func TestSnapshotFormatsServeIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries; skipped in -short mode")
-	}
+	ibgen := tool(t, "ibgen")
+	ibserve := tool(t, "ibserve")
 	dir := t.TempDir()
-	ibgen := buildTool(t, dir, "ibgen")
-	ibserve := buildTool(t, dir, "ibserve")
 
 	// The v1 model was trained on this corpus with -topics=3 -seed 1 by the
 	// last ibtrain that wrote v1; its v2 twin is written here.
@@ -76,8 +42,12 @@ func TestSnapshotFormatsServeIdentical(t *testing.T) {
 		}
 	}
 
-	baseV1 := startServe(t, ibserve, corpusPath, v1Path)
-	baseV2 := startServe(t, ibserve, corpusPath, v2Path)
+	serve := func(modelPath string) string {
+		return startProc(t, ibserve, "-corpus", corpusPath, "-model", modelPath,
+			"-addr", "localhost:0", "-k", "5", "-grace", "5s", "-quiet").base
+	}
+	baseV1 := serve(v1Path)
+	baseV2 := serve(v2Path)
 
 	type query struct {
 		path    string
@@ -90,23 +60,17 @@ func TestSnapshotFormatsServeIdentical(t *testing.T) {
 		{"/v1/whitespace", map[string]any{"clients": []int{1, 5, 9}, "k": 4}},
 		{"/v1/infer", map[string]any{"owned": []int{0, 4, 7}, "k": 4}},
 	}
-	fetch := func(base string, q query) []byte {
+	answer := func(base string, q query) []byte {
 		t.Helper()
-		var code int
-		var body []byte
-		if q.payload == nil {
-			code, body = httpGetBody(t, base+q.path)
-		} else {
-			code, body = httpPostBody(t, base+q.path, q.payload)
-		}
-		if code != http.StatusOK {
-			t.Fatalf("%s: status %d\n%s", q.path, code, body)
+		resp, body := fetch(t, base+q.path, q.payload)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d\n%s", q.path, resp.StatusCode, body)
 		}
 		return body
 	}
 	for _, q := range queries {
-		b1 := fetch(baseV1, q)
-		b2 := fetch(baseV2, q)
+		b1 := answer(baseV1, q)
+		b2 := answer(baseV2, q)
 		if !bytes.Equal(b1, b2) {
 			t.Fatalf("%s differs across snapshot formats\nv1: %s\nv2: %s", q.path, b1, b2)
 		}
@@ -114,11 +78,11 @@ func TestSnapshotFormatsServeIdentical(t *testing.T) {
 
 	// Reload the v2 server (mmap generation swap in the real binary) and
 	// confirm answers survive unchanged.
-	if code, body := httpPostBody(t, baseV2+"/admin/reload", nil); code != http.StatusOK {
-		t.Fatalf("/admin/reload: status %d\n%s", code, body)
+	if resp, body := fetch(t, baseV2+"/admin/reload", struct{}{}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/admin/reload: status %d\n%s", resp.StatusCode, body)
 	}
 	for _, q := range queries {
-		if !bytes.Equal(fetch(baseV1, q), fetch(baseV2, q)) {
+		if !bytes.Equal(answer(baseV1, q), answer(baseV2, q)) {
 			t.Fatalf("%s differs after v2 reload", q.path)
 		}
 	}

@@ -8,48 +8,13 @@ package hiddenlayer
 // (deadline-exceeded) request is always retained.
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 )
-
-// traceServer starts ibserve with the given extra flags and returns the
-// serving and debug base URLs plus a cleanup-registered process handle.
-func traceServer(t *testing.T, ibserve, corpusPath, modelPath string, extra ...string) (base, debug string) {
-	t.Helper()
-	args := append([]string{
-		"-corpus", corpusPath, "-model", modelPath,
-		"-addr", "localhost:0", "-debug-addr", "localhost:0",
-		"-k", "5", "-grace", "5s",
-	}, extra...)
-	cmd := exec.Command(ibserve, args...)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if cmd.Process != nil {
-			_ = cmd.Process.Kill()
-			_ = cmd.Wait()
-		}
-	})
-	sc := bufio.NewScanner(stdout)
-	debugAddr := scrapeAddr(t, sc, "debug on ")
-	serveAddr := scrapeAddr(t, sc, "serving on ")
-	return "http://" + serveAddr, "http://" + debugAddr
-}
 
 // getTraceJSON polls /debug/traces/{id} until the trace is retained (the
 // root span ends in a deferred handler after the response bytes are written,
@@ -58,15 +23,15 @@ func getTraceJSON(t *testing.T, debug, id string, out any) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		code, body := httpGetBody(t, debug+"/debug/traces/"+id)
-		if code == http.StatusOK {
+		resp, body := fetch(t, debug+"/debug/traces/"+id, nil)
+		if resp.StatusCode == http.StatusOK {
 			if err := json.Unmarshal(body, out); err != nil {
 				t.Fatalf("/debug/traces/%s: %v\n%s", id, err, body)
 			}
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("/debug/traces/%s: still %d after 5s\n%s", id, code, body)
+			t.Fatalf("/debug/traces/%s: still %d after 5s\n%s", id, resp.StatusCode, body)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -113,24 +78,21 @@ func collectSpans(root *spanNode, name string) []*spanNode {
 }
 
 func TestTraceIntegration(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries; skipped in -short mode")
+	ibserve := tool(t, "ibserve")
+	corpusPath, modelPath := sharedFixture(t)
+	// serve starts ibserve over the fixture on both listeners with flags.
+	serve := func(t *testing.T, flags ...string) *proc {
+		return startProc(t, ibserve, append([]string{
+			"-corpus", corpusPath, "-model", modelPath,
+			"-addr", "localhost:0", "-debug-addr", "localhost:0",
+			"-k", "5", "-grace", "5s",
+		}, flags...)...)
 	}
-	dir := t.TempDir()
-	ibgen := buildTool(t, dir, "ibgen")
-	ibtrain := buildTool(t, dir, "ibtrain")
-	ibserve := buildTool(t, dir, "ibserve")
-
-	corpusPath := filepath.Join(dir, "corpus.jsonl")
-	modelPath := filepath.Join(dir, "lda.gob")
-	runTool(t, ibgen, "-companies", "200", "-seed", "9", "-out", corpusPath)
-	runTool(t, ibtrain, "-model", "lda", "-topics=3", "-corpus", corpusPath,
-		"-out", modelPath, "-seed", "1")
 
 	// Run 1: everything traced (-trace-sample 1), on a single worker.
 	t.Run("SpanTrees", func(t *testing.T) {
-		base, debug := traceServer(t, ibserve, corpusPath, modelPath,
-			"-trace", "-trace-sample", "1", "-workers", "1", "-quiet")
+		srv := serve(t, "-trace", "-trace-sample", "1", "-workers", "1", "-quiet")
+		base, debug := srv.base, srv.debug
 
 		// Health reports the tracing state alongside the index shape.
 		var health struct {
@@ -140,9 +102,9 @@ func TestTraceIntegration(t *testing.T) {
 			Vocab      int     `json:"vocab"`
 			Uptime     float64 `json:"uptime_seconds"`
 		}
-		code, body := httpGetBody(t, base+"/healthz")
-		if code != http.StatusOK {
-			t.Fatalf("/healthz: status %d\n%s", code, body)
+		resp, body := fetch(t, base+"/healthz", nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/healthz: status %d\n%s", resp.StatusCode, body)
 		}
 		if err := json.Unmarshal(body, &health); err != nil {
 			t.Fatalf("/healthz: %v\n%s", err, body)
@@ -152,11 +114,7 @@ func TestTraceIntegration(t *testing.T) {
 		}
 
 		// A traced query echoes its assigned IDs in the traceparent header.
-		resp, err := http.Get(base + "/v1/similar/3?k=5")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
+		resp, _ = fetch(t, base+"/v1/similar/3?k=5", nil)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("/v1/similar/3: status %d", resp.StatusCode)
 		}
@@ -202,11 +160,7 @@ func TestTraceIntegration(t *testing.T) {
 		// get serves a query and returns its trace ID.
 		get := func(path string) string {
 			t.Helper()
-			resp, err := http.Get(base + path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
+			resp, _ := fetch(t, base+path, nil)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("%s: status %d", path, resp.StatusCode)
 			}
@@ -237,9 +191,9 @@ func TestTraceIntegration(t *testing.T) {
 		}
 
 		// The list endpoint filters by root-span name.
-		code, body = httpGetBody(t, debug+"/debug/traces?endpoint=serve.similar")
-		if code != http.StatusOK {
-			t.Fatalf("/debug/traces: status %d\n%s", code, body)
+		resp, body = fetch(t, debug+"/debug/traces?endpoint=serve.similar", nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/debug/traces: status %d\n%s", resp.StatusCode, body)
 		}
 		var sums []struct {
 			TraceID string `json:"trace_id"`
@@ -290,13 +244,13 @@ func TestTraceIntegration(t *testing.T) {
 	// Run 2: sample rate zero. Fast successes must vanish; a request that
 	// blows its (client-shrunk) deadline is an error and always retained.
 	t.Run("TailSampling", func(t *testing.T) {
-		base, debug := traceServer(t, ibserve, corpusPath, modelPath,
-			"-trace", "-trace-sample", "0", "-trace-slow", "250ms", "-quiet")
+		srv := serve(t, "-trace", "-trace-sample", "0", "-trace-slow", "250ms", "-quiet")
+		base, debug := srv.base, srv.debug
 
 		for i := 0; i < 5; i++ {
-			code, body := httpGetBody(t, fmt.Sprintf("%s/v1/similar/%d?k=5", base, i))
-			if code != http.StatusOK {
-				t.Fatalf("similar %d: status %d\n%s", i, code, body)
+			resp, body := fetch(t, fmt.Sprintf("%s/v1/similar/%d?k=5", base, i), nil)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("similar %d: status %d\n%s", i, resp.StatusCode, body)
 			}
 		}
 
@@ -310,18 +264,18 @@ func TestTraceIntegration(t *testing.T) {
 		for i := range clients {
 			clients[i] = i
 		}
-		var code int
+		var resp *http.Response
 		var body []byte
 		for attempt := 0; attempt < 50; attempt++ {
-			code, body = httpPostBody(t,
+			resp, body = fetch(t,
 				base+"/v1/whitespace?timeout_ms=0.001",
 				map[string]any{"clients": clients, "k": 50})
-			if code >= 500 {
+			if resp.StatusCode >= 500 {
 				break
 			}
 		}
-		if code < 500 {
-			t.Fatalf("deadline-starved whitespace: status %d, want 5xx\n%s", code, body)
+		if resp.StatusCode < 500 {
+			t.Fatalf("deadline-starved whitespace: status %d, want 5xx\n%s", resp.StatusCode, body)
 		}
 
 		// The error trace lands; once it has, the fast successes above are
@@ -333,9 +287,9 @@ func TestTraceIntegration(t *testing.T) {
 			Error    bool   `json:"error"`
 		}
 		for {
-			code, body = httpGetBody(t, debug+"/debug/traces")
-			if code != http.StatusOK {
-				t.Fatalf("/debug/traces: status %d\n%s", code, body)
+			resp, body = fetch(t, debug+"/debug/traces", nil)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("/debug/traces: status %d\n%s", resp.StatusCode, body)
 			}
 			sums = sums[:0]
 			if err := json.Unmarshal(body, &sums); err != nil {
