@@ -181,7 +181,8 @@ func openOrBuildANN(reps *mat.Matrix, opts annOptions) (*ann.Index, func() error
 //
 // The work is three stages — at 100k companies on two cores about 0.14 s,
 // 0.30 s and 0.09 s: decode the JSONL (corpus.LoadFile, chunk-parallel), fold
-// every company in (Model.Representations, block-parallel), build the index
+// every company in (Model.Representations, shard-parallel, each company from
+// a stream of its own seeded by -seed and its row), build the index
 // columns, candidate lists and cone trees (core.NewShardIndex, over the
 // shard's own rows only) and, with -ann, open or build the routing index.
 // The first two run on all -workers cores, so a reload competes with queries

@@ -166,22 +166,23 @@ type System struct {
 	Model  *LDAModel
 	Index  *core.Index
 
-	g *rng.RNG
+	seed int64
 }
 
 // NewSystem infers every company's representation under the model and
-// builds the similarity index (cosine metric, as for topic mixtures).
+// builds the similarity index (cosine metric, as for topic mixtures). The
+// representations are those ibserve -seed serves for the same files. Every
+// company's ID must equal its row in c.Companies.
 func NewSystem(c *Corpus, m *LDAModel, seed int64) (*System, error) {
 	if c.M() != m.V {
 		return nil, fmt.Errorf("hiddenlayer: corpus has %d categories, model %d", c.M(), m.V)
 	}
-	g := rng.New(seed)
-	reps := m.Representations(c.Sets(), g.Split())
+	reps := m.Representations(c.Sets(), rng.New(seed))
 	ix, err := core.NewIndex(c, reps, core.Cosine)
 	if err != nil {
 		return nil, err
 	}
-	return &System{Corpus: c, Model: m, Index: ix, g: g}, nil
+	return &System{Corpus: c, Model: m, Index: ix, seed: seed}, nil
 }
 
 // SimilarCompanies returns the top-k companies most similar to company id,
@@ -214,8 +215,10 @@ func (s *System) Representation(id int) ([]float64, error) {
 
 // ScoreProducts returns the model's next-product distribution for an
 // arbitrary owned-category set (real-time scoring for companies outside
-// the corpus).
+// the corpus). Each call folds the set in from a fresh stream of the
+// System's seed, as ibserve's /v1/infer does, so equal sets score equally
+// and concurrent calls are safe.
 func (s *System) ScoreProducts(owned []int) []float64 {
-	theta := s.Model.InferTheta(owned, s.g.Split())
+	theta := s.Model.InferTheta(owned, rng.New(s.seed))
 	return s.Model.WordDist(theta)
 }

@@ -3,6 +3,9 @@ package hiddenlayer
 import (
 	"math"
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -159,5 +162,51 @@ func TestNewSystemValidation(t *testing.T) {
 	}
 	if _, err := NewSystem(c, &LDAModel{K: 2, V: 5}, 1); err == nil {
 		t.Fatal("vocabulary mismatch accepted")
+	}
+	sel, err := SelectLDA(c, []int{2}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Companies[3].ID = 7
+	if _, err := NewSystem(c, sel.Model, 1); err == nil || !strings.Contains(err.Error(), "row 3 has id 7") {
+		t.Fatalf("company id 7 on row 3: NewSystem error %v, want the id check's", err)
+	}
+}
+
+// TestScoreProductsRepeatable: ScoreProducts is a function of the owned set,
+// not of earlier calls, and concurrent calls share no generator (run under
+// -race to check the latter).
+func TestScoreProductsRepeatable(t *testing.T) {
+	c, err := GenerateCorpus(200, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := SelectLDA(c, []int{3}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(c, sel.Model, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned := []int{0, 5, 9, 14, 20, 30}
+	want := sys.ScoreProducts(owned)
+	if got := sys.ScoreProducts(owned); !slices.Equal(got, want) {
+		t.Fatalf("second call scored %v, first %v", got, want)
+	}
+	var wg sync.WaitGroup
+	got := make([][]float64, 4)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = sys.ScoreProducts(owned)
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if !slices.Equal(g, want) {
+			t.Fatalf("concurrent call %d scored %v, want %v", i, g, want)
+		}
 	}
 }

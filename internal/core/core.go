@@ -256,7 +256,8 @@ func (ix *Index) OwnedCompanies() int {
 // NewIndex validates shapes and builds an index, including its scan columns
 // (one pass over the companies and one over the representation rows), the
 // equality columns' candidate lists (a counting sort each) and the cone trees.
-// metric must be Cosine.
+// metric must be Cosine, and every company's ID must equal its row: answers
+// name companies by row.
 func NewIndex(c *corpus.Corpus, reps *mat.Matrix, metric Metric) (*Index, error) {
 	return NewShardIndex(c, reps, metric, 0, 1)
 }
@@ -275,6 +276,11 @@ func NewShardIndex(c *corpus.Corpus, reps *mat.Matrix, metric Metric, part, part
 	}
 	if uint64(c.N()) >= noCode {
 		return nil, fmt.Errorf("core: %d companies, an index holds fewer than %d", c.N(), uint64(noCode))
+	}
+	for i := range c.Companies {
+		if c.Companies[i].ID != i {
+			return nil, fmt.Errorf("core: company on row %d has id %d; ids must equal rows", i, c.Companies[i].ID)
+		}
 	}
 	norms := make([]float64, reps.Rows)
 	inRange := true

@@ -59,6 +59,30 @@ func TestNewIndexValidation(t *testing.T) {
 	}
 }
 
+// TestNewIndexRequiresIDEqualsRow: answers name companies by row, so a corpus
+// whose ids differ from their rows (JSONL ids 10, 20, 30, or one id out of
+// place) is refused with the first offending row named.
+func TestNewIndexRequiresIDEqualsRow(t *testing.T) {
+	for _, tc := range []struct {
+		ids  []int
+		want string
+	}{
+		{[]int{10, 20, 30, 3, 4, 5}, "row 0 has id 10"},
+		{[]int{0, 1, 2, 3, 5, 5}, "row 4 has id 5"},
+	} {
+		c, reps := fixture()
+		for i, id := range tc.ids {
+			c.Companies[i].ID = id
+		}
+		if _, err := NewIndex(c, reps, Cosine); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("ids %v: NewIndex error %v, want one containing %q", tc.ids, err, tc.want)
+		}
+		if _, err := NewShardIndex(c, reps, Cosine, 1, 2); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("ids %v: NewShardIndex error %v, want one containing %q", tc.ids, err, tc.want)
+		}
+	}
+}
+
 func TestTopKFindsGroup(t *testing.T) {
 	c, reps := fixture()
 	ix, err := NewIndex(c, reps, Cosine)

@@ -426,10 +426,8 @@ func newFoldScratch(k int) *foldScratch {
 	return &foldScratch{ndk: buf[:k:k], probs: buf[k : 2*k : 2*k], thetaAcc: buf[2*k:]}
 }
 
-// foldIn writes doc's topic mixture into theta (length K). The generator is
-// consumed in a fixed pattern — one Intn(K) per token, then one Float64
-// (inside Categorical) per token per iteration — which Representations'
-// pre-pass replays to find where each block's stream starts.
+// foldIn writes doc's topic mixture into theta (length K), drawing every
+// random number from g.
 func (m *Model) foldIn(theta []float64, doc []int, g *rng.RNG, sc *foldScratch) {
 	if len(doc) == 0 {
 		for z := range theta {
@@ -545,50 +543,42 @@ func (m *Model) Perplexity(docs [][]int, g *rng.RNG) float64 {
 	return math.Exp(-logSum / float64(n))
 }
 
-// repBlock is the number of documents one Representations task folds in. It
-// is a constant, not a function of the worker count, so the block-start
-// generator states — and with them every output bit — do not depend on how
-// many workers run the blocks.
-const repBlock = 512
-
 // Representations infers the company feature matrix B (N x K): row d is the
 // topic mixture of document d. This is the representation used for company
 // similarity search and clustering.
 //
-// The result and g's final state are those of the sequential loop
-// `for d { InferTheta(docs[d], g) }` at any worker count: a sequential
-// pre-pass advances g across each block of repBlock documents the way foldIn
-// would (real Intn draws, whose rejection sampling makes the draw count
-// data-dependent when K is not a power of two, then SkipFloat64 for the
-// Categorical draws) and records the state at each block start; the blocks
-// then fold in concurrently, each from its own recorded state.
+// Row d folds in from a stream of its own, New(rowSeed(base, d)), where base
+// is one Int63 drawn from g. A row therefore depends on the model, its own
+// document, its index and g's state, never on the other documents: editing
+// one document leaves every other row bit-identical, and any worker count
+// gives the same bits. g advances by exactly that one draw.
 func (m *Model) Representations(docs [][]int, g *rng.RNG) *mat.Matrix {
-	out := mat.New(len(docs), m.K)
-	starts := make([][4]uint64, (len(docs)+repBlock-1)/repBlock)
-	for b := range starts {
-		starts[b] = g.State()
-		lo := b * repBlock
-		for _, doc := range docs[lo:min(lo+repBlock, len(docs))] {
-			for _, w := range doc {
-				m.checkToken(w) // panic on the caller's goroutine, not a worker's
-				g.Intn(m.K)
-			}
-			g.SkipFloat64(len(doc) * m.InferIters)
+	for _, doc := range docs {
+		for _, w := range doc {
+			m.checkToken(w) // panic on the caller's goroutine, not a worker's
 		}
 	}
-	_ = par.ForEach(context.Background(), len(starts), func(b int) error {
-		bg, err := rng.FromState(starts[b])
-		if err != nil {
-			panic(err) // State never returns the all-zero state FromState rejects
-		}
-		sc := newFoldScratch(m.K)
-		lo := b * repBlock
-		for d, doc := range docs[lo:min(lo+repBlock, len(docs))] {
-			m.foldIn(out.Row(lo+d), doc, bg, sc)
+	base := g.Int63()
+	out := mat.New(len(docs), m.K)
+	_ = par.ForEachShard(context.Background(), len(docs), func(_, lo, hi int) error {
+		sc, rg := newFoldScratch(m.K), rng.New(0)
+		for d := lo; d < hi; d++ {
+			rg.Reseed(rowSeed(base, d))
+			m.foldIn(out.Row(d), docs[d], rg, sc)
 		}
 		return nil
 	})
 	return out
+}
+
+// rowSeed is the seed of row d's fold-in stream: the d-th output of a
+// SplitMix64 generator started at base (one SplitMix64 step over base and
+// d), so neighbouring rows get unrelated seeds.
+func rowSeed(base int64, d int) int64 {
+	z := uint64(base) + uint64(d+1)*0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return int64(z ^ z>>31)
 }
 
 // ProductEmbeddings returns the V x K matrix whose row w is

@@ -3,6 +3,7 @@ package lda
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -31,8 +32,7 @@ func constVec(n int, x float64) []float64 {
 }
 
 // randomDocs draws n documents of 0..8 tokens; every fifth is empty and
-// every seventh has one token, so both shortcuts land inside blocks and on
-// their edges.
+// every seventh has one token, so both shortcuts land on shard edges too.
 func randomDocs(n, v int, g *rng.RNG) [][]int {
 	docs := make([][]int, n)
 	for d := range docs {
@@ -53,46 +53,72 @@ func randomDocs(n, v int, g *rng.RNG) [][]int {
 	return docs
 }
 
-// TestRepresentationsMatchSequentialLoop pins the contract of the
-// block-parallel fold-in: at any worker count the matrix is Float64bits-equal
-// to the naive loop that threads one generator through InferTheta, and the
-// caller's generator ends in the same state (eval/clustering keeps drawing
-// from it). K = 3 and 7 take Intn's rejection branch, whose draw count
-// depends on the stream; the N values straddle the 512-document block.
-func TestRepresentationsMatchSequentialLoop(t *testing.T) {
+// requireBitsEqual fails unless rows [0, got.Rows) of got and want are
+// Float64bits-equal, skipping row skip (-1 skips none).
+func requireBitsEqual(t *testing.T, name string, got, want *mat.Matrix, skip int) {
+	t.Helper()
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		t.Fatalf("%s: shape %dx%d, want %dx%d", name, got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	for i := range want.Data {
+		if i/want.Cols == skip {
+			continue
+		}
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("%s: row %d col %d = %v, want %v", name, i/want.Cols, i%want.Cols, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// TestRepresentationsRowStreams pins the per-row contract: row d is
+// InferTheta(docs[d], New(rowSeed(base, d))) with base the one Int63 drawn
+// from the caller's generator, and workers 1, 2 and 4 give the same bits.
+// K = 3 and 7 take Intn's rejection branch; N = 513 is split unevenly over
+// shards at every worker count.
+func TestRepresentationsRowStreams(t *testing.T) {
 	defer par.SetWorkers(0)
 	setup := rng.New(17)
 	for _, k := range []int{2, 3, 4, 7} {
 		m := randomModel(k, 11, setup)
-		for _, n := range []int{0, 1, 511, 512, 513, 1025} {
+		for _, n := range []int{0, 1, 513} {
 			docs := randomDocs(n, m.V, setup)
 			seed := setup.Int63()
 
 			ref := rng.New(seed)
+			base := ref.Int63()
 			want := mat.New(n, k)
 			for d, doc := range docs {
-				copy(want.Row(d), m.InferTheta(doc, ref))
+				copy(want.Row(d), m.InferTheta(doc, rng.New(rowSeed(base, d))))
 			}
 
 			for _, workers := range []int{1, 2, 4} {
 				par.SetWorkers(workers)
 				g := rng.New(seed)
-				got := m.Representations(docs, g)
 				name := fmt.Sprintf("K=%d N=%d workers=%d", k, n, workers)
-				if got.Rows != n || got.Cols != k {
-					t.Fatalf("%s: shape %dx%d", name, got.Rows, got.Cols)
-				}
-				for i := range want.Data {
-					if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-						t.Fatalf("%s: row %d col %d = %v, sequential loop gives %v",
-							name, i/k, i%k, got.Data[i], want.Data[i])
-					}
-				}
+				requireBitsEqual(t, name, m.Representations(docs, g), want, -1)
 				if g.State() != ref.State() {
-					t.Fatalf("%s: generator state after Representations differs from the sequential loop's", name)
+					t.Fatalf("%s: Representations drew more than one value from the caller's generator", name)
 				}
 			}
 		}
+	}
+}
+
+// TestRepresentationsRowOwnDocument edits one document and checks that every
+// other row keeps its bits while the edited row moves: a company's
+// representation depends on its own install base only.
+func TestRepresentationsRowOwnDocument(t *testing.T) {
+	defer par.SetWorkers(0)
+	par.SetWorkers(2)
+	m := randomModel(4, 11, rng.New(5))
+	docs := randomDocs(513, m.V, rng.New(6))
+	before := m.Representations(docs, rng.New(7))
+	const edited = 101
+	docs[edited] = []int{(docs[edited][0] + 1) % m.V, 3, 9}
+	after := m.Representations(docs, rng.New(7))
+	requireBitsEqual(t, "one document edited", after, before, edited)
+	if slices.Equal(after.Row(edited), before.Row(edited)) {
+		t.Fatalf("row %d did not move when its document changed", edited)
 	}
 }
 

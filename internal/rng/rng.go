@@ -99,37 +99,11 @@ func (g *RNG) Split() *RNG {
 // Float64 returns a uniform value in [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 
-// SkipFloat64 advances the generator exactly as n Float64 calls would,
-// without computing their values: a fan-out that must reproduce one
-// sequential stream uses it to find the state at which each block of work
-// starts (lda.Representations). math/rand's Float64 takes one raw draw and
-// redraws only when the 63-bit value rounds up to 1.0 as a float64, which is
-// the top 512 values of the range (half the float64 spacing of 1024 below
-// 2^63, ties to even going up); the inner loop honours that redraw.
-//
-// The xoshiro step is repeated here on locals instead of calling Uint64:
-// that sequential pass is what bounds the fan-out's speed-up, and the call
-// through memory costs 2.5x the step itself. TestSkipFloat64* hold the two
-// copies together.
-func (g *RNG) SkipFloat64(n int) {
-	s0, s1, s2, s3 := g.src.s[0], g.src.s[1], g.src.s[2], g.src.s[3]
-	for i := 0; i < n; i++ {
-		for {
-			raw := rotl(s1*5, 7) * 9
-			t := s1 << 17
-			s2 ^= s0
-			s3 ^= s1
-			s1 ^= s2
-			s0 ^= s3
-			s2 ^= t
-			s3 = rotl(s3, 45)
-			if raw>>1 < 1<<63-512 {
-				break
-			}
-		}
-	}
-	g.src.s = [4]uint64{s0, s1, s2, s3}
-}
+// Reseed restarts g in place as the stream New(seed) would give, so a loop
+// that needs one fresh stream per item reuses one generator instead of
+// allocating one per item (lda.Representations restarts its generator for
+// every company).
+func (g *RNG) Reseed(seed int64) { g.src.Seed(seed) }
 
 // Intn returns a uniform int in [0, n).
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }

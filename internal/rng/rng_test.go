@@ -346,88 +346,22 @@ func TestFromStateRejectsAllZero(t *testing.T) {
 	}
 }
 
-// mustFromState is FromState for states the test knows are non-zero.
-func mustFromState(t *testing.T, s [4]uint64) *RNG {
-	t.Helper()
-	g, err := FromState(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
-
-// TestSkipFloat64MatchesFloat64 is the contract lda.Representations leans
-// on: skipping n draws leaves the generator where n Float64 calls leave it.
-func TestSkipFloat64MatchesFloat64(t *testing.T) {
-	seeds := New(99)
-	for trial := 0; trial < 200; trial++ {
-		start := New(seeds.Int63()).State()
-		n := seeds.Intn(300)
-		drawn, skipped := mustFromState(t, start), mustFromState(t, start)
-		for i := 0; i < n; i++ {
-			drawn.Float64()
+// TestReseedMatchesNew pins Reseed to New's stream, whatever the generator
+// drew before: a reused generator must give the bits a fresh one gives.
+func TestReseedMatchesNew(t *testing.T) {
+	g := New(1)
+	for _, seed := range []int64{0, 1, -1, 42, 1 << 62} {
+		g.Float64()
+		g.Intn(7)
+		g.Reseed(seed)
+		fresh := New(seed)
+		if g.State() != fresh.State() {
+			t.Fatalf("seed %d: state after Reseed differs from New's", seed)
 		}
-		skipped.SkipFloat64(n)
-		if drawn.State() != skipped.State() {
-			t.Fatalf("trial %d: state after SkipFloat64(%d) differs from %d Float64 calls", trial, n, n)
-		}
-	}
-	g := New(5)
-	before := g.State()
-	g.SkipFloat64(0)
-	if g.State() != before {
-		t.Fatal("SkipFloat64(0) moved the generator")
-	}
-}
-
-// stateWithNextRaw returns a state whose next Uint64 is raw, by inverting
-// xoshiro256**'s output scrambler rotl(s1*5, 7)*9 for the s[1] word.
-func stateWithNextRaw(raw uint64) [4]uint64 {
-	inverse := func(odd uint64) uint64 { // Newton iteration mod 2^64
-		inv := odd
-		for i := 0; i < 6; i++ {
-			inv *= 2 - odd*inv
-		}
-		return inv
-	}
-	x := raw * inverse(9)
-	s1 := (x>>7 | x<<57) * inverse(5)
-	return [4]uint64{0x9e3779b97f4a7c15, s1, 0xbf58476d1ce4e5b9, 0x94d049bb133111eb}
-}
-
-// TestSkipFloat64HonoursResample drives the one exception to "one raw draw
-// per Float64": math/rand redraws when the 63-bit value rounds to 1.0. The
-// crafted states put the next raw output on both sides of that threshold.
-func TestSkipFloat64HonoursResample(t *testing.T) {
-	const first = uint64(1<<63 - 512) // smallest 63-bit value that rounds to 2^63
-	cases := []struct {
-		name     string
-		raw      uint64
-		resample bool
-	}{
-		{"all ones", ^uint64(0), true},
-		{"threshold", first << 1, true},
-		{"threshold low bit set", first<<1 | 1, true},
-		{"just below threshold", (first-1)<<1 | 1, false},
-		{"zero", 0, false},
-	}
-	for _, tc := range cases {
-		start := stateWithNextRaw(tc.raw)
-		if got := mustFromState(t, start).src.Uint64(); got != tc.raw {
-			t.Fatalf("%s: crafted state yields raw %#x, want %#x", tc.name, got, tc.raw)
-		}
-		oneStep := mustFromState(t, start)
-		oneStep.src.Uint64()
-		drawn, skipped := mustFromState(t, start), mustFromState(t, start)
-		if f := drawn.Float64(); f < 0 || f >= 1 {
-			t.Fatalf("%s: Float64 = %v outside [0,1)", tc.name, f)
-		}
-		skipped.SkipFloat64(1)
-		if drawn.State() != skipped.State() {
-			t.Fatalf("%s: SkipFloat64(1) and Float64 disagree", tc.name)
-		}
-		if resampled := drawn.State() != oneStep.State(); resampled != tc.resample {
-			t.Fatalf("%s: Float64 resampled = %v, want %v", tc.name, resampled, tc.resample)
+		for i := 0; i < 20; i++ {
+			if a, b := g.Float64(), fresh.Float64(); a != b {
+				t.Fatalf("seed %d draw %d: Reseed gives %v, New gives %v", seed, i, a, b)
+			}
 		}
 	}
 }

@@ -4,7 +4,7 @@
 # (.claude/skills/verify/SKILL.md) that is an identifier, or a dotted path of
 # them such as `core.NewIndex` or `par.ForEach()`, is looked at outside fenced
 # blocks; each part of it in mixed case must occur as a word in some tracked
-# .go file. All-caps names (`GOAMD64`, `IBSNAP`) and all-lowercase ones (English
+# .go file (outside a git checkout: some .go file on disk). All-caps names (`GOAMD64`, `IBSNAP`) and all-lowercase ones (English
 # words as often as code) are not checked. A name renamed or deleted in the code
 # otherwise stays in the documents until a reader trips over it. Under a
 # second, offline; the remedy for a finding is to correct the document.
@@ -12,8 +12,15 @@ set -eu
 cd "$(dirname "$0")/.."
 
 words=$(mktemp "${TMPDIR:-/tmp}/doc_idents.XXXXXX")
-trap 'rm -f "$words"' EXIT
-git ls-files -z '*.go' | xargs -0 cat | tr -cs 'A-Za-z0-9_' '\n' | sort -u >"$words"
+files=$(mktemp "${TMPDIR:-/tmp}/doc_idents.XXXXXX")
+trap 'rm -f "$words" "$files"' EXIT
+git ls-files -z '*.go' >"$files" 2>/dev/null || :
+if [ ! -s "$files" ]; then
+    # No git index (a `git archive` export, as bench_pair.sh makes): read the
+    # .go files on disk instead, minus the benchmark's build output.
+    find . -path ./.bench_build -prune -o -type f -name '*.go' -print0 >"$files"
+fi
+xargs -0 cat <"$files" | tr -cs 'A-Za-z0-9_' '\n' | sort -u >"$words"
 if [ ! -s "$words" ]; then
     echo "FAIL: no tracked .go file to read names from" >&2
     exit 1
