@@ -96,6 +96,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// Answers name companies by row: refuse a corpus whose ids are not its
+	// rows now, not after model selection.
+	if err := c.CheckIDs(); err != nil {
+		fatal(err)
+	}
 	var model *hiddenlayer.LDAModel
 	if *modelPath != "" {
 		model, err = loadLDA(*modelPath)

@@ -72,8 +72,10 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"os"
 	"runtime"
+	"runtime/metrics"
 	"slices"
 	"strconv"
 	"strings"
@@ -180,10 +182,13 @@ func openOrBuildANN(reps *mat.Matrix, opts annOptions) (*ann.Index, func() error
 // finished.
 //
 // The work is three stages — at 100k companies on two cores about 0.14 s,
-// 0.30 s and 0.09 s: decode the JSONL (corpus.LoadFile, chunk-parallel), fold
-// every company in (Model.Representations, shard-parallel, each company from
-// a stream of its own seeded by -seed and its row), build the index
-// columns, candidate lists and cone trees (core.NewShardIndex, over the
+// 0.30 s and 0.09 s: decode the JSONL straight into the columns the index
+// serves from (corpus.LoadColumns, chunk-parallel: names, install bases and
+// filter attributes, no []corpus.Company; a line whose id is not its row
+// fails the load there), fold every company in (Model.Representations over
+// a copy of the install bases that is dropped after, shard-parallel, each
+// company from a stream of its own seeded by -seed and its row), build the
+// row norms, candidate lists and cone trees (core.NewShardIndex, over the
 // shard's own rows only) and, with -ann, open or build the routing index.
 // The first two run on all -workers cores, so a reload competes with queries
 // for CPU for that long — a third of the time it used to hold one core.
@@ -191,7 +196,7 @@ func openOrBuildANN(reps *mat.Matrix, opts annOptions) (*ann.Index, func() error
 // "model reloaded" log lines.
 func buildState(corpusPath, modelPath string, seed int64, part, parts int, annOpts annOptions) (serve.Loaded, error) {
 	start := time.Now()
-	c, err := corpus.LoadFile(corpusPath)
+	cols, err := corpus.LoadColumns(corpusPath)
 	if err != nil {
 		return serve.Loaded{}, fmt.Errorf("loading corpus: %w", err)
 	}
@@ -204,12 +209,12 @@ func buildState(corpusPath, modelPath string, seed int64, part, parts int, annOp
 		_ = closeModel()
 		return serve.Loaded{}, err
 	}
-	if c.M() != m.V {
-		return fail(fmt.Errorf("corpus has %d categories, model %d", c.M(), m.V))
+	if cols.M() != m.V {
+		return fail(fmt.Errorf("corpus has %d categories, model %d", cols.M(), m.V))
 	}
-	reps := m.Representations(c.Sets(), rng.New(seed))
+	reps := m.Representations(cols.Sets(), rng.New(seed))
 	represented := time.Now()
-	ix, err := core.NewShardIndex(c, reps, core.Cosine, part, parts)
+	ix, err := core.NewShardIndex(cols, reps, core.Cosine, part, parts)
 	if err != nil {
 		return fail(err)
 	}
@@ -234,6 +239,17 @@ func buildState(corpusPath, modelPath string, seed int64, part, parts int, annOp
 		"representations_ms", ms(corpusLoaded, represented),
 		"index_ms", ms(represented, time.Now()),
 	}}, nil
+}
+
+// heapLiveMB reads the heap the last collection found live, in MiB, from
+// runtime/metrics, which does not stop the world.
+func heapLiveMB() float64 {
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	if s[0].Value.Kind() != metrics.KindUint64 {
+		return 0
+	}
+	return math.Round(float64(s[0].Value.Uint64())/(1<<20)*10) / 10
 }
 
 func main() {
@@ -287,7 +303,7 @@ func main() {
 		fatal(err)
 	}
 	ix, model := loaded.Index, loaded.Model
-	built := []any{"companies", ix.Corpus.N(), "topics", model.K}
+	built := []any{"companies", ix.N(), "topics", model.K}
 	if parts > 1 {
 		built = append(built, "shard", *shardSpec, "owned", ix.OwnedCompanies())
 	}
@@ -326,6 +342,7 @@ func main() {
 	// moved the goal by up to 18 MB, and the resident peak under load by up
 	// to 10 MB, between boots of the same files.
 	runtime.GC()
+	logger.Info("boot heap", "heap_live_mb", heapLiveMB())
 
 	// The debug listener starts after the server is built so /debug/slo can
 	// mount beside /debug/traces.

@@ -4,12 +4,14 @@ package hiddenlayer
 // the way a user would drive it, against a real corpus file.
 
 import (
+	"context"
 	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestCommandLineTools(t *testing.T) {
@@ -91,5 +93,52 @@ func TestCommandLineTools(t *testing.T) {
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(bad), `unknown experiment "fig33"`) {
 		t.Fatalf("ibeval -exp fig33: err %v, want exit 2 naming the experiment\n%s", err, bad)
+	}
+}
+
+// TestBinariesRefuseIDOffRow: answers name companies by row, so a corpus
+// whose line 3 (row 1) carries id 1000 is refused before any expensive boot
+// work — by ibserve while it decodes the file, by ibrec before it selects a
+// model. Both exit 1 naming the row.
+func TestBinariesRefuseIDOffRow(t *testing.T) {
+	ibgen, ibtrain := tool(t, "ibgen"), tool(t, "ibtrain")
+	ibrec, ibserve := tool(t, "ibrec"), tool(t, "ibserve")
+	dir := t.TempDir()
+	good, model := filepath.Join(dir, "corpus.jsonl"), filepath.Join(dir, "lda.gob")
+	runTool(t, ibgen, "-companies", "300", "-seed", "3", "-out", good)
+	runTool(t, ibtrain, "-model", "lda", "-topics=3", "-corpus", good, "-out", model, "-seed", "1")
+	data, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	rest, ok := strings.CutPrefix(lines[2], `{"id":1,`)
+	if !ok {
+		t.Fatalf("line 3 of the corpus is %q, want company 1", lines[2])
+	}
+	lines[2] = `{"id":1000,` + rest
+	bad := filepath.Join(dir, "bad.jsonl")
+	if err := os.WriteFile(bad, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		bin  string
+		args []string
+		want string
+	}{
+		{ibrec, []string{"-corpus", bad, "-company", "5", "-k", "3"}, "company on row 1 has id 1000"},
+		{ibserve, []string{"-corpus", bad, "-model", model, "-addr", "localhost:0"}, "line 3: company on row 1 has id 1000"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		out, err := exec.CommandContext(ctx, tc.bin, tc.args...).CombinedOutput()
+		cancel()
+		name := filepath.Base(tc.bin)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), tc.want) {
+			t.Fatalf("%s: %v, want exit status 1 and %q in its output:\n%s", name, err, tc.want, out)
+		}
+		if strings.Contains(string(out), "selecting LDA model") {
+			t.Fatalf("%s selected a model before refusing the corpus:\n%s", name, out)
+		}
 	}
 }

@@ -7,15 +7,14 @@ import (
 	"repro/internal/corpus"
 )
 
-// filterColumns is the scan's copy of the four corpus.Company attributes
-// Filter tests, one dense column each (24 B per company), so a filtered scan
-// streams only the columns the filter names instead of chasing 104-byte
-// Company structs. SIC2 and Country are tested for equality only, so they are
-// interned to dense codes: any int and any string map exactly, and a filter
-// value no company carries maps to noCode, which no row holds.
+// filterColumns is the scan's view of the four attributes Filter tests, one
+// dense column each (24 B per company), so a filtered scan streams only the
+// columns the filter names. SIC2 and Country are tested for equality only,
+// so they are dictionary codes: any int and any string map exactly, and a
+// filter value no company carries maps to noCode, which no row holds.
 //
-// The columns are a second copy of data that lives in Corpus.Companies;
-// admits must agree with Filter.Admits on every company and filter (pinned by
+// The columns are the index's corpus.Columns, shared, not copied; admits
+// must agree with Filter.Admits on every company and filter (pinned by
 // TestFilterColumnsMatchAdmits).
 type filterColumns struct {
 	sic2      []uint32
@@ -92,30 +91,20 @@ func (l *codeLists) treeOf(c uint32) (*tree, uint32) {
 	return &l.tree, l.roots[c]
 }
 
-func newFilterColumns(companies []corpus.Company) filterColumns {
-	n := len(companies)
+func newFilterColumns(c *corpus.Columns) filterColumns {
 	fc := filterColumns{
-		sic2:         make([]uint32, n),
-		country:      make([]uint32, n),
-		employees:    make([]int, n),
-		revenueM:     make([]float64, n),
-		sic2Codes:    make(map[int]uint32),
-		countryCodes: make(map[string]uint32),
+		sic2:         c.SIC2,
+		country:      c.Country,
+		employees:    c.Employees,
+		revenueM:     c.RevenueM,
+		sic2Codes:    make(map[int]uint32, len(c.SIC2Values)),
+		countryCodes: make(map[string]uint32, len(c.CountryValues)),
 	}
-	for i := range companies {
-		c := &companies[i]
-		sc, ok := fc.sic2Codes[c.SIC2]
-		if !ok {
-			sc = uint32(len(fc.sic2Codes))
-			fc.sic2Codes[c.SIC2] = sc
-		}
-		cc, ok := fc.countryCodes[c.Country]
-		if !ok {
-			cc = uint32(len(fc.countryCodes))
-			fc.countryCodes[c.Country] = cc
-		}
-		fc.sic2[i], fc.country[i] = sc, cc
-		fc.employees[i], fc.revenueM[i] = c.Employees, c.RevenueM
+	for code, v := range c.SIC2Values {
+		fc.sic2Codes[v] = uint32(code)
+	}
+	for code, v := range c.CountryValues {
+		fc.countryCodes[v] = uint32(code)
 	}
 	return fc
 }

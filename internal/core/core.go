@@ -108,24 +108,26 @@ type Match struct {
 }
 
 // Index is the in-memory similarity index: one representation vector per
-// company (row i of reps belongs to corpus company i). An index may be
-// restricted to one partition of the corpus (SetPartition) for sharded
-// serving: the representations stay complete — so query vectors and
-// recommendation scoring remain available for any company — but the
-// candidate scans visit only the owned partition, and a scatter-gather
-// merge of every partition's answers under the package's total orders
-// reproduces the unpartitioned answer byte for byte.
+// company (row i of reps belongs to company i) and the columns the
+// endpoints read per company: names, install bases and filter attributes.
+// An index may be restricted to one partition of the corpus (SetPartition)
+// for sharded serving: the representations stay complete — so query vectors
+// and recommendation scoring remain available for any company — but the
+// candidate scans visit only the owned partition, and a scatter-gather merge
+// of every partition's answers under the package's total orders reproduces
+// the unpartitioned answer byte for byte.
 //
 // Everything a scan needs per candidate that does not depend on the query is
-// computed once, at build time: the row norms and filter columns (NewIndex),
-// the owned-id list (SetPartition), the candidate lists of the equality
-// columns and the cone trees over all owned ids and over each list (both).
-// Corpus and Reps must not change after NewIndex. Copying the struct shares
-// the columns, which is how the reload probe check gets a pruner-free twin
-// of an approximate index.
+// computed once, at build time: the row norms (NewIndex), the owned-id list
+// (SetPartition), the candidate lists of the equality columns and the cone
+// trees over all owned ids and over each list (both). Reps and the columns
+// must not change after NewIndex. Copying the struct shares the columns,
+// which is how the reload probe check gets a pruner-free twin of an
+// approximate index.
 type Index struct {
-	Corpus *corpus.Corpus
-	Reps   *mat.Matrix
+	Reps *mat.Matrix
+
+	companies *corpus.Columns // row i is company i
 
 	part, parts int      // candidate-scan partition; parts <= 1 scans everything
 	owned       []uint32 // ascending owned ids when parts > 1; nil = every id
@@ -136,7 +138,7 @@ type Index struct {
 	tree              tree // the owned ids under a cone tree: what an unfiltered scan searches
 
 	norms []float64     // norms[i] = ‖Reps.Row(i)‖, summed in Scorer.Score's order
-	cols  filterColumns // the Filter-tested attributes of Corpus.Companies
+	cols  filterColumns // the Filter-tested attributes of companies
 	// normsInRange: every norm is 0 or inside [rejectNormMin, rejectNormMax],
 	// the row-side precondition of the scans' floor test (scan.reject).
 	normsInRange bool
@@ -208,7 +210,7 @@ func (ix *Index) SetPartition(part, parts int) error {
 	if part < 0 || part >= parts {
 		return fmt.Errorf("core: partition %d outside [0,%d)", part, parts)
 	}
-	n := ix.Corpus.N()
+	n := ix.N()
 	// The hash is near-uniform: an eighth of slack spares the regrow.
 	owned := make([]uint32, 0, n/parts+n/(8*parts)+1)
 	for i := 0; i < n; i++ {
@@ -248,39 +250,49 @@ func (ix *Index) owns(i int) bool {
 // OwnedCompanies counts the companies this index's candidate scans visit.
 func (ix *Index) OwnedCompanies() int {
 	if ix.parts <= 1 {
-		return ix.Corpus.N()
+		return ix.N()
 	}
 	return len(ix.owned)
 }
 
-// NewIndex validates shapes and builds an index, including its scan columns
-// (one pass over the companies and one over the representation rows), the
-// equality columns' candidate lists (a counting sort each) and the cone trees.
-// metric must be Cosine, and every company's ID must equal its row: answers
-// name companies by row.
+// N returns the number of companies.
+func (ix *Index) N() int { return ix.companies.N() }
+
+// M returns the vocabulary size (number of product categories).
+func (ix *Index) M() int { return ix.companies.M() }
+
+// Name returns company i's name.
+func (ix *Index) Name(i int) string { return ix.companies.Name(i) }
+
+// NewIndex validates shapes and builds an index over the corpus's columns
+// (corpus.Corpus.Columns, which refuses a corpus whose ids differ from their
+// rows: answers name companies by row), with the row norms (one pass over
+// the representation rows), the equality columns' candidate lists (a
+// counting sort each) and the cone trees. metric must be Cosine.
 func NewIndex(c *corpus.Corpus, reps *mat.Matrix, metric Metric) (*Index, error) {
-	return NewShardIndex(c, reps, metric, 0, 1)
+	cols, err := c.Columns()
+	if err != nil {
+		return nil, err
+	}
+	return NewShardIndex(cols, reps, metric, 0, 1)
 }
 
-// NewShardIndex is NewIndex followed by SetPartition(part, parts), except that
-// the candidate lists and cone trees are built once, over the owned ids only.
-func NewShardIndex(c *corpus.Corpus, reps *mat.Matrix, metric Metric, part, parts int) (*Index, error) {
+// NewShardIndex builds an index over columns, with its candidate scans
+// restricted to partition part of parts: NewIndex followed by
+// SetPartition(part, parts), except that the candidate lists and cone trees
+// are built once, over the owned ids only. The index keeps cols.
+func NewShardIndex(cols *corpus.Columns, reps *mat.Matrix, metric Metric, part, parts int) (*Index, error) {
 	if metric != Cosine {
 		return nil, fmt.Errorf("core: unknown metric %d", metric)
 	}
-	if reps.Rows != c.N() {
-		return nil, fmt.Errorf("core: %d representation rows for %d companies", reps.Rows, c.N())
+	if reps.Rows != cols.N() {
+		return nil, fmt.Errorf("core: %d representation rows for %d companies", reps.Rows, cols.N())
 	}
 	if reps.Cols < 1 {
 		return nil, fmt.Errorf("core: empty representations")
 	}
-	if uint64(c.N()) >= noCode {
-		return nil, fmt.Errorf("core: %d companies, an index holds fewer than %d", c.N(), uint64(noCode))
-	}
-	for i := range c.Companies {
-		if c.Companies[i].ID != i {
-			return nil, fmt.Errorf("core: company on row %d has id %d; ids must equal rows", i, c.Companies[i].ID)
-		}
+	if uint64(cols.N()) >= noCode {
+		return nil, fmt.Errorf("core: %d companies, an index holds fewer than %d", cols.N(), uint64(noCode))
 	}
 	norms := make([]float64, reps.Rows)
 	inRange := true
@@ -290,11 +302,11 @@ func NewShardIndex(c *corpus.Corpus, reps *mat.Matrix, metric Metric, part, part
 			inRange = false
 		}
 	}
-	ix := &Index{Corpus: c, Reps: reps, norms: norms, cols: newFilterColumns(c.Companies), normsInRange: inRange}
+	ix := &Index{Reps: reps, companies: cols, norms: norms, cols: newFilterColumns(cols), normsInRange: inRange}
 	if err := ix.SetPartition(part, parts); err != nil {
 		return nil, err
 	}
-	indexCompanies.Set(float64(c.N()))
+	indexCompanies.Set(float64(cols.N()))
 	return ix, nil
 }
 
@@ -310,9 +322,9 @@ func (ix *Index) TopK(id, k int, f Filter) ([]Match, error) {
 // per-request deadlines. A cancelled query returns ctx.Err() and counts
 // toward topk_errors_total, not topk_requests_total.
 func (ix *Index) TopKContext(ctx context.Context, id, k int, f Filter) ([]Match, error) {
-	if id < 0 || id >= ix.Corpus.N() {
+	if id < 0 || id >= ix.N() {
 		topkErrors.Inc()
-		return nil, fmt.Errorf("core: company id %d outside [0,%d)", id, ix.Corpus.N())
+		return nil, fmt.Errorf("core: company id %d outside [0,%d)", id, ix.N())
 	}
 	return ix.topKByVector(ctx, ix.Reps.Row(id), k, f, id)
 }
@@ -510,7 +522,7 @@ func (ix *Index) newScan(k int, f Filter, vecs [][]float64, ids []int) *scan {
 	q := &scan{
 		ix: ix, k: k, vecs: vecs, ids: ids,
 		qnorms: make([]float64, len(vecs)),
-		skip:   newIDSet(ids, ix.Corpus.N()),
+		skip:   newIDSet(ids, ix.N()),
 		rows:   ix.owned,
 		filter: ix.cols.bind(f),
 	}
@@ -644,7 +656,7 @@ func (q *scan) run(ctx context.Context, sp *trace.Span, annQueries, annCandidate
 	default:
 		rows := len(q.rows)
 		if q.rows == nil {
-			rows = ix.Corpus.N()
+			rows = ix.N()
 		}
 		sel = q.newSelection(rows)
 		if err := q.visit(ctx, sel, nil, 0, rows, false); err != nil {
@@ -904,14 +916,14 @@ func (ix *Index) RecommendFromSimilarContext(ctx context.Context, id, k int, f F
 // result is byte-identical to RecommendFromSimilar. Served queries count
 // toward recommend_requests_total exactly like the single-process path.
 func (ix *Index) RecommendFromPeers(id int, peers []Match) ([]ProductRecommendation, error) {
-	if id < 0 || id >= ix.Corpus.N() {
+	if id < 0 || id >= ix.N() {
 		recErrors.Inc()
-		return nil, fmt.Errorf("core: company id %d outside [0,%d)", id, ix.Corpus.N())
+		return nil, fmt.Errorf("core: company id %d outside [0,%d)", id, ix.N())
 	}
 	for _, p := range peers {
-		if p.CompanyID < 0 || p.CompanyID >= ix.Corpus.N() {
+		if p.CompanyID < 0 || p.CompanyID >= ix.N() {
 			recErrors.Inc()
-			return nil, fmt.Errorf("core: peer id %d outside [0,%d)", p.CompanyID, ix.Corpus.N())
+			return nil, fmt.Errorf("core: peer id %d outside [0,%d)", p.CompanyID, ix.N())
 		}
 	}
 	out := ix.recommendFromPeers(id, peers)
@@ -927,11 +939,7 @@ func (ix *Index) recommendFromPeers(id int, peers []Match) []ProductRecommendati
 	if len(peers) == 0 {
 		return nil
 	}
-	target := &ix.Corpus.Companies[id]
-	owned := make(map[int]bool)
-	for _, a := range target.Acquisitions {
-		owned[a.Category] = true
-	}
+	owned := ix.companies.Base(id) // ascending
 	// Sparse accumulation: peers own a handful of categories, so a dense
 	// corpus-vocabulary-sized tally (two O(M) slices allocated and zeroed per
 	// query) wastes nearly all its work. The map holds only touched
@@ -948,14 +956,14 @@ func (ix *Index) recommendFromPeers(id int, peers []Match) []ProductRecommendati
 	for _, p := range peers {
 		sim := math.Max(p.Similarity, 0)
 		totalSim += sim
-		for _, a := range ix.Corpus.Companies[p.CompanyID].Acquisitions {
-			if owned[a.Category] {
+		for _, cat := range ix.companies.Base(p.CompanyID) {
+			if _, own := slices.BinarySearch(owned, cat); own {
 				continue
 			}
-			t := gaps[a.Category]
+			t := gaps[int(cat)]
 			t.weight += sim
 			t.owners++
-			gaps[a.Category] = t
+			gaps[int(cat)] = t
 		}
 	}
 	if totalSim == 0 {
@@ -971,7 +979,7 @@ func (ix *Index) recommendFromPeers(id int, peers []Match) []ProductRecommendati
 		t := gaps[cat]
 		out = append(out, ProductRecommendation{
 			Category: cat,
-			Name:     ix.Corpus.Catalog.Name(cat),
+			Name:     ix.companies.Catalog.Name(cat),
 			Strength: t.weight / totalSim,
 			Owners:   t.owners,
 		})
@@ -1027,9 +1035,9 @@ func (ix *Index) WhitespaceContext(ctx context.Context, clientIDs []int, k int, 
 	}
 	clientRows := make([][]float64, len(clientIDs))
 	for ci, id := range clientIDs {
-		if id < 0 || id >= ix.Corpus.N() {
+		if id < 0 || id >= ix.N() {
 			wsErrors.Inc()
-			return nil, fmt.Errorf("core: client id %d outside [0,%d)", id, ix.Corpus.N())
+			return nil, fmt.Errorf("core: client id %d outside [0,%d)", id, ix.N())
 		}
 		clientRows[ci] = ix.Reps.Row(id)
 	}

@@ -15,6 +15,16 @@ import (
 
 // fixture: 6 companies with 3-dimensional topic representations forming two
 // groups (hardware-ish rows 0-2, software-ish rows 3-5).
+// columnsOf returns c's columns, what NewShardIndex indexes.
+func columnsOf(t testing.TB, c *corpus.Corpus) *corpus.Columns {
+	t.Helper()
+	cols, err := c.Columns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cols
+}
+
 func fixture() (*corpus.Corpus, *mat.Matrix) {
 	cat := corpus.DefaultCatalog()
 	companies := []corpus.Company{
@@ -77,8 +87,8 @@ func TestNewIndexRequiresIDEqualsRow(t *testing.T) {
 		if _, err := NewIndex(c, reps, Cosine); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("ids %v: NewIndex error %v, want one containing %q", tc.ids, err, tc.want)
 		}
-		if _, err := NewShardIndex(c, reps, Cosine, 1, 2); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Fatalf("ids %v: NewShardIndex error %v, want one containing %q", tc.ids, err, tc.want)
+		if _, err := c.Columns(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("ids %v: Columns error %v, want one containing %q", tc.ids, err, tc.want)
 		}
 	}
 }

@@ -98,23 +98,24 @@ func TestFilterAdmitsInjectionResistant(t *testing.T) {
 }
 
 // denseRecommendFromPeers is the seed's O(M)-allocation implementation,
-// kept verbatim as the behavioral reference for the sparse rewrite.
-func denseRecommendFromPeers(ix *Index, id int, peers []Match) []ProductRecommendation {
+// kept as the behavioral reference for the sparse rewrite; it reads the
+// corpus's acquisitions, not the index's install-base column.
+func denseRecommendFromPeers(c *corpus.Corpus, id int, peers []Match) []ProductRecommendation {
 	if len(peers) == 0 {
 		return nil
 	}
-	target := &ix.Corpus.Companies[id]
+	target := &c.Companies[id]
 	owned := make(map[int]bool)
 	for _, a := range target.Acquisitions {
 		owned[a.Category] = true
 	}
-	weight := make([]float64, ix.Corpus.M())
-	owners := make([]int, ix.Corpus.M())
+	weight := make([]float64, c.M())
+	owners := make([]int, c.M())
 	var totalSim float64
 	for _, p := range peers {
 		sim := math.Max(p.Similarity, 0)
 		totalSim += sim
-		for _, a := range ix.Corpus.Companies[p.CompanyID].Acquisitions {
+		for _, a := range c.Companies[p.CompanyID].Acquisitions {
 			if owned[a.Category] {
 				continue
 			}
@@ -132,7 +133,7 @@ func denseRecommendFromPeers(ix *Index, id int, peers []Match) []ProductRecommen
 		}
 		out = append(out, ProductRecommendation{
 			Category: cat,
-			Name:     ix.Corpus.Catalog.Name(cat),
+			Name:     c.Catalog.Name(cat),
 			Strength: w / totalSim,
 			Owners:   owners[cat],
 		})
@@ -174,7 +175,7 @@ func TestRecommendFromPeersSparseMatchesDense(t *testing.T) {
 	}
 	for i, peers := range peerSets {
 		for id := 0; id < 5; id++ {
-			want := denseRecommendFromPeers(ix, id, peers)
+			want := denseRecommendFromPeers(c, id, peers)
 			got := ix.recommendFromPeers(id, peers)
 			if !bytes.Equal(gobBytes(t, want), gobBytes(t, got)) {
 				t.Fatalf("peer set %d target %d: sparse output differs from dense reference\nwant %v\ngot  %v",
@@ -206,7 +207,7 @@ func BenchmarkRecommendFromPeers(b *testing.B) {
 	b.Run("dense-reference", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			denseRecommendFromPeers(ix, 0, peers)
+			denseRecommendFromPeers(c, 0, peers)
 		}
 	})
 }

@@ -107,8 +107,8 @@ func TestSetPartitionValidation(t *testing.T) {
 	if p, n := full.Partition(); p != 2 || n != 3 {
 		t.Errorf("Partition() = %d, %d after SetPartition(2, 3)", p, n)
 	}
-	if own := full.OwnedCompanies(); own <= 0 || own >= full.Corpus.N() {
-		t.Errorf("OwnedCompanies() = %d of %d — partition should own a strict subset", own, full.Corpus.N())
+	if own := full.OwnedCompanies(); own <= 0 || own >= full.N() {
+		t.Errorf("OwnedCompanies() = %d of %d — partition should own a strict subset", own, full.N())
 	}
 	// A cancelled context still surfaces as an error on a partitioned scan.
 	ctx, cancel := context.WithCancel(context.Background())

@@ -146,10 +146,13 @@ func BenchmarkScan(b *testing.B) {
 }
 
 // BenchmarkNewIndex builds the index at the serving benchmark's shape (100k
-// companies, 4 topics): the norm and filter columns, the candidate lists and
-// the cone trees over all rows and over every list, which is what a boot and
-// a reload pay before the first scan. live-MB is what one index keeps on the
-// heap after a forced collection, its representations aside.
+// companies, 4 topics): the corpus's columns, the norms, the candidate lists
+// and the cone trees over all rows and over every list, which is what a boot
+// and a reload pay before the first scan (a boot decodes the columns instead
+// of building them from a corpus). live-MB is what one index keeps on the
+// heap after a forced collection, its representations aside: the names,
+// install bases and filter attributes the index owns included, the corpus it
+// was built from not.
 //
 //	go test ./internal/core/ -run '^$' -bench BenchmarkNewIndex -count 10
 func BenchmarkNewIndex(b *testing.B) {
@@ -172,5 +175,6 @@ func BenchmarkNewIndex(b *testing.B) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(ix)
+	runtime.KeepAlive(c) // the index holds no reference to it
 	b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/1e6, "live-MB")
 }

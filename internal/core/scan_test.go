@@ -118,7 +118,7 @@ func TestFilterColumnsMatchAdmits(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := gen.Generate()
-	cols := newFilterColumns(c.Companies)
+	cols := newFilterColumns(columnsOf(t, c))
 	a, b := &c.Companies[3], &c.Companies[1100]
 	emp := []int{a.Employees, b.Employees}
 	sort.Ints(emp)
@@ -264,7 +264,7 @@ func listed(q *scan) []uint32 {
 	case q.rows != nil:
 		return q.rows
 	}
-	all := make([]uint32, q.ix.Corpus.N())
+	all := make([]uint32, q.ix.N())
 	for i := range all {
 		all[i] = uint32(i)
 	}
@@ -955,7 +955,7 @@ func testListTrees(t *testing.T) {
 		isCopy := func(id uint32) bool { return int(id) != a && slices.Equal(reps.Row(int(id)), reps.Row(a)) }
 		for _, parts := range []int{1, 2, 3} {
 			for part := 0; part < parts; part++ {
-				ix, err := NewShardIndex(c, reps, Cosine, part, parts)
+				ix, err := NewShardIndex(columnsOf(t, c), reps, Cosine, part, parts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -1479,7 +1479,7 @@ func TestTreeShape(t *testing.T) {
 			}
 			parents := make([]int, len(tr.nodes))
 			seen := make([]bool, c.N())
-			cols := newFilterColumns(c.Companies)
+			cols := newFilterColumns(columnsOf(t, c))
 			for nd, n := range tr.nodes {
 				if z := cols.zoneOf(tr.rows[n.lo:n.hi]); tr.zones[nd] != z {
 					t.Fatalf("part %d/%d: node %d has zone %+v, its rows %+v", part, parts, nd, tr.zones[nd], z)
@@ -1549,7 +1549,7 @@ func TestListTreeShape(t *testing.T) {
 		for part := 0; part < parts; part++ {
 			build := func(workers int) *Index {
 				par.SetWorkers(workers)
-				ix, err := NewShardIndex(c, reps, Cosine, part, parts)
+				ix, err := NewShardIndex(columnsOf(t, c), reps, Cosine, part, parts)
 				if err != nil {
 					t.Fatal(err)
 				}

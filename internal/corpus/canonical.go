@@ -11,20 +11,20 @@ import "strconv"
 // never reports an error and never yields a value encoding/json would not
 // have (FuzzCompanyLine holds it to that).
 
-// lineDecoder is one worker's scratch for the fast path, reused across lines.
+// lineDecoder is one worker's scratch, reused across lines: the record the
+// line decodes into.
 type lineDecoder struct {
-	strs []byte        // name, duns and country back to back
-	acqs []Acquisition // the line's install base before it is sized
+	rec record
 }
 
 // maxIntDigits is the longest run of decimal digits that fits an int
 // whatever the digits are (9 for 32-bit ints, 18 for 64-bit).
 const maxIntDigits = 9 + 9*(strconv.IntSize/64)
 
-// canonical decodes line into co if it has the writer's shape and reports
-// whether it did. On false, co is unspecified and the caller decodes the
-// line again with encoding/json.
-func (dec *lineDecoder) canonical(line []byte, catalog *Catalog, co *Company) bool {
+// canonical decodes line into dec.rec if it has the writer's shape and
+// reports whether it did. On false, the record is unspecified and the caller
+// decodes the line again with encoding/json.
+func (dec *lineDecoder) canonical(line []byte, catalog *Catalog) bool {
 	c := cursor{b: line}
 	c.lit(`{"id":`)
 	id := c.uint()
@@ -45,7 +45,8 @@ func (dec *lineDecoder) canonical(line []byte, catalog *Catalog, co *Company) bo
 		return false
 	}
 
-	dec.acqs = dec.acqs[:0]
+	r := &dec.rec
+	r.acqs = r.acqs[:0]
 	if c.peek() == 'n' {
 		c.lit(`null`)
 	} else {
@@ -64,7 +65,7 @@ func (dec *lineDecoder) canonical(line []byte, catalog *Catalog, co *Company) bo
 			if !known || fault != monthOK {
 				return false // the general decoder words the error
 			}
-			dec.acqs = append(dec.acqs, Acquisition{Category: cat, First: month})
+			r.acqs = append(r.acqs, Acquisition{Category: cat, First: month})
 			if c.peek() != ',' {
 				break
 			}
@@ -80,24 +81,8 @@ func (dec *lineDecoder) canonical(line []byte, catalog *Catalog, co *Company) bo
 	if err != nil {
 		return false // out of float64's range
 	}
-
-	// One allocation carries the three strings.
-	dec.strs = append(append(append(dec.strs[:0], name...), duns...), country...)
-	all := string(dec.strs)
-	*co = Company{
-		ID:        id,
-		Name:      all[:len(name)],
-		DUNS:      all[len(name) : len(name)+len(duns)],
-		Country:   all[len(name)+len(duns):],
-		SIC2:      sic2,
-		Employees: employees,
-		RevenueM:  revenueM,
-	}
-	if len(dec.acqs) > 0 {
-		co.Acquisitions = make([]Acquisition, len(dec.acqs))
-		copy(co.Acquisitions, dec.acqs)
-		co.SortAcquisitions()
-	}
+	r.id, r.sic2, r.employees, r.revenueM = id, sic2, employees, revenueM
+	setStrings(r, name, duns, country)
 	return true
 }
 

@@ -9,8 +9,7 @@ func FastPathLines(data []byte, catalog *Catalog) (fast, total int) {
 	for len(body) > 0 {
 		var line []byte
 		line, body = cutLine(body)
-		var co Company
-		if dec.canonical(line, catalog, &co) {
+		if dec.canonical(line, catalog) {
 			fast++
 		}
 		total++

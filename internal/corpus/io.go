@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
 	"sync"
 
 	"repro/internal/par"
@@ -82,21 +84,85 @@ func ReadJSONL(r io.Reader) (*Corpus, error) {
 }
 
 func readJSONL(r io.Reader, chunkSize, maxLine int) (*Corpus, error) {
+	seen := make(map[int]int) // company id -> line it first appeared on
+	checkID := func(line, _, id int) error {
+		if id < 0 {
+			return fmt.Errorf("corpus: line %d: negative company id %d", line, id)
+		}
+		if first, dup := seen[id]; dup {
+			return fmt.Errorf("corpus: line %d: duplicate company id %d (first seen on line %d)", line, id, first)
+		}
+		seen[id] = line
+		return nil
+	}
+	newPart := func(lines int) *companyPart {
+		p := make(companyPart, 0, lines)
+		return &p
+	}
+	catalog, parts, err := decodeJSONL(r, chunkSize, maxLine, math.MaxInt, newPart, checkID)
+	if err != nil {
+		return nil, err
+	}
+	return &Corpus{Catalog: catalog, Companies: joinCompanies(parts)}, nil
+}
+
+// companyPart is a chunk's companies, ReadJSONL's part.
+type companyPart []Company
+
+func (p *companyPart) add(r *record) { *p = append(*p, r.company()) }
+
+// joinCompanies joins the parts into one slice of exactly their size.
+// Growing one slice by append as chunks arrive would leave its outgrown
+// arrays — 1.2x the final one — for the collector, and how much of that is
+// still around at the end of a load decides the process's peak memory.
+func joinCompanies(parts []*companyPart) []Company {
+	n := 0
+	for _, p := range parts {
+		n += len(*p)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Company, 0, n)
+	for i, p := range parts {
+		out = append(out, *p...)
+		parts[i] = nil
+	}
+	return out
+}
+
+// part is what a decode worker appends a chunk's companies to, one record
+// at a time: a companyPart for ReadJSONL, a columnPart for ReadColumns.
+type part interface {
+	add(r *record)
+}
+
+// decodeJSONL is the reader both sinks share. It parses the header, refusing
+// a catalog of more than maxCategories, then decodes the company lines chunk
+// by chunk into parts newPart makes (called on the decode workers with a
+// chunk's line count) and returns the parts in file order. checkID(line, row,
+// id) vets each company's id in file order, the row being the number of
+// companies before it, also on a line that goes on to fail.
+func decodeJSONL[P part](r io.Reader, chunkSize, maxLine, maxCategories int,
+	newPart func(lines int) P, checkID func(line, row, id int) error) (*Catalog, []P, error) {
 	lr := &lineReader{r: r, chunk: min(chunkSize, maxLine), maxLine: maxLine}
 	first := lr.next()
 	if first == nil {
 		if lr.err != io.EOF {
-			return nil, fmt.Errorf("corpus: reading header: %w", lr.err)
+			return nil, nil, fmt.Errorf("corpus: reading header: %w", lr.err)
 		}
-		return nil, fmt.Errorf("corpus: empty file")
+		return nil, nil, fmt.Errorf("corpus: empty file")
 	}
 	hdrLine, rest := cutLine(first)
 	var hdr jsonHeader
 	if err := json.Unmarshal(hdrLine, &hdr); err != nil {
-		return nil, fmt.Errorf("corpus: parsing header: %w", err)
+		return nil, nil, fmt.Errorf("corpus: parsing header: %w", err)
 	}
 	if hdr.Format != formatID {
-		return nil, fmt.Errorf("corpus: unknown format %q", hdr.Format)
+		return nil, nil, fmt.Errorf("corpus: unknown format %q", hdr.Format)
+	}
+	if len(hdr.Categories) > maxCategories {
+		return nil, nil, fmt.Errorf("corpus: %d categories, at most %d", len(hdr.Categories), maxCategories)
 	}
 	def := DefaultCatalog()
 	cats := make([]Category, len(hdr.Categories))
@@ -113,7 +179,7 @@ func readJSONL(r io.Reader, chunkSize, maxLine int) (*Corpus, error) {
 	limit := chunksPerWorker * workers
 	// Every chunk sent is one the loop below holds in pending, never more
 	// than limit, so a send on work does not block.
-	work := make(chan *chunk, limit)
+	work := make(chan *chunk[P], limit)
 	var wg sync.WaitGroup
 	for ; workers > 0; workers-- {
 		wg.Add(1)
@@ -121,17 +187,17 @@ func readJSONL(r io.Reader, chunkSize, maxLine int) (*Corpus, error) {
 			defer wg.Done()
 			var dec lineDecoder
 			for c := range work {
-				c.done <- dec.decodeChunk(c.data, catalog)
+				c.done <- decodeChunk(&dec, c.data, catalog, newPart)
 			}
 		}()
 	}
 	defer wg.Wait()
 	defer close(work)
 
-	asm := assembler{line: 1, seen: make(map[int]int)}
-	pending := make([]*chunk, 0, limit) // read, not yet assembled, oldest first
+	asm := assembler[P]{line: 1, checkID: checkID}
+	pending := make([]*chunk[P], 0, limit) // read, not yet assembled, oldest first
 	dispatch := func(data []byte) {
-		c := &chunk{data: data, done: make(chan decoded, 1)}
+		c := &chunk[P]{data: data, done: make(chan decoded[P], 1)}
 		pending = append(pending, c)
 		work <- c
 	}
@@ -153,17 +219,17 @@ func readJSONL(r io.Reader, chunkSize, maxLine int) (*Corpus, error) {
 		lr.recycle(pending[0].data)
 		pending = append(pending[:0], pending[1:]...)
 		if err := asm.add(oldest); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	switch lr.err {
 	case nil, io.EOF:
 	case bufio.ErrTooLong:
-		return nil, fmt.Errorf("corpus: line %d: %w", asm.line+1, lr.err)
+		return nil, nil, fmt.Errorf("corpus: line %d: %w", asm.line+1, lr.err)
 	default:
-		return nil, fmt.Errorf("corpus: scanning: %w", lr.err)
+		return nil, nil, fmt.Errorf("corpus: scanning: %w", lr.err)
 	}
-	return &Corpus{Catalog: catalog, Companies: asm.companies()}, nil
+	return catalog, asm.parts, nil
 }
 
 // lineReader cuts a stream into chunks that end on a line boundary.
@@ -248,16 +314,17 @@ func cutLine(data []byte) (line, rest []byte) {
 
 // chunk is one decode task; done receives its result (capacity 1, so the
 // worker never waits for the assembler).
-type chunk struct {
+type chunk[P part] struct {
 	data []byte
-	done chan decoded
+	done chan decoded[P]
 }
 
 // decoded is a chunk's lines in order, up to and excluding the first one
-// that did not yield a company.
-type decoded struct {
-	companies []Company
-	fault     *lineFault
+// that did not yield a company: their part and their ids.
+type decoded[P part] struct {
+	part  P
+	ids   []int
+	fault *lineFault
 }
 
 // lineFault is what is wrong with a line, short of the line number only the
@@ -270,48 +337,31 @@ type lineFault struct {
 }
 
 // assembler owns the state that spans lines.
-type assembler struct {
-	line  int         // lines consumed so far, header included
-	seen  map[int]int // company id -> line it first appeared on
-	parts [][]Company // the chunks' companies, in file order
+type assembler[P part] struct {
+	line    int // lines consumed so far, header included
+	rows    int // companies assembled so far
+	checkID func(line, row, id int) error
+	parts   []P // the chunks' parts, in file order
 }
 
-// companies joins the parts into one slice of exactly their size. Growing
-// one slice by append as chunks arrive would leave its outgrown arrays —
-// 1.2x the final one — for the collector, and how much of that is still
-// around at the end of a load decides the process's peak memory.
-func (a *assembler) companies() []Company {
-	n := 0
-	for _, p := range a.parts {
-		n += len(p)
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]Company, 0, n)
-	for _, p := range a.parts {
-		out = append(out, p...)
-	}
-	return out
-}
-
-// add appends a chunk's companies, or returns the error of the first line
-// at fault — the one a line-by-line reader would have stopped at.
-func (a *assembler) add(d decoded) error {
-	for i := range d.companies {
+// add takes a chunk's part, or returns the error of the first line at fault
+// — the one a line-by-line reader would have stopped at.
+func (a *assembler[P]) add(d decoded[P]) error {
+	for _, id := range d.ids {
 		a.line++
-		if err := a.checkID(d.companies[i].ID); err != nil {
+		if err := a.checkID(a.line, a.rows, id); err != nil {
 			return err
 		}
+		a.rows++
 	}
-	a.parts = append(a.parts, d.companies)
+	a.parts = append(a.parts, d.part)
 	f := d.fault
 	if f == nil {
 		return nil
 	}
 	a.line++
 	if f.hasID {
-		if err := a.checkID(f.id); err != nil {
+		if err := a.checkID(a.line, a.rows, f.id); err != nil {
 			return err
 		}
 	}
@@ -321,47 +371,34 @@ func (a *assembler) add(d decoded) error {
 	return fmt.Errorf("corpus: line %d: unknown category %q", a.line, f.category)
 }
 
-func (a *assembler) checkID(id int) error {
-	if id < 0 {
-		return fmt.Errorf("corpus: line %d: negative company id %d", a.line, id)
-	}
-	if first, dup := a.seen[id]; dup {
-		return fmt.Errorf("corpus: line %d: duplicate company id %d (first seen on line %d)", a.line, id, first)
-	}
-	a.seen[id] = a.line
-	return nil
-}
-
-// decodeChunk decodes lines until one is at fault. A line in the shape
-// JSONLWriter emits takes the strict fast path (canonical.go); any other
-// goes through encoding/json, which alone decides what is an error.
-func (dec *lineDecoder) decodeChunk(data []byte, catalog *Catalog) decoded {
-	out := decoded{companies: make([]Company, 0, bytes.Count(data, []byte{'\n'})+1)}
+// decodeChunk decodes lines into a new part until one is at fault. A line
+// in the shape JSONLWriter emits takes the strict fast path (canonical.go);
+// any other goes through encoding/json, which alone decides what is an error.
+func decodeChunk[P part](dec *lineDecoder, data []byte, catalog *Catalog, newPart func(lines int) P) decoded[P] {
+	lines := bytes.Count(data, []byte{'\n'}) + 1
+	out := decoded[P]{part: newPart(lines), ids: make([]int, 0, lines)}
 	for len(data) > 0 {
 		var line []byte
 		line, data = cutLine(data)
-		var co Company
-		if !dec.canonical(line, catalog, &co) {
-			if out.fault = decodeLine(line, catalog, &co); out.fault != nil {
+		if !dec.canonical(line, catalog) {
+			if out.fault = decodeLine(line, catalog, &dec.rec); out.fault != nil {
 				break
 			}
 		}
-		out.companies = append(out.companies, co)
+		out.ids = append(out.ids, dec.rec.id)
+		out.part.add(&dec.rec)
 	}
 	return out
 }
 
 // decodeLine is the general decoder: any JSON object encoding/json maps
 // onto jsonCompany.
-func decodeLine(line []byte, catalog *Catalog, co *Company) *lineFault {
+func decodeLine(line []byte, catalog *Catalog, r *record) *lineFault {
 	var jc jsonCompany
 	if err := json.Unmarshal(line, &jc); err != nil {
 		return &lineFault{err: err}
 	}
-	*co = Company{
-		ID: jc.ID, Name: jc.Name, DUNS: jc.DUNS, Country: jc.Country,
-		SIC2: jc.SIC2, Employees: jc.Employees, RevenueM: jc.RevenueM,
-	}
+	r.acqs = r.acqs[:0]
 	for _, a := range jc.Acquisitions {
 		id := catalog.IDByName(a.Category)
 		if id < 0 {
@@ -371,10 +408,50 @@ func decodeLine(line []byte, catalog *Catalog, co *Company) *lineFault {
 		if err != nil {
 			return &lineFault{err: err, hasID: true, id: jc.ID}
 		}
-		co.Acquisitions = append(co.Acquisitions, Acquisition{Category: id, First: m})
+		r.acqs = append(r.acqs, Acquisition{Category: id, First: m})
 	}
-	co.SortAcquisitions()
+	r.id, r.sic2, r.employees, r.revenueM = jc.ID, jc.SIC2, jc.Employees, jc.RevenueM
+	setStrings(r, jc.Name, jc.DUNS, jc.Country)
 	return nil
+}
+
+// record is one company line as the decoders leave it, in a worker's
+// scratch: each part keeps what it needs of it.
+type record struct {
+	id, sic2, employees int
+	revenueM            float64
+	strs                []byte // name, duns and country back to back
+	nameLen, dunsLen    int
+	acqs                []Acquisition // in line order
+}
+
+// setStrings copies the three strings into r's scratch.
+func setStrings[S string | []byte](r *record, name, duns, country S) {
+	r.strs = append(append(append(r.strs[:0], name...), duns...), country...)
+	r.nameLen, r.dunsLen = len(name), len(duns)
+}
+
+func (r *record) name() []byte    { return r.strs[:r.nameLen] }
+func (r *record) country() []byte { return r.strs[r.nameLen+r.dunsLen:] }
+
+// company builds the record's Company: one allocation carries the three
+// strings, one the install base, sorted.
+func (r *record) company() Company {
+	all := string(r.strs)
+	co := Company{
+		ID:        r.id,
+		Name:      all[:r.nameLen],
+		DUNS:      all[r.nameLen : r.nameLen+r.dunsLen],
+		Country:   all[r.nameLen+r.dunsLen:],
+		SIC2:      r.sic2,
+		Employees: r.employees,
+		RevenueM:  r.revenueM,
+	}
+	if len(r.acqs) > 0 {
+		co.Acquisitions = slices.Clone(r.acqs)
+		co.SortAcquisitions()
+	}
+	return co
 }
 
 // JSONLWriter streams companies to a JSONL corpus file without holding the

@@ -18,7 +18,10 @@ import (
 // "canonical" is the file as WriteJSONL leaves it, every line on the fast
 // path; "fallback" is the same file with one space after each line's opening
 // brace, which is all it takes for every line to go through encoding/json —
-// the price of a file from a foreign producer.
+// the price of a file from a foreign producer. "columns" reads the canonical
+// file with ReadColumns, as ibserve does. live-MB is what one result keeps
+// on the heap after a forced collection: a []Company with its strings and
+// install bases, or the columns.
 func BenchmarkReadJSONL(b *testing.B) {
 	gen, err := datagen.NewGenerator(datagen.DefaultConfig(100000, 1))
 	if err != nil {
@@ -30,12 +33,28 @@ func BenchmarkReadJSONL(b *testing.B) {
 		b.Fatal(err)
 	}
 	canonical := buf.Bytes()
+	companies := func(data []byte) (any, int, error) {
+		c, err := corpus.ReadJSONL(bytes.NewReader(data))
+		if err != nil {
+			return nil, 0, err
+		}
+		return c, c.N(), nil
+	}
+	columns := func(data []byte) (any, int, error) {
+		c, err := corpus.ReadColumns(bytes.NewReader(data))
+		if err != nil {
+			return nil, 0, err
+		}
+		return c, c.N(), nil
+	}
 	for _, bc := range []struct {
 		name string
 		data []byte
+		read func([]byte) (any, int, error)
 	}{
-		{"canonical", canonical},
-		{"fallback", bytes.ReplaceAll(canonical, []byte("\n{"), []byte("\n{ "))},
+		{"canonical", canonical, companies},
+		{"fallback", bytes.ReplaceAll(canonical, []byte("\n{"), []byte("\n{ ")), companies},
+		{"columns", canonical, columns},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.SetBytes(int64(len(bc.data)))
@@ -43,9 +62,8 @@ func BenchmarkReadJSONL(b *testing.B) {
 			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c, err := corpus.ReadJSONL(bytes.NewReader(bc.data))
-				if err != nil || c.N() != 100000 {
-					b.Fatalf("%d companies, error %v", c.N(), err)
+				if _, n, err := bc.read(bc.data); err != nil || n != 100000 {
+					b.Fatalf("%d companies, error %v", n, err)
 				}
 			}
 			b.StopTimer()
@@ -55,6 +73,13 @@ func BenchmarkReadJSONL(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/lines, "ns/line")
 			fast, total := corpus.FastPathLines(bc.data, generated.Catalog)
 			b.ReportMetric(float64(fast)/float64(total), "fastpath-share")
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			result, _, _ := bc.read(bc.data)
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(result)
+			b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/1e6, "live-MB")
 		})
 	}
 }

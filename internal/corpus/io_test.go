@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -102,6 +103,8 @@ func FuzzReadJSONL(f *testing.F) {
 	f.Add([]byte(testHdr + `{"id":1,"acquisitions":[{"category":"a","first":"0001-05"}]}`))
 	f.Add([]byte(testHdr + `{"id":1,"acquisitions":[{"category":"a","first":"2013-05xyz"}]}`))
 	f.Add([]byte(testHdr + `{"id":2}` + "\n" + `{"id":2}`))
+	f.Add([]byte(testHdr + `{"id":0}` + "\n" + `{"id":2}` + "\n" + `{"id":1,"acquisitions":[{"category":"c","first":"2001-01"}]}`))
+	f.Add([]byte(testHdr + `{"id":0,"name":"x","country":"US","sic2":7}` + "\n" + canonicalLine(1) + "\n" + `{"id":2,"country":"US","sic2":42}`))
 	f.Add([]byte(`{"format":"installbase-corpus/v1","categories":[]}` + "\n"))
 	f.Add([]byte("{not json"))
 	for _, v := range lineVariants {
@@ -119,6 +122,13 @@ func FuzzReadJSONL(f *testing.F) {
 		want, wantErr := readJSONLReference(bytes.NewReader(data), maxLine)
 		if diff := diffRead(c, err, want, wantErr); diff != "" {
 			t.Fatalf("chunk size %d: %s", chunk, diff)
+		}
+		cols, colsErr := readColumns(bytes.NewReader(data), chunk, maxLine)
+		if colsErr != nil && cols != nil {
+			t.Fatal("ReadColumns returned both columns and an error")
+		}
+		if diff := diffColumns(cols, colsErr, c, err); diff != "" {
+			t.Fatalf("chunk size %d: ReadColumns: %s", chunk, diff)
 		}
 		if err == nil {
 			// Accepted corpora must be internally consistent.
@@ -147,13 +157,14 @@ func FuzzCompanyLine(f *testing.F) {
 	catalog := NewCatalog([]Category{{Name: "a"}, {Name: "b"}})
 	f.Fuzz(func(t *testing.T, line []byte) {
 		var dec lineDecoder
-		var fast, slow Company
-		if !dec.canonical(line, catalog, &fast) {
+		var general record
+		if !dec.canonical(line, catalog) {
 			return
 		}
-		if fault := decodeLine(line, catalog, &slow); fault != nil {
+		if fault := decodeLine(line, catalog, &general); fault != nil {
 			t.Fatalf("fast path accepted %q, encoding/json path faults: %+v", line, fault)
 		}
+		fast, slow := dec.rec.company(), general.company()
 		if !reflect.DeepEqual(fast, slow) || math.Float64bits(fast.RevenueM) != math.Float64bits(slow.RevenueM) {
 			t.Fatalf("line %q\nfast path %+v\nencoding/json %+v", line, fast, slow)
 		}
@@ -312,6 +323,53 @@ func diffRead(got *Corpus, gotErr error, want *Corpus, wantErr error) string {
 	}
 	if !reflect.DeepEqual(got, want) {
 		return "catalogs differ"
+	}
+	return ""
+}
+
+// diffColumns describes how ReadColumns' outcome on a file differs from
+// what ReadJSONL's makes it: "" when it fails with ReadJSONL's error, or with
+// the id rule's error on a file ReadJSONL fails on too or whose corpus
+// breaks the rule there, or when it loads the corpus's names, install bases
+// (as Sets has them) and filter attributes, row by row.
+func diffColumns(got *Columns, gotErr error, want *Corpus, wantErr error) string {
+	var idErr error // the id rule's error on want, as ReadColumns words it
+	if wantErr == nil {
+		for i, co := range want.Companies {
+			if err := idRowError(i, co.ID); err != nil {
+				idErr = fmt.Errorf("corpus: line %d: %w", i+2, err)
+				break
+			}
+		}
+	}
+	switch {
+	case gotErr != nil && wantErr != nil:
+		if gotErr.Error() != wantErr.Error() && !strings.HasSuffix(gotErr.Error(), "; ids must equal rows") {
+			return fmt.Sprintf("error %v, ReadJSONL %v", gotErr, wantErr)
+		}
+		return ""
+	case gotErr != nil || wantErr != nil || idErr != nil:
+		if gotErr == nil || idErr == nil || gotErr.Error() != idErr.Error() {
+			return fmt.Sprintf("error %v, ReadJSONL %v, id rule %v", gotErr, wantErr, idErr)
+		}
+		return ""
+	}
+	if got.N() != want.N() || !reflect.DeepEqual(got.Catalog, want.Catalog) {
+		return fmt.Sprintf("%d rows over %d categories, ReadJSONL %d over %d", got.N(), got.M(), want.N(), want.M())
+	}
+	sets := want.Sets()
+	for i, co := range want.Companies {
+		base := make([]int, 0, len(got.Base(i)))
+		for _, cat := range got.Base(i) {
+			base = append(base, int(cat))
+		}
+		if got.Name(i) != co.Name || !slices.Equal(base, sets[i]) ||
+			got.SIC2Values[got.SIC2[i]] != co.SIC2 || got.CountryValues[got.Country[i]] != co.Country ||
+			got.Employees[i] != co.Employees || math.Float64bits(got.RevenueM[i]) != math.Float64bits(co.RevenueM) {
+			return fmt.Sprintf("row %d: name %q, base %v, sic2 %d, country %q, employees %d, revenue %v; ReadJSONL %+v",
+				i, got.Name(i), base, got.SIC2Values[got.SIC2[i]], got.CountryValues[got.Country[i]],
+				got.Employees[i], got.RevenueM[i], co)
+		}
 	}
 	return ""
 }
@@ -639,11 +697,10 @@ func TestWriterLinesTakeFastPath(t *testing.T) {
 	for i := 0; len(body) > 0; i++ {
 		var line []byte
 		line, body = cutLine(body)
-		var co Company
-		if !dec.canonical(line, c.Catalog, &co) {
+		if !dec.canonical(line, c.Catalog) {
 			t.Fatalf("fast path declined the writer's own line %s", line)
 		}
-		if !reflect.DeepEqual(co, c.Companies[i]) {
+		if co := dec.rec.company(); !reflect.DeepEqual(co, c.Companies[i]) {
 			t.Fatalf("fast path decoded %+v, wrote %+v", co, c.Companies[i])
 		}
 	}

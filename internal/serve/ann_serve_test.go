@@ -111,7 +111,7 @@ func TestHealthzDuringReloads(t *testing.T) {
 					errs <- fmt.Errorf("healthz %d: %d %v\n%s", i, w.Code, err, w.Body)
 					return
 				}
-				if hz.Status != "ok" || hz.Companies != ix.Corpus.N() {
+				if hz.Status != "ok" || hz.Companies != ix.N() {
 					errs <- fmt.Errorf("healthz %d: torn response %+v", i, hz)
 					return
 				}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"encoding/gob"
@@ -41,6 +42,7 @@ type variant struct {
 	workers int // par workers of the builds
 	trace   int // 1: on at sample rate 1; 2: on, requests carrying a traceparent
 	slo     int
+	jsonl   int // 1: every generation loaded through corpus.ReadColumns from the corpus's JSONL bytes
 }
 
 // settings are the variant settings and the values a round draws from.
@@ -55,6 +57,7 @@ var settings = []struct {
 	{"workers", []int{1, 2, 4}, func(v *variant) *int { return &v.workers }},
 	{"trace", []int{0, 1, 2}, func(v *variant) *int { return &v.trace }},
 	{"slo", []int{0, 1}, func(v *variant) *int { return &v.slo }},
+	{"jsonl", []int{0, 1}, func(v *variant) *int { return &v.jsonl }},
 }
 
 // TestServeDifferential is the serving oracle: each of its rounds draws,
@@ -327,6 +330,25 @@ func drawFixture(g *rng.RNG) oracleFixture {
 	return fx
 }
 
+// columns returns the fixture's columns and the install bases a fold-in
+// reads: from the corpus, or, when jsonl is set, as ibserve loads them, from
+// the bytes WriteJSONL makes of the corpus.
+func (fx oracleFixture) columns(t *testing.T, jsonl bool) (*corpus.Columns, [][]int) {
+	t.Helper()
+	if !jsonl {
+		return must(fx.c.Columns()), fx.c.Sets()
+	}
+	var buf bytes.Buffer
+	if err := fx.c.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	cols, err := corpus.ReadColumns(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cols, cols.Sets()
+}
+
 // deployment is one configuration stood up over a fixture: its servers (one,
 // or one per shard in partition order) and the handler requests go to.
 type deployment struct {
@@ -354,11 +376,12 @@ func deploy(t *testing.T, fx oracleFixture, models [2]string, v variant) *deploy
 		if err != nil {
 			t.Fatal(err)
 		}
-		reps := m.Representations(fx.c.Sets(), rng.New(7))
+		cols, sets := fx.columns(t, v.jsonl == 1)
+		reps := m.Representations(sets, rng.New(7))
 		for _, i := range fx.copies {
 			copy(reps.Row(i), reps.Row(fx.anchor))
 		}
-		ix, err := core.NewShardIndex(fx.c, reps, core.Cosine, part, parts)
+		ix, err := core.NewShardIndex(cols, reps, core.Cosine, part, parts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -455,7 +478,7 @@ func drawRequests(g *rng.RNG, fx oracleFixture, ix *core.Index) []request {
 	matches := func(ix *core.Index, ms []core.Match) []api.Match {
 		out := make([]api.Match, len(ms))
 		for i, m := range ms {
-			out[i] = api.Match{CompanyID: m.CompanyID, Name: ix.Corpus.Companies[m.CompanyID].Name, Similarity: m.Similarity}
+			out[i] = api.Match{CompanyID: m.CompanyID, Name: ix.Name(m.CompanyID), Similarity: m.Similarity}
 		}
 		return out
 	}
@@ -463,7 +486,7 @@ func drawRequests(g *rng.RNG, fx oracleFixture, ix *core.Index) []request {
 		return request{"similar", http.MethodGet, fmt.Sprintf("/v1/similar/%d?%s", id, query("k", k, f)), "",
 			func(ix *core.Index, _ *lda.Model) (any, error) {
 				ms, err := ix.TopK(id, cmp.Or(k, 10), f.Core())
-				return api.SimilarResponse{CompanyID: id, Name: ix.Corpus.Companies[id].Name, K: cmp.Or(k, 10), Matches: matches(ix, ms)}, err
+				return api.SimilarResponse{CompanyID: id, Name: ix.Name(id), K: cmp.Or(k, 10), Matches: matches(ix, ms)}, err
 			}}
 	}
 	recommend := func(id, peers int, f api.Filter) request {
@@ -474,7 +497,7 @@ func drawRequests(g *rng.RNG, fx oracleFixture, ix *core.Index) []request {
 				for i, r := range recs {
 					out[i] = api.Recommendation{Category: r.Category, Name: r.Name, Strength: r.Strength, Owners: r.Owners}
 				}
-				return api.RecommendResponse{CompanyID: id, Name: ix.Corpus.Companies[id].Name, Peers: cmp.Or(peers, 25), Recommendations: out}, err
+				return api.RecommendResponse{CompanyID: id, Name: ix.Name(id), Peers: cmp.Or(peers, 25), Recommendations: out}, err
 			}}
 	}
 	whitespace := func(clients []int, k int, f api.Filter) request {
@@ -483,7 +506,7 @@ func drawRequests(g *rng.RNG, fx oracleFixture, ix *core.Index) []request {
 				ps, err := ix.Whitespace(clients, cmp.Or(k, 10), f.Core())
 				out := make([]api.Prospect, len(ps))
 				for i, p := range ps {
-					out[i] = api.Prospect{CompanyID: p.CompanyID, Name: ix.Corpus.Companies[p.CompanyID].Name, NearestClient: p.NearestClient, Similarity: p.Similarity}
+					out[i] = api.Prospect{CompanyID: p.CompanyID, Name: ix.Name(p.CompanyID), NearestClient: p.NearestClient, Similarity: p.Similarity}
 				}
 				return api.WhitespaceResponse{K: cmp.Or(k, 10), Prospects: out}, err
 			}}
@@ -506,7 +529,7 @@ func drawRequests(g *rng.RNG, fx oracleFixture, ix *core.Index) []request {
 	}
 	internal.body = string(must(json.Marshal(body)))
 	clients := func() []int { return append(g.Perm(n)[:1+g.Intn(4)], fx.anchor) }
-	owned := g.Perm(ix.Corpus.M())[:1+g.Intn(4)]
+	owned := g.Perm(ix.M())[:1+g.Intn(4)]
 	tooMany := make([]int, 1025)
 	for i := range tooMany {
 		tooMany[i] = i % n
@@ -537,7 +560,7 @@ func drawRequests(g *rng.RNG, fx oracleFixture, ix *core.Index) []request {
 		refused(recommend(9999, peers, none)),
 		{"whitespace", http.MethodPost, "/v1/whitespace", `{"clients":[1,`, nil},
 		refused(whitespace(tooMany, small, none)),
-		{"infer", http.MethodPost, "/v1/infer", fmt.Sprintf(`{"owned":[%d]}`, ix.Corpus.M()), nil},
+		{"infer", http.MethodPost, "/v1/infer", fmt.Sprintf(`{"owned":[%d]}`, ix.M()), nil},
 		{"recommend", http.MethodPost, "/internal/recommend", fmt.Sprintf(`{"company_id":%d,"matches":[{"company_id":9999}]}`, hot), nil},
 		{"recommend", http.MethodPost, "/internal/recommend", `{"company_id":-1}`, nil},
 	}

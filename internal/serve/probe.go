@@ -64,7 +64,7 @@ func indexRecall(ctx context.Context, ix *core.Index, k int) (float64, error) {
 	if ix.Pruner() == nil {
 		return 1, nil
 	}
-	ids := probeIDs(ix.Corpus.N())
+	ids := probeIDs(ix.N())
 	served, err := probe(ctx, ix, ids, k)
 	if err != nil {
 		return 0, err
@@ -87,7 +87,7 @@ type canaryJSON struct {
 // compares the two answer sets. It also measures the incoming generation's
 // probe recall: 1 without a pruner, where the served path is the exact one.
 func judge(ctx context.Context, cur, next *core.Index, k int) (canaryJSON, float64, error) {
-	ids := probeIDs(min(cur.Corpus.N(), next.Corpus.N()))
+	ids := probeIDs(min(cur.N(), next.N()))
 	old, err := probe(ctx, cur, ids, k)
 	if err != nil {
 		return canaryJSON{}, 0, err

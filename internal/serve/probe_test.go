@@ -89,7 +89,7 @@ func TestProbeIDs(t *testing.T) {
 // recall, at boot and at reload, is the direct exact-vs-ANN comparison.
 func TestReloadCanaryAndGuard(t *testing.T) {
 	_, ix, m := newTestServer(t, Config{})
-	c := ix.Corpus
+	c := testCorpus() // the corpus newTestServer indexed
 	newGen := func(reps *mat.Matrix) *core.Index {
 		g, err := core.NewIndex(c, reps, core.Cosine)
 		if err != nil {

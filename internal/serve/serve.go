@@ -380,8 +380,8 @@ func checkState(ix *core.Index, model *lda.Model) error {
 	if ix.Reps.Cols != model.K {
 		return fmt.Errorf("serve: index dimension %d does not match model topics %d", ix.Reps.Cols, model.K)
 	}
-	if ix.Corpus.M() != model.V {
-		return fmt.Errorf("serve: corpus has %d categories, model %d", ix.Corpus.M(), model.V)
+	if ix.M() != model.V {
+		return fmt.Errorf("serve: corpus has %d categories, model %d", ix.M(), model.V)
 	}
 	return nil
 }
@@ -561,9 +561,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	defer st.release()
 	resp := healthResponse{
 		Status:     "ok",
-		Companies:  st.ix.Corpus.N(),
+		Companies:  st.ix.N(),
 		Dim:        st.ix.Reps.Cols,
-		Vocab:      st.ix.Corpus.M(),
+		Vocab:      st.ix.M(),
 		Generation: st.gen,
 		UptimeSec:  time.Since(s.started).Seconds(),
 		Tracing:    s.cfg.Tracer.Enabled(),
@@ -589,7 +589,7 @@ func (s *Server) matches(st *state, ms []core.Match) []api.Match {
 	for i, m := range ms {
 		out[i] = api.Match{
 			CompanyID:  m.CompanyID,
-			Name:       st.ix.Corpus.Companies[m.CompanyID].Name,
+			Name:       st.ix.Name(m.CompanyID),
 			Similarity: m.Similarity,
 		}
 	}
@@ -619,7 +619,7 @@ func (s *Server) handleSimilar(ctx context.Context, st *state, r *http.Request) 
 	}
 	return api.SimilarResponse{
 		CompanyID: id,
-		Name:      st.ix.Corpus.Companies[id].Name,
+		Name:      st.ix.Name(id),
 		K:         k,
 		Matches:   s.matches(st, ms),
 	}, nil
@@ -637,7 +637,7 @@ func recommendations(st *state, id, peers int, recs []core.ProductRecommendation
 	}
 	return api.RecommendResponse{
 		CompanyID:       id,
-		Name:            st.ix.Corpus.Companies[id].Name,
+		Name:            st.ix.Name(id),
 		Peers:           peers,
 		Recommendations: out,
 	}
@@ -684,7 +684,7 @@ func (s *Server) handleWhitespace(ctx context.Context, st *state, r *http.Reques
 	for i, p := range prospects {
 		out[i] = api.Prospect{
 			CompanyID:     p.CompanyID,
-			Name:          st.ix.Corpus.Companies[p.CompanyID].Name,
+			Name:          st.ix.Name(p.CompanyID),
 			NearestClient: p.NearestClient,
 			Similarity:    p.Similarity,
 		}
@@ -807,7 +807,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	s.mReload.Requests.Inc()
 	s.mReload.Latency.Observe(time.Since(start).Seconds())
 	resp := reloadResponse{
-		Companies:  ix.Corpus.N(),
+		Companies:  ix.N(),
 		Dim:        ix.Reps.Cols,
 		Generation: next.gen,
 		Reloaded:   true,

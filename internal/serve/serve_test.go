@@ -240,7 +240,7 @@ func TestHealthz(t *testing.T) {
 	if resp := getJSON(t, h, "/healthz", &got); resp.Code != http.StatusOK {
 		t.Fatalf("status %d", resp.Code)
 	}
-	if got.Status != "ok" || got.Companies != ix.Corpus.N() || got.Topics != m.K || got.Dim != ix.Reps.Cols {
+	if got.Status != "ok" || got.Companies != ix.N() || got.Topics != m.K || got.Dim != ix.Reps.Cols {
 		t.Fatalf("health response %+v", got)
 	}
 }
@@ -266,7 +266,7 @@ func TestReloadSwapsGeneration(t *testing.T) {
 	if resp := postJSON(t, h, "/admin/reload", struct{}{}, &rl); resp.Code != http.StatusOK {
 		t.Fatalf("reload status %d", resp.Code)
 	}
-	if reloaded != 1 || !rl.Reloaded || rl.Companies != ix.Corpus.N() {
+	if reloaded != 1 || !rl.Reloaded || rl.Companies != ix.N() {
 		t.Fatalf("reload response %+v (loader calls: %d)", rl, reloaded)
 	}
 	if got := counterValue("serve_reload_requests_total"); got != reloads0+1 {

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"regexp"
 	"strings"
 	"sync"
 	"syscall"
@@ -267,5 +268,9 @@ func TestServeIntegration(t *testing.T) {
 	}
 	if !strings.Contains(srv.stderr.String(), "drained and stopped") {
 		t.Fatalf("no drain log on shutdown; stderr:\n%s", srv.stderr.String())
+	}
+	// The live heap the boot's forced collection found, on a line of its own.
+	if m := regexp.MustCompile(`boot heap heap_live_mb=([0-9.]+)\n`).FindStringSubmatch(srv.stderr.String()); m == nil || m[1] == "0" {
+		t.Fatalf("no positive heap_live_mb line after boot; stderr:\n%s", srv.stderr.String())
 	}
 }
