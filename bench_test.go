@@ -7,18 +7,12 @@ package hiddenlayer
 // produces the full-size numbers recorded in EXPERIMENTS.md.
 
 import (
-	"context"
 	"testing"
 
-	"repro/internal/corpus"
-	"repro/internal/datagen"
 	"repro/internal/eval"
-	"repro/internal/lda"
-	"repro/internal/ngram"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/rnn"
-	"repro/internal/trace"
 )
 
 // benchCtx caches one Quick-scale context across benchmarks in a run.
@@ -231,56 +225,6 @@ func BenchmarkEmbeddingComparison(b *testing.B) {
 
 // ---- substrate micro-benchmarks ----
 
-// BenchmarkCorpusGeneration measures the synthetic data generator
-// (companies/sec; the paper's corpus is 860k companies).
-func BenchmarkCorpusGeneration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		gen, err := datagen.NewGenerator(datagen.DefaultConfig(1000, int64(i+1)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		c := gen.Generate()
-		if c.N() != 1000 {
-			b.Fatal("bad corpus")
-		}
-	}
-}
-
-// BenchmarkLDAGibbsSweep measures collapsed Gibbs training throughput.
-func BenchmarkLDAGibbsSweep(b *testing.B) {
-	ctx := getCtx(b)
-	docs := ctx.Split.Train.Sets()
-	g := rng.New(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := lda.Train(lda.Config{
-			Topics: 3, V: 38, BurnIn: 5, Iterations: 10, InferIterations: 4,
-		}, docs, nil, g); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLDAInference measures per-company fold-in inference, the hot path
-// of the deployed similarity tool.
-func BenchmarkLDAInference(b *testing.B) {
-	ctx := getCtx(b)
-	g := rng.New(1)
-	m, err := lda.Train(lda.Config{Topics: 3, V: 38, BurnIn: 10, Iterations: 20, InferIterations: 12},
-		ctx.Split.Train.Sets(), nil, g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	doc := []int{0, 5, 9, 23, 31}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		theta := m.InferTheta(doc, g)
-		if len(theta) != 3 {
-			b.Fatal("bad theta")
-		}
-	}
-}
-
 // BenchmarkLSTMTrainingStep measures BPTT throughput (tokens/op reported as
 // time; one op = one epoch over 100 sequences).
 func BenchmarkLSTMTrainingStep(b *testing.B) {
@@ -299,89 +243,6 @@ func BenchmarkLSTMTrainingStep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkNgramFit measures n-gram counting throughput.
-func BenchmarkNgramFit(b *testing.B) {
-	ctx := getCtx(b)
-	seqs := ctx.Corpus.Sequences()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := ngram.New(ngram.Config{Order: 3, V: 38})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := m.Fit(seqs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimilaritySearch measures the deployed tool's top-k query path.
-func BenchmarkSimilaritySearch(b *testing.B) {
-	c, err := GenerateCorpus(2000, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sel, err := SelectLDA(c, []int{3}, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys, err := NewSystem(c, sel.Model, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.SimilarCompanies(i%c.N(), 10, Filter{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAggregation measures the D-U-N-S site-aggregation pipeline.
-func BenchmarkAggregation(b *testing.B) {
-	gen, err := datagen.NewGenerator(datagen.DefaultConfig(500, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	sites := gen.GenerateSites()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agg := corpus.AggregateDomestic(sites)
-		if len(agg) != 500 {
-			b.Fatal("bad aggregation")
-		}
-	}
-}
-
-// BenchmarkObsCounterInc measures the hot-path cost of one counter
-// increment — the overhead every instrumented training sweep pays.
-func BenchmarkObsCounterInc(b *testing.B) {
-	c := obs.NewRegistry().Counter("bench_total", "")
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			c.Inc()
-		}
-	})
-}
-
-// BenchmarkObsHistogramObserve measures one latency observation into the
-// default bucket layout (the topk_latency_seconds path).
-func BenchmarkObsHistogramObserve(b *testing.B) {
-	h := obs.NewRegistry().Histogram("bench_seconds", "", nil)
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		v := 0.0
-		for pb.Next() {
-			h.Observe(v)
-			v += 1e-5
-			if v > 10 {
-				v = 0
-			}
-		}
-	})
 }
 
 // BenchmarkObsWindowedObserve measures one observation into a rolling-window
@@ -414,85 +275,5 @@ func BenchmarkObsWindowedRotate(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		w.Rotate()
-	}
-}
-
-// BenchmarkObsHistogramObserveExemplar measures an observation that also
-// stores a trace exemplar — the traced-request variant of the latency
-// histogram path.
-func BenchmarkObsHistogramObserveExemplar(b *testing.B) {
-	h := obs.NewRegistry().Histogram("bench_ex_seconds", "", nil)
-	const tid = "4bf92f3577b34da6a3ce929d0e0e4736"
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.ObserveExemplar(1e-3, tid)
-	}
-}
-
-// BenchmarkObsSpanEnabled measures one Start/End pair including the
-// histogram observation it feeds.
-func BenchmarkObsSpanEnabled(b *testing.B) {
-	r := obs.NewRegistry()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sp := r.StartSpan("bench.enabled")
-		sp.End()
-	}
-}
-
-// BenchmarkTraceStartDisabled measures the cost a traced call site pays when
-// tracing is off and the context carries no span: one map-free context probe
-// and a nil return, no allocation.
-func BenchmarkTraceStartDisabled(b *testing.B) {
-	tr := trace.NewTracer(16) // disabled by default
-	ctx := context.Background()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, sp := tr.Start(ctx, "bench.disabled")
-		sp.AttrInt("i", int64(i))
-		sp.End()
-	}
-}
-
-// BenchmarkTraceSpanEnabled measures one child Start/attr/End under an
-// active trace, including the obs histogram observation End feeds.
-func BenchmarkTraceSpanEnabled(b *testing.B) {
-	tr := trace.NewTracer(16)
-	tr.SetEnabled(true)
-	tr.SetSampleRate(0) // complete traces are discarded, not accumulated
-	tr.SetMaxSpans(1 << 30)
-	ctx, root := tr.Start(context.Background(), "bench.root")
-	defer root.End()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, sp := trace.Start(ctx, "bench.child")
-		sp.AttrInt("i", int64(i))
-		sp.End()
-	}
-}
-
-// BenchmarkTraceRootRetained measures a full root-span lifecycle ending in
-// tail-sampling retention and a lock-free ring push.
-func BenchmarkTraceRootRetained(b *testing.B) {
-	tr := trace.NewTracer(256)
-	tr.SetEnabled(true)
-	tr.SetSampleRate(1)
-	ctx := context.Background()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, sp := tr.Start(ctx, "bench.request")
-		sp.End()
-	}
-}
-
-// BenchmarkParseTraceparent measures the strict W3C header parse on the
-// serve ingestion path.
-func BenchmarkParseTraceparent(b *testing.B) {
-	const h = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, ok := trace.ParseTraceparent(h); !ok {
-			b.Fatal("valid header rejected")
-		}
 	}
 }

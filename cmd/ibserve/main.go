@@ -101,8 +101,9 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// parseShard parses the -shard i/n syntax into a (partition, count) pair;
-// the empty string means unsharded.
+// parseShard parses the -shard i/n syntax into a (partition, count) pair,
+// refusing a count below one and an index outside [0, n); the empty string
+// means unsharded.
 func parseShard(s string) (part, parts int, err error) {
 	if s == "" {
 		return 0, 1, nil
@@ -116,6 +117,9 @@ func parseShard(s string) (part, parts int, err error) {
 	}
 	if parts, err = strconv.Atoi(b); err != nil {
 		return 0, 0, fmt.Errorf("-shard %q: bad partition count", s)
+	}
+	if parts < 1 || part < 0 || part >= parts {
+		return 0, 0, fmt.Errorf("-shard %q: want partition i of n with 0 <= i < n", s)
 	}
 	return part, parts, nil
 }

@@ -142,3 +142,19 @@ func TestBinariesRefuseIDOffRow(t *testing.T) {
 		}
 	}
 }
+
+// TestServeRefusesShardOutOfRange: -shard i/n names partition i of n, so a
+// count below one or an index outside [0, n) exits 1 naming the flag before
+// any file is read (the corpus here does not exist).
+func TestServeRefusesShardOutOfRange(t *testing.T) {
+	ibserve := tool(t, "ibserve")
+	missing := filepath.Join(t.TempDir(), "missing.jsonl")
+	for _, spec := range []string{"7/1", "0/0", "0/-3", "3/3", "-1/2"} {
+		out, err := exec.Command(ibserve, "-shard", spec, "-corpus", missing, "-addr", "localhost:0").CombinedOutput()
+		want := `-shard "` + spec + `": want partition i of n with 0 <= i < n`
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), want) {
+			t.Fatalf("ibserve -shard %s: %v, want exit status 1 and %q in its output:\n%s", spec, err, want, out)
+		}
+	}
+}

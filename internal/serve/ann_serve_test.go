@@ -84,9 +84,9 @@ func TestHealthzANNBlock(t *testing.T) {
 }
 
 // TestServeANNFullProbeByteIdentical runs the serving oracle with a full-probe
-// ANN pruner (every cell probed) on every index of every round.
+// ANN pruner (every cell probed) on every index of every round, in process.
 func TestServeANNFullProbeByteIdentical(t *testing.T) {
-	serveOracle(t, 3001, 1, func(v *variant) { v.ann = 1 })
+	serveOracle(t, 3001, 1, func(v *variant) { v.ann, v.binary = 1, 0 })
 }
 
 // TestHealthzDuringReloads hammers /healthz concurrently with admin

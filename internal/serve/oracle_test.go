@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"cmp"
 	"context"
@@ -8,15 +9,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -36,13 +40,14 @@ import (
 // variant is one serving configuration. A field at 0 is the reference's
 // value: one shard, one worker, the rest off.
 type variant struct {
-	shards  int // 2 and 3: a router.Router over httptest shards
+	shards  int // 2 and 3: a router over that many shards (in this process, router.Router over httptest shards)
 	ann     int // 1: a full-probe ANN pruner (nprobe = cells) on every index
 	v1      int // 1: the committed v1 model file rather than its v2 twin
 	workers int // par workers of the builds
 	trace   int // 1: on at sample rate 1; 2: on, requests carrying a traceparent
 	slo     int
 	jsonl   int // 1: every generation loaded through corpus.ReadColumns from the corpus's JSONL bytes
+	binary  int // 1: the built ibserve processes (behind the built ibrouter when sharded), booted from files
 }
 
 // settings are the variant settings and the values a round draws from.
@@ -58,27 +63,38 @@ var settings = []struct {
 	{"trace", []int{0, 1, 2}, func(v *variant) *int { return &v.trace }},
 	{"slo", []int{0, 1}, func(v *variant) *int { return &v.slo }},
 	{"jsonl", []int{0, 1}, func(v *variant) *int { return &v.jsonl }},
+	{"binary", []int{0, 1}, func(v *variant) *int { return &v.binary }},
 }
 
 // TestServeDifferential is the serving oracle: each of its rounds draws,
 // from the round's own seed, a corpus, a variant and a request sequence, and
 // holds the variant's answers to a reference server's (oracleRound has the
-// rules). Every setting value must be drawn in at least three rounds. A
+// rules). Every setting value must be drawn in at least three rounds, and
+// every value but binary=1 in at least three in-process (binary=0) rounds,
+// which alone plant ties, compare model rows and run the counter twin. A
 // failure names its seed; -run 'TestServeDifferential/seed=N$' replays it.
 func TestServeDifferential(t *testing.T) {
 	const rounds = 48
 	serveOracle(t, 1, rounds, nil)
-	drawn := map[string]int{}
+	drawn, inProcess := map[string]int{}, map[string]int{}
 	for seed := int64(1); seed <= rounds; seed++ {
 		_, _, v := drawRound(seed, nil)
 		for _, s := range settings {
-			drawn[fmt.Sprint(s.name, "=", *s.field(&v))]++
+			key := fmt.Sprint(s.name, "=", *s.field(&v))
+			drawn[key]++
+			if v.binary == 0 {
+				inProcess[key]++
+			}
 		}
 	}
 	for _, s := range settings {
 		for _, x := range s.values {
-			if n := drawn[fmt.Sprint(s.name, "=", x)]; n < 3 {
-				t.Errorf("setting %s=%d drawn in %d rounds, want at least 3", s.name, x, n)
+			key := fmt.Sprint(s.name, "=", x)
+			if n := drawn[key]; n < 3 {
+				t.Errorf("setting %s drawn in %d rounds, want at least 3", key, n)
+			}
+			if n := inProcess[key]; n < 3 && key != "binary=1" {
+				t.Errorf("setting %s drawn in %d in-process rounds, want at least 3", key, n)
 			}
 		}
 	}
@@ -92,11 +108,14 @@ func serveOracle(t *testing.T, first int64, rounds int, force func(*variant)) {
 	for seed := first; seed < first+int64(rounds); seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			g, fx, v := drawRound(seed, force)
+			if v.binary == 1 && testing.Short() {
+				t.Skip("boots the built ibserve and ibrouter; skipped in -short mode")
+			}
 			desc := fmt.Sprintf("seed %d, %d companies, variant %+v", seed, fx.c.N(), v)
 			goroutines := runtime.NumGoroutine()
 			oracleRound(t, desc, g, fx, models, v)
 			// The leak drill: a closed round leaves no goroutine of its servers,
-			// routers, SLO trackers or httptest servers running.
+			// routers, SLO trackers, httptest servers or processes running.
 			waitFor(t, desc+": goroutines back to "+fmt.Sprint(goroutines), func() bool { return runtime.NumGoroutine() <= goroutines })
 		})
 	}
@@ -104,7 +123,7 @@ func serveOracle(t *testing.T, first int64, rounds int, force func(*variant)) {
 
 // drawRound draws round seed's fixture and variant, force then overriding
 // the drawn settings; the generator it returns then draws the round's
-// requests.
+// requests. A binary round plants no ties: ibserve folds every row in.
 func drawRound(seed int64, force func(*variant)) (*rng.RNG, oracleFixture, variant) {
 	g := rng.New(seed)
 	fx := drawFixture(g)
@@ -115,12 +134,14 @@ func drawRound(seed int64, force func(*variant)) (*rng.RNG, oracleFixture, varia
 	if force != nil {
 		force(&v)
 	}
+	fx.tied = v.binary == 0
 	return g, fx, v
 }
 
 // oracleRound holds the variant to the reference over one request sequence.
 // The reference is one exact, unsharded Server over the v2 model, built at
-// one worker, with tracing and SLO off. The rules:
+// one worker, with tracing and SLO off, taking the fixture's k, peers and
+// seed as every server of the round does. The rules:
 //
 //   - each reference answer is 400 where the request says so, and otherwise
 //     the wire rendering of what direct core calls give (ids, names,
@@ -132,9 +153,12 @@ func drawRound(seed int64, force func(*variant)) (*rng.RNG, oracleFixture, varia
 //     and its bytes on every 200 and wherever no router sits in front (a
 //     router parses /v1/recommend itself and words its own errors); a routed
 //     answer never sets X-Partial;
-//   - with tracing or SLO on, a twin with both off replays the sequence
-//     under the same rules, and every counter and histogram count but the
-//     tracer's own must move by the same delta on both, zeros included.
+//   - in a binary round, every ibserve reloads its files halfway through the
+//     sequence, and the answers after the reload hold to the same rules;
+//   - with tracing or SLO on in a round run in this process, a twin with
+//     both off replays the sequence under the same rules, and every counter
+//     and histogram count but the tracer's own must move by the same delta
+//     on both, zeros included (a process's counters are its own).
 func oracleRound(t *testing.T, desc string, g *rng.RNG, fx oracleFixture, models [2]string, v variant) {
 	ref := deploy(t, fx, models, variant{})
 	defer ref.close()
@@ -172,7 +196,7 @@ func oracleRound(t *testing.T, desc string, g *rng.RNG, fx oracleFixture, models
 		}
 	}
 	moved := dep.replay(t, desc, reqs, want, v.trace == 2)
-	if v.trace == 0 && v.slo == 0 {
+	if v.binary == 1 || v.trace == 0 && v.slo == 0 {
 		return
 	}
 	tv := v
@@ -195,6 +219,13 @@ func (d *deployment) replay(t *testing.T, desc string, reqs []request, want []*h
 	t.Helper()
 	before := counts()
 	for i, rq := range reqs {
+		if i == len(reqs)/2 {
+			for _, h := range d.procs {
+				if w := fetch(h, http.MethodPost, "/admin/reload", ""); w.Code != http.StatusOK {
+					t.Fatalf("%s: an ibserve's /admin/reload answers %d %s", desc, w.Code, w.Body)
+				}
+			}
+		}
 		got := d.send(rq, traceparent)
 		routed := d.routed && rq.path != "/internal/recommend"
 		sameBody := got.Code == http.StatusOK || !routed || !strings.HasPrefix(rq.path, "/v1/recommend/")
@@ -296,14 +327,18 @@ func oracleModels(t *testing.T) [2]string {
 }
 
 // oracleFixture is a round's corpus over the default catalog (the model's 38
-// categories). The representation rows of copies are overwritten with the
-// anchor's, so that exact score ties cross shard boundaries; cells is the
-// ANN cell count.
+// categories) and what every server of the round takes: k and peers, the
+// defaults of requests that leave them out, and seed, which drives the
+// fold-in and /v1/infer (ibserve's -k, -peers and -seed). When tied, the
+// representation rows of copies are overwritten with the anchor's, so that
+// exact score ties cross shard boundaries; cells is the ANN cell count.
 type oracleFixture struct {
-	c      *corpus.Corpus
-	anchor int
-	copies []int
-	cells  int
+	c               *corpus.Corpus
+	anchor          int
+	copies          []int
+	tied            bool
+	cells, k, peers int
+	seed            int64
 }
 
 func drawFixture(g *rng.RNG) oracleFixture {
@@ -321,12 +356,15 @@ func drawFixture(g *rng.RNG) oracleFixture {
 		companies[i] = co
 	}
 	n := len(companies)
-	fx := oracleFixture{c: corpus.New(cat, companies), anchor: g.Intn(n), cells: 2 + g.Intn(7)}
+	fx := oracleFixture{c: corpus.New(cat, companies), anchor: g.Intn(n), tied: true, cells: 2 + g.Intn(7)}
 	for _, i := range g.Perm(n)[:3+g.Intn(5)] {
 		if i != fx.anchor {
 			fx.copies = append(fx.copies, i)
 		}
 	}
+	// Never the binaries' own defaults (10 and 25), so a flag that does not
+	// reach its server shows.
+	fx.k, fx.peers, fx.seed = 1+g.Intn(9), 2+g.Intn(23), int64(1+g.Intn(1000))
 	return fx
 }
 
@@ -350,10 +388,13 @@ func (fx oracleFixture) columns(t *testing.T, jsonl bool) (*corpus.Columns, [][]
 }
 
 // deployment is one configuration stood up over a fixture: its servers (one,
-// or one per shard in partition order) and the handler requests go to.
+// or one per shard in partition order), the handler requests go to and the
+// first server's, which answers /internal/recommend. A binary deployment has
+// no Server in this process: procs forward to its ibserve processes.
 type deployment struct {
 	servers []*Server
-	h       http.Handler
+	h, h0   http.Handler
+	procs   []http.Handler
 	routed  bool
 	tracer  *trace.Tracer
 	closers []func()
@@ -361,10 +402,13 @@ type deployment struct {
 
 func deploy(t *testing.T, fx oracleFixture, models [2]string, v variant) *deployment {
 	t.Helper()
+	if v.binary == 1 {
+		return deployProcs(t, fx, models, v)
+	}
 	d := &deployment{tracer: trace.NewTracer(64)}
 	d.tracer.SetEnabled(v.trace > 0)
 	d.tracer.SetSampleRate(1)
-	cfg := Config{Quiet: true, Logger: discardLogger(), Tracer: d.tracer}
+	cfg := Config{Quiet: true, Logger: discardLogger(), Tracer: d.tracer, DefaultK: fx.k, DefaultPeers: fx.peers, Seed: fx.seed}
 	if v.slo == 1 {
 		cfg.SLO = &api.SLOConfig{Window: time.Hour}
 	}
@@ -377,9 +421,11 @@ func deploy(t *testing.T, fx oracleFixture, models [2]string, v variant) *deploy
 			t.Fatal(err)
 		}
 		cols, sets := fx.columns(t, v.jsonl == 1)
-		reps := m.Representations(sets, rng.New(7))
+		reps := m.Representations(sets, rng.New(fx.seed))
 		for _, i := range fx.copies {
-			copy(reps.Row(i), reps.Row(fx.anchor))
+			if fx.tied {
+				copy(reps.Row(i), reps.Row(fx.anchor))
+			}
 		}
 		ix, err := core.NewShardIndex(cols, reps, core.Cosine, part, parts)
 		if err != nil {
@@ -396,10 +442,11 @@ func deploy(t *testing.T, fx oracleFixture, models [2]string, v variant) *deploy
 		d.closers = append(d.closers, s.Close)
 	}
 	d.h = d.servers[0].Handler()
+	d.h0 = d.h
 	if parts == 1 {
 		return d
 	}
-	rc := router.Config{ProbeInterval: -1, HedgeQuantile: -1, Quiet: true, Logger: discardLogger(), Tracer: d.tracer, SLO: cfg.SLO}
+	rc := router.Config{ProbeInterval: -1, HedgeQuantile: -1, DefaultPeers: fx.peers, Quiet: true, Logger: discardLogger(), Tracer: d.tracer, SLO: cfg.SLO}
 	for _, s := range d.servers {
 		ts := httptest.NewServer(s.Handler())
 		d.closers = append(d.closers, ts.Close)
@@ -414,6 +461,150 @@ func deploy(t *testing.T, fx oracleFixture, models [2]string, v variant) *deploy
 	return d
 }
 
+// deployProcs stands v up as processes of the built binaries, booted from
+// files: the corpus as WriteJSONL writes it and the v1 or v2 model file, with
+// v's settings as flags. Sharded, one ibserve per partition runs behind an
+// ibrouter; with -ann every ibserve opens the round's one -ann-index file
+// (the first builds and saves it, the others and every reload map it).
+func deployProcs(t *testing.T, fx oracleFixture, models [2]string, v variant) *deployment {
+	t.Helper()
+	dir := t.TempDir()
+	var jsonl bytes.Buffer
+	if err := fx.c.WriteJSONL(&jsonl); err != nil {
+		t.Fatal(err)
+	}
+	corpusPath := filepath.Join(dir, "corpus.jsonl")
+	if err := os.WriteFile(corpusPath, jsonl.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	common := []string{"-addr", "localhost:0", "-quiet", "-peers", fmt.Sprint(fx.peers)}
+	if v.trace > 0 {
+		common = append(common, "-trace", "-trace-sample", "1")
+	}
+	if v.slo == 1 {
+		common = append(common, "-slo")
+	}
+	args := append([]string{"-corpus", corpusPath, "-model", models[v.v1], "-seed", fmt.Sprint(fx.seed),
+		"-k", fmt.Sprint(fx.k), "-workers", fmt.Sprint(max(1, v.workers))}, common...)
+	if v.ann == 1 {
+		cells := fmt.Sprint(fx.cells)
+		args = append(args, "-ann", "-ann-cells", cells, "-ann-nprobe", cells, "-ann-index", filepath.Join(dir, "ann.ibsnap"))
+	}
+	client := &http.Client{Transport: &http.Transport{}}
+	d := &deployment{closers: []func(){client.CloseIdleConnections}}
+	parts := max(1, v.shards)
+	var shards []string
+	for part := range parts {
+		shard := args
+		if parts > 1 {
+			shard = append(slices.Clip(args), "-shard", fmt.Sprintf("%d/%d", part, parts))
+		}
+		addr := d.start(t, "ibserve", shard...)
+		d.procs = append(d.procs, forward(client, addr))
+		shards = append(shards, addr)
+	}
+	d.h, d.h0 = d.procs[0], d.procs[0]
+	if parts > 1 {
+		d.h, d.routed = forward(client, d.start(t, "ibrouter", append([]string{"-shards", strings.Join(shards, ",")}, common...)...)), true
+	}
+	return d
+}
+
+// built holds ibserve and ibrouter, built by the first binary round of the
+// test binary; TestMain removes them.
+var built struct {
+	once sync.Once
+	dir  string
+	err  error
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if built.dir != "" {
+		if testing.Short() && code == 0 {
+			fmt.Fprintln(os.Stderr, "FAIL: a -short run built ibserve and ibrouter")
+			code = 1
+		}
+		os.RemoveAll(built.dir)
+	}
+	os.Exit(code)
+}
+
+// start starts the built binary name with args and returns the address its
+// "serving on " line announces. Closing d kills the process and waits for
+// it; the process's stderr is logged if the round failed.
+func (d *deployment) start(t *testing.T, name string, args ...string) string {
+	t.Helper()
+	built.once.Do(func() {
+		if built.dir, built.err = os.MkdirTemp("", "serve-oracle-"); built.err == nil {
+			out, err := exec.Command("go", "build", "-o", built.dir+string(filepath.Separator), "repro/cmd/ibserve", "repro/cmd/ibrouter").CombinedOutput()
+			if err != nil {
+				built.err = fmt.Errorf("go build: %v\n%s", err, out)
+			}
+		}
+	})
+	if built.err != nil {
+		t.Fatal(built.err)
+	}
+	stdout, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stderr bytes.Buffer
+	cmd := exec.Command(filepath.Join(built.dir, name), args...)
+	cmd.Stdout, cmd.Stderr = w, &stderr
+	err = cmd.Start()
+	w.Close()
+	if err != nil {
+		stdout.Close()
+		t.Fatal(err)
+	}
+	stop := sync.OnceFunc(func() {
+		_ = cmd.Process.Kill()
+		_ = cmd.Wait()
+	})
+	d.closers = append(d.closers, stop)
+	t.Cleanup(func() {
+		stop()
+		if t.Failed() {
+			t.Logf("%s %v stderr:\n%s", name, args, stderr.String())
+		}
+	})
+	addr := ""
+	for sc := bufio.NewScanner(stdout); addr == "" && sc.Scan(); {
+		if a, ok := strings.CutPrefix(sc.Text(), "serving on "); ok {
+			addr = a
+		}
+	}
+	go func() {
+		_, _ = io.Copy(io.Discard, stdout)
+		stdout.Close()
+	}()
+	if addr == "" {
+		t.Fatalf("%s %v exited without serving", name, args)
+	}
+	return addr
+}
+
+// forward is a handler that passes each request on to the process serving
+// on addr and writes back the status, headers and body it answers.
+func forward(client *http.Client, addr string) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body := must(io.ReadAll(r.Body))
+		out := must(http.NewRequest(r.Method, "http://"+addr+r.URL.RequestURI(), bytes.NewReader(body)))
+		out.Header = r.Header
+		resp, err := client.Do(out)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		maps.Copy(w.Header(), resp.Header)
+		w.WriteHeader(resp.StatusCode)
+		_, _ = io.Copy(w, resp.Body)
+	})
+}
+
 // close stops the deployment: its router first, its servers last.
 func (d *deployment) close() {
 	for i := len(d.closers) - 1; i >= 0; i-- {
@@ -426,7 +617,7 @@ func (d *deployment) close() {
 func (d *deployment) send(rq request, traceparent bool) *httptest.ResponseRecorder {
 	h := d.h
 	if rq.path == "/internal/recommend" {
-		h = d.servers[0].Handler()
+		h = d.h0
 	}
 	if traceparent {
 		return fetch(h, rq.method, rq.path, rq.body, "traceparent", "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01")
@@ -485,38 +676,38 @@ func drawRequests(g *rng.RNG, fx oracleFixture, ix *core.Index) []request {
 	similar := func(id, k int, f api.Filter) request {
 		return request{"similar", http.MethodGet, fmt.Sprintf("/v1/similar/%d?%s", id, query("k", k, f)), "",
 			func(ix *core.Index, _ *lda.Model) (any, error) {
-				ms, err := ix.TopK(id, cmp.Or(k, 10), f.Core())
-				return api.SimilarResponse{CompanyID: id, Name: ix.Name(id), K: cmp.Or(k, 10), Matches: matches(ix, ms)}, err
+				ms, err := ix.TopK(id, cmp.Or(k, fx.k), f.Core())
+				return api.SimilarResponse{CompanyID: id, Name: ix.Name(id), K: cmp.Or(k, fx.k), Matches: matches(ix, ms)}, err
 			}}
 	}
 	recommend := func(id, peers int, f api.Filter) request {
 		return request{"recommend", http.MethodGet, fmt.Sprintf("/v1/recommend/%d?%s", id, query("peers", peers, f)), "",
 			func(ix *core.Index, _ *lda.Model) (any, error) {
-				recs, err := ix.RecommendFromSimilar(id, cmp.Or(peers, 25), f.Core())
+				recs, err := ix.RecommendFromSimilar(id, cmp.Or(peers, fx.peers), f.Core())
 				out := make([]api.Recommendation, len(recs))
 				for i, r := range recs {
 					out[i] = api.Recommendation{Category: r.Category, Name: r.Name, Strength: r.Strength, Owners: r.Owners}
 				}
-				return api.RecommendResponse{CompanyID: id, Name: ix.Name(id), Peers: cmp.Or(peers, 25), Recommendations: out}, err
+				return api.RecommendResponse{CompanyID: id, Name: ix.Name(id), Peers: cmp.Or(peers, fx.peers), Recommendations: out}, err
 			}}
 	}
 	whitespace := func(clients []int, k int, f api.Filter) request {
 		return request{"whitespace", http.MethodPost, "/v1/whitespace", string(must(json.Marshal(api.WhitespaceRequest{Clients: clients, K: k, Filter: f}))),
 			func(ix *core.Index, _ *lda.Model) (any, error) {
-				ps, err := ix.Whitespace(clients, cmp.Or(k, 10), f.Core())
+				ps, err := ix.Whitespace(clients, cmp.Or(k, fx.k), f.Core())
 				out := make([]api.Prospect, len(ps))
 				for i, p := range ps {
 					out[i] = api.Prospect{CompanyID: p.CompanyID, Name: ix.Name(p.CompanyID), NearestClient: p.NearestClient, Similarity: p.Similarity}
 				}
-				return api.WhitespaceResponse{K: cmp.Or(k, 10), Prospects: out}, err
+				return api.WhitespaceResponse{K: cmp.Or(k, fx.k), Prospects: out}, err
 			}}
 	}
 	infer := func(owned []int, k int, f api.Filter) request {
 		return request{"infer", http.MethodPost, "/v1/infer", string(must(json.Marshal(api.InferRequest{Owned: owned, K: k, Filter: f}))),
 			func(ix *core.Index, m *lda.Model) (any, error) {
-				theta := m.InferTheta(owned, rng.New(1))
-				ms, err := ix.TopKByVectorContext(context.Background(), theta, cmp.Or(k, 10), f.Core())
-				return api.InferResponse{Theta: theta, K: cmp.Or(k, 10), Matches: matches(ix, ms)}, err
+				theta := m.InferTheta(owned, rng.New(fx.seed))
+				ms, err := ix.TopKByVectorContext(context.Background(), theta, cmp.Or(k, fx.k), f.Core())
+				return api.InferResponse{Theta: theta, K: cmp.Or(k, fx.k), Matches: matches(ix, ms)}, err
 			}}
 	}
 	// The peers the reference's /v1/similar gives must score as its

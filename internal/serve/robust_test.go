@@ -85,7 +85,8 @@ func TestReadyz(t *testing.T) {
 // TestInternalRecommendMatchesPublic runs the serving oracle over sharded
 // variants: every round posts /internal/recommend the peers the reference's
 // /v1/similar returns, and must get the /v1/recommend answer, and the
-// router's two-phase recommend must answer as one server does.
+// router's two-phase recommend (router.Router, in process) must answer as one
+// server does.
 func TestInternalRecommendMatchesPublic(t *testing.T) {
-	serveOracle(t, 4001, 1, func(v *variant) { v.shards = 2 })
+	serveOracle(t, 4001, 1, func(v *variant) { v.shards, v.binary = 2, 0 })
 }

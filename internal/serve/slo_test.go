@@ -118,7 +118,7 @@ func TestSLOStatusAndDebugEndpoint(t *testing.T) {
 // bytes and move every counter it moves by the same delta. Off, a server
 // exposes no SLO surface: no routes and no slo key in /healthz.
 func TestSLOMetricAndResponseInvariance(t *testing.T) {
-	serveOracle(t, 5001, 1, func(v *variant) { v.slo = 1 })
+	serveOracle(t, 5001, 1, func(v *variant) { v.slo, v.binary = 1, 0 })
 	d := deploy(t, drawFixture(rng.New(5)), oracleModels(t), variant{})
 	defer d.close()
 	if routes := d.servers[0].SLORoutes(); routes != nil {

@@ -194,7 +194,7 @@ func TestTraceparentPropagation(t *testing.T) {
 // answer the same bytes and move every counter it moves by the same delta.
 // A disabled tracer keeps no trace of the traffic.
 func TestTracingMetricAndResponseInvariance(t *testing.T) {
-	serveOracle(t, 6001, 1, func(v *variant) { v.trace = 1 })
+	serveOracle(t, 6001, 1, func(v *variant) { v.trace, v.binary = 1, 0 })
 	g := rng.New(6)
 	fx := drawFixture(g)
 	d := deploy(t, fx, oracleModels(t), variant{})

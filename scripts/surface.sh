@@ -8,6 +8,8 @@
 #   - non-test Go lines outside bench/ (*.go minus *_test.go, blank lines and
 #     comments included: a line moved into a _test.go or testdata file is not
 #     counted as removed twice, it just leaves this number),
+#   - test Go lines outside bench/ (*_test.go, counted the same way), so a
+#     deletion in tests shows beside one in the program,
 #   - exported top-level symbols (func, type, var, const) and exported
 #     methods in those files,
 #   - flag definitions per binary (flag.X( in cmd/<binary>), plus the shared
@@ -39,10 +41,13 @@ cd "$dir"
 
 # Skip the benchmark's module and, in a working tree, what it builds.
 files=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | sort)
+tests=$(find . -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | sort)
 
 echo "surface of $label"
 # shellcheck disable=SC2086
 echo "non-test Go lines outside bench/: $(cat $files | wc -l | tr -d ' ')"
+# shellcheck disable=SC2086
+echo "test Go lines outside bench/: $(cat $tests | wc -l | tr -d ' ')"
 
 # Exported names: one-line declarations, names inside top-level const/var/type
 # blocks (one tab deep), and methods whose name is exported.

@@ -1,16 +1,14 @@
 package hiddenlayer
 
-// End-to-end test for scatter-gather sharded serving: three ibserve
-// processes each holding one hash partition behind an ibrouter. Pins the
-// ISSUE's acceptance criteria at the binary level: a fully healthy fan-out
-// is byte-identical to one unsharded ibserve, a blackholed shard degrades
-// to 200 + "partial": true naming the missing shard, the per-shard breaker
-// trips open on the router's /metrics, and an ibload replay against the
-// degraded router records the partial responses with a clean
-// transport/HTTP error split.
+// End-to-end test for scatter-gather sharded serving when a shard fails:
+// three ibserve processes each holding one hash partition behind an
+// ibrouter. A blackholed shard degrades to 200 + "partial": true naming the
+// missing shard, the per-shard breaker trips open on the router's /metrics,
+// and an ibload replay against the degraded router records the partial
+// responses with a clean transport/HTTP error split. TestServeDifferential's
+// binary rounds hold a healthy fan-out's answers to one unsharded reference.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -31,11 +29,9 @@ func TestShardedServingIntegration(t *testing.T) {
 	ibload := tool(t, "ibload")
 	corpusPath, modelPath := sharedFixture(t)
 
-	// One unsharded reference server and a 3-shard cluster over the same
-	// corpus, model and result count.
+	// A 3-shard cluster over the fixture.
 	common := []string{"-corpus", corpusPath, "-model", modelPath,
-		"-addr", "localhost:0", "-k", "5", "-quiet"}
-	ref := startProc(t, ibserve, common...)
+		"-addr", "localhost:0", "-quiet"}
 	shards := make([]*proc, 3)
 	addrs := make([]string, 3)
 	for i := range shards {
@@ -80,46 +76,6 @@ func TestShardedServingIntegration(t *testing.T) {
 	}
 	if ownedSum != 200 {
 		t.Fatalf("shard ownership sums to %d, want 200", ownedSum)
-	}
-
-	// Healthy cluster: every endpoint's merged answer is byte-identical to
-	// the unsharded server's, and nothing is marked partial.
-	gets := []string{
-		"/v1/similar/3",
-		"/v1/similar/3?k=2&min_employees=1",
-		"/v1/similar/7?k=9&country=US",
-		"/v1/recommend/3?peers=15&k=4",
-		"/v1/recommend/11",
-	}
-	for _, path := range gets {
-		wantResp, want := fetch(t, ref.base+path, nil)
-		resp, got := fetch(t, router.base+path, nil)
-		if resp.StatusCode != wantResp.StatusCode || !bytes.Equal(got, want) {
-			t.Fatalf("GET %s diverged from unsharded:\nrouter %d: %s\nref    %d: %s",
-				path, resp.StatusCode, got, wantResp.StatusCode, want)
-		}
-		if resp.Header.Get("X-Partial") != "" {
-			t.Fatalf("healthy GET %s marked partial", path)
-		}
-	}
-	posts := []struct {
-		path    string
-		payload any
-	}{
-		{"/v1/whitespace", map[string]any{"clients": []int{1, 2, 3}, "k": 4}},
-		{"/v1/infer", map[string]any{"owned": []int{0, 4, 7}, "k": 3}},
-	}
-	for _, p := range posts {
-		wantResp, want := fetch(t, ref.base+p.path, p.payload)
-		resp, got := fetch(t, router.base+p.path, p.payload)
-		if resp.StatusCode != wantResp.StatusCode || !bytes.Equal(got, want) {
-			t.Fatalf("POST %s diverged from unsharded:\nrouter %d: %s\nref    %d: %s",
-				p.path, resp.StatusCode, got, wantResp.StatusCode, want)
-		}
-	}
-	// Client errors pass through the fan-out verbatim.
-	if resp, _ := fetch(t, router.base+"/v1/similar/99999", nil); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown id through router: %d, want 400", resp.StatusCode)
 	}
 
 	// Blackhole shard 1: kill it and bind its port to a server whose /v1
