@@ -11,19 +11,21 @@ import (
 	"net/http"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/proctest"
 )
 
 func TestANNServingIntegration(t *testing.T) {
-	ibserve := tool(t, "ibserve")
+	ibserve := tools.Path(t, "ibserve")
 	corpusPath, modelPath := sharedFixture(t)
 	indexPath := filepath.Join(t.TempDir(), "ann.ibsnap")
-	boot := func(nprobe string) *proc {
-		return startProc(t, ibserve, "-corpus", corpusPath, "-model", modelPath,
+	boot := func(nprobe string) *proctest.Proc {
+		return proctest.Start(t, ibserve, "-corpus", corpusPath, "-model", modelPath,
 			"-addr", "localhost:0", "-debug-addr", "localhost:0", "-quiet",
 			"-ann", "-ann-cells", "12", "-ann-nprobe", nprobe, "-ann-index", indexPath)
 	}
 	// annHealth requires p's /healthz ann block to be mapped at nprobe.
-	annHealth := func(p *proc, nprobe int) {
+	annHealth := func(p *proctest.Proc, nprobe int) {
 		t.Helper()
 		var health struct {
 			ANN *struct {
@@ -32,7 +34,7 @@ func TestANNServingIntegration(t *testing.T) {
 				Mapped bool `json:"mapped"`
 			} `json:"ann"`
 		}
-		resp, body := fetch(t, p.base+"/healthz", nil)
+		resp, body := fetch(t, p.Base+"/healthz", nil)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("/healthz: status %d\n%s", resp.StatusCode, body)
 		}
@@ -46,32 +48,32 @@ func TestANNServingIntegration(t *testing.T) {
 
 	// The first boot clusters once, saves the index and serves it mapped.
 	first := boot("12")
-	metrics := first.metrics(t)
-	if got := metric(t, metrics, "ann_index_builds_total"); got != 1 {
+	metrics := first.Metrics(t)
+	if got := proctest.Metric(t, metrics, "ann_index_builds_total"); got != 1 {
 		t.Fatalf("first boot clustered %v times, want once", got)
 	}
-	if got := metric(t, metrics, "ann_index_mmap_opens_total"); got < 1 {
+	if got := proctest.Metric(t, metrics, "ann_index_mmap_opens_total"); got < 1 {
 		t.Errorf("first boot serves its index from the heap: ann_index_mmap_opens_total %v", got)
 	}
 	annHealth(first, 12)
-	first.kill()
+	first.Kill()
 
 	// Reboot at another probe depth: the index file does not depend on it.
 	// The routed scans of one similar and one whitespace query show on the
 	// debug listener.
 	pruned := boot("2")
-	if resp, body := fetch(t, pruned.base+"/v1/similar/3", nil); resp.StatusCode != http.StatusOK {
+	if resp, body := fetch(t, pruned.Base+"/v1/similar/3", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("/v1/similar/3: status %d\n%s", resp.StatusCode, body)
 	}
-	if resp, body := fetch(t, pruned.base+"/v1/whitespace", map[string]any{"clients": []int{0, 5, 9}}); resp.StatusCode != http.StatusOK {
+	if resp, body := fetch(t, pruned.Base+"/v1/whitespace", map[string]any{"clients": []int{0, 5, 9}}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("/v1/whitespace: status %d\n%s", resp.StatusCode, body)
 	}
-	metrics = pruned.metrics(t)
-	if got := metric(t, metrics, "ann_index_builds_total"); got != 0 {
+	metrics = pruned.Metrics(t)
+	if got := proctest.Metric(t, metrics, "ann_index_builds_total"); got != 0 {
 		t.Errorf("reboot re-clustered %v times instead of mapping the saved index", got)
 	}
 	for _, name := range []string{"ann_index_mmap_opens_total", "ann_topk_queries_total", "ann_topk_candidates_scanned_total", "ann_whitespace_queries_total"} {
-		if metric(t, metrics, name) == 0 {
+		if proctest.Metric(t, metrics, name) == 0 {
 			t.Errorf("%s is still zero after the reboot and two routed queries", name)
 		}
 	}

@@ -14,25 +14,27 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/proctest"
 )
 
 func TestTrainInterruptAndResume(t *testing.T) {
 	if runtime.GOOS == "windows" {
 		t.Skip("relies on SIGINT delivery")
 	}
-	ibgen := tool(t, "ibgen")
-	ibtrain := tool(t, "ibtrain")
+	ibgen := tools.Path(t, "ibgen")
+	ibtrain := tools.Path(t, "ibtrain")
 	dir := t.TempDir()
 
 	corpusPath := filepath.Join(dir, "corpus.jsonl")
-	runTool(t, ibgen, "-companies", "150", "-seed", "3", "-out", corpusPath)
+	proctest.Run(t, ibgen, "-companies", "150", "-seed", "3", "-out", corpusPath)
 
 	args := []string{"-model", "lstm", "-layers", "1", "-hidden", "8",
 		"-epochs", "25", "-corpus", corpusPath, "-seed", "7"}
 
 	// Reference: the same schedule run to completion.
 	straightPath := filepath.Join(dir, "straight.gob")
-	runTool(t, ibtrain, append(args, "-out", straightPath)...)
+	proctest.Run(t, ibtrain, append(args, "-out", straightPath)...)
 	straight, err := os.ReadFile(straightPath)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +94,7 @@ func TestTrainInterruptAndResume(t *testing.T) {
 	// Resume from the checkpoint; the model family and hyperparameters come
 	// from the checkpoint file itself.
 	resumedPath := filepath.Join(dir, "resumed.gob")
-	out := runTool(t, ibtrain, "-resume", ckptPath,
+	out := proctest.Run(t, ibtrain, "-resume", ckptPath,
 		"-corpus", corpusPath, "-seed", "7", "-out", resumedPath)
 	if !strings.Contains(out, "model written") {
 		t.Fatalf("resume output: %s", out)

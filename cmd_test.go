@@ -12,19 +12,21 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/proctest"
 )
 
 func TestCommandLineTools(t *testing.T) {
-	ibgen := tool(t, "ibgen")
-	ibtrain := tool(t, "ibtrain")
-	ibrec := tool(t, "ibrec")
-	ibeval := tool(t, "ibeval")
+	ibgen := tools.Path(t, "ibgen")
+	ibtrain := tools.Path(t, "ibtrain")
+	ibrec := tools.Path(t, "ibrec")
+	ibeval := tools.Path(t, "ibeval")
 	dir := t.TempDir()
 
 	corpusPath := filepath.Join(dir, "corpus.jsonl")
 
 	// ibgen: generate and validate a corpus.
-	out := runTool(t, ibgen, "-companies", "300", "-seed", "3", "-out", corpusPath)
+	out := proctest.Run(t, ibgen, "-companies", "300", "-seed", "3", "-out", corpusPath)
 	if !strings.Contains(out, "300 companies") {
 		t.Fatalf("ibgen output: %s", out)
 	}
@@ -34,7 +36,7 @@ func TestCommandLineTools(t *testing.T) {
 
 	// ibgen -sites: the aggregation path.
 	sitesCorpus := filepath.Join(dir, "sites.jsonl")
-	out = runTool(t, ibgen, "-companies", "100", "-seed", "4", "-sites", "-out", sitesCorpus)
+	out = proctest.Run(t, ibgen, "-companies", "100", "-seed", "4", "-sites", "-out", sitesCorpus)
 	if !strings.Contains(out, "100 companies") {
 		t.Fatalf("ibgen -sites output: %s", out)
 	}
@@ -47,7 +49,7 @@ func TestCommandLineTools(t *testing.T) {
 		{"bpmf", "-rank=3"},
 	} {
 		modelPath := filepath.Join(dir, tc.model+".gob")
-		out = runTool(t, ibtrain, "-model", tc.model, tc.extra,
+		out = proctest.Run(t, ibtrain, "-model", tc.model, tc.extra,
 			"-corpus", corpusPath, "-out", modelPath, "-seed", "1")
 		if !strings.Contains(out, "model written") {
 			t.Fatalf("ibtrain %s output: %s", tc.model, out)
@@ -58,32 +60,32 @@ func TestCommandLineTools(t *testing.T) {
 	}
 	// LSTM with a tiny architecture to keep the test fast.
 	lstmPath := filepath.Join(dir, "lstm.gob")
-	out = runTool(t, ibtrain, "-model", "lstm", "-layers", "1", "-hidden", "8",
+	out = proctest.Run(t, ibtrain, "-model", "lstm", "-layers", "1", "-hidden", "8",
 		"-epochs", "1", "-corpus", corpusPath, "-out", lstmPath, "-seed", "1")
 	if !strings.Contains(out, "test perplexity") {
 		t.Fatalf("ibtrain lstm output: %s", out)
 	}
 
 	// ibrec: similarity search with a pre-trained model.
-	out = runTool(t, ibrec, "-corpus", corpusPath, "-model", filepath.Join(dir, "lda.gob"),
+	out = proctest.Run(t, ibrec, "-corpus", corpusPath, "-model", filepath.Join(dir, "lda.gob"),
 		"-company", "5", "-k", "3")
 	if !strings.Contains(out, "similar to") {
 		t.Fatalf("ibrec output: %s", out)
 	}
 	// ibrec: recommendations and whitespace.
-	out = runTool(t, ibrec, "-corpus", corpusPath, "-model", filepath.Join(dir, "lda.gob"),
+	out = proctest.Run(t, ibrec, "-corpus", corpusPath, "-model", filepath.Join(dir, "lda.gob"),
 		"-company", "5", "-recommend", "-peers", "10", "-k", "3")
 	if !strings.Contains(out, "recommendations") {
 		t.Fatalf("ibrec -recommend output: %s", out)
 	}
-	out = runTool(t, ibrec, "-corpus", corpusPath, "-model", filepath.Join(dir, "lda.gob"),
+	out = proctest.Run(t, ibrec, "-corpus", corpusPath, "-model", filepath.Join(dir, "lda.gob"),
 		"-clients", "1,2,3", "-whitespace", "-k", "3")
 	if !strings.Contains(out, "white-space prospects") {
 		t.Fatalf("ibrec -whitespace output: %s", out)
 	}
 
 	// ibeval: one fast experiment on the generated corpus.
-	out = runTool(t, ibeval, "-exp", "seqtest", "-scale", "quick", "-corpus", corpusPath)
+	out = proctest.Run(t, ibeval, "-exp", "seqtest", "-scale", "quick", "-corpus", corpusPath)
 	if !strings.Contains(out, "Sequentiality test") {
 		t.Fatalf("ibeval output: %s", out)
 	}
@@ -101,12 +103,12 @@ func TestCommandLineTools(t *testing.T) {
 // work — by ibserve while it decodes the file, by ibrec before it selects a
 // model. Both exit 1 naming the row.
 func TestBinariesRefuseIDOffRow(t *testing.T) {
-	ibgen, ibtrain := tool(t, "ibgen"), tool(t, "ibtrain")
-	ibrec, ibserve := tool(t, "ibrec"), tool(t, "ibserve")
+	ibgen, ibtrain := tools.Path(t, "ibgen"), tools.Path(t, "ibtrain")
+	ibrec, ibserve := tools.Path(t, "ibrec"), tools.Path(t, "ibserve")
 	dir := t.TempDir()
 	good, model := filepath.Join(dir, "corpus.jsonl"), filepath.Join(dir, "lda.gob")
-	runTool(t, ibgen, "-companies", "300", "-seed", "3", "-out", good)
-	runTool(t, ibtrain, "-model", "lda", "-topics=3", "-corpus", good, "-out", model, "-seed", "1")
+	proctest.Run(t, ibgen, "-companies", "300", "-seed", "3", "-out", good)
+	proctest.Run(t, ibtrain, "-model", "lda", "-topics=3", "-corpus", good, "-out", model, "-seed", "1")
 	data, err := os.ReadFile(good)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +149,7 @@ func TestBinariesRefuseIDOffRow(t *testing.T) {
 // count below one or an index outside [0, n) exits 1 naming the flag before
 // any file is read (the corpus here does not exist).
 func TestServeRefusesShardOutOfRange(t *testing.T) {
-	ibserve := tool(t, "ibserve")
+	ibserve := tools.Path(t, "ibserve")
 	missing := filepath.Join(t.TempDir(), "missing.jsonl")
 	for _, spec := range []string{"7/1", "0/0", "0/-3", "3/3", "-1/2"} {
 		out, err := exec.Command(ibserve, "-shard", spec, "-corpus", missing, "-addr", "localhost:0").CombinedOutput()

@@ -68,12 +68,14 @@ type RunConfig struct {
 	Logger           *slog.Logger
 }
 
-// Run is the process lifecycle of ibserve and ibrouter: start the debug
-// listener, listen, announce both bound addresses on stdout (scripts, tests
-// and the benchmark scrape the "debug on " / "serving on " lines), serve
-// until SIGINT/SIGTERM, then flip /readyz, wait DrainWait, and drain
-// connections within Grace. It returns once the listener has drained.
+// Run is the process lifecycle of ibserve and ibrouter: catch SIGINT/SIGTERM
+// first (one sent on an announcement must drain), start the debug listener,
+// listen, announce both addresses on stdout (scripts, tests and the benchmark
+// scrape "debug on " / "serving on "), serve until the signal, flip /readyz,
+// wait DrainWait, drain connections within Grace, and return once drained.
 func Run(cfg RunConfig) error {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	if cfg.DebugAddr != "" {
 		dbg, err := obs.StartDebug(cfg.DebugAddr, obs.Default(), cfg.DebugRoutes...)
 		if err != nil {
@@ -99,8 +101,6 @@ func Run(cfg RunConfig) error {
 		IdleTimeout:       120 * time.Second,
 		MaxHeaderBytes:    1 << 20,
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

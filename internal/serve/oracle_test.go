@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"cmp"
 	"context"
@@ -15,12 +14,10 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -31,6 +28,7 @@ import (
 	"repro/internal/mat"
 	"repro/internal/obs"
 	"repro/internal/par"
+	"repro/internal/proctest"
 	"repro/internal/rng"
 	"repro/internal/router"
 	"repro/internal/snapshot"
@@ -492,6 +490,11 @@ func deployProcs(t *testing.T, fx oracleFixture, models [2]string, v variant) *d
 	}
 	client := &http.Client{Transport: &http.Transport{}}
 	d := &deployment{closers: []func(){client.CloseIdleConnections}}
+	start := func(name string, args ...string) *proctest.Proc {
+		p := proctest.Start(t, oracleBins.Path(t, name), args...)
+		d.closers = append(d.closers, p.Kill)
+		return p
+	}
 	parts := max(1, v.shards)
 	var shards []string
 	for part := range parts {
@@ -499,99 +502,29 @@ func deployProcs(t *testing.T, fx oracleFixture, models [2]string, v variant) *d
 		if parts > 1 {
 			shard = append(slices.Clip(args), "-shard", fmt.Sprintf("%d/%d", part, parts))
 		}
-		addr := d.start(t, "ibserve", shard...)
-		d.procs = append(d.procs, forward(client, addr))
-		shards = append(shards, addr)
+		p := start("ibserve", shard...)
+		d.procs = append(d.procs, forward(client, p.Base))
+		shards = append(shards, strings.TrimPrefix(p.Base, "http://"))
 	}
 	d.h, d.h0 = d.procs[0], d.procs[0]
 	if parts > 1 {
-		d.h, d.routed = forward(client, d.start(t, "ibrouter", append([]string{"-shards", strings.Join(shards, ",")}, common...)...)), true
+		p := start("ibrouter", append([]string{"-shards", strings.Join(shards, ",")}, common...)...)
+		d.h, d.routed = forward(client, p.Base), true
 	}
 	return d
 }
 
-// built holds ibserve and ibrouter, built by the first binary round of the
-// test binary; TestMain removes them.
-var built struct {
-	once sync.Once
-	dir  string
-	err  error
-}
+// oracleBins holds the binaries a binary round starts.
+var oracleBins = proctest.Build("repro/cmd/ibserve", "repro/cmd/ibrouter")
 
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if built.dir != "" {
-		if testing.Short() && code == 0 {
-			fmt.Fprintln(os.Stderr, "FAIL: a -short run built ibserve and ibrouter")
-			code = 1
-		}
-		os.RemoveAll(built.dir)
-	}
-	os.Exit(code)
-}
-
-// start starts the built binary name with args and returns the address its
-// "serving on " line announces. Closing d kills the process and waits for
-// it; the process's stderr is logged if the round failed.
-func (d *deployment) start(t *testing.T, name string, args ...string) string {
-	t.Helper()
-	built.once.Do(func() {
-		if built.dir, built.err = os.MkdirTemp("", "serve-oracle-"); built.err == nil {
-			out, err := exec.Command("go", "build", "-o", built.dir+string(filepath.Separator), "repro/cmd/ibserve", "repro/cmd/ibrouter").CombinedOutput()
-			if err != nil {
-				built.err = fmt.Errorf("go build: %v\n%s", err, out)
-			}
-		}
-	})
-	if built.err != nil {
-		t.Fatal(built.err)
-	}
-	stdout, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stderr bytes.Buffer
-	cmd := exec.Command(filepath.Join(built.dir, name), args...)
-	cmd.Stdout, cmd.Stderr = w, &stderr
-	err = cmd.Start()
-	w.Close()
-	if err != nil {
-		stdout.Close()
-		t.Fatal(err)
-	}
-	stop := sync.OnceFunc(func() {
-		_ = cmd.Process.Kill()
-		_ = cmd.Wait()
-	})
-	d.closers = append(d.closers, stop)
-	t.Cleanup(func() {
-		stop()
-		if t.Failed() {
-			t.Logf("%s %v stderr:\n%s", name, args, stderr.String())
-		}
-	})
-	addr := ""
-	for sc := bufio.NewScanner(stdout); addr == "" && sc.Scan(); {
-		if a, ok := strings.CutPrefix(sc.Text(), "serving on "); ok {
-			addr = a
-		}
-	}
-	go func() {
-		_, _ = io.Copy(io.Discard, stdout)
-		stdout.Close()
-	}()
-	if addr == "" {
-		t.Fatalf("%s %v exited without serving", name, args)
-	}
-	return addr
-}
+func TestMain(m *testing.M) { proctest.Main(m) }
 
 // forward is a handler that passes each request on to the process serving
-// on addr and writes back the status, headers and body it answers.
-func forward(client *http.Client, addr string) http.Handler {
+// at base and writes back the status, headers and body it answers.
+func forward(client *http.Client, base string) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		body := must(io.ReadAll(r.Body))
-		out := must(http.NewRequest(r.Method, "http://"+addr+r.URL.RequestURI(), bytes.NewReader(body)))
+		out := must(http.NewRequest(r.Method, base+r.URL.RequestURI(), bytes.NewReader(body)))
 		out.Header = r.Header
 		resp, err := client.Do(out)
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/proctest"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
@@ -24,21 +25,6 @@ func newServeTracer(sample float64) *trace.Tracer {
 
 func discardLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
-}
-
-// findSpans walks the exported tree depth-first collecting spans by name.
-func findSpans(root *trace.SpanJSON, name string) []*trace.SpanJSON {
-	var out []*trace.SpanJSON
-	if root == nil {
-		return out
-	}
-	if root.Name == name {
-		out = append(out, root)
-	}
-	for _, c := range root.Children {
-		out = append(out, findSpans(c, name)...)
-	}
-	return out
 }
 
 func attrValue(sp *trace.SpanJSON, key string) (string, bool) {
@@ -89,7 +75,7 @@ func TestTraceSpanTreeForSimilar(t *testing.T) {
 		if v, ok := attrValue(tj.Root, "path"); !ok || v != "/v1/similar/3" {
 			t.Fatalf("root path attr %q ok=%v", v, ok)
 		}
-		topk := findSpans(tj.Root, "core.topk")
+		topk := proctest.Spans(tj.Root, "core.topk")
 		if len(topk) != 1 {
 			t.Fatalf("found %d core.topk spans, want 1", len(topk))
 		}
@@ -101,7 +87,7 @@ func TestTraceSpanTreeForSimilar(t *testing.T) {
 		if v, _ := attrValue(topk, "leaves_visited"); v == "" || v == "0" {
 			t.Fatalf("core.topk of %q leaves_visited %q, want at least 1", query, v)
 		}
-		if shards := findSpans(topk, "par.shard"); len(shards) != 0 {
+		if shards := proctest.Spans(topk, "par.shard"); len(shards) != 0 {
 			t.Fatalf("core.topk of %q has %d par.shard spans, want none: leaves are not tasks", query, len(shards))
 		}
 		if topk.DurUS > tj.Root.DurUS {

@@ -16,6 +16,9 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/proctest"
+	"repro/internal/trace"
 )
 
 // loadReport mirrors load.Report without importing internal packages into
@@ -66,24 +69,24 @@ type sloStatus struct {
 var exemplarLine = regexp.MustCompile(`_bucket\{le="[^"]+"\} \d+ # \{trace_id="([0-9a-f]{32})"\}`)
 
 func TestLoadIntegration(t *testing.T) {
-	ibserve := tool(t, "ibserve")
-	ibload := tool(t, "ibload")
+	ibserve := tools.Path(t, "ibserve")
+	ibload := tools.Path(t, "ibload")
 	corpusPath, modelPath := sharedFixture(t)
 	dir := t.TempDir()
 
 	// Sample every request so the slowest one is guaranteed retained; the
 	// run below issues ~180 requests, under the 256-trace ring.
-	srv := startProc(t, ibserve,
+	srv := proctest.Start(t, ibserve,
 		"-corpus", corpusPath, "-model", modelPath,
 		"-addr", "localhost:0", "-debug-addr", "localhost:0",
 		"-k", "5", "-grace", "5s",
 		"-trace", "-trace-sample", "1", "-quiet",
 		"-slo", "-slo-window", "30s", "-slo-latency", "default=250ms",
 		"-runtime-metrics", "-runtime-interval", "1s")
-	base, debug := srv.base, srv.debug
+	base, debug := srv.Base, srv.Debug
 
 	reportPath := filepath.Join(dir, "BENCH_serve.json")
-	out := runTool(t, ibload,
+	out := proctest.Run(t, ibload,
 		"-url", base, "-corpus", corpusPath,
 		"-mode", "open", "-rate", "100", "-duration", "1500ms", "-warmup", "300ms",
 		"-seed", "4", "-out", reportPath)
@@ -127,7 +130,7 @@ func TestLoadIntegration(t *testing.T) {
 	if rep.Total.SlowestTraceID == "" {
 		t.Fatal("report missing slowest_trace_id with tracing on")
 	}
-	var tr traceNode
+	var tr trace.TraceJSON
 	getTraceJSON(t, debug, rep.Total.SlowestTraceID, &tr)
 	if tr.TraceID != rep.Total.SlowestTraceID || tr.Spans == 0 {
 		t.Fatalf("slowest trace: %+v", tr)
@@ -182,12 +185,12 @@ func TestLoadIntegration(t *testing.T) {
 
 	// /metrics: at least one histogram bucket line carries a trace
 	// exemplar, and the exemplar's trace ID resolves at /debug/traces/{id}.
-	metrics := srv.metrics(t)
+	metrics := srv.Metrics(t)
 	m := exemplarLine.FindStringSubmatch(metrics)
 	if m == nil {
 		t.Fatalf("no exemplar on any /metrics bucket line:\n%s", metrics)
 	}
-	var exTrace traceNode
+	var exTrace trace.TraceJSON
 	getTraceJSON(t, debug, m[1], &exTrace)
 	if exTrace.TraceID != m[1] {
 		t.Fatalf("exemplar trace: %+v", exTrace)
@@ -211,7 +214,7 @@ func TestLoadIntegration(t *testing.T) {
 	// so a second run's endpoint request counts match the first (same total
 	// schedule; per-endpoint split depends only on the RNG).
 	report2 := filepath.Join(dir, "BENCH_serve2.json")
-	runTool(t, ibload,
+	proctest.Run(t, ibload,
 		"-url", base, "-corpus", corpusPath,
 		"-mode", "open", "-rate", "100", "-duration", "1500ms", "-warmup", "300ms",
 		"-seed", "4", "-out", report2)

@@ -12,20 +12,19 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/proctest"
 )
 
 func TestReloadProbeIntegration(t *testing.T) {
-	ibtrain := tool(t, "ibtrain")
-	ibserve := tool(t, "ibserve")
+	ibtrain := tools.Path(t, "ibtrain")
+	ibserve := tools.Path(t, "ibserve")
 
 	const companies = 240
 	dir := t.TempDir()
-	corpusPath, modelPath, err := writeModel(t, dir, companies)
-	if err != nil {
-		t.Fatal(err)
-	}
+	corpusPath, modelPath := writeModel(t, dir, companies)
 	otherPath := filepath.Join(dir, "other.gob")
-	runTool(t, ibtrain, "-model", "lda", "-topics=2", "-corpus", corpusPath,
+	proctest.Run(t, ibtrain, "-model", "lda", "-topics=2", "-corpus", corpusPath,
 		"-out", otherPath, "-seed", "99")
 	// The serving generation maps the model file, so a model is swapped in
 	// by renaming a copy over the path, never by rewriting it in place.
@@ -54,13 +53,13 @@ func TestReloadProbeIntegration(t *testing.T) {
 
 	// A genuinely pruned ANN server (nprobe 2 of 12 cells) with a strict
 	// guard and no other quality flag.
-	srv := startProc(t, ibserve,
+	srv := proctest.Start(t, ibserve,
 		"-corpus", corpusPath, "-model", modelPath,
 		"-addr", "localhost:0", "-debug-addr", "localhost:0", "-quiet",
 		"-ann", "-ann-cells", "12", "-ann-nprobe", "2",
 		"-reload-guard", "0.999")
 
-	bootRecall := metric(t, srv.metrics(t), "ann_observed_recall")
+	bootRecall := proctest.Metric(t, srv.Metrics(t), "ann_observed_recall")
 	if bootRecall <= 0 || bootRecall > 1 {
 		t.Fatalf("ann_observed_recall at boot = %v, want in (0, 1]", bootRecall)
 	}
@@ -72,7 +71,7 @@ func TestReloadProbeIntegration(t *testing.T) {
 		Recall      *float64 `json:"recall"`
 	}
 	reload := func() (int, uint64, json.RawMessage, []byte) {
-		r, body := fetch(t, srv.base+"/admin/reload", map[string]any{})
+		r, body := fetch(t, srv.Base+"/admin/reload", map[string]any{})
 		var resp struct {
 			Generation uint64          `json:"generation"`
 			Canary     json.RawMessage `json:"canary"`
@@ -98,7 +97,7 @@ func TestReloadProbeIntegration(t *testing.T) {
 	if v.Probes != companies || v.MeanJaccard != 1 || v.MinJaccard != 1 || v.Recall == nil || *v.Recall != bootRecall {
 		t.Fatalf("clean canary = %s, want %d probes at Jaccard 1 with recall %v", first, companies, bootRecall)
 	}
-	if got := metric(t, srv.metrics(t), "serve_reload_jaccard"); got != 1 {
+	if got := proctest.Metric(t, srv.Metrics(t), "serve_reload_jaccard"); got != 1 {
 		t.Fatalf("serve_reload_jaccard = %v after a clean reload, want 1", got)
 	}
 	code, gen, second, body := reload()
@@ -112,11 +111,11 @@ func TestReloadProbeIntegration(t *testing.T) {
 	if code, _, _, body := reload(); code != http.StatusConflict {
 		t.Fatalf("reload of a different model = %d, want 409\n%s", code, body)
 	}
-	metrics := srv.metrics(t)
-	if got := metric(t, metrics, "serve_reload_jaccard"); got >= 0.999 {
+	metrics := srv.Metrics(t)
+	if got := proctest.Metric(t, metrics, "serve_reload_jaccard"); got >= 0.999 {
 		t.Fatalf("serve_reload_jaccard = %v for the different model, want < 0.999", got)
 	}
-	if got := metric(t, metrics, "serve_reload_errors_total"); got != 1 {
+	if got := proctest.Metric(t, metrics, "serve_reload_errors_total"); got != 1 {
 		t.Fatalf("serve_reload_errors_total = %v, want 1", got)
 	}
 	install(goodPath)

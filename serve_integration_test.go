@@ -11,23 +11,26 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/proctest"
 )
 
 func TestServeIntegration(t *testing.T) {
-	ibserve := tool(t, "ibserve")
+	ibserve := tools.Path(t, "ibserve")
 	corpusPath, modelPath := sharedFixture(t)
 
 	// Start the server on random ports for both listeners.
-	srv := startProc(t, ibserve,
+	srv := proctest.Start(t, ibserve,
 		"-corpus", corpusPath, "-model", modelPath,
 		"-addr", "localhost:0", "-debug-addr", "localhost:0", "-grace", "10s")
-	base := srv.base
+	base := srv.Base
 
 	// Health first: confirms the index shape before querying.
 	var health struct {
@@ -91,25 +94,55 @@ func TestServeIntegration(t *testing.T) {
 
 	// The debug listener counts what this test sent: the 40 in-flight
 	// queries and the reload.
-	metrics := srv.metrics(t)
+	metrics := srv.Metrics(t)
 	for name, want := range map[string]float64{"serve_similar_requests_total": 40, "serve_reload_requests_total": 1} {
-		if got := metric(t, metrics, name); got != want {
+		if got := proctest.Metric(t, metrics, name); got != want {
 			t.Errorf("%s = %v, want %v", name, got, want)
 		}
 	}
 
 	// Graceful shutdown: SIGTERM drains and exits cleanly.
-	if err := srv.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+	if err := srv.Cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.wait(t, 15*time.Second); err != nil {
-		t.Fatalf("server exited uncleanly: %v\nstderr:\n%s", err, srv.stderr.String())
+	if err := srv.Wait(t, 15*time.Second); err != nil {
+		t.Fatalf("server exited uncleanly: %v\nstderr:\n%s", err, srv.Stderr.String())
 	}
-	if !strings.Contains(srv.stderr.String(), "drained and stopped") {
-		t.Fatalf("no drain log on shutdown; stderr:\n%s", srv.stderr.String())
+	if !strings.Contains(srv.Stderr.String(), "drained and stopped") {
+		t.Fatalf("no drain log on shutdown; stderr:\n%s", srv.Stderr.String())
 	}
 	// The live heap the boot's forced collection found, on a line of its own.
-	if m := regexp.MustCompile(`boot heap heap_live_mb=([0-9.]+)\n`).FindStringSubmatch(srv.stderr.String()); m == nil || m[1] == "0" {
-		t.Fatalf("no positive heap_live_mb line after boot; stderr:\n%s", srv.stderr.String())
+	if m := regexp.MustCompile(`boot heap heap_live_mb=([0-9.]+)\n`).FindStringSubmatch(srv.Stderr.String()); m == nil || m[1] == "0" {
+		t.Fatalf("no positive heap_live_mb line after boot; stderr:\n%s", srv.Stderr.String())
+	}
+}
+
+// TestSIGTERMAtAnnounce: a process that has announced its query address
+// drains on SIGTERM. Each boot of ibserve and of ibrouter is sent SIGTERM the
+// moment proctest.Start has read the line, and must log "drained and
+// stopped" and exit 0: the shutdown handler is installed before either
+// announcement, so Go's default SIGTERM action never kills a process that
+// has announced.
+func TestSIGTERMAtAnnounce(t *testing.T) {
+	ibserve, ibrouter := tools.Path(t, "ibserve"), tools.Path(t, "ibrouter")
+	corpusPath, modelPath := sharedFixture(t)
+	serveArgs := []string{"-corpus", corpusPath, "-model", modelPath, "-addr", "localhost:0", "-quiet"}
+	shard := strings.TrimPrefix(proctest.Start(t, ibserve, serveArgs...).Base, "http://")
+	for _, tc := range []struct {
+		bin  string
+		args []string
+	}{
+		{ibserve, serveArgs},
+		{ibrouter, []string{"-shards", shard, "-addr", "localhost:0", "-quiet"}},
+	} {
+		for boot := range 10 {
+			p := proctest.Start(t, tc.bin, tc.args...)
+			if err := p.Cmd.Process.Signal(syscall.SIGTERM); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Wait(t, 15*time.Second); err != nil || !strings.Contains(p.Stderr.String(), "drained and stopped") {
+				t.Fatalf("%s boot %d, SIGTERM at announce: exit %v, want 0 after a drain", filepath.Base(tc.bin), boot, err)
+			}
+		}
 	}
 }

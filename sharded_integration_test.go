@@ -21,25 +21,27 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/proctest"
 )
 
 func TestShardedServingIntegration(t *testing.T) {
-	ibserve := tool(t, "ibserve")
-	ibrouter := tool(t, "ibrouter")
-	ibload := tool(t, "ibload")
+	ibserve := tools.Path(t, "ibserve")
+	ibrouter := tools.Path(t, "ibrouter")
+	ibload := tools.Path(t, "ibload")
 	corpusPath, modelPath := sharedFixture(t)
 
 	// A 3-shard cluster over the fixture.
 	common := []string{"-corpus", corpusPath, "-model", modelPath,
 		"-addr", "localhost:0", "-quiet"}
-	shards := make([]*proc, 3)
+	shards := make([]*proctest.Proc, 3)
 	addrs := make([]string, 3)
 	for i := range shards {
-		shards[i] = startProc(t, ibserve,
+		shards[i] = proctest.Start(t, ibserve,
 			append([]string{"-shard", fmt.Sprintf("%d/3", i)}, common...)...)
-		addrs[i] = strings.TrimPrefix(shards[i].base, "http://")
+		addrs[i] = strings.TrimPrefix(shards[i].Base, "http://")
 	}
-	router := startProc(t, ibrouter,
+	router := proctest.Start(t, ibrouter,
 		"-shards", strings.Join(addrs, ","),
 		"-addr", "localhost:0", "-debug-addr", "localhost:0",
 		"-request-timeout", "600ms",
@@ -58,7 +60,7 @@ func TestShardedServingIntegration(t *testing.T) {
 				Companies int `json:"companies"`
 			} `json:"partition"`
 		}
-		resp, body := fetch(t, sh.base+"/healthz", nil)
+		resp, body := fetch(t, sh.Base+"/healthz", nil)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("shard %d /healthz: %d\n%s", i, resp.StatusCode, body)
 		}
@@ -84,9 +86,9 @@ func TestShardedServingIntegration(t *testing.T) {
 	// the router's degradation comes from the breaker and per-shard
 	// deadlines, not the readiness probe.
 	shard1Addr := addrs[1]
-	shards[1].kill()
-	backend := startProc(t, ibserve, append([]string{"-shard", "1/3"}, common...)...)
-	target, err := url.Parse(backend.base)
+	shards[1].Kill()
+	backend := proctest.Start(t, ibserve, append([]string{"-shard", "1/3"}, common...)...)
+	target, err := url.Parse(backend.Base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +122,7 @@ func TestShardedServingIntegration(t *testing.T) {
 		} `json:"matches"`
 	}
 	for i := 0; i < 2; i++ { // two failures: exactly the breaker threshold
-		resp, body := fetch(t, router.base+"/v1/similar/3", nil)
+		resp, body := fetch(t, router.Base+"/v1/similar/3", nil)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("degraded similar: %d\n%s", resp.StatusCode, body)
 		}
@@ -140,11 +142,11 @@ func TestShardedServingIntegration(t *testing.T) {
 
 	// The breaker tripped open; with it open, requests skip shard 1 and
 	// answer fast (well under the blackhole deadline).
-	if v := metric(t, router.metrics(t), "router_shard1_breaker_state"); v != 2 {
+	if v := proctest.Metric(t, router.Metrics(t), "router_shard1_breaker_state"); v != 2 {
 		t.Fatalf("router_shard1_breaker_state = %v, want 2 (open)", v)
 	}
 	start := time.Now()
-	resp, body := fetch(t, router.base+"/v1/similar/3", nil)
+	resp, body := fetch(t, router.Base+"/v1/similar/3", nil)
 	if dur := time.Since(start); resp.StatusCode != http.StatusOK || dur > 400*time.Millisecond {
 		t.Fatalf("open-breaker request: %d in %s\n%s", resp.StatusCode, dur, body)
 	}
@@ -157,7 +159,7 @@ func TestShardedServingIntegration(t *testing.T) {
 
 	// Two-phase recommend degrades the same way: phase 1 merges peers from
 	// the healthy shards, a healthy shard scores them.
-	resp, body = fetch(t, router.base+"/v1/recommend/3?peers=15&k=4", nil)
+	resp, body = fetch(t, router.Base+"/v1/recommend/3?peers=15&k=4", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("degraded recommend: %d\n%s", resp.StatusCode, body)
 	}
@@ -179,8 +181,8 @@ func TestShardedServingIntegration(t *testing.T) {
 	// of either class), and the report's new partial_responses counter
 	// records the degradation the error counters can't see.
 	reportPath := filepath.Join(t.TempDir(), "BENCH_router.json")
-	runTool(t, ibload,
-		"-url", router.base, "-corpus", corpusPath,
+	proctest.Run(t, ibload,
+		"-url", router.Base, "-corpus", corpusPath,
 		"-mode", "open", "-rate", "60", "-duration", "1s",
 		"-seed", "4", "-label", "degraded_router", "-out", reportPath)
 	raw, err := os.ReadFile(reportPath)
@@ -214,7 +216,7 @@ func TestShardedServingIntegration(t *testing.T) {
 
 	// Router health names the tripped breaker and stays "ok" — partial
 	// availability is the feature.
-	resp, body = fetch(t, router.base+"/healthz", nil)
+	resp, body = fetch(t, router.Base+"/healthz", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("router /healthz: %d\n%s", resp.StatusCode, body)
 	}
@@ -234,7 +236,7 @@ func TestShardedServingIntegration(t *testing.T) {
 	if br := health.Shards[1].Breaker; br != "open" {
 		t.Fatalf("shard 1 breaker %q, want open", br)
 	}
-	if resp, _ := fetch(t, router.base+"/readyz", nil); resp.StatusCode != http.StatusOK {
+	if resp, _ := fetch(t, router.Base+"/readyz", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("router /readyz: %d", resp.StatusCode)
 	}
 }

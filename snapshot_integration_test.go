@@ -11,11 +11,12 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/proctest"
 	"repro/internal/snapshot"
 )
 
 func TestSnapshotFormatsServeIdentical(t *testing.T) {
-	ibserve := tool(t, "ibserve")
+	ibserve := tools.Path(t, "ibserve")
 	corpusPath, v2Path := sharedFixture(t)
 	v1Path := filepath.Join("internal", "lda", "testdata", "model_v1_k3v38.ibsnap")
 	for _, tc := range []struct {
@@ -26,12 +27,12 @@ func TestSnapshotFormatsServeIdentical(t *testing.T) {
 		if got, err := snapshot.FileVersion(tc.model); err != nil || got != tc.version {
 			t.Fatalf("%s: container version %d (%v), want %d", tc.model, got, err, tc.version)
 		}
-		srv := startProc(t, ibserve, "-corpus", corpusPath, "-model", tc.model,
+		srv := proctest.Start(t, ibserve, "-corpus", corpusPath, "-model", tc.model,
 			"-addr", "localhost:0", "-debug-addr", "localhost:0", "-quiet")
-		if resp, body := fetch(t, srv.base+"/admin/reload", struct{}{}); resp.StatusCode != http.StatusOK {
+		if resp, body := fetch(t, srv.Base+"/admin/reload", struct{}{}); resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: /admin/reload: status %d\n%s", tc.model, resp.StatusCode, body)
 		}
-		if got := metric(t, srv.metrics(t), "snapshot_mmap_loads_total"); got != tc.mapped {
+		if got := proctest.Metric(t, srv.Metrics(t), "snapshot_mmap_loads_total"); got != tc.mapped {
 			t.Errorf("%s: snapshot_mmap_loads_total = %v, want %v", tc.model, got, tc.mapped)
 		}
 	}

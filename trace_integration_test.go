@@ -14,6 +14,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/proctest"
+	"repro/internal/trace"
 )
 
 // getTraceJSON polls /debug/traces/{id} until the trace is retained (the
@@ -37,52 +40,12 @@ func getTraceJSON(t *testing.T, debug, id string, out any) {
 	}
 }
 
-// spanNode mirrors trace.SpanJSON for decoding without importing internal
-// packages into the binary-level test.
-type spanNode struct {
-	SpanID   string `json:"span_id"`
-	ParentID string `json:"parent_id"`
-	Name     string `json:"name"`
-	DurUS    int64  `json:"duration_us"`
-	Error    string `json:"error"`
-	Attrs    []struct {
-		Key   string `json:"key"`
-		Value string `json:"value"`
-	} `json:"attrs"`
-	Children []*spanNode `json:"children"`
-}
-
-type traceNode struct {
-	TraceID      string    `json:"trace_id"`
-	Name         string    `json:"name"`
-	DurUS        int64     `json:"duration_us"`
-	Retained     string    `json:"retained"`
-	Error        bool      `json:"error"`
-	Spans        int       `json:"spans"`
-	RemoteParent string    `json:"remote_parent"`
-	Root         *spanNode `json:"root"`
-}
-
-func collectSpans(root *spanNode, name string) []*spanNode {
-	var out []*spanNode
-	if root == nil {
-		return out
-	}
-	if root.Name == name {
-		out = append(out, root)
-	}
-	for _, c := range root.Children {
-		out = append(out, collectSpans(c, name)...)
-	}
-	return out
-}
-
 func TestTraceIntegration(t *testing.T) {
-	ibserve := tool(t, "ibserve")
+	ibserve := tools.Path(t, "ibserve")
 	corpusPath, modelPath := sharedFixture(t)
 	// serve starts ibserve over the fixture on both listeners with flags.
-	serve := func(t *testing.T, flags ...string) *proc {
-		return startProc(t, ibserve, append([]string{
+	serve := func(t *testing.T, flags ...string) *proctest.Proc {
+		return proctest.Start(t, ibserve, append([]string{
 			"-corpus", corpusPath, "-model", modelPath,
 			"-addr", "localhost:0", "-debug-addr", "localhost:0",
 			"-k", "5", "-grace", "5s",
@@ -92,7 +55,7 @@ func TestTraceIntegration(t *testing.T) {
 	// Run 1: everything traced (-trace-sample 1), on a single worker.
 	t.Run("SpanTrees", func(t *testing.T) {
 		srv := serve(t, "-trace", "-trace-sample", "1", "-workers", "1", "-quiet")
-		base, debug := srv.base, srv.debug
+		base, debug := srv.Base, srv.Debug
 
 		// Health reports the tracing state alongside the index shape.
 		var health struct {
@@ -127,11 +90,11 @@ func TestTraceIntegration(t *testing.T) {
 
 		// topkOf fetches a retained trace and returns it with its one
 		// core.topk span and that span's leaves_visited attribute.
-		topkOf := func(traceID string) (traceNode, *spanNode, string) {
+		topkOf := func(traceID string) (trace.TraceJSON, *trace.SpanJSON, string) {
 			t.Helper()
-			var tj traceNode
+			var tj trace.TraceJSON
 			getTraceJSON(t, debug, traceID, &tj)
-			topk := collectSpans(tj.Root, "core.topk")
+			topk := proctest.Spans(tj.Root, "core.topk")
 			if len(topk) != 1 {
 				t.Fatalf("found %d core.topk spans, want 1", len(topk))
 			}
@@ -153,7 +116,7 @@ func TestTraceIntegration(t *testing.T) {
 		if leaves == "" || leaves == "0" {
 			t.Fatalf("unfiltered core.topk leaves_visited %q, want at least 1", leaves)
 		}
-		if shards := collectSpans(topk, "par.shard"); len(shards) != 0 {
+		if shards := proctest.Spans(topk, "par.shard"); len(shards) != 0 {
 			t.Fatalf("unfiltered core.topk has %d par.shard spans, want none", len(shards))
 		}
 
@@ -173,7 +136,7 @@ func TestTraceIntegration(t *testing.T) {
 		if leaves == "" || leaves == "0" {
 			t.Fatalf("country-filtered core.topk leaves_visited %q, want at least 1", leaves)
 		}
-		if shards := collectSpans(topk, "par.shard"); len(shards) != 0 {
+		if shards := proctest.Spans(topk, "par.shard"); len(shards) != 0 {
 			t.Fatalf("country-filtered core.topk has %d par.shard spans, want none", len(shards))
 		}
 
@@ -183,7 +146,7 @@ func TestTraceIntegration(t *testing.T) {
 		if leaves == "" || leaves == "0" {
 			t.Fatalf("range-filtered core.topk leaves_visited %q, want at least 1", leaves)
 		}
-		if shards := collectSpans(topk, "par.shard"); len(shards) != 0 {
+		if shards := proctest.Spans(topk, "par.shard"); len(shards) != 0 {
 			t.Fatalf("range-filtered core.topk has %d par.shard spans, want none", len(shards))
 		}
 		if tj.Root.DurUS < topk.DurUS {
@@ -234,7 +197,7 @@ func TestTraceIntegration(t *testing.T) {
 		if strings.Contains(echo, "b7ad6b7169203331") {
 			t.Fatalf("echoed traceparent %q reuses the caller's span ID", echo)
 		}
-		var joined traceNode
+		var joined trace.TraceJSON
 		getTraceJSON(t, debug, "0af7651916cd43dd8448eb211c80319c", &joined)
 		if joined.RemoteParent != "b7ad6b7169203331" {
 			t.Fatalf("remote parent %q", joined.RemoteParent)
@@ -245,7 +208,7 @@ func TestTraceIntegration(t *testing.T) {
 	// blows its (client-shrunk) deadline is an error and always retained.
 	t.Run("TailSampling", func(t *testing.T) {
 		srv := serve(t, "-trace", "-trace-sample", "0", "-trace-slow", "250ms", "-quiet")
-		base, debug := srv.base, srv.debug
+		base, debug := srv.Base, srv.Debug
 
 		for i := 0; i < 5; i++ {
 			resp, body := fetch(t, fmt.Sprintf("%s/v1/similar/%d?k=5", base, i), nil)
