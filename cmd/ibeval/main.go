@@ -40,6 +40,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/obs"
 	"repro/internal/par"
+	"repro/internal/snapshot"
 	"repro/internal/trace"
 )
 
@@ -279,7 +280,7 @@ func main() {
 
 	root.End()
 	if *metricsOut != "" {
-		if err := obs.Default().WriteJSONFile(*metricsOut); err != nil {
+		if err := snapshot.Atomic(*metricsOut, obs.Default().WriteJSON); err != nil {
 			fatal(err)
 		}
 		logger.Info("metrics snapshot written", "path", *metricsOut)

@@ -348,7 +348,7 @@ func main() {
 	root.End()
 	fmt.Printf("model written to %s\n", *out)
 	if *metricsOut != "" {
-		if err := obs.Default().WriteJSONFile(*metricsOut); err != nil {
+		if err := snapshot.Atomic(*metricsOut, obs.Default().WriteJSON); err != nil {
 			fatal(err)
 		}
 		logger.Info("metrics snapshot written", "path", *metricsOut)

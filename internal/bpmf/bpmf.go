@@ -10,7 +10,6 @@ package bpmf
 
 import (
 	"context"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
@@ -406,9 +405,7 @@ type gobModel struct {
 // Save serializes the model into a checksummed snapshot container of kind
 // KindModel.
 func (m *Model) Save(w io.Writer) error {
-	return snapshot.Write(w, KindModel, func(w io.Writer) error {
-		return gob.NewEncoder(w).Encode(gobModel{N: m.N, M: m.M, Rank: m.Rank, Scores: m.Scores.Data})
-	})
+	return snapshot.Write(w, KindModel, gobModel{N: m.N, M: m.M, Rank: m.Rank, Scores: m.Scores.Data})
 }
 
 // Load deserializes a model written by Save. Truncated, bit-flipped and
@@ -416,9 +413,7 @@ func (m *Model) Save(w io.Writer) error {
 // decoding runs.
 func Load(r io.Reader) (*Model, error) {
 	var g gobModel
-	if err := snapshot.Read(r, KindModel, func(r io.Reader) error {
-		return gob.NewDecoder(r).Decode(&g)
-	}); err != nil {
+	if err := snapshot.Read(r, KindModel, &g); err != nil {
 		return nil, fmt.Errorf("bpmf: loading model: %w", err)
 	}
 	if g.N < 1 || g.M < 1 || len(g.Scores) != g.N*g.M {

@@ -63,17 +63,13 @@ func (ck *Checkpoint) validate() error {
 // Save serializes the checkpoint into a checksummed snapshot container of
 // kind KindCheckpoint.
 func (ck *Checkpoint) Save(w io.Writer) error {
-	return snapshot.Write(w, KindCheckpoint, func(w io.Writer) error {
-		return gob.NewEncoder(w).Encode(ck)
-	})
+	return snapshot.Write(w, KindCheckpoint, ck)
 }
 
 // LoadCheckpoint deserializes and validates a checkpoint written by Save.
 func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	ck := new(Checkpoint)
-	if err := snapshot.Read(r, KindCheckpoint, func(r io.Reader) error {
-		return gob.NewDecoder(r).Decode(ck)
-	}); err != nil {
+	if err := snapshot.Read(r, KindCheckpoint, ck); err != nil {
 		return nil, fmt.Errorf("bpmf: loading checkpoint: %w", err)
 	}
 	if err := ck.validate(); err != nil {

@@ -7,7 +7,6 @@
 package chh
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 	"sort"
@@ -200,18 +199,14 @@ type gobExact struct {
 // Save serializes the model into a checksummed snapshot container of kind
 // KindModel.
 func (e *Exact) Save(w io.Writer) error {
-	return snapshot.Write(w, KindModel, func(w io.Writer) error {
-		return gob.NewEncoder(w).Encode(gobExact(*e))
-	})
+	return snapshot.Write(w, KindModel, gobExact(*e))
 }
 
 // Load deserializes a model written by Save, rejecting containers whose
 // payload decodes to an inconsistent model.
 func Load(r io.Reader) (*Exact, error) {
 	var g gobExact
-	if err := snapshot.Read(r, KindModel, func(r io.Reader) error {
-		return gob.NewDecoder(r).Decode(&g)
-	}); err != nil {
+	if err := snapshot.Read(r, KindModel, &g); err != nil {
 		return nil, fmt.Errorf("chh: loading model: %w", err)
 	}
 	if g.V < 1 || (g.Depth != 1 && g.Depth != 2) || len(g.Count0) != g.V {

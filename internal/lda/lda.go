@@ -642,9 +642,7 @@ type gobModel struct {
 // integrity checks before any gob decoding runs.
 func loadV1(r io.Reader) (*Model, error) {
 	var g gobModel
-	if err := snapshot.Read(r, KindModel, func(r io.Reader) error {
-		return gob.NewDecoder(r).Decode(&g)
-	}); err != nil {
+	if err := snapshot.Read(r, KindModel, &g); err != nil {
 		return nil, fmt.Errorf("lda: loading model: %w", err)
 	}
 	if g.K < 1 || g.V < 1 || len(g.PhiData) != g.K*g.V {
@@ -697,17 +695,13 @@ func (ck *Checkpoint) validate() error {
 // Save serializes the checkpoint into a snapshot container of kind
 // KindCheckpoint.
 func (ck *Checkpoint) Save(w io.Writer) error {
-	return snapshot.Write(w, KindCheckpoint, func(w io.Writer) error {
-		return gob.NewEncoder(w).Encode(ck)
-	})
+	return snapshot.Write(w, KindCheckpoint, ck)
 }
 
 // LoadCheckpoint deserializes and validates a checkpoint written by Save.
 func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	ck := &Checkpoint{}
-	if err := snapshot.Read(r, KindCheckpoint, func(r io.Reader) error {
-		return gob.NewDecoder(r).Decode(ck)
-	}); err != nil {
+	if err := snapshot.Read(r, KindCheckpoint, ck); err != nil {
 		return nil, fmt.Errorf("lda: loading checkpoint: %w", err)
 	}
 	if err := ck.validate(); err != nil {

@@ -6,7 +6,6 @@
 package ngram
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
@@ -226,18 +225,14 @@ type gobModel struct {
 // Save serializes the model into a checksummed snapshot container of kind
 // KindModel.
 func (m *Model) Save(w io.Writer) error {
-	return snapshot.Write(w, KindModel, func(w io.Writer) error {
-		return gob.NewEncoder(w).Encode(gobModel(*m))
-	})
+	return snapshot.Write(w, KindModel, gobModel(*m))
 }
 
 // Load deserializes a model written by Save, rejecting containers whose
 // payload decodes to an inconsistent model.
 func Load(r io.Reader) (*Model, error) {
 	var g gobModel
-	if err := snapshot.Read(r, KindModel, func(r io.Reader) error {
-		return gob.NewDecoder(r).Decode(&g)
-	}); err != nil {
+	if err := snapshot.Read(r, KindModel, &g); err != nil {
 		return nil, fmt.Errorf("ngram: loading model: %w", err)
 	}
 	if g.Order < 1 || g.Order > 3 || g.V < 1 ||

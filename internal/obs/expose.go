@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -202,34 +200,4 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Snapshot())
-}
-
-// WriteJSONFile dumps the JSON snapshot to path (the machine-readable trace
-// cmd/ibtrain and cmd/ibeval leave next to their outputs). The write is
-// atomic — temp file, fsync, rename — so a crash mid-dump never leaves a
-// truncated snapshot. This duplicates internal/snapshot.Atomic because that
-// package depends on obs for its counters and cannot be imported here.
-func (r *Registry) WriteJSONFile(path string) (err error) {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	if err = r.WriteJSON(f); err != nil {
-		return err
-	}
-	if err = f.Sync(); err != nil {
-		return err
-	}
-	if err = f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }

@@ -120,10 +120,21 @@ type Proc struct {
 	err    error
 }
 
+// bootDeadline bounds how long Start waits for "serving on ": well above the
+// slowest boot under -race, so only a binary that hangs in boot reaches it.
+const bootDeadline = 60 * time.Second
+
 // Start starts bin and reads the "debug on " and "serving on " lines it
-// prints to stdout, then keeps draining stdout. The process is killed at
-// cleanup, and its stderr logged if the test failed.
+// prints to stdout, then keeps draining stdout. A process that exits, or is
+// still silent after bootDeadline, before announcing "serving on " is killed
+// and fails the test with its stderr. Otherwise it is killed at cleanup, and
+// its stderr logged if the test failed.
 func Start(t testing.TB, bin string, args ...string) *Proc {
+	t.Helper()
+	return start(t, bootDeadline, bin, args...)
+}
+
+func start(t testing.TB, deadline time.Duration, bin string, args ...string) *Proc {
 	t.Helper()
 	stdout, w, err := os.Pipe()
 	if err != nil {
@@ -142,12 +153,8 @@ func Start(t testing.TB, bin string, args ...string) *Proc {
 		p.err = p.Cmd.Wait()
 		close(p.done)
 	}()
-	t.Cleanup(func() {
-		p.Kill()
-		if t.Failed() && p.Stderr.Len() > 0 {
-			t.Logf("%s %v stderr:\n%s", filepath.Base(bin), args, p.Stderr.String())
-		}
-	})
+	// Killing the process closes its end of the pipe, which ends the scan.
+	timer := time.AfterFunc(deadline, func() { _ = p.Cmd.Process.Kill() })
 	sc := bufio.NewScanner(stdout)
 	for p.Base == "" && sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -157,14 +164,26 @@ func Start(t testing.TB, bin string, args ...string) *Proc {
 			p.Base = "http://" + addr
 		}
 	}
+	late := !timer.Stop()
 	// Keep reading, so the process never blocks on a full stdout pipe.
 	go func() {
 		_, _ = io.Copy(io.Discard, stdout)
 		stdout.Close()
 	}()
-	if p.Base == "" {
-		t.Fatalf("%s %v never announced %q (stdout closed)", filepath.Base(bin), args, "serving on ")
+	if p.Base == "" || late {
+		p.Kill()
+		why := "stdout closed"
+		if late {
+			why = fmt.Sprintf("killed after %s", deadline)
+		}
+		t.Fatalf("%s %v never announced %q (%s); stderr:\n%s", filepath.Base(bin), args, "serving on ", why, p.Stderr.String())
 	}
+	t.Cleanup(func() {
+		p.Kill()
+		if t.Failed() && p.Stderr.Len() > 0 {
+			t.Logf("%s %v stderr:\n%s", filepath.Base(bin), args, p.Stderr.String())
+		}
+	})
 	return p
 }
 

@@ -9,15 +9,22 @@ import (
 	"time"
 )
 
-// childEnv, when set, makes the test binary act as a short-lived server: it
-// announces both listeners as a serving binary does and exits at once.
+// childEnv, when set, makes the test binary act as a serving binary: "1"
+// announces both listeners and exits at once, "hang" logs to stderr and then
+// hangs in boot without announcing.
 const childEnv = "PROCTEST_CHILD"
 
 func TestMain(m *testing.M) {
-	if os.Getenv(childEnv) != "" {
+	switch os.Getenv(childEnv) {
+	case "1":
 		fmt.Println("debug on 127.0.0.1:2")
 		fmt.Println("serving on 127.0.0.1:1")
 		os.Exit(0)
+	case "hang":
+		fmt.Println("debug on 127.0.0.1:2")
+		fmt.Fprintln(os.Stderr, "stuck in boot")
+		time.Sleep(time.Hour)
+		os.Exit(1)
 	}
 	Main(m)
 }
@@ -56,8 +63,8 @@ func TestToolBuildFailure(t *testing.T) {
 	}
 }
 
-// fatalRecorder is a testing.TB whose Fatal records its message and ends the
-// calling goroutine, as testing.T's does.
+// fatalRecorder is a testing.TB whose Fatal and Fatalf record their message
+// and end the calling goroutine, as testing.T's do.
 type fatalRecorder struct {
 	testing.TB
 	msg string
@@ -68,6 +75,10 @@ func (r *fatalRecorder) Helper() {}
 func (r *fatalRecorder) Fatal(args ...any) {
 	r.msg = fmt.Sprint(args...)
 	runtime.Goexit()
+}
+
+func (r *fatalRecorder) Fatalf(format string, args ...any) {
+	r.Fatal(fmt.Sprintf(format, args...))
 }
 
 // TestStartReadsAnnouncements: Start returns both announced addresses, and
@@ -92,5 +103,27 @@ func TestStartReadsAnnouncements(t *testing.T) {
 	case <-killed:
 	case <-time.After(10 * time.Second):
 		t.Fatal("Kill of an exited process blocked")
+	}
+}
+
+// TestStartBootDeadline: a child that never announces "serving on " is
+// killed at the boot deadline, and Start fails with its stderr instead of
+// waiting for the test binary's -timeout.
+func TestStartBootDeadline(t *testing.T) {
+	t.Setenv(childEnv, "hang")
+	rec := &fatalRecorder{TB: t}
+	var p *Proc
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		p = start(rec, time.Second, os.Args[0])
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("start did not give up on a child that never announced")
+	}
+	if p != nil || !strings.Contains(rec.msg, "killed after 1s") || !strings.Contains(rec.msg, "stuck in boot") {
+		t.Fatalf("start returned %v with fatal %q; want a fatal naming the deadline and the child's stderr", p, rec.msg)
 	}
 }

@@ -99,18 +99,14 @@ func (ck *Checkpoint) validate() error {
 // Save serializes the checkpoint into a checksummed snapshot container of
 // kind ck.Cfg.Cell.KindCheckpoint().
 func (ck *Checkpoint) Save(w io.Writer) error {
-	return snapshot.Write(w, ck.Cfg.Cell.KindCheckpoint(), func(w io.Writer) error {
-		return gob.NewEncoder(w).Encode(ck)
-	})
+	return snapshot.Write(w, ck.Cfg.Cell.KindCheckpoint(), ck)
 }
 
 // LoadCheckpoint deserializes and validates a checkpoint of either cell
 // written by Save; the file's snapshot kind says which.
 func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	ck := new(Checkpoint)
-	cell, err := readSnapshot(r, Cell.KindCheckpoint, func(r io.Reader) error {
-		return gob.NewDecoder(r).Decode(ck)
-	})
+	cell, err := readSnapshot(r, Cell.KindCheckpoint, ck)
 	if err != nil {
 		return nil, fmt.Errorf("rnn: loading checkpoint: %w", err)
 	}

@@ -20,7 +20,6 @@ package rnn
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
@@ -400,10 +399,10 @@ func (g *gobModel) model(cell Cell) (*Model, error) {
 }
 
 // readSnapshot verifies one container from r whose kind is kindOf some cell,
-// hands the payload to decode and returns that cell. Truncated, bit-flipped
+// decodes its payload into v and returns that cell. Truncated, bit-flipped
 // and foreign-kind files fail the container's integrity checks before any
 // gob decoding runs.
-func readSnapshot(r io.Reader, kindOf func(Cell) string, decode func(io.Reader) error) (Cell, error) {
+func readSnapshot(r io.Reader, kindOf func(Cell) string, v any) (Cell, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return 0, err
@@ -416,24 +415,20 @@ func readSnapshot(r io.Reader, kindOf func(Cell) string, decode func(io.Reader) 
 	if kind == kindOf(GRU) {
 		cell = GRU
 	}
-	return cell, snapshot.Read(bytes.NewReader(data), kindOf(cell), decode)
+	return cell, snapshot.Read(bytes.NewReader(data), kindOf(cell), v)
 }
 
 // Save serializes the model into a checksummed snapshot container of kind
 // m.Cell.KindModel().
 func (m *Model) Save(w io.Writer) error {
-	return snapshot.Write(w, m.Cell.KindModel(), func(w io.Writer) error {
-		return gob.NewEncoder(w).Encode(m.gobView())
-	})
+	return snapshot.Write(w, m.Cell.KindModel(), m.gobView())
 }
 
 // Load deserializes a model of either cell written by Save; the file's
 // snapshot kind says which.
 func Load(r io.Reader) (*Model, error) {
 	var g gobModel
-	cell, err := readSnapshot(r, Cell.KindModel, func(r io.Reader) error {
-		return gob.NewDecoder(r).Decode(&g)
-	})
+	cell, err := readSnapshot(r, Cell.KindModel, &g)
 	if err != nil {
 		return nil, fmt.Errorf("rnn: loading model: %w", err)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"cmp"
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -313,7 +312,7 @@ func oracleModels(t *testing.T) [2]string {
 		PhiData     []float64
 		InferIters  int
 	}
-	if err := snapshot.Read(f, lda.KindModel, func(r io.Reader) error { return gob.NewDecoder(r).Decode(&g) }); err != nil {
+	if err := snapshot.Read(f, lda.KindModel, &g); err != nil {
 		t.Fatal(err)
 	}
 	m := &lda.Model{K: g.K, V: g.V, Alpha: g.Alpha, Beta: g.Beta, Phi: mat.FromSlice(g.K, g.V, g.PhiData), InferIters: g.InferIters}

@@ -11,7 +11,6 @@ package sgns
 
 import (
 	"context"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
@@ -357,9 +356,7 @@ type gobModel struct {
 // Save serializes the model into a checksummed snapshot container of kind
 // KindModel.
 func (m *Model) Save(w io.Writer) error {
-	return snapshot.Write(w, KindModel, func(w io.Writer) error {
-		return gob.NewEncoder(w).Encode(gobModel{V: m.V, Dim: m.Dim, In: m.In.Data, Out: m.Out.Data})
-	})
+	return snapshot.Write(w, KindModel, gobModel{V: m.V, Dim: m.Dim, In: m.In.Data, Out: m.Out.Data})
 }
 
 // Load deserializes a model written by Save. Truncated, bit-flipped and
@@ -367,9 +364,7 @@ func (m *Model) Save(w io.Writer) error {
 // decoding runs.
 func Load(r io.Reader) (*Model, error) {
 	var g gobModel
-	if err := snapshot.Read(r, KindModel, func(r io.Reader) error {
-		return gob.NewDecoder(r).Decode(&g)
-	}); err != nil {
+	if err := snapshot.Read(r, KindModel, &g); err != nil {
 		return nil, fmt.Errorf("sgns: loading model: %w", err)
 	}
 	if g.V < 2 || g.Dim < 1 || len(g.In) != g.V*g.Dim || len(g.Out) != g.V*g.Dim {

@@ -2,19 +2,15 @@ package snapshot
 
 import (
 	"bytes"
-	"io"
 	"testing"
 )
 
 // FuzzRead feeds arbitrary bytes to the container reader: it must reject
 // anything malformed with an error and never panic, and any accepted input
-// must hand decode exactly the checksummed payload.
+// must decode to a payload that round-trips through Write and Read.
 func FuzzRead(f *testing.F) {
 	var valid bytes.Buffer
-	if err := Write(&valid, "fuzz-model", func(w io.Writer) error {
-		_, err := w.Write([]byte("seed payload bytes"))
-		return err
-	}); err != nil {
+	if err := Write(&valid, "fuzz-model", []byte("seed payload bytes")); err != nil {
 		f.Fatal(err)
 	}
 	b := valid.Bytes()
@@ -32,20 +28,17 @@ func FuzzRead(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var got []byte
-		err := Read(bytes.NewReader(data), "fuzz-model", func(r io.Reader) error {
-			var derr error
-			got, derr = io.ReadAll(r)
-			return derr
-		})
+		err := Read(bytes.NewReader(data), "fuzz-model", &got)
 		if err == nil {
 			// Accepted input must re-serialize to a container whose
 			// payload round-trips.
 			var rt bytes.Buffer
-			if werr := Write(&rt, "fuzz-model", func(w io.Writer) error {
-				_, e := w.Write(got)
-				return e
-			}); werr != nil {
+			if werr := Write(&rt, "fuzz-model", got); werr != nil {
 				t.Fatalf("round-trip write failed: %v", werr)
+			}
+			var again []byte
+			if rerr := Read(&rt, "fuzz-model", &again); rerr != nil || !bytes.Equal(again, got) {
+				t.Fatalf("round trip = %q, %v; want %q", again, rerr, got)
 			}
 		}
 		// ReadKind must likewise never panic.

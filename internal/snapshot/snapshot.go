@@ -1,17 +1,20 @@
-// Package snapshot provides the crash-safe persistence container used by
-// every model Save/Load path, the trainers' checkpoint files, and the corpus
-// writer. It solves two independent problems:
+// Package snapshot owns every file the binaries write: the checksummed
+// container of every model Save/Load path and the trainers' checkpoint
+// files, and the one crash-safe write that places it and every other output
+// (corpora, metrics and trace dumps, load reports, charts). It solves two
+// independent problems:
 //
-//   - Integrity: a serialized payload is wrapped in a small versioned header
-//     (magic, format version, model kind, payload length, CRC-32C) so that a
-//     loader can distinguish "truncated file", "bit-flipped payload", "wrong
-//     model kind" and "file from a future version" with precise errors
-//     instead of surfacing cryptic gob failures.
+//   - Integrity: a gob-encoded payload is wrapped in a small versioned
+//     header (magic, format version, model kind, payload length, CRC-32C) so
+//     that a loader can distinguish "truncated file", "bit-flipped payload",
+//     "wrong model kind" and "file from a future version" with precise
+//     errors instead of surfacing cryptic gob failures. Write and Read are
+//     the one v1 codec: callers hand them the value to encode or decode.
 //
-//   - Atomicity: WriteFile and Atomic place files by writing to a temporary
-//     sibling, fsyncing it, renaming it over the destination and fsyncing
-//     the directory, so a crash (even kill -9) mid-save either preserves the
-//     old file or installs the complete new one — never a torn file.
+//   - Atomicity: Atomic places a file by writing to a temporary sibling,
+//     fsyncing it, renaming it over the destination and fsyncing the
+//     directory, so a crash (even kill -9) mid-save either preserves the old
+//     file or installs the complete new one — never a torn file.
 //
 // Container layout (all integers big-endian):
 //
@@ -26,13 +29,14 @@
 //
 // Version policy: the version is bumped only for incompatible header layout
 // changes; payload evolution is the owning package's concern (each payload
-// is a gob stream or JSONL document that carries its own structure). Readers
-// reject versions newer than they understand rather than guessing.
+// is one gob value, which carries its own structure). Readers reject
+// versions newer than they understand rather than guessing.
 package snapshot
 
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -101,15 +105,15 @@ func (e *VersionError) Error() string {
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Write serializes one container to w: the payload produced by encode,
+// Write serializes one container to w: v gob-encoded as the payload,
 // wrapped in the versioned, checksummed header. The payload is buffered in
 // memory to compute its length and CRC before any header byte is emitted.
-func Write(w io.Writer, kind string, encode func(io.Writer) error) error {
+func Write(w io.Writer, kind string, v any) error {
 	if kind == "" || len(kind) > maxKindLen {
 		return fmt.Errorf("snapshot: invalid kind %q", kind)
 	}
 	var payload bytes.Buffer
-	if err := encode(&payload); err != nil {
+	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
 		return fmt.Errorf("snapshot: encoding %s payload: %w", kind, err)
 	}
 	hdr := make([]byte, 0, 22+len(kind))
@@ -165,11 +169,11 @@ func corrupt(err error) error {
 	return err
 }
 
-// Read verifies one container from r and hands the verified payload to
-// decode. The expected kind must match the file's kind exactly; the payload
-// is fully read and checksummed before decode sees a single byte, so decode
-// never observes truncated or bit-flipped input.
-func Read(r io.Reader, kind string, decode func(io.Reader) error) error {
+// Read verifies one container from r and gob-decodes its payload into v (a
+// pointer; nil discards the value). The expected kind must match the file's
+// kind exactly; the payload is fully read and checksummed before the decoder
+// sees a single byte, so it never observes truncated or bit-flipped input.
+func Read(r io.Reader, kind string, v any) error {
 	got, payloadLen, crc, err := readHeader(r)
 	if err != nil {
 		return err
@@ -191,7 +195,7 @@ func Read(r io.Reader, kind string, decode func(io.Reader) error) error {
 	if crc32.Checksum(payload, crcTable) != crc {
 		return corrupt(ErrChecksum)
 	}
-	if err := decode(bytes.NewReader(payload)); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
 		return fmt.Errorf("snapshot: decoding %s payload: %w", kind, err)
 	}
 	readsTotal.Inc()
@@ -222,8 +226,8 @@ func FileKind(path string) (string, error) {
 // to a temporary file in the same directory, which is fsynced, closed and
 // renamed over path, and the directory is fsynced so the rename itself is
 // durable. A crash at any point leaves either the old file or the complete
-// new one. The content need not be a snapshot container (the corpus writer
-// uses Atomic with plain JSONL).
+// new one. It is the one function that places a file: the content need not
+// be a snapshot container (corpora are JSONL, metrics and trace dumps JSON).
 func Atomic(path string, write func(io.Writer) error) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
@@ -259,10 +263,7 @@ func Atomic(path string, write func(io.Writer) error) (err error) {
 	if err = os.Rename(tmpName, path); err != nil {
 		return fmt.Errorf("snapshot: renaming into place: %w", err)
 	}
-	if err = syncDir(dir); err != nil {
-		return err
-	}
-	return nil
+	return syncDir(dir)
 }
 
 // syncDir fsyncs a directory so a completed rename survives power loss.
@@ -276,27 +277,6 @@ func syncDir(dir string) error {
 	defer d.Close()
 	if err := d.Sync(); err != nil && !errors.Is(err, errors.ErrUnsupported) {
 		return fmt.Errorf("snapshot: fsyncing directory %s: %w", dir, err)
-	}
-	return nil
-}
-
-// WriteFile writes one container to path atomically.
-func WriteFile(path, kind string, encode func(io.Writer) error) error {
-	return Atomic(path, func(w io.Writer) error {
-		return Write(w, kind, encode)
-	})
-}
-
-// ReadFile reads and verifies the container at path. Errors are annotated
-// with the path.
-func ReadFile(path, kind string, decode func(io.Reader) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := Read(f, kind, decode); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -10,27 +11,10 @@ import (
 	"testing"
 )
 
-// enc returns an encode func writing the given bytes.
-func enc(b []byte) func(io.Writer) error {
-	return func(w io.Writer) error {
-		_, err := w.Write(b)
-		return err
-	}
-}
-
-// dec returns a decode func capturing all payload bytes into dst.
-func dec(dst *[]byte) func(io.Reader) error {
-	return func(r io.Reader) error {
-		b, err := io.ReadAll(r)
-		*dst = b
-		return err
-	}
-}
-
 func container(t *testing.T, kind string, payload []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := Write(&buf, kind, enc(payload)); err != nil {
+	if err := Write(&buf, kind, payload); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -40,7 +24,7 @@ func TestRoundTrip(t *testing.T) {
 	payload := []byte("the payload \x00\x01\x02 with binary bytes")
 	b := container(t, "test-model", payload)
 	var got []byte
-	if err := Read(bytes.NewReader(b), "test-model", dec(&got)); err != nil {
+	if err := Read(bytes.NewReader(b), "test-model", &got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, payload) {
@@ -51,7 +35,7 @@ func TestRoundTrip(t *testing.T) {
 func TestEmptyPayloadRoundTrips(t *testing.T) {
 	b := container(t, "test-model", nil)
 	var got []byte
-	if err := Read(bytes.NewReader(b), "test-model", dec(&got)); err != nil {
+	if err := Read(bytes.NewReader(b), "test-model", &got); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 0 {
@@ -61,7 +45,7 @@ func TestEmptyPayloadRoundTrips(t *testing.T) {
 
 func TestKindMismatch(t *testing.T) {
 	b := container(t, "lda-model", []byte("x"))
-	err := Read(bytes.NewReader(b), "lstm-model", func(io.Reader) error { return nil })
+	err := Read(bytes.NewReader(b), "lstm-model", nil)
 	var ke *KindError
 	if !errors.As(err, &ke) {
 		t.Fatalf("want KindError, got %v", err)
@@ -80,7 +64,7 @@ func TestNotSnapshot(t *testing.T) {
 		[]byte("GOBGOBGOBGOB"),
 		bytes.Repeat([]byte{0}, 64),
 	} {
-		err := Read(bytes.NewReader(b), "x", func(io.Reader) error { return nil })
+		err := Read(bytes.NewReader(b), "x", nil)
 		if !errors.Is(err, ErrNotSnapshot) {
 			t.Fatalf("want ErrNotSnapshot for %q, got %v", b[:6], err)
 		}
@@ -90,7 +74,7 @@ func TestNotSnapshot(t *testing.T) {
 func TestTruncationDetectedAtEveryLength(t *testing.T) {
 	b := container(t, "test-model", []byte("some payload that is long enough to truncate"))
 	for n := 0; n < len(b); n++ {
-		err := Read(bytes.NewReader(b[:n]), "test-model", func(io.Reader) error { return nil })
+		err := Read(bytes.NewReader(b[:n]), "test-model", nil)
 		if err == nil {
 			t.Fatalf("truncation to %d/%d bytes not detected", n, len(b))
 		}
@@ -110,7 +94,7 @@ func TestBitFlipDetectedEverywhere(t *testing.T) {
 		b := append([]byte(nil), orig...)
 		b[i] ^= 0x40
 		var got []byte
-		err := Read(bytes.NewReader(b), "test-model", dec(&got))
+		err := Read(bytes.NewReader(b), "test-model", &got)
 		if err == nil {
 			t.Fatalf("bit flip at byte %d not detected", i)
 		}
@@ -120,7 +104,7 @@ func TestBitFlipDetectedEverywhere(t *testing.T) {
 func TestFutureVersionRejected(t *testing.T) {
 	b := container(t, "test-model", []byte("x"))
 	b[6], b[7] = 0xff, 0xff // version field
-	err := Read(bytes.NewReader(b), "test-model", func(io.Reader) error { return nil })
+	err := Read(bytes.NewReader(b), "test-model", nil)
 	var ve *VersionError
 	if !errors.As(err, &ve) {
 		t.Fatalf("want VersionError, got %v", err)
@@ -140,19 +124,18 @@ func TestReadKind(t *testing.T) {
 
 func TestWriteRejectsBadKind(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, "", enc(nil)); err == nil {
+	if err := Write(&buf, "", []byte(nil)); err == nil {
 		t.Fatal("empty kind accepted")
 	}
-	if err := Write(&buf, strings.Repeat("k", maxKindLen+1), enc(nil)); err == nil {
+	if err := Write(&buf, strings.Repeat("k", maxKindLen+1), []byte(nil)); err == nil {
 		t.Fatal("oversized kind accepted")
 	}
 }
 
 func TestEncodeErrorWritesNothing(t *testing.T) {
 	var buf bytes.Buffer
-	boom := errors.New("boom")
-	err := Write(&buf, "test-model", func(io.Writer) error { return boom })
-	if !errors.Is(err, boom) {
+	err := Write(&buf, "test-model", make(chan int)) // gob cannot encode a channel
+	if err == nil || !strings.Contains(err.Error(), "encoding test-model payload") {
 		t.Fatalf("want encode error surfaced, got %v", err)
 	}
 	if buf.Len() != 0 {
@@ -160,14 +143,32 @@ func TestEncodeErrorWritesNothing(t *testing.T) {
 	}
 }
 
+// readFile verifies the container at path and decodes its payload into v,
+// the way the binaries read a file: open it, Read it, and annotate a failure
+// with the path.
+func readFile(t *testing.T, path, kind string, v any) error {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := Read(f, kind, v); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
+}
+
+// TestWriteFileReadFile places a container with Atomic + Write and reads it
+// back with Read.
 func TestWriteFileReadFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "model.snap")
 	payload := []byte("file payload")
-	if err := WriteFile(path, "test-model", enc(payload)); err != nil {
+	if err := Atomic(path, func(w io.Writer) error { return Write(w, "test-model", payload) }); err != nil {
 		t.Fatal(err)
 	}
 	var got []byte
-	if err := ReadFile(path, "test-model", dec(&got)); err != nil {
+	if err := readFile(t, path, "test-model", &got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, payload) {
@@ -178,12 +179,14 @@ func TestWriteFileReadFile(t *testing.T) {
 	}
 }
 
+// TestReadFileAnnotatesPath reads a plain file that is no container: the
+// error names the file, and ErrNotSnapshot survives the annotation.
 func TestReadFileAnnotatesPath(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "m.snap")
-	if err := os.WriteFile(path, []byte("not a snapshot at all"), 0o644); err != nil {
+	if err := Atomic(path, raw("not a snapshot at all")); err != nil {
 		t.Fatal(err)
 	}
-	err := ReadFile(path, "test-model", func(io.Reader) error { return nil })
+	err := readFile(t, path, "test-model", nil)
 	if err == nil || !strings.Contains(err.Error(), "m.snap") {
 		t.Fatalf("error should carry the path: %v", err)
 	}
@@ -192,10 +195,18 @@ func TestReadFileAnnotatesPath(t *testing.T) {
 	}
 }
 
+// raw returns an Atomic body writing s verbatim.
+func raw(s string) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := io.WriteString(w, s)
+		return err
+	}
+}
+
 func TestAtomicPreservesOldFileOnFailure(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "model.snap")
-	if err := Atomic(path, enc([]byte("good old content"))); err != nil {
+	if err := Atomic(path, raw("good old content")); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("mid-write crash")
@@ -225,10 +236,10 @@ func TestAtomicPreservesOldFileOnFailure(t *testing.T) {
 
 func TestAtomicCreatesFreshFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fresh.snap")
-	if err := Atomic(path, enc([]byte("v1"))); err != nil {
+	if err := Atomic(path, raw("v1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := Atomic(path, enc([]byte("v2"))); err != nil {
+	if err := Atomic(path, raw("v2")); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := os.ReadFile(path)
@@ -244,7 +255,7 @@ func TestCheckpointKindsCounted(t *testing.T) {
 		t.Fatal("checkpoint write not counted")
 	}
 	beforeReads := checkpointReads.Value()
-	if err := Read(bytes.NewReader(b), "lda-checkpoint", func(io.Reader) error { return nil }); err != nil {
+	if err := Read(bytes.NewReader(b), "lda-checkpoint", nil); err != nil {
 		t.Fatal(err)
 	}
 	if checkpointReads.Value() != beforeReads+1 {
@@ -256,7 +267,7 @@ func TestCorruptionCounted(t *testing.T) {
 	before := corruptionsTotal.Value()
 	b := container(t, "test-model", []byte("payload"))
 	b[len(b)-1] ^= 1
-	Read(bytes.NewReader(b), "test-model", func(io.Reader) error { return nil })
+	Read(bytes.NewReader(b), "test-model", nil)
 	if corruptionsTotal.Value() != before+1 {
 		t.Fatal("corruption not counted")
 	}

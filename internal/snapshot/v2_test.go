@@ -243,17 +243,14 @@ func TestV2CorruptionDetection(t *testing.T) {
 	})
 	t.Run("v1 reader rejects v2 with VersionError", func(t *testing.T) {
 		var ve *VersionError
-		err := Read(bytes.NewReader(valid), "test-kind", func(r io.Reader) error { return nil })
+		err := Read(bytes.NewReader(valid), "test-kind", nil)
 		if !errors.As(err, &ve) || ve.Got != Version2 {
 			t.Fatalf("v1 Read of v2 file = %v, want VersionError{2}", err)
 		}
 	})
 	t.Run("v2 opener rejects v1", func(t *testing.T) {
 		var v1 bytes.Buffer
-		if err := Write(&v1, "test-kind", func(w io.Writer) error {
-			_, err := w.Write([]byte("payload"))
-			return err
-		}); err != nil {
+		if err := Write(&v1, "test-kind", []byte("payload")); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := OpenV2(v1.Bytes()); err == nil {

@@ -280,43 +280,3 @@ func BinomialTailProb(n, k int, p float64) float64 {
 func BinomialTestSignificant(n, k int, p, alpha float64) bool {
 	return BinomialTailProb(n, k, p) < alpha
 }
-
-// Histogram counts xs into nbins equal-width bins over [lo, hi]. Values
-// outside the range are clamped into the edge bins.
-func Histogram(xs []float64, lo, hi float64, nbins int) []int {
-	if nbins <= 0 || hi <= lo {
-		panic("stats: invalid histogram parameters")
-	}
-	counts := make([]int, nbins)
-	w := (hi - lo) / float64(nbins)
-	for _, v := range xs {
-		b := int((v - lo) / w)
-		if b < 0 {
-			b = 0
-		}
-		if b >= nbins {
-			b = nbins - 1
-		}
-		counts[b]++
-	}
-	return counts
-}
-
-// Pearson returns the Pearson correlation coefficient between xs and ys.
-func Pearson(xs, ys []float64) float64 {
-	if len(xs) != len(ys) {
-		panic("stats: Pearson length mismatch")
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
-}

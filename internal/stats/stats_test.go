@@ -178,42 +178,6 @@ func TestBinomialTestSignificant(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{0.05, 0.15, 0.15, 0.95, -1, 2}
-	h := Histogram(xs, 0, 1, 10)
-	if h[0] != 2 { // 0.05 and clamped -1
-		t.Fatalf("bin0 = %d", h[0])
-	}
-	if h[1] != 2 {
-		t.Fatalf("bin1 = %d", h[1])
-	}
-	if h[9] != 2 { // 0.95 and clamped 2
-		t.Fatalf("bin9 = %d", h[9])
-	}
-	total := 0
-	for _, c := range h {
-		total += c
-	}
-	if total != len(xs) {
-		t.Fatalf("histogram loses mass: %d", total)
-	}
-}
-
-func TestPearson(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{2, 4, 6, 8}
-	if got := Pearson(xs, ys); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("perfect correlation = %v", got)
-	}
-	neg := []float64{8, 6, 4, 2}
-	if got := Pearson(xs, neg); math.Abs(got+1) > 1e-12 {
-		t.Fatalf("perfect anticorrelation = %v", got)
-	}
-	if got := Pearson(xs, []float64{5, 5, 5, 5}); got != 0 {
-		t.Fatalf("constant series correlation = %v", got)
-	}
-}
-
 func TestTCriticalMonotone(t *testing.T) {
 	prev := math.Inf(1)
 	for df := 1; df <= 200; df++ {
@@ -225,33 +189,6 @@ func TestTCriticalMonotone(t *testing.T) {
 	}
 	if tCritical95(1000000) != 1.96 {
 		t.Fatal("asymptote should be 1.96")
-	}
-}
-
-// TestHistogramEdgeBins pins the clamping behaviour at the bin edges:
-// v == hi lands in the last bin (clamped, not dropped), v == lo in the
-// first, and interior bin boundaries belong to the upper bin.
-func TestHistogramEdgeBins(t *testing.T) {
-	h := Histogram([]float64{1.0}, 0, 1, 4)
-	if h[3] != 1 {
-		t.Fatalf("v == hi must clamp into the last bin, got %v", h)
-	}
-	h = Histogram([]float64{0.0}, 0, 1, 4)
-	if h[0] != 1 {
-		t.Fatalf("v == lo must land in the first bin, got %v", h)
-	}
-	h = Histogram([]float64{0.25}, 0, 1, 4)
-	if h[1] != 1 {
-		t.Fatalf("interior boundary must belong to the upper bin, got %v", h)
-	}
-	// all three edge cases together conserve mass
-	h = Histogram([]float64{0, 0.25, 1}, 0, 1, 4)
-	total := 0
-	for _, c := range h {
-		total += c
-	}
-	if total != 3 {
-		t.Fatalf("edge values lose mass: %v", h)
 	}
 }
 

@@ -4,15 +4,15 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/snapshot"
 )
 
 // SpanJSON is one exported tree node. Offsets are relative to the trace
@@ -167,35 +167,18 @@ func (t *Tracer) Get(id string) (*TraceJSON, bool) {
 	return export(td), true
 }
 
-// WriteFile atomically writes the full tree of the trace with the given ID
-// to path (temp file + rename, the repo's crash-safe write discipline) —
-// the ibtrain -trace-out sink.
+// WriteFile writes the full tree of the trace with the given ID to path as
+// indented JSON, through snapshot.Atomic — the ibtrain -trace-out sink.
 func (t *Tracer) WriteFile(id, path string) error {
 	tj, ok := t.Get(id)
 	if !ok {
 		return fmt.Errorf("trace: trace %s not retained", id)
 	}
-	raw, err := json.MarshalIndent(tj, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".trace-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(append(raw, '\n')); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return snapshot.Atomic(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(tj)
+	})
 }
 
 // listHandler serves GET /debug/traces: recent retained traces, newest

@@ -17,51 +17,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/api"
+	"repro/internal/load"
 	"repro/internal/proctest"
 	"repro/internal/trace"
 )
-
-// loadReport mirrors load.Report without importing internal packages into
-// the binary-level test.
-type loadReport struct {
-	Benchmark   string  `json:"benchmark"`
-	Mode        string  `json:"mode"`
-	TargetQPS   float64 `json:"target_qps"`
-	Concurrency int     `json:"concurrency"`
-	COCorrected bool    `json:"coordinated_omission_corrected"`
-	MeasuredSec float64 `json:"measured_seconds"`
-	Total       struct {
-		Requests       int     `json:"requests"`
-		Errors         int     `json:"errors"`
-		QPS            float64 `json:"qps"`
-		P50MS          float64 `json:"p50_ms"`
-		P99MS          float64 `json:"p99_ms"`
-		SlowestTraceID string  `json:"slowest_trace_id"`
-	} `json:"total"`
-	Endpoints map[string]struct {
-		Requests       int     `json:"requests"`
-		Errors         int     `json:"errors"`
-		P50MS          float64 `json:"p50_ms"`
-		P99MS          float64 `json:"p99_ms"`
-		SlowestTraceID string  `json:"slowest_trace_id"`
-	} `json:"endpoints"`
-}
-
-type sloStatus struct {
-	WindowSec float64  `json:"window_seconds"`
-	OK        bool     `json:"ok"`
-	Burning   []string `json:"burning"`
-	Endpoints []struct {
-		Endpoint             string  `json:"endpoint"`
-		Requests             int     `json:"requests"`
-		Errors               int     `json:"errors"`
-		AvailabilityObj      float64 `json:"availability_objective"`
-		ErrorBudgetRemaining float64 `json:"error_budget_remaining"`
-		BurnRate             float64 `json:"burn_rate"`
-		P99MS                float64 `json:"p99_ms"`
-		LatencyObjectiveMS   float64 `json:"latency_objective_ms"`
-	} `json:"endpoints"`
-}
 
 // exemplarLine matches an OpenMetrics bucket line with a trace exemplar:
 //
@@ -99,11 +59,11 @@ func TestLoadIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep loadReport
+	var rep load.Report
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		t.Fatalf("BENCH_serve.json: %v\n%s", err, raw)
 	}
-	if rep.Mode != "open" || !rep.COCorrected || rep.TargetQPS != 100 {
+	if rep.Mode != "open" || !rep.CoordinatedOmissionCorrected || rep.TargetQPS != 100 {
 		t.Fatalf("report metadata: %+v", rep)
 	}
 	if rep.Total.Requests < 100 || rep.Total.QPS <= 0 {
@@ -142,7 +102,7 @@ func TestLoadIntegration(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/debug/slo: %d\n%s", resp.StatusCode, body)
 	}
-	var slo sloStatus
+	var slo api.SLOStatus
 	if err := json.Unmarshal(body, &slo); err != nil {
 		t.Fatalf("/debug/slo: %v\n%s", err, body)
 	}
@@ -151,11 +111,11 @@ func TestLoadIntegration(t *testing.T) {
 	}
 	var sloRequests int
 	for _, e := range slo.Endpoints {
-		sloRequests += e.Requests
+		sloRequests += int(e.Requests)
 		if e.Errors != 0 {
 			t.Fatalf("slo endpoint %s saw errors: %+v", e.Endpoint, e)
 		}
-		if e.Requests > 0 && (e.BurnRate != 0 || e.ErrorBudgetRemaining != 1) {
+		if e.Requests > 0 && (e.BurnRate != 0 || e.BudgetRemaining != 1) {
 			t.Fatalf("error-free endpoint %s burning budget: %+v", e.Endpoint, e)
 		}
 		if e.LatencyObjectiveMS != 250 {
@@ -222,7 +182,7 @@ func TestLoadIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep2 loadReport
+	var rep2 load.Report
 	if err := json.Unmarshal(raw2, &rep2); err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,9 @@
 //     q.F in a file that imports p as q;
 //   - method M: a selector x.M anywhere, or a method M of an interface type.
 //
-// A use inside the declaration's own body does not count. Methods match by
+// A use inside the declaration's own body does not count, nor does a name a
+// declaration introduces (of a function, method, type, field or parameter),
+// so a method or field named F is no use of function F. Methods match by
 // name alone, so the check errs towards silence. Names meant to stand unnamed
 // are listed with a one-line reason in allow.txt beside this file; an entry
 // that no longer names an unused declaration is reported too.
@@ -119,9 +121,19 @@ func check(root string) ([]string, error) {
 				imports[name] = d
 			}
 		}
+		// sels holds the identifiers that are not bare uses: selectors,
+		// interface methods, and the names a declaration introduces.
 		sels := map[*ast.Ident]bool{}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.FuncDecl:
+				sels[n.Name] = true
+			case *ast.TypeSpec:
+				sels[n.Name] = true
+			case *ast.Field:
+				for _, id := range n.Names {
+					sels[id] = true
+				}
 			case *ast.SelectorExpr:
 				sels[n.Sel] = true
 				u := use{f: f, dir: dir, pos: n.Sel.Pos(), selector: true}
