@@ -1,26 +1,31 @@
 // Command ibtrain trains one of the paper's model families on a corpus and
-// persists it as a checksummed snapshot file.
+// persists it as a checksummed snapshot file: the LDA model ibserve serves,
+// or an LSTM or GRU sequence model.
 //
 // Usage:
 //
-//	ibtrain -model lda   -topics 3 -corpus corpus.jsonl -out lda3.gob
-//	ibtrain -model lstm  -layers 1 -hidden 200 -epochs 14 -corpus corpus.jsonl -out lstm.gob
-//	ibtrain -model gru   -layers 1 -hidden 200 -epochs 14 -corpus corpus.jsonl -out gru.gob
-//	ibtrain -model sgns  -dim 32 -epochs 5 -corpus corpus.jsonl -out sgns.gob
-//	ibtrain -model ngram -order 2 -corpus corpus.jsonl -out bigram.gob
-//	ibtrain -model chh   -depth 2 -corpus corpus.jsonl -out chh.gob
-//	ibtrain -model bpmf  -rank 8 -corpus corpus.jsonl -out bpmf.gob
+//	ibtrain -model lda  -topics 2,3,4 -corpus corpus.jsonl -out lda.gob
+//	ibtrain -model lda  -topics 3 -corpus corpus.jsonl -out lda3.gob
+//	ibtrain -model lstm -layers 1 -hidden 200 -epochs 14 -corpus corpus.jsonl -out lstm.gob
+//	ibtrain -model gru  -layers 1 -hidden 200 -epochs 14 -corpus corpus.jsonl -out gru.gob
 //
-// Every model prints its held-out perplexity (where defined) on a 70/10/20
-// split so runs are comparable with the paper's Table 1.
+// Every model prints its test perplexity on a 70/10/20 split so runs are
+// comparable with the paper's Table 1.
+//
+// Model selection: -topics with a comma list trains LDA at every K on the
+// training part of the split, prints each K's validation perplexity and
+// writes the K with the lowest (hiddenlayer.SelectLDAContext; the paper
+// selects 2-4 topics this way). Selection takes no -tfidf, -resume,
+// -checkpoint or -checkpoint-every, and SIGINT/SIGTERM abandon it without
+// writing anything.
 //
 // Crash safety: the model (and any checkpoint) is written atomically — to a
 // fsynced temp file renamed over the destination — only after training
 // succeeds, so an aborted run never clobbers or truncates an existing model.
-// For the iterative trainers (lda, lstm, gru, sgns, bpmf) SIGINT/SIGTERM is
-// trapped: the current epoch finishes, a final checkpoint is written to
-// -checkpoint (default: the -out path plus ".ckpt"), and the process exits
-// cleanly. -checkpoint-every N additionally writes a checkpoint every N
+// When one model is trained, SIGINT/SIGTERM is trapped: the current epoch
+// or sweep finishes, a final checkpoint is written to -checkpoint (default:
+// the -out path plus ".ckpt"), and the process exits cleanly.
+// -checkpoint-every N additionally writes a checkpoint every N
 // epochs/sweeps. A run restarted with -resume <ckpt> — same corpus, seed and
 // hyperparameters — continues where it stopped and produces a model
 // byte-identical to an uninterrupted run; the model family is inferred from
@@ -47,19 +52,17 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"strconv"
 	"strings"
 	"syscall"
 
-	"repro/internal/bpmf"
-	"repro/internal/chh"
+	hiddenlayer "repro"
 	"repro/internal/corpus"
 	"repro/internal/lda"
-	"repro/internal/ngram"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/rnn"
-	"repro/internal/sgns"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
 )
@@ -71,7 +74,7 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// saver is satisfied by every model family.
+// saver is satisfied by every model and checkpoint type.
 type saver interface{ Save(w io.Writer) error }
 
 // writeModel atomically places the serialized model at path.
@@ -126,29 +129,42 @@ var checkpointFamilies = map[string]string{
 	lda.KindCheckpoint:        "lda",
 	rnn.LSTM.KindCheckpoint(): "lstm",
 	rnn.GRU.KindCheckpoint():  "gru",
-	sgns.KindCheckpoint:       "sgns",
-	bpmf.KindCheckpoint:       "bpmf",
+}
+
+// usageErr reports a bad command line and exits 2 before any file is read.
+func usageErr(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "ibtrain: "+format+"\n", args...)
+	fmt.Fprintln(os.Stderr, "usage: ibtrain -model lda|lstm|gru [flags]; run with -help for the full flag list")
+	os.Exit(2)
+}
+
+// parseTopics reads -topics: one topic count, or a comma list to select from.
+func parseTopics(s string) ([]int, error) {
+	var ks []int
+	for _, part := range strings.Split(s, ",") {
+		k, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || k < 1 {
+			return nil, fmt.Errorf("-topics %q: want a positive topic count or a comma list of them", s)
+		}
+		ks = append(ks, k)
+	}
+	return ks, nil
 }
 
 func main() {
 	var (
-		model      = flag.String("model", "lda", "model family: lda | lstm | gru | sgns | ngram | chh | bpmf")
+		model      = flag.String("model", "lda", "model family: lda (the model ibserve serves) | lstm | gru")
 		corpusPath = flag.String("corpus", "corpus.jsonl", "input corpus (JSONL)")
 		out        = flag.String("out", "model.gob", "output model path")
 		seed       = flag.Int64("seed", 1, "training seed")
 
-		topics = flag.Int("topics", 3, "lda: number of latent topics")
+		topics = flag.String("topics", "3", "lda: number of latent topics, or a comma list (2,3,4) to select the one with the lowest validation perplexity")
 		tfidf  = flag.Bool("tfidf", false, "lda: use TF-IDF token weights instead of binary input")
 
 		layers  = flag.Int("layers", 1, "lstm/gru: hidden layers (1-3)")
 		hidden  = flag.Int("hidden", 200, "lstm/gru: nodes per layer / embedding size")
-		epochs  = flag.Int("epochs", 14, "lstm/gru/sgns: training epochs")
+		epochs  = flag.Int("epochs", 14, "lstm/gru: training epochs")
 		dropout = flag.Float64("dropout", 0.2, "lstm/gru: dropout probability")
-
-		dim   = flag.Int("dim", 32, "sgns: embedding dimensionality")
-		order = flag.Int("order", 2, "ngram: model order (1-3)")
-		depth = flag.Int("depth", 2, "chh: context depth (1-2)")
-		rank  = flag.Int("rank", 8, "bpmf: latent rank")
 
 		ckptPath  = flag.String("checkpoint", "", "checkpoint path (default: -out path plus .ckpt)")
 		ckptEvery = flag.Int("checkpoint-every", 0, "write a checkpoint every N epochs/sweeps (0 = only on interrupt)")
@@ -161,6 +177,22 @@ func main() {
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	traceFlags := trace.BindFlags(flag.CommandLine)
 	flag.Parse()
+	ks, err := parseTopics(*topics)
+	if err != nil {
+		usageErr("%v", err)
+	}
+	selecting := len(ks) > 1
+	if selecting {
+		if *model != "lda" {
+			usageErr("a -topics list selects an LDA model; -model is %q", *model)
+		}
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "tfidf", "resume", "checkpoint", "checkpoint-every":
+				usageErr("-%s does not apply to model selection (-topics %s)", f.Name, *topics)
+			}
+		})
+	}
 	par.SetWorkers(*workers)
 	traceFlags.Apply(trace.Default())
 	if *traceOut != "" {
@@ -193,11 +225,9 @@ func main() {
 	// Validate the model name before touching the corpus, so a typo fails
 	// fast instead of after a potentially slow JSONL load.
 	switch *model {
-	case "lda", "lstm", "gru", "sgns", "ngram", "chh", "bpmf":
+	case "lda", "lstm", "gru":
 	default:
-		fmt.Fprintf(os.Stderr, "ibtrain: unknown model %q (want lda|lstm|gru|sgns|ngram|chh|bpmf)\n", *model)
-		fmt.Fprintln(os.Stderr, "usage: ibtrain -model lda|lstm|gru|sgns|ngram|chh|bpmf [flags]; run with -help for the full flag list")
-		os.Exit(2)
+		usageErr("unknown model %q (want lda|lstm|gru)", *model)
 	}
 
 	if *ckptPath == "" {
@@ -206,7 +236,8 @@ func main() {
 
 	// SIGINT/SIGTERM cancel the training context; the trainers notice at the
 	// next epoch boundary, write a final checkpoint and return
-	// context.Canceled, which checkTrainErr turns into a clean exit.
+	// context.Canceled, which checkTrainErr turns into a clean exit. Model
+	// selection has no checkpoint: it stops with nothing written.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -234,14 +265,34 @@ func main() {
 		fatal(err)
 	}
 
-	switch *model {
-	case "lda":
+	switch {
+	case selecting:
+		// SelectLDAContext splits the corpus as above, from its own
+		// rng.New(seed), so the test part printed below is held out from
+		// selection too.
+		sel, err := hiddenlayer.SelectLDAContext(ctx, c, ks, *seed, progress)
+		if errors.Is(err, context.Canceled) {
+			logger.Info("model selection interrupted")
+			fmt.Println("model selection interrupted: nothing written")
+			os.Exit(1)
+		}
+		if err != nil {
+			fatal(err)
+		}
+		for _, tp := range sel.Curve {
+			fmt.Printf("LDA%d validation perplexity: %.2f\n", tp.Topics, tp.Perplexity)
+		}
+		m := sel.Model
+		fmt.Printf("selected LDA%d: test perplexity %.2f (parameters: %d)\n",
+			m.K, m.Perplexity(split.Test.Sets(), g), m.ParameterCount())
+		writeModel(*out, m)
+	case *model == "lda":
 		var weights [][]float64
 		if *tfidf {
 			weights = split.Train.TFIDFWeights()
 		}
 		cfg := lda.Config{
-			Topics: *topics, V: c.M(), Progress: progress,
+			Topics: ks[0], V: c.M(), Progress: progress,
 			Checkpoint: ckptHook[*lda.Checkpoint](*ckptPath), CheckpointEvery: *ckptEvery,
 		}
 		var m *lda.Model
@@ -255,7 +306,7 @@ func main() {
 		fmt.Printf("LDA%d test perplexity: %.2f (parameters: %d)\n",
 			m.K, m.Perplexity(split.Test.Sets(), g), m.ParameterCount())
 		writeModel(*out, m)
-	case "lstm", "gru":
+	default:
 		cell := rnn.LSTM
 		if *model == "gru" {
 			cell = rnn.GRU
@@ -280,70 +331,6 @@ func main() {
 		fmt.Printf("%s %dx%d test perplexity: %.2f (parameters: %d)\n", strings.ToUpper(*model),
 			m.Layers, m.Hidden, m.Perplexity(split.Test.Sequences()), m.ParameterCount())
 		writeModel(*out, m)
-	case "sgns":
-		cfg := sgns.Config{
-			V: c.M(), Dim: *dim, Epochs: *epochs, Progress: progress,
-			Checkpoint: ckptHook[*sgns.Checkpoint](*ckptPath), CheckpointEvery: *ckptEvery,
-		}
-		var m *sgns.Model
-		if *resume != "" {
-			ck := loadCkpt(*resume, sgns.LoadCheckpoint)
-			m, err = sgns.Resume(ctx, ck, split.Train.Sets(), cfg)
-		} else {
-			m, err = sgns.TrainContext(ctx, cfg, split.Train.Sets(), g)
-		}
-		checkTrainErr(err, *ckptPath)
-		fmt.Printf("SGNS dim %d: trained %d product embeddings\n", m.Dim, m.V)
-		writeModel(*out, m)
-	case "ngram":
-		m, err := ngram.New(ngram.Config{Order: *order, V: c.M()})
-		if err != nil {
-			fatal(err)
-		}
-		if err := m.Fit(split.Train.Sequences()); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%d-gram test perplexity: %.2f\n", *order, m.Perplexity(split.Test.Sequences()))
-		writeModel(*out, m)
-	case "chh":
-		m, err := chh.NewExact(c.M(), *depth)
-		if err != nil {
-			fatal(err)
-		}
-		if err := m.Fit(split.Train.Sequences()); err != nil {
-			fatal(err)
-		}
-		hh := m.HeavyHitters(0.2, 50)
-		fmt.Printf("CHH depth %d: %d heavy hitters at phi=0.2, support>=50\n", *depth, len(hh))
-		for i, h := range hh {
-			if i >= 10 {
-				break
-			}
-			fmt.Printf("  %v -> %s (p=%.2f, support %.0f)\n",
-				names(c, h.Context), c.Catalog.Name(h.Item), h.Prob, h.Support)
-		}
-		writeModel(*out, m)
-	case "bpmf":
-		var ratings []bpmf.Rating
-		for i := range split.Train.Companies {
-			for _, a := range split.Train.Companies[i].Acquisitions {
-				ratings = append(ratings, bpmf.Rating{User: i, Item: a.Category, Value: 1})
-			}
-		}
-		cfg := bpmf.Config{
-			Rank: *rank, Alpha: 25, Progress: progress,
-			Checkpoint: ckptHook[*bpmf.Checkpoint](*ckptPath), CheckpointEvery: *ckptEvery,
-		}
-		var m *bpmf.Model
-		if *resume != "" {
-			ck := loadCkpt(*resume, bpmf.LoadCheckpoint)
-			m, err = bpmf.Resume(ctx, ck, ratings, cfg)
-		} else {
-			m, err = bpmf.TrainContext(ctx, cfg, split.Train.N(), c.M(), ratings, g)
-		}
-		checkTrainErr(err, *ckptPath)
-		fmt.Printf("BPMF rank %d: train RMSE %.3f\n", m.Rank, m.RMSE(ratings))
-		writeModel(*out, m)
 	}
 	root.End()
 	fmt.Printf("model written to %s\n", *out)
@@ -359,12 +346,4 @@ func main() {
 		}
 		logger.Info("trace written", "path", *traceOut)
 	}
-}
-
-func names(c *corpus.Corpus, cats []int) []string {
-	out := make([]string, len(cats))
-	for i, cat := range cats {
-		out[i] = c.Catalog.Name(cat)
-	}
-	return out
 }

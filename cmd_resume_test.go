@@ -1,12 +1,16 @@
 package hiddenlayer
 
-// Integration test for ibtrain's crash-safe training: interrupt a run with
+// Integration tests for ibtrain's crash-safe training: interrupt a run with
 // SIGINT mid-training, verify a valid checkpoint lands on disk and the
 // existing -out file is untouched, then -resume and verify the final model
-// is byte-identical to an uninterrupted run with the same corpus and seed.
+// is byte-identical to an uninterrupted run with the same corpus and seed;
+// and interrupt a model selection, which has nothing to checkpoint.
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -105,5 +109,53 @@ func TestTrainInterruptAndResume(t *testing.T) {
 	}
 	if !bytes.Equal(straight, resumed) {
 		t.Fatal("resumed model differs from the uninterrupted run")
+	}
+}
+
+// TestSelectionInterrupt: SIGINT during ibtrain -topics 2,3,4 abandons the
+// selection. Selection writes no checkpoint, so the run must not claim one;
+// it exits 1, says nothing was written, and leaves -out alone.
+func TestSelectionInterrupt(t *testing.T) {
+	if runtime.GOOS == "windows" {
+		t.Skip("relies on SIGINT delivery")
+	}
+	ibgen, ibtrain := tools.Path(t, "ibgen"), tools.Path(t, "ibtrain")
+	dir := t.TempDir()
+	corpusPath, outPath := filepath.Join(dir, "corpus.jsonl"), filepath.Join(dir, "selected.gob")
+	proctest.Run(t, ibgen, "-companies", "5000", "-seed", "3", "-out", corpusPath)
+
+	cmd := exec.Command(ibtrain, "-topics", "2,3,4", "-progress", "-corpus", corpusPath, "-out", outPath)
+	var stdout bytes.Buffer
+	cmd.Stdout = &stdout
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// The first progress line is the end of the first of 3 x 200 sweeps:
+	// the selection is under way, so interrupt it then.
+	lines := bufio.NewScanner(stderr)
+	var logged strings.Builder
+	for lines.Scan() && !strings.Contains(lines.Text(), "progress model=lda") {
+		logged.WriteString(lines.Text() + "\n")
+	}
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		cmd.Wait()
+		t.Fatalf("signalling ibtrain: %v\n%s%s", err, stdout.String(), logged.String())
+	}
+	rest, _ := io.ReadAll(stderr)
+	err = cmd.Wait()
+	out := stdout.String() + logged.String() + string(rest)
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("interrupted selection: %v, want exit status 1\n%s", err, out)
+	}
+	if !strings.Contains(out, "nothing written") || strings.Contains(out, "checkpoint") {
+		t.Fatalf("interrupted selection must say nothing was written and claim no checkpoint:\n%s", out)
+	}
+	if _, err := os.Stat(outPath); !os.IsNotExist(err) {
+		t.Fatalf("interrupted selection left %s (stat err %v)", outPath, err)
 	}
 }

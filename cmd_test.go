@@ -4,8 +4,10 @@ package hiddenlayer
 // the way a user would drive it, against a real corpus file.
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -19,7 +21,6 @@ import (
 func TestCommandLineTools(t *testing.T) {
 	ibgen := tools.Path(t, "ibgen")
 	ibtrain := tools.Path(t, "ibtrain")
-	ibrec := tools.Path(t, "ibrec")
 	ibeval := tools.Path(t, "ibeval")
 	dir := t.TempDir()
 
@@ -41,47 +42,60 @@ func TestCommandLineTools(t *testing.T) {
 		t.Fatalf("ibgen -sites output: %s", out)
 	}
 
-	// ibtrain: every model family trains and persists.
-	for _, tc := range []struct{ model, extra string }{
-		{"lda", "-topics=3"},
-		{"ngram", "-order=2"},
-		{"chh", "-depth=2"},
-		{"bpmf", "-rank=3"},
+	// ibtrain: every model family it writes trains and persists.
+	for _, tc := range []struct {
+		model string
+		extra []string
+	}{
+		{"lda", []string{"-topics=3"}},
+		{"lstm", []string{"-hidden=8", "-epochs=1"}},
+		{"gru", []string{"-hidden=8", "-epochs=1"}},
 	} {
 		modelPath := filepath.Join(dir, tc.model+".gob")
-		out = proctest.Run(t, ibtrain, "-model", tc.model, tc.extra,
-			"-corpus", corpusPath, "-out", modelPath, "-seed", "1")
-		if !strings.Contains(out, "model written") {
+		args := append([]string{"-model", tc.model, "-corpus", corpusPath, "-out", modelPath, "-seed", "1"}, tc.extra...)
+		out = proctest.Run(t, ibtrain, args...)
+		if !strings.Contains(out, "test perplexity") || !strings.Contains(out, "model written") {
 			t.Fatalf("ibtrain %s output: %s", tc.model, out)
 		}
 		if fi, err := os.Stat(modelPath); err != nil || fi.Size() == 0 {
 			t.Fatalf("%s model not persisted", tc.model)
 		}
 	}
-	// LSTM with a tiny architecture to keep the test fast.
-	lstmPath := filepath.Join(dir, "lstm.gob")
-	out = proctest.Run(t, ibtrain, "-model", "lstm", "-layers", "1", "-hidden", "8",
-		"-epochs", "1", "-corpus", corpusPath, "-out", lstmPath, "-seed", "1")
-	if !strings.Contains(out, "test perplexity") {
-		t.Fatalf("ibtrain lstm output: %s", out)
+	// A family whose file no binary reads is not a -model value; the name
+	// is checked before the corpus is read.
+	bad, err := exec.Command(ibtrain, "-model", "chh", "-corpus", filepath.Join(dir, "missing.jsonl")).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(bad), `unknown model "chh"`) {
+		t.Fatalf("ibtrain -model chh: err %v, want exit 2 naming the model\n%s", err, bad)
 	}
 
-	// ibrec: similarity search with a pre-trained model.
-	out = proctest.Run(t, ibrec, "-corpus", corpusPath, "-model", filepath.Join(dir, "lda.gob"),
-		"-company", "5", "-k", "3")
-	if !strings.Contains(out, "similar to") {
-		t.Fatalf("ibrec output: %s", out)
+	// ibtrain -topics 2,3,4: the model SelectLDA picks in process, byte for
+	// byte, and one validation perplexity line per K.
+	selPath := filepath.Join(dir, "selected.gob")
+	out = proctest.Run(t, ibtrain, "-topics", "2,3,4", "-corpus", corpusPath, "-out", selPath, "-seed", "1")
+	for _, k := range []string{"2", "3", "4"} {
+		if !strings.Contains(out, "LDA"+k+" validation perplexity: ") {
+			t.Fatalf("ibtrain -topics 2,3,4 prints no validation perplexity for K=%s:\n%s", k, out)
+		}
 	}
-	// ibrec: recommendations and whitespace.
-	out = proctest.Run(t, ibrec, "-corpus", corpusPath, "-model", filepath.Join(dir, "lda.gob"),
-		"-company", "5", "-recommend", "-peers", "10", "-k", "3")
-	if !strings.Contains(out, "recommendations") {
-		t.Fatalf("ibrec -recommend output: %s", out)
+	c, err := LoadCorpus(corpusPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	out = proctest.Run(t, ibrec, "-corpus", corpusPath, "-model", filepath.Join(dir, "lda.gob"),
-		"-clients", "1,2,3", "-whitespace", "-k", "3")
-	if !strings.Contains(out, "white-space prospects") {
-		t.Fatalf("ibrec -whitespace output: %s", out)
+	sel, err := SelectLDA(c, []int{2, 3, 4}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, fmt.Sprintf("selected LDA%d:", sel.Model.K)) {
+		t.Fatalf("ibtrain -topics 2,3,4 did not report selecting LDA%d:\n%s", sel.Model.K, out)
+	}
+	var want bytes.Buffer
+	if err := sel.Model.Save(&want); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(selPath); err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("ibtrain -topics 2,3,4 wrote %d bytes (err %v), not the %d bytes of SelectLDA's model",
+			len(got), err, want.Len())
 	}
 
 	// ibeval: one fast experiment on the generated corpus.
@@ -91,20 +105,19 @@ func TestCommandLineTools(t *testing.T) {
 	}
 	// A mistyped -exp is rejected before the corpus is touched: the missing
 	// corpus file must not be what the run complains about.
-	bad, err := exec.Command(ibeval, "-exp", "fig33", "-corpus", filepath.Join(dir, "missing.jsonl")).CombinedOutput()
-	var exit *exec.ExitError
+	bad, err = exec.Command(ibeval, "-exp", "fig33", "-corpus", filepath.Join(dir, "missing.jsonl")).CombinedOutput()
 	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(bad), `unknown experiment "fig33"`) {
 		t.Fatalf("ibeval -exp fig33: err %v, want exit 2 naming the experiment\n%s", err, bad)
 	}
 }
 
 // TestBinariesRefuseIDOffRow: answers name companies by row, so a corpus
-// whose line 3 (row 1) carries id 1000 is refused before any expensive boot
-// work — by ibserve while it decodes the file, by ibrec before it selects a
-// model. Both exit 1 naming the row.
+// whose line 3 (row 1) carries id 1000 is refused by ibserve while it
+// decodes the file, before any expensive boot work; it exits 1 naming the
+// line and the row.
 func TestBinariesRefuseIDOffRow(t *testing.T) {
 	ibgen, ibtrain := tools.Path(t, "ibgen"), tools.Path(t, "ibtrain")
-	ibrec, ibserve := tools.Path(t, "ibrec"), tools.Path(t, "ibserve")
+	ibserve := tools.Path(t, "ibserve")
 	dir := t.TempDir()
 	good, model := filepath.Join(dir, "corpus.jsonl"), filepath.Join(dir, "lda.gob")
 	proctest.Run(t, ibgen, "-companies", "300", "-seed", "3", "-out", good)
@@ -123,25 +136,13 @@ func TestBinariesRefuseIDOffRow(t *testing.T) {
 	if err := os.WriteFile(bad, []byte(strings.Join(lines, "")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		bin  string
-		args []string
-		want string
-	}{
-		{ibrec, []string{"-corpus", bad, "-company", "5", "-k", "3"}, "company on row 1 has id 1000"},
-		{ibserve, []string{"-corpus", bad, "-model", model, "-addr", "localhost:0"}, "line 3: company on row 1 has id 1000"},
-	} {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		out, err := exec.CommandContext(ctx, tc.bin, tc.args...).CombinedOutput()
-		cancel()
-		name := filepath.Base(tc.bin)
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), tc.want) {
-			t.Fatalf("%s: %v, want exit status 1 and %q in its output:\n%s", name, err, tc.want, out)
-		}
-		if strings.Contains(string(out), "selecting LDA model") {
-			t.Fatalf("%s selected a model before refusing the corpus:\n%s", name, out)
-		}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, ibserve, "-corpus", bad, "-model", model, "-addr", "localhost:0").CombinedOutput()
+	const want = "line 3: company on row 1 has id 1000"
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), want) {
+		t.Fatalf("ibserve: %v, want exit status 1 and %q in its output:\n%s", err, want, out)
 	}
 }
 

@@ -1,7 +1,7 @@
 package hiddenlayer
 
 // What the root package's end-to-end tests share beyond internal/proctest's
-// process harness: one go build links all seven cmd/ binaries on first use;
+// process harness: one go build links all six cmd/ binaries on first use;
 // the 200-company corpus and its LDA-3 model are made once and shared
 // read-only; fetch is the one HTTP helper.
 

@@ -96,21 +96,15 @@ type ModelSelection struct {
 // retrained parameters intact (the paper selects 2-4 topics this way).
 // A nil or empty grid selects the paper's sweep {2,3,4,6,8,10,12,14,16}.
 func SelectLDA(c *Corpus, grid []int, seed int64) (*ModelSelection, error) {
-	return SelectLDAWithProgress(c, grid, seed, nil)
+	return SelectLDAContext(context.Background(), c, grid, seed, nil)
 }
 
-// SelectLDAWithProgress is SelectLDA with a per-sweep training progress hook
-// installed in every candidate model's Config (nil behaves exactly like
-// SelectLDA: same split, same RNG stream, bit-identical models).
-func SelectLDAWithProgress(c *Corpus, grid []int, seed int64, progress TrainingProgress) (*ModelSelection, error) {
-	return SelectLDAContext(context.Background(), c, grid, seed, progress)
-}
-
-// SelectLDAContext is SelectLDAWithProgress with a cancellable context
-// threaded into every candidate's Gibbs sampler: cancellation stops the
-// sweep loop at the next boundary and surfaces ctx.Err(), so callers (for
-// example a signal-trapping CLI) can abandon a long model-selection run
-// cleanly.
+// SelectLDAContext is SelectLDA with a cancellable context threaded into
+// every candidate's Gibbs sampler and a per-sweep training progress hook
+// installed in every candidate's Config. Cancellation stops the sweep loop
+// at the next boundary and surfaces ctx.Err(), so a signal-trapping CLI
+// (ibtrain -topics 2,3,4) can abandon a long model-selection run cleanly; a
+// nil progress hook, like a non-nil one, leaves the models bit-identical.
 func SelectLDAContext(ctx context.Context, c *Corpus, grid []int, seed int64, progress TrainingProgress) (*ModelSelection, error) {
 	if len(grid) == 0 {
 		grid = []int{2, 3, 4, 6, 8, 10, 12, 14, 16}

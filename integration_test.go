@@ -250,8 +250,9 @@ func TestAggregationIdempotent(t *testing.T) {
 	}
 }
 
-// TestModelPersistenceAcrossFamilies saves and reloads one model of every
-// family through real buffers and checks behavioural equality.
+// TestModelPersistenceAcrossFamilies saves and reloads one model of each
+// recurrent family ibtrain writes through real buffers and checks
+// behavioural equality (TestPipelineSitesToRecommendations does LDA).
 func TestModelPersistenceAcrossFamilies(t *testing.T) {
 	c, err := GenerateCorpus(200, 51)
 	if err != nil {
@@ -259,61 +260,21 @@ func TestModelPersistenceAcrossFamilies(t *testing.T) {
 	}
 	g := rng.New(3)
 	seqs := c.Sequences()
-
-	// ngram
-	nm, err := ngram.New(ngram.Config{Order: 3, V: 38})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := nm.Fit(seqs); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := nm.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	nm2, err := ngram.Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nm.Perplexity(seqs) != nm2.Perplexity(seqs) {
-		t.Fatal("ngram round trip changed behaviour")
-	}
-
-	// chh
-	cm, err := chh.NewExact(38, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cm.Fit(seqs); err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if err := cm.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	cm2, err := chh.Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cm.HeavyHitters(0.1, 10)) != len(cm2.HeavyHitters(0.1, 10)) {
-		t.Fatal("chh round trip changed behaviour")
-	}
-
-	// lstm
-	lm, _, err := rnn.Train(rnn.Config{V: 38, Layers: 1, Hidden: 8, Epochs: 1}, seqs[:100], nil, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if err := lm.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lm2, err := rnn.Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lm.Perplexity(seqs[:20]) != lm2.Perplexity(seqs[:20]) {
-		t.Fatal("lstm round trip changed behaviour")
+	for _, cell := range []rnn.Cell{rnn.LSTM, rnn.GRU} {
+		m, _, err := rnn.Train(rnn.Config{Cell: cell, V: 38, Layers: 1, Hidden: 8, Epochs: 1}, seqs[:100], nil, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		m2, err := rnn.Load(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Perplexity(seqs[:20]) != m2.Perplexity(seqs[:20]) {
+			t.Fatalf("%v round trip changed behaviour", cell)
+		}
 	}
 }

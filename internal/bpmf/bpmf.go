@@ -11,21 +11,13 @@ package bpmf
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/mat"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/rng"
-	"repro/internal/snapshot"
 	"repro/internal/train"
-)
-
-// Snapshot container kinds for BPMF artifacts.
-const (
-	KindModel      = "bpmf-model"
-	KindCheckpoint = "bpmf-checkpoint"
 )
 
 var (
@@ -60,44 +52,6 @@ type Config struct {
 	// (TokensPerSec counts ratings). The hook draws no random numbers, so
 	// trained models are bit-identical with and without it.
 	Progress obs.Progress
-
-	// Checkpoint, when non-nil, receives a full snapshot of the factor
-	// matrices, score accumulator and RNG state every CheckpointEvery
-	// completed sweeps (and once more on context cancellation). The snapshot
-	// owns its memory; the hook draws no random numbers, so checkpointed
-	// runs sample bit-identically to unhooked runs. A hook error aborts
-	// training.
-	Checkpoint func(*Checkpoint) error
-	// CheckpointEvery is the sweep interval between Checkpoint calls;
-	// 0 disables periodic checkpoints (a cancellation checkpoint is still
-	// written when Checkpoint is set).
-	CheckpointEvery int
-}
-
-// ConfigState is the hookless, serializable part of Config that checkpoints
-// embed (captured after defaulting), so Resume continues under exactly the
-// schedule the run started with.
-type ConfigState struct {
-	Rank           int
-	Alpha, Beta0   float64
-	Burn, Samples  int
-	ClipLo, ClipHi float64
-}
-
-func (c *Config) state() ConfigState {
-	return ConfigState{
-		Rank: c.Rank, Alpha: c.Alpha, Beta0: c.Beta0,
-		Burn: c.Burn, Samples: c.Samples,
-		ClipLo: c.ClipLo, ClipHi: c.ClipHi,
-	}
-}
-
-func (cs ConfigState) config() Config {
-	return Config{
-		Rank: cs.Rank, Alpha: cs.Alpha, Beta0: cs.Beta0,
-		Burn: cs.Burn, Samples: cs.Samples,
-		ClipLo: cs.ClipLo, ClipHi: cs.ClipHi,
-	}
 }
 
 func (c *Config) fillDefaults() {
@@ -165,9 +119,8 @@ func Train(cfg Config, n, mItems int, ratings []Rating, g *rng.RNG) (*Model, err
 }
 
 // TrainContext is Train with cooperative cancellation: ctx is checked at
-// every sweep boundary, and on cancellation a final checkpoint is handed to
-// cfg.Checkpoint (when set) before returning an error wrapping the context's
-// error.
+// every sweep boundary, and on cancellation sampling stops with an error
+// wrapping the context's error.
 func TrainContext(ctx context.Context, cfg Config, n, mItems int, ratings []Rating, g *rng.RNG) (*Model, error) {
 	cfg.fillDefaults()
 	if err := cfg.validate(); err != nil {
@@ -191,44 +144,8 @@ func TrainContext(ctx context.Context, cfg Config, n, mItems int, ratings []Rati
 	for i := range v.Data {
 		v.Data[i] = 0.1 * g.Norm()
 	}
-	return trainLoop(ctx, cfg, ratings, byUser, byItem, u, v, mat.New(n, mItems), 0, 0, g)
-}
-
-// Resume continues an interrupted run from a checkpoint. ratings must be the
-// same set the original call received; hooks supplies Progress/Checkpoint/
-// CheckpointEvery for the continued run while the Gibbs schedule comes from
-// the checkpoint. A resumed run draws the same random stream as the
-// uninterrupted one, so the final model is bit-identical.
-func Resume(ctx context.Context, ck *Checkpoint, ratings []Rating, hooks Config) (*Model, error) {
-	cfg := ck.Cfg.config()
-	cfg.Progress = hooks.Progress
-	cfg.Checkpoint = hooks.Checkpoint
-	cfg.CheckpointEvery = hooks.CheckpointEvery
-	cfg.fillDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, fmt.Errorf("bpmf: checkpoint carries invalid config: %w", err)
-	}
-	if err := ck.validate(); err != nil {
-		return nil, err
-	}
-	byUser, byItem, err := indexRatings(ck.N, ck.M, ratings)
-	if err != nil {
-		return nil, err
-	}
-	u := mat.FromSlice(ck.N, cfg.Rank, append([]float64(nil), ck.U...))
-	v := mat.FromSlice(ck.M, cfg.Rank, append([]float64(nil), ck.V...))
-	scoreAcc := mat.FromSlice(ck.N, ck.M, append([]float64(nil), ck.ScoreAcc...))
-	g, err := rng.FromState(ck.RNG)
-	if err != nil {
-		return nil, fmt.Errorf("bpmf: checkpoint RNG state: %w", err)
-	}
-	return trainLoop(ctx, cfg, ratings, byUser, byItem, u, v, scoreAcc, ck.Kept, ck.Sweep, g)
-}
-
-// trainLoop runs sweeps startSweep..Burn+Samples-1, mutating the factor
-// matrices and score accumulator in place.
-func trainLoop(ctx context.Context, cfg Config, ratings []Rating, byUser, byItem [][]Rating, u, v, scoreAcc *mat.Matrix, kept, startSweep int, g *rng.RNG) (*Model, error) {
-	n, mItems := u.Rows, v.Rows
+	scoreAcc := mat.New(n, mItems)
+	kept := 0
 	rmse := func() float64 {
 		if len(ratings) == 0 {
 			return math.NaN()
@@ -240,11 +157,9 @@ func trainLoop(ctx context.Context, cfg Config, ratings []Rating, byUser, byItem
 		}
 		return math.Sqrt(sq / float64(len(ratings)))
 	}
-	err := train.Loop[*Checkpoint]{
+	err = train.Loop[struct{}]{
 		Name: "bpmf", Prefix: "bpmf", Unit: "sweep",
-		Start: startSweep, Total: cfg.Burn + cfg.Samples,
-		Progress: cfg.Progress, Checkpoint: cfg.Checkpoint, Every: cfg.CheckpointEvery,
-		Snapshot: func(sweep int) *Checkpoint { return snapshotState(&cfg, u, v, scoreAcc, kept, sweep, g) },
+		Total: cfg.Burn + cfg.Samples, Progress: cfg.Progress,
 		Step: func(sweep int) (int, func() float64, error) {
 			muU, lamU, err := sampleHyper(u, cfg.Beta0, g)
 			if err != nil {
@@ -395,31 +310,6 @@ func sampleFactors(f, other *mat.Matrix, obs [][]Rating, mu []float64, lambda *m
 		copy(f.Row(i), g.MVNormal(mean, cchol))
 	}
 	return nil
-}
-
-type gobModel struct {
-	N, M, Rank int
-	Scores     []float64
-}
-
-// Save serializes the model into a checksummed snapshot container of kind
-// KindModel.
-func (m *Model) Save(w io.Writer) error {
-	return snapshot.Write(w, KindModel, gobModel{N: m.N, M: m.M, Rank: m.Rank, Scores: m.Scores.Data})
-}
-
-// Load deserializes a model written by Save. Truncated, bit-flipped and
-// wrong-kind files fail the container's integrity checks before any gob
-// decoding runs.
-func Load(r io.Reader) (*Model, error) {
-	var g gobModel
-	if err := snapshot.Read(r, KindModel, &g); err != nil {
-		return nil, fmt.Errorf("bpmf: loading model: %w", err)
-	}
-	if g.N < 1 || g.M < 1 || len(g.Scores) != g.N*g.M {
-		return nil, fmt.Errorf("bpmf: corrupt model")
-	}
-	return &Model{N: g.N, M: g.M, Rank: g.Rank, Scores: mat.FromSlice(g.N, g.M, g.Scores)}, nil
 }
 
 // ScoreDistribution returns all predicted scores flattened, for the paper's

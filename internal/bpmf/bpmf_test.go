@@ -1,7 +1,6 @@
 package bpmf
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -169,34 +168,6 @@ func TestUsersWithNoRatings(t *testing.T) {
 		if math.IsNaN(s) || s < 0 || s > 1 {
 			t.Fatalf("cold-start prediction invalid: %v", s)
 		}
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	g := rng.New(15)
-	ratings, _ := lowRankRatings(10, 5, g)
-	m, err := Train(Config{Rank: 2, Burn: 3, Samples: 4}, 10, 5, ratings, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.N != m.N || got.M != m.M || got.Rank != m.Rank {
-		t.Fatalf("metadata mismatch %+v", got)
-	}
-	for i := range m.Scores.Data {
-		if got.Scores.Data[i] != m.Scores.Data[i] {
-			t.Fatal("score mismatch after round trip")
-		}
-	}
-	if _, err := Load(bytes.NewBufferString("bad")); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }
 

@@ -8,14 +8,8 @@ package chh
 
 import (
 	"fmt"
-	"io"
 	"sort"
-
-	"repro/internal/snapshot"
 )
-
-// KindModel is the snapshot container kind for serialized exact-CHH models.
-const KindModel = "chh-model"
 
 // Exact counts every (context, next) pair exactly. With the paper's
 // vocabulary (M = 38) the context universe is tiny (38 + 38² contexts), so
@@ -183,45 +177,4 @@ func (e *Exact) HeavyHitters(phi, minSupport float64) []HeavyHitter {
 		return out[i].Item < out[j].Item
 	})
 	return out
-}
-
-type gobExact struct {
-	V      int
-	Depth  int
-	Count1 map[int][]float64
-	Total1 map[int]float64
-	Count2 map[[2]int][]float64
-	Total2 map[[2]int]float64
-	Count0 []float64
-	Total0 float64
-}
-
-// Save serializes the model into a checksummed snapshot container of kind
-// KindModel.
-func (e *Exact) Save(w io.Writer) error {
-	return snapshot.Write(w, KindModel, gobExact(*e))
-}
-
-// Load deserializes a model written by Save, rejecting containers whose
-// payload decodes to an inconsistent model.
-func Load(r io.Reader) (*Exact, error) {
-	var g gobExact
-	if err := snapshot.Read(r, KindModel, &g); err != nil {
-		return nil, fmt.Errorf("chh: loading model: %w", err)
-	}
-	if g.V < 1 || (g.Depth != 1 && g.Depth != 2) || len(g.Count0) != g.V {
-		return nil, fmt.Errorf("chh: corrupt model (V %d, depth %d)", g.V, g.Depth)
-	}
-	for _, counts := range g.Count1 {
-		if len(counts) != g.V {
-			return nil, fmt.Errorf("chh: corrupt depth-1 table")
-		}
-	}
-	for _, counts := range g.Count2 {
-		if len(counts) != g.V {
-			return nil, fmt.Errorf("chh: corrupt depth-2 table")
-		}
-	}
-	e := Exact(g)
-	return &e, nil
 }

@@ -1,7 +1,6 @@
 package chh
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -143,30 +142,5 @@ func TestHeavyHitters(t *testing.T) {
 		if hh[i].Prob > hh[i-1].Prob+1e-12 {
 			t.Fatal("heavy hitters not sorted")
 		}
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	e := mustExact(t, 4, 2)
-	if err := e.Fit([][]int{{0, 1, 2, 3}, {3, 2, 1, 0}}); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := e.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ctx := range [][]int{{0}, {0, 1}, {2, 1}} {
-		for item := 0; item < 4; item++ {
-			if math.Abs(e.CondProb(ctx, item)-got.CondProb(ctx, item)) > 1e-15 {
-				t.Fatalf("loaded model differs at %v -> %d", ctx, item)
-			}
-		}
-	}
-	if _, err := Load(bytes.NewBufferString("junk")); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }

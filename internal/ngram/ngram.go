@@ -7,14 +7,8 @@ package ngram
 
 import (
 	"fmt"
-	"io"
 	"math"
-
-	"repro/internal/snapshot"
 )
-
-// KindModel is the snapshot container kind for serialized n-gram models.
-const KindModel = "ngram-model"
 
 // BOS is the synthetic begin-of-sequence token id used for conditioning the
 // first real tokens; it never appears as a predicted symbol.
@@ -205,50 +199,4 @@ func (m *Model) Perplexity(sequences [][]int) float64 {
 		return math.Inf(1)
 	}
 	return math.Exp(-logSum / float64(n))
-}
-
-// gobModel mirrors Model for encoding (maps with array keys encode fine,
-// but we keep an explicit struct to version the format).
-type gobModel struct {
-	Order    int
-	V        int
-	AddK     float64
-	Lambda   []float64
-	UniCount []float64
-	UniTotal float64
-	BiCount  map[int][]float64
-	BiTotal  map[int]float64
-	TriCount map[[2]int][]float64
-	TriTotal map[[2]int]float64
-}
-
-// Save serializes the model into a checksummed snapshot container of kind
-// KindModel.
-func (m *Model) Save(w io.Writer) error {
-	return snapshot.Write(w, KindModel, gobModel(*m))
-}
-
-// Load deserializes a model written by Save, rejecting containers whose
-// payload decodes to an inconsistent model.
-func Load(r io.Reader) (*Model, error) {
-	var g gobModel
-	if err := snapshot.Read(r, KindModel, &g); err != nil {
-		return nil, fmt.Errorf("ngram: loading model: %w", err)
-	}
-	if g.Order < 1 || g.Order > 3 || g.V < 1 ||
-		len(g.Lambda) != g.Order || len(g.UniCount) != g.V {
-		return nil, fmt.Errorf("ngram: corrupt model (order %d, V %d)", g.Order, g.V)
-	}
-	for _, counts := range g.BiCount {
-		if len(counts) != g.V {
-			return nil, fmt.Errorf("ngram: corrupt bigram table")
-		}
-	}
-	for _, counts := range g.TriCount {
-		if len(counts) != g.V {
-			return nil, fmt.Errorf("ngram: corrupt trigram table")
-		}
-	}
-	m := Model(g)
-	return &m, nil
 }

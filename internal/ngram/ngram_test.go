@@ -1,7 +1,6 @@
 package ngram
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -191,35 +190,6 @@ func TestIncrementalFitEquivalence(t *testing.T) {
 		if math.Abs(m1.Prob([]int{1}, tok)-m2.Prob([]int{1}, tok)) > 1e-12 {
 			t.Fatal("incremental Fit differs from batch Fit")
 		}
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	m := mustModel(t, Config{Order: 3, V: 5})
-	if err := m.Fit([][]int{{0, 1, 2, 3, 4}, {4, 3, 2, 1, 0}, {1, 1, 2}}); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hists := [][]int{nil, {1}, {1, 2}, {0, 4, 3}}
-	for _, h := range hists {
-		for tok := 0; tok < 5; tok++ {
-			if math.Abs(m.Prob(h, tok)-got.Prob(h, tok)) > 1e-15 {
-				t.Fatalf("loaded model differs at history %v token %d", h, tok)
-			}
-		}
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewBufferString("not gob")); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }
 

@@ -4,14 +4,16 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/rng"
 	"repro/internal/snapshot"
 )
 
 // AdamState is the serialized first/second moment vectors of one tensor's
-// Adam optimizer.
+// Adam optimizer, under the tensor's optimizer name.
 type AdamState struct {
+	Name string
 	M, V []float64
 }
 
@@ -24,7 +26,7 @@ type Checkpoint struct {
 	Epoch      int // completed epochs; training resumes at this epoch
 	Step       int // global Adam step counter
 	Params     gobModel
-	Adam       map[string]AdamState // nil when Cfg.Optimizer == "sgd"
+	Adam       []AdamState // sorted by Name; nil when Cfg.Optimizer == "sgd"
 	TrainLoss  []float64
 	ValidPerpl []float64
 	RNG        [4]uint64
@@ -43,30 +45,43 @@ func snapshotState(cfg *Config, m *Model, opt optimizer, epoch, step int, stats 
 		RNG:        g.State(),
 	}
 	if cfg.Optimizer == "adam" {
-		ck.Adam = make(map[string]AdamState, len(opt))
-		for k, a := range opt {
-			ck.Adam[k] = AdamState{
-				M: append([]float64(nil), a.m...),
-				V: append([]float64(nil), a.v...),
-			}
+		// A slice in name order, not a map: gob writes a map in iteration
+		// order, so the same state would give different file bytes.
+		for _, name := range opt.names() {
+			ck.Adam = append(ck.Adam, AdamState{
+				Name: name,
+				M:    append([]float64(nil), opt[name].m...),
+				V:    append([]float64(nil), opt[name].v...),
+			})
 		}
 	}
 	return ck
 }
 
-// restore copies saved Adam moments into a freshly built optimizer,
-// rejecting missing or misshapen tensors.
-func (opt optimizer) restore(saved map[string]AdamState) error {
-	if len(saved) != len(opt) {
-		return fmt.Errorf("rnn: checkpoint has %d optimizer tensors, model needs %d", len(saved), len(opt))
+// names returns the optimizer's tensor names in ascending order.
+func (opt optimizer) names() []string {
+	names := make([]string, 0, len(opt))
+	for name := range opt {
+		names = append(names, name)
 	}
-	for k, a := range opt {
-		s, ok := saved[k]
-		if !ok {
-			return fmt.Errorf("rnn: checkpoint missing optimizer state for %q", k)
+	slices.Sort(names)
+	return names
+}
+
+// restore copies saved Adam moments into a freshly built optimizer,
+// rejecting missing, extra, misordered or misshapen tensors.
+func (opt optimizer) restore(saved []AdamState) error {
+	names := opt.names()
+	if len(saved) != len(names) {
+		return fmt.Errorf("rnn: checkpoint has %d optimizer tensors, model needs %d", len(saved), len(names))
+	}
+	for i, name := range names {
+		s, a := saved[i], opt[name]
+		if s.Name != name {
+			return fmt.Errorf("rnn: checkpoint optimizer tensor %d is %q, want %q", i, s.Name, name)
 		}
 		if len(s.M) != len(a.m) || len(s.V) != len(a.v) {
-			return fmt.Errorf("rnn: optimizer state %q has wrong shape", k)
+			return fmt.Errorf("rnn: optimizer state %q has wrong shape", name)
 		}
 		copy(a.m, s.M)
 		copy(a.v, s.V)
@@ -88,9 +103,9 @@ func (ck *Checkpoint) validate() error {
 	if _, err := ck.Params.model(ck.Cfg.Cell); err != nil {
 		return err
 	}
-	for k, s := range ck.Adam {
+	for _, s := range ck.Adam {
 		if len(s.M) != len(s.V) {
-			return fmt.Errorf("rnn: optimizer state %q has mismatched moment lengths", k)
+			return fmt.Errorf("rnn: optimizer state %q has mismatched moment lengths", s.Name)
 		}
 	}
 	return nil

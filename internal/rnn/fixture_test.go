@@ -11,11 +11,13 @@ import (
 	"repro/internal/rng"
 )
 
-// The files under testdata were written by the last commit that had
-// internal/lstm and internal/gru as separate packages, from fixtureTrain,
-// fixtureValid and fixtureSeed with CheckpointEvery 1; the .ckpt is the
-// checkpoint after epoch 1 of 3. They pin that this package loads what those
-// packages wrote and trains to the same bits.
+// The files under testdata were written from fixtureTrain, fixtureValid and
+// fixtureSeed with CheckpointEvery 1; the .ckpt is the checkpoint after epoch
+// 1 of 3. The .model files come from the last commit that had internal/lstm
+// and internal/gru as separate packages; the .ckpt files were rewritten when
+// the checkpoint's Adam state became a name-sorted slice (a map gave
+// different bytes on every write). They pin that this package loads those
+// files, trains to the models' bits, and resumes the checkpoints to them.
 var (
 	fixtureTrain = [][]int{
 		{0, 1, 2, 3}, {3, 2, 1, 0, 5}, {4, 4, 1}, {5, 0, 2, 2, 1, 3}, {1, 3, 5},
@@ -90,7 +92,6 @@ func TestParentFixtures(t *testing.T) {
 			if ck.Cfg.Cell != fx.cfg.Cell || ck.Epoch != 1 {
 				t.Fatalf("checkpoint read as %v at epoch %d, want %v at epoch 1", ck.Cfg.Cell, ck.Epoch, fx.cfg.Cell)
 			}
-			// A GRU checkpoint of that commit has no Optimizer field at all.
 			if wantAdam := fx.cfg.Optimizer != "sgd"; (len(ck.Adam) > 0) != wantAdam {
 				t.Fatalf("checkpoint carries %d Adam tensors, want Adam = %v", len(ck.Adam), wantAdam)
 			}

@@ -64,7 +64,7 @@ type Config struct {
 	// DefaultK is the result count when a request omits k. Default 10.
 	DefaultK int
 	// DefaultPeers is the peer count consulted by /v1/recommend when the
-	// request omits peers. Default 25, the ibrec default.
+	// request omits peers. Default 25.
 	DefaultPeers int
 	// MaxConcurrent bounds the query requests executing at once, sized like
 	// the par worker pool by default (par.Workers()); excess requests wait

@@ -12,20 +12,12 @@ package sgns
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/mat"
 	"repro/internal/obs"
 	"repro/internal/rng"
-	"repro/internal/snapshot"
 	"repro/internal/train"
-)
-
-// Snapshot container kinds for SGNS artifacts.
-const (
-	KindModel      = "sgns-model"
-	KindCheckpoint = "sgns-checkpoint"
 )
 
 var (
@@ -53,41 +45,6 @@ type Config struct {
 	// computed by the update rule and the hook draws no random numbers, so
 	// trained embeddings are bit-identical with and without it.
 	Progress obs.Progress
-
-	// Checkpoint, when non-nil, receives a full snapshot of both embedding
-	// matrices and the RNG state every CheckpointEvery completed epochs (and
-	// once more on context cancellation). The snapshot owns its memory; the
-	// hook draws no random numbers, so checkpointed runs train
-	// bit-identically to unhooked runs. A hook error aborts training.
-	Checkpoint func(*Checkpoint) error
-	// CheckpointEvery is the epoch interval between Checkpoint calls;
-	// 0 disables periodic checkpoints (a cancellation checkpoint is still
-	// written when Checkpoint is set).
-	CheckpointEvery int
-}
-
-// ConfigState is the hookless, serializable part of Config that checkpoints
-// embed, so Resume continues under exactly the schedule the run started
-// with.
-type ConfigState struct {
-	V, Dim            int
-	Epochs, Negatives int
-	LearnRate         float64
-	NoisePower        float64
-}
-
-func (c *Config) state() ConfigState {
-	return ConfigState{
-		V: c.V, Dim: c.Dim, Epochs: c.Epochs, Negatives: c.Negatives,
-		LearnRate: c.LearnRate, NoisePower: c.NoisePower,
-	}
-}
-
-func (cs ConfigState) config() Config {
-	return Config{
-		V: cs.V, Dim: cs.Dim, Epochs: cs.Epochs, Negatives: cs.Negatives,
-		LearnRate: cs.LearnRate, NoisePower: cs.NoisePower,
-	}
 }
 
 func (c *Config) fillDefaults() {
@@ -163,9 +120,8 @@ func Train(cfg Config, docs [][]int, g *rng.RNG) (*Model, error) {
 }
 
 // TrainContext is Train with cooperative cancellation: ctx is checked at
-// every epoch boundary, and on cancellation a final checkpoint is handed to
-// cfg.Checkpoint (when set) before returning an error wrapping the context's
-// error.
+// every epoch boundary, and on cancellation training stops with an error
+// wrapping the context's error.
 func TrainContext(ctx context.Context, cfg Config, docs [][]int, g *rng.RNG) (*Model, error) {
 	cfg.fillDefaults()
 	if err := cfg.validate(); err != nil {
@@ -182,63 +138,18 @@ func TrainContext(ctx context.Context, cfg Config, docs [][]int, g *rng.RNG) (*M
 		m.In.Data[i] = (2*g.Float64() - 1) * scale
 	}
 	// Out starts at zero, the word2vec convention.
-	return trainLoop(ctx, cfg, m, pairs, noise, 0, 0, g)
-}
-
-// Resume continues an interrupted run from a checkpoint. docs must be the
-// same documents the original call received; hooks supplies
-// Progress/Checkpoint/CheckpointEvery for the continued run while the
-// training schedule comes from the checkpoint. A resumed run draws the same
-// random stream as the uninterrupted one, so the final model is
-// bit-identical.
-func Resume(ctx context.Context, ck *Checkpoint, docs [][]int, hooks Config) (*Model, error) {
-	cfg := ck.Cfg.config()
-	cfg.Progress = hooks.Progress
-	cfg.Checkpoint = hooks.Checkpoint
-	cfg.CheckpointEvery = hooks.CheckpointEvery
-	cfg.fillDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, fmt.Errorf("sgns: checkpoint carries invalid config: %w", err)
-	}
-	if err := ck.validate(); err != nil {
-		return nil, err
-	}
-	pairs, noise, err := buildPairs(&cfg, docs)
-	if err != nil {
-		return nil, err
-	}
-	if want := cfg.Epochs * len(pairs); ck.Step > want {
-		return nil, fmt.Errorf("sgns: checkpoint step %d exceeds schedule (%d pairs x %d epochs)", ck.Step, len(pairs), cfg.Epochs)
-	}
-	m := &Model{
-		V: cfg.V, Dim: cfg.Dim,
-		In:  mat.FromSlice(cfg.V, cfg.Dim, append([]float64(nil), ck.In...)),
-		Out: mat.FromSlice(cfg.V, cfg.Dim, append([]float64(nil), ck.Out...)),
-	}
-	g, err := rng.FromState(ck.RNG)
-	if err != nil {
-		return nil, fmt.Errorf("sgns: checkpoint RNG state: %w", err)
-	}
-	return trainLoop(ctx, cfg, m, pairs, noise, ck.Epoch, ck.Step, g)
-}
-
-// trainLoop runs epochs startEpoch..Epochs-1 over the model in place.
-func trainLoop(ctx context.Context, cfg Config, m *Model, pairs [][2]int, noise []float64, startEpoch, startStep int, g *rng.RNG) (*Model, error) {
 	total := cfg.Epochs * len(pairs)
-	step := startStep
+	step := 0
 	order := make([]int, len(pairs))
 	gradIn := make([]float64, cfg.Dim)
 	track := cfg.Progress != nil
-	err := train.Loop[*Checkpoint]{
+	err = train.Loop[struct{}]{
 		Name: "sgns", Prefix: "sgns", Unit: "epoch",
-		Start: startEpoch, Total: cfg.Epochs,
-		Progress: cfg.Progress, Checkpoint: cfg.Checkpoint, Every: cfg.CheckpointEvery,
-		Snapshot: func(epoch int) *Checkpoint { return snapshotState(&cfg, m, epoch, step, g) },
+		Total: cfg.Epochs, Progress: cfg.Progress,
 		Step: func(int) (int, func() float64, error) {
 			var epochLoss float64
 			// Reset to the identity before shuffling so the visit order is a pure
-			// function of the RNG state at the epoch boundary — required for
-			// checkpoint resume to replay the identical pair order.
+			// function of the RNG state at the epoch boundary.
 			for i := range order {
 				order[i] = i
 			}
@@ -346,29 +257,4 @@ func (m *Model) CompanyEmbeddings(docs [][]int, weights []float64) *mat.Matrix {
 		copy(out.Row(d), m.CompanyEmbedding(doc, weights))
 	}
 	return out
-}
-
-type gobModel struct {
-	V, Dim  int
-	In, Out []float64
-}
-
-// Save serializes the model into a checksummed snapshot container of kind
-// KindModel.
-func (m *Model) Save(w io.Writer) error {
-	return snapshot.Write(w, KindModel, gobModel{V: m.V, Dim: m.Dim, In: m.In.Data, Out: m.Out.Data})
-}
-
-// Load deserializes a model written by Save. Truncated, bit-flipped and
-// wrong-kind files fail the container's integrity checks before any gob
-// decoding runs.
-func Load(r io.Reader) (*Model, error) {
-	var g gobModel
-	if err := snapshot.Read(r, KindModel, &g); err != nil {
-		return nil, fmt.Errorf("sgns: loading model: %w", err)
-	}
-	if g.V < 2 || g.Dim < 1 || len(g.In) != g.V*g.Dim || len(g.Out) != g.V*g.Dim {
-		return nil, fmt.Errorf("sgns: corrupt model")
-	}
-	return &Model{V: g.V, Dim: g.Dim, In: mat.FromSlice(g.V, g.Dim, g.In), Out: mat.FromSlice(g.V, g.Dim, g.Out)}, nil
 }

@@ -1,7 +1,6 @@
 package sgns
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -160,28 +159,6 @@ func TestDeterminism(t *testing.T) {
 	}
 	if !mat.Equal(m1.In, m2.In, 0) {
 		t.Fatal("training not deterministic")
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	docs := twoTopicDocs(100, rng.New(11))
-	m, err := Train(Config{V: 10, Dim: 4, Epochs: 2}, docs, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mat.Equal(got.In, m.In, 0) || !mat.Equal(got.Out, m.Out, 0) {
-		t.Fatal("round trip changed embeddings")
-	}
-	if _, err := Load(bytes.NewBufferString("junk")); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }
 

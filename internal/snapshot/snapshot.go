@@ -10,6 +10,9 @@
 //     "wrong model kind" and "file from a future version" with precise
 //     errors instead of surfacing cryptic gob failures. Write and Read are
 //     the one v1 codec: callers hand them the value to encode or decode.
+//     Write refuses a payload type that holds a map: gob writes a map in
+//     Go's random iteration order, so the same value would give different
+//     bytes on every write.
 //
 //   - Atomicity: Atomic places a file by writing to a temporary sibling,
 //     fsyncing it, renaming it over the destination and fsyncing the
@@ -43,6 +46,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 
 	"repro/internal/obs"
@@ -108,9 +112,13 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // Write serializes one container to w: v gob-encoded as the payload,
 // wrapped in the versioned, checksummed header. The payload is buffered in
 // memory to compute its length and CRC before any header byte is emitted.
+// A payload whose type holds a map is refused (see mapIn).
 func Write(w io.Writer, kind string, v any) error {
 	if kind == "" || len(kind) > maxKindLen {
 		return fmt.Errorf("snapshot: invalid kind %q", kind)
+	}
+	if at := mapIn(reflect.TypeOf(v), fmt.Sprintf("%T", v), map[reflect.Type]bool{}); at != "" {
+		return fmt.Errorf("snapshot: %s payload holds a map at %s; gob writes maps in random order, so encode it as a sorted slice", kind, at)
 	}
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
@@ -134,6 +142,34 @@ func Write(w io.Writer, kind string, v any) error {
 		checkpointWrites.Inc()
 	}
 	return nil
+}
+
+// mapIn returns where type t, reached by path, holds a map, or "" when it
+// holds none. It walks what gob encodes: pointers, slices, arrays and the
+// exported fields of structs. An interface's dynamic type is not known here
+// and is not walked.
+func mapIn(t reflect.Type, path string, seen map[reflect.Type]bool) string {
+	if t == nil || seen[t] {
+		return ""
+	}
+	seen[t] = true
+	switch t.Kind() {
+	case reflect.Map:
+		return path + " (" + t.String() + ")"
+	case reflect.Pointer:
+		return mapIn(t.Elem(), path, seen)
+	case reflect.Slice, reflect.Array:
+		return mapIn(t.Elem(), path+"[]", seen)
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if f := t.Field(i); f.IsExported() {
+				if at := mapIn(f.Type, path+"."+f.Name, seen); at != "" {
+					return at
+				}
+			}
+		}
+	}
+	return ""
 }
 
 // readHeader parses and validates everything up to the payload. It returns

@@ -115,9 +115,9 @@ func TestFutureVersionRejected(t *testing.T) {
 }
 
 func TestReadKind(t *testing.T) {
-	b := container(t, "bpmf-checkpoint", []byte("payload"))
+	b := container(t, "gru-checkpoint", []byte("payload"))
 	kind, err := ReadKind(bytes.NewReader(b))
-	if err != nil || kind != "bpmf-checkpoint" {
+	if err != nil || kind != "gru-checkpoint" {
 		t.Fatalf("ReadKind = %q, %v", kind, err)
 	}
 }
@@ -270,5 +270,48 @@ func TestCorruptionCounted(t *testing.T) {
 	Read(bytes.NewReader(b), "test-model", nil)
 	if corruptionsTotal.Value() != before+1 {
 		t.Fatal("corruption not counted")
+	}
+}
+
+// TestWriteRefusesMaps: gob writes a map in random iteration order, so a
+// payload type that holds one, however deep, is refused before a byte is
+// written; map-free payloads, recursive ones included, are written.
+func TestWriteRefusesMaps(t *testing.T) {
+	type state struct {
+		Name string
+		M    []float64
+	}
+	type node struct {
+		Next *node
+		Vals []float64
+	}
+	type nested struct {
+		Cfg  struct{ V int }
+		Adam []map[string]state
+	}
+	for _, tc := range []struct {
+		v  any
+		at string // "" means written
+	}{
+		{map[string]int{"a": 1}, "map[string]int (map[string]int)"},
+		{&nested{}, "*snapshot.nested.Adam[] (map[string]snapshot.state)"},
+		{struct{ P *[2]map[int]bool }{}, ".P[] (map[int]bool)"},
+		{struct{ S []state }{S: []state{{"emb", []float64{1}}}}, ""},
+		{&node{Next: &node{}}, ""},
+		{struct {
+			V     int
+			local map[int]int // unexported: gob skips it
+		}{}, ""},
+	} {
+		var buf bytes.Buffer
+		err := Write(&buf, "test-model", tc.v)
+		switch {
+		case tc.at == "" && err != nil:
+			t.Errorf("%T: %v, want it written", tc.v, err)
+		case tc.at != "" && (err == nil || !strings.Contains(err.Error(), "holds a map at ") || !strings.Contains(err.Error(), tc.at)):
+			t.Errorf("%T: err %v, want a refusal naming %q", tc.v, err, tc.at)
+		case tc.at != "" && buf.Len() != 0:
+			t.Errorf("%T: refused, but %d bytes were written", tc.v, buf.Len())
+		}
 	}
 }

@@ -19,7 +19,8 @@ import (
 )
 
 // Loop describes one training run over iterations Start..Total-1. CK is the
-// family's *Checkpoint type.
+// family's *Checkpoint type, or struct{} for a family that does not
+// checkpoint (sgns, bpmf), which leaves Checkpoint and Snapshot nil.
 type Loop[CK any] struct {
 	Name   string // metric/span stem and ProgressEvent.Model: "lda", "lstm", "gru", "sgns", "bpmf"
 	Prefix string // error prefix, the package name: "lda", "rnn", ...

@@ -2,16 +2,18 @@
 # check_doc_flags.sh checks the documents that name command-line flags against
 # the binaries that define them. In every fenced code block of README.md and
 # DESIGN.md and in the doc comment of every cmd/*/main.go, each -flag that
-# follows one of the seven command words on the same command (continuation
-# lines joined; &&, ||, |, ; and & end a command) must be defined by that
-# binary, as `go run ./cmd/<name> -h` lists it. A flag renamed or deleted in
-# the code otherwise waits for a reader to trip over it. A few seconds,
-# offline; the remedy for a finding is to correct the document, not to add the
-# flag.
+# follows a command word on the same command (continuation lines joined; &&,
+# ||, |, ; and & end a command) must be defined by that binary, as
+# `go run ./cmd/<name> -h` lists it. The command words are the directories
+# under cmd/; a word shaped like one (ib + lowercase letters) that names no
+# directory there is a binary that is gone, and is reported too. A flag or a
+# binary renamed or deleted in the code otherwise waits for a reader to trip
+# over it. A few seconds, offline; the remedy for a finding is to correct the
+# document, not to add the flag.
 set -eu
 cd "$(dirname "$0")/.."
 
-cmds="ibserve ibrouter ibtrain ibload ibgen ibrec ibeval"
+cmds=$(for d in cmd/*/; do basename "$d"; done | tr "\n" " ")
 
 defined=""
 for c in $cmds; do
@@ -53,6 +55,10 @@ BEGIN {
             if (bin == "") {
                 sub(/^.*\//, "", word)
                 if (word in iscmd) bin = word
+                else if (word ~ /^ib[a-z]+$/) {
+                    printf "%s: %s is not a binary (no cmd/%s)\n", where, word, word
+                    bad++
+                }
             } else if (word ~ /^--?[A-Za-z]/) {
                 sub(/^--?/, "", word); sub(/=.*/, "", word)
                 checked++
@@ -65,7 +71,7 @@ BEGIN {
     }
 }
 END {
-    if (bad) { print "FAIL: " bad " documented flags that no binary defines"; exit 1 }
+    if (bad) { print "FAIL: " bad " documented flags or binaries that no binary defines"; exit 1 }
     if (!checked) { print "FAIL: no flag found in the documents; the extraction is broken"; exit 1 }
     print "doc flags check OK (" checked " flags)"
 }'
